@@ -8,7 +8,7 @@ It can then serve immediately through root + cluster, or refine a private
 leaf adapter locally.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -94,8 +94,7 @@ def adapt_unseen(model: HeadModel, client: ClientSplit, server: ServerState,
     trajectory = [accuracy(model, path, client.test)]
     frozen = (server.root.b, cluster_ad.b)
     gammas = (config.gamma_c, config.gamma_l)
-    opt = SgdConfig(lr=config.lr, epochs=1, batch_mode=config.batch_mode,
-                    batch_size=config.batch_size)
+    opt = replace(config.sgd(), epochs=1)
     for e in range(1, epochs + 1):
         leaf = local_update(model, path, client.train, Tier.LEAF, frozen, gammas,
                             opt=opt, rng=_rng(seed, _TAG_UNSEEN_LEAF, e, 0))

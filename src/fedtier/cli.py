@@ -380,7 +380,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except ConfigurationError as exc:
         return _fail(str(exc))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         return _fail(f"i/o failure: {exc}")
 
 

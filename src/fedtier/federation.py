@@ -14,8 +14,9 @@ from (master_seed, stage, round, client), and aggregation reduces in
 ascending client order, so results are identical for any worker count.
 """
 
+import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -69,22 +70,22 @@ class FederationConfig:
             raise ConfigurationError("n_clients must be positive")
         if self.rank < 1:
             raise ConfigurationError("rank must be positive")
-        if self.gamma_c < 0 or self.gamma_l < 0:
-            raise ConfigurationError("penalty weights must be non-negative")
+        if not (0 <= self.gamma_c < math.inf and 0 <= self.gamma_l < math.inf):
+            raise ConfigurationError("penalty weights must be finite and non-negative")
         if not 0.0 < self.ema_decay < 1.0:
             raise ConfigurationError("ema_decay must lie in (0, 1)")
-        if self.tau_rel <= 0:
-            raise ConfigurationError("tau_rel must be positive")
-        if self.eps <= 0:
-            raise ConfigurationError("eps must be positive")
+        if not 0 < self.tau_rel < math.inf:
+            raise ConfigurationError("tau_rel must be finite and positive")
+        if not 0 < self.eps < math.inf:
+            raise ConfigurationError("eps must be finite and positive")
         if min(self.t_root, self.t_cluster, self.t_leaf) < 0:
             raise ConfigurationError("stage budgets must be non-negative")
         if self.t_root + self.t_cluster + self.t_leaf != self.total_budget:
             raise ConfigurationError(
                 f"stage budgets {self.t_root}+{self.t_cluster}+{self.t_leaf} "
                 f"must sum to total_budget={self.total_budget}")
-        if self.lr <= 0:
-            raise ConfigurationError("lr must be positive")
+        if not 0 < self.lr < math.inf:
+            raise ConfigurationError("lr must be finite and positive")
         if self.local_epochs < 1:
             raise ConfigurationError("local_epochs must be positive")
         if self.batch_mode not in ("full", "mini"):
@@ -207,22 +208,73 @@ def _weighted_loss(model, server_delta, enc_list, weights) -> float:
     return float(sum(w * _loss_for_weight(w_eff, e) for w, e in zip(weights, enc_list)))
 
 
-def _server_round(config, model, enc_members, member_ids, server,
-                  active, frozen_bases, gammas, tag, rnd, workers):
-    """One communication round: parallel local updates, fixed-order reduce."""
+def _until_stopped(step, delta_prev: Matrix, budget: int, config: FederationConfig,
+                   **labels) -> StageReport:
+    """Call step(t) for t = 1..budget, where step returns (delta_new, loss),
+    until stop_check passes on consecutive deltas or the budget runs out."""
+    rhos, losses = [], []
+    for t in range(1, budget + 1):
+        delta_new, loss = step(t)
+        losses.append(loss)
+        stop, rho = stop_check(delta_prev, delta_new, config.tau_rel, config.eps)
+        rhos.append(rho)
+        delta_prev = delta_new
+        if stop:
+            return StageReport(rho=rhos, weighted_loss=losses, rounds=t,
+                               stop_reason="criterion", **labels)
+    return StageReport(rho=rhos, weighted_loss=losses, rounds=budget,
+                       stop_reason="budget", **labels)
+
+
+def _train_server_tier(config: FederationConfig, model: HeadModel, enc: list[EncodedData],
+                       members: list[int], weights, root: LoraAdapter | None,
+                       tracker: BasisTracker | None, cluster: int | None, workers: int):
+    """Train one server-tier adapter over `members`: the root when `root` is
+    None, else cluster `cluster` above the frozen, orthogonality-penalized
+    `root`. Each round runs parallel local updates, reduces them in member
+    order, and refactorizes; `tracker`, when given, receives every member's
+    local basis each round. Returns the adapter and its stage report."""
     p, q = model.class_count, model.backbone.hidden_dim
+    zero = zero_adapter(p, q, config.rank)
+    if root is None:
+        active, tag, budget, bases, gammas = Tier.ROOT, _TAG_ROOT, config.t_root, (), ()
+        server = init_adapter(p, q, config.rank, _rng(config.master_seed, _TAG_ROOT_INIT, 0, 0))
+        frame = AdapterPath(root=zero, cluster=zero, leaf=zero)
+    else:
+        active, tag, budget = Tier.CLUSTER, _TAG_CLUSTER, config.t_cluster
+        bases, gammas = (root.b,), (config.gamma_c,)
+        server = init_adapter(p, q, config.rank,
+                              _rng(config.master_seed, _TAG_CLUSTER_INIT, 0, cluster))
+        frame = AdapterPath(root=root, cluster=zero, leaf=zero)
+    enc_members = [enc[i] for i in members]
+    opt = config.sgd()
 
-    def one(pos):
-        i = member_ids[pos]
-        path = AdapterPath(
-            root=server if active == Tier.ROOT else frozen_bases["root_adapter"],
-            cluster=server if active == Tier.CLUSTER else zero_adapter(p, q, config.rank),
-            leaf=zero_adapter(p, q, config.rank))
-        return local_update(model, path, enc_members[pos], active,
-                            frozen_bases["bases"], gammas, opt=config.sgd(),
-                            rng=_rng(config.master_seed, tag, rnd, i))
+    def step(rnd):
+        nonlocal server
+        path = frame.replace(active, server)
 
-    return _map_indexed(one, range(len(member_ids)), workers)
+        def one(pos):
+            return local_update(model, path, enc_members[pos], active, bases, gammas,
+                                opt=opt, rng=_rng(config.master_seed, tag, rnd, members[pos]))
+
+        local = _map_indexed(one, range(len(members)), workers)
+        if tracker is not None:
+            for i, ad in zip(members, local):
+                ema_update(tracker, i, ad.b)
+        if config.aggregation_mode == "product_svd":
+            delta_new = aggregate_product(local, weights)
+            server = refactor(delta_new, config.rank)
+        else:
+            server = aggregate_separate(local, weights)
+            delta_new = delta(server)
+        server_delta = delta(server) if root is None else delta(root) + delta(server)
+        return delta_new, _weighted_loss(model, server_delta, enc_members, weights)
+
+    report = _until_stopped(step, delta(server), budget, config,
+                            stage=active.value, cluster=cluster)
+    if tracker is not None:
+        tracker.rounds = report.rounds
+    return server, report
 
 
 def run_root_stage(config: FederationConfig, data: FederationData, model: HeadModel,
@@ -232,38 +284,8 @@ def run_root_stage(config: FederationConfig, data: FederationData, model: HeadMo
     EMA tracker each round. Returns the frozen root and the stage report."""
     workers = config.workers if workers is None else workers
     enc = enc if enc is not None else _encode_clients(model, data)
-    weights = weights_root(data.train_sizes)
-    p, q = model.class_count, model.backbone.hidden_dim
-    server = init_adapter(p, q, config.rank, _rng(config.master_seed, _TAG_ROOT_INIT, 0, 0))
-    delta_prev = delta(server)
-    rhos, losses = [], []
-    stop_reason = "budget"
-    rounds = 0
-    frozen = {"bases": (), "root_adapter": None}
-    for rnd in range(1, config.t_root + 1):
-        rounds = rnd
-        local = _server_round(config, model, enc, list(range(config.n_clients)),
-                              server, Tier.ROOT, frozen, (), _TAG_ROOT, rnd, workers)
-        for i in range(config.n_clients):
-            ema_update(tracker, i, local[i].b)
-        if config.aggregation_mode == "product_svd":
-            agg = aggregate_product(local, weights)
-            server = refactor(agg, config.rank)
-            delta_new = agg
-        else:
-            server = aggregate_separate(local, weights)
-            delta_new = delta(server)
-        losses.append(_weighted_loss(model, delta(server), enc, weights))
-        stop, rho = stop_check(delta_prev, delta_new, config.tau_rel, config.eps)
-        rhos.append(rho)
-        delta_prev = delta_new
-        if stop:
-            stop_reason = "criterion"
-            break
-    tracker.rounds = rounds
-    report = StageReport(stage="root", rho=rhos, weighted_loss=losses,
-                         rounds=rounds, stop_reason=stop_reason)
-    return server, report
+    return _train_server_tier(config, model, enc, list(range(config.n_clients)),
+                              weights_root(data.train_sizes), None, tracker, None, workers)
 
 
 def run_cluster_stage(config: FederationConfig, data: FederationData, model: HeadModel,
@@ -274,44 +296,14 @@ def run_cluster_stage(config: FederationConfig, data: FederationData, model: Hea
     frozen root; clusters run and stop independently within t_cluster."""
     workers = config.workers if workers is None else workers
     enc = enc if enc is not None else _encode_clients(model, data)
-    sizes = data.train_sizes
-    p, q = model.class_count, model.backbone.hidden_dim
     clusters: dict[int, LoraAdapter] = {}
     reports = []
     for j in assignment.cluster_ids:
         members = assignment.members(j)
-        weights = weights_cluster(sizes, members)
-        enc_members = [enc[i] for i in members]
-        server = init_adapter(p, q, config.rank,
-                              _rng(config.master_seed, _TAG_CLUSTER_INIT, 0, j))
-        delta_prev = delta(server)
-        rhos, losses = [], []
-        stop_reason = "budget"
-        rounds = 0
-        frozen = {"bases": (root_star.b,), "root_adapter": root_star}
-        for rnd in range(1, config.t_cluster + 1):
-            rounds = rnd
-            local = _server_round(config, model, enc_members, members, server,
-                                  Tier.CLUSTER, frozen, (config.gamma_c,),
-                                  _TAG_CLUSTER, rnd, workers)
-            if config.aggregation_mode == "product_svd":
-                agg = aggregate_product(local, weights)
-                server = refactor(agg, config.rank)
-                delta_new = agg
-            else:
-                server = aggregate_separate(local, weights)
-                delta_new = delta(server)
-            losses.append(_weighted_loss(model, delta(root_star) + delta(server),
-                                         enc_members, weights))
-            stop, rho = stop_check(delta_prev, delta_new, config.tau_rel, config.eps)
-            rhos.append(rho)
-            delta_prev = delta_new
-            if stop:
-                stop_reason = "criterion"
-                break
-        clusters[j] = server
-        reports.append(StageReport(stage="cluster", rho=rhos, weighted_loss=losses,
-                                   rounds=rounds, stop_reason=stop_reason, cluster=j))
+        clusters[j], report = _train_server_tier(
+            config, model, enc, members, weights_cluster(data.train_sizes, members),
+            root_star, None, j, workers)
+        reports.append(report)
     return clusters, reports
 
 
@@ -328,38 +320,29 @@ def run_leaf_stage(config: FederationConfig, data: FederationData, model: HeadMo
     workers = config.workers if workers is None else workers
     enc = enc if enc is not None else _encode_clients(model, data)
     p, q = model.class_count, model.backbone.hidden_dim
+    opt = replace(config.sgd(), epochs=1)
+    gammas = (config.gamma_c, config.gamma_l)
 
     def one(i):
         j = int(assignment.labels[i])
         cluster_ad = clusters[j]
-        frozen = (root_star.b, cluster_ad.b)
-        gammas = (config.gamma_c, config.gamma_l)
+        bases = (root_star.b, cluster_ad.b)
         leaf = init_adapter(p, q, config.rank,
                             _rng(config.master_seed, _TAG_LEAF_INIT, 0, i))
-        delta_prev = delta(leaf)
-        rhos, losses = [], []
-        stop_reason = "budget"
-        epochs = 0
         base_delta = delta(root_star) + delta(cluster_ad)
-        opt = SgdConfig(lr=config.lr, epochs=1, batch_mode=config.batch_mode,
-                        batch_size=config.batch_size)
-        for e in range(1, config.t_leaf + 1):
-            epochs = e
+
+        def step(e):
+            nonlocal leaf
             path = AdapterPath(root=root_star, cluster=cluster_ad, leaf=leaf,
                                cluster_index=j, client_index=i)
-            leaf = local_update(model, path, enc[i], Tier.LEAF, frozen, gammas,
+            leaf = local_update(model, path, enc[i], Tier.LEAF, bases, gammas,
                                 opt=opt, rng=_rng(config.master_seed, _TAG_LEAF, e, i))
             delta_new = delta(leaf)
-            losses.append(_loss_for_weight(model.w0 + base_delta + delta_new, enc[i]))
-            stop, rho = stop_check(delta_prev, delta_new, config.tau_rel, config.eps)
-            rhos.append(rho)
-            delta_prev = delta_new
-            if stop:
-                stop_reason = "criterion"
-                break
-        return leaf, StageReport(stage="leaf", rho=rhos, weighted_loss=losses,
-                                 rounds=epochs, stop_reason=stop_reason,
-                                 cluster=j, client=i)
+            return delta_new, _loss_for_weight(model.w0 + base_delta + delta_new, enc[i])
+
+        report = _until_stopped(step, delta(leaf), config.t_leaf, config,
+                                stage="leaf", cluster=j, client=i)
+        return leaf, report
 
     results = _map_indexed(one, range(config.n_clients), workers)
     leaves = [r[0] for r in results]

@@ -1,13 +1,13 @@
 """Dense float64 linear algebra with a deterministic truncated SVD.
 
-Matrices are plain 2-D ``numpy.ndarray`` of dtype float64. The SVD is a
-one-sided Jacobi iteration with a fixed sweep order and a fixed sign
-convention, so repeated calls on identical input return bitwise-identical
-factors. Principal-angle overlaps between orthonormal bases are exposed via
-:func:`subspace_overlap`, the building block for subspace distances.
+Matrices are plain 2-D ``numpy.ndarray`` of dtype float64. The SVD is
+LAPACK's (``numpy.linalg.svd``) followed by a fixed sign convention, so
+repeated calls on identical input return bitwise-identical factors on a
+given machine and BLAS/LAPACK build. Principal-angle overlaps between
+orthonormal bases are exposed via :func:`subspace_overlap`, the building
+block for subspace distances.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,15 +15,6 @@ import numpy as np
 from .errors import ConfigurationError, PreconditionError
 
 Matrix = np.ndarray
-
-# One-sided Jacobi: rotate until every normalized off-diagonal inner product
-# |x.y|/(|x||y|) drops below this, or the sweep budget runs out.
-_JACOBI_TOL = 1e-12
-_MAX_SWEEPS = 60
-
-# Column norms at or below this are treated as exactly zero when building
-# left singular vectors; the basis is then completed deterministically.
-_ZERO_SIGMA = 1e-300
 
 
 def as_matrix(m) -> Matrix:
@@ -64,62 +55,6 @@ class SvdFactors:
         return self.u @ (self.singular_values[:, None] * self.vt)
 
 
-def _jacobi(a: Matrix):
-    """One-sided Jacobi on a p×q matrix with p >= q.
-
-    Returns (w, sigma, v) where w holds the rotated (mutually orthogonal)
-    columns, sigma their norms (unsorted), and v the accumulated q×q rotation
-    with a = w @ v.T.
-    """
-    p, q = a.shape
-    w = a.copy()
-    v = np.eye(q)
-    for _ in range(_MAX_SWEEPS):
-        rotated = False
-        for i in range(q - 1):
-            for j in range(i + 1, q):
-                x = w[:, i].copy()
-                y = w[:, j].copy()
-                alpha = float(x @ x)
-                beta = float(y @ y)
-                gamma = float(x @ y)
-                if gamma == 0.0 or abs(gamma) <= _JACOBI_TOL * math.sqrt(alpha * beta):
-                    continue
-                rotated = True
-                zeta = (beta - alpha) / (2.0 * gamma)
-                t = math.copysign(1.0, zeta) / (abs(zeta) + math.sqrt(1.0 + zeta * zeta))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = c * t
-                w[:, i] = c * x - s * y
-                w[:, j] = s * x + c * y
-                vi = v[:, i].copy()
-                vj = v[:, j].copy()
-                v[:, i] = c * vi - s * vj
-                v[:, j] = s * vi + c * vj
-        if not rotated:
-            break
-    sigma = np.sqrt(np.sum(w * w, axis=0))
-    return w, sigma, v
-
-
-def _complete_columns(basis: Matrix, filled: np.ndarray) -> Matrix:
-    """Replace the columns of `basis` flagged False in `filled` with
-    deterministic orthonormal completions of the remaining columns."""
-    p = basis.shape[0]
-    filled = filled.copy()
-    for j in np.flatnonzero(~filled):
-        cur = basis[:, filled]
-        resid = np.eye(p) - cur @ cur.T
-        norms = np.sqrt(np.sum(resid * resid, axis=0))
-        pick = int(np.argmax(norms))
-        vec = resid[:, pick]
-        # second projection pass tightens orthogonality near machine precision
-        vec = vec - cur @ (cur.T @ vec)
-        basis[:, j] = vec / np.sqrt(np.sum(vec * vec))
-        filled[j] = True
-    return basis
-
-
 def _apply_sign_convention(u: Matrix, vt: Matrix):
     """Flip each (u column, vt row) pair so the largest-magnitude entry of the
     left vector is positive; magnitude ties break at the lowest row index."""
@@ -131,46 +66,20 @@ def _apply_sign_convention(u: Matrix, vt: Matrix):
     return u, vt
 
 
-def _thin_svd(m: Matrix):
-    """Deterministic thin SVD m = u @ diag(s) @ vt with s sorted non-increasing."""
-    p, q = m.shape
-    if p >= q:
-        w, sigma, v = _jacobi(m)
-        order = np.argsort(-sigma, kind="stable")
-        sigma = sigma[order]
-        w = w[:, order]
-        filled = sigma > _ZERO_SIGMA
-        u = np.zeros((p, q))
-        u[:, filled] = w[:, filled] / sigma[filled]
-        u = _complete_columns(u, filled)
-        vt = v[:, order].T
-    else:
-        # m.T is tall: m.T = w s v.T  =>  m = v s (w/s).T
-        w, sigma, v = _jacobi(m.T)
-        order = np.argsort(-sigma, kind="stable")
-        sigma = sigma[order]
-        w = w[:, order]
-        filled = sigma > _ZERO_SIGMA
-        right = np.zeros((q, p))
-        right[:, filled] = w[:, filled] / sigma[filled]
-        right = _complete_columns(right, filled)
-        u = v[:, order]
-        vt = right.T
-    return _apply_sign_convention(u, vt) + (sigma,)
-
-
 def truncated_svd(m: Matrix, k: int) -> SvdFactors:
-    """Top-k singular triplets of m via one-sided Jacobi.
+    """Top-k singular triplets of m via LAPACK's thin SVD.
 
     The reconstruction u @ diag(s) @ vt is a best rank-k approximation of m.
-    Output is bitwise deterministic for identical input.
+    Output is bitwise deterministic for identical input on a given machine
+    and BLAS/LAPACK build.
     """
     m = as_matrix(m)
     p, q = m.shape
     if not 1 <= k <= min(p, q):
         raise ConfigurationError(f"rank k={k} out of range for a {p}x{q} matrix")
-    u, vt, sigma = _thin_svd(m)
-    return SvdFactors(u=u[:, :k].copy(), singular_values=sigma[:k].copy(), vt=vt[:k, :].copy())
+    u, sigma, vt = np.linalg.svd(m, full_matrices=False)
+    u, vt = _apply_sign_convention(u[:, :k].copy(), vt[:k, :].copy())
+    return SvdFactors(u=u, singular_values=sigma[:k].copy(), vt=vt)
 
 
 def orthonormal_columns(m: Matrix, r: int) -> Matrix:

@@ -144,14 +144,36 @@ def dump_adapter(adapter: LoraAdapter) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_adapter(text: str) -> LoraAdapter:
+def _parse_dump(text: str, what: str, header_len: int):
+    """Split a dump into its non-negative integer header and its float rows,
+    raising ConfigurationError on anything malformed."""
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    p, q, rank = (int(x) for x in lines[0].split())
-    if len(lines) != 1 + p + rank:
+    if not lines:
+        raise ConfigurationError(f"{what} dump is empty")
+    try:
+        header = [int(x) for x in lines[0].split()]
+        rows = [[float(x) for x in ln.split()] for ln in lines[1:]]
+    except ValueError as exc:
+        raise ConfigurationError(f"{what} dump is malformed: {exc}") from None
+    if len(header) != header_len or min(header) < 0:
+        raise ConfigurationError(
+            f"{what} dump header must be {header_len} non-negative integers")
+    return header, rows
+
+
+def _block(rows, cols: int, what: str) -> Matrix:
+    """Rows of equal length `cols` as a float64 matrix."""
+    if any(len(r) != cols for r in rows):
+        raise ConfigurationError(f"{what} dump has a row of the wrong length")
+    return np.array(rows, dtype=np.float64).reshape(len(rows), cols)
+
+
+def load_adapter(text: str) -> LoraAdapter:
+    (p, q, rank), rows = _parse_dump(text, "adapter", 3)
+    if len(rows) != p + rank:
         raise ConfigurationError("adapter dump has the wrong number of rows")
-    b = np.array([[float(x) for x in lines[1 + i].split()] for i in range(p)])
-    a = np.array([[float(x) for x in lines[1 + p + i].split()] for i in range(rank)])
-    return LoraAdapter(b=b, a=a, rank=rank)
+    return LoraAdapter(b=_block(rows[:p], rank, "adapter"),
+                       a=_block(rows[p:], q, "adapter"), rank=rank)
 
 
 def save_adapter(adapter: LoraAdapter, path: str | Path):
@@ -170,9 +192,7 @@ def dump_matrix(m: Matrix) -> str:
 
 
 def load_matrix(text: str) -> Matrix:
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    rows, cols = (int(x) for x in lines[0].split())
-    m = np.array([[float(x) for x in lines[1 + i].split()] for i in range(rows)])
-    if m.shape != (rows, cols):
-        raise ConfigurationError("matrix dump has the wrong shape")
-    return m
+    (rows, cols), body = _parse_dump(text, "matrix", 2)
+    if len(body) != rows:
+        raise ConfigurationError("matrix dump has the wrong number of rows")
+    return as_matrix(_block(body, cols, "matrix"))

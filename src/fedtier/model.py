@@ -8,6 +8,7 @@ plain gradient-descent local updates live here, together with the central
 finite-difference oracle used by tests and the gradcheck command.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -181,8 +182,8 @@ class SgdConfig:
     batch_size: int = 32
 
     def __post_init__(self):
-        if self.lr <= 0.0:
-            raise ConfigurationError("learning rate must be positive")
+        if not 0.0 < self.lr < math.inf:
+            raise ConfigurationError("learning rate must be finite and positive")
         if self.epochs < 0:
             raise ConfigurationError("epochs must be non-negative")
         if self.batch_mode not in ("full", "mini"):

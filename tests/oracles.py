@@ -25,7 +25,7 @@ def eigh_singular_values(m):
 
 def best_rank_k(m, k):
     """Best rank-k approximation via the eigen route (independent of the
-    package's Jacobi SVD)."""
+    package's LAPACK SVD path)."""
     evals, vecs = np.linalg.eigh(m.T @ m)
     order = np.argsort(evals)[::-1]
     out = np.zeros_like(m)

@@ -2,6 +2,8 @@ import csv
 import json
 from pathlib import Path
 
+import pytest
+
 from fedtier.cli import main
 from fedtier.datagen import gen_pool
 
@@ -53,6 +55,11 @@ class TestRun:
         assert stages == {"root", "cluster", "leaf"}
         assert all(r["cluster"] == "-1" for r in rows if r["stage"] == "root")
 
+    def test_non_finite_lr_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, **{"federation.lr": float("nan")})
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert "lr" in capsys.readouterr().err
+
     def test_budget_mismatch_names_the_rule(self, tmp_path, capsys):
         cfg = write_config(tmp_path, **{"federation.t_leaf": 5})
         assert main(["run", "--config", str(cfg)]) == 2
@@ -88,6 +95,21 @@ class TestReport:
         assert main(["report", "--run", str(run_dir)]) == 0
         assert (run_dir / "metrics.csv").read_bytes() == before_csv
         assert (run_dir / "metrics.json").read_bytes() == before_json
+
+    @pytest.mark.parametrize("corruption", ["ragged_row", "non_ascii_byte"])
+    def test_corrupted_checkpoint_fails_cleanly(self, tmp_path, capsys, corruption):
+        cfg = write_config(tmp_path)
+        main(["run", "--config", str(cfg)])
+        leaf = tmp_path / "run" / "checkpoints" / "leaf_0.adapter"
+        lines = leaf.read_text().splitlines()
+        if corruption == "ragged_row":
+            lines[1] += " 0.5"
+        else:
+            lines[1] = "\xff" + lines[1]
+        leaf.write_bytes(("\n".join(lines) + "\n").encode("latin-1"))
+        capsys.readouterr()
+        assert main(["report", "--run", str(tmp_path / "run")]) == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_root_only_run_reports_zero_gains(self, tmp_path):
         cfg = write_config(tmp_path, **{"federation.t_cluster": 0,

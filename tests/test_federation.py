@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from fedtier.linalg import frobenius_norm
 from fedtier.lora import (AdapterPath, LoraAdapter, Tier, delta, init_adapter,
                           zero_adapter)
 from fedtier.metrics import accuracy
-from fedtier.model import SgdConfig, build_model, local_update
+from fedtier.model import SgdConfig, build_model, dataset_loss, local_update
 from oracles import best_rank_k
 
 
@@ -284,6 +286,37 @@ class TestClusterStage:
         assert np.array_equal(fed.server.root.b, root_b)
         assert np.array_equal(fed.server.root.a, root_a)
 
+    def test_last_weighted_loss_includes_the_frozen_root(self, trained_fed):
+        fed = trained_fed
+        p, q = fed.model.class_count, fed.model.backbone.hidden_dim
+        zero = zero_adapter(p, q, fed.config.rank)
+        clusters, reports = run_cluster_stage(fed.config, fed.data, fed.model,
+                                              fed.server.assignment, fed.server.root)
+        for report in reports:
+            j = report.cluster
+            members = fed.server.assignment.members(j)
+            weights = weights_cluster(fed.data.train_sizes, members)
+
+            def direct(root):
+                path = AdapterPath(root=root, cluster=clusters[j], leaf=zero)
+                return sum(w * dataset_loss(fed.model, path, fed.data.clients[i].train)
+                           for w, i in zip(weights, members))
+
+            assert report.weighted_loss[-1] == pytest.approx(direct(fed.server.root),
+                                                             rel=1e-12)
+            assert report.weighted_loss[-1] != pytest.approx(direct(zero), rel=1e-6)
+
+    def test_cluster_stage_leaves_the_tracker_untouched(self, trained_fed):
+        fed = trained_fed
+        before = {i: b.copy() for i, b in fed.tracker.bases.items()}
+        rounds = fed.tracker.rounds
+        run_cluster_stage(fed.config, fed.data, fed.model, fed.server.assignment,
+                          fed.server.root)
+        assert sorted(fed.tracker.bases) == sorted(before)
+        for i, b in before.items():
+            assert np.array_equal(fed.tracker.bases[i], b)
+        assert fed.tracker.rounds == rounds
+
     def test_penalty_pushes_cluster_bases_off_the_root(self, clustershift_data):
         # paired runs, same seed: strong penalty keeps the root/cluster overlap
         # tiny, no penalty leaves it clearly larger
@@ -396,6 +429,18 @@ class TestRunProtocol:
     def test_budget_sum_validated(self):
         with pytest.raises(ConfigurationError):
             small_config(t_root=5, t_cluster=5, t_leaf=5, total_budget=16)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["lr", "tau_rel", "eps", "gamma_c", "gamma_l",
+                                      "ema_decay"])
+    def test_non_finite_floats_rejected(self, name, value):
+        with pytest.raises(ConfigurationError):
+            small_config(**{name: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_sgd_config_rejects_non_finite_lr(self, value):
+        with pytest.raises(ConfigurationError):
+            SgdConfig(lr=value, epochs=1)
 
     def test_separate_average_baseline_mode(self):
         # contrast mode averaging B and A independently: no refactorization, so

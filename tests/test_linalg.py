@@ -51,7 +51,8 @@ class TestTruncatedSvd:
         assert np.array_equal(f.vt, [[1.0, 0.0]])
 
     def test_identity_tie_convention(self):
-        # equal singular values: the deterministic sweep keeps column 0 first
+        # equal singular values: LAPACK keeps column 0 first, and the sign
+        # convention makes it positive
         f = truncated_svd(np.eye(2), 1)
         assert np.array_equal(f.singular_values, [1.0])
         assert np.array_equal(f.u, [[1.0], [0.0]])

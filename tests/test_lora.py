@@ -161,3 +161,41 @@ class TestInitAndSerialization:
         rng = np.random.default_rng(8)
         m = rng.normal(size=(4, 3)) * 1e-7
         assert np.array_equal(load_matrix(dump_matrix(m)), m)
+
+
+
+BAD_MATRIX_DUMPS = {
+    "empty": "",
+    "blank_lines_only": "  \n\n",
+    "non_integer_header": "2.5 1\n1\n2\n",
+    "non_numeric_header": "x y\n",
+    "short_header": "2\n1 2\n",
+    "negative_header": "-1 2\n",
+    "ragged_rows": "2 2\n1 2\n3\n",
+    "too_few_rows": "3 2\n1 2\n3 4\n",
+    "too_many_rows": "1 2\n1 2\n3 4\n",
+    "non_numeric_entry": "1 2\n1 abc\n",
+    "non_finite_entry": "1 2\n1 nan\n",
+}
+
+BAD_ADAPTER_DUMPS = {
+    "empty": "",
+    "non_integer_header": "3 4 1.0\n1\n2\n3\n1 2 3 4\n",
+    "short_header": "3 4\n1\n2\n3\n1 2 3 4\n",
+    "ragged_b_rows": "3 4 1\n1\n2 2\n3\n1 2 3 4\n",
+    "ragged_a_row": "3 4 1\n1\n2\n3\n1 2 3\n",
+    "too_few_rows": "3 4 1\n1\n2\n3\n",
+    "non_finite_entry": "3 4 1\n1\n2\n3\n1 2 3 inf\n",
+}
+
+
+class TestMalformedDumps:
+    @pytest.mark.parametrize("text", BAD_MATRIX_DUMPS.values(), ids=BAD_MATRIX_DUMPS.keys())
+    def test_load_matrix_raises_configuration_error(self, text):
+        with pytest.raises(ConfigurationError):
+            load_matrix(text)
+
+    @pytest.mark.parametrize("text", BAD_ADAPTER_DUMPS.values(), ids=BAD_ADAPTER_DUMPS.keys())
+    def test_load_adapter_raises_configuration_error(self, text):
+        with pytest.raises(ConfigurationError):
+            load_adapter(text)
