@@ -18,9 +18,10 @@ from .federation import FederationConfig, ServerState, _rng
 from .linalg import Matrix, frobenius_norm, orthonormal_columns, subspace_overlap
 from .lora import AdapterPath, LoraAdapter, Tier, init_adapter, zero_adapter
 from .metrics import accuracy
-from .model import HeadModel, SgdConfig, local_update
+from .model import HeadModel, SgdConfig, encode, local_update
 
 _TAG_PROBE_INIT, _TAG_UNSEEN_LEAF_INIT, _TAG_UNSEEN_LEAF = 21, 22, 23
+_ZERO_B = 1e-12  # a B factor this small spans no direction
 
 
 @dataclass
@@ -32,11 +33,17 @@ class ClusterRepresentative:
 
 
 def build_representatives(server: ServerState, rank: int) -> list[ClusterRepresentative]:
-    """Top-r left singular bases of the frozen cluster adapters, by index."""
+    """Top-r left singular bases of the frozen cluster adapters, by index.
+
+    A cluster adapter whose B is numerically zero (as after a run with
+    t_cluster = 0) spans no subspace to route by, so it is rejected."""
     if server.root is None or not server.clusters:
         raise ConfigurationError("server is not fully trained")
     reps = []
     for j in sorted(server.clusters):
+        if frobenius_norm(server.clusters[j].b) <= _ZERO_B:
+            raise DegenerateInputError(
+                f"cluster {j} adapter is numerically zero; unseen clients cannot be routed")
         reps.append(ClusterRepresentative(
             index=j, basis=orthonormal_columns(server.clusters[j].b, rank)))
     return reps
@@ -53,7 +60,7 @@ def probe_basis(model: HeadModel, train, root_star: LoraAdapter, rank: int,
     path = AdapterPath(root=root_star, cluster=probe, leaf=zero_adapter(p, q, rank))
     opt = SgdConfig(lr=lr, epochs=steps, batch_mode="full")
     trained = local_update(model, path, train, Tier.CLUSTER, (), (), opt=opt)
-    if frobenius_norm(trained.b) <= 1e-12:
+    if frobenius_norm(trained.b) <= _ZERO_B:
         raise DegenerateInputError("probe basis stayed numerically zero")
     return orthonormal_columns(trained.b, rank)
 
@@ -83,7 +90,8 @@ def adapt_unseen(model: HeadModel, client: ClientSplit, server: ServerState,
     if epochs < 0:
         raise ConfigurationError("epochs must be non-negative")
     reps = build_representatives(server, config.rank)
-    u_u = probe_basis(model, client.train, server.root, config.rank,
+    train, test = encode(model, client.train), encode(model, client.test)
+    u_u = probe_basis(model, train, server.root, config.rank,
                       steps=config.probe_steps, lr=config.lr, seed=seed)
     j = assign_cluster(u_u, reps)
     p, q = model.class_count, model.backbone.hidden_dim
@@ -91,14 +99,14 @@ def adapt_unseen(model: HeadModel, client: ClientSplit, server: ServerState,
     leaf = init_adapter(p, q, config.rank, _rng(seed, _TAG_UNSEEN_LEAF_INIT, 0, 0))
     path = AdapterPath(root=server.root, cluster=cluster_ad, leaf=leaf, cluster_index=j)
     # the fresh leaf has b = 0, so this is exactly the root+cluster model
-    trajectory = [accuracy(model, path, client.test)]
+    trajectory = [accuracy(model, path, test)]
     frozen = (server.root.b, cluster_ad.b)
     gammas = (config.gamma_c, config.gamma_l)
     opt = replace(config.sgd(), epochs=1)
     for e in range(1, epochs + 1):
-        leaf = local_update(model, path, client.train, Tier.LEAF, frozen, gammas,
+        leaf = local_update(model, path, train, Tier.LEAF, frozen, gammas,
                             opt=opt, rng=_rng(seed, _TAG_UNSEEN_LEAF, e, 0))
         path = AdapterPath(root=server.root, cluster=cluster_ad, leaf=leaf, cluster_index=j)
-        trajectory.append(accuracy(model, path, client.test))
+        trajectory.append(accuracy(model, path, test))
     return AdaptationResult(assigned_cluster=j, path=path,
                             accuracy_trajectory=trajectory)

@@ -46,7 +46,7 @@ from .adaptation import adapt_unseen
 from .clustering import BasisTracker, ClusterAssignment, cluster_clients
 from .datagen import (ClusterShift, FederationData, GlDir, Patho, ScDir,
                       load_csv, gen_pool, partition, split_unseen)
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DegenerateInputError, PreconditionError
 from .federation import (ClientState, FederationConfig, ServerState,
                          TrainedFederation, run_protocol)
 from .lora import AdapterPath, read_adapter, save_adapter, load_matrix, dump_matrix
@@ -378,7 +378,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigurationError as exc:
+    except (ConfigurationError, DegenerateInputError, PreconditionError) as exc:
         return _fail(str(exc))
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         return _fail(f"i/o failure: {exc}")

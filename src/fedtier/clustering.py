@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateInputError, PreconditionError
-from .linalg import Matrix, frobenius_norm, orthonormal_columns, subspace_overlap
+from .linalg import (Matrix, check_orthonormal_columns, frobenius_norm, orthonormal_columns,
+                     subspace_overlap)
 
 _DEGENERATE_NORM = 1e-300
 _KMEANS_RESTARTS = 20
@@ -71,7 +72,9 @@ def distance_matrix(bases: list[list[Matrix]]) -> Matrix:
     """Symmetric zero-diagonal client-distance matrix, averaged over layers.
 
     `bases[i]` lists client i's per-layer orthonormal bases; every client must
-    expose the same layer count and per-layer shape.
+    expose the same layer count and per-layer shape. Each layer's bases are
+    stacked into an (N, p, r) array, each basis is checked for orthonormality
+    once, and every overlap ||U_i^T U_j||_F^2 comes from one matmul.
     """
     n = len(bases)
     if n == 0:
@@ -80,17 +83,23 @@ def distance_matrix(bases: list[list[Matrix]]) -> Matrix:
     if layers == 0 or any(len(b) != layers for b in bases):
         raise ConfigurationError("clients disagree on the layer count")
     for layer in range(layers):
-        shapes = {b[layer].shape for b in bases}
+        shapes = {np.shape(b[layer]) for b in bases}
         if len(shapes) != 1:
             raise ConfigurationError(f"layer {layer} bases disagree on shape: {shapes}")
-    d = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            avg = sum(pairwise_distance(bases[i][k], bases[j][k], bases[i][k].shape[1])
-                      for k in range(layers)) / layers
-            d[i, j] = avg
-            d[j, i] = avg
-    return d
+    total = np.zeros((n, n))
+    for layer in range(layers):
+        u = np.stack([np.asarray(b[layer], dtype=np.float64) for b in bases])
+        if u.ndim != 3:
+            raise PreconditionError("bases must be 2-D matrices")
+        for i in range(n):
+            check_orthonormal_columns(u[i], name=f"client {i} basis")
+        r = u.shape[2]
+        flat = u.transpose(0, 2, 1).reshape(n * r, u.shape[1])
+        cross = (flat @ flat.T).reshape(n, r, n, r)
+        overlap = np.minimum(np.sum(cross * cross, axis=(1, 3)), float(r))
+        total += np.clip(1.0 - overlap / r, 0.0, 1.0)
+    d = np.triu(total / layers, 1)
+    return d + d.T
 
 
 def median_offdiag_distance(d: Matrix) -> float:

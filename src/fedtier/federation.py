@@ -9,13 +9,23 @@ on a relative step-size criterion rho = ||D_new - D_prev||_F / (||D_prev||_F
 + eps) <= tau, or on their round budget. Leaf adapters never leave their
 client and their budget is counted in local epochs.
 
-Determinism: every client draws from its own counter-based stream derived
-from (master_seed, stage, round, client), and aggregation reduces in
-ascending client order, so results are identical for any worker count.
+Each round stacks the members of every still-running group (all clients
+for the root, each cluster's members, each client alone for its leaf) into
+one local update; `workers` > 1 splits that stack into contiguous chunks run
+on a thread pool.
+
+Determinism: the local-update kernel lays each client's rows out in fixed
+blocks of batch_size rows and computes every (client, block) slice on its
+own, so a client's bits do not depend on which clients share its stack or
+chunk. Every client draws its shuffles from its own counter-based stream
+derived from (master_seed, stage, round, client), and aggregation reduces in
+ascending member order, so results are identical for any worker count on a
+given machine and BLAS build.
 """
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -25,7 +35,8 @@ from .datagen import ClientSplit, FederationData
 from .errors import ConfigurationError, PreconditionError
 from .linalg import Matrix, frobenius_norm, truncated_svd
 from .lora import AdapterPath, LoraAdapter, Tier, delta, init_adapter, zero_adapter
-from .model import EncodedData, HeadModel, SgdConfig, build_model, encode, local_update, _loss_for_weight
+from .model import (ClientStack, EncodedData, HeadModel, SgdConfig, build_model, encode,
+                    local_update, _stack_losses)
 
 # stream tags so no two purposes ever share an rng stream
 _TAG_ROOT, _TAG_CLUSTER, _TAG_LEAF = 1, 2, 3
@@ -192,89 +203,126 @@ def stop_check(delta_prev: Matrix, delta_new: Matrix, tau_rel: float, eps: float
     return rho <= tau_rel, rho
 
 
-def _map_indexed(fn, indices, workers):
-    if workers <= 1:
-        return [fn(i) for i in indices]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, indices))
-
-
 def _encode_clients(model, data) -> list[EncodedData]:
     return [encode(model, c.train) for c in data.clients]
 
 
-def _weighted_loss(model, server_delta, enc_list, weights) -> float:
-    w_eff = model.w0 + server_delta
-    return float(sum(w * _loss_for_weight(w_eff, e) for w, e in zip(weights, enc_list)))
+@dataclass
+class _Group:
+    """Clients that train one adapter together: every client in the root
+    stage, one cluster's members in the cluster stage, one client in the
+    leaf stage."""
+
+    members: list[int]
+    weights: np.ndarray
+    frame: AdapterPath       # frozen tiers; the active slot is refilled each round
+    adapter: LoraAdapter     # the adapter the group trains
+    bases: tuple             # frozen B factors the active tier is penalized against
+    frozen_delta: Matrix     # frozen tiers' update, included in the loss
+    labels: dict             # the StageReport's cluster and client fields
+    rho: list[float] = field(default_factory=list)
+    loss: list[float] = field(default_factory=list)
+    stopped: bool = False
+    prev_delta: Matrix = field(init=False)   # what the next stop check compares against
+
+    def __post_init__(self):
+        self.prev_delta = delta(self.adapter)
 
 
-def _until_stopped(step, delta_prev: Matrix, budget: int, config: FederationConfig,
-                   **labels) -> StageReport:
-    """Call step(t) for t = 1..budget, where step returns (delta_new, loss),
-    until stop_check passes on consecutive deltas or the budget runs out."""
-    rhos, losses = [], []
-    for t in range(1, budget + 1):
-        delta_new, loss = step(t)
-        losses.append(loss)
-        stop, rho = stop_check(delta_prev, delta_new, config.tau_rel, config.eps)
-        rhos.append(rho)
-        delta_prev = delta_new
-        if stop:
-            return StageReport(rho=rhos, weighted_loss=losses, rounds=t,
-                               stop_reason="criterion", **labels)
-    return StageReport(rho=rhos, weighted_loss=losses, rounds=budget,
-                       stop_reason="budget", **labels)
+def _stage_settings(config: FederationConfig, active: Tier):
+    """(stream tag, round budget, optimiser, penalty weights) of a stage;
+    a leaf round is one local epoch."""
+    if active is Tier.ROOT:
+        return _TAG_ROOT, config.t_root, config.sgd(), ()
+    if active is Tier.CLUSTER:
+        return _TAG_CLUSTER, config.t_cluster, config.sgd(), (config.gamma_c,)
+    return (_TAG_LEAF, config.t_leaf, replace(config.sgd(), epochs=1),
+            (config.gamma_c, config.gamma_l))
 
 
-def _train_server_tier(config: FederationConfig, model: HeadModel, enc: list[EncodedData],
-                       members: list[int], weights, root: LoraAdapter | None,
-                       tracker: BasisTracker | None, cluster: int | None, workers: int):
-    """Train one server-tier adapter over `members`: the root when `root` is
-    None, else cluster `cluster` above the frozen, orthogonality-penalized
-    `root`. Each round runs parallel local updates, reduces them in member
-    order, and refactorizes; `tracker`, when given, receives every member's
-    local basis each round. Returns the adapter and its stage report."""
-    p, q = model.class_count, model.backbone.hidden_dim
-    zero = zero_adapter(p, q, config.rank)
-    if root is None:
-        active, tag, budget, bases, gammas = Tier.ROOT, _TAG_ROOT, config.t_root, (), ()
-        server = init_adapter(p, q, config.rank, _rng(config.master_seed, _TAG_ROOT_INIT, 0, 0))
-        frame = AdapterPath(root=zero, cluster=zero, leaf=zero)
-    else:
-        active, tag, budget = Tier.CLUSTER, _TAG_CLUSTER, config.t_cluster
-        bases, gammas = (root.b,), (config.gamma_c,)
-        server = init_adapter(p, q, config.rank,
-                              _rng(config.master_seed, _TAG_CLUSTER_INIT, 0, cluster))
-        frame = AdapterPath(root=root, cluster=zero, leaf=zero)
-    enc_members = [enc[i] for i in members]
-    opt = config.sgd()
+def _chunks(count: int, parts: int) -> list[tuple[int, int]]:
+    """At most `parts` contiguous, near-equal (start, stop) ranges over count."""
+    parts = min(parts, count)
+    size, extra = divmod(count, parts)
+    bounds = [0]
+    for k in range(parts):
+        bounds.append(bounds[-1] + size + (k < extra))
+    return list(zip(bounds[:-1], bounds[1:]))
 
-    def step(rnd):
-        nonlocal server
-        path = frame.replace(active, server)
 
-        def one(pos):
-            return local_update(model, path, enc_members[pos], active, bases, gammas,
-                                opt=opt, rng=_rng(config.master_seed, tag, rnd, members[pos]))
+def _until_stopped(config: FederationConfig, model: HeadModel, enc: list[EncodedData],
+                   active: Tier, groups: list[_Group], absorb, workers: int) -> list[StageReport]:
+    """Advance the groups in lockstep for rounds t = 1..budget.
 
-        local = _map_indexed(one, range(len(members)), workers)
+    Each round stacks the members of every running group, in group order,
+    into one local update; with workers > 1 the stack is split into at most
+    `workers` contiguous chunks run on a thread pool. absorb(group, local)
+    then returns the group's new adapter and the delta its stop check
+    compares, and a group retires once stop_check passes on consecutive
+    deltas or the budget runs out."""
+    tag, budget, opt, gammas = _stage_settings(config, active)
+    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        for t in range(1, budget + 1):
+            running = [g for g in groups if not g.stopped]
+            if not running:
+                break
+            paths, stack, rngs, bases, spans = [], [], [], [[] for _ in gammas], []
+            for g in running:
+                spans.append((len(paths), len(paths) + len(g.members)))
+                path = g.frame.replace(active, g.adapter)
+                for i in g.members:
+                    paths.append(path)
+                    stack.append(enc[i])
+                    rngs.append(_rng(config.master_seed, tag, t, i)
+                                if opt.batch_mode == "mini" else None)
+                    for entry, base in zip(bases, g.bases):
+                        entry.append(base)
+            stack = ClientStack(stack)
+
+            def chunk(bounds):
+                lo, hi = bounds
+                return local_update(model, paths[lo:hi], stack[lo:hi], active,
+                                    [entry[lo:hi] for entry in bases], gammas,
+                                    opt=opt, rng=rngs[lo:hi])
+
+            parts = _chunks(len(paths), workers)
+            results = map(chunk, parts) if pool is None else pool.map(chunk, parts)
+            local = [ad for part in results for ad in part]
+            new_deltas, w_eff = [], []
+            for g, (lo, hi) in zip(running, spans):
+                g.adapter, delta_new = absorb(g, local[lo:hi])
+                new_deltas.append(delta_new)
+                w_eff += [model.w0 + (g.frozen_delta + delta(g.adapter))] * (hi - lo)
+            losses = _stack_losses(np.stack(w_eff), stack)
+            for g, (lo, hi), delta_new in zip(running, spans, new_deltas):
+                g.loss.append(float(sum(w * x for w, x in zip(g.weights, losses[lo:hi]))))
+                g.stopped, rho = stop_check(g.prev_delta, delta_new, config.tau_rel, config.eps)
+                g.rho.append(rho)
+                g.prev_delta = delta_new
+    return [StageReport(stage=active.value, rho=g.rho, weighted_loss=g.loss,
+                        rounds=len(g.rho), stop_reason="criterion" if g.stopped else "budget",
+                        **g.labels)
+            for g in groups]
+
+
+def _server_absorb(config: FederationConfig, tracker: BasisTracker | None):
+    """Aggregate a server group's local adapters in member order and refactor
+    (or average the factors in separate_average mode); `tracker`, when
+    given, first receives every member's local basis."""
+    def absorb(group, local):
         if tracker is not None:
-            for i, ad in zip(members, local):
+            for i, ad in zip(group.members, local):
                 ema_update(tracker, i, ad.b)
         if config.aggregation_mode == "product_svd":
-            delta_new = aggregate_product(local, weights)
-            server = refactor(delta_new, config.rank)
-        else:
-            server = aggregate_separate(local, weights)
-            delta_new = delta(server)
-        server_delta = delta(server) if root is None else delta(root) + delta(server)
-        return delta_new, _weighted_loss(model, server_delta, enc_members, weights)
+            delta_new = aggregate_product(local, group.weights)
+            return refactor(delta_new, config.rank), delta_new
+        server = aggregate_separate(local, group.weights)
+        return server, delta(server)
+    return absorb
 
-    report = _until_stopped(step, delta(server), budget, config,
-                            stage=active.value, cluster=cluster)
-    if tracker is not None:
-        tracker.rounds = report.rounds
-    return server, report
+
+def _leaf_absorb(group, local):
+    return local[0], delta(local[0])
 
 
 def run_root_stage(config: FederationConfig, data: FederationData, model: HeadModel,
@@ -284,8 +332,18 @@ def run_root_stage(config: FederationConfig, data: FederationData, model: HeadMo
     EMA tracker each round. Returns the frozen root and the stage report."""
     workers = config.workers if workers is None else workers
     enc = enc if enc is not None else _encode_clients(model, data)
-    return _train_server_tier(config, model, enc, list(range(config.n_clients)),
-                              weights_root(data.train_sizes), None, tracker, None, workers)
+    p, q = model.class_count, model.backbone.hidden_dim
+    zero = zero_adapter(p, q, config.rank)
+    group = _Group(members=list(range(config.n_clients)),
+                   weights=weights_root(data.train_sizes),
+                   frame=AdapterPath(root=zero, cluster=zero, leaf=zero),
+                   adapter=init_adapter(p, q, config.rank,
+                                        _rng(config.master_seed, _TAG_ROOT_INIT, 0, 0)),
+                   bases=(), frozen_delta=np.zeros((p, q)), labels={"cluster": None})
+    [report] = _until_stopped(config, model, enc, Tier.ROOT, [group],
+                              _server_absorb(config, tracker), workers)
+    tracker.rounds = report.rounds
+    return group.adapter, report
 
 
 def run_cluster_stage(config: FederationConfig, data: FederationData, model: HeadModel,
@@ -293,17 +351,25 @@ def run_cluster_stage(config: FederationConfig, data: FederationData, model: Hea
                       enc: list[EncodedData] | None = None,
                       workers: int | None = None):
     """Train one adapter per cluster, each orthogonality-penalized against the
-    frozen root; clusters run and stop independently within t_cluster."""
+    frozen root; clusters run in lockstep and stop independently within
+    t_cluster."""
     workers = config.workers if workers is None else workers
     enc = enc if enc is not None else _encode_clients(model, data)
-    clusters: dict[int, LoraAdapter] = {}
-    reports = []
+    p, q = model.class_count, model.backbone.hidden_dim
+    zero = zero_adapter(p, q, config.rank)
+    frame = AdapterPath(root=root_star, cluster=zero, leaf=zero)
+    groups = []
     for j in assignment.cluster_ids:
         members = assignment.members(j)
-        clusters[j], report = _train_server_tier(
-            config, model, enc, members, weights_cluster(data.train_sizes, members),
-            root_star, None, j, workers)
-        reports.append(report)
+        groups.append(_Group(
+            members=members, weights=weights_cluster(data.train_sizes, members),
+            frame=frame,
+            adapter=init_adapter(p, q, config.rank,
+                                 _rng(config.master_seed, _TAG_CLUSTER_INIT, 0, j)),
+            bases=(root_star.b,), frozen_delta=delta(root_star), labels={"cluster": j}))
+    reports = _until_stopped(config, model, enc, Tier.CLUSTER, groups,
+                             _server_absorb(config, None), workers)
+    clusters = {g.labels["cluster"]: g.adapter for g in groups}
     return clusters, reports
 
 
@@ -320,34 +386,19 @@ def run_leaf_stage(config: FederationConfig, data: FederationData, model: HeadMo
     workers = config.workers if workers is None else workers
     enc = enc if enc is not None else _encode_clients(model, data)
     p, q = model.class_count, model.backbone.hidden_dim
-    opt = replace(config.sgd(), epochs=1)
-    gammas = (config.gamma_c, config.gamma_l)
-
-    def one(i):
+    frozen_delta = {j: delta(root_star) + delta(ad) for j, ad in clusters.items()}
+    groups = []
+    for i in range(config.n_clients):
         j = int(assignment.labels[i])
-        cluster_ad = clusters[j]
-        bases = (root_star.b, cluster_ad.b)
-        leaf = init_adapter(p, q, config.rank,
-                            _rng(config.master_seed, _TAG_LEAF_INIT, 0, i))
-        base_delta = delta(root_star) + delta(cluster_ad)
-
-        def step(e):
-            nonlocal leaf
-            path = AdapterPath(root=root_star, cluster=cluster_ad, leaf=leaf,
-                               cluster_index=j, client_index=i)
-            leaf = local_update(model, path, enc[i], Tier.LEAF, bases, gammas,
-                                opt=opt, rng=_rng(config.master_seed, _TAG_LEAF, e, i))
-            delta_new = delta(leaf)
-            return delta_new, _loss_for_weight(model.w0 + base_delta + delta_new, enc[i])
-
-        report = _until_stopped(step, delta(leaf), config.t_leaf, config,
-                                stage="leaf", cluster=j, client=i)
-        return leaf, report
-
-    results = _map_indexed(one, range(config.n_clients), workers)
-    leaves = [r[0] for r in results]
-    reports = [r[1] for r in results]
-    return leaves, reports
+        leaf = init_adapter(p, q, config.rank, _rng(config.master_seed, _TAG_LEAF_INIT, 0, i))
+        groups.append(_Group(
+            members=[i], weights=np.ones(1),
+            frame=AdapterPath(root=root_star, cluster=clusters[j], leaf=leaf,
+                              cluster_index=j, client_index=i),
+            adapter=leaf, bases=(root_star.b, clusters[j].b),
+            frozen_delta=frozen_delta[j], labels={"cluster": j, "client": i}))
+    reports = _until_stopped(config, model, enc, Tier.LEAF, groups, _leaf_absorb, workers)
+    return [g.adapter for g in groups], reports
 
 
 @dataclass

@@ -122,9 +122,10 @@ def orth_penalty(b_frozen: Matrix, b_active: Matrix) -> float:
 
 
 def orth_penalty_grad(b_frozen: Matrix, b_active: Matrix) -> Matrix:
-    """Gradient of orth_penalty with respect to b_active: 2 Bf Bf^T Ba."""
+    """Gradient of orth_penalty with respect to b_active: 2 Bf Bf^T Ba.
+    Stacks of factor pairs (leading axes) give a stack of gradients."""
     b_frozen = np.asarray(b_frozen)
-    return 2.0 * (b_frozen @ (b_frozen.T @ np.asarray(b_active)))
+    return 2.0 * (b_frozen @ (b_frozen.swapaxes(-1, -2) @ np.asarray(b_active)))
 
 
 # --- checkpoint text formats -------------------------------------------------

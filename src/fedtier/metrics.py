@@ -10,7 +10,7 @@ from .errors import ConfigurationError, PreconditionError
 from .federation import TrainedFederation, weights_cluster
 from .linalg import frobenius_norm, orthonormal_columns, subspace_overlap
 from .lora import AdapterPath, compose_path
-from .model import HeadModel, encode, _loss_for_weight
+from .model import EncodedData, HeadModel, encode, _loss_for_weight
 
 # leaves (or clusters) whose B factor is this small carry no direction and are
 # excluded from subspace statistics
@@ -18,10 +18,11 @@ _NEGLIGIBLE_B = 1e-6
 
 
 def accuracy(model: HeadModel, path: AdapterPath, test) -> float:
-    """Fraction of argmax-correct predictions; ties pick the lowest class."""
+    """Fraction of argmax-correct predictions over a sample list or its
+    EncodedData; ties pick the lowest class."""
     if len(test) == 0:
         raise PreconditionError("test set is empty")
-    enc = encode(model, test)
+    enc = test if isinstance(test, EncodedData) else encode(model, test)
     logits = enc.z @ compose_path(path, model.w0).T
     preds = np.argmax(logits, axis=1)
     return float(np.mean(preds == enc.y))
@@ -50,31 +51,43 @@ class TierGains:
     g_cluster_own: float
 
 
-def tier_gains(fed: TrainedFederation, client_id: int) -> TierGains:
+def _cluster_losses(fed: TrainedFederation, j: int, train: dict) -> tuple[float, float]:
+    """Size-weighted train loss over cluster j's members under the root-only
+    and the root+cluster weights; `train` maps a member to its EncodedData.
+    Both weights depend on j alone, so every member of j shares the pair."""
     if fed.server.root is None:
         raise ConfigurationError("federation has no frozen root snapshot")
-    model = fed.model
-    j = fed.clients[client_id].cluster
     members = fed.server.assignment.members(j)
-    sizes = fed.data.train_sizes
-    w_members = weights_cluster(sizes, members)
-
-    w_root = compose_path(fed.path_root(client_id), model.w0)
-    w_cluster = compose_path(fed.path_cluster(client_id), model.w0)
-    w_full = compose_path(fed.path_full(client_id), model.w0)
+    w_members = weights_cluster(fed.data.train_sizes, members)
+    w_root = compose_path(fed.path_root(members[0]), fed.model.w0)
+    w_cluster = compose_path(fed.path_cluster(members[0]), fed.model.w0)
 
     def cluster_loss(w_eff):
         total = 0.0
         for pos, member in enumerate(members):
-            enc = encode(model, fed.data.clients[member].train)
-            total += float(w_members[pos]) * _loss_for_weight(w_eff, enc)
+            total += float(w_members[pos]) * _loss_for_weight(w_eff, train[member])
         return total
 
-    enc_own = encode(model, fed.data.clients[client_id].train)
-    g_cluster = cluster_loss(w_root) - cluster_loss(w_cluster)
+    return cluster_loss(w_root), cluster_loss(w_cluster)
+
+
+def _gains(fed: TrainedFederation, client_id: int, enc_own: EncodedData,
+           cluster_losses: tuple[float, float]) -> TierGains:
+    model = fed.model
+    w_root = compose_path(fed.path_root(client_id), model.w0)
+    w_cluster = compose_path(fed.path_cluster(client_id), model.w0)
+    w_full = compose_path(fed.path_full(client_id), model.w0)
+    g_cluster = cluster_losses[0] - cluster_losses[1]
     g_cluster_own = _loss_for_weight(w_root, enc_own) - _loss_for_weight(w_cluster, enc_own)
     g_leaf = _loss_for_weight(w_cluster, enc_own) - _loss_for_weight(w_full, enc_own)
     return TierGains(g_cluster=g_cluster, g_leaf=g_leaf, g_cluster_own=g_cluster_own)
+
+
+def tier_gains(fed: TrainedFederation, client_id: int) -> TierGains:
+    j = fed.clients[client_id].cluster
+    needed = set(fed.server.assignment.members(j)) | {client_id}
+    train = {i: encode(fed.model, fed.data.clients[i].train) for i in needed}
+    return _gains(fed, client_id, train[client_id], _cluster_losses(fed, j, train))
 
 
 def _comb2(x: np.ndarray) -> float:
@@ -217,17 +230,25 @@ class MetricsReport:
 
 def compute_metrics(fed: TrainedFederation) -> MetricsReport:
     """Evaluate every participating client on its own test split at each stage
-    snapshot, collect tier gains, overlaps, and clustering agreement."""
+    snapshot, collect tier gains, overlaps, and clustering agreement.
+
+    Each client's train and test split is encoded once, and each cluster's
+    member losses are computed once for all of its members."""
     ids, clusters = [], []
     acc_full, acc_root, acc_cluster = [], [], []
     g_c, g_l, g_co = [], [], []
+    train = {c.id: encode(fed.model, c.data.train) for c in fed.clients}
+    cluster_losses = {}
     for client in fed.clients:
         ids.append(client.id)
         clusters.append(int(client.cluster))
-        acc_full.append(accuracy(fed.model, fed.path_full(client.id), client.data.test))
-        acc_root.append(accuracy(fed.model, fed.path_root(client.id), client.data.test))
-        acc_cluster.append(accuracy(fed.model, fed.path_cluster(client.id), client.data.test))
-        gains = tier_gains(fed, client.id)
+        test = encode(fed.model, client.data.test)
+        acc_full.append(accuracy(fed.model, fed.path_full(client.id), test))
+        acc_root.append(accuracy(fed.model, fed.path_root(client.id), test))
+        acc_cluster.append(accuracy(fed.model, fed.path_cluster(client.id), test))
+        if client.cluster not in cluster_losses:
+            cluster_losses[client.cluster] = _cluster_losses(fed, client.cluster, train)
+        gains = _gains(fed, client.id, train[client.id], cluster_losses[client.cluster])
         g_c.append(gains.g_cluster)
         g_l.append(gains.g_leaf)
         g_co.append(gains.g_cluster_own)

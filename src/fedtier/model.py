@@ -3,19 +3,22 @@ LoRA-adapted linear head.
 
 The backbone z = tanh(M x + bias) is fixed at construction; all learning is
 carried by the composed low-rank update on the head weight (class_count ×
-hidden_dim). Cross-entropy loss, analytic gradients for the active tier, and
-plain gradient-descent local updates live here, together with the central
-finite-difference oracle used by tests and the gradcheck command.
+hidden_dim). Cross-entropy loss and plain gradient-descent local updates
+live here: one blocked kernel updates a whole stack of clients at once, and
+the analytic tier gradient is that kernel's gradient on a stack of one. The
+central finite-difference oracle used by tests and the gradcheck command
+checks it.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, PreconditionError
 from .linalg import Matrix, as_matrix
-from .lora import AdapterPath, LoraAdapter, Tier, compose_path, orth_penalty, orth_penalty_grad
+from .lora import (AdapterPath, LoraAdapter, Tier, compose_path, delta, orth_penalty,
+                   orth_penalty_grad)
 
 _PROB_FLOOR = 1e-12  # clamp applied before log so confidently wrong predictions stay finite
 
@@ -83,7 +86,6 @@ class EncodedData:
 
     z: Matrix              # n×h
     y: np.ndarray          # (n,)
-    onehot: Matrix = field(repr=False, default=None)
 
     def __len__(self):
         return self.z.shape[0]
@@ -99,13 +101,32 @@ def encode(model: HeadModel, data: list[Sample]) -> EncodedData:
     if np.any(y < 0) or np.any(y >= c):
         raise PreconditionError("sample label out of range")
     z = np.tanh(x @ model.backbone.m.T + model.backbone.bias)
-    onehot = np.zeros((len(data), c))
-    onehot[np.arange(len(data)), y] = 1.0
-    return EncodedData(z=z, y=y, onehot=onehot)
+    return EncodedData(z=z, y=y)
 
 
 def _as_encoded(model: HeadModel, data) -> EncodedData:
     return data if isinstance(data, EncodedData) else encode(model, data)
+
+
+@dataclass(frozen=True)
+class ClientStack:
+    """Several clients' encoded rows, updated together by one local_update
+    call. ``len()`` counts real rows over all clients."""
+
+    clients: tuple[EncodedData, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "clients", tuple(self.clients))
+        if not self.clients:
+            raise PreconditionError("client stack is empty")
+        if not all(isinstance(e, EncodedData) for e in self.clients):
+            raise ConfigurationError("a client stack holds EncodedData only")
+
+    def __len__(self):
+        return sum(len(e) for e in self.clients)
+
+    def __getitem__(self, part: slice) -> "ClientStack":
+        return ClientStack(self.clients[part])
 
 
 def forward(model: HeadModel, path: AdapterPath, x) -> np.ndarray:
@@ -118,10 +139,12 @@ def forward(model: HeadModel, path: AdapterPath, x) -> np.ndarray:
     return w @ z
 
 
-def _softmax(logits: Matrix) -> Matrix:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+def _softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Softmax over `axis`, computed in place."""
+    logits -= logits.max(axis=axis, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=axis, keepdims=True)
+    return logits
 
 
 def _loss_for_weight(w: Matrix, enc: EncodedData) -> float:
@@ -137,11 +160,18 @@ def dataset_loss(model: HeadModel, path: AdapterPath, data) -> float:
     return _loss_for_weight(compose_path(path, model.w0), enc)
 
 
-def _weight_gradient(w: Matrix, enc: EncodedData) -> Matrix:
-    """d(mean cross-entropy)/dW = (softmax - onehot)^T Z / n."""
-    logits = enc.z @ w.T
-    probs = _softmax(logits)
-    return (probs - enc.onehot).T @ enc.z / len(enc)
+# --- the blocked SGD kernel ----------------------------------------------------
+# A stack of S clients trains together. Each client's rows are laid out in
+# fixed blocks of `block` rows, the last one zero-padded: arrays of shape
+# (S, blocks, block, .). Every matmul runs over (client, block) slices of a
+# fixed shape, and numpy's stacked matmul computes each slice exactly as it
+# would alone, so a client's bits never depend on which clients share its
+# stack. Zero-padded rows have zero features, so they add exact zeros to the
+# weight gradient whatever label they carry. Probabilities are kept
+# class-major, (S, blocks, C, block), so the softmax reduces across rows of
+# contiguous memory rather than along the short class axis.
+
+_DEFAULT_BATCH = 32
 
 
 def _check_penalty_args(frozen_bases, gammas):
@@ -149,27 +179,110 @@ def _check_penalty_args(frozen_bases, gammas):
         raise ConfigurationError("frozen_bases and gammas must have equal length")
 
 
+def _frozen_weight(model: HeadModel, path: AdapterPath, active: Tier) -> Matrix:
+    """w0 plus the update of every tier except the active one, in tier order."""
+    if (path.root.p, path.root.q) != model.w0.shape:
+        raise ConfigurationError(
+            f"path dimensions ({path.root.p}, {path.root.q}) do not match the "
+            f"base weight {model.w0.shape}")
+    w = model.w0
+    for tier in Tier:
+        if tier is not active:
+            w = w + delta(path.adapter(tier))
+    return w
+
+
+def _block_layout(clients, block: int):
+    """Zero-padded (S, blocks, block, h) feature and (S, blocks, block) label
+    buffers, the per-client row counts, and fill(orders=None), which writes
+    each client's rows into the buffers in its order (stored order for
+    None) and returns the buffers."""
+    sizes = np.array([len(e) for e in clients])
+    shape = (len(clients), -(-int(sizes.max()) // block), block)
+    z = np.zeros(shape + (clients[0].z.shape[1],))
+    labels = np.zeros(shape, dtype=np.int64)
+    z_rows = z.reshape(len(clients), -1, z.shape[-1])
+    label_rows = labels.reshape(len(clients), -1)
+
+    def fill(orders=None):
+        for s, (e, n) in enumerate(zip(clients, sizes)):
+            z_rows[s, :n] = e.z if orders is None else e.z[orders[s]]
+            label_rows[s, :n] = e.y if orders is None else e.y[orders[s]]
+        return z, labels
+
+    return sizes, fill
+
+
+def _class_probs(w: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Softmax probabilities (S, K, C, block) of the rows in z (S, K, block,
+    h) under each client's head weight w (S, C, h)."""
+    return _softmax(w[:, None] @ z.swapaxes(-1, -2), axis=-2)
+
+
+def _stack_gradient(frozen_w, b, a, z, labels, rows, bases, gammas):
+    """Per-client gradient of the mean cross-entropy over the blocks in z,
+    plus the weighted orthogonality penalties, with respect to (b, a).
+
+    frozen_w (S, C, h), b (S, C, r), a (S, r, h), z (S, K, block, h),
+    labels (S, K, block), rows (S,) real rows in z, bases (S, C, r_f)
+    each. Block gradients are summed in block order.
+    """
+    resid = _class_probs(frozen_w + b @ a, z)   # minus the one-hot labels, below
+    slices, classes, block = resid.shape[0] * resid.shape[1], resid.shape[2], resid.shape[3]
+    resid.reshape(slices, classes, block)[np.arange(slices)[:, None],
+                                          labels.reshape(slices, block), np.arange(block)] -= 1.0
+    g = resid @ z
+    dw = g[:, 0]
+    for blk in range(1, g.shape[1]):
+        dw = dw + g[:, blk]
+    dw = dw / rows[:, None, None]
+    db = dw @ a.swapaxes(-1, -2)
+    da = b.swapaxes(-1, -2) @ dw
+    for base, gamma in zip(bases, gammas):
+        if gamma != 0.0:
+            db = db + gamma * orth_penalty_grad(base, b)
+    return db, da
+
+
+def _stack_losses(w: np.ndarray, data: ClientStack) -> np.ndarray:
+    """Mean cross-entropy of each stacked client under its own head weight
+    w[s] (S, C, h), computed over the same fixed blocks as the kernel."""
+    sizes, fill = _block_layout(data.clients, _DEFAULT_BATCH)
+    z, labels = fill()
+    picked = np.take_along_axis(_class_probs(w, z), labels[:, :, None], axis=-2)[:, :, 0]
+    nll = -np.log(np.maximum(picked, _PROB_FLOOR)).reshape(len(sizes), -1)
+    real = np.arange(nll.shape[1]) < sizes[:, None]
+    return np.where(real, nll, 0.0).sum(axis=1) / sizes
+
+
+def _stack_bases(frozen_bases, count: int):
+    """Each penalty entry's per-client B factors as one (S, C, r_f) array."""
+    out = []
+    for entry in frozen_bases:
+        if len(entry) != count:
+            raise ConfigurationError("each frozen_bases entry needs one basis per client")
+        out.append(np.stack([np.asarray(base, dtype=np.float64) for base in entry]))
+    return out
+
+
 def tier_gradient(model: HeadModel, path: AdapterPath, data, active: Tier,
                   frozen_bases=(), gammas=()) -> tuple[Matrix, Matrix]:
     """Analytic gradient of dataset_loss plus the weighted orthogonality
     penalties, taken with respect to the active adapter's (b, a) only.
 
-    The probability clamp in dataset_loss is ignored here; it only binds below
+    This is local_update's full-batch kernel on a stack of one client. The
+    probability clamp in dataset_loss is ignored here; it only binds below
     1e-12 where the loss surface is flat anyway.
     """
     if not isinstance(active, Tier):
         raise ConfigurationError(f"unknown active tier {active!r}")
     _check_penalty_args(frozen_bases, gammas)
-    enc = _as_encoded(model, data)
-    w = compose_path(path, model.w0)
-    dw = _weight_gradient(w, enc)
+    sizes, fill = _block_layout([_as_encoded(model, data)], _DEFAULT_BATCH)
     adapter = path.adapter(active)
-    db = dw @ adapter.a.T
-    da = adapter.b.T @ dw
-    for base, gamma in zip(frozen_bases, gammas):
-        if gamma != 0.0:
-            db = db + gamma * orth_penalty_grad(base, adapter.b)
-    return db, da
+    db, da = _stack_gradient(_frozen_weight(model, path, active)[None],
+                             adapter.b[None], adapter.a[None], *fill(), sizes,
+                             _stack_bases([[base] for base in frozen_bases], 1), gammas)
+    return db[0], da[0]
 
 
 @dataclass
@@ -179,7 +292,7 @@ class SgdConfig:
     lr: float
     epochs: int
     batch_mode: str = "full"   # "full" or "mini"
-    batch_size: int = 32
+    batch_size: int = _DEFAULT_BATCH
 
     def __post_init__(self):
         if not 0.0 < self.lr < math.inf:
@@ -192,36 +305,72 @@ class SgdConfig:
             raise ConfigurationError("batch size must be positive")
 
 
-def local_update(model: HeadModel, path: AdapterPath, data, active: Tier,
+def local_update(model: HeadModel, path, data, active: Tier,
                  frozen_bases=(), gammas=(), opt: SgdConfig | None = None,
-                 rng: np.random.Generator | None = None) -> LoraAdapter:
+                 rng=None):
     """Run `opt.epochs` of gradient descent on the active adapter.
 
-    Returns a fresh adapter; the input path and its frozen tiers are left
-    bitwise untouched. Mini-batch mode requires an rng for the shuffles.
+    With one client's data (samples or EncodedData), `path` is its
+    AdapterPath, each `frozen_bases` entry one B factor, `rng` one
+    Generator, and a fresh LoraAdapter is returned. With a ClientStack,
+    `path`, each `frozen_bases` entry and `rng` hold one item per client and
+    a list of adapters comes back; a client's result is bitwise the same as
+    when it is updated alone. Input paths and their frozen tiers are left
+    bitwise untouched. Mini-batch mode needs the rngs for the shuffles; a
+    full-batch step sums the gradients of all of a client's blocks, a
+    mini-batch step takes one block per client.
     """
     if opt is None:
         raise ConfigurationError("an SgdConfig is required")
-    if opt.batch_mode == "mini" and rng is None:
-        raise ConfigurationError("mini-batch mode needs an rng for shuffling")
+    if not isinstance(active, Tier):
+        raise ConfigurationError(f"unknown active tier {active!r}")
     _check_penalty_args(frozen_bases, gammas)
-    enc = _as_encoded(model, data)
-    work = path.adapter(active).copy()
-    current = path.replace(active, work)
-    for _ in range(opt.epochs):
-        if opt.batch_mode == "full":
-            db, da = tier_gradient(model, current, enc, active, frozen_bases, gammas)
-            work.b -= opt.lr * db
-            work.a -= opt.lr * da
-        else:
-            order = rng.permutation(len(enc))
-            for start in range(0, len(enc), opt.batch_size):
-                idx = order[start:start + opt.batch_size]
-                batch = EncodedData(z=enc.z[idx], y=enc.y[idx], onehot=enc.onehot[idx])
-                db, da = tier_gradient(model, current, batch, active, frozen_bases, gammas)
-                work.b -= opt.lr * db
-                work.a -= opt.lr * da
-    return work
+    stacked = isinstance(data, ClientStack)
+    if not stacked:
+        data = ClientStack((_as_encoded(model, data),))
+        path, rng = [path], [rng]
+        frozen_bases = [[base] for base in frozen_bases]
+    clients = data.clients
+    rng = [None] * len(clients) if rng is None else rng
+    if len(path) != len(clients) or len(rng) != len(clients):
+        raise ConfigurationError("a client stack needs one path and one rng per client")
+    mini = opt.batch_mode == "mini"
+    if mini and any(r is None for r in rng):
+        raise ConfigurationError("mini-batch mode needs an rng for shuffling")
+    adapters = [p.adapter(active) for p in path]
+    if len({(ad.p, ad.q, ad.rank) for ad in adapters}) != 1:
+        raise ConfigurationError("stacked clients disagree on the active adapter's shape")
+    frozen = {}   # clients of one group share their path object
+    for p in path:
+        if id(p) not in frozen:
+            frozen[id(p)] = _frozen_weight(model, p, active)
+    frozen_w = np.stack([frozen[id(p)] for p in path])
+    bases = _stack_bases(frozen_bases, len(clients))
+    b = np.stack([ad.b for ad in adapters])
+    a = np.stack([ad.a for ad in adapters])
+    sizes, fill = _block_layout(clients, opt.batch_size)
+
+    def step(z, labels, rows, sel=slice(None)):
+        db, da = _stack_gradient(frozen_w[sel], b[sel], a[sel], z, labels, rows,
+                                 [base[sel] for base in bases], gammas)
+        b[sel] -= opt.lr * db
+        a[sel] -= opt.lr * da
+
+    if not mini:
+        z, labels = fill()
+        for _ in range(opt.epochs):
+            step(z, labels, sizes)
+    else:
+        blocks = -(-sizes // opt.batch_size)
+        for _ in range(opt.epochs):
+            z, labels = fill([r.permutation(n) for r, n in zip(rng, sizes)])
+            for k in range(z.shape[1]):
+                # clients with fewer blocks sit out their missing steps
+                sel = slice(None) if k < blocks.min() else np.flatnonzero(blocks > k)
+                rows = np.minimum(sizes[sel] - k * opt.batch_size, opt.batch_size)
+                step(z[sel, k:k + 1], labels[sel, k:k + 1], rows, sel)
+    out = [LoraAdapter(b=b[s], a=a[s], rank=ad.rank) for s, ad in enumerate(adapters)]
+    return out if stacked else out[0]
 
 
 def objective(model: HeadModel, path: AdapterPath, data, active: Tier,

@@ -4,6 +4,7 @@ import pytest
 from fedtier.adaptation import (ClusterRepresentative, adapt_unseen, assign_cluster,
                                 build_representatives, probe_basis)
 from fedtier.errors import ConfigurationError, DegenerateInputError
+from fedtier.federation import FederationConfig, run_protocol
 from fedtier.linalg import orthonormal_columns
 from fedtier.model import FrozenBackbone, HeadModel, Sample
 from fedtier.lora import zero_adapter
@@ -104,3 +105,17 @@ class TestAdaptUnseen:
         from fedtier.metrics import accuracy
         member_cluster_acc = accuracy(fed.model, fed.path_cluster(member), twin.test)
         assert abs(result.accuracy_trajectory[0] - member_cluster_acc) <= 0.05
+
+
+class TestUntrainedClusters:
+    def test_zero_cluster_adapters_refuse_routing(self, clustershift_data):
+        # without a cluster stage every cluster adapter is zero and spans no
+        # subspace; routing must say so instead of picking cluster 0
+        config = FederationConfig(n_clients=30, rank=2, t_root=10, t_cluster=0, t_leaf=2,
+                                  total_budget=12, lr=0.05, batch_mode="full",
+                                  master_seed=1, hidden_dim=32)
+        fed = run_protocol(config, clustershift_data)
+        with pytest.raises(DegenerateInputError):
+            build_representatives(fed.server, config.rank)
+        with pytest.raises(DegenerateInputError):
+            adapt_unseen(fed.model, fed.data.unseen[0], fed.server, config, epochs=1)

@@ -173,6 +173,14 @@ class TestAdapt:
         assert len(rows) == 2 * 3  # 2 unseen clients x (epochs + 1)
         assert [r["epoch"] for r in rows if r["client_id"] == "0"] == ["0", "1", "2"]
 
+    def test_run_without_cluster_stage_cannot_route(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, **{"federation.t_root": 5, "federation.t_cluster": 0,
+                                        "federation.t_leaf": 4})
+        assert main(["run", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        assert main(["adapt", "--run", str(tmp_path / "run")]) == 2
+        assert "error:" in capsys.readouterr().err
+
 
 class TestGradcheck:
     def test_passes_and_prints(self, capsys):

@@ -132,6 +132,28 @@ class TestDistanceMatrix:
         with pytest.raises(ConfigurationError):
             distance_matrix([[u, u], [u]])
 
+    def test_matches_pairwise_distance_loop(self):
+        rng = np.random.default_rng(11)
+        bases = [[random_orthonormal(7, 2, rng), random_orthonormal(5, 3, rng)]
+                 for _ in range(9)]
+        expect = np.zeros((9, 9))
+        for i in range(9):
+            for j in range(9):
+                if i != j:
+                    expect[i, j] = sum(pairwise_distance(bases[i][k], bases[j][k],
+                                                         bases[i][k].shape[1])
+                                       for k in range(2)) / 2
+        d = distance_matrix(bases)
+        np.testing.assert_allclose(d, expect, rtol=1e-12, atol=0)
+        assert np.array_equal(d, d.T) and np.all(np.diag(d) == 0.0)
+
+    def test_mixed_shapes_and_non_orthonormal_bases_rejected(self):
+        u = np.eye(4)
+        with pytest.raises(ConfigurationError):
+            distance_matrix([[u[:, :2]], [u[:, :3]]])
+        with pytest.raises(PreconditionError):
+            distance_matrix([[u[:, :2]], [np.ones((4, 2))], [u[:, 2:]]])
+
 
 class TestAffinity:
     def test_zero_distance_gives_unit_affinity(self):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import fedtier.federation
 from fedtier.clustering import BasisTracker
 from fedtier.datagen import ClientSplit, FederationData, gen_pool
 from fedtier.errors import ConfigurationError, PreconditionError
@@ -15,7 +16,7 @@ from fedtier.linalg import frobenius_norm
 from fedtier.lora import (AdapterPath, LoraAdapter, Tier, delta, init_adapter,
                           zero_adapter)
 from fedtier.metrics import accuracy
-from fedtier.model import SgdConfig, build_model, dataset_loss, local_update
+from fedtier.model import ClientStack, SgdConfig, build_model, dataset_loss, local_update
 from oracles import best_rank_k
 
 
@@ -461,3 +462,44 @@ class TestRunProtocol:
         assert np.array_equal(fed_a.server.root.b, fed_b.server.root.b)
         for ca, cb in zip(fed_a.clients, fed_b.clients):
             assert np.array_equal(ca.path.leaf.b, cb.path.leaf.b)
+
+
+class TestStackedRounds:
+    @pytest.mark.parametrize("batch_mode", ["full", "mini"])
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_local_update_calls_carry_the_rows_times_epochs_schedule(
+            self, monkeypatch, batch_mode, workers):
+        # each round makes one call per chunk whose stack holds every running
+        # group's members, so rows x epochs over the calls is exactly the
+        # per-client schedule the stage reports imply
+        data = tiny_federation(6, seed=13)
+        config = small_config(n_clients=6, t_root=4, t_cluster=3, t_leaf=3,
+                              total_budget=10, local_epochs=2, batch_mode=batch_mode,
+                              batch_size=8)
+        calls = []
+        real = fedtier.federation.local_update
+
+        def counting(*args, **kwargs):
+            calls.append((args[2], kwargs["opt"].epochs))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fedtier.federation, "local_update", counting)
+        fed = run_protocol(config, data, workers=workers)
+        sizes = data.train_sizes
+        expected = 0
+        for rep in fed.reports:
+            if rep.stage == "root":
+                expected += rep.rounds * sum(sizes) * config.local_epochs
+            elif rep.stage == "cluster":
+                members = fed.server.assignment.members(rep.cluster)
+                expected += rep.rounds * sum(sizes[i] for i in members) * config.local_epochs
+            else:
+                expected += rep.rounds * sizes[rep.client]
+        assert all(isinstance(stack, ClientStack) for stack, _ in calls)
+        assert sum(len(stack) * epochs for stack, epochs in calls) == expected
+        rounds = {stage: max(r.rounds for r in fed.reports if r.stage == stage)
+                  for stage in ("root", "cluster", "leaf")}
+        if workers == 1:
+            assert len(calls) == sum(rounds.values())
+        else:
+            assert sum(rounds.values()) < len(calls) <= workers * sum(rounds.values())

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import fedtier.metrics
+import fedtier.model
 from fedtier.datagen import ClientSplit, FederationData, gen_pool
 from fedtier.errors import PreconditionError
 from fedtier.federation import FederationConfig, run_protocol
@@ -201,3 +203,23 @@ class TestComputeMetrics:
         payload = rep.to_dict()
         assert len(payload["clients"]) == 30
         assert "stage_mean_accuracy" in payload
+
+
+def test_compute_metrics_encodes_each_split_once(trained_fed, monkeypatch):
+    encoded = []
+    real = fedtier.model.encode
+
+    def counting(model, data):
+        encoded.append(len(data))
+        return real(model, data)
+
+    for module in (fedtier.metrics, fedtier.model):
+        monkeypatch.setattr(module, "encode", counting)
+    report = compute_metrics(trained_fed)
+    assert len(encoded) <= 2 * len(trained_fed.clients)
+    monkeypatch.undo()
+    for i, client in enumerate(trained_fed.clients):
+        gains = tier_gains(trained_fed, client.id)
+        assert report.gains_cluster[i] == gains.g_cluster
+        assert report.gains_leaf[i] == gains.g_leaf
+        assert report.gains_cluster_own[i] == gains.g_cluster_own

@@ -5,9 +5,9 @@ import pytest
 
 from fedtier.errors import ConfigurationError, PreconditionError
 from fedtier.lora import AdapterPath, LoraAdapter, Tier, compose_path, orth_penalty_grad, zero_adapter
-from fedtier.model import (FrozenBackbone, HeadModel, Sample, SgdConfig, build_model,
-                           dataset_loss, fd_tier_gradient, forward, gradient_check,
-                           local_update, tier_gradient)
+from fedtier.model import (ClientStack, FrozenBackbone, HeadModel, Sample, SgdConfig,
+                           build_model, dataset_loss, encode, fd_tier_gradient, forward,
+                           gradient_check, local_update, tier_gradient)
 from oracles import loop_matmul, softmax_loss_oracle
 
 
@@ -229,3 +229,99 @@ class TestLocalUpdate:
         with pytest.raises(ConfigurationError):
             local_update(toy_model, zero_path(3, 6), data, Tier.ROOT,
                          opt=SgdConfig(lr=0.1, epochs=1, batch_mode="mini"))
+
+
+def stacked_case(seed, sizes, active, n_frozen, c=5, h=7, d=4, r=2):
+    """A model, per-client encodings of the given sizes, per-client paths and
+    per-client frozen bases, all drawn from one seed."""
+    rng = np.random.default_rng(seed)
+    model = build_model(d, c, h, seed=seed)
+    encs = [encode(model, make_samples(rng, n, d, c)) for n in sizes]
+
+    def rand_adapter():
+        return LoraAdapter(b=0.3 * rng.normal(size=(c, r)),
+                           a=0.3 * rng.normal(size=(r, h)), rank=r)
+
+    paths = [AdapterPath(root=rand_adapter(), cluster=rand_adapter(), leaf=rand_adapter())
+             for _ in sizes]
+    bases = [[rng.normal(size=(c, r)) for _ in sizes] for _ in range(n_frozen)]
+    return model, encs, paths, bases
+
+
+def streams(count, seed=0):
+    return [np.random.default_rng([seed, i]) for i in range(count)]
+
+
+class TestStackedLocalUpdate:
+    # sizes below, at and above the batch size, and not multiples of it
+    SIZES = [5, 16, 45, 33, 1]
+
+    def test_len_counts_real_rows(self):
+        _, encs, _, _ = stacked_case(0, self.SIZES, Tier.ROOT, 0)
+        stack = ClientStack(encs)
+        assert len(stack) == sum(self.SIZES)
+        assert len(stack[1:3]) == 16 + 45
+
+    @pytest.mark.parametrize("batch_mode", ["full", "mini"])
+    @pytest.mark.parametrize("active,gammas", [(Tier.ROOT, ()), (Tier.CLUSTER, (0.7,)),
+                                               (Tier.LEAF, (1.3, 0.0))])
+    def test_client_bits_do_not_depend_on_stack_or_chunking(self, batch_mode, active, gammas):
+        model, encs, paths, bases = stacked_case(1, self.SIZES, active, len(gammas))
+        opt = SgdConfig(lr=0.2, epochs=3, batch_mode=batch_mode, batch_size=16)
+        n = len(encs)
+        alone = [local_update(model, paths[s], encs[s], active, [e[s] for e in bases],
+                              gammas, opt=opt, rng=streams(n)[s])
+                 for s in range(n)]
+        whole = local_update(model, paths, ClientStack(encs), active, bases, gammas,
+                             opt=opt, rng=streams(n))
+        assert isinstance(whole, list) and len(whole) == n
+        for cut in range(1, n):
+            rngs = streams(n)
+            parts = [local_update(model, paths[lo:hi], ClientStack(encs[lo:hi]), active,
+                                  [e[lo:hi] for e in bases], gammas, opt=opt, rng=rngs[lo:hi])
+                     for lo, hi in ((0, cut), (cut, n))]
+            split = parts[0] + parts[1]
+            for ad, ref in zip(split, alone):
+                assert np.array_equal(ad.b, ref.b) and np.array_equal(ad.a, ref.a)
+        for ad, ref, path in zip(whole, alone, paths):
+            assert np.array_equal(ad.b, ref.b) and np.array_equal(ad.a, ref.a)
+            assert not np.array_equal(ad.b, path.adapter(active).b)
+
+    def test_zero_gamma_penalty_is_skipped(self):
+        # a skipped term cannot touch its basis, so even a NaN basis leaves
+        # the result bitwise equal to training without that penalty
+        model, encs, paths, _ = stacked_case(2, self.SIZES, Tier.CLUSTER, 0)
+        opt = SgdConfig(lr=0.2, epochs=2, batch_mode="mini", batch_size=16)
+        nan_bases = [[np.full((5, 2), np.nan) for _ in encs]]
+        skipped = local_update(model, paths, ClientStack(encs), Tier.CLUSTER, nan_bases,
+                               (0.0,), opt=opt, rng=streams(len(encs)))
+        plain = local_update(model, paths, ClientStack(encs), Tier.CLUSTER, opt=opt,
+                             rng=streams(len(encs)))
+        for a, b in zip(skipped, plain):
+            assert np.array_equal(a.b, b.b) and np.array_equal(a.a, b.a)
+
+    def test_full_batch_sums_blocks_to_the_full_gradient(self):
+        # one full-batch epoch over several blocks is one step along the
+        # gradient of the mean loss over all rows
+        model, encs, paths, bases = stacked_case(3, [45], Tier.LEAF, 2)
+        frozen = [e[0] for e in bases]
+        db, da = tier_gradient(model, paths[0], encs[0], Tier.LEAF, frozen, (0.5, 1.5))
+        fdb, fda = fd_tier_gradient(model, paths[0], encs[0], Tier.LEAF, frozen, (0.5, 1.5))
+        for g, f in ((db, fdb), (da, fda)):
+            assert np.max(np.abs(g - f)) / max(np.max(np.abs(f)), 1e-12) <= 1e-4
+        out = local_update(model, paths[0], encs[0], Tier.LEAF, frozen, (0.5, 1.5),
+                           opt=SgdConfig(lr=0.1, epochs=1, batch_size=16))
+        assert np.allclose(out.b, paths[0].leaf.b - 0.1 * db, rtol=0, atol=1e-14)
+
+    def test_stack_needs_one_path_and_rng_per_client(self):
+        model, encs, paths, _ = stacked_case(4, self.SIZES, Tier.ROOT, 0)
+        opt = SgdConfig(lr=0.1, epochs=1, batch_mode="mini")
+        with pytest.raises(ConfigurationError):
+            local_update(model, paths[:2], ClientStack(encs), Tier.ROOT, opt=opt,
+                         rng=streams(len(encs)))
+        with pytest.raises(ConfigurationError):
+            local_update(model, paths, ClientStack(encs), Tier.ROOT, opt=opt)
+
+    def test_empty_stack_rejected(self):
+        with pytest.raises(PreconditionError):
+            ClientStack([])
