@@ -22,7 +22,7 @@ from .lora import (AdapterPath, LoraAdapter, Tier, compose_path, delta, init_ada
                    orth_penalty, orth_penalty_grad, zero_adapter)
 from .metrics import (MetricsReport, accuracy, clustering_quality, compute_metrics,
                       orthogonality_report, tier_gains, worst_decile)
-from .model import (FrozenBackbone, HeadModel, Sample, SgdConfig, build_model,
+from .model import (FrozenBackbone, HeadModel, Samples, SgdConfig, build_model,
                     dataset_loss, encode, fd_tier_gradient, forward, gradient_check,
                     local_update, tier_gradient)
 

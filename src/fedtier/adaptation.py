@@ -18,7 +18,7 @@ from .federation import FederationConfig, ServerState, _rng
 from .linalg import Matrix, frobenius_norm, orthonormal_columns, subspace_overlap
 from .lora import AdapterPath, LoraAdapter, Tier, init_adapter, zero_adapter
 from .metrics import accuracy
-from .model import HeadModel, SgdConfig, encode, local_update
+from .model import EncodedData, HeadModel, Samples, SgdConfig, encode, local_update
 
 _TAG_PROBE_INIT, _TAG_UNSEEN_LEAF_INIT, _TAG_UNSEEN_LEAF = 21, 22, 23
 _ZERO_B = 1e-12  # a B factor this small spans no direction
@@ -49,10 +49,10 @@ def build_representatives(server: ServerState, rank: int) -> list[ClusterReprese
     return reps
 
 
-def probe_basis(model: HeadModel, train, root_star: LoraAdapter, rank: int,
-                steps: int, lr: float, seed: int = 0) -> Matrix:
-    """Run `steps` full-batch gradient steps on a fresh probe adapter above the
-    frozen root and return the probe B's dominant left subspace."""
+def probe_basis(model: HeadModel, train: Samples | EncodedData, root_star: LoraAdapter,
+                rank: int, steps: int, lr: float, seed: int = 0) -> Matrix:
+    """Run `steps` full-batch gradient steps of a fresh probe adapter above the
+    frozen root on `train` and return the probe B's dominant left subspace."""
     if steps < 1:
         raise ConfigurationError("probe needs at least one step")
     p, q = model.class_count, model.backbone.hidden_dim

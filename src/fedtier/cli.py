@@ -325,12 +325,14 @@ def _cmd_adapt(args) -> int:
     run_dir = Path(args.run)
     fed = _reload_federation(run_dir)
     out_path = Path(args.out) if args.out else run_dir / "adapt.csv"
+    # adapt everyone before opening the file, so a failure keeps an earlier one
+    results = [adapt_unseen(fed.model, client, fed.server, fed.config,
+                            epochs=args.epochs, seed=fed.config.master_seed + u)
+               for u, client in enumerate(fed.data.unseen)]
     with out_path.open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["client_id", "assigned_cluster", "epoch", "test_accuracy"])
-        for u, client in enumerate(fed.data.unseen):
-            result = adapt_unseen(fed.model, client, fed.server, fed.config,
-                                  epochs=args.epochs, seed=fed.config.master_seed + u)
+        for u, result in enumerate(results):
             for epoch, acc in enumerate(result.accuracy_trajectory):
                 w.writerow([u, result.assigned_cluster, epoch, _repr_float(acc)])
     print(f"adaptation results written to {out_path}")

@@ -15,6 +15,9 @@ from ``numpy.random.default_rng([seed, k])``; inside an attempt the draw
 order is: priors (one vectorized Dirichlet), then one multinomial per client
 in ascending order, then one permutation per class in ascending class order,
 then one shuffle per client for the 80/20 train/test split.
+
+Pools and client splits hold their rows as `Samples` arrays: partitioners deal
+pool row indices to clients, then take each client's rows once.
 """
 
 import csv
@@ -26,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, GenerationError
-from .model import Sample
+from .model import Samples
 
 logger = logging.getLogger(__name__)
 
@@ -38,7 +41,7 @@ _MAX_ATTEMPTS = 100
 class LabeledPool:
     """Gaussian-blob class pool with generator metadata."""
 
-    samples: list[Sample]
+    samples: Samples
     class_count: int
     feature_dim: int
     class_means: np.ndarray  # C×d
@@ -69,8 +72,8 @@ class ClusterShift:
 
 @dataclass
 class ClientSplit:
-    train: list[Sample]
-    test: list[Sample]
+    train: Samples
+    test: Samples
     true_cluster: int | None = None
 
     @property
@@ -124,29 +127,40 @@ def gen_pool(class_count: int, feature_dim: int, per_class: int,
     for c in range(class_count):
         v = rng.normal(size=feature_dim)
         means[c] = separation * v / np.linalg.norm(v)
-    samples = []
-    for c in range(class_count):
-        xs = rng.normal(size=(per_class, feature_dim)) + means[c]
-        samples.extend(Sample(x=xs[i], y=c) for i in range(per_class))
+    x = np.concatenate([rng.normal(size=(per_class, feature_dim)) + m for m in means])
+    samples = Samples(x, np.repeat(np.arange(class_count), per_class))
     return LabeledPool(samples=samples, class_count=class_count,
                        feature_dim=feature_dim, class_means=means)
 
 
-def _class_indices(pool: LabeledPool) -> list[np.ndarray]:
-    by_class = [[] for _ in range(pool.class_count)]
-    for idx, s in enumerate(pool.samples):
-        by_class[s.y].append(idx)
-    return [np.array(ix, dtype=np.int64) for ix in by_class]
+def _deal(pool, owners, n_clients, rng) -> list[Samples]:
+    """Each client's rows of the pool, taken once. owners[c] names the client
+    of each row dealt from class c, in dealing order, or is None when class c
+    is not dealt. Each dealt class is shuffled once, in class order, and its
+    first rows go out; a client's rows keep their dealing order."""
+    dealt = [rng.permutation(np.flatnonzero(pool.samples.y == c))[:len(who)]
+             for c, who in enumerate(owners) if who is not None]
+    owner = np.concatenate([who for who in owners if who is not None])
+    by_client = np.concatenate(dealt)[np.argsort(owner, kind="stable")]
+    bounds = np.cumsum(np.bincount(owner, minlength=n_clients))[:-1]
+    return [pool.samples[ix] for ix in np.split(by_client, bounds)]
 
 
-def _train_test_split(samples: list[Sample], rng: np.random.Generator,
+def _evenly(pool, owners) -> list[np.ndarray | None]:
+    """Row owners that split class c among the clients in owners[c] as
+    np.array_split does (None for a class nobody owns)."""
+    sizes = np.bincount(pool.samples.y, minlength=pool.class_count)
+    return [np.repeat(who, n // len(who) + (np.arange(len(who)) < n % len(who)))
+            if who else None for who, n in zip(owners, sizes)]
+
+
+def _train_test_split(samples: Samples, rng: np.random.Generator,
                       true_cluster: int | None) -> ClientSplit:
     n = len(samples)
     order = rng.permutation(n)
     n_train = min(max(int(round(0.8 * n)), 1), n - 1)
-    train = [samples[i] for i in order[:n_train]]
-    test = [samples[i] for i in order[n_train:]]
-    return ClientSplit(train=train, test=test, true_cluster=true_cluster)
+    return ClientSplit(train=samples[order[:n_train]], test=samples[order[n_train:]],
+                       true_cluster=true_cluster)
 
 
 def _assemble(pool, per_client_samples, rng, true_clusters=None, priors=None):
@@ -171,23 +185,6 @@ def _dirichlet_counts(rng, priors, n_each, available):
     return counts
 
 
-def _slice_by_counts(pool, counts, rng):
-    """Deal each class's samples to clients without replacement, following the
-    drawn label counts; class pools are shuffled once per class."""
-    by_class = _class_indices(pool)
-    n_clients = counts.shape[0]
-    per_client = [[] for _ in range(n_clients)]
-    for c in range(pool.class_count):
-        order = rng.permutation(by_class[c])
-        start = 0
-        for i in range(n_clients):
-            take = int(counts[i, c])
-            for idx in order[start:start + take]:
-                per_client[i].append(pool.samples[idx])
-            start += take
-    return per_client
-
-
 def _partition_dirichlet(pool, label_priors_fn, n_clients, seed):
     total = len(pool.samples)
     n_each = total // (2 * n_clients)
@@ -195,14 +192,16 @@ def _partition_dirichlet(pool, label_priors_fn, n_clients, seed):
         raise GenerationError(
             f"pool too small: {total} samples give {n_each} per client (< {_MIN_CLIENT_SAMPLES})"
         )
-    available = np.array([len(ix) for ix in _class_indices(pool)])
+    available = np.bincount(pool.samples.y, minlength=pool.class_count)
     for attempt in range(_MAX_ATTEMPTS):
         rng = np.random.default_rng([seed, attempt])
         priors = label_priors_fn(rng)
         counts = _dirichlet_counts(rng, priors, n_each, available)
         if counts is None:
             continue
-        per_client = _slice_by_counts(pool, counts, rng)
+        # every class is dealt, following the drawn label counts
+        clients = np.arange(n_clients)
+        per_client = _deal(pool, [np.repeat(clients, k) for k in counts.T], n_clients, rng)
         return _assemble(pool, per_client, rng, priors=priors)
     raise GenerationError("could not draw a feasible Dirichlet partition "
                           f"after {_MAX_ATTEMPTS} attempts")
@@ -237,7 +236,8 @@ def _partition_patho(pool, spec: Patho, n_clients, seed):
     c = pool.class_count
     if spec.classes_per_client > c:
         raise ConfigurationError("classes_per_client exceeds the class count")
-    by_class = _class_indices(pool)
+    if spec.classes_per_client < 1:
+        raise ConfigurationError("classes_per_client must be positive")
     for attempt in range(_MAX_ATTEMPTS):
         rng = np.random.default_rng([seed, attempt])
         order = rng.permutation(c)
@@ -245,13 +245,7 @@ def _partition_patho(pool, spec: Patho, n_clients, seed):
         for i in range(n_clients):
             for j in range(spec.classes_per_client):
                 owners[order[(i * spec.classes_per_client + j) % c]].append(i)
-        per_client = [[] for _ in range(n_clients)]
-        for cls in range(c):
-            if not owners[cls]:
-                continue
-            perm = rng.permutation(by_class[cls])
-            for who, chunk in zip(owners[cls], np.array_split(perm, len(owners[cls]))):
-                per_client[who].extend(pool.samples[i] for i in chunk)
+        per_client = _deal(pool, _evenly(pool, owners), n_clients, rng)
         if min(len(s) for s in per_client) >= _MIN_CLIENT_SAMPLES:
             return _assemble(pool, per_client, rng)
     raise GenerationError("pathological partition left some client under "
@@ -275,7 +269,6 @@ def _partition_clustershift(pool, spec: ClusterShift, n_clients, seed):
         raise ConfigurationError("label_subset_size must be positive")
     if pool.feature_dim < 2:
         raise ConfigurationError("feature rotation needs at least 2 dimensions")
-    by_class = _class_indices(pool)
     group_of = np.array([i % spec.k_true for i in range(n_clients)])
     for attempt in range(_MAX_ATTEMPTS):
         rng = np.random.default_rng([seed, attempt])
@@ -291,17 +284,11 @@ def _partition_clustershift(pool, spec: ClusterShift, n_clients, seed):
         for i in range(n_clients):
             for cls in sorted(subset_of_group[group_of[i]]):
                 owners[cls].append(i)
-        per_client = [[] for _ in range(n_clients)]
-        for cls in range(c):
-            if not owners[cls]:
-                continue
-            order = rng.permutation(by_class[cls])
-            for who, chunk in zip(owners[cls], np.array_split(order, len(owners[cls]))):
-                rot = rotations[group_of[who]]
-                per_client[who].extend(
-                    Sample(x=rot @ pool.samples[i].x, y=pool.samples[i].y) for i in chunk
-                )
+        per_client = _deal(pool, _evenly(pool, owners), n_clients, rng)
         if min(len(s) for s in per_client) >= _MIN_CLIENT_SAMPLES:
+            # the stacked mat-vec rotates each row exactly as rot @ x alone
+            per_client = [Samples((rotations[g] @ s.x[:, :, None])[:, :, 0], s.y)
+                          for g, s in zip(group_of, per_client)]
             return _assemble(pool, per_client, rng, true_clusters=group_of)
     raise GenerationError("cluster-shift partition left some client under "
                           f"{_MIN_CLIENT_SAMPLES} samples")
@@ -374,22 +361,23 @@ def load_csv(path: str | Path, seed: int = 0) -> FederationData:
                 raise ConfigurationError(f"CSV line {lineno} has {len(r)} fields, "
                                          f"expected {d + 2}")
             try:
-                rows.append((int(r[0]), int(r[1]),
-                             np.array([float(v) for v in r[2:]])))
+                rows.append((int(r[0]), int(r[1]), [float(v) for v in r[2:]]))
             except ValueError as exc:
                 raise ConfigurationError(f"CSV line {lineno}: {exc}") from exc
     if not rows:
         raise ConfigurationError("CSV contains no samples")
-    labels = [r[1] for r in rows]
-    if min(labels) < 0:
+    ids, labels, feats = zip(*rows)
+    ids, samples = np.array(ids), Samples(feats, labels)
+    bad = np.flatnonzero(~np.isfinite(samples.x).all(axis=1))
+    if bad.size:
+        raise ConfigurationError(f"CSV line {bad[0] + 2}: non-finite feature")
+    if samples.y.min() < 0:
         raise ConfigurationError("labels must be non-negative integers")
-    class_count = max(labels) + 1
-    ids = sorted(set(r[0] for r in rows))
-    rng = np.random.default_rng([seed, len(rows)])
+    rng = np.random.default_rng([seed, len(ids)])
     clients = []
-    for cid in ids:
-        samples = [Sample(x=x, y=y) for (c, y, x) in rows if c == cid]
-        if len(samples) < 2:
+    for cid in np.unique(ids):
+        if np.count_nonzero(ids == cid) < 2:
             raise ConfigurationError(f"client {cid} has fewer than 2 samples")
-        clients.append(_train_test_split(samples, rng, None))
-    return FederationData(clients=clients, class_count=class_count, feature_dim=d)
+        clients.append(_train_test_split(samples[ids == cid], rng, None))
+    return FederationData(clients=clients, class_count=int(samples.y.max()) + 1,
+                          feature_dim=d)

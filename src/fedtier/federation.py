@@ -251,17 +251,17 @@ def _chunks(count: int, parts: int) -> list[tuple[int, int]]:
 
 
 def _until_stopped(config: FederationConfig, model: HeadModel, enc: list[EncodedData],
-                   active: Tier, groups: list[_Group], absorb, workers: int) -> list[StageReport]:
+                   active: Tier, groups: list[_Group], absorb) -> list[StageReport]:
     """Advance the groups in lockstep for rounds t = 1..budget.
 
     Each round stacks the members of every running group, in group order,
-    into one local update; with workers > 1 the stack is split into at most
-    `workers` contiguous chunks run on a thread pool. absorb(group, local)
+    into one local update; with config.workers > 1 the stack is split into
+    at most that many contiguous chunks run on a thread pool. absorb(group, local)
     then returns the group's new adapter and the delta its stop check
     compares, and a group retires once stop_check passes on consecutive
     deltas or the budget runs out."""
     tag, budget, opt, gammas = _stage_settings(config, active)
-    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+    with ThreadPoolExecutor(config.workers) if config.workers > 1 else nullcontext() as pool:
         for t in range(1, budget + 1):
             running = [g for g in groups if not g.stopped]
             if not running:
@@ -285,7 +285,7 @@ def _until_stopped(config: FederationConfig, model: HeadModel, enc: list[Encoded
                                     [entry[lo:hi] for entry in bases], gammas,
                                     opt=opt, rng=rngs[lo:hi])
 
-            parts = _chunks(len(paths), workers)
+            parts = _chunks(len(paths), config.workers)
             results = map(chunk, parts) if pool is None else pool.map(chunk, parts)
             local = [ad for part in results for ad in part]
             new_deltas, w_eff = [], []
@@ -326,11 +326,9 @@ def _leaf_absorb(group, local):
 
 
 def run_root_stage(config: FederationConfig, data: FederationData, model: HeadModel,
-                   tracker: BasisTracker, enc: list[EncodedData] | None = None,
-                   workers: int | None = None):
+                   tracker: BasisTracker, enc: list[EncodedData] | None = None):
     """Train the global root adapter; feed every client's local basis into the
     EMA tracker each round. Returns the frozen root and the stage report."""
-    workers = config.workers if workers is None else workers
     enc = enc if enc is not None else _encode_clients(model, data)
     p, q = model.class_count, model.backbone.hidden_dim
     zero = zero_adapter(p, q, config.rank)
@@ -341,19 +339,17 @@ def run_root_stage(config: FederationConfig, data: FederationData, model: HeadMo
                                         _rng(config.master_seed, _TAG_ROOT_INIT, 0, 0)),
                    bases=(), frozen_delta=np.zeros((p, q)), labels={"cluster": None})
     [report] = _until_stopped(config, model, enc, Tier.ROOT, [group],
-                              _server_absorb(config, tracker), workers)
+                              _server_absorb(config, tracker))
     tracker.rounds = report.rounds
     return group.adapter, report
 
 
 def run_cluster_stage(config: FederationConfig, data: FederationData, model: HeadModel,
                       assignment: ClusterAssignment, root_star: LoraAdapter,
-                      enc: list[EncodedData] | None = None,
-                      workers: int | None = None):
+                      enc: list[EncodedData] | None = None):
     """Train one adapter per cluster, each orthogonality-penalized against the
     frozen root; clusters run in lockstep and stop independently within
     t_cluster."""
-    workers = config.workers if workers is None else workers
     enc = enc if enc is not None else _encode_clients(model, data)
     p, q = model.class_count, model.backbone.hidden_dim
     zero = zero_adapter(p, q, config.rank)
@@ -368,7 +364,7 @@ def run_cluster_stage(config: FederationConfig, data: FederationData, model: Hea
                                  _rng(config.master_seed, _TAG_CLUSTER_INIT, 0, j)),
             bases=(root_star.b,), frozen_delta=delta(root_star), labels={"cluster": j}))
     reports = _until_stopped(config, model, enc, Tier.CLUSTER, groups,
-                             _server_absorb(config, None), workers)
+                             _server_absorb(config, None))
     clusters = {g.labels["cluster"]: g.adapter for g in groups}
     return clusters, reports
 
@@ -376,14 +372,12 @@ def run_cluster_stage(config: FederationConfig, data: FederationData, model: Hea
 def run_leaf_stage(config: FederationConfig, data: FederationData, model: HeadModel,
                    root_star: LoraAdapter, clusters: dict[int, LoraAdapter],
                    assignment: ClusterAssignment,
-                   enc: list[EncodedData] | None = None,
-                   workers: int | None = None):
+                   enc: list[EncodedData] | None = None):
     """Train each client's private leaf adapter; no aggregation ever happens.
 
     The leaf budget is counted in local epochs, with the same relative
     step-size stopping applied to the client's own leaf update.
     """
-    workers = config.workers if workers is None else workers
     enc = enc if enc is not None else _encode_clients(model, data)
     p, q = model.class_count, model.backbone.hidden_dim
     frozen_delta = {j: delta(root_star) + delta(ad) for j, ad in clusters.items()}
@@ -397,7 +391,7 @@ def run_leaf_stage(config: FederationConfig, data: FederationData, model: HeadMo
                               cluster_index=j, client_index=i),
             adapter=leaf, bases=(root_star.b, clusters[j].b),
             frozen_delta=frozen_delta[j], labels={"cluster": j, "client": i}))
-    reports = _until_stopped(config, model, enc, Tier.LEAF, groups, _leaf_absorb, workers)
+    reports = _until_stopped(config, model, enc, Tier.LEAF, groups, _leaf_absorb)
     return [g.adapter for g in groups], reports
 
 
@@ -439,8 +433,7 @@ class TrainedFederation:
 
 
 def run_protocol(config: FederationConfig, data: FederationData,
-                 model: HeadModel | None = None,
-                 workers: int | None = None) -> TrainedFederation:
+                 model: HeadModel | None = None) -> TrainedFederation:
     """Full cascade: root stage, subspace clustering, cluster stage, leaf
     stage; returns the trained federation with every tier frozen."""
     if len(data.clients) != config.n_clients:
@@ -449,12 +442,11 @@ def run_protocol(config: FederationConfig, data: FederationData,
     if model is None:
         model = build_model(data.feature_dim, data.class_count,
                             config.hidden_dim, config.master_seed)
-    workers = config.workers if workers is None else workers
     enc = _encode_clients(model, data)
     tracker = BasisTracker(config.ema_decay)
     p, q = model.class_count, model.backbone.hidden_dim
 
-    root_star, root_report = run_root_stage(config, data, model, tracker, enc, workers)
+    root_star, root_report = run_root_stage(config, data, model, tracker, enc)
     reports = [root_report]
 
     n = config.n_clients
@@ -463,14 +455,14 @@ def run_protocol(config: FederationConfig, data: FederationData,
 
     if config.t_cluster > 0:
         clusters, cluster_reports = run_cluster_stage(
-            config, data, model, assignment, root_star, enc, workers)
+            config, data, model, assignment, root_star, enc)
         reports.extend(cluster_reports)
     else:
         clusters = {j: zero_adapter(p, q, config.rank) for j in assignment.cluster_ids}
 
     if config.t_leaf > 0:
         leaves, leaf_reports = run_leaf_stage(
-            config, data, model, root_star, clusters, assignment, enc, workers)
+            config, data, model, root_star, clusters, assignment, enc)
         reports.extend(leaf_reports)
     else:
         leaves = [zero_adapter(p, q, config.rank) for _ in range(n)]

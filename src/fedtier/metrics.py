@@ -18,7 +18,7 @@ _NEGLIGIBLE_B = 1e-6
 
 
 def accuracy(model: HeadModel, path: AdapterPath, test) -> float:
-    """Fraction of argmax-correct predictions over a sample list or its
+    """Fraction of argmax-correct predictions over Samples or their
     EncodedData; ties pick the lowest class."""
     if len(test) == 0:
         raise PreconditionError("test set is empty")
@@ -106,11 +106,10 @@ def clustering_quality(labels, truth) -> tuple[float, float]:
     if labels.shape != truth.shape:
         raise PreconditionError("label vectors must have equal length")
     n = len(labels)
-    la, lb = np.unique(labels), np.unique(truth)
+    la, ia = np.unique(labels, return_inverse=True)
+    lb, ib = np.unique(truth, return_inverse=True)
     cont = np.zeros((len(la), len(lb)))
-    for i, a in enumerate(la):
-        for j, b in enumerate(lb):
-            cont[i, j] = np.sum((labels == a) & (truth == b))
+    np.add.at(cont, (ia, ib), 1.0)
     a_marg = cont.sum(axis=1)
     b_marg = cont.sum(axis=0)
 

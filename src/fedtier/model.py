@@ -65,10 +65,26 @@ class HeadModel:
         return self.w0.shape[0]
 
 
-@dataclass
-class Sample:
+@dataclass(frozen=True)
+class Samples:
+    """Labeled rows as arrays: features x (n×d float64) and labels y (n,)
+    int64. Indexing with an index array or a slice gives Samples."""
+
     x: np.ndarray
-    y: int
+    y: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "x", np.asarray(self.x, dtype=np.float64))
+        object.__setattr__(self, "y", np.asarray(self.y, dtype=np.int64))
+        if self.x.ndim != 2 or self.y.shape != (self.x.shape[0],):
+            raise ConfigurationError(f"samples need n×d features and n labels, got "
+                                     f"{self.x.shape} and {self.y.shape}")
+
+    def __len__(self):
+        return self.y.shape[0]
+
+    def __getitem__(self, rows) -> "Samples":
+        return Samples(self.x[rows], self.y[rows])
 
 
 def build_model(feature_dim: int, class_count: int, hidden_dim: int, seed: int) -> HeadModel:
@@ -82,7 +98,7 @@ def build_model(feature_dim: int, class_count: int, hidden_dim: int, seed: int) 
 
 @dataclass
 class EncodedData:
-    """Backbone features cached for a fixed sample list."""
+    """Backbone features cached for fixed Samples."""
 
     z: Matrix              # n×h
     y: np.ndarray          # (n,)
@@ -91,17 +107,14 @@ class EncodedData:
         return self.z.shape[0]
 
 
-def encode(model: HeadModel, data: list[Sample]) -> EncodedData:
-    """Run the frozen backbone once over a sample list."""
+def encode(model: HeadModel, data: Samples) -> EncodedData:
+    """Run the frozen backbone once over all rows of `data`."""
     if len(data) == 0:
         raise PreconditionError("dataset is empty")
-    x = np.stack([np.asarray(s.x, dtype=np.float64) for s in data])
-    y = np.array([s.y for s in data], dtype=np.int64)
-    c = model.class_count
-    if np.any(y < 0) or np.any(y >= c):
+    if np.any(data.y < 0) or np.any(data.y >= model.class_count):
         raise PreconditionError("sample label out of range")
-    z = np.tanh(x @ model.backbone.m.T + model.backbone.bias)
-    return EncodedData(z=z, y=y)
+    z = np.tanh(data.x @ model.backbone.m.T + model.backbone.bias)
+    return EncodedData(z=z, y=data.y)
 
 
 def _as_encoded(model: HeadModel, data) -> EncodedData:
@@ -310,7 +323,7 @@ def local_update(model: HeadModel, path, data, active: Tier,
                  rng=None):
     """Run `opt.epochs` of gradient descent on the active adapter.
 
-    With one client's data (samples or EncodedData), `path` is its
+    With one client's data (Samples or EncodedData), `path` is its
     AdapterPath, each `frozen_bases` entry one B factor, `rng` one
     Generator, and a fresh LoraAdapter is returned. With a ClientStack,
     `path`, each `frozen_bases` entry and `rng` hold one item per client and
@@ -426,7 +439,8 @@ def gradient_check(trials: int = 24, seed: int = 0, h: float = 1e-5) -> float:
         r = int(rng.integers(1, 3))
         n = int(rng.integers(4, 9))
         model = build_model(d, c, hid, seed=int(rng.integers(1_000_000)))
-        data = [Sample(x=rng.normal(size=d), y=int(rng.integers(c))) for _ in range(n)]
+        xs, ys = zip(*[(rng.normal(size=d), rng.integers(c)) for _ in range(n)])
+        data = Samples(np.stack(xs), np.array(ys))
 
         def rand_adapter():
             return LoraAdapter(b=0.3 * rng.normal(size=(c, r)),

@@ -6,7 +6,7 @@ from fedtier.adaptation import (ClusterRepresentative, adapt_unseen, assign_clus
 from fedtier.errors import ConfigurationError, DegenerateInputError
 from fedtier.federation import FederationConfig, run_protocol
 from fedtier.linalg import orthonormal_columns
-from fedtier.model import FrozenBackbone, HeadModel, Sample
+from fedtier.model import FrozenBackbone, HeadModel, Samples
 from fedtier.lora import zero_adapter
 from oracles import random_orthonormal
 
@@ -30,7 +30,7 @@ class TestProbeBasis:
         # a dead backbone (zero features) never moves the probe's B off zero
         model = HeadModel(w0=np.zeros((3, 4)),
                           backbone=FrozenBackbone(m=np.zeros((4, 2)), bias=np.zeros(4)))
-        data = [Sample(x=np.zeros(2), y=0), Sample(x=np.zeros(2), y=1)]
+        data = Samples(np.zeros((2, 2)), [0, 1])
         with pytest.raises(DegenerateInputError):
             probe_basis(model, data, zero_adapter(3, 4, 2), rank=2, steps=3, lr=0.1)
 

@@ -2,10 +2,12 @@ import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fedtier.cli import main
 from fedtier.datagen import gen_pool
+from fedtier.model import Samples
 
 
 def write_config(tmp_path, **overrides):
@@ -33,6 +35,14 @@ def write_config(tmp_path, **overrides):
 def read_rows(path):
     with Path(path).open(newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def write_csv(path, client_ids, samples):
+    """One CSV row per sample, features printed to round-trip exactly."""
+    d = samples.x.shape[1]
+    np.savetxt(path, np.column_stack([client_ids, samples.y, samples.x]), delimiter=",",
+               fmt=["%d", "%d"] + ["%.17g"] * d, comments="",
+               header=",".join(["client_id", "label"] + [f"f{i}" for i in range(d)]))
 
 
 class TestRun:
@@ -181,6 +191,16 @@ class TestAdapt:
         assert main(["adapt", "--run", str(tmp_path / "run")]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_failed_adapt_keeps_an_earlier_adapt_csv(self, tmp_path):
+        cfg = write_config(tmp_path, **{"federation.t_root": 5, "federation.t_cluster": 0,
+                                        "federation.t_leaf": 4})
+        assert main(["run", "--config", str(cfg)]) == 0
+        earlier = b"client_id,assigned_cluster,epoch,test_accuracy\r\n0,1,0,0.5\r\n"
+        adapt_csv = tmp_path / "run" / "adapt.csv"
+        adapt_csv.write_bytes(earlier)
+        assert main(["adapt", "--run", str(tmp_path / "run")]) == 2
+        assert adapt_csv.read_bytes() == earlier
+
 
 class TestGradcheck:
     def test_passes_and_prints(self, capsys):
@@ -192,13 +212,8 @@ class TestGradcheck:
 class TestCsvDataKind:
     def test_end_to_end_from_csv(self, tmp_path):
         pool = gen_pool(4, 3, 40, 3.0, seed=8)
-        lines = ["client_id,label,f0,f1,f2"]
-        for idx, s in enumerate(pool.samples):
-            cid = idx % 4
-            feats = ",".join(repr(float(v)) for v in s.x)
-            lines.append(f"{cid},{s.y},{feats}")
         csv_path = tmp_path / "pool.csv"
-        csv_path.write_text("\n".join(lines) + "\n")
+        write_csv(csv_path, np.arange(len(pool.samples)) % 4, pool.samples)
         doc = {
             "federation": {"rank": 2, "t_root": 3, "t_cluster": 2, "t_leaf": 1,
                            "total_budget": 6, "lr": 0.05, "batch_mode": "full",
@@ -211,3 +226,15 @@ class TestCsvDataKind:
         assert main(["run", "--config", str(cfg)]) == 0
         rows = read_rows(tmp_path / "csvrun" / "metrics.csv")
         assert len(rows) == 4
+
+    def test_non_finite_feature_fails_naming_the_line(self, tmp_path, capsys):
+        pool = gen_pool(2, 2, 10, 3.0, seed=8)
+        x = pool.samples.x.copy()
+        x[6, 1] = np.nan
+        csv_path = tmp_path / "pool.csv"
+        write_csv(csv_path, np.arange(20) % 2, Samples(x, pool.samples.y))
+        cfg = tmp_path / "csv_config.json"
+        cfg.write_text(json.dumps({"data": {"kind": "csv", "path": str(csv_path)}}))
+        assert main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "line 8" in err

@@ -10,11 +10,12 @@ from fedtier.lora import AdapterPath, LoraAdapter, zero_adapter
 from fedtier.model import SgdConfig, Tier, build_model, forward, local_update
 
 
+def client_labels(client):
+    return np.concatenate([client.train.y, client.test.y])
+
+
 def label_histogram(client, class_count):
-    hist = np.zeros(class_count, dtype=np.int64)
-    for s in client.train + client.test:
-        hist[s.y] += 1
-    return hist
+    return np.bincount(client_labels(client), minlength=class_count)
 
 
 class TestGenPool:
@@ -22,8 +23,8 @@ class TestGenPool:
         a = gen_pool(4, 3, 10, 2.0, seed=42)
         b = gen_pool(4, 3, 10, 2.0, seed=42)
         assert np.array_equal(a.class_means, b.class_means)
-        assert all(np.array_equal(x.x, y.x) and x.y == y.y
-                   for x, y in zip(a.samples, b.samples))
+        assert np.array_equal(a.samples.x, b.samples.x)
+        assert np.array_equal(a.samples.y, b.samples.y)
 
     def test_zero_separation_collapses_means(self):
         pool = gen_pool(5, 4, 3, 0.0, seed=1)
@@ -31,7 +32,7 @@ class TestGenPool:
 
     def test_every_class_represented(self):
         pool = gen_pool(6, 2, 7, 1.0, seed=2)
-        assert sorted(set(s.y for s in pool.samples)) == list(range(6))
+        assert np.array_equal(np.unique(pool.samples.y), np.arange(6))
         assert len(pool.samples) == 42
 
     def test_separated_pool_is_learnable(self):
@@ -45,8 +46,8 @@ class TestGenPool:
         trained = local_update(model, path, pool.samples, Tier.ROOT,
                                opt=SgdConfig(lr=0.5, epochs=200))
         final = path.replace(Tier.ROOT, trained)
-        preds = [int(np.argmax(forward(model, final, s.x))) for s in pool.samples]
-        acc = float(np.mean([p == s.y for p, s in zip(preds, pool.samples)]))
+        preds = [int(np.argmax(forward(model, final, x))) for x in pool.samples.x]
+        acc = float(np.mean(np.array(preds) == pool.samples.y))
         assert acc >= 0.99
 
 
@@ -88,14 +89,9 @@ class TestGlDir:
         n_clients = 10
         fed = partition(pool, GlDir(alpha=0.4), n_clients, seed=4)
         n_each = len(pool.samples) // (2 * n_clients)
-        seen = set()
-        total = 0
-        for client in fed.clients:
-            for s in client.train + client.test:
-                seen.add(s.x.tobytes())
-                total += 1
-        assert total == n_clients * n_each
-        assert len(seen) == total  # drawn without replacement
+        rows = np.concatenate([np.concatenate([c.train.x, c.test.x]) for c in fed.clients])
+        assert len(rows) == n_clients * n_each
+        assert len(np.unique(rows, axis=0)) == len(rows)  # drawn without replacement
 
     def test_train_test_disjoint_and_ratio(self):
         pool = gen_pool(5, 3, 200, 1.0, seed=5)
@@ -103,9 +99,8 @@ class TestGlDir:
         for client in fed.clients:
             n = len(client.train) + len(client.test)
             assert len(client.train) == min(max(int(round(0.8 * n)), 1), n - 1)
-            train_ids = {s.x.tobytes() for s in client.train}
-            test_ids = {s.x.tobytes() for s in client.test}
-            assert not train_ids & test_ids
+            rows = np.concatenate([client.train.x, client.test.x])
+            assert len(np.unique(rows, axis=0)) == n
 
     def test_pool_too_small(self):
         pool = gen_pool(4, 2, 5, 1.0, seed=7)
@@ -140,13 +135,17 @@ class TestPatho:
         pool = gen_pool(100, 2, 20, 1.0, seed=14)
         fed = partition(pool, Patho(classes_per_client=10), 10, seed=15)
         for client in fed.clients:
-            support = set(s.y for s in client.train + client.test)
-            assert len(support) == 10
+            assert len(np.unique(client_labels(client))) == 10
 
     def test_rejects_too_many_classes(self):
         pool = gen_pool(4, 2, 50, 1.0, seed=16)
         with pytest.raises(ConfigurationError):
             partition(pool, Patho(classes_per_client=5), 3, seed=17)
+
+    def test_rejects_zero_classes_per_client(self):
+        pool = gen_pool(4, 2, 50, 1.0, seed=16)
+        with pytest.raises(ConfigurationError):
+            partition(pool, Patho(classes_per_client=0), 3, seed=17)
 
 
 class TestClusterShift:
@@ -156,7 +155,7 @@ class TestClusterShift:
                                            label_subset_size=3), 9, seed=19)
         truth = fed.true_clusters
         assert truth is not None
-        supports = [frozenset(s.y for s in c.train + c.test) for c in fed.clients]
+        supports = [frozenset(client_labels(c).tolist()) for c in fed.clients]
         for g in range(3):
             group_supports = {supports[i] for i in range(9) if truth[i] == g}
             assert len(group_supports) == 1
@@ -170,8 +169,8 @@ class TestClusterShift:
                                            label_subset_size=3), 4, seed=21)
         # rotation preserves norms but moves points
         client = fed.clients[0]
-        norms = [np.linalg.norm(s.x) for s in client.train[:5]]
-        assert all(np.isfinite(n) for n in norms)
+        norms = np.linalg.norm(client.train[:5].x, axis=1)
+        assert np.all(np.isfinite(norms))
 
     def test_needs_two_feature_dims(self):
         pool = gen_pool(4, 1, 100, 1.0, seed=22)
@@ -225,6 +224,14 @@ class TestCsvIngestion:
         assert fed.class_count == 4
         assert fed.feature_dim == 2
         assert all(len(c.train) + len(c.test) == 12 for c in fed.clients)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_names_its_line(self, tmp_path, bad):
+        path = tmp_path / "data.csv"
+        path.write_text("client_id,label,f0,f1\n0,1,0.5,0.25\n0,0,1.5,0.75\n"
+                        f"1,1,0.5,{bad}\n1,0,2.0,1.0\n")
+        with pytest.raises(ConfigurationError, match="line 4"):
+            load_csv(path)
 
     def test_header_required(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -40,7 +41,7 @@ def tiny_federation(n_clients, seed=0, classes=4, dim=4, separation=4.0):
 
 
 def cloned_federation(n_clients, seed=0, classes=4, dim=4, separation=4.0):
-    """Every client holds the same data (shared lists are fine: reads only)."""
+    """Every client holds the same data (shared arrays are fine: reads only)."""
     base = tiny_federation(1, seed=seed, classes=classes, dim=dim, separation=separation)
     split = base.clients[0]
     clients = [ClientSplit(train=split.train, test=split.test) for _ in range(n_clients)]
@@ -407,8 +408,8 @@ class TestRunProtocol:
         data = tiny_federation(4, seed=8)
         config = small_config(n_clients=4, t_root=4, t_cluster=3, t_leaf=2,
                               total_budget=9)
-        fed1 = run_protocol(config, data, workers=1)
-        fed4 = run_protocol(config, data, workers=4)
+        fed1 = run_protocol(replace(config, workers=1), data)
+        fed4 = run_protocol(replace(config, workers=4), data)
         assert np.array_equal(fed1.server.root.b, fed4.server.root.b)
         assert np.array_equal(fed1.server.root.a, fed4.server.root.a)
         for c1, c4 in zip(fed1.clients, fed4.clients):
@@ -484,7 +485,7 @@ class TestStackedRounds:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(fedtier.federation, "local_update", counting)
-        fed = run_protocol(config, data, workers=workers)
+        fed = run_protocol(replace(config, workers=workers), data)
         sizes = data.train_sizes
         expected = 0
         for rep in fed.reports:

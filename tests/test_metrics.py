@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from fedtier.federation import FederationConfig, run_protocol
 from fedtier.lora import AdapterPath, zero_adapter
 from fedtier.metrics import (accuracy, clustering_quality, compute_metrics,
                              orthogonality_report, tier_gains, worst_decile)
-from fedtier.model import FrozenBackbone, HeadModel, Sample, forward
+from fedtier.model import FrozenBackbone, HeadModel, Samples, forward
 
 
 def pair_count_ari(labels, truth):
@@ -34,6 +35,20 @@ def pair_count_ari(labels, truth):
     return (together_both - expected) / (max_index - expected)
 
 
+def counting_nmi(labels, truth):
+    """NMI from label and label-pair frequencies counted one row at a time,
+    independent of the contingency-table route."""
+    n = len(labels)
+    joint, pa, pb = Counter(zip(labels, truth)), Counter(labels), Counter(truth)
+    mi = sum(k / n * math.log(k * n / (pa[a] * pb[b])) for (a, b), k in joint.items())
+
+    def entropy(counts):
+        return -sum(k / n * math.log(k / n) for k in counts.values())
+
+    mean_h = (entropy(pa) + entropy(pb)) / 2
+    return 1.0 if mean_h == 0.0 else mi / mean_h
+
+
 class TestAccuracy:
     def test_constant_predictor_on_single_class(self):
         w0 = np.zeros((3, 2))
@@ -41,7 +56,7 @@ class TestAccuracy:
         model = HeadModel(w0=w0, backbone=FrozenBackbone(m=np.eye(2), bias=np.ones(2)))
         path = AdapterPath(root=zero_adapter(3, 2, 1), cluster=zero_adapter(3, 2, 1),
                            leaf=zero_adapter(3, 2, 1))
-        data = [Sample(x=np.ones(2), y=1) for _ in range(4)]
+        data = Samples(np.ones((4, 2)), np.ones(4))
         assert accuracy(model, path, data) == 1.0
 
     def test_uniform_logits_tie_picks_lowest_class(self):
@@ -49,8 +64,7 @@ class TestAccuracy:
                           backbone=FrozenBackbone(m=np.ones((3, 2)), bias=np.zeros(3)))
         path = AdapterPath(root=zero_adapter(2, 3, 1), cluster=zero_adapter(2, 3, 1),
                            leaf=zero_adapter(2, 3, 1))
-        data = [Sample(x=np.ones(2), y=0), Sample(x=np.ones(2), y=0),
-                Sample(x=np.ones(2), y=1)]
+        data = Samples(np.ones((3, 2)), [0, 0, 1])
         # every prediction is class 0 under the tie rule
         assert accuracy(model, path, data) == pytest.approx(2 / 3, abs=1e-15)
 
@@ -59,14 +73,15 @@ class TestAccuracy:
         client = fed.clients[2]
         acc = accuracy(fed.model, client.path, client.data.test)
         hits = 0
-        for s in client.data.test:
-            logits = forward(fed.model, client.path, s.x)
-            hits += int(np.argmax(logits)) == s.y
+        for x, y in zip(client.data.test.x, client.data.test.y):
+            logits = forward(fed.model, client.path, x)
+            hits += int(np.argmax(logits)) == y
         assert acc == pytest.approx(hits / len(client.data.test), abs=1e-15)
 
     def test_empty_set_rejected(self, trained_fed):
         with pytest.raises(PreconditionError):
-            accuracy(trained_fed.model, trained_fed.clients[0].path, [])
+            accuracy(trained_fed.model, trained_fed.clients[0].path,
+                     Samples(np.zeros((0, 8)), []))
 
 
 class TestWorstDecile:
@@ -159,6 +174,16 @@ class TestClusteringQuality:
             ari, _ = clustering_quality(labels, truth)
             assert ari == pytest.approx(pair_count_ari(labels, truth), abs=1e-12)
             assert ari <= 1.0
+
+    def test_nmi_matches_counting_oracle(self):
+        # sparse, unsorted label values exercise the table's label indexing
+        rng = np.random.default_rng(4)
+        for _ in range(10):
+            labels = rng.integers(0, 3, size=15) * 7 - 2
+            truth = rng.integers(0, 4, size=15)[::-1] + 10
+            _, nmi = clustering_quality(labels, truth)
+            assert nmi == pytest.approx(counting_nmi(labels.tolist(), truth.tolist()),
+                                        abs=1e-12)
 
     def test_random_labels_have_near_zero_expected_ari(self):
         rng = np.random.default_rng(3)

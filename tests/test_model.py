@@ -5,7 +5,7 @@ import pytest
 
 from fedtier.errors import ConfigurationError, PreconditionError
 from fedtier.lora import AdapterPath, LoraAdapter, Tier, compose_path, orth_penalty_grad, zero_adapter
-from fedtier.model import (ClientStack, FrozenBackbone, HeadModel, Sample, SgdConfig,
+from fedtier.model import (ClientStack, FrozenBackbone, HeadModel, Samples, SgdConfig,
                            build_model, dataset_loss, encode, fd_tier_gradient, forward,
                            gradient_check, local_update, tier_gradient)
 from oracles import loop_matmul, softmax_loss_oracle
@@ -17,7 +17,24 @@ def zero_path(p, q, r=1):
 
 
 def make_samples(rng, n, d, c):
-    return [Sample(x=rng.normal(size=d), y=int(rng.integers(c))) for _ in range(n)]
+    return Samples(rng.normal(size=(n, d)), rng.integers(c, size=n))
+
+
+class TestSamples:
+    def test_rejects_1d_features_and_mismatched_label_count(self):
+        with pytest.raises(ConfigurationError):
+            Samples(np.zeros(4), [0, 1, 2, 3])
+        with pytest.raises(ConfigurationError):
+            Samples(np.zeros((3, 2)), [0, 1])
+
+    def test_index_arrays_and_slices_give_samples(self):
+        data = Samples(np.arange(8.0).reshape(4, 2), [0, 1, 2, 0])
+        picked = data[np.array([3, 1])]
+        assert np.array_equal(picked.x, [[6.0, 7.0], [2.0, 3.0]])
+        assert np.array_equal(picked.y, [0, 1])
+        assert len(data[1:]) == 3 and data.y.dtype == np.int64
+        with pytest.raises(ConfigurationError):
+            data[0]  # no per-row accessor
 
 
 class TestForward:
@@ -34,7 +51,7 @@ class TestForward:
                            leaf=zero_adapter(3, 6, 3))
         x = np.array([0.3, -0.2, 0.9, 0.1])
         assert np.max(np.abs(forward(toy_model, path, x))) <= 1e-12
-        data = [Sample(x=x, y=0), Sample(x=-x, y=2)]
+        data = Samples(np.stack([x, -x]), [0, 2])
         assert dataset_loss(toy_model, path, data) == pytest.approx(math.log(3), abs=1e-12)
 
     def test_matches_compose_then_multiply_oracle(self, toy_model):
@@ -59,7 +76,7 @@ class TestDatasetLoss:
     def test_uniform_logits(self):
         model = HeadModel(w0=np.zeros((4, 5)),
                           backbone=FrozenBackbone(m=np.ones((5, 2)), bias=np.zeros(5)))
-        data = [Sample(x=np.zeros(2), y=k) for k in range(4)]
+        data = Samples(np.zeros((4, 2)), np.arange(4))
         assert dataset_loss(model, zero_path(4, 5), data) == pytest.approx(
             math.log(4), abs=1e-12)
 
@@ -67,7 +84,7 @@ class TestDatasetLoss:
         w0 = np.zeros((3, 2))
         w0[1, :] = 1000.0  # class 1 logit huge wherever features are positive
         model = HeadModel(w0=w0, backbone=FrozenBackbone(m=np.eye(2), bias=np.ones(2)))
-        data = [Sample(x=np.ones(2), y=1)]
+        data = Samples(np.ones((1, 2)), [1])
         assert dataset_loss(model, zero_path(3, 2), data) <= 1e-9
 
     def test_matches_hand_softmax_oracle(self, toy_model):
@@ -76,13 +93,13 @@ class TestDatasetLoss:
         path = AdapterPath(
             root=LoraAdapter(b=rng.normal(size=(3, 2)), a=rng.normal(size=(2, 6)), rank=2),
             cluster=zero_adapter(3, 6, 2), leaf=zero_adapter(3, 6, 2))
-        rows = [forward(toy_model, path, s.x) for s in data]
-        expect = softmax_loss_oracle(rows, [s.y for s in data])
+        rows = [forward(toy_model, path, x) for x in data.x]
+        expect = softmax_loss_oracle(rows, data.y)
         assert dataset_loss(toy_model, path, data) == pytest.approx(expect, rel=1e-12)
 
     def test_empty_dataset(self, toy_model):
         with pytest.raises(PreconditionError):
-            dataset_loss(toy_model, zero_path(3, 6), [])
+            dataset_loss(toy_model, zero_path(3, 6), Samples(np.zeros((0, 4)), []))
 
     def test_loss_nonnegative(self, toy_model):
         rng = np.random.default_rng(2)
@@ -97,7 +114,7 @@ class TestTierGradient:
         model = HeadModel(w0=np.zeros((2, 3)),
                           backbone=FrozenBackbone(m=np.ones((3, 2)), bias=np.zeros(3)))
         x = np.array([0.4, -0.7])
-        data = [Sample(x=x, y=0), Sample(x=x, y=1)]
+        data = Samples(np.stack([x, x]), [0, 1])
         db, da = tier_gradient(model, zero_path(2, 3), data, Tier.ROOT)
         assert np.max(np.abs(db)) <= 1e-8
         assert np.max(np.abs(da)) <= 1e-8
@@ -112,7 +129,7 @@ class TestTierGradient:
         path = AdapterPath(root=zero_adapter(3, 4, 2), cluster=active,
                            leaf=zero_adapter(3, 4, 2))
         frozen = rng.normal(size=(3, 2))
-        data = [Sample(x=np.zeros(2), y=0), Sample(x=np.zeros(2), y=1)]
+        data = Samples(np.zeros((2, 2)), [0, 1])
         db, da = tier_gradient(model, path, data, Tier.CLUSTER, (frozen,), (1.0,))
         assert np.allclose(db, orth_penalty_grad(frozen, active.b), atol=1e-15)
         assert np.max(np.abs(da)) == 0.0
@@ -135,13 +152,13 @@ class TestTierGradient:
             assert np.max(np.abs(g - f)) / max(np.max(np.abs(f)), 1e-12) <= 1e-4
 
     def test_mismatched_penalty_args(self, toy_model):
-        data = [Sample(x=np.zeros(4), y=0)]
+        data = Samples(np.zeros((1, 4)), [0])
         with pytest.raises(ConfigurationError):
             tier_gradient(toy_model, zero_path(3, 6), data, Tier.ROOT,
                           (np.zeros((3, 1)),), ())
 
     def test_unknown_tier(self, toy_model):
-        data = [Sample(x=np.zeros(4), y=0)]
+        data = Samples(np.zeros((1, 4)), [0])
         with pytest.raises(ConfigurationError):
             tier_gradient(toy_model, zero_path(3, 6), data, "root")
 
@@ -189,16 +206,16 @@ class TestLocalUpdate:
     def test_separable_toy_reaches_full_accuracy(self):
         rng = np.random.default_rng(8)
         model = build_model(feature_dim=2, class_count=2, hidden_dim=8, seed=3)
-        data = ([Sample(x=np.array([4.0, 4.0]) + rng.normal(size=2), y=0) for _ in range(5)]
-                + [Sample(x=np.array([-4.0, -4.0]) + rng.normal(size=2), y=1) for _ in range(5)])
+        data = Samples(np.repeat([[4.0, 4.0], [-4.0, -4.0]], 5, axis=0)
+                       + rng.normal(size=(10, 2)), np.repeat([0, 1], 5))
         path = AdapterPath(root=LoraAdapter(b=np.zeros((2, 2)),
                                             a=0.01 * rng.normal(size=(2, 8)), rank=2),
                            cluster=zero_adapter(2, 8, 2), leaf=zero_adapter(2, 8, 2))
         trained = local_update(model, path, data, Tier.ROOT,
                                opt=SgdConfig(lr=0.5, epochs=200))
         final = path.replace(Tier.ROOT, trained)
-        logits = np.stack([forward(model, final, s.x) for s in data])
-        acc = float(np.mean(np.argmax(logits, axis=1) == [s.y for s in data]))
+        logits = np.stack([forward(model, final, x) for x in data.x])
+        acc = float(np.mean(np.argmax(logits, axis=1) == data.y))
         assert acc == 1.0
 
     def test_full_batch_descent_is_monotone(self, toy_model):
@@ -225,7 +242,7 @@ class TestLocalUpdate:
             SgdConfig(lr=0.1, epochs=1, batch_mode="stochastic")
 
     def test_minibatch_requires_rng(self, toy_model):
-        data = [Sample(x=np.zeros(4), y=0), Sample(x=np.ones(4), y=1)]
+        data = Samples(np.stack([np.zeros(4), np.ones(4)]), [0, 1])
         with pytest.raises(ConfigurationError):
             local_update(toy_model, zero_path(3, 6), data, Tier.ROOT,
                          opt=SgdConfig(lr=0.1, epochs=1, batch_mode="mini"))
