@@ -46,10 +46,9 @@ from .adaptation import adapt_unseen
 from .clustering import BasisTracker, ClusterAssignment, cluster_clients
 from .datagen import (ClusterShift, FederationData, GlDir, Patho, ScDir,
                       load_csv, gen_pool, partition, split_unseen)
-from .errors import ConfigurationError, DegenerateInputError, PreconditionError
-from .federation import (ClientState, FederationConfig, ServerState,
-                         TrainedFederation, run_protocol)
-from .lora import AdapterPath, read_adapter, save_adapter, load_matrix, dump_matrix
+from .errors import ConfigurationError, DegenerateInputError, GenerationError, PreconditionError
+from .federation import FederationConfig, TrainedFederation, run_protocol
+from .lora import read_adapter, save_adapter, load_matrix, dump_matrix
 from .metrics import compute_metrics
 from .model import build_model, gradient_check
 
@@ -72,7 +71,7 @@ def _fail(msg: str) -> int:
 
 def _need(section: dict, key: str, where: str):
     if key not in section:
-        raise ConfigurationError(f"missing field '{key}' in {where} section")
+        raise ConfigurationError(f"missing field '{key}' in {where}")
     return section[key]
 
 
@@ -89,7 +88,7 @@ def _materialize_config(raw: dict) -> dict:
     for key in fed:
         if key not in _FED_FIELDS:
             raise ConfigurationError(f"unknown field 'federation.{key}'")
-    kind = _need(data, "kind", "data")
+    kind = _need(data, "kind", "the data section")
     if kind not in _DATA_KIND_FIELDS:
         raise ConfigurationError(f"data.kind must be one of {sorted(_DATA_KIND_FIELDS)}")
     allowed = _DATA_COMMON | _DATA_KIND_FIELDS[kind]
@@ -102,11 +101,11 @@ def _materialize_config(raw: dict) -> dict:
     data.setdefault("unseen_fraction", 0.0)
     if kind != "csv":
         for key in ("classes", "feature_dim", "per_class", "n_total"):
-            _need(data, key, "data")
+            _need(data, key, "the data section")
         data.setdefault("separation", 3.0)
         n_total = int(data["n_total"])
     else:
-        _need(data, "path", "data")
+        _need(data, "path", "the data section")
         n_total = len(load_csv(data["path"], seed=int(data["seed"])).clients)
         data["n_total"] = n_total
     frac = float(data["unseen_fraction"])
@@ -254,10 +253,18 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _read_json_object(path: Path) -> dict:
+    doc = json.loads(path.read_text())
+    if not isinstance(doc, dict):
+        raise ConfigurationError(f"{path.name} must hold a JSON object")
+    return doc
+
+
 def _reload_federation(run_dir: Path) -> TrainedFederation:
-    manifest = json.loads((run_dir / "manifest.json").read_text())
-    config = FederationConfig(**manifest["config"]["federation"])
-    data = _build_data(manifest["config"]["data"])
+    doc = _materialize_config(_need(_read_json_object(run_dir / "manifest.json"),
+                                    "config", "manifest.json"))
+    config = FederationConfig(**doc["federation"])
+    data = _build_data(doc["data"])
     model = build_model(data.feature_dim, data.class_count, config.hidden_dim,
                         config.master_seed)
     ck = run_dir / "checkpoints"
@@ -265,8 +272,16 @@ def _reload_federation(run_dir: Path) -> TrainedFederation:
     clusters = {}
     for path in sorted(ck.glob("cluster_*.adapter")):
         clusters[int(path.stem.split("_")[1])] = read_adapter(path)
-    diag = json.loads((run_dir / "clustering.json").read_text())
+    diag = _read_json_object(run_dir / "clustering.json")
+    for key in ("k_star", "labels", "eigengaps", "sigma", "eigenvalues", "distance_matrix"):
+        _need(diag, key, "clustering.json")
     labels = np.array(diag["labels"], dtype=np.int64)
+    if labels.shape != (config.n_clients,):
+        raise ConfigurationError(f"clustering.json needs {config.n_clients} labels")
+    missing = sorted(set(labels.tolist()) - set(clusters))
+    if missing:
+        raise ConfigurationError(f"cluster label {missing[0]} has no "
+                                 f"checkpoints/cluster_{missing[0]}.adapter")
     assignment = ClusterAssignment(
         k_star=int(diag["k_star"]), labels=labels,
         eigengaps=np.array(diag["eigengaps"]),
@@ -280,16 +295,9 @@ def _reload_federation(run_dir: Path) -> TrainedFederation:
     tracker = BasisTracker(config.ema_decay)
     for path in sorted(ck.glob("ema_*.matrix")):
         tracker.bases[int(path.stem.split("_")[1])] = load_matrix(path.read_text())
-    clients = []
-    for i in range(config.n_clients):
-        j = int(labels[i])
-        leaf = read_adapter(ck / f"leaf_{i}.adapter")
-        path = AdapterPath(root=root, cluster=clusters[j], leaf=leaf,
-                           cluster_index=j, client_index=i)
-        clients.append(ClientState(id=i, data=data.clients[i], cluster=j, path=path))
-    server = ServerState(root=root, clusters=clusters, assignment=assignment)
-    return TrainedFederation(config=config, model=model, data=data, clients=clients,
-                             server=server, reports=[], tracker=tracker)
+    leaves = [read_adapter(ck / f"leaf_{i}.adapter") for i in range(config.n_clients)]
+    return TrainedFederation.from_tiers(config, model, data, root, clusters, leaves,
+                                        assignment, [], tracker)
 
 
 def _cmd_report(args) -> int:
@@ -380,7 +388,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigurationError, DegenerateInputError, PreconditionError) as exc:
+    except (ConfigurationError, DegenerateInputError, GenerationError, PreconditionError) as exc:
         return _fail(str(exc))
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         return _fail(f"i/o failure: {exc}")

@@ -424,6 +424,21 @@ class TrainedFederation:
     def path_full(self, i: int) -> AdapterPath:
         return self.clients[i].path
 
+    @classmethod
+    def from_tiers(cls, config, model, data, root, clusters, leaves, assignment, reports,
+                   tracker) -> "TrainedFederation":
+        """The federation whose client i runs the frozen root, the adapter of
+        its assigned cluster (clusters maps label to adapter) and leaves[i]."""
+        clients = []
+        for i in range(config.n_clients):
+            j = int(assignment.labels[i])
+            path = AdapterPath(root=root, cluster=clusters[j], leaf=leaves[i],
+                               cluster_index=j, client_index=i)
+            clients.append(ClientState(id=i, data=data.clients[i], cluster=j, path=path))
+        server = ServerState(root=root, clusters=clusters, assignment=assignment)
+        return cls(config=config, model=model, data=data, clients=clients,
+                   server=server, reports=reports, tracker=tracker)
+
     @property
     def rounds_executed(self) -> int:
         root = sum(r.rounds for r in self.reports if r.stage == "root")
@@ -467,12 +482,5 @@ def run_protocol(config: FederationConfig, data: FederationData,
     else:
         leaves = [zero_adapter(p, q, config.rank) for _ in range(n)]
 
-    clients = []
-    for i in range(n):
-        j = int(assignment.labels[i])
-        path = AdapterPath(root=root_star, cluster=clusters[j], leaf=leaves[i],
-                           cluster_index=j, client_index=i)
-        clients.append(ClientState(id=i, data=data.clients[i], cluster=j, path=path))
-    server = ServerState(root=root_star, clusters=clusters, assignment=assignment)
-    return TrainedFederation(config=config, model=model, data=data, clients=clients,
-                             server=server, reports=reports, tracker=tracker)
+    return TrainedFederation.from_tiers(config, model, data, root_star, clusters, leaves,
+                                        assignment, reports, tracker)

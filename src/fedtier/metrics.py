@@ -10,7 +10,7 @@ from .errors import ConfigurationError, PreconditionError
 from .federation import TrainedFederation, weights_cluster
 from .linalg import frobenius_norm, orthonormal_columns, subspace_overlap
 from .lora import AdapterPath, compose_path
-from .model import EncodedData, HeadModel, encode, _loss_for_weight
+from .model import ClientStack, EncodedData, HeadModel, encode, _stack_losses
 
 # leaves (or clusters) whose B factor is this small carry no direction and are
 # excluded from subspace statistics
@@ -41,9 +41,11 @@ def worst_decile(accs) -> float:
 class TierGains:
     """Loss reductions contributed by the cluster and leaf tiers.
 
-    g_cluster is measured on the client's cluster data (size-weighted over the
-    cluster's members), g_leaf and g_cluster_own on the client's own train
-    split; the own-data pair satisfies root-to-leaf additivity.
+    g_leaf and g_cluster_own are measured on the client's own train split and
+    satisfy root-to-leaf additivity. g_cluster is measured on the client's
+    cluster data: every member of cluster j shares j's root and root+cluster
+    weights, so the size-weighted cluster loss drop is
+    G_c = sum_m pi_m * g_cluster_own[m] over j's members m.
     """
 
     g_cluster: float
@@ -51,43 +53,36 @@ class TierGains:
     g_cluster_own: float
 
 
-def _cluster_losses(fed: TrainedFederation, j: int, train: dict) -> tuple[float, float]:
-    """Size-weighted train loss over cluster j's members under the root-only
-    and the root+cluster weights; `train` maps a member to its EncodedData.
-    Both weights depend on j alone, so every member of j shares the pair."""
+def _gains(fed: TrainedFederation, ids: list[int], train: dict) -> list[TierGains]:
+    """Tier gains of `ids`, which must form whole clusters, from three stacked
+    loss passes (root-only, root+cluster and full weights) over their
+    encoded train splits; `train` maps a client to its EncodedData. A
+    client's losses do not depend on its stack mates, so any set of whole
+    clusters gives a client the same gains bitwise."""
     if fed.server.root is None:
         raise ConfigurationError("federation has no frozen root snapshot")
-    members = fed.server.assignment.members(j)
-    w_members = weights_cluster(fed.data.train_sizes, members)
-    w_root = compose_path(fed.path_root(members[0]), fed.model.w0)
-    w_cluster = compose_path(fed.path_cluster(members[0]), fed.model.w0)
+    stack = ClientStack([train[i] for i in ids])
 
-    def cluster_loss(w_eff):
-        total = 0.0
-        for pos, member in enumerate(members):
-            total += float(w_members[pos]) * _loss_for_weight(w_eff, train[member])
-        return total
+    def losses(path_of):
+        return _stack_losses(np.stack([compose_path(path_of(i), fed.model.w0) for i in ids]),
+                             stack)
 
-    return cluster_loss(w_root), cluster_loss(w_cluster)
-
-
-def _gains(fed: TrainedFederation, client_id: int, enc_own: EncodedData,
-           cluster_losses: tuple[float, float]) -> TierGains:
-    model = fed.model
-    w_root = compose_path(fed.path_root(client_id), model.w0)
-    w_cluster = compose_path(fed.path_cluster(client_id), model.w0)
-    w_full = compose_path(fed.path_full(client_id), model.w0)
-    g_cluster = cluster_losses[0] - cluster_losses[1]
-    g_cluster_own = _loss_for_weight(w_root, enc_own) - _loss_for_weight(w_cluster, enc_own)
-    g_leaf = _loss_for_weight(w_cluster, enc_own) - _loss_for_weight(w_full, enc_own)
-    return TierGains(g_cluster=g_cluster, g_leaf=g_leaf, g_cluster_own=g_cluster_own)
+    l_cluster = losses(fed.path_cluster)
+    own = dict(zip(ids, losses(fed.path_root) - l_cluster))
+    g_cluster = {}
+    for j in {fed.clients[i].cluster for i in ids}:
+        members = fed.server.assignment.members(j)
+        pi = weights_cluster(fed.data.train_sizes, members)
+        g_cluster[j] = float(sum(w * own[m] for w, m in zip(pi, members)))
+    return [TierGains(g_cluster=g_cluster[fed.clients[i].cluster], g_leaf=float(leaf),
+                      g_cluster_own=float(own[i]))
+            for i, leaf in zip(ids, l_cluster - losses(fed.path_full))]
 
 
 def tier_gains(fed: TrainedFederation, client_id: int) -> TierGains:
-    j = fed.clients[client_id].cluster
-    needed = set(fed.server.assignment.members(j)) | {client_id}
-    train = {i: encode(fed.model, fed.data.clients[i].train) for i in needed}
-    return _gains(fed, client_id, train[client_id], _cluster_losses(fed, j, train))
+    members = fed.server.assignment.members(fed.clients[client_id].cluster)
+    train = {i: encode(fed.model, fed.data.clients[i].train) for i in members}
+    return _gains(fed, members, train)[members.index(client_id)]
 
 
 def _comb2(x: np.ndarray) -> float:
@@ -231,26 +226,18 @@ def compute_metrics(fed: TrainedFederation) -> MetricsReport:
     """Evaluate every participating client on its own test split at each stage
     snapshot, collect tier gains, overlaps, and clustering agreement.
 
-    Each client's train and test split is encoded once, and each cluster's
-    member losses are computed once for all of its members."""
-    ids, clusters = [], []
+    Each client's train and test split is encoded once, and all tier gains
+    come from one _gains call over every client (see TierGains for the G_c
+    identity)."""
+    ids = [client.id for client in fed.clients]
+    clusters = [int(client.cluster) for client in fed.clients]
     acc_full, acc_root, acc_cluster = [], [], []
-    g_c, g_l, g_co = [], [], []
-    train = {c.id: encode(fed.model, c.data.train) for c in fed.clients}
-    cluster_losses = {}
     for client in fed.clients:
-        ids.append(client.id)
-        clusters.append(int(client.cluster))
         test = encode(fed.model, client.data.test)
         acc_full.append(accuracy(fed.model, fed.path_full(client.id), test))
         acc_root.append(accuracy(fed.model, fed.path_root(client.id), test))
         acc_cluster.append(accuracy(fed.model, fed.path_cluster(client.id), test))
-        if client.cluster not in cluster_losses:
-            cluster_losses[client.cluster] = _cluster_losses(fed, client.cluster, train)
-        gains = _gains(fed, client.id, train[client.id], cluster_losses[client.cluster])
-        g_c.append(gains.g_cluster)
-        g_l.append(gains.g_leaf)
-        g_co.append(gains.g_cluster_own)
+    gains = _gains(fed, ids, {c.id: encode(fed.model, c.data.train) for c in fed.clients})
     per_cluster = {}
     for j in sorted(set(clusters)):
         vals = [a for a, c in zip(acc_full, clusters) if c == j]
@@ -265,7 +252,8 @@ def compute_metrics(fed: TrainedFederation) -> MetricsReport:
         mean_accuracy=float(np.mean(acc_full)),
         worst_decile_accuracy=worst_decile(acc_full),
         per_cluster_accuracy=per_cluster,
-        gains_cluster=g_c, gains_leaf=g_l, gains_cluster_own=g_co,
+        gains_cluster=[g.g_cluster for g in gains], gains_leaf=[g.g_leaf for g in gains],
+        gains_cluster_own=[g.g_cluster_own for g in gains],
         orthogonality=orthogonality_report(fed),
         ari=ari, nmi=nmi,
         stage_mean_accuracy={"root": float(np.mean(acc_root)),

@@ -4,14 +4,15 @@ LoRA-adapted linear head.
 The backbone z = tanh(M x + bias) is fixed at construction; all learning is
 carried by the composed low-rank update on the head weight (class_count ×
 hidden_dim). Cross-entropy loss and plain gradient-descent local updates
-live here: one blocked kernel updates a whole stack of clients at once, and
-the analytic tier gradient is that kernel's gradient on a stack of one. The
-central finite-difference oracle used by tests and the gradcheck command
-checks it.
+live here: one blocked kernel updates a whole stack of clients at once, the
+analytic tier gradient is that kernel's gradient on a stack of one, and every
+loss is the kernel's loss. The central finite-difference oracle used by tests
+and the gradcheck command checks the gradient.
 """
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -68,14 +69,18 @@ class HeadModel:
 @dataclass(frozen=True)
 class Samples:
     """Labeled rows as arrays: features x (n×d float64) and labels y (n,)
-    int64. Indexing with an index array or a slice gives Samples."""
+    int64; float labels must be whole numbers. Indexing with an index array
+    or a slice gives Samples."""
 
     x: np.ndarray
     y: np.ndarray
 
     def __post_init__(self):
+        y = np.asarray(self.y)
+        if y.dtype.kind == "f" and not np.all(np.isfinite(y) & (y == np.trunc(y))):
+            raise ConfigurationError("sample labels must be whole numbers")
         object.__setattr__(self, "x", np.asarray(self.x, dtype=np.float64))
-        object.__setattr__(self, "y", np.asarray(self.y, dtype=np.int64))
+        object.__setattr__(self, "y", np.asarray(y, dtype=np.int64))
         if self.x.ndim != 2 or self.y.shape != (self.x.shape[0],):
             raise ConfigurationError(f"samples need n×d features and n labels, got "
                                      f"{self.x.shape} and {self.y.shape}")
@@ -152,25 +157,11 @@ def forward(model: HeadModel, path: AdapterPath, x) -> np.ndarray:
     return w @ z
 
 
-def _softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Softmax over `axis`, computed in place."""
-    logits -= logits.max(axis=axis, keepdims=True)
-    np.exp(logits, out=logits)
-    logits /= logits.sum(axis=axis, keepdims=True)
-    return logits
-
-
-def _loss_for_weight(w: Matrix, enc: EncodedData) -> float:
-    logits = enc.z @ w.T
-    probs = _softmax(logits)
-    picked = probs[np.arange(len(enc)), enc.y]
-    return float(np.mean(-np.log(np.maximum(picked, _PROB_FLOOR))))
-
-
 def dataset_loss(model: HeadModel, path: AdapterPath, data) -> float:
-    """Mean cross-entropy of the composed model over the dataset."""
-    enc = _as_encoded(model, data)
-    return _loss_for_weight(compose_path(path, model.w0), enc)
+    """Mean cross-entropy of the composed model over the dataset: the
+    blocked kernel's loss on a stack of one."""
+    stack = ClientStack((_as_encoded(model, data),))
+    return float(_stack_losses(compose_path(path, model.w0)[None], stack)[0])
 
 
 # --- the blocked SGD kernel ----------------------------------------------------
@@ -229,7 +220,11 @@ def _block_layout(clients, block: int):
 def _class_probs(w: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Softmax probabilities (S, K, C, block) of the rows in z (S, K, block,
     h) under each client's head weight w (S, C, h)."""
-    return _softmax(w[:, None] @ z.swapaxes(-1, -2), axis=-2)
+    logits = w[:, None] @ z.swapaxes(-1, -2)
+    logits -= logits.max(axis=-2, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=-2, keepdims=True)
+    return logits
 
 
 def _stack_gradient(frozen_w, b, a, z, labels, rows, bases, gammas):
@@ -244,11 +239,7 @@ def _stack_gradient(frozen_w, b, a, z, labels, rows, bases, gammas):
     slices, classes, block = resid.shape[0] * resid.shape[1], resid.shape[2], resid.shape[3]
     resid.reshape(slices, classes, block)[np.arange(slices)[:, None],
                                           labels.reshape(slices, block), np.arange(block)] -= 1.0
-    g = resid @ z
-    dw = g[:, 0]
-    for blk in range(1, g.shape[1]):
-        dw = dw + g[:, blk]
-    dw = dw / rows[:, None, None]
+    dw = reduce(np.add, (resid @ z).swapaxes(0, 1)) / rows[:, None, None]
     db = dw @ a.swapaxes(-1, -2)
     da = b.swapaxes(-1, -2) @ dw
     for base, gamma in zip(bases, gammas):
@@ -259,13 +250,14 @@ def _stack_gradient(frozen_w, b, a, z, labels, rows, bases, gammas):
 
 def _stack_losses(w: np.ndarray, data: ClientStack) -> np.ndarray:
     """Mean cross-entropy of each stacked client under its own head weight
-    w[s] (S, C, h), computed over the same fixed blocks as the kernel."""
+    w[s] (S, C, h), over the kernel's fixed blocks. Like the gradient, it sums
+    each block, then the blocks in block order, so stack mates change no bit."""
     sizes, fill = _block_layout(data.clients, _DEFAULT_BATCH)
     z, labels = fill()
     picked = np.take_along_axis(_class_probs(w, z), labels[:, :, None], axis=-2)[:, :, 0]
-    nll = -np.log(np.maximum(picked, _PROB_FLOOR)).reshape(len(sizes), -1)
-    real = np.arange(nll.shape[1]) < sizes[:, None]
-    return np.where(real, nll, 0.0).sum(axis=1) / sizes
+    real = np.arange(labels[0].size).reshape(labels.shape[1:]) < sizes[:, None, None]
+    part = np.where(real, -np.log(np.maximum(picked, _PROB_FLOOR)), 0.0).sum(axis=-1)
+    return reduce(np.add, part.swapaxes(0, 1)) / sizes
 
 
 def _stack_bases(frozen_bases, count: int):

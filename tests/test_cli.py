@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -89,6 +90,13 @@ class TestRun:
         b = (tmp_path / "b" / "metrics.csv").read_bytes()
         assert a == b
 
+    def test_pool_too_small_to_partition_fails_cleanly(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, data={"kind": "gl_dir", "classes": 4, "feature_dim": 4,
+                                           "per_class": 5, "n_total": 10, "alpha": 0.5})
+        assert main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "pool too small" in err
+
     def test_n_clients_must_match_data(self, tmp_path, capsys):
         cfg = write_config(tmp_path, **{"federation.n_clients": 10})
         assert main(["run", "--config", str(cfg)]) == 2
@@ -129,6 +137,56 @@ class TestReport:
         rows = read_rows(tmp_path / "run" / "metrics.csv")
         assert len(rows) == 8
         assert all(float(r["G_c"]) == 0.0 and float(r["G_l"]) == 0.0 for r in rows)
+
+
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("finished")
+    assert main(["run", "--config", str(write_config(tmp_path))]) == 0
+    return tmp_path / "run"
+
+
+def edit_json(path, edit):
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+
+
+def drop(key):
+    def edit(doc):
+        del doc[key]
+        return doc
+    return edit
+
+
+def add_bogus_federation_field(doc):
+    doc["config"]["federation"]["bogus"] = 1
+    return doc
+
+
+RUN_DIR_FAULTS = {
+    "unknown_federation_field": ("manifest.json", add_bogus_federation_field),
+    "manifest_without_config": ("manifest.json", drop("config")),
+    "manifest_is_a_list": ("manifest.json", lambda doc: [doc]),
+    "clustering_without_labels": ("clustering.json", drop("labels")),
+    "too_few_cluster_labels": ("clustering.json",
+                               lambda doc: dict(doc, labels=doc["labels"][:3])),
+    "missing_cluster_adapter": ("checkpoints/cluster_0.adapter", None),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(RUN_DIR_FAULTS))
+def test_edited_run_dir_fails_cleanly(finished_run, tmp_path, capsys, fault):
+    run_dir = tmp_path / "run"
+    shutil.copytree(finished_run, run_dir)
+    name, edit = RUN_DIR_FAULTS[fault]
+    if edit is None:
+        (run_dir / name).unlink()
+    else:
+        edit_json(run_dir / name, edit)
+    for command in ("report", "adapt", "cluster-diag"):
+        capsys.readouterr()
+        assert main([command, "--run", str(run_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
 
 
 class TestClusterDiag:

@@ -8,11 +8,11 @@ import fedtier.metrics
 import fedtier.model
 from fedtier.datagen import ClientSplit, FederationData, gen_pool
 from fedtier.errors import PreconditionError
-from fedtier.federation import FederationConfig, run_protocol
+from fedtier.federation import FederationConfig, run_protocol, weights_cluster
 from fedtier.lora import AdapterPath, zero_adapter
 from fedtier.metrics import (accuracy, clustering_quality, compute_metrics,
                              orthogonality_report, tier_gains, worst_decile)
-from fedtier.model import FrozenBackbone, HeadModel, Samples, forward
+from fedtier.model import FrozenBackbone, HeadModel, Samples, dataset_loss, forward
 
 
 def pair_count_ari(labels, truth):
@@ -128,17 +128,34 @@ class TestTierGains:
             assert gains.g_leaf == 0.0  # leaf stage skipped too
 
     def test_additivity_on_own_data(self, trained_fed):
-        from fedtier.metrics import _loss_for_weight
-        from fedtier.model import encode
-        from fedtier.lora import compose_path
         fed = trained_fed
         for i in (0, 7, 19):
             gains = tier_gains(fed, i)
-            enc = encode(fed.model, fed.data.clients[i].train)
-            total_drop = (_loss_for_weight(compose_path(fed.path_root(i), fed.model.w0), enc)
-                          - _loss_for_weight(compose_path(fed.path_full(i), fed.model.w0), enc))
+            train = fed.data.clients[i].train
+            total_drop = (dataset_loss(fed.model, fed.path_root(i), train)
+                          - dataset_loss(fed.model, fed.path_full(i), train))
             assert total_drop == pytest.approx(gains.g_cluster_own + gains.g_leaf,
                                                abs=1e-12)
+
+    def test_cluster_gain_is_the_cluster_weighted_loss_drop(self, trained_fed):
+        # G_c by its definition: the size-weighted train loss over the
+        # cluster's members under the root-only and the root+cluster weights
+        fed = trained_fed
+        report = compute_metrics(fed)
+        expect = {}
+        for j in fed.server.assignment.cluster_ids:
+            members = fed.server.assignment.members(j)
+            pi = weights_cluster(fed.data.train_sizes, members)
+
+            def cluster_loss(path):
+                return sum(w * dataset_loss(fed.model, path, fed.data.clients[m].train)
+                           for w, m in zip(pi, members))
+
+            expect[j] = (cluster_loss(fed.path_root(members[0]))
+                         - cluster_loss(fed.path_cluster(members[0])))
+        assert len(expect) > 1
+        for j, g_c in zip(report.clusters, report.gains_cluster):
+            assert g_c == pytest.approx(expect[j], rel=0, abs=1e-12)
 
     def test_gains_finite(self, trained_fed):
         for i in range(0, 30, 5):

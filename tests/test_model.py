@@ -7,7 +7,7 @@ from fedtier.errors import ConfigurationError, PreconditionError
 from fedtier.lora import AdapterPath, LoraAdapter, Tier, compose_path, orth_penalty_grad, zero_adapter
 from fedtier.model import (ClientStack, FrozenBackbone, HeadModel, Samples, SgdConfig,
                            build_model, dataset_loss, encode, fd_tier_gradient, forward,
-                           gradient_check, local_update, tier_gradient)
+                           gradient_check, local_update, tier_gradient, _stack_losses)
 from oracles import loop_matmul, softmax_loss_oracle
 
 
@@ -35,6 +35,12 @@ class TestSamples:
         assert len(data[1:]) == 3 and data.y.dtype == np.int64
         with pytest.raises(ConfigurationError):
             data[0]  # no per-row accessor
+
+    @pytest.mark.parametrize("bad", [1.7, np.nan, np.inf])
+    def test_labels_must_be_whole_numbers(self, bad):
+        with pytest.raises(ConfigurationError):
+            Samples(np.zeros((2, 2)), [0.0, bad])
+        assert np.array_equal(Samples(np.zeros((2, 2)), [0.0, 2.0]).y, [0, 2])
 
 
 class TestForward:
@@ -342,3 +348,19 @@ class TestStackedLocalUpdate:
     def test_empty_stack_rejected(self):
         with pytest.raises(PreconditionError):
             ClientStack([])
+
+
+class TestStackLosses:
+    def test_client_loss_does_not_depend_on_stack_mates(self):
+        # mates of up to 300 rows widen the padded stack well past 128 rows
+        sizes = [5, 1, 33, 64, 45, 129, 150, 200, 257, 300]
+        model, encs, paths, _ = stacked_case(6, sizes, Tier.ROOT, 0)
+        w = np.stack([compose_path(p, model.w0) for p in paths])
+        alone = [_stack_losses(w[s:s + 1], ClientStack(encs[s:s + 1]))[0]
+                 for s in range(len(sizes))]
+        for s in range(len(sizes)):
+            assert alone[s] == dataset_loss(model, paths[s], encs[s])
+            for mate in range(s + 1, len(sizes)):
+                pair = _stack_losses(w[[s, mate]], ClientStack([encs[s], encs[mate]]))
+                assert pair[0] == alone[s] and pair[1] == alone[mate]
+        assert np.array_equal(_stack_losses(w, ClientStack(encs)), alone)
