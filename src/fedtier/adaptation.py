@@ -97,7 +97,7 @@ def adapt_unseen(model: HeadModel, client: ClientSplit, server: ServerState,
     p, q = model.class_count, model.backbone.hidden_dim
     cluster_ad = server.clusters[j]
     leaf = init_adapter(p, q, config.rank, _rng(seed, _TAG_UNSEEN_LEAF_INIT, 0, 0))
-    path = AdapterPath(root=server.root, cluster=cluster_ad, leaf=leaf, cluster_index=j)
+    path = AdapterPath(root=server.root, cluster=cluster_ad, leaf=leaf)
     # the fresh leaf has b = 0, so this is exactly the root+cluster model
     trajectory = [accuracy(model, path, test)]
     frozen = (server.root.b, cluster_ad.b)
@@ -106,7 +106,7 @@ def adapt_unseen(model: HeadModel, client: ClientSplit, server: ServerState,
     for e in range(1, epochs + 1):
         leaf = local_update(model, path, train, Tier.LEAF, frozen, gammas,
                             opt=opt, rng=_rng(seed, _TAG_UNSEEN_LEAF, e, 0))
-        path = AdapterPath(root=server.root, cluster=cluster_ad, leaf=leaf, cluster_index=j)
+        path = path.replace(Tier.LEAF, leaf)
         trajectory.append(accuracy(model, path, test))
     return AdaptationResult(assigned_cluster=j, path=path,
                             accuracy_trajectory=trajectory)

@@ -36,7 +36,6 @@ matrix dumps are ``rows cols`` followed by the rows; entries are printed with
 import argparse
 import csv
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -75,9 +74,9 @@ def _need(section: dict, key: str, where: str):
     return section[key]
 
 
-def _materialize_config(raw: dict) -> dict:
+def _materialize_config(raw: dict) -> tuple[dict, FederationData]:
     """Validate the raw document and fill in every default, so the manifest
-    fully describes the run."""
+    fully describes the run; returns it with the run's data, built once."""
     if not isinstance(raw, dict):
         raise ConfigurationError("config document must be a JSON object")
     for key in raw:
@@ -103,15 +102,14 @@ def _materialize_config(raw: dict) -> dict:
         for key in ("classes", "feature_dim", "per_class", "n_total"):
             _need(data, key, "the data section")
         data.setdefault("separation", 3.0)
-        n_total = int(data["n_total"])
     else:
         _need(data, "path", "the data section")
-        n_total = len(load_csv(data["path"], seed=int(data["seed"])).clients)
-        data["n_total"] = n_total
-    frac = float(data["unseen_fraction"])
-    if not 0.0 <= frac < 1.0:
+    if not 0.0 <= float(data["unseen_fraction"]) < 1.0:
         raise ConfigurationError("data.unseen_fraction must lie in [0, 1)")
-    participating = n_total - (math.ceil(frac * n_total) if frac > 0 else 0)
+    built = _build_data(data)
+    if kind == "csv":
+        data["n_total"] = len(built.clients) + len(built.unseen)
+    participating = len(built.clients)
     if "n_clients" in fed and int(fed["n_clients"]) != participating:
         raise ConfigurationError(
             f"federation.n_clients={fed['n_clients']} but the data section "
@@ -123,7 +121,7 @@ def _materialize_config(raw: dict) -> dict:
         raise ConfigurationError(str(exc)) from exc
     materialized = {f: getattr(config, f) for f in _FED_FIELDS}
     return {"federation": materialized, "data": data,
-            "out_dir": raw.get("out_dir", "run_out")}
+            "out_dir": raw.get("out_dir", "run_out")}, built
 
 
 def _build_data(data_spec: dict) -> FederationData:
@@ -230,13 +228,12 @@ def _cmd_run(args) -> int:
         raise ConfigurationError("config document must be a JSON object")
     if args.seed is not None:
         raw.setdefault("federation", {})["master_seed"] = args.seed
-    doc = _materialize_config(raw)
+    doc, data = _materialize_config(raw)
     if args.workers is not None:
         doc["federation"]["workers"] = args.workers
     if args.out is not None:
         doc["out_dir"] = args.out
     config = FederationConfig(**doc["federation"])
-    data = _build_data(doc["data"])
     fed = run_protocol(config, data)
 
     out_dir = Path(doc["out_dir"])
@@ -261,10 +258,9 @@ def _read_json_object(path: Path) -> dict:
 
 
 def _reload_federation(run_dir: Path) -> TrainedFederation:
-    doc = _materialize_config(_need(_read_json_object(run_dir / "manifest.json"),
-                                    "config", "manifest.json"))
+    doc, data = _materialize_config(_need(_read_json_object(run_dir / "manifest.json"),
+                                          "config", "manifest.json"))
     config = FederationConfig(**doc["federation"])
-    data = _build_data(doc["data"])
     model = build_model(data.feature_dim, data.class_count, config.hidden_dim,
                         config.master_seed)
     ck = run_dir / "checkpoints"
@@ -275,23 +271,28 @@ def _reload_federation(run_dir: Path) -> TrainedFederation:
     diag = _read_json_object(run_dir / "clustering.json")
     for key in ("k_star", "labels", "eigengaps", "sigma", "eigenvalues", "distance_matrix"):
         _need(diag, key, "clustering.json")
-    labels = np.array(diag["labels"], dtype=np.int64)
-    if labels.shape != (config.n_clients,):
+    labels = diag["labels"]
+    if not isinstance(labels, list) or len(labels) != config.n_clients:
         raise ConfigurationError(f"clustering.json needs {config.n_clients} labels")
-    missing = sorted(set(labels.tolist()) - set(clusters))
+    if not all(type(j) is int for j in labels):
+        raise ConfigurationError("clustering.json labels must be integers")
+    missing = sorted(set(labels) - set(clusters))
     if missing:
         raise ConfigurationError(f"cluster label {missing[0]} has no "
                                  f"checkpoints/cluster_{missing[0]}.adapter")
-    assignment = ClusterAssignment(
-        k_star=int(diag["k_star"]), labels=labels,
-        eigengaps=np.array(diag["eigengaps"]),
-        k_range=tuple(diag.get("k_range", (0, 0))),
-        sigma=float(diag["sigma"]),
-        eigenvalues=np.array(diag["eigenvalues"]),
-        distances=np.array(diag["distance_matrix"]),
-        affinities=(np.array(diag["affinity_matrix"])
-                    if "affinity_matrix" in diag else None),
-        degenerate=bool(diag.get("degenerate", False)))
+    try:
+        assignment = ClusterAssignment(
+            k_star=int(diag["k_star"]), labels=np.array(labels, dtype=np.int64),
+            eigengaps=np.array(diag["eigengaps"], dtype=np.float64),
+            k_range=tuple(int(k) for k in diag.get("k_range", (0, 0))),
+            sigma=float(diag["sigma"]),
+            eigenvalues=np.array(diag["eigenvalues"], dtype=np.float64),
+            distances=np.array(diag["distance_matrix"], dtype=np.float64),
+            affinities=(np.array(diag["affinity_matrix"], dtype=np.float64)
+                        if "affinity_matrix" in diag else None),
+            degenerate=bool(diag.get("degenerate", False)))
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"clustering.json holds a malformed value: {exc}") from None
     tracker = BasisTracker(config.ema_decay)
     for path in sorted(ck.glob("ema_*.matrix")):
         tracker.bases[int(path.stem.split("_")[1])] = load_matrix(path.read_text())

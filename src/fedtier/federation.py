@@ -9,10 +9,14 @@ on a relative step-size criterion rho = ||D_new - D_prev||_F / (||D_prev||_F
 + eps) <= tau, or on their round budget. Leaf adapters never leave their
 client and their budget is counted in local epochs.
 
-Each round stacks the members of every still-running group (all clients
-for the root, each cluster's members, each client alone for its leaf) into
-one local update; `workers` > 1 splits that stack into contiguous chunks run
-on a thread pool.
+All three stages run one loop over groups (all clients for the root, each
+cluster's members, each client alone for its leaf). A group is its members
+and one AdapterPath whose active slot holds the adapter being trained; the
+penalty bases (the B factors of the tiers before the active one) and the
+data-proportional weights are derived from that path and the members' train
+sizes, never stored. Each round stacks the members of every still-running
+group into one local update; `workers` > 1 splits that stack into
+contiguous chunks run on a thread pool.
 
 Determinism: the local-update kernel lays each client's rows out in fixed
 blocks of batch_size rows and computes every (client, block) slice on its
@@ -34,7 +38,8 @@ from .clustering import BasisTracker, ClusterAssignment, cluster_clients, ema_up
 from .datagen import ClientSplit, FederationData
 from .errors import ConfigurationError, PreconditionError
 from .linalg import Matrix, frobenius_norm, truncated_svd
-from .lora import AdapterPath, LoraAdapter, Tier, delta, init_adapter, zero_adapter
+from .lora import (AdapterPath, LoraAdapter, Tier, compose_path, delta, init_adapter,
+                   zero_adapter)
 from .model import (ClientStack, EncodedData, HeadModel, SgdConfig, build_model, encode,
                     local_update, _stack_losses)
 
@@ -211,22 +216,17 @@ def _encode_clients(model, data) -> list[EncodedData]:
 class _Group:
     """Clients that train one adapter together: every client in the root
     stage, one cluster's members in the cluster stage, one client in the
-    leaf stage."""
+    leaf stage. The path holds the frozen tiers and, in the active slot, the
+    adapter being trained."""
 
     members: list[int]
-    weights: np.ndarray
-    frame: AdapterPath       # frozen tiers; the active slot is refilled each round
-    adapter: LoraAdapter     # the adapter the group trains
-    bases: tuple             # frozen B factors the active tier is penalized against
-    frozen_delta: Matrix     # frozen tiers' update, included in the loss
-    labels: dict             # the StageReport's cluster and client fields
+    path: AdapterPath
+    cluster: int | None = None   # the StageReport's labels
+    client: int | None = None
     rho: list[float] = field(default_factory=list)
     loss: list[float] = field(default_factory=list)
     stopped: bool = False
-    prev_delta: Matrix = field(init=False)   # what the next stop check compares against
-
-    def __post_init__(self):
-        self.prev_delta = delta(self.adapter)
+    prev_delta: Matrix | None = None   # what the next stop check compares against
 
 
 def _stage_settings(config: FederationConfig, active: Tier):
@@ -240,89 +240,85 @@ def _stage_settings(config: FederationConfig, active: Tier):
             (config.gamma_c, config.gamma_l))
 
 
-def _chunks(count: int, parts: int) -> list[tuple[int, int]]:
-    """At most `parts` contiguous, near-equal (start, stop) ranges over count."""
-    parts = min(parts, count)
-    size, extra = divmod(count, parts)
-    bounds = [0]
-    for k in range(parts):
-        bounds.append(bounds[-1] + size + (k < extra))
-    return list(zip(bounds[:-1], bounds[1:]))
+def _absorb(config: FederationConfig, active: Tier, tracker: BasisTracker | None,
+            members: list[int], local: list[LoraAdapter], weights: np.ndarray):
+    """A group's new adapter and the delta its stop check compares. A leaf
+    keeps its client's local adapter. A server group aggregates its local
+    adapters in member order and refactors (or averages the factors in
+    separate_average mode); `tracker`, when given, first receives every
+    member's local basis."""
+    if active is Tier.LEAF:
+        return local[0], delta(local[0])
+    if tracker is not None:
+        for i, ad in zip(members, local):
+            ema_update(tracker, i, ad.b)
+    if config.aggregation_mode == "product_svd":
+        delta_new = aggregate_product(local, weights)
+        return refactor(delta_new, config.rank), delta_new
+    server = aggregate_separate(local, weights)
+    return server, delta(server)
 
 
 def _until_stopped(config: FederationConfig, model: HeadModel, enc: list[EncodedData],
-                   active: Tier, groups: list[_Group], absorb) -> list[StageReport]:
-    """Advance the groups in lockstep for rounds t = 1..budget.
+                   active: Tier, groups: list[_Group],
+                   tracker: BasisTracker | None = None) -> list[StageReport]:
+    """Advance the groups in lockstep for rounds t = 1..budget, training the
+    active slot of each group's path.
 
-    Each round stacks the members of every running group, in group order,
-    into one local update; with config.workers > 1 the stack is split into
-    at most that many contiguous chunks run on a thread pool. absorb(group, local)
-    then returns the group's new adapter and the delta its stop check
-    compares, and a group retires once stop_check passes on consecutive
-    deltas or the budget runs out."""
+    Everything else is derived from the groups: the penalty bases are the B
+    factors of the path's tiers before the active one, and a group's
+    aggregation and round-loss weights are weights_root over its members'
+    train sizes. Each round stacks the members of every running group, in
+    group order, into one local update; with config.workers > 1 the stack is
+    split into at most that many contiguous chunks run on a thread pool.
+    _absorb then gives the group's new adapter and the delta its stop check
+    compares, the round loss is taken at compose_path(path, w0), and a
+    group retires once stop_check passes on consecutive deltas or the
+    budget runs out."""
     tag, budget, opt, gammas = _stage_settings(config, active)
+    frozen_tiers = list(Tier)[:list(Tier).index(active)]
+    weights = [weights_root([len(enc[i]) for i in g.members]) for g in groups]
+    for g in groups:
+        g.prev_delta = delta(g.path.adapter(active))
     with ThreadPoolExecutor(config.workers) if config.workers > 1 else nullcontext() as pool:
         for t in range(1, budget + 1):
-            running = [g for g in groups if not g.stopped]
+            running = [(g, w) for g, w in zip(groups, weights) if not g.stopped]
             if not running:
                 break
-            paths, stack, rngs, bases, spans = [], [], [], [[] for _ in gammas], []
-            for g in running:
-                spans.append((len(paths), len(paths) + len(g.members)))
-                path = g.frame.replace(active, g.adapter)
-                for i in g.members:
-                    paths.append(path)
-                    stack.append(enc[i])
-                    rngs.append(_rng(config.master_seed, tag, t, i)
-                                if opt.batch_mode == "mini" else None)
-                    for entry, base in zip(bases, g.bases):
-                        entry.append(base)
-            stack = ClientStack(stack)
+            ids = [i for g, _ in running for i in g.members]
+            paths = [g.path for g, _ in running for _ in g.members]
+            ends = np.cumsum([len(g.members) for g, _ in running])
+            spans = [slice(end - len(g.members), end) for (g, _), end in zip(running, ends)]
+            stack = ClientStack([enc[i] for i in ids])
+            rngs = [_rng(config.master_seed, tag, t, i) if opt.batch_mode == "mini" else None
+                    for i in ids]
+            bases = [[path.adapter(tier).b for path in paths] for tier in frozen_tiers]
 
-            def chunk(bounds):
-                lo, hi = bounds
-                return local_update(model, paths[lo:hi], stack[lo:hi], active,
-                                    [entry[lo:hi] for entry in bases], gammas,
-                                    opt=opt, rng=rngs[lo:hi])
+            def chunk(part):
+                return local_update(model, paths[part], stack[part], active,
+                                    [entry[part] for entry in bases], gammas,
+                                    opt=opt, rng=rngs[part])
 
-            parts = _chunks(len(paths), config.workers)
+            parts = [slice(ix[0], ix[-1] + 1) for ix in
+                     np.array_split(np.arange(len(ids)), min(config.workers, len(ids)))]
             results = map(chunk, parts) if pool is None else pool.map(chunk, parts)
             local = [ad for part in results for ad in part]
-            new_deltas, w_eff = [], []
-            for g, (lo, hi) in zip(running, spans):
-                g.adapter, delta_new = absorb(g, local[lo:hi])
-                new_deltas.append(delta_new)
-                w_eff += [model.w0 + (g.frozen_delta + delta(g.adapter))] * (hi - lo)
-            losses = _stack_losses(np.stack(w_eff), stack)
-            for g, (lo, hi), delta_new in zip(running, spans, new_deltas):
-                g.loss.append(float(sum(w * x for w, x in zip(g.weights, losses[lo:hi]))))
+            w_eff = []
+            for (g, w), span in zip(running, spans):
+                adapter, delta_new = _absorb(config, active, tracker, g.members,
+                                             local[span], w)
+                g.path = g.path.replace(active, adapter)
                 g.stopped, rho = stop_check(g.prev_delta, delta_new, config.tau_rel, config.eps)
                 g.rho.append(rho)
                 g.prev_delta = delta_new
+                w_eff += [compose_path(g.path, model.w0)] * len(g.members)
+            losses = _stack_losses(np.stack(w_eff), stack)
+            for (g, w), span in zip(running, spans):
+                g.loss.append(float(sum(wi * x for wi, x in zip(w, losses[span]))))
     return [StageReport(stage=active.value, rho=g.rho, weighted_loss=g.loss,
                         rounds=len(g.rho), stop_reason="criterion" if g.stopped else "budget",
-                        **g.labels)
+                        cluster=g.cluster, client=g.client)
             for g in groups]
-
-
-def _server_absorb(config: FederationConfig, tracker: BasisTracker | None):
-    """Aggregate a server group's local adapters in member order and refactor
-    (or average the factors in separate_average mode); `tracker`, when
-    given, first receives every member's local basis."""
-    def absorb(group, local):
-        if tracker is not None:
-            for i, ad in zip(group.members, local):
-                ema_update(tracker, i, ad.b)
-        if config.aggregation_mode == "product_svd":
-            delta_new = aggregate_product(local, group.weights)
-            return refactor(delta_new, config.rank), delta_new
-        server = aggregate_separate(local, group.weights)
-        return server, delta(server)
-    return absorb
-
-
-def _leaf_absorb(group, local):
-    return local[0], delta(local[0])
 
 
 def run_root_stage(config: FederationConfig, data: FederationData, model: HeadModel,
@@ -332,16 +328,12 @@ def run_root_stage(config: FederationConfig, data: FederationData, model: HeadMo
     enc = enc if enc is not None else _encode_clients(model, data)
     p, q = model.class_count, model.backbone.hidden_dim
     zero = zero_adapter(p, q, config.rank)
+    root = init_adapter(p, q, config.rank, _rng(config.master_seed, _TAG_ROOT_INIT, 0, 0))
     group = _Group(members=list(range(config.n_clients)),
-                   weights=weights_root(data.train_sizes),
-                   frame=AdapterPath(root=zero, cluster=zero, leaf=zero),
-                   adapter=init_adapter(p, q, config.rank,
-                                        _rng(config.master_seed, _TAG_ROOT_INIT, 0, 0)),
-                   bases=(), frozen_delta=np.zeros((p, q)), labels={"cluster": None})
-    [report] = _until_stopped(config, model, enc, Tier.ROOT, [group],
-                              _server_absorb(config, tracker))
+                   path=AdapterPath(root=root, cluster=zero, leaf=zero))
+    [report] = _until_stopped(config, model, enc, Tier.ROOT, [group], tracker)
     tracker.rounds = report.rounds
-    return group.adapter, report
+    return group.path.root, report
 
 
 def run_cluster_stage(config: FederationConfig, data: FederationData, model: HeadModel,
@@ -353,20 +345,13 @@ def run_cluster_stage(config: FederationConfig, data: FederationData, model: Hea
     enc = enc if enc is not None else _encode_clients(model, data)
     p, q = model.class_count, model.backbone.hidden_dim
     zero = zero_adapter(p, q, config.rank)
-    frame = AdapterPath(root=root_star, cluster=zero, leaf=zero)
     groups = []
     for j in assignment.cluster_ids:
-        members = assignment.members(j)
-        groups.append(_Group(
-            members=members, weights=weights_cluster(data.train_sizes, members),
-            frame=frame,
-            adapter=init_adapter(p, q, config.rank,
-                                 _rng(config.master_seed, _TAG_CLUSTER_INIT, 0, j)),
-            bases=(root_star.b,), frozen_delta=delta(root_star), labels={"cluster": j}))
-    reports = _until_stopped(config, model, enc, Tier.CLUSTER, groups,
-                             _server_absorb(config, None))
-    clusters = {g.labels["cluster"]: g.adapter for g in groups}
-    return clusters, reports
+        cluster = init_adapter(p, q, config.rank, _rng(config.master_seed, _TAG_CLUSTER_INIT, 0, j))
+        groups.append(_Group(members=assignment.members(j), cluster=j,
+                             path=AdapterPath(root=root_star, cluster=cluster, leaf=zero)))
+    reports = _until_stopped(config, model, enc, Tier.CLUSTER, groups)
+    return {g.cluster: g.path.cluster for g in groups}, reports
 
 
 def run_leaf_stage(config: FederationConfig, data: FederationData, model: HeadModel,
@@ -380,19 +365,14 @@ def run_leaf_stage(config: FederationConfig, data: FederationData, model: HeadMo
     """
     enc = enc if enc is not None else _encode_clients(model, data)
     p, q = model.class_count, model.backbone.hidden_dim
-    frozen_delta = {j: delta(root_star) + delta(ad) for j, ad in clusters.items()}
     groups = []
     for i in range(config.n_clients):
         j = int(assignment.labels[i])
         leaf = init_adapter(p, q, config.rank, _rng(config.master_seed, _TAG_LEAF_INIT, 0, i))
-        groups.append(_Group(
-            members=[i], weights=np.ones(1),
-            frame=AdapterPath(root=root_star, cluster=clusters[j], leaf=leaf,
-                              cluster_index=j, client_index=i),
-            adapter=leaf, bases=(root_star.b, clusters[j].b),
-            frozen_delta=frozen_delta[j], labels={"cluster": j, "client": i}))
-    reports = _until_stopped(config, model, enc, Tier.LEAF, groups, _leaf_absorb)
-    return [g.adapter for g in groups], reports
+        groups.append(_Group(members=[i], cluster=j, client=i,
+                             path=AdapterPath(root=root_star, cluster=clusters[j], leaf=leaf)))
+    reports = _until_stopped(config, model, enc, Tier.LEAF, groups)
+    return [g.path.leaf for g in groups], reports
 
 
 @dataclass
@@ -411,15 +391,13 @@ class TrainedFederation:
         p, q = self.model.class_count, self.model.backbone.hidden_dim
         return AdapterPath(root=self.server.root,
                            cluster=zero_adapter(p, q, self.config.rank),
-                           leaf=zero_adapter(p, q, self.config.rank),
-                           client_index=i)
+                           leaf=zero_adapter(p, q, self.config.rank))
 
     def path_cluster(self, i: int) -> AdapterPath:
         p, q = self.model.class_count, self.model.backbone.hidden_dim
         j = self.clients[i].cluster
         return AdapterPath(root=self.server.root, cluster=self.server.clusters[j],
-                           leaf=zero_adapter(p, q, self.config.rank),
-                           cluster_index=j, client_index=i)
+                           leaf=zero_adapter(p, q, self.config.rank))
 
     def path_full(self, i: int) -> AdapterPath:
         return self.clients[i].path
@@ -432,8 +410,7 @@ class TrainedFederation:
         clients = []
         for i in range(config.n_clients):
             j = int(assignment.labels[i])
-            path = AdapterPath(root=root, cluster=clusters[j], leaf=leaves[i],
-                               cluster_index=j, client_index=i)
+            path = AdapterPath(root=root, cluster=clusters[j], leaf=leaves[i])
             clients.append(ClientState(id=i, data=data.clients[i], cluster=j, path=path))
         server = ServerState(root=root, clusters=clusters, assignment=assignment)
         return cls(config=config, model=model, data=data, clients=clients,

@@ -16,6 +16,10 @@ from .errors import ConfigurationError
 from .linalg import Matrix, as_matrix
 
 
+# Scale of a fresh adapter's A factor, in units of 1/sqrt(q).
+INIT_A_SCALE = 0.01
+
+
 class Tier(Enum):
     ROOT = "root"
     CLUSTER = "cluster"
@@ -58,11 +62,11 @@ def zero_adapter(p: int, q: int, rank: int) -> LoraAdapter:
     return LoraAdapter(b=np.zeros((p, rank)), a=np.zeros((rank, q)), rank=rank)
 
 
-def init_adapter(p: int, q: int, rank: int, rng: np.random.Generator,
-                 scale: float = 0.01) -> LoraAdapter:
+def init_adapter(p: int, q: int, rank: int, rng: np.random.Generator) -> LoraAdapter:
     """Stage-start initialization: b = 0 so the update starts at exactly zero,
-    a drawn small Gaussian so the first b-gradient is nonzero."""
-    a = rng.normal(0.0, scale / np.sqrt(q), size=(rank, q))
+    a drawn Gaussian of standard deviation INIT_A_SCALE/sqrt(q) so the first
+    b-gradient is nonzero."""
+    a = rng.normal(0.0, INIT_A_SCALE / np.sqrt(q), size=(rank, q))
     return LoraAdapter(b=np.zeros((p, rank)), a=a, rank=rank)
 
 
@@ -73,8 +77,6 @@ class AdapterPath:
     root: LoraAdapter
     cluster: LoraAdapter
     leaf: LoraAdapter
-    cluster_index: int | None = None
-    client_index: int | None = None
 
     def __post_init__(self):
         dims = {(ad.p, ad.q) for ad in (self.root, self.cluster, self.leaf)}
@@ -94,8 +96,7 @@ class AdapterPath:
         parts = {t: self.adapter(t) for t in Tier}
         parts[tier] = adapter
         return AdapterPath(root=parts[Tier.ROOT], cluster=parts[Tier.CLUSTER],
-                           leaf=parts[Tier.LEAF], cluster_index=self.cluster_index,
-                           client_index=self.client_index)
+                           leaf=parts[Tier.LEAF])
 
 
 def delta(adapter: LoraAdapter) -> Matrix:

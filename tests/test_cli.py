@@ -6,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fedtier.cli
 from fedtier.cli import main
-from fedtier.datagen import gen_pool
+from fedtier.datagen import gen_pool, load_csv
 from fedtier.model import Samples
 
 
@@ -170,6 +171,9 @@ RUN_DIR_FAULTS = {
     "too_few_cluster_labels": ("clustering.json",
                                lambda doc: dict(doc, labels=doc["labels"][:3])),
     "missing_cluster_adapter": ("checkpoints/cluster_0.adapter", None),
+    "non_numeric_cluster_label": ("clustering.json",
+                                  lambda doc: dict(doc, labels=["a"] + doc["labels"][1:])),
+    "non_numeric_sigma": ("clustering.json", lambda doc: dict(doc, sigma="wide")),
 }
 
 
@@ -267,23 +271,44 @@ class TestGradcheck:
         assert "max relative error" in out
 
 
+def write_csv_config(tmp_path):
+    """A CSV of 4 clients and a config that runs it into tmp_path/csvrun."""
+    pool = gen_pool(4, 3, 40, 3.0, seed=8)
+    csv_path = tmp_path / "pool.csv"
+    write_csv(csv_path, np.arange(len(pool.samples)) % 4, pool.samples)
+    doc = {
+        "federation": {"rank": 2, "t_root": 3, "t_cluster": 2, "t_leaf": 1,
+                       "total_budget": 6, "lr": 0.05, "batch_mode": "full",
+                       "master_seed": 1, "hidden_dim": 8},
+        "data": {"kind": "csv", "path": str(csv_path), "seed": 2},
+        "out_dir": str(tmp_path / "csvrun"),
+    }
+    cfg = tmp_path / "csv_config.json"
+    cfg.write_text(json.dumps(doc))
+    return cfg
+
+
 class TestCsvDataKind:
     def test_end_to_end_from_csv(self, tmp_path):
-        pool = gen_pool(4, 3, 40, 3.0, seed=8)
-        csv_path = tmp_path / "pool.csv"
-        write_csv(csv_path, np.arange(len(pool.samples)) % 4, pool.samples)
-        doc = {
-            "federation": {"rank": 2, "t_root": 3, "t_cluster": 2, "t_leaf": 1,
-                           "total_budget": 6, "lr": 0.05, "batch_mode": "full",
-                           "master_seed": 1, "hidden_dim": 8},
-            "data": {"kind": "csv", "path": str(csv_path), "seed": 2},
-            "out_dir": str(tmp_path / "csvrun"),
-        }
-        cfg = tmp_path / "csv_config.json"
-        cfg.write_text(json.dumps(doc))
+        cfg = write_csv_config(tmp_path)
         assert main(["run", "--config", str(cfg)]) == 0
         rows = read_rows(tmp_path / "csvrun" / "metrics.csv")
         assert len(rows) == 4
+
+    def test_csv_is_read_once_per_command(self, tmp_path, monkeypatch):
+        cfg = write_csv_config(tmp_path)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return load_csv(*args, **kwargs)
+
+        monkeypatch.setattr(fedtier.cli, "load_csv", counted)
+        assert main(["run", "--config", str(cfg)]) == 0
+        assert len(calls) == 1
+        calls.clear()
+        assert main(["report", "--run", str(tmp_path / "csvrun")]) == 0
+        assert len(calls) == 1
 
     def test_non_finite_feature_fails_naming_the_line(self, tmp_path, capsys):
         pool = gen_pool(2, 2, 10, 3.0, seed=8)
