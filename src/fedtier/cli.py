@@ -263,11 +263,6 @@ def _reload_federation(run_dir: Path) -> TrainedFederation:
     config = FederationConfig(**doc["federation"])
     model = build_model(data.feature_dim, data.class_count, config.hidden_dim,
                         config.master_seed)
-    ck = run_dir / "checkpoints"
-    root = read_adapter(ck / "root.adapter")
-    clusters = {}
-    for path in sorted(ck.glob("cluster_*.adapter")):
-        clusters[int(path.stem.split("_")[1])] = read_adapter(path)
     diag = _read_json_object(run_dir / "clustering.json")
     for key in ("k_star", "labels", "eigengaps", "sigma", "eigenvalues", "distance_matrix"):
         _need(diag, key, "clustering.json")
@@ -276,10 +271,6 @@ def _reload_federation(run_dir: Path) -> TrainedFederation:
         raise ConfigurationError(f"clustering.json needs {config.n_clients} labels")
     if not all(type(j) is int for j in labels):
         raise ConfigurationError("clustering.json labels must be integers")
-    missing = sorted(set(labels) - set(clusters))
-    if missing:
-        raise ConfigurationError(f"cluster label {missing[0]} has no "
-                                 f"checkpoints/cluster_{missing[0]}.adapter")
     try:
         assignment = ClusterAssignment(
             k_star=int(diag["k_star"]), labels=np.array(labels, dtype=np.int64),
@@ -293,9 +284,14 @@ def _reload_federation(run_dir: Path) -> TrainedFederation:
             degenerate=bool(diag.get("degenerate", False)))
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"clustering.json holds a malformed value: {exc}") from None
+    # read exactly the checkpoints the run wrote: a missing one is an i/o
+    # failure, and stray files beside them are never parsed
+    ck = run_dir / "checkpoints"
+    root = read_adapter(ck / "root.adapter")
+    clusters = {j: read_adapter(ck / f"cluster_{j}.adapter") for j in assignment.cluster_ids}
     tracker = BasisTracker(config.ema_decay)
-    for path in sorted(ck.glob("ema_*.matrix")):
-        tracker.bases[int(path.stem.split("_")[1])] = load_matrix(path.read_text())
+    for i in range(config.n_clients):
+        tracker.bases[i] = load_matrix((ck / f"ema_{i}.matrix").read_text())
     leaves = [read_adapter(ck / f"leaf_{i}.adapter") for i in range(config.n_clients)]
     return TrainedFederation.from_tiers(config, model, data, root, clusters, leaves,
                                         assignment, [], tracker)
@@ -312,14 +308,9 @@ def _cmd_report(args) -> int:
 def _cmd_cluster_diag(args) -> int:
     run_dir = Path(args.run)
     fed = _reload_federation(run_dir)
-    n = len(fed.tracker.bases)
-    if n < 3:
-        assignment = fed.server.assignment
-    else:
-        assignment = cluster_clients(fed.tracker, fed.config.k_min,
-                                     min(fed.config.k_max, n - 1),
-                                     seed=fed.config.master_seed,
-                                     expected_clients=n)
+    assignment = cluster_clients(fed.tracker, fed.config.k_min, fed.config.k_max,
+                                 seed=fed.config.master_seed,
+                                 expected_clients=fed.config.n_clients)
     payload = _clustering_payload(assignment)
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.out:

@@ -442,7 +442,7 @@ def run_protocol(config: FederationConfig, data: FederationData,
     reports = [root_report]
 
     n = config.n_clients
-    assignment = cluster_clients(tracker, config.k_min, min(config.k_max, n - 1),
+    assignment = cluster_clients(tracker, config.k_min, config.k_max,
                                  seed=config.master_seed, expected_clients=n)
 
     if config.t_cluster > 0:

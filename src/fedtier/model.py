@@ -4,10 +4,12 @@ LoRA-adapted linear head.
 The backbone z = tanh(M x + bias) is fixed at construction; all learning is
 carried by the composed low-rank update on the head weight (class_count ×
 hidden_dim). Cross-entropy loss and plain gradient-descent local updates
-live here: one blocked kernel updates a whole stack of clients at once, the
-analytic tier gradient is that kernel's gradient on a stack of one, and every
-loss is the kernel's loss. The central finite-difference oracle used by tests
-and the gradcheck command checks the gradient.
+live here: one blocked kernel updates a whole stack of clients at once, with
+one setup of its inputs and one step loop over block spans (all blocks in
+full batch, one in mini batch). The analytic tier gradient is that kernel's
+gradient on a stack of one, and every loss is the kernel's loss. The central
+finite-difference oracle used by tests and the gradcheck command checks the
+gradient.
 """
 
 import math
@@ -183,19 +185,6 @@ def _check_penalty_args(frozen_bases, gammas):
         raise ConfigurationError("frozen_bases and gammas must have equal length")
 
 
-def _frozen_weight(model: HeadModel, path: AdapterPath, active: Tier) -> Matrix:
-    """w0 plus the update of every tier except the active one, in tier order."""
-    if (path.root.p, path.root.q) != model.w0.shape:
-        raise ConfigurationError(
-            f"path dimensions ({path.root.p}, {path.root.q}) do not match the "
-            f"base weight {model.w0.shape}")
-    w = model.w0
-    for tier in Tier:
-        if tier is not active:
-            w = w + delta(path.adapter(tier))
-    return w
-
-
 def _block_layout(clients, block: int):
     """Zero-padded (S, blocks, block, h) feature and (S, blocks, block) label
     buffers, the per-client row counts, and fill(orders=None), which writes
@@ -260,14 +249,29 @@ def _stack_losses(w: np.ndarray, data: ClientStack) -> np.ndarray:
     return reduce(np.add, part.swapaxes(0, 1)) / sizes
 
 
-def _stack_bases(frozen_bases, count: int):
-    """Each penalty entry's per-client B factors as one (S, C, r_f) array."""
-    out = []
-    for entry in frozen_bases:
-        if len(entry) != count:
-            raise ConfigurationError("each frozen_bases entry needs one basis per client")
-        out.append(np.stack([np.asarray(base, dtype=np.float64) for base in entry]))
-    return out
+def _stack_inputs(model: HeadModel, paths, active: Tier, frozen_bases, gammas, count: int):
+    """The kernel's checked inputs for `count` stacked clients, each (S, ., .):
+    the frozen weight (w0 plus every other tier's update, in tier order,
+    built once per path object, as one group's clients share theirs), the
+    active factors b and a, and each penalty entry's per-client B factors."""
+    if not isinstance(active, Tier):
+        raise ConfigurationError(f"unknown active tier {active!r}")
+    _check_penalty_args(frozen_bases, gammas)
+    if len(paths) != count or any(len(entry) != count for entry in frozen_bases):
+        raise ConfigurationError("a client stack needs one path and one basis per client")
+    adapters = [p.adapter(active) for p in paths]
+    if {(ad.p, ad.q, ad.rank) for ad in adapters} != {model.w0.shape + (adapters[0].rank,)}:
+        raise ConfigurationError(f"stacked active adapters must share one shape matching "
+                                 f"the base weight {model.w0.shape}")
+    frozen = {}
+    for p in paths:
+        if id(p) not in frozen:
+            frozen[id(p)] = reduce(np.add, (delta(p.adapter(t)) for t in Tier if t is not active),
+                                   model.w0)
+    return (np.stack([frozen[id(p)] for p in paths]),
+            np.stack([ad.b for ad in adapters]), np.stack([ad.a for ad in adapters]),
+            [np.stack([np.asarray(base, dtype=np.float64) for base in entry])
+             for entry in frozen_bases])
 
 
 def tier_gradient(model: HeadModel, path: AdapterPath, data, active: Tier,
@@ -279,14 +283,10 @@ def tier_gradient(model: HeadModel, path: AdapterPath, data, active: Tier,
     probability clamp in dataset_loss is ignored here; it only binds below
     1e-12 where the loss surface is flat anyway.
     """
-    if not isinstance(active, Tier):
-        raise ConfigurationError(f"unknown active tier {active!r}")
-    _check_penalty_args(frozen_bases, gammas)
+    frozen_w, b, a, bases = _stack_inputs(model, [path], active,
+                                          [[base] for base in frozen_bases], gammas, 1)
     sizes, fill = _block_layout([_as_encoded(model, data)], _DEFAULT_BATCH)
-    adapter = path.adapter(active)
-    db, da = _stack_gradient(_frozen_weight(model, path, active)[None],
-                             adapter.b[None], adapter.a[None], *fill(), sizes,
-                             _stack_bases([[base] for base in frozen_bases], 1), gammas)
+    db, da = _stack_gradient(frozen_w, b, a, *fill(), sizes, bases, gammas)
     return db[0], da[0]
 
 
@@ -327,54 +327,36 @@ def local_update(model: HeadModel, path, data, active: Tier,
     """
     if opt is None:
         raise ConfigurationError("an SgdConfig is required")
-    if not isinstance(active, Tier):
-        raise ConfigurationError(f"unknown active tier {active!r}")
-    _check_penalty_args(frozen_bases, gammas)
     stacked = isinstance(data, ClientStack)
     if not stacked:
         data = ClientStack((_as_encoded(model, data),))
         path, rng = [path], [rng]
         frozen_bases = [[base] for base in frozen_bases]
-    clients = data.clients
-    rng = [None] * len(clients) if rng is None else rng
-    if len(path) != len(clients) or len(rng) != len(clients):
-        raise ConfigurationError("a client stack needs one path and one rng per client")
+    count = len(data.clients)
+    frozen_w, b, a, bases = _stack_inputs(model, path, active, frozen_bases, gammas, count)
+    rng = [None] * count if rng is None else rng
+    if len(rng) != count:
+        raise ConfigurationError("a client stack needs one rng per client")
     mini = opt.batch_mode == "mini"
     if mini and any(r is None for r in rng):
         raise ConfigurationError("mini-batch mode needs an rng for shuffling")
-    adapters = [p.adapter(active) for p in path]
-    if len({(ad.p, ad.q, ad.rank) for ad in adapters}) != 1:
-        raise ConfigurationError("stacked clients disagree on the active adapter's shape")
-    frozen = {}   # clients of one group share their path object
-    for p in path:
-        if id(p) not in frozen:
-            frozen[id(p)] = _frozen_weight(model, p, active)
-    frozen_w = np.stack([frozen[id(p)] for p in path])
-    bases = _stack_bases(frozen_bases, len(clients))
-    b = np.stack([ad.b for ad in adapters])
-    a = np.stack([ad.a for ad in adapters])
-    sizes, fill = _block_layout(clients, opt.batch_size)
-
-    def step(z, labels, rows, sel=slice(None)):
-        db, da = _stack_gradient(frozen_w[sel], b[sel], a[sel], z, labels, rows,
-                                 [base[sel] for base in bases], gammas)
-        b[sel] -= opt.lr * db
-        a[sel] -= opt.lr * da
-
-    if not mini:
-        z, labels = fill()
-        for _ in range(opt.epochs):
-            step(z, labels, sizes)
-    else:
-        blocks = -(-sizes // opt.batch_size)
-        for _ in range(opt.epochs):
-            z, labels = fill([r.permutation(n) for r, n in zip(rng, sizes)])
-            for k in range(z.shape[1]):
-                # clients with fewer blocks sit out their missing steps
-                sel = slice(None) if k < blocks.min() else np.flatnonzero(blocks > k)
-                rows = np.minimum(sizes[sel] - k * opt.batch_size, opt.batch_size)
-                step(z[sel, k:k + 1], labels[sel, k:k + 1], rows, sel)
-    out = [LoraAdapter(b=b[s], a=a[s], rank=ad.rank) for s, ad in enumerate(adapters)]
+    sizes, fill = _block_layout(data.clients, opt.batch_size)
+    blocks = -(-sizes // opt.batch_size)
+    # a step runs over a span of blocks: all of them in full batch, one in mini batch
+    spans = [(k, k + 1) for k in range(blocks.max())] if mini else [(0, blocks.max())]
+    for epoch in range(opt.epochs):
+        if mini or epoch == 0:   # the full-batch layout is filled once per call
+            z, labels = fill([r.permutation(n) for r, n in zip(rng, sizes)] if mini else None)
+        for lo, hi in spans:
+            # clients with fewer blocks sit out their missing steps
+            sel = slice(None) if lo < blocks.min() else np.flatnonzero(blocks > lo)
+            rows = np.minimum(sizes[sel] - lo * opt.batch_size, (hi - lo) * opt.batch_size)
+            db, da = _stack_gradient(frozen_w[sel], b[sel], a[sel], z[sel, lo:hi],
+                                     labels[sel, lo:hi], rows, [base[sel] for base in bases],
+                                     gammas)
+            b[sel] -= opt.lr * db
+            a[sel] -= opt.lr * da
+    out = [LoraAdapter(b=b[s], a=a[s], rank=b.shape[2]) for s in range(count)]
     return out if stacked else out[0]
 
 
@@ -421,6 +403,8 @@ def fd_tier_gradient(model: HeadModel, path: AdapterPath, data, active: Tier,
 def gradient_check(trials: int = 24, seed: int = 0, h: float = 1e-5) -> float:
     """Max relative error of the analytic tier gradient against central finite
     differences over random (tier, penalty, data) configurations."""
+    if trials < 1:
+        raise ConfigurationError("the gradient check needs at least one trial")
     worst = 0.0
     rng = np.random.default_rng([seed, 4242])
     tiers = [Tier.ROOT, Tier.CLUSTER, Tier.LEAF]

@@ -171,6 +171,7 @@ RUN_DIR_FAULTS = {
     "too_few_cluster_labels": ("clustering.json",
                                lambda doc: dict(doc, labels=doc["labels"][:3])),
     "missing_cluster_adapter": ("checkpoints/cluster_0.adapter", None),
+    "missing_ema_basis": ("checkpoints/ema_3.matrix", None),
     "non_numeric_cluster_label": ("clustering.json",
                                   lambda doc: dict(doc, labels=["a"] + doc["labels"][1:])),
     "non_numeric_sigma": ("clustering.json", lambda doc: dict(doc, sigma="wide")),
@@ -193,6 +194,19 @@ def test_edited_run_dir_fails_cleanly(finished_run, tmp_path, capsys, fault):
         assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_stray_checkpoint_files_are_ignored(finished_run, tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    shutil.copytree(finished_run, run_dir)
+    ck = run_dir / "checkpoints"
+    shutil.copy(ck / "cluster_0.adapter", ck / "cluster_old.adapter")
+    shutil.copy(ck / "ema_0.matrix", ck / "ema_old.matrix")
+    assert main(["report", "--run", str(run_dir)]) == 0
+    assert (run_dir / "metrics.csv").read_bytes() == (finished_run / "metrics.csv").read_bytes()
+    capsys.readouterr()
+    assert main(["cluster-diag", "--run", str(run_dir)]) == 0
+    assert capsys.readouterr().out == (run_dir / "clustering.json").read_text()
+
+
 class TestClusterDiag:
     def test_json_matches_run_artifact(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -207,6 +221,16 @@ class TestClusterDiag:
             assert key in recomputed
         assert recomputed["k_star"] == stored["k_star"]
         assert recomputed["labels"] == stored["labels"]
+
+    def test_two_client_run_reproduces_its_single_cluster(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, **{"data.n_total": 2, "data.unseen_fraction": 0.0})
+        assert main(["run", "--config", str(cfg)]) == 0
+        run_dir = tmp_path / "run"
+        stored = (run_dir / "clustering.json").read_text()
+        assert json.loads(stored)["degenerate"] is True
+        capsys.readouterr()
+        assert main(["cluster-diag", "--run", str(run_dir)]) == 0
+        assert capsys.readouterr().out == stored
 
     def test_missing_run_dir_fails_cleanly(self, tmp_path, capsys):
         assert main(["cluster-diag", "--run", str(tmp_path / "nope")]) == 2
@@ -269,6 +293,11 @@ class TestGradcheck:
         assert main(["gradcheck", "--trials", "6"]) == 0
         out = capsys.readouterr().out
         assert "max relative error" in out
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_no_trials_is_a_usage_error(self, capsys, trials):
+        assert main(["gradcheck", "--trials", trials]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
 
 def write_csv_config(tmp_path):

@@ -336,6 +336,22 @@ class TestStackedLocalUpdate:
                            opt=SgdConfig(lr=0.1, epochs=1, batch_size=16))
         assert np.allclose(out.b, paths[0].leaf.b - 0.1 * db, rtol=0, atol=1e-14)
 
+    def test_full_batch_epochs_are_tier_gradient_steps(self):
+        # clients of 1, 2 and 3 blocks share one full-batch span; each epoch
+        # is bitwise one step along that client's own tier gradient
+        sizes, gammas, lr = [20, 45, 80], (0.5, 1.5), 0.1
+        model, encs, paths, bases = stacked_case(5, sizes, Tier.LEAF, 2)
+        out = local_update(model, paths, ClientStack(encs), Tier.LEAF, bases, gammas,
+                           opt=SgdConfig(lr=lr, epochs=3, batch_size=32))
+        for s, (enc, path) in enumerate(zip(encs, paths)):
+            frozen = [e[s] for e in bases]
+            for _ in range(3):
+                db, da = tier_gradient(model, path, enc, Tier.LEAF, frozen, gammas)
+                path = path.replace(Tier.LEAF, LoraAdapter(b=path.leaf.b - lr * db,
+                                                           a=path.leaf.a - lr * da, rank=2))
+            assert np.array_equal(out[s].b, path.leaf.b)
+            assert np.array_equal(out[s].a, path.leaf.a)
+
     def test_stack_needs_one_path_and_rng_per_client(self):
         model, encs, paths, _ = stacked_case(4, self.SIZES, Tier.ROOT, 0)
         opt = SgdConfig(lr=0.1, epochs=1, batch_mode="mini")
