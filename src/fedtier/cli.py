@@ -54,12 +54,29 @@ from .model import build_model, gradient_check
 _FED_FIELDS = {f for f in FederationConfig.__dataclass_fields__}
 _DATA_COMMON = {"kind", "classes", "feature_dim", "per_class", "separation",
                 "n_total", "seed", "unseen_fraction"}
-_DATA_KIND_FIELDS = {
-    "gl_dir": {"alpha"},
-    "sc_dir": {"alpha", "superclasses"},
-    "patho": {"classes_per_client"},
-    "cluster_shift": {"k_true", "rotation_angle", "label_subset_size"},
-    "csv": {"path"},
+_DATA_GENERATOR = ("classes", "feature_dim", "per_class", "n_total")
+_DATA_KIND_FIELDS = {  # required per kind; sc_dir also takes optional superclasses
+    "gl_dir": ("alpha",),
+    "sc_dir": ("alpha",),
+    "patho": ("classes_per_client",),
+    "cluster_shift": ("k_true", "rotation_angle", "label_subset_size"),
+    "csv": ("path",),
+}
+# the JSON type of every data field; a bool is never a number
+_DATA_TYPES = {
+    "kind": "a string", "path": "a string",
+    "classes": "an integer", "feature_dim": "an integer", "per_class": "an integer",
+    "n_total": "an integer", "seed": "an integer", "classes_per_client": "an integer",
+    "k_true": "an integer", "label_subset_size": "an integer",
+    "separation": "a number", "unseen_fraction": "a number", "alpha": "a number",
+    "rotation_angle": "a number", "superclasses": "a list of integers or null",
+}
+_HAS_JSON_TYPE = {
+    "a string": lambda v: type(v) is str,
+    "an integer": lambda v: type(v) is int,
+    "a number": lambda v: type(v) in (int, float),
+    "a list of integers or null":
+        lambda v: v is None or (type(v) is list and all(type(i) is int for i in v)),
 }
 
 
@@ -82,43 +99,51 @@ def _materialize_config(raw: dict) -> tuple[dict, FederationData]:
     for key in raw:
         if key not in ("federation", "data", "out_dir"):
             raise ConfigurationError(f"unknown top-level field '{key}'")
+    for name in ("federation", "data"):
+        if not isinstance(raw.get(name, {}), dict):
+            raise ConfigurationError(f"the {name} section must be a JSON object")
+    if not isinstance(raw.get("out_dir", ""), str):
+        raise ConfigurationError("out_dir must be a string")
     fed = dict(raw.get("federation", {}))
     data = dict(raw.get("data", {}))
     for key in fed:
         if key not in _FED_FIELDS:
             raise ConfigurationError(f"unknown field 'federation.{key}'")
     kind = _need(data, "kind", "the data section")
-    if kind not in _DATA_KIND_FIELDS:
+    if type(kind) is not str or kind not in _DATA_KIND_FIELDS:
         raise ConfigurationError(f"data.kind must be one of {sorted(_DATA_KIND_FIELDS)}")
-    allowed = _DATA_COMMON | _DATA_KIND_FIELDS[kind]
+    required = (() if kind == "csv" else _DATA_GENERATOR) + _DATA_KIND_FIELDS[kind]
+    allowed = _DATA_COMMON.union(required, ["superclasses"] if kind == "sc_dir" else [])
     for key in data:
         if key not in allowed:
             raise ConfigurationError(f"unknown field 'data.{key}' for kind '{kind}'")
 
-    master_seed = int(fed.get("master_seed", 0))
+    master_seed = fed.get("master_seed", 0)
+    if type(master_seed) is not int or master_seed < 0:
+        raise ConfigurationError("federation.master_seed must be a non-negative integer, "
+                                 f"got {master_seed!r}")
     data.setdefault("seed", master_seed)
     data.setdefault("unseen_fraction", 0.0)
+    for key in required:
+        _need(data, key, "the data section")
     if kind != "csv":
-        for key in ("classes", "feature_dim", "per_class", "n_total"):
-            _need(data, key, "the data section")
         data.setdefault("separation", 3.0)
-    else:
-        _need(data, "path", "the data section")
-    if not 0.0 <= float(data["unseen_fraction"]) < 1.0:
+    for key, value in data.items():
+        if not _HAS_JSON_TYPE[_DATA_TYPES[key]](value):
+            raise ConfigurationError(f"data.{key} must be {_DATA_TYPES[key]}, got {value!r}")
+    if data["seed"] < 0:
+        raise ConfigurationError("data.seed must be non-negative")
+    if not 0.0 <= data["unseen_fraction"] < 1.0:
         raise ConfigurationError("data.unseen_fraction must lie in [0, 1)")
     built = _build_data(data)
     if kind == "csv":
         data["n_total"] = len(built.clients) + len(built.unseen)
     participating = len(built.clients)
-    if "n_clients" in fed and int(fed["n_clients"]) != participating:
+    config = FederationConfig(**{"n_clients": participating, **fed})
+    if config.n_clients != participating:
         raise ConfigurationError(
             f"federation.n_clients={fed['n_clients']} but the data section "
             f"yields {participating} participating clients")
-    fed["n_clients"] = participating
-    try:
-        config = FederationConfig(**fed)
-    except TypeError as exc:
-        raise ConfigurationError(str(exc)) from exc
     materialized = {f: getattr(config, f) for f in _FED_FIELDS}
     return {"federation": materialized, "data": data,
             "out_dir": raw.get("out_dir", "run_out")}, built
@@ -226,7 +251,7 @@ def _cmd_run(args) -> int:
     raw = json.loads(Path(args.config).read_text())
     if not isinstance(raw, dict):
         raise ConfigurationError("config document must be a JSON object")
-    if args.seed is not None:
+    if args.seed is not None and isinstance(raw.get("federation", {}), dict):
         raw.setdefault("federation", {})["master_seed"] = args.seed
     doc, data = _materialize_config(raw)
     if args.workers is not None:

@@ -8,16 +8,22 @@ generator (ClusterShift) plants known latent groups: each group owns a label
 subset and a fixed feature-space rotation, giving clustering a checkable
 ground truth.
 
-Dirichlet-based schemes distribute half of the pool (total // (2 N) samples
-per client) so that skewed label demands stay feasible; draws that oversubscribe
-any class are retried with a fresh sub-stream. Attempt k of any scheme draws
-from ``numpy.random.default_rng([seed, k])``; inside an attempt the draw
-order is: priors (one vectorized Dirichlet), then one multinomial per client
-in ascending order, then one permutation per class in ascending class order,
-then one shuffle per client for the 80/20 train/test split.
+Two one-attempt rules cover the four schemes. The Dirichlet rule runs over a
+class -> superclass map (GlDir is the identity map) and gives each client
+total // (2 N) samples, so that skewed label demands stay feasible. The
+label-subset rule gives each group of clients a run of a shuffled class
+order: Patho makes every client its own group, ClusterShift puts client i in
+group i % k_true and rotates each group's features. Attempt k draws from
+``numpy.random.default_rng([seed, k])`` in this order: the rule's draws
+(Dirichlet: one vectorized Dirichlet, then one multinomial per client in
+ascending order; label subsets: one class permutation, then ClusterShift's
+plane rotation per group), one permutation per dealt class in ascending
+class order, then one shuffle per client for the 80/20 train/test split.
+`partition` keeps the first attempt that oversubscribes no class and gives
+every client at least 10 samples.
 
-Pools and client splits hold their rows as `Samples` arrays: partitioners deal
-pool row indices to clients, then take each client's rows once.
+Pools and client splits hold their rows as `Samples` arrays: `partition` deals
+pool row indices to clients, then takes each client's rows once.
 """
 
 import csv
@@ -51,16 +57,39 @@ class LabeledPool:
 class GlDir:
     alpha: float
 
+    def _rule(self, pool, n_clients):
+        return _dirichlet_rule(self.alpha, np.arange(pool.class_count), pool, n_clients)
+
 
 @dataclass(frozen=True)
 class ScDir:
     alpha: float
     superclass_of: tuple | None = None  # class -> superclass; default: 10 equal blocks
 
+    def _rule(self, pool, n_clients):
+        c = pool.class_count
+        sc = (np.arange(c) * min(10, c) // c if self.superclass_of is None
+              else np.array(self.superclass_of))
+        if sc.shape != (c,):
+            raise ConfigurationError("superclass map must cover every class")
+        # ids 0..S-1, each used: no superclass may hold Dirichlet mass but no class
+        ids = set(sc.tolist())
+        if sc.dtype.kind not in "iu" or ids != set(range(len(ids))):
+            raise ConfigurationError("superclass ids must be the integers 0..S-1, "
+                                     f"each used at least once, got {self.superclass_of}")
+        return _dirichlet_rule(self.alpha, sc, pool, n_clients)
+
 
 @dataclass(frozen=True)
 class Patho:
     classes_per_client: int
+
+    def _rule(self, pool, n_clients):
+        if self.classes_per_client > pool.class_count:
+            raise ConfigurationError("classes_per_client exceeds the class count")
+        if self.classes_per_client < 1:
+            raise ConfigurationError("classes_per_client must be positive")
+        return _label_subset_rule(pool, np.arange(n_clients), self.classes_per_client)
 
 
 @dataclass(frozen=True)
@@ -68,6 +97,18 @@ class ClusterShift:
     k_true: int
     rotation_angle: float
     label_subset_size: int
+
+    def _rule(self, pool, n_clients):
+        if self.k_true < 1 or self.k_true > n_clients:
+            raise ConfigurationError("k_true must be in [1, n_clients]")
+        if self.label_subset_size < 1:
+            raise ConfigurationError("label_subset_size must be positive")
+        if pool.feature_dim < 2:
+            raise ConfigurationError("feature rotation needs at least 2 dimensions")
+        if not math.isfinite(self.rotation_angle):
+            raise ConfigurationError(f"rotation_angle must be finite, got {self.rotation_angle}")
+        return _label_subset_rule(pool, np.arange(n_clients) % self.k_true,
+                                  self.label_subset_size, self.rotation_angle)
 
 
 @dataclass
@@ -120,8 +161,8 @@ def gen_pool(class_count: int, feature_dim: int, per_class: int,
     `separation` as its mean and unit covariance."""
     if class_count < 1 or feature_dim < 1 or per_class < 1:
         raise ConfigurationError("pool dimensions must be positive")
-    if separation < 0:
-        raise ConfigurationError("separation must be non-negative")
+    if not 0 <= separation < math.inf:
+        raise ConfigurationError(f"separation must be finite and non-negative, got {separation}")
     rng = np.random.default_rng(seed)
     means = np.zeros((class_count, feature_dim))
     for c in range(class_count):
@@ -146,14 +187,6 @@ def _deal(pool, owners, n_clients, rng) -> list[Samples]:
     return [pool.samples[ix] for ix in np.split(by_client, bounds)]
 
 
-def _evenly(pool, owners) -> list[np.ndarray | None]:
-    """Row owners that split class c among the clients in owners[c] as
-    np.array_split does (None for a class nobody owns)."""
-    sizes = np.bincount(pool.samples.y, minlength=pool.class_count)
-    return [np.repeat(who, n // len(who) + (np.arange(len(who)) < n % len(who)))
-            if who else None for who, n in zip(owners, sizes)]
-
-
 def _train_test_split(samples: Samples, rng: np.random.Generator,
                       true_cluster: int | None) -> ClientSplit:
     n = len(samples)
@@ -163,93 +196,57 @@ def _train_test_split(samples: Samples, rng: np.random.Generator,
                        true_cluster=true_cluster)
 
 
-def _assemble(pool, per_client_samples, rng, true_clusters=None, priors=None):
-    clients = []
-    for i, samples in enumerate(per_client_samples):
-        tc = None if true_clusters is None else int(true_clusters[i])
-        clients.append(_train_test_split(samples, rng, tc))
-    return FederationData(clients=clients, class_count=pool.class_count,
-                          feature_dim=pool.feature_dim, label_priors=priors)
+@dataclass
+class _Draw:
+    """One attempt's draw before dealing: owners[c] names the client of each
+    row dealt from class c (None when class c is not dealt)."""
+
+    owners: list
+    priors: np.ndarray | None = None      # label prior per client (Dirichlet)
+    truth: np.ndarray | None = None       # planted group per client
+    rotations: list | None = None         # feature rotation per planted group
 
 
-def _default_superclasses(class_count: int) -> np.ndarray:
-    n_super = min(10, class_count)
-    return np.array([c * n_super // class_count for c in range(class_count)])
-
-
-def _dirichlet_counts(rng, priors, n_each, available):
-    """Per-client multinomial label counts; None if any class is oversubscribed."""
-    counts = np.stack([rng.multinomial(n_each, priors[i]) for i in range(len(priors))])
-    if np.any(counts.sum(axis=0) > available):
+def _assemble(pool, draw: _Draw, n_clients, rng) -> FederationData | None:
+    """Deal the drawn rows, rotate each planted group's features and split
+    every client 80/20; None if some client got under _MIN_CLIENT_SAMPLES rows."""
+    per_client = _deal(pool, draw.owners, n_clients, rng)
+    if min(len(s) for s in per_client) < _MIN_CLIENT_SAMPLES:
         return None
-    return counts
+    truth = [None] * n_clients if draw.truth is None else draw.truth.tolist()
+    if draw.rotations is not None:
+        # the stacked mat-vec rotates each row exactly as rot @ x alone
+        per_client = [Samples((draw.rotations[g] @ s.x[:, :, None])[:, :, 0], s.y)
+                      for g, s in zip(truth, per_client)]
+    clients = [_train_test_split(s, rng, g) for s, g in zip(per_client, truth)]
+    return FederationData(clients=clients, class_count=pool.class_count,
+                          feature_dim=pool.feature_dim, label_priors=draw.priors)
 
 
-def _partition_dirichlet(pool, label_priors_fn, n_clients, seed):
+def _dirichlet_rule(alpha, superclass_of, pool, n_clients):
+    """Each client draws Dirichlet(alpha) superclass priors, spreads every
+    superclass's mass evenly over its classes, and draws its n_each label
+    counts from the result; an attempt that oversubscribes a class fails."""
+    if not 0 < alpha < math.inf:
+        raise ConfigurationError(f"Dirichlet alpha must be finite and positive, got {alpha}")
     total = len(pool.samples)
     n_each = total // (2 * n_clients)
     if n_each < _MIN_CLIENT_SAMPLES:
-        raise GenerationError(
-            f"pool too small: {total} samples give {n_each} per client (< {_MIN_CLIENT_SAMPLES})"
-        )
+        raise GenerationError(f"pool too small: {total} samples give {n_each} per client "
+                              f"(< {_MIN_CLIENT_SAMPLES})")
     available = np.bincount(pool.samples.y, minlength=pool.class_count)
-    for attempt in range(_MAX_ATTEMPTS):
-        rng = np.random.default_rng([seed, attempt])
-        priors = label_priors_fn(rng)
-        counts = _dirichlet_counts(rng, priors, n_each, available)
-        if counts is None:
-            continue
+    size_of = np.bincount(superclass_of).astype(np.float64)
+
+    def attempt(rng):
+        sup = rng.dirichlet(np.full(len(size_of), alpha), size=n_clients)
+        priors = sup[:, superclass_of] / size_of[superclass_of]
+        counts = np.stack([rng.multinomial(n_each, p) for p in priors])
+        if np.any(counts.sum(axis=0) > available):
+            return None
         # every class is dealt, following the drawn label counts
-        clients = np.arange(n_clients)
-        per_client = _deal(pool, [np.repeat(clients, k) for k in counts.T], n_clients, rng)
-        return _assemble(pool, per_client, rng, priors=priors)
-    raise GenerationError("could not draw a feasible Dirichlet partition "
-                          f"after {_MAX_ATTEMPTS} attempts")
+        return _Draw([np.repeat(np.arange(n_clients), k) for k in counts.T], priors=priors)
 
-
-def _partition_gldir(pool, spec: GlDir, n_clients, seed):
-    c = pool.class_count
-
-    def priors_fn(rng):
-        return rng.dirichlet(np.full(c, spec.alpha), size=n_clients)
-
-    return _partition_dirichlet(pool, priors_fn, n_clients, seed)
-
-
-def _partition_scdir(pool, spec: ScDir, n_clients, seed):
-    c = pool.class_count
-    sc = (np.array(spec.superclass_of) if spec.superclass_of is not None
-          else _default_superclasses(c))
-    if sc.shape != (c,):
-        raise ConfigurationError("superclass map must cover every class")
-    n_super = int(sc.max()) + 1
-    size_of = np.bincount(sc, minlength=n_super).astype(np.float64)
-
-    def priors_fn(rng):
-        sup = rng.dirichlet(np.full(n_super, spec.alpha), size=n_clients)
-        return sup[:, sc] / size_of[sc]
-
-    return _partition_dirichlet(pool, priors_fn, n_clients, seed)
-
-
-def _partition_patho(pool, spec: Patho, n_clients, seed):
-    c = pool.class_count
-    if spec.classes_per_client > c:
-        raise ConfigurationError("classes_per_client exceeds the class count")
-    if spec.classes_per_client < 1:
-        raise ConfigurationError("classes_per_client must be positive")
-    for attempt in range(_MAX_ATTEMPTS):
-        rng = np.random.default_rng([seed, attempt])
-        order = rng.permutation(c)
-        owners = [[] for _ in range(c)]
-        for i in range(n_clients):
-            for j in range(spec.classes_per_client):
-                owners[order[(i * spec.classes_per_client + j) % c]].append(i)
-        per_client = _deal(pool, _evenly(pool, owners), n_clients, rng)
-        if min(len(s) for s in per_client) >= _MIN_CLIENT_SAMPLES:
-            return _assemble(pool, per_client, rng)
-    raise GenerationError("pathological partition left some client under "
-                          f"{_MIN_CLIENT_SAMPLES} samples")
+    return attempt
 
 
 def _plane_rotation(dim: int, angle: float, rng) -> np.ndarray:
@@ -261,56 +258,50 @@ def _plane_rotation(dim: int, angle: float, rng) -> np.ndarray:
             + math.sin(angle) * (np.outer(u, v) - np.outer(v, u)))
 
 
-def _partition_clustershift(pool, spec: ClusterShift, n_clients, seed):
-    c = pool.class_count
-    if spec.k_true < 1 or spec.k_true > n_clients:
-        raise ConfigurationError("k_true must be in [1, n_clients]")
-    if spec.label_subset_size < 1:
-        raise ConfigurationError("label_subset_size must be positive")
-    if pool.feature_dim < 2:
-        raise ConfigurationError("feature rotation needs at least 2 dimensions")
-    group_of = np.array([i % spec.k_true for i in range(n_clients)])
-    for attempt in range(_MAX_ATTEMPTS):
-        rng = np.random.default_rng([seed, attempt])
-        perm = rng.permutation(c)
-        subset_of_group = [
-            {int(perm[(g * spec.label_subset_size + j) % c])
-             for j in range(spec.label_subset_size)}
-            for g in range(spec.k_true)
-        ]
-        rotations = [_plane_rotation(pool.feature_dim, spec.rotation_angle, rng)
-                     for _ in range(spec.k_true)]
-        owners = [[] for _ in range(c)]
-        for i in range(n_clients):
-            for cls in sorted(subset_of_group[group_of[i]]):
-                owners[cls].append(i)
-        per_client = _deal(pool, _evenly(pool, owners), n_clients, rng)
-        if min(len(s) for s in per_client) >= _MIN_CLIENT_SAMPLES:
-            # the stacked mat-vec rotates each row exactly as rot @ x alone
-            per_client = [Samples((rotations[g] @ s.x[:, :, None])[:, :, 0], s.y)
-                          for g, s in zip(group_of, per_client)]
-            return _assemble(pool, per_client, rng, true_clusters=group_of)
-    raise GenerationError("cluster-shift partition left some client under "
-                          f"{_MIN_CLIENT_SAMPLES} samples")
+def _label_subset_rule(pool, group_of, subset_size, angle=None):
+    """After one shuffle of the classes, group g holds the subset_size classes
+    from position g * subset_size on (cyclically), and each class is split
+    evenly among the clients whose group holds it. With an angle the groups
+    are planted: each is its clients' true cluster and draws one plane
+    rotation of their features."""
+    c, n_groups = pool.class_count, int(group_of.max()) + 1
+    positions = (np.arange(n_groups)[:, None] * subset_size + np.arange(subset_size)) % c
+    sizes = np.bincount(pool.samples.y, minlength=c)
+
+    def attempt(rng):
+        order = rng.permutation(c)
+        rotations = (None if angle is None else
+                     [_plane_rotation(pool.feature_dim, angle, rng) for _ in range(n_groups)])
+        held = np.zeros((n_groups, c), dtype=bool)
+        held[np.arange(n_groups)[:, None], order[positions]] = True
+        # class c is split among its holders as np.array_split does
+        owners = [np.repeat(who, n // len(who) + (np.arange(len(who)) < n % len(who)))
+                  if len(who) else None
+                  for who, n in zip(map(np.flatnonzero, held[group_of].T), sizes)]
+        return _Draw(owners, truth=None if angle is None else group_of, rotations=rotations)
+
+    return attempt
 
 
 def partition(pool: LabeledPool, spec, n_clients: int, seed: int) -> FederationData:
-    """Split the pool across clients according to the scheme."""
+    """Split the pool across clients according to the scheme: attempt k runs
+    the scheme's one-attempt rule on default_rng([seed, k]), and the first
+    feasible federation is kept."""
     if n_clients < 1:
         raise ConfigurationError("n_clients must be positive")
-    if isinstance(spec, GlDir):
-        if spec.alpha <= 0:
-            raise ConfigurationError("Dirichlet alpha must be positive")
-        return _partition_gldir(pool, spec, n_clients, seed)
-    if isinstance(spec, ScDir):
-        if spec.alpha <= 0:
-            raise ConfigurationError("Dirichlet alpha must be positive")
-        return _partition_scdir(pool, spec, n_clients, seed)
-    if isinstance(spec, Patho):
-        return _partition_patho(pool, spec, n_clients, seed)
-    if isinstance(spec, ClusterShift):
-        return _partition_clustershift(pool, spec, n_clients, seed)
-    raise ConfigurationError(f"unknown partition spec {spec!r}")
+    if not isinstance(spec, (GlDir, ScDir, Patho, ClusterShift)):
+        raise ConfigurationError(f"unknown partition spec {spec!r}")
+    rule = spec._rule(pool, n_clients)
+    for attempt in range(_MAX_ATTEMPTS):
+        rng = np.random.default_rng([seed, attempt])
+        draw = rule(rng)
+        data = None if draw is None else _assemble(pool, draw, n_clients, rng)
+        if data is not None:
+            return data
+    raise GenerationError(
+        f"could not draw a feasible {type(spec).__name__} partition in {_MAX_ATTEMPTS} "
+        f"attempts: a class was oversubscribed or a client got under "
+        f"{_MIN_CLIENT_SAMPLES} samples")
 
 
 def split_unseen(data: FederationData, fraction: float, seed: int) -> FederationData:

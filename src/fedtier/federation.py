@@ -28,9 +28,10 @@ given machine and BLAS build.
 """
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -82,6 +83,15 @@ class FederationConfig:
     workers: int = 1
 
     def __post_init__(self):
+        for f in fields(self):
+            kind = {int: numbers.Integral, float: numbers.Real}.get(f.type)
+            value = getattr(self, f.name)
+            if kind and (isinstance(value, bool) or not isinstance(value, kind)):
+                raise ConfigurationError(f"{f.name} must be "
+                                         f"{'an integer' if f.type is int else 'a number'}, "
+                                         f"got {value!r}")
+        if self.master_seed < 0:
+            raise ConfigurationError("master_seed must be non-negative")
         if self.n_clients < 1:
             raise ConfigurationError("n_clients must be positive")
         if self.rank < 1:

@@ -104,6 +104,52 @@ class TestRun:
         assert "n_clients" in capsys.readouterr().err
 
 
+GL_DIR_WITHOUT_ALPHA = {"kind": "gl_dir", "classes": 4, "feature_dim": 4,
+                        "per_class": 60, "n_total": 6}
+
+# wrongly typed or out-of-range config values: (overrides, field the error names)
+BAD_CONFIG_VALUES = {
+    "master_seed_string": ({"federation.master_seed": "abc"}, "master_seed"),
+    "master_seed_negative": ({"federation.master_seed": -1}, "master_seed"),
+    "data_seed_negative": ({"data.seed": -1}, "seed"),
+    "unseen_fraction_string": ({"data.unseen_fraction": "x"}, "unseen_fraction"),
+    "classes_string": ({"data.classes": "six"}, "classes"),
+    "rotation_angle_string": ({"data.rotation_angle": "wide"}, "rotation_angle"),
+    "k_true_fractional": ({"data.k_true": 2.5}, "k_true"),
+    "rank_fractional": ({"federation.rank": 2.5}, "rank"),
+    "batch_size_fractional": ({"federation.batch_size": 4.5}, "batch_size"),
+    "hidden_dim_fractional": ({"federation.hidden_dim": 8.5}, "hidden_dim"),
+    "local_epochs_fractional": ({"federation.local_epochs": 1.5}, "local_epochs"),
+    "t_root_float": ({"federation.t_root": 4.0}, "t_root"),
+    "k_max_fractional": ({"federation.k_max": 3.5}, "k_max"),
+    "workers_fractional": ({"federation.workers": 1.5}, "workers"),
+    "probe_steps_fractional": ({"federation.probe_steps": 2.5}, "probe_steps"),
+    "data_section_a_list": ({"data": [1, 2]}, "data"),
+    "federation_section_a_list": ({"federation": [1, 2]}, "federation"),
+    "gl_dir_without_alpha": ({"data": GL_DIR_WITHOUT_ALPHA}, "alpha"),
+    "gl_dir_nan_alpha": ({"data": dict(GL_DIR_WITHOUT_ALPHA, alpha=float("nan"))}, "alpha"),
+    "superclasses_fractional": ({"data": dict(GL_DIR_WITHOUT_ALPHA, kind="sc_dir", alpha=1.0,
+                                              superclasses=[0, 0.5, 1, 1])}, "superclasses"),
+    "out_dir_a_number": ({"out_dir": 5}, "out_dir"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIG_VALUES))
+def test_bad_config_value_exits_2_naming_the_field(tmp_path, capsys, case):
+    overrides, name = BAD_CONFIG_VALUES[case]
+    cfg = write_config(tmp_path, **overrides)
+    assert main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and name in err
+
+
+@pytest.mark.parametrize("seed", ["7", "-1"])
+def test_seed_override_with_a_bad_federation_section_exits_2(tmp_path, capsys, seed):
+    cfg = write_config(tmp_path, federation=[1, 2])
+    assert main(["run", "--config", str(cfg), "--seed", seed]) == 2
+    assert capsys.readouterr().err.startswith("error: the federation section")
+
+
 class TestReport:
     def test_regeneration_is_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -26,6 +26,11 @@ class TestGenPool:
         assert np.array_equal(a.samples.x, b.samples.x)
         assert np.array_equal(a.samples.y, b.samples.y)
 
+    @pytest.mark.parametrize("separation", [math.nan, math.inf])
+    def test_non_finite_separation_rejected(self, separation):
+        with pytest.raises(ConfigurationError, match="separation"):
+            gen_pool(4, 3, 10, separation, seed=1)
+
     def test_zero_separation_collapses_means(self):
         pool = gen_pool(5, 4, 3, 0.0, seed=1)
         assert np.array_equal(pool.class_means, np.zeros((5, 4)))
@@ -102,6 +107,14 @@ class TestGlDir:
             rows = np.concatenate([client.train.x, client.test.x])
             assert len(np.unique(rows, axis=0)) == n
 
+    @pytest.mark.parametrize("spec", [GlDir(math.nan), GlDir(math.inf), ScDir(math.nan),
+                                      ScDir(math.inf)],
+                             ids=["gl_dir_nan", "gl_dir_inf", "sc_dir_nan", "sc_dir_inf"])
+    def test_non_finite_alpha_rejected(self, spec):
+        pool = gen_pool(4, 2, 50, 1.0, seed=7)
+        with pytest.raises(ConfigurationError, match="alpha"):
+            partition(pool, spec, 4, seed=8)
+
     def test_pool_too_small(self):
         pool = gen_pool(4, 2, 5, 1.0, seed=7)
         with pytest.raises(GenerationError):
@@ -127,6 +140,17 @@ class TestScDir:
         pool = gen_pool(4, 3, 120, 1.0, seed=12)
         with pytest.raises(ConfigurationError):
             partition(pool, ScDir(alpha=2.0, superclass_of=(0, 0, 1)), 4, seed=13)
+
+    @pytest.mark.parametrize("superclass_of", [
+        (0, 0, 1, 1, 2, 4),        # superclass 3 holds no class: its mass would vanish
+        (1, 1, 2, 2, 3, 3),        # ids must start at 0
+        (0, 0, -1, 1, 1, 2),
+        (0, 0.5, 1, 1, 2, 2),
+    ], ids=["gap", "starts_at_1", "negative", "fractional"])
+    def test_superclass_ids_must_be_0_to_s_minus_1_each_used(self, superclass_of):
+        pool = gen_pool(6, 3, 120, 1.0, seed=12)
+        with pytest.raises(ConfigurationError, match="superclass ids"):
+            partition(pool, ScDir(alpha=1.0, superclass_of=superclass_of), 4, seed=13)
 
 
 class TestPatho:
@@ -171,6 +195,12 @@ class TestClusterShift:
         client = fed.clients[0]
         norms = np.linalg.norm(client.train[:5].x, axis=1)
         assert np.all(np.isfinite(norms))
+
+    @pytest.mark.parametrize("angle", [math.inf, -math.inf, math.nan])
+    def test_non_finite_rotation_angle_rejected(self, angle):
+        pool = gen_pool(4, 3, 100, 1.0, seed=22)
+        with pytest.raises(ConfigurationError, match="rotation_angle"):
+            partition(pool, ClusterShift(2, angle, 2), 4, seed=23)
 
     def test_needs_two_feature_dims(self):
         pool = gen_pool(4, 1, 100, 1.0, seed=22)
