@@ -15,9 +15,10 @@ Config document (JSON)::
                       is then derived from the data section },
       "data": { "kind": "gl_dir" | "sc_dir" | "patho" | "cluster_shift" | "csv",
                 generator fields (classes, feature_dim, per_class, separation,
-                n_total, seed, unseen_fraction) plus per-kind fields:
-                alpha | alpha+superclasses | classes_per_client |
-                k_true+rotation_angle+label_subset_size | path },
+                n_total, seed, unseen_fraction) plus the fields of the kind's
+                partition spec (GlDir, ScDir, Patho, ClusterShift; a field
+                without a default is required, and ScDir's superclass_of is
+                spelled superclasses), or for csv a path },
       "out_dir": "runs/exp" (optional; --out overrides)
     }
 
@@ -37,6 +38,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -45,39 +47,23 @@ from .adaptation import adapt_unseen
 from .clustering import BasisTracker, ClusterAssignment, cluster_clients
 from .datagen import (ClusterShift, FederationData, GlDir, Patho, ScDir,
                       load_csv, gen_pool, partition, split_unseen)
-from .errors import ConfigurationError, DegenerateInputError, GenerationError, PreconditionError
+from .errors import (ConfigurationError, DegenerateInputError, GenerationError,
+                     PreconditionError, check_types, has_type)
 from .federation import FederationConfig, TrainedFederation, run_protocol
 from .lora import read_adapter, save_adapter, load_matrix, dump_matrix
 from .metrics import compute_metrics
 from .model import build_model, gradient_check
 
 _FED_FIELDS = {f for f in FederationConfig.__dataclass_fields__}
-_DATA_COMMON = {"kind", "classes", "feature_dim", "per_class", "separation",
-                "n_total", "seed", "unseen_fraction"}
+_DATA_KINDS = {"gl_dir": GlDir, "sc_dir": ScDir, "patho": Patho,
+               "cluster_shift": ClusterShift, "csv": None}
 _DATA_GENERATOR = ("classes", "feature_dim", "per_class", "n_total")
-_DATA_KIND_FIELDS = {  # required per kind; sc_dir also takes optional superclasses
-    "gl_dir": ("alpha",),
-    "sc_dir": ("alpha",),
-    "patho": ("classes_per_client",),
-    "cluster_shift": ("k_true", "rotation_angle", "label_subset_size"),
-    "csv": ("path",),
-}
-# the JSON type of every data field; a bool is never a number
-_DATA_TYPES = {
-    "kind": "a string", "path": "a string",
-    "classes": "an integer", "feature_dim": "an integer", "per_class": "an integer",
-    "n_total": "an integer", "seed": "an integer", "classes_per_client": "an integer",
-    "k_true": "an integer", "label_subset_size": "an integer",
-    "separation": "a number", "unseen_fraction": "a number", "alpha": "a number",
-    "rotation_angle": "a number", "superclasses": "a list of integers or null",
-}
-_HAS_JSON_TYPE = {
-    "a string": lambda v: type(v) is str,
-    "an integer": lambda v: type(v) is int,
-    "a number": lambda v: type(v) in (int, float),
-    "a list of integers or null":
-        lambda v: v is None or (type(v) is list and all(type(i) is int for i in v)),
-}
+_DATA_COMMON = {"kind", "separation", "seed", "unseen_fraction", *_DATA_GENERATOR}
+_DATA_NAME = {"superclass_of": "superclasses"}  # the one spec field renamed in the data section
+# the types of the data fields that no partition spec checks
+_DATA_TYPES = {"path": str, "classes": int, "feature_dim": int, "per_class": int,
+               "n_total": int, "seed": int, "separation": float, "unseen_fraction": float,
+               "superclasses": list}
 
 
 def _fail(msg: str) -> int:
@@ -91,9 +77,11 @@ def _need(section: dict, key: str, where: str):
     return section[key]
 
 
-def _materialize_config(raw: dict) -> tuple[dict, FederationData]:
-    """Validate the raw document and fill in every default, so the manifest
-    fully describes the run; returns it with the run's data, built once."""
+def _materialize_config(raw: dict, seed=None, workers=None,
+                        out=None) -> tuple[dict, FederationConfig, FederationData]:
+    """Validate the raw document under the run command's --seed, --workers and
+    --out overrides and fill in every default, so the manifest fully describes
+    the run; returns it with the run's config and data, each built once."""
     if not isinstance(raw, dict):
         raise ConfigurationError("config document must be a JSON object")
     for key in raw:
@@ -105,15 +93,21 @@ def _materialize_config(raw: dict) -> tuple[dict, FederationData]:
     if not isinstance(raw.get("out_dir", ""), str):
         raise ConfigurationError("out_dir must be a string")
     fed = dict(raw.get("federation", {}))
+    fed.update((k, v) for k, v in (("master_seed", seed), ("workers", workers)) if v is not None)
     data = dict(raw.get("data", {}))
     for key in fed:
         if key not in _FED_FIELDS:
             raise ConfigurationError(f"unknown field 'federation.{key}'")
     kind = _need(data, "kind", "the data section")
-    if type(kind) is not str or kind not in _DATA_KIND_FIELDS:
-        raise ConfigurationError(f"data.kind must be one of {sorted(_DATA_KIND_FIELDS)}")
-    required = (() if kind == "csv" else _DATA_GENERATOR) + _DATA_KIND_FIELDS[kind]
-    allowed = _DATA_COMMON.union(required, ["superclasses"] if kind == "sc_dir" else [])
+    if type(kind) is not str or kind not in _DATA_KINDS:
+        raise ConfigurationError(f"data.kind must be one of {sorted(_DATA_KINDS)}")
+    spec = _DATA_KINDS[kind]
+    # the kind's own fields and their defaults: a partition kind's are its spec's
+    own = ({"path": MISSING} if spec is None else
+           {_DATA_NAME.get(f.name, f.name): f.default for f in fields(spec)})
+    required = (() if spec is None else _DATA_GENERATOR) + tuple(
+        key for key, default in own.items() if default is MISSING)
+    allowed = _DATA_COMMON.union(own)
     for key in data:
         if key not in allowed:
             raise ConfigurationError(f"unknown field 'data.{key}' for kind '{kind}'")
@@ -129,8 +123,15 @@ def _materialize_config(raw: dict) -> tuple[dict, FederationData]:
     if kind != "csv":
         data.setdefault("separation", 3.0)
     for key, value in data.items():
-        if not _HAS_JSON_TYPE[_DATA_TYPES[key]](value):
-            raise ConfigurationError(f"data.{key} must be {_DATA_TYPES[key]}, got {value!r}")
+        want = _DATA_TYPES.get(key)
+        if want in (int, float):
+            check_types(want, **{f"data.{key}": value})
+        elif want is str and type(value) is not str:
+            raise ConfigurationError(f"data.{key} must be a string, got {value!r}")
+        elif want is list and not (value is None or type(value) is list
+                                   and all(has_type(i, int) for i in value)):
+            raise ConfigurationError(f"data.{key} must be a list of integers or null, "
+                                     f"got {value!r}")
     if data["seed"] < 0:
         raise ConfigurationError("data.seed must be non-negative")
     if not 0.0 <= data["unseen_fraction"] < 1.0:
@@ -144,37 +145,22 @@ def _materialize_config(raw: dict) -> tuple[dict, FederationData]:
         raise ConfigurationError(
             f"federation.n_clients={fed['n_clients']} but the data section "
             f"yields {participating} participating clients")
-    materialized = {f: getattr(config, f) for f in _FED_FIELDS}
-    return {"federation": materialized, "data": data,
-            "out_dir": raw.get("out_dir", "run_out")}, built
+    return ({"federation": {f: getattr(config, f) for f in _FED_FIELDS}, "data": data,
+             "out_dir": raw.get("out_dir", "run_out") if out is None else out}, config, built)
 
 
 def _build_data(data_spec: dict) -> FederationData:
-    kind = data_spec["kind"]
-    seed = int(data_spec["seed"])
-    if kind == "csv":
+    spec, seed = _DATA_KINDS[data_spec["kind"]], data_spec["seed"]
+    if spec is None:
         data = load_csv(data_spec["path"], seed=seed)
     else:
-        pool = gen_pool(int(data_spec["classes"]), int(data_spec["feature_dim"]),
-                        int(data_spec["per_class"]), float(data_spec["separation"]),
-                        seed=seed)
-        n_total = int(data_spec["n_total"])
-        if kind == "gl_dir":
-            spec = GlDir(alpha=float(data_spec["alpha"]))
-        elif kind == "sc_dir":
-            sup = data_spec.get("superclasses")
-            spec = ScDir(alpha=float(data_spec["alpha"]),
-                         superclass_of=tuple(sup) if sup is not None else None)
-        elif kind == "patho":
-            spec = Patho(classes_per_client=int(data_spec["classes_per_client"]))
-        else:
-            spec = ClusterShift(k_true=int(data_spec["k_true"]),
-                                rotation_angle=float(data_spec["rotation_angle"]),
-                                label_subset_size=int(data_spec["label_subset_size"]))
-        data = partition(pool, spec, n_total, seed=seed)
-    frac = float(data_spec["unseen_fraction"])
-    if frac > 0:
-        data = split_unseen(data, frac, seed=seed)
+        pool = gen_pool(data_spec["classes"], data_spec["feature_dim"],
+                        data_spec["per_class"], data_spec["separation"], seed=seed)
+        given = {f.name: data_spec[key] for f in fields(spec)
+                 if (key := _DATA_NAME.get(f.name, f.name)) in data_spec}
+        data = partition(pool, spec(**given), data_spec["n_total"], seed=seed)
+    if data_spec["unseen_fraction"] > 0:
+        data = split_unseen(data, data_spec["unseen_fraction"], seed=seed)
     return data
 
 
@@ -211,9 +197,12 @@ def _clustering_payload(assignment: ClusterAssignment) -> dict:
     }
 
 
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def _write_json(path: Path, payload: dict):
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                    encoding="ascii")
+    path.write_text(_json_text(payload), encoding="ascii")
 
 
 def _write_metrics(out_dir: Path, report) -> list[str]:
@@ -248,17 +237,9 @@ def _save_checkpoints(out_dir: Path, fed: TrainedFederation) -> list[str]:
 
 
 def _cmd_run(args) -> int:
-    raw = json.loads(Path(args.config).read_text())
-    if not isinstance(raw, dict):
-        raise ConfigurationError("config document must be a JSON object")
-    if args.seed is not None and isinstance(raw.get("federation", {}), dict):
-        raw.setdefault("federation", {})["master_seed"] = args.seed
-    doc, data = _materialize_config(raw)
-    if args.workers is not None:
-        doc["federation"]["workers"] = args.workers
-    if args.out is not None:
-        doc["out_dir"] = args.out
-    config = FederationConfig(**doc["federation"])
+    doc, config, data = _materialize_config(json.loads(Path(args.config).read_text()),
+                                            seed=args.seed, workers=args.workers,
+                                            out=args.out)
     fed = run_protocol(config, data)
 
     out_dir = Path(doc["out_dir"])
@@ -283,9 +264,8 @@ def _read_json_object(path: Path) -> dict:
 
 
 def _reload_federation(run_dir: Path) -> TrainedFederation:
-    doc, data = _materialize_config(_need(_read_json_object(run_dir / "manifest.json"),
-                                          "config", "manifest.json"))
-    config = FederationConfig(**doc["federation"])
+    _, config, data = _materialize_config(_need(_read_json_object(run_dir / "manifest.json"),
+                                                "config", "manifest.json"))
     model = build_model(data.feature_dim, data.class_count, config.hidden_dim,
                         config.master_seed)
     diag = _read_json_object(run_dir / "clustering.json")
@@ -336,8 +316,7 @@ def _cmd_cluster_diag(args) -> int:
     assignment = cluster_clients(fed.tracker, fed.config.k_min, fed.config.k_max,
                                  seed=fed.config.master_seed,
                                  expected_clients=fed.config.n_clients)
-    payload = _clustering_payload(assignment)
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = _json_text(_clustering_payload(assignment))
     if args.out:
         Path(args.out).write_text(text, encoding="ascii")
         print(f"clustering diagnostics written to {args.out}")

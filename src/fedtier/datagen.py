@@ -20,7 +20,12 @@ ascending order; label subsets: one class permutation, then ClusterShift's
 plane rotation per group), one permutation per dealt class in ascending
 class order, then one shuffle per client for the 80/20 train/test split.
 `partition` keeps the first attempt that oversubscribes no class and gives
-every client at least 10 samples.
+every client at least 10 samples. When every class has the same size, as
+`gen_pool` gives, the label-subset rule's row counts do not depend on the
+drawn class order, so it decides feasibility once, before any draw.
+
+The entry points and the specs check their int and float arguments with
+`errors.check_types`, and `partition` checks the spec's fields.
 
 Pools and client splits hold their rows as `Samples` arrays: `partition` deals
 pool row indices to clients, then takes each client's rows once.
@@ -34,7 +39,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, GenerationError
+from .errors import (ConfigurationError, GenerationError, check_field_types, check_types,
+                     has_type)
 from .model import Samples
 
 logger = logging.getLogger(__name__)
@@ -68,16 +74,16 @@ class ScDir:
 
     def _rule(self, pool, n_clients):
         c = pool.class_count
-        sc = (np.arange(c) * min(10, c) // c if self.superclass_of is None
-              else np.array(self.superclass_of))
-        if sc.shape != (c,):
-            raise ConfigurationError("superclass map must cover every class")
+        sc = ((np.arange(c) * min(10, c) // c).tolist() if self.superclass_of is None
+              else self.superclass_of)
+        if not isinstance(sc, (tuple, list, np.ndarray)) or len(sc) != c:
+            raise ConfigurationError(f"superclass_of must map each of the {c} classes, "
+                                     f"got {self.superclass_of!r}")
         # ids 0..S-1, each used: no superclass may hold Dirichlet mass but no class
-        ids = set(sc.tolist())
-        if sc.dtype.kind not in "iu" or ids != set(range(len(ids))):
-            raise ConfigurationError("superclass ids must be the integers 0..S-1, "
-                                     f"each used at least once, got {self.superclass_of}")
-        return _dirichlet_rule(self.alpha, sc, pool, n_clients)
+        if not all(has_type(s, int) for s in sc) or set(sc) != set(range(len(set(sc)))):
+            raise ConfigurationError("superclass ids in superclass_of must be the integers "
+                                     f"0..S-1, each used at least once, got {self.superclass_of}")
+        return _dirichlet_rule(self.alpha, np.array(sc), pool, n_clients)
 
 
 @dataclass(frozen=True)
@@ -159,6 +165,9 @@ def gen_pool(class_count: int, feature_dim: int, per_class: int,
              separation: float, seed: int) -> LabeledPool:
     """Gaussian blobs: class c gets a random unit direction scaled by
     `separation` as its mean and unit covariance."""
+    check_types(int, class_count=class_count, feature_dim=feature_dim, per_class=per_class,
+                seed=seed)
+    check_types(float, separation=separation)
     if class_count < 1 or feature_dim < 1 or per_class < 1:
         raise ConfigurationError("pool dimensions must be positive")
     if not 0 <= separation < math.inf:
@@ -268,17 +277,29 @@ def _label_subset_rule(pool, group_of, subset_size, angle=None):
     positions = (np.arange(n_groups)[:, None] * subset_size + np.arange(subset_size)) % c
     sizes = np.bincount(pool.samples.y, minlength=c)
 
+    def owners_of(order):
+        held = np.zeros((n_groups, c), dtype=bool)
+        held[np.arange(n_groups)[:, None], order[positions]] = True
+        # class c is split among its holders as np.array_split does
+        return [np.repeat(who, n // len(who) + (np.arange(len(who)) < n % len(who)))
+                if len(who) else None
+                for who, n in zip(map(np.flatnonzero, held[group_of].T), sizes)]
+
+    if np.all(sizes == sizes[0]):
+        # a client's row count then does not depend on the class order, so the
+        # identity order fails the floor exactly when every attempt would
+        dealt = np.concatenate([who for who in owners_of(np.arange(c)) if who is not None])
+        fewest = np.bincount(dealt, minlength=len(group_of)).min()
+        if fewest < _MIN_CLIENT_SAMPLES:
+            raise GenerationError(f"label subsets give a client {fewest} samples, under the "
+                                  f"floor of {_MIN_CLIENT_SAMPLES} per client")
+
     def attempt(rng):
         order = rng.permutation(c)
         rotations = (None if angle is None else
                      [_plane_rotation(pool.feature_dim, angle, rng) for _ in range(n_groups)])
-        held = np.zeros((n_groups, c), dtype=bool)
-        held[np.arange(n_groups)[:, None], order[positions]] = True
-        # class c is split among its holders as np.array_split does
-        owners = [np.repeat(who, n // len(who) + (np.arange(len(who)) < n % len(who)))
-                  if len(who) else None
-                  for who, n in zip(map(np.flatnonzero, held[group_of].T), sizes)]
-        return _Draw(owners, truth=None if angle is None else group_of, rotations=rotations)
+        return _Draw(owners_of(order), truth=None if angle is None else group_of,
+                     rotations=rotations)
 
     return attempt
 
@@ -287,10 +308,12 @@ def partition(pool: LabeledPool, spec, n_clients: int, seed: int) -> FederationD
     """Split the pool across clients according to the scheme: attempt k runs
     the scheme's one-attempt rule on default_rng([seed, k]), and the first
     feasible federation is kept."""
+    check_types(int, n_clients=n_clients, seed=seed)
     if n_clients < 1:
         raise ConfigurationError("n_clients must be positive")
     if not isinstance(spec, (GlDir, ScDir, Patho, ClusterShift)):
         raise ConfigurationError(f"unknown partition spec {spec!r}")
+    check_field_types(spec)
     rule = spec._rule(pool, n_clients)
     for attempt in range(_MAX_ATTEMPTS):
         rng = np.random.default_rng([seed, attempt])
@@ -310,6 +333,8 @@ def split_unseen(data: FederationData, fraction: float, seed: int) -> Federation
     When ground-truth groups are present, a draw that would strip any group of
     all its participating clients is resampled (logged), bounded by retries.
     """
+    check_types(float, fraction=fraction)
+    check_types(int, seed=seed)
     if not 0.0 < fraction < 1.0:
         raise ConfigurationError("unseen fraction must lie in (0, 1)")
     n = data.n_clients

@@ -28,16 +28,15 @@ given machine and BLAS build.
 """
 
 import math
-import numbers
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .clustering import BasisTracker, ClusterAssignment, cluster_clients, ema_update
 from .datagen import ClientSplit, FederationData
-from .errors import ConfigurationError, PreconditionError
+from .errors import ConfigurationError, PreconditionError, check_field_types
 from .linalg import Matrix, frobenius_norm, truncated_svd
 from .lora import (AdapterPath, LoraAdapter, Tier, compose_path, delta, init_adapter,
                    zero_adapter)
@@ -83,13 +82,7 @@ class FederationConfig:
     workers: int = 1
 
     def __post_init__(self):
-        for f in fields(self):
-            kind = {int: numbers.Integral, float: numbers.Real}.get(f.type)
-            value = getattr(self, f.name)
-            if kind and (isinstance(value, bool) or not isinstance(value, kind)):
-                raise ConfigurationError(f"{f.name} must be "
-                                         f"{'an integer' if f.type is int else 'a number'}, "
-                                         f"got {value!r}")
+        check_field_types(self)
         if self.master_seed < 0:
             raise ConfigurationError("master_seed must be non-negative")
         if self.n_clients < 1:

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import fedtier.cli
-from fedtier.cli import main
-from fedtier.datagen import gen_pool, load_csv
+from fedtier.cli import _materialize_config, main
+from fedtier.datagen import (ClusterShift, GlDir, Patho, ScDir, gen_pool, load_csv,
+                             partition, split_unseen)
 from fedtier.model import Samples
 
 
@@ -131,6 +132,14 @@ BAD_CONFIG_VALUES = {
     "superclasses_fractional": ({"data": dict(GL_DIR_WITHOUT_ALPHA, kind="sc_dir", alpha=1.0,
                                               superclasses=[0, 0.5, 1, 1])}, "superclasses"),
     "out_dir_a_number": ({"out_dir": 5}, "out_dir"),
+    "patho_classes_per_client_fractional": (
+        {"data": dict(GL_DIR_WITHOUT_ALPHA, kind="patho", classes_per_client=1.5)},
+        "classes_per_client"),
+    "label_subset_size_bool": ({"data.label_subset_size": True}, "label_subset_size"),
+    "sc_dir_alpha_string": ({"data": dict(GL_DIR_WITHOUT_ALPHA, kind="sc_dir", alpha="x")},
+                            "alpha"),
+    "patho_without_classes_per_client": ({"data": dict(GL_DIR_WITHOUT_ALPHA, kind="patho")},
+                                         "classes_per_client"),
 }
 
 
@@ -141,6 +150,68 @@ def test_bad_config_value_exits_2_naming_the_field(tmp_path, capsys, case):
     assert main(["run", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and name in err
+
+
+def test_workers_override_is_checked_and_recorded(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    assert main(["run", "--config", str(cfg), "--workers", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "workers" in err
+    assert main(["run", "--config", str(cfg), "--workers", "3"]) == 0
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert manifest["config"]["federation"]["workers"] == 3
+
+
+# each partition kind's config, and the library calls it must amount to
+KIND_TABLE_CASES = {
+    "gl_dir_integer_alpha": (
+        {"kind": "gl_dir", "classes": 4, "feature_dim": 4, "per_class": 60, "n_total": 6,
+         "alpha": 1, "unseen_fraction": 0.2, "seed": 5},
+        lambda: (gen_pool(4, 4, 60, 3.0, seed=5), GlDir(1.0), 6, 0.2, 5)),
+    "sc_dir_superclasses": (
+        {"kind": "sc_dir", "classes": 4, "feature_dim": 3, "per_class": 60, "n_total": 5,
+         "alpha": 0.5, "superclasses": [0, 0, 1, 1], "separation": 2.0, "seed": 6},
+        lambda: (gen_pool(4, 3, 60, 2.0, seed=6), ScDir(0.5, (0, 0, 1, 1)), 5, 0.0, 6)),
+    "sc_dir_default_map": (
+        {"kind": "sc_dir", "classes": 4, "feature_dim": 3, "per_class": 60, "n_total": 5,
+         "alpha": 2.0, "unseen_fraction": 0.4, "seed": 7},
+        lambda: (gen_pool(4, 3, 60, 3.0, seed=7), ScDir(2.0), 5, 0.4, 7)),
+    "patho": (
+        {"kind": "patho", "classes": 6, "feature_dim": 4, "per_class": 40, "n_total": 6,
+         "classes_per_client": 2, "unseen_fraction": 0.3, "seed": 8},
+        lambda: (gen_pool(6, 4, 40, 3.0, seed=8), Patho(2), 6, 0.3, 8)),
+    "cluster_shift": (
+        {"kind": "cluster_shift", "classes": 6, "feature_dim": 6, "per_class": 60,
+         "n_total": 8, "k_true": 2, "rotation_angle": 1.2, "label_subset_size": 2,
+         "unseen_fraction": 0.25, "seed": 9},
+        lambda: (gen_pool(6, 6, 60, 3.0, seed=9), ClusterShift(2, 1.2, 2), 8, 0.25, 9)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KIND_TABLE_CASES))
+def test_kind_table_builds_the_library_data(case):
+    data_section, library = KIND_TABLE_CASES[case]
+    _, config, built = _materialize_config({"data": data_section})
+    pool, spec, n_total, fraction, seed = library()
+    expected = partition(pool, spec, n_total, seed=seed)
+    if fraction > 0:
+        expected = split_unseen(expected, fraction, seed=seed)
+    assert config.n_clients == len(expected.clients)
+    for got, want in ((built.clients, expected.clients), (built.unseen, expected.unseen)):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.true_cluster == b.true_cluster
+            for split in ("train", "test"):
+                assert np.array_equal(getattr(a, split).x, getattr(b, split).x)
+                assert np.array_equal(getattr(a, split).y, getattr(b, split).y)
+
+
+def test_readme_config_is_valid():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```json\n", 1)[1].split("```", 1)[0]
+    _, config, data = _materialize_config(json.loads(block))
+    assert config.n_clients == len(data.clients) == 30
+    assert len(data.unseen) == 10
 
 
 @pytest.mark.parametrize("seed", ["7", "-1"])
@@ -209,6 +280,13 @@ def add_bogus_federation_field(doc):
     return doc
 
 
+def set_data_field(key, value):
+    def edit(doc):
+        doc["config"]["data"][key] = value
+        return doc
+    return edit
+
+
 RUN_DIR_FAULTS = {
     "unknown_federation_field": ("manifest.json", add_bogus_federation_field),
     "manifest_without_config": ("manifest.json", drop("config")),
@@ -221,6 +299,7 @@ RUN_DIR_FAULTS = {
     "non_numeric_cluster_label": ("clustering.json",
                                   lambda doc: dict(doc, labels=["a"] + doc["labels"][1:])),
     "non_numeric_sigma": ("clustering.json", lambda doc: dict(doc, sigma="wide")),
+    "fractional_k_true": ("manifest.json", set_data_field("k_true", 2.5)),
 }
 
 

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from fedtier.datagen import (ClusterShift, GlDir, Patho, ScDir, gen_pool, load_csv,
-                             partition, split_unseen)
+from fedtier.datagen import (ClusterShift, GlDir, LabeledPool, Patho, ScDir, gen_pool,
+                             load_csv, partition, split_unseen)
 from fedtier.errors import ConfigurationError, GenerationError
 from fedtier.lora import AdapterPath, LoraAdapter, zero_adapter
 from fedtier.model import SgdConfig, Tier, build_model, forward, local_update
@@ -206,6 +206,71 @@ class TestClusterShift:
         pool = gen_pool(4, 1, 100, 1.0, seed=22)
         with pytest.raises(ConfigurationError):
             partition(pool, ClusterShift(2, 1.0, 2), 4, seed=23)
+
+
+def count_default_rng(monkeypatch) -> list:
+    """Record every numpy.random.default_rng call from here on."""
+    calls, real = [], np.random.default_rng
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    return calls
+
+
+class TestLabelSubsetFeasibility:
+    @pytest.mark.parametrize("spec", [ClusterShift(3, 1.0, 1), Patho(1)],
+                             ids=["cluster_shift", "patho"])
+    def test_infeasible_spec_fails_before_any_attempt(self, monkeypatch, spec):
+        # 9 rows per class can never give a client 10: no class order helps
+        calls = count_default_rng(monkeypatch)
+        pool = gen_pool(100, 2, 9, 1.0, seed=0)
+        with pytest.raises(GenerationError, match="floor of 10"):
+            partition(pool, spec, 90, seed=0)
+        assert len(calls) == 1  # gen_pool's own stream; partition draws none
+
+    def test_unequal_class_sizes_keep_the_retry_loop(self, monkeypatch):
+        # whichever client is dealt the 5-row class falls under the floor
+        full = gen_pool(4, 2, 20, 1.0, seed=1)
+        keep = (full.samples.y != 0) | (np.arange(len(full.samples)) < 5)
+        pool = LabeledPool(full.samples[keep], 4, 2, full.class_means)
+        calls = count_default_rng(monkeypatch)
+        with pytest.raises(GenerationError, match="100 attempts"):
+            partition(pool, Patho(1), 4, seed=2)
+        assert len(calls) == 100
+
+
+def _pool4():
+    return gen_pool(4, 3, 60, 1.0, seed=3)
+
+
+# library calls with a wrongly typed argument: (call, the argument the error names)
+LIBRARY_TYPE_ERRORS = {
+    "gen_pool_fractional_class_count": (lambda: gen_pool(2.5, 2, 40, 1.0, seed=0),
+                                        "class_count"),
+    "gen_pool_fractional_seed": (lambda: gen_pool(2, 2, 40, 1.0, seed=1.5), "seed"),
+    "partition_fractional_n_clients": (lambda: partition(_pool4(), Patho(2), 2.5, seed=0),
+                                       "n_clients"),
+    "patho_fractional_classes_per_client": (
+        lambda: partition(_pool4(), Patho(1.5), 2, seed=0), "classes_per_client"),
+    "cluster_shift_fractional_k_true": (
+        lambda: partition(_pool4(), ClusterShift(2.5, 1.0, 3), 4, seed=0), "k_true"),
+    "sc_dir_ragged_map": (
+        lambda: partition(_pool4(), ScDir(1.0, ((0, 1), 1, 0, 0)), 4, seed=0),
+        "superclass_of"),
+    "split_unseen_fractional_seed": (
+        lambda: split_unseen(partition(_pool4(), GlDir(1.0), 4, seed=0), 0.5, seed=0.5),
+        "seed"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LIBRARY_TYPE_ERRORS))
+def test_wrongly_typed_argument_is_a_configuration_error(case):
+    call, name = LIBRARY_TYPE_ERRORS[case]
+    with pytest.raises(ConfigurationError, match=name):
+        call()
 
 
 class TestSplitUnseen:
