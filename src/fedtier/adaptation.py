@@ -14,13 +14,13 @@ import numpy as np
 
 from .datagen import ClientSplit
 from .errors import ConfigurationError, DegenerateInputError
-from .federation import FederationConfig, ServerState, _rng
+from .federation import FederationConfig, ServerState
 from .linalg import Matrix, frobenius_norm, orthonormal_columns, subspace_overlap
 from .lora import AdapterPath, LoraAdapter, Tier, init_adapter, zero_adapter
 from .metrics import accuracy
 from .model import EncodedData, HeadModel, Samples, SgdConfig, encode, local_update
+from .streams import stream
 
-_TAG_PROBE_INIT, _TAG_UNSEEN_LEAF_INIT, _TAG_UNSEEN_LEAF = 21, 22, 23
 _ZERO_B = 1e-12  # a B factor this small spans no direction
 
 
@@ -56,7 +56,7 @@ def probe_basis(model: HeadModel, train: Samples | EncodedData, root_star: LoraA
     if steps < 1:
         raise ConfigurationError("probe needs at least one step")
     p, q = model.class_count, model.backbone.hidden_dim
-    probe = init_adapter(p, q, rank, _rng(seed, _TAG_PROBE_INIT, 0, 0))
+    probe = init_adapter(p, q, rank, stream(seed, "probe_init"))
     path = AdapterPath(root=root_star, cluster=probe, leaf=zero_adapter(p, q, rank))
     opt = SgdConfig(lr=lr, epochs=steps, batch_mode="full")
     trained = local_update(model, path, train, Tier.CLUSTER, (), (), opt=opt)
@@ -96,16 +96,17 @@ def adapt_unseen(model: HeadModel, client: ClientSplit, server: ServerState,
     j = assign_cluster(u_u, reps)
     p, q = model.class_count, model.backbone.hidden_dim
     cluster_ad = server.clusters[j]
-    leaf = init_adapter(p, q, config.rank, _rng(seed, _TAG_UNSEEN_LEAF_INIT, 0, 0))
+    leaf = init_adapter(p, q, config.rank, stream(seed, "unseen_leaf_init"))
     path = AdapterPath(root=server.root, cluster=cluster_ad, leaf=leaf)
     # the fresh leaf has b = 0, so this is exactly the root+cluster model
     trajectory = [accuracy(model, path, test)]
     frozen = (server.root.b, cluster_ad.b)
     gammas = (config.gamma_c, config.gamma_l)
     opt = replace(config.sgd(), epochs=1)
-    for e in range(1, epochs + 1):
+    shuffle = stream(seed, "unseen_leaf_shuffle")
+    for _ in range(epochs):
         leaf = local_update(model, path, train, Tier.LEAF, frozen, gammas,
-                            opt=opt, rng=_rng(seed, _TAG_UNSEEN_LEAF, e, 0))
+                            opt=opt, rng=shuffle)
         path = path.replace(Tier.LEAF, leaf)
         trajectory.append(accuracy(model, path, test))
     return AdaptationResult(assigned_cluster=j, path=path,

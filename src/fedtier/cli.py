@@ -48,7 +48,7 @@ from .clustering import BasisTracker, ClusterAssignment, cluster_clients
 from .datagen import (ClusterShift, FederationData, GlDir, Patho, ScDir,
                       load_csv, gen_pool, partition, split_unseen)
 from .errors import (ConfigurationError, DegenerateInputError, GenerationError,
-                     PreconditionError, check_types, has_type)
+                     PreconditionError, check_seed, check_types, has_type)
 from .federation import FederationConfig, TrainedFederation, run_protocol
 from .lora import read_adapter, save_adapter, load_matrix, dump_matrix
 from .metrics import compute_metrics
@@ -60,9 +60,9 @@ _DATA_KINDS = {"gl_dir": GlDir, "sc_dir": ScDir, "patho": Patho,
 _DATA_GENERATOR = ("classes", "feature_dim", "per_class", "n_total")
 _DATA_COMMON = {"kind", "separation", "seed", "unseen_fraction", *_DATA_GENERATOR}
 _DATA_NAME = {"superclass_of": "superclasses"}  # the one spec field renamed in the data section
-# the types of the data fields that no partition spec checks
+# the types of the data fields that no partition spec or seed rule checks
 _DATA_TYPES = {"path": str, "classes": int, "feature_dim": int, "per_class": int,
-               "n_total": int, "seed": int, "separation": float, "unseen_fraction": float,
+               "n_total": int, "separation": float, "unseen_fraction": float,
                "superclasses": list}
 
 
@@ -113,10 +113,8 @@ def _materialize_config(raw: dict, seed=None, workers=None,
             raise ConfigurationError(f"unknown field 'data.{key}' for kind '{kind}'")
 
     master_seed = fed.get("master_seed", 0)
-    if type(master_seed) is not int or master_seed < 0:
-        raise ConfigurationError("federation.master_seed must be a non-negative integer, "
-                                 f"got {master_seed!r}")
     data.setdefault("seed", master_seed)
+    check_seed(**{"federation.master_seed": master_seed, "data.seed": data["seed"]})
     data.setdefault("unseen_fraction", 0.0)
     for key in required:
         _need(data, key, "the data section")
@@ -132,8 +130,6 @@ def _materialize_config(raw: dict, seed=None, workers=None,
                                    and all(has_type(i, int) for i in value)):
             raise ConfigurationError(f"data.{key} must be a list of integers or null, "
                                      f"got {value!r}")
-    if data["seed"] < 0:
-        raise ConfigurationError("data.seed must be non-negative")
     if not 0.0 <= data["unseen_fraction"] < 1.0:
         raise ConfigurationError("data.unseen_fraction must lie in [0, 1)")
     built = _build_data(data)

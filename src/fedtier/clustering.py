@@ -16,8 +16,10 @@ import numpy as np
 from .errors import ConfigurationError, DegenerateInputError, PreconditionError
 from .linalg import (Matrix, check_orthonormal_columns, frobenius_norm, orthonormal_columns,
                      subspace_overlap)
+from .streams import stream
 
 _DEGENERATE_NORM = 1e-300
+_NOISE = 1e-12  # rounding noise: tied eigengaps, or the bandwidth of identical bases
 _KMEANS_RESTARTS = 20
 _KMEANS_TOL = 1e-10
 _KMEANS_MAX_ITER = 300
@@ -111,14 +113,15 @@ def median_offdiag_distance(d: Matrix) -> float:
     return float(np.median(d[mask]))
 
 
-def affinity(d: Matrix) -> Matrix:
-    """Gaussian-kernel affinity with unit diagonal.
+def affinity(d: Matrix, sigma: float | None = None) -> Matrix:
+    """Gaussian-kernel affinity with unit diagonal and bandwidth sigma (the
+    median off-diagonal distance by default).
 
-    A zero bandwidth (all clients at distance zero) falls back to the all-ones
-    matrix; callers flag that case through the assignment diagnostics.
+    A bandwidth within _NOISE of zero (all clients share a subspace) falls back
+    to the all-ones matrix; callers flag that case in the assignment diagnostics.
     """
-    sigma = median_offdiag_distance(d)
-    if sigma == 0.0:
+    sigma = median_offdiag_distance(d) if sigma is None else sigma
+    if sigma <= _NOISE:
         return np.ones_like(d)
     s = np.exp(-(d * d) / (2.0 * sigma * sigma))
     np.fill_diagonal(s, 1.0)
@@ -174,8 +177,7 @@ def _kmeans(points: Matrix, k: int, seed: int) -> np.ndarray:
     """Seeded farthest-point k-means; best objective over fixed restarts."""
     best_labels, best_obj = None, np.inf
     for restart in range(_KMEANS_RESTARTS):
-        rng = np.random.default_rng([seed, restart])
-        centers = _farthest_point_init(points, k, rng)
+        centers = _farthest_point_init(points, k, stream(seed, "kmeans", restart))
         labels, obj = _lloyd(points, centers)
         if obj < best_obj:
             best_labels, best_obj = labels, obj
@@ -206,7 +208,7 @@ def select_k(s: Matrix, k_min: int, k_max: int):
     """Eigengap selection: K maximizing lambda_{K+1} - lambda_K of the
     normalized Laplacian over [k_min, k_max]; ties pick the smallest K.
 
-    Gaps within 1e-12 of the maximum count as tied, so eigensolver noise
+    Gaps within _NOISE of the maximum count as tied, so eigensolver noise
     cannot defeat the smallest-K rule on exactly degenerate spectra.
     """
     n = s.shape[0]
@@ -215,7 +217,7 @@ def select_k(s: Matrix, k_min: int, k_max: int):
             f"selection range [{k_min}, {k_max}] invalid for {n} clients")
     evals = np.linalg.eigvalsh(laplacian_sym(s))
     gaps = np.array([evals[k] - evals[k - 1] for k in range(k_min, k_max + 1)])
-    k_star = k_min + int(np.argmax(gaps >= gaps.max() - 1e-12))
+    k_star = k_min + int(np.argmax(gaps >= gaps.max() - _NOISE))
     return k_star, gaps
 
 
@@ -276,13 +278,13 @@ def cluster_clients(tracker: BasisTracker, k_min: int = 2, k_max: int | None = N
     bases = [[orthonormal_columns(tracker.bases[i], r)] for i in clients]
     d = distance_matrix(bases)
     sigma = median_offdiag_distance(d)
-    s = affinity(d)
+    s = affinity(d, sigma)
     lo = max(2, k_min)
     hi = min(k_max if k_max is not None else min(10, n - 1), n - 1)
     if hi < lo:
         raise ConfigurationError(f"empty selection range [{lo}, {hi}]")
     k_star, gaps = select_k(s, lo, hi)
-    if sigma == 0.0:
+    if sigma <= _NOISE:
         # all clients share a subspace; the embedding carries no information,
         # so every client lands in one flagged cluster
         labels = np.zeros(n, dtype=np.int64)
@@ -291,4 +293,4 @@ def cluster_clients(tracker: BasisTracker, k_min: int = 2, k_max: int | None = N
     evals = np.linalg.eigvalsh(laplacian_sym(s))
     return ClusterAssignment(k_star=k_star, labels=labels, eigengaps=gaps,
                              k_range=(lo, hi), sigma=sigma, eigenvalues=evals,
-                             distances=d, affinities=s, degenerate=(sigma == 0.0))
+                             distances=d, affinities=s, degenerate=sigma <= _NOISE)

@@ -14,7 +14,7 @@ total // (2 N) samples, so that skewed label demands stay feasible. The
 label-subset rule gives each group of clients a run of a shuffled class
 order: Patho makes every client its own group, ClusterShift puts client i in
 group i % k_true and rotates each group's features. Attempt k draws from
-``numpy.random.default_rng([seed, k])`` in this order: the rule's draws
+``streams.stream(seed, "partition", k)`` in this order: the rule's draws
 (Dirichlet: one vectorized Dirichlet, then one multinomial per client in
 ascending order; label subsets: one class permutation, then ClusterShift's
 plane rotation per group), one permutation per dealt class in ascending
@@ -25,7 +25,8 @@ every client at least 10 samples. When every class has the same size, as
 drawn class order, so it decides feasibility once, before any draw.
 
 The entry points and the specs check their int and float arguments with
-`errors.check_types`, and `partition` checks the spec's fields.
+`errors.check_types`, and `partition` checks the spec's fields; `stream`
+checks the seeds, and each entry point draws from a stream of its own purpose.
 
 Pools and client splits hold their rows as `Samples` arrays: `partition` deals
 pool row indices to clients, then takes each client's rows once.
@@ -42,6 +43,7 @@ import numpy as np
 from .errors import (ConfigurationError, GenerationError, check_field_types, check_types,
                      has_type)
 from .model import Samples
+from .streams import stream
 
 logger = logging.getLogger(__name__)
 
@@ -165,14 +167,13 @@ def gen_pool(class_count: int, feature_dim: int, per_class: int,
              separation: float, seed: int) -> LabeledPool:
     """Gaussian blobs: class c gets a random unit direction scaled by
     `separation` as its mean and unit covariance."""
-    check_types(int, class_count=class_count, feature_dim=feature_dim, per_class=per_class,
-                seed=seed)
+    check_types(int, class_count=class_count, feature_dim=feature_dim, per_class=per_class)
     check_types(float, separation=separation)
     if class_count < 1 or feature_dim < 1 or per_class < 1:
         raise ConfigurationError("pool dimensions must be positive")
     if not 0 <= separation < math.inf:
         raise ConfigurationError(f"separation must be finite and non-negative, got {separation}")
-    rng = np.random.default_rng(seed)
+    rng = stream(seed, "pool")
     means = np.zeros((class_count, feature_dim))
     for c in range(class_count):
         v = rng.normal(size=feature_dim)
@@ -306,9 +307,9 @@ def _label_subset_rule(pool, group_of, subset_size, angle=None):
 
 def partition(pool: LabeledPool, spec, n_clients: int, seed: int) -> FederationData:
     """Split the pool across clients according to the scheme: attempt k runs
-    the scheme's one-attempt rule on default_rng([seed, k]), and the first
-    feasible federation is kept."""
-    check_types(int, n_clients=n_clients, seed=seed)
+    the scheme's one-attempt rule on stream(seed, "partition", k), and the
+    first feasible federation is kept."""
+    check_types(int, n_clients=n_clients)
     if n_clients < 1:
         raise ConfigurationError("n_clients must be positive")
     if not isinstance(spec, (GlDir, ScDir, Patho, ClusterShift)):
@@ -316,7 +317,7 @@ def partition(pool: LabeledPool, spec, n_clients: int, seed: int) -> FederationD
     check_field_types(spec)
     rule = spec._rule(pool, n_clients)
     for attempt in range(_MAX_ATTEMPTS):
-        rng = np.random.default_rng([seed, attempt])
+        rng = stream(seed, "partition", attempt)
         draw = rule(rng)
         data = None if draw is None else _assemble(pool, draw, n_clients, rng)
         if data is not None:
@@ -334,14 +335,13 @@ def split_unseen(data: FederationData, fraction: float, seed: int) -> Federation
     all its participating clients is resampled (logged), bounded by retries.
     """
     check_types(float, fraction=fraction)
-    check_types(int, seed=seed)
     if not 0.0 < fraction < 1.0:
         raise ConfigurationError("unseen fraction must lie in (0, 1)")
     n = data.n_clients
     n_unseen = math.ceil(fraction * n)
     truth = data.true_clusters
     for attempt in range(_MAX_ATTEMPTS):
-        rng = np.random.default_rng([seed, 7, attempt])  # stream disjoint from partition's
+        rng = stream(seed, "unseen_split", attempt)
         chosen = set(int(i) for i in rng.choice(n, size=n_unseen, replace=False))
         if truth is not None:
             kept = [truth[i] for i in range(n) if i not in chosen]
@@ -389,7 +389,7 @@ def load_csv(path: str | Path, seed: int = 0) -> FederationData:
         raise ConfigurationError(f"CSV line {bad[0] + 2}: non-finite feature")
     if samples.y.min() < 0:
         raise ConfigurationError("labels must be non-negative integers")
-    rng = np.random.default_rng([seed, len(ids)])
+    rng = stream(seed, "csv_split", len(ids))
     clients = []
     for cid in np.unique(ids):
         if np.count_nonzero(ids == cid) < 2:

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and its one number-type rule."""
+"""Exception types shared across the package, and its number-type and seed rules."""
 
 import numbers
 from dataclasses import fields
@@ -33,6 +33,13 @@ def check_types(kind: type, **values):
     for name, value in values.items():
         if not has_type(value, kind):
             raise ConfigurationError(f"{name} must be {_KINDS[kind][1]}, got {value!r}")
+
+
+def check_seed(**values):
+    """Raise ConfigurationError naming the first of values not an integer >= 0."""
+    for name, value in values.items():
+        if not has_type(value, int) or value < 0:
+            raise ConfigurationError(f"{name} must be a non-negative integer, got {value!r}")
 
 
 def check_field_types(obj):

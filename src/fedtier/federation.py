@@ -21,10 +21,9 @@ contiguous chunks run on a thread pool.
 Determinism: the local-update kernel lays each client's rows out in fixed
 blocks of batch_size rows and computes every (client, block) slice on its
 own, so a client's bits do not depend on which clients share its stack or
-chunk. Every client draws its shuffles from its own counter-based stream
-derived from (master_seed, stage, round, client), and aggregation reduces in
-ascending member order, so results are identical for any worker count on a
-given machine and BLAS build.
+chunk. Each client draws all of a stage's shuffles from its own stream, and
+aggregation reduces in ascending member order, so results are identical for
+any worker count on a given machine and BLAS build.
 """
 
 import math
@@ -36,22 +35,15 @@ import numpy as np
 
 from .clustering import BasisTracker, ClusterAssignment, cluster_clients, ema_update
 from .datagen import ClientSplit, FederationData
-from .errors import ConfigurationError, PreconditionError, check_field_types
+from .errors import ConfigurationError, PreconditionError, check_field_types, check_seed
 from .linalg import Matrix, frobenius_norm, truncated_svd
 from .lora import (AdapterPath, LoraAdapter, Tier, compose_path, delta, init_adapter,
                    zero_adapter)
 from .model import (ClientStack, EncodedData, HeadModel, SgdConfig, build_model, encode,
                     local_update, _stack_losses)
-
-# stream tags so no two purposes ever share an rng stream
-_TAG_ROOT, _TAG_CLUSTER, _TAG_LEAF = 1, 2, 3
-_TAG_ROOT_INIT, _TAG_CLUSTER_INIT, _TAG_LEAF_INIT = 11, 12, 13
+from .streams import stream
 
 AGGREGATION_MODES = ("product_svd", "separate_average")
-
-
-def _rng(master_seed: int, tag: int, rnd: int, entity: int) -> np.random.Generator:
-    return np.random.default_rng([master_seed, tag, rnd, entity])
 
 
 @dataclass
@@ -83,8 +75,7 @@ class FederationConfig:
 
     def __post_init__(self):
         check_field_types(self)
-        if self.master_seed < 0:
-            raise ConfigurationError("master_seed must be non-negative")
+        check_seed(master_seed=self.master_seed)
         if self.n_clients < 1:
             raise ConfigurationError("n_clients must be positive")
         if self.rank < 1:
@@ -233,14 +224,13 @@ class _Group:
 
 
 def _stage_settings(config: FederationConfig, active: Tier):
-    """(stream tag, round budget, optimiser, penalty weights) of a stage;
-    a leaf round is one local epoch."""
+    """(round budget, optimiser, penalty weights) of a stage; a leaf round is
+    one local epoch."""
     if active is Tier.ROOT:
-        return _TAG_ROOT, config.t_root, config.sgd(), ()
+        return config.t_root, config.sgd(), ()
     if active is Tier.CLUSTER:
-        return _TAG_CLUSTER, config.t_cluster, config.sgd(), (config.gamma_c,)
-    return (_TAG_LEAF, config.t_leaf, replace(config.sgd(), epochs=1),
-            (config.gamma_c, config.gamma_l))
+        return config.t_cluster, config.sgd(), (config.gamma_c,)
+    return config.t_leaf, replace(config.sgd(), epochs=1), (config.gamma_c, config.gamma_l)
 
 
 def _absorb(config: FederationConfig, active: Tier, tracker: BasisTracker | None,
@@ -278,9 +268,11 @@ def _until_stopped(config: FederationConfig, model: HeadModel, enc: list[Encoded
     compares, the round loss is taken at compose_path(path, w0), and a
     group retires once stop_check passes on consecutive deltas or the
     budget runs out."""
-    tag, budget, opt, gammas = _stage_settings(config, active)
+    budget, opt, gammas = _stage_settings(config, active)
     frozen_tiers = list(Tier)[:list(Tier).index(active)]
     weights = [weights_root([len(enc[i]) for i in g.members]) for g in groups]
+    shuffles = {i: stream(config.master_seed, f"{active.value}_shuffle", i)
+                for g in groups for i in g.members if opt.batch_mode == "mini"}
     for g in groups:
         g.prev_delta = delta(g.path.adapter(active))
     with ThreadPoolExecutor(config.workers) if config.workers > 1 else nullcontext() as pool:
@@ -293,14 +285,12 @@ def _until_stopped(config: FederationConfig, model: HeadModel, enc: list[Encoded
             ends = np.cumsum([len(g.members) for g, _ in running])
             spans = [slice(end - len(g.members), end) for (g, _), end in zip(running, ends)]
             stack = ClientStack([enc[i] for i in ids])
-            rngs = [_rng(config.master_seed, tag, t, i) if opt.batch_mode == "mini" else None
-                    for i in ids]
             bases = [[path.adapter(tier).b for path in paths] for tier in frozen_tiers]
 
             def chunk(part):
                 return local_update(model, paths[part], stack[part], active,
                                     [entry[part] for entry in bases], gammas,
-                                    opt=opt, rng=rngs[part])
+                                    opt=opt, rng=[shuffles.get(i) for i in ids[part]])
 
             parts = [slice(ix[0], ix[-1] + 1) for ix in
                      np.array_split(np.arange(len(ids)), min(config.workers, len(ids)))]
@@ -331,7 +321,7 @@ def run_root_stage(config: FederationConfig, data: FederationData, model: HeadMo
     enc = enc if enc is not None else _encode_clients(model, data)
     p, q = model.class_count, model.backbone.hidden_dim
     zero = zero_adapter(p, q, config.rank)
-    root = init_adapter(p, q, config.rank, _rng(config.master_seed, _TAG_ROOT_INIT, 0, 0))
+    root = init_adapter(p, q, config.rank, stream(config.master_seed, "root_init"))
     group = _Group(members=list(range(config.n_clients)),
                    path=AdapterPath(root=root, cluster=zero, leaf=zero))
     [report] = _until_stopped(config, model, enc, Tier.ROOT, [group], tracker)
@@ -350,7 +340,7 @@ def run_cluster_stage(config: FederationConfig, data: FederationData, model: Hea
     zero = zero_adapter(p, q, config.rank)
     groups = []
     for j in assignment.cluster_ids:
-        cluster = init_adapter(p, q, config.rank, _rng(config.master_seed, _TAG_CLUSTER_INIT, 0, j))
+        cluster = init_adapter(p, q, config.rank, stream(config.master_seed, "cluster_init", j))
         groups.append(_Group(members=assignment.members(j), cluster=j,
                              path=AdapterPath(root=root_star, cluster=cluster, leaf=zero)))
     reports = _until_stopped(config, model, enc, Tier.CLUSTER, groups)
@@ -371,7 +361,7 @@ def run_leaf_stage(config: FederationConfig, data: FederationData, model: HeadMo
     groups = []
     for i in range(config.n_clients):
         j = int(assignment.labels[i])
-        leaf = init_adapter(p, q, config.rank, _rng(config.master_seed, _TAG_LEAF_INIT, 0, i))
+        leaf = init_adapter(p, q, config.rank, stream(config.master_seed, "leaf_init", i))
         groups.append(_Group(members=[i], cluster=j, client=i,
                              path=AdapterPath(root=root_star, cluster=clusters[j], leaf=leaf)))
     reports = _until_stopped(config, model, enc, Tier.LEAF, groups)

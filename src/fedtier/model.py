@@ -22,6 +22,7 @@ from .errors import ConfigurationError, PreconditionError
 from .linalg import Matrix, as_matrix
 from .lora import (AdapterPath, LoraAdapter, Tier, compose_path, delta, orth_penalty,
                    orth_penalty_grad)
+from .streams import stream
 
 _PROB_FLOOR = 1e-12  # clamp applied before log so confidently wrong predictions stay finite
 
@@ -96,7 +97,7 @@ class Samples:
 
 def build_model(feature_dim: int, class_count: int, hidden_dim: int, seed: int) -> HeadModel:
     """Deterministic model construction from a seed."""
-    rng = np.random.default_rng([seed, 9001])
+    rng = stream(seed, "model")
     m = rng.normal(0.0, 1.0 / np.sqrt(feature_dim), size=(hidden_dim, feature_dim))
     bias = rng.normal(0.0, 0.1, size=hidden_dim)
     w0 = rng.normal(0.0, 0.1 / np.sqrt(hidden_dim), size=(class_count, hidden_dim))
@@ -406,7 +407,7 @@ def gradient_check(trials: int = 24, seed: int = 0, h: float = 1e-5) -> float:
     if trials < 1:
         raise ConfigurationError("the gradient check needs at least one trial")
     worst = 0.0
-    rng = np.random.default_rng([seed, 4242])
+    rng = stream(seed, "gradcheck")
     tiers = [Tier.ROOT, Tier.CLUSTER, Tier.LEAF]
     for trial in range(trials):
         c = int(rng.integers(3, 6))

@@ -424,6 +424,12 @@ class TestGradcheck:
         assert main(["gradcheck", "--trials", trials]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_negative_seed_is_a_usage_error(self, capsys):
+        assert main(["gradcheck", "--seed", "-1", "--trials", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed must be a non-negative integer")
+        assert "Traceback" not in err
+
 
 def write_csv_config(tmp_path):
     """A CSV of 4 clients and a config that runs it into tmp_path/csvrun."""

@@ -8,6 +8,7 @@ from fedtier.datagen import (ClusterShift, GlDir, LabeledPool, Patho, ScDir, gen
 from fedtier.errors import ConfigurationError, GenerationError
 from fedtier.lora import AdapterPath, LoraAdapter, zero_adapter
 from fedtier.model import SgdConfig, Tier, build_model, forward, local_update
+from fedtier.streams import stream
 
 
 def client_labels(client):
@@ -64,7 +65,7 @@ class TestGlDir:
         pool = gen_pool(c, 4, 200, 2.0, seed=7)
         fed = partition(pool, GlDir(alpha=0.3), n_clients, seed=seed)
         n_each = len(pool.samples) // (2 * n_clients)
-        rng = np.random.default_rng([seed, 0])
+        rng = stream(seed, "partition", 0)
         priors = rng.dirichlet(np.full(c, 0.3), size=n_clients)
         counts = np.stack([rng.multinomial(n_each, priors[i]) for i in range(n_clients)])
         # the oracle draw must itself be feasible, otherwise attempt 0 was skipped

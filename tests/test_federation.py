@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 import fedtier.federation
-from fedtier.clustering import BasisTracker
+from fedtier.clustering import BasisTracker, cluster_clients
 from fedtier.datagen import ClientSplit, FederationData, gen_pool
 from fedtier.errors import ConfigurationError, PreconditionError
-from fedtier.federation import (FederationConfig, _TAG_CLUSTER, _TAG_CLUSTER_INIT,
-                                _rng, aggregate_product, aggregate_separate,
+from fedtier.federation import (FederationConfig, aggregate_product, aggregate_separate,
                                 refactor, run_cluster_stage, run_leaf_stage,
                                 run_protocol, run_root_stage, stop_check,
                                 weights_cluster, weights_root)
@@ -18,6 +17,7 @@ from fedtier.lora import (AdapterPath, LoraAdapter, Tier, delta, init_adapter,
                           zero_adapter)
 from fedtier.metrics import accuracy
 from fedtier.model import ClientStack, SgdConfig, build_model, dataset_loss, local_update
+from fedtier.streams import stream
 from oracles import best_rank_k
 
 
@@ -190,13 +190,14 @@ class TestRootStage:
 
         # manual reimplementation of the round loop for one client
         p, q = 4, config.hidden_dim
-        server = init_adapter(p, q, config.rank, _rng(config.master_seed, 11, 0, 0))
+        server = init_adapter(p, q, config.rank, stream(config.master_seed, "root_init"))
+        shuffle = stream(config.master_seed, "root_shuffle", 0)
         prev = delta(server)
         for rnd in range(1, config.t_root + 1):
             path = AdapterPath(root=server, cluster=zero_adapter(p, q, config.rank),
                                leaf=zero_adapter(p, q, config.rank))
             local = local_update(model, path, data.clients[0].train, Tier.ROOT,
-                                 opt=config.sgd(), rng=_rng(config.master_seed, 1, rnd, 0))
+                                 opt=config.sgd(), rng=shuffle)
             agg = delta(local) * 1.0
             server = refactor(agg, config.rank)
             stop, _ = stop_check(prev, agg, config.tau_rel, config.eps)
@@ -260,16 +261,15 @@ class TestClusterStage:
                                               small_assignment, root_star)
         member = sub_members[0]
         p, q = model.class_count, model.backbone.hidden_dim
-        server = init_adapter(p, q, config.rank,
-                              _rng(config.master_seed, _TAG_CLUSTER_INIT, 0, 0))
+        server = init_adapter(p, q, config.rank, stream(config.master_seed, "cluster_init", 0))
+        shuffle = stream(config.master_seed, "cluster_shuffle", member)
         prev = delta(server)
         for rnd in range(1, config.t_cluster + 1):
             path = AdapterPath(root=root_star, cluster=server,
                                leaf=zero_adapter(p, q, config.rank))
             local = local_update(model, path, fed.data.clients[member].train,
                                  Tier.CLUSTER, (root_star.b,), (config.gamma_c,),
-                                 opt=config.sgd(),
-                                 rng=_rng(config.master_seed, _TAG_CLUSTER, rnd, member))
+                                 opt=config.sgd(), rng=shuffle)
             agg = delta(local) * 1.0
             server = refactor(agg, config.rank)
             stop, _ = stop_check(prev, agg, config.tau_rel, config.eps)
@@ -362,7 +362,8 @@ class TestLeafStage:
         i = 0
         j = int(fed.server.assignment.labels[i])
         p, q = fed.model.class_count, fed.model.backbone.hidden_dim
-        leaf = init_adapter(p, q, config.rank, _rng(config.master_seed, 13, 0, i))
+        leaf = init_adapter(p, q, config.rank, stream(config.master_seed, "leaf_init", i))
+        shuffle = stream(config.master_seed, "leaf_shuffle", i)
         prev = delta(leaf)
         opt = SgdConfig(lr=config.lr, epochs=1, batch_mode=config.batch_mode,
                         batch_size=config.batch_size)
@@ -370,7 +371,7 @@ class TestLeafStage:
             path = AdapterPath(root=fed.server.root, cluster=fed.server.clusters[j],
                                leaf=leaf)
             leaf = local_update(fed.model, path, fed.data.clients[i].train, Tier.LEAF,
-                                (), (), opt=opt, rng=_rng(config.master_seed, 3, e, i))
+                                (), (), opt=opt, rng=shuffle)
             new = delta(leaf)
             stop, _ = stop_check(prev, new, config.tau_rel, config.eps)
             prev = new
@@ -399,6 +400,21 @@ class TestRunProtocol:
         accs = [accuracy(fed.model, fed.path_full(i), fed.data.clients[i].test)
                 for i in range(4)]
         assert max(accs) - min(accs) <= 1e-9
+
+    @pytest.mark.parametrize("master_seed", range(8))
+    def test_identical_clients_form_one_degenerate_cluster(self, master_seed):
+        # identical bases sit rounding noise apart (sigma ~1e-16), never a split
+        config = small_config(n_clients=4, t_root=4, t_cluster=3, t_leaf=2,
+                              total_budget=9, master_seed=master_seed)
+        for data_seed in range(8):
+            data = cloned_federation(4, seed=data_seed)
+            model = build_model(4, 4, config.hidden_dim, master_seed)
+            tracker = BasisTracker(config.ema_decay)
+            run_root_stage(config, data, model, tracker)
+            assignment = cluster_clients(tracker, config.k_min, config.k_max,
+                                         seed=master_seed, expected_clients=4)
+            assert assignment.degenerate
+            assert assignment.labels.tolist() == [0, 0, 0, 0]
 
     def test_budget_accounting(self, trained_fed):
         cfg = trained_fed.config
