@@ -5,16 +5,18 @@ A new client runs a few full-batch gradient steps on a fresh probe adapter on
 top of the frozen root, takes the dominant left subspace of the probe's B
 factor, and joins the cluster whose representative subspace it overlaps most.
 It can then serve immediately through root + cluster, or refine a private
-leaf adapter locally.
+leaf adapter locally: each fine-tune epoch is one round of the leaf stage,
+with that stage's optimiser, gammas and penalty bases (federation's
+_stage_settings and Tier.LEAF.earlier).
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .datagen import ClientSplit
-from .errors import ConfigurationError, DegenerateInputError
-from .federation import FederationConfig, ServerState
+from .errors import ConfigurationError, DegenerateInputError, check_types
+from .federation import FederationConfig, ServerState, _stage_settings
 from .linalg import Matrix, frobenius_norm, orthonormal_columns, subspace_overlap
 from .lora import AdapterPath, LoraAdapter, Tier, init_adapter, zero_adapter
 from .metrics import accuracy
@@ -71,7 +73,8 @@ def assign_cluster(u_u: Matrix, reps: list[ClusterRepresentative]) -> int:
     if not reps:
         raise ConfigurationError("no cluster representatives given")
     reps = sorted(reps, key=lambda rep: rep.index)
-    scores = [subspace_overlap(u_u, rep.basis) / rep.basis.shape[1] for rep in reps]
+    bases = np.stack([rep.basis for rep in reps])
+    scores = subspace_overlap(u_u, bases) / bases.shape[2]
     return reps[int(np.argmax(scores))].index
 
 
@@ -87,6 +90,7 @@ def adapt_unseen(model: HeadModel, client: ClientSplit, server: ServerState,
     """Route an unseen client, then fine-tune a fresh leaf for `epochs` local
     epochs, recording test accuracy after each epoch (entry 0 is the
     root+cluster model before any local work)."""
+    check_types(int, epochs=epochs)
     if epochs < 0:
         raise ConfigurationError("epochs must be non-negative")
     reps = build_representatives(server, config.rank)
@@ -100,9 +104,8 @@ def adapt_unseen(model: HeadModel, client: ClientSplit, server: ServerState,
     path = AdapterPath(root=server.root, cluster=cluster_ad, leaf=leaf)
     # the fresh leaf has b = 0, so this is exactly the root+cluster model
     trajectory = [accuracy(model, path, test)]
-    frozen = (server.root.b, cluster_ad.b)
-    gammas = (config.gamma_c, config.gamma_l)
-    opt = replace(config.sgd(), epochs=1)
+    _, opt, gammas = _stage_settings(config, Tier.LEAF)
+    frozen = [path.adapter(tier).b for tier in Tier.LEAF.earlier]
     shuffle = stream(seed, "unseen_leaf_shuffle")
     for _ in range(epochs):
         leaf = local_update(model, path, train, Tier.LEAF, frozen, gammas,

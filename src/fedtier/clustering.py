@@ -2,7 +2,8 @@
 
 Per-client adapter bases are Frobenius-normalized and smoothed across rounds
 with an exponential moving average. Pairwise distances come from principal
-angles between the dominant left subspaces (d = 1 - mean squared cosine), a
+angles between the dominant left subspaces (d = 1 - mean squared cosine),
+every overlap from one linalg.subspace_overlap call on the stacked bases; a
 Gaussian kernel with the median off-diagonal distance turns distances into
 affinities, and a normalized-Laplacian spectral step with deterministic
 seeded k-means produces the grouping. The cluster count is picked by the
@@ -13,9 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateInputError, PreconditionError
-from .linalg import (Matrix, check_orthonormal_columns, frobenius_norm, orthonormal_columns,
-                     subspace_overlap)
+from .errors import ConfigurationError, DegenerateInputError, PreconditionError, check_types
+from .linalg import Matrix, frobenius_norm, orthonormal_columns, subspace_overlap
 from .streams import stream
 
 _DEGENERATE_NORM = 1e-300
@@ -62,21 +62,18 @@ def ema_update(tracker: BasisTracker, client: int, b_new: Matrix) -> BasisTracke
 
 def pairwise_distance(u_i: Matrix, u_j: Matrix, r: int) -> float:
     """Principal-angle distance 1 - (1/r) * sum of squared cosines, in [0, 1]."""
-    u_i = np.asarray(u_i)
-    u_j = np.asarray(u_j)
-    if u_i.shape[1] != r or u_j.shape[1] != r:
-        raise PreconditionError(f"bases must have exactly r={r} columns")
-    d = 1.0 - subspace_overlap(u_i, u_j) / r
-    return min(max(d, 0.0), 1.0)
+    if np.shape(u_i)[1:] != (r,) or np.shape(u_j)[1:] != (r,):
+        raise PreconditionError(f"bases must be matrices of exactly r={r} columns")
+    return min(max(1.0 - subspace_overlap(u_i, u_j) / r, 0.0), 1.0)
 
 
 def distance_matrix(bases: list[list[Matrix]]) -> Matrix:
     """Symmetric zero-diagonal client-distance matrix, averaged over layers.
 
     `bases[i]` lists client i's per-layer orthonormal bases; every client must
-    expose the same layer count and per-layer shape. Each layer's bases are
-    stacked into an (N, p, r) array, each basis is checked for orthonormality
-    once, and every overlap ||U_i^T U_j||_F^2 comes from one matmul.
+    expose the same layer count and per-layer shape. A layer's distances are
+    clip(1 - subspace_overlap(U, U) / r, 0, 1) on the (N, p, r) stack U of
+    its bases: one orthonormality check per basis and one product per layer.
     """
     n = len(bases)
     if n == 0:
@@ -84,22 +81,15 @@ def distance_matrix(bases: list[list[Matrix]]) -> Matrix:
     layers = len(bases[0])
     if layers == 0 or any(len(b) != layers for b in bases):
         raise ConfigurationError("clients disagree on the layer count")
+    total = np.zeros((n, n))
     for layer in range(layers):
         shapes = {np.shape(b[layer]) for b in bases}
         if len(shapes) != 1:
             raise ConfigurationError(f"layer {layer} bases disagree on shape: {shapes}")
-    total = np.zeros((n, n))
-    for layer in range(layers):
         u = np.stack([np.asarray(b[layer], dtype=np.float64) for b in bases])
         if u.ndim != 3:
             raise PreconditionError("bases must be 2-D matrices")
-        for i in range(n):
-            check_orthonormal_columns(u[i], name=f"client {i} basis")
-        r = u.shape[2]
-        flat = u.transpose(0, 2, 1).reshape(n * r, u.shape[1])
-        cross = (flat @ flat.T).reshape(n, r, n, r)
-        overlap = np.minimum(np.sum(cross * cross, axis=(1, 3)), float(r))
-        total += np.clip(1.0 - overlap / r, 0.0, 1.0)
+        total += np.clip(1.0 - subspace_overlap(u, u) / u.shape[2], 0.0, 1.0)
     d = np.triu(total / layers, 1)
     return d + d.T
 
@@ -262,6 +252,9 @@ def cluster_clients(tracker: BasisTracker, k_min: int = 2, k_max: int | None = N
     produces the labels. Fewer than three clients cannot support eigengap
     selection and fall back to a single flagged cluster.
     """
+    check_types(int, k_min=k_min)
+    if k_max is not None:
+        check_types(int, k_max=k_max)
     clients = sorted(tracker.bases)
     if expected_clients is not None and len(clients) != expected_clients:
         raise ConfigurationError(

@@ -331,8 +331,10 @@ def partition(pool: LabeledPool, spec, n_clients: int, seed: int) -> FederationD
 def split_unseen(data: FederationData, fraction: float, seed: int) -> FederationData:
     """Hold out ceil(fraction * N) clients, chosen uniformly at random.
 
-    When ground-truth groups are present, a draw that would strip any group of
-    all its participating clients is resampled (logged), bounded by retries.
+    At least one client must participate. When ground-truth groups are
+    present, a split that keeps fewer clients than groups fails before any
+    draw, and a draw that would strip any group of all its participating
+    clients is resampled (logged), bounded by retries.
     """
     check_types(float, fraction=fraction)
     if not 0.0 < fraction < 1.0:
@@ -340,12 +342,18 @@ def split_unseen(data: FederationData, fraction: float, seed: int) -> Federation
     n = data.n_clients
     n_unseen = math.ceil(fraction * n)
     truth = data.true_clusters
+    groups = set() if truth is None else set(truth.tolist())
+    if n_unseen >= n:
+        raise ConfigurationError(f"unseen fraction {fraction} holds out all {n} clients")
+    if n - n_unseen < len(groups):
+        raise GenerationError(f"unseen fraction {fraction} keeps {n - n_unseen} of {n} "
+                              f"clients, fewer than the {len(groups)} true clusters")
     for attempt in range(_MAX_ATTEMPTS):
         rng = stream(seed, "unseen_split", attempt)
         chosen = set(int(i) for i in rng.choice(n, size=n_unseen, replace=False))
-        if truth is not None:
+        if groups:
             kept = [truth[i] for i in range(n) if i not in chosen]
-            if set(kept) != set(int(g) for g in truth):
+            if set(kept) != groups:
                 logger.warning("unseen split attempt %d emptied a true cluster; resampling", attempt)
                 continue
         clients = [data.clients[i] for i in range(n) if i not in chosen]

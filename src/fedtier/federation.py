@@ -76,10 +76,10 @@ class FederationConfig:
     def __post_init__(self):
         check_field_types(self)
         check_seed(master_seed=self.master_seed)
-        if self.n_clients < 1:
-            raise ConfigurationError("n_clients must be positive")
-        if self.rank < 1:
-            raise ConfigurationError("rank must be positive")
+        for name in ("n_clients", "rank", "t_root", "local_epochs", "hidden_dim",
+                     "probe_steps", "workers"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must be positive")
         if not (0 <= self.gamma_c < math.inf and 0 <= self.gamma_l < math.inf):
             raise ConfigurationError("penalty weights must be finite and non-negative")
         if not 0.0 < self.ema_decay < 1.0:
@@ -88,31 +88,20 @@ class FederationConfig:
             raise ConfigurationError("tau_rel must be finite and positive")
         if not 0 < self.eps < math.inf:
             raise ConfigurationError("eps must be finite and positive")
-        if min(self.t_root, self.t_cluster, self.t_leaf) < 0:
+        if min(self.t_cluster, self.t_leaf) < 0:
             raise ConfigurationError("stage budgets must be non-negative")
         if self.t_root + self.t_cluster + self.t_leaf != self.total_budget:
             raise ConfigurationError(
                 f"stage budgets {self.t_root}+{self.t_cluster}+{self.t_leaf} "
                 f"must sum to total_budget={self.total_budget}")
-        if not 0 < self.lr < math.inf:
-            raise ConfigurationError("lr must be finite and positive")
-        if self.local_epochs < 1:
-            raise ConfigurationError("local_epochs must be positive")
-        if self.batch_mode not in ("full", "mini"):
-            raise ConfigurationError(f"unknown batch mode {self.batch_mode!r}")
-        if self.batch_size < 1:
-            raise ConfigurationError("batch_size must be positive")
+        self.sgd()   # SgdConfig checks lr, batch_mode and batch_size
         if not 2 <= self.k_min <= self.k_max:
             raise ConfigurationError("need 2 <= k_min <= k_max")
+        if self.n_clients >= 3 and self.k_min > self.n_clients - 1:
+            raise ConfigurationError(f"k_min must be at most n_clients - 1 = {self.n_clients - 1}")
         if self.aggregation_mode not in AGGREGATION_MODES:
             raise ConfigurationError(
                 f"aggregation_mode must be one of {AGGREGATION_MODES}")
-        if self.hidden_dim < 1:
-            raise ConfigurationError("hidden_dim must be positive")
-        if self.probe_steps < 1:
-            raise ConfigurationError("probe_steps must be positive")
-        if self.workers < 1:
-            raise ConfigurationError("workers must be positive")
 
     def sgd(self) -> SgdConfig:
         return SgdConfig(lr=self.lr, epochs=self.local_epochs,
@@ -224,13 +213,11 @@ class _Group:
 
 
 def _stage_settings(config: FederationConfig, active: Tier):
-    """(round budget, optimiser, penalty weights) of a stage; a leaf round is
-    one local epoch."""
-    if active is Tier.ROOT:
-        return config.t_root, config.sgd(), ()
-    if active is Tier.CLUSTER:
-        return config.t_cluster, config.sgd(), (config.gamma_c,)
-    return config.t_leaf, replace(config.sgd(), epochs=1), (config.gamma_c, config.gamma_l)
+    """(round budget, optimiser, penalty weights) of a stage: gamma_c, gamma_l pair
+    with the active tier's earlier tiers in order; a leaf round is one local epoch."""
+    opt = replace(config.sgd(), epochs=1) if active is Tier.LEAF else config.sgd()
+    gammas = (config.gamma_c, config.gamma_l)[:len(active.earlier)]
+    return getattr(config, f"t_{active.value}"), opt, gammas
 
 
 def _absorb(config: FederationConfig, active: Tier, tracker: BasisTracker | None,
@@ -269,7 +256,6 @@ def _until_stopped(config: FederationConfig, model: HeadModel, enc: list[Encoded
     group retires once stop_check passes on consecutive deltas or the
     budget runs out."""
     budget, opt, gammas = _stage_settings(config, active)
-    frozen_tiers = list(Tier)[:list(Tier).index(active)]
     weights = [weights_root([len(enc[i]) for i in g.members]) for g in groups]
     shuffles = {i: stream(config.master_seed, f"{active.value}_shuffle", i)
                 for g in groups for i in g.members if opt.batch_mode == "mini"}
@@ -285,7 +271,7 @@ def _until_stopped(config: FederationConfig, model: HeadModel, enc: list[Encoded
             ends = np.cumsum([len(g.members) for g, _ in running])
             spans = [slice(end - len(g.members), end) for (g, _), end in zip(running, ends)]
             stack = ClientStack([enc[i] for i in ids])
-            bases = [[path.adapter(tier).b for path in paths] for tier in frozen_tiers]
+            bases = [[path.adapter(tier).b for path in paths] for tier in active.earlier]
 
             def chunk(part):
                 return local_update(model, paths[part], stack[part], active,

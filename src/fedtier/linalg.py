@@ -4,8 +4,9 @@ Matrices are plain 2-D ``numpy.ndarray`` of dtype float64. The SVD is
 LAPACK's (``numpy.linalg.svd``) followed by a fixed sign convention, so
 repeated calls on identical input return bitwise-identical factors on a
 given machine and BLAS/LAPACK build. Principal-angle overlaps between
-orthonormal bases are exposed via :func:`subspace_overlap`, the building
-block for subspace distances.
+orthonormal bases come from :func:`subspace_overlap`, which takes one basis
+or an (n, p, r) stack on each side and gives every pair's overlap from one
+product: the one similarity rule behind client distances and cluster routing.
 """
 
 from dataclasses import dataclass
@@ -87,30 +88,41 @@ def orthonormal_columns(m: Matrix, r: int) -> Matrix:
     return truncated_svd(m, r).u
 
 
-def check_orthonormal_columns(u: Matrix, tol: float = 1e-8, name: str = "basis"):
-    """Raise PreconditionError unless u.T @ u is the identity within tol."""
-    u = np.asarray(u, dtype=np.float64)
-    if u.ndim != 2:
-        raise PreconditionError(f"{name} must be a 2-D matrix")
-    gram = u.T @ u
-    err = frobenius_norm(gram - np.eye(u.shape[1]))
-    if err > tol:
-        raise PreconditionError(f"{name} columns are not orthonormal (deviation {err:.3e})")
+def _basis_stack(u, name: str) -> np.ndarray:
+    """u (p×r or (n, p, r)) as an (n, p, r) stack, each u.T @ u checked to be I within 1e-8."""
+    stack = np.asarray(u, dtype=np.float64)
+    if stack.ndim not in (2, 3):
+        raise PreconditionError(f"{name} must be p×r or an (n, p, r) stack, got {stack.shape}")
+    stack = stack.reshape((-1,) + stack.shape[-2:])
+    dev = stack.swapaxes(1, 2) @ stack - np.eye(stack.shape[2])
+    err = np.sqrt((dev * dev).sum(axis=(1, 2)))
+    if not err.max(initial=0.0) <= 1e-8:   # also catches NaN
+        bad = int(np.argmin(err <= 1e-8))
+        raise PreconditionError(f"{name} (entry {bad}) columns are not orthonormal "
+                                f"(deviation {err[bad]:.3e})")
+    return stack
 
 
-def subspace_overlap(u1: Matrix, u2: Matrix) -> float:
+def subspace_overlap(u1, u2):
     """Sum of squared principal-angle cosines between two column spaces.
 
     Equals ||u1.T @ u2||_F^2 for orthonormal inputs; lies in
     [0, min(r1, r2)], is symmetric, and is invariant under right-
-    multiplication of either basis by an orthogonal matrix.
+    multiplication of either basis by an orthogonal matrix. Either side may
+    be one p×r basis or an (n, p, r) stack: the result is (n1, n2), minus the
+    axis of a one-basis side, so two bases give a float. Each basis is
+    checked once, and one product gives every overlap, a symmetric one when
+    both sides are the same stack.
     """
-    u1 = np.asarray(u1, dtype=np.float64)
-    u2 = np.asarray(u2, dtype=np.float64)
-    if u1.ndim != 2 or u2.ndim != 2 or u1.shape[0] != u2.shape[0]:
-        raise PreconditionError(f"bases must share a row count, got {u1.shape} and {u2.shape}")
-    check_orthonormal_columns(u1, name="first basis")
-    check_orthonormal_columns(u2, name="second basis")
-    cross = u1.T @ u2
-    overlap = float(np.sum(cross * cross))
-    return min(overlap, float(min(u1.shape[1], u2.shape[1])))
+    same = u1 is u2
+    s1 = _basis_stack(u1, "first basis")
+    s2 = s1 if same else _basis_stack(u2, "second basis")
+    (n1, p, r1), (n2, p2, r2) = s1.shape, s2.shape
+    if p != p2:
+        raise PreconditionError(f"bases must share a row count, got {s1.shape} and {s2.shape}")
+    rows = s1.transpose(0, 2, 1).reshape(n1 * r1, p)
+    cols = rows.T if same else s2.transpose(1, 0, 2).reshape(p, n2 * r2)
+    cross = (rows @ cols).reshape(n1, r1, n2, r2)
+    overlap = (cross * cross).sum(axis=(1, 3)).clip(max=min(r1, r2))
+    overlap = overlap.reshape(np.shape(u1)[:-2] + np.shape(u2)[:-2])
+    return overlap if overlap.ndim else float(overlap)

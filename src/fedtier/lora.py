@@ -6,7 +6,7 @@ its weight update is the product b @ a. A client's effective update composes
 one adapter per tier along its root -> cluster -> leaf route.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace as replace_fields
 from enum import Enum
 from pathlib import Path
 
@@ -24,6 +24,11 @@ class Tier(Enum):
     ROOT = "root"
     CLUSTER = "cluster"
     LEAF = "leaf"
+
+    @property
+    def earlier(self) -> list["Tier"]:
+        """The tiers before this one in the cascade, frozen and penalized while it trains."""
+        return list(Tier)[:list(Tier).index(self)]
 
 
 @dataclass
@@ -84,19 +89,13 @@ class AdapterPath:
             raise ConfigurationError(f"path adapters disagree on dimensions: {dims}")
 
     def adapter(self, tier: Tier) -> LoraAdapter:
-        if tier == Tier.ROOT:
-            return self.root
-        if tier == Tier.CLUSTER:
-            return self.cluster
-        if tier == Tier.LEAF:
-            return self.leaf
-        raise ConfigurationError(f"unknown tier {tier!r}")
+        if not isinstance(tier, Tier):
+            raise ConfigurationError(f"unknown tier {tier!r}")
+        return getattr(self, tier.value)
 
     def replace(self, tier: Tier, adapter: LoraAdapter) -> "AdapterPath":
-        parts = {t: self.adapter(t) for t in Tier}
-        parts[tier] = adapter
-        return AdapterPath(root=parts[Tier.ROOT], cluster=parts[Tier.CLUSTER],
-                           leaf=parts[Tier.LEAF])
+        self.adapter(tier)   # rejects a non-Tier
+        return replace_fields(self, **{tier.value: adapter})
 
 
 def delta(adapter: LoraAdapter) -> Matrix:

@@ -18,7 +18,7 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import ConfigurationError, PreconditionError
+from .errors import ConfigurationError, PreconditionError, check_field_types, check_types
 from .linalg import Matrix, as_matrix
 from .lora import (AdapterPath, LoraAdapter, Tier, compose_path, delta, orth_penalty,
                    orth_penalty_grad)
@@ -97,6 +97,7 @@ class Samples:
 
 def build_model(feature_dim: int, class_count: int, hidden_dim: int, seed: int) -> HeadModel:
     """Deterministic model construction from a seed."""
+    check_types(int, feature_dim=feature_dim, class_count=class_count, hidden_dim=hidden_dim)
     rng = stream(seed, "model")
     m = rng.normal(0.0, 1.0 / np.sqrt(feature_dim), size=(hidden_dim, feature_dim))
     bias = rng.normal(0.0, 0.1, size=hidden_dim)
@@ -301,14 +302,15 @@ class SgdConfig:
     batch_size: int = _DEFAULT_BATCH
 
     def __post_init__(self):
+        check_field_types(self)
         if not 0.0 < self.lr < math.inf:
-            raise ConfigurationError("learning rate must be finite and positive")
+            raise ConfigurationError(f"lr must be finite and positive, got {self.lr!r}")
         if self.epochs < 0:
-            raise ConfigurationError("epochs must be non-negative")
+            raise ConfigurationError(f"epochs must be non-negative, got {self.epochs!r}")
         if self.batch_mode not in ("full", "mini"):
-            raise ConfigurationError(f"unknown batch mode {self.batch_mode!r}")
+            raise ConfigurationError(f"batch_mode must be full or mini, got {self.batch_mode!r}")
         if self.batch_size < 1:
-            raise ConfigurationError("batch size must be positive")
+            raise ConfigurationError(f"batch_size must be positive, got {self.batch_size!r}")
 
 
 def local_update(model: HeadModel, path, data, active: Tier,
@@ -404,11 +406,11 @@ def fd_tier_gradient(model: HeadModel, path: AdapterPath, data, active: Tier,
 def gradient_check(trials: int = 24, seed: int = 0, h: float = 1e-5) -> float:
     """Max relative error of the analytic tier gradient against central finite
     differences over random (tier, penalty, data) configurations."""
+    check_types(int, trials=trials)
     if trials < 1:
         raise ConfigurationError("the gradient check needs at least one trial")
     worst = 0.0
     rng = stream(seed, "gradcheck")
-    tiers = [Tier.ROOT, Tier.CLUSTER, Tier.LEAF]
     for trial in range(trials):
         c = int(rng.integers(3, 6))
         hid = int(rng.integers(5, 9))
@@ -424,8 +426,8 @@ def gradient_check(trials: int = 24, seed: int = 0, h: float = 1e-5) -> float:
                                a=0.3 * rng.normal(size=(r, hid)), rank=r)
 
         path = AdapterPath(root=rand_adapter(), cluster=rand_adapter(), leaf=rand_adapter())
-        active = tiers[trial % 3]
-        n_frozen = {Tier.ROOT: 0, Tier.CLUSTER: 1, Tier.LEAF: 2}[active]
+        active = list(Tier)[trial % 3]
+        n_frozen = len(active.earlier)
         frozen = [rng.normal(size=(c, r)) for _ in range(n_frozen)]
         gammas = [float(rng.choice([0.0, 0.5, 2.0])) for _ in range(n_frozen)]
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from fedtier.adaptation import (ClusterRepresentative, adapt_unseen, assign_clus
 from fedtier.errors import ConfigurationError, DegenerateInputError
 from fedtier.federation import FederationConfig, run_protocol
 from fedtier.linalg import orthonormal_columns
-from fedtier.model import FrozenBackbone, HeadModel, Samples
+from fedtier.model import FrozenBackbone, HeadModel, Samples, local_update
 from fedtier.lora import zero_adapter
 from oracles import random_orthonormal
 
@@ -106,6 +108,35 @@ class TestAdaptUnseen:
         member_cluster_acc = accuracy(fed.model, fed.path_cluster(member), twin.test)
         assert abs(result.accuracy_trajectory[0] - member_cluster_acc) <= 0.05
 
+
+    def test_fine_tune_runs_the_leaf_stage_settings(self, trained_fed, monkeypatch):
+        # every fine-tune epoch is one leaf-stage round: the leaf stage's
+        # optimiser and gammas, penalized against the frozen root and cluster
+        import fedtier.adaptation as adaptation
+        from fedtier.federation import _stage_settings
+        from fedtier.lora import Tier
+        fed = trained_fed
+        config = replace(fed.config, gamma_c=0.3, gamma_l=0.7, batch_mode="mini")
+        calls = []
+
+        def spy(model, path, data, active, frozen_bases=(), gammas=(), opt=None, rng=None):
+            if active is Tier.LEAF:
+                calls.append((path, list(frozen_bases), tuple(gammas), opt))
+            return local_update(model, path, data, active, frozen_bases, gammas, opt=opt,
+                                rng=rng)
+
+        monkeypatch.setattr(adaptation, "local_update", spy)
+        result = adapt_unseen(fed.model, fed.data.unseen[2], fed.server, config,
+                              epochs=2, seed=4)
+        _, opt, gammas = _stage_settings(config, Tier.LEAF)
+        assert len(calls) == 2
+        cluster = fed.server.clusters[result.assigned_cluster]
+        for path, bases, got_gammas, got_opt in calls:
+            assert got_opt == opt and got_opt.epochs == 1 and got_opt.batch_mode == "mini"
+            assert got_gammas == gammas == (0.3, 0.7)
+            assert len(bases) == len(Tier.LEAF.earlier) == 2
+            assert bases[0] is fed.server.root.b and bases[1] is cluster.b
+            assert path.root is fed.server.root and path.cluster is cluster
 
 class TestUntrainedClusters:
     def test_zero_cluster_adapters_refuse_routing(self, clustershift_data):

@@ -140,6 +140,8 @@ BAD_CONFIG_VALUES = {
                             "alpha"),
     "patho_without_classes_per_client": ({"data": dict(GL_DIR_WITHOUT_ALPHA, kind="patho")},
                                          "classes_per_client"),
+    "t_root_zero": ({"federation.t_root": 0, "federation.total_budget": 5}, "t_root"),
+    "k_min_above_n_clients_minus_one": ({"federation.k_min": 8}, "k_min"),
 }
 
 

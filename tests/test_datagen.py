@@ -304,6 +304,31 @@ class TestSplitUnseen:
         with pytest.raises(ConfigurationError):
             split_unseen(fed, 1.0, seed=32)
 
+    def test_too_few_kept_clients_for_the_groups_fail_before_any_draw(self, caplog,
+                                                                       monkeypatch):
+        # 10 clients in 3 groups at 0.75 keep 2: no draw can keep every group
+        pool = gen_pool(9, 4, 300, 1.0, seed=28)
+        fed = partition(pool, ClusterShift(k_true=3, rotation_angle=1.0,
+                                           label_subset_size=3), 10, seed=29)
+        calls = count_default_rng(monkeypatch)
+        with pytest.raises(GenerationError,
+                           match="keeps 2 of 10 clients, fewer than the 3 true clusters"):
+            split_unseen(fed, 0.75, seed=0)
+        assert calls == [] and caplog.records == []
+
+    def test_the_most_held_out_that_keeps_every_group_still_splits(self):
+        pool = gen_pool(9, 4, 300, 1.0, seed=28)
+        fed = partition(pool, ClusterShift(k_true=3, rotation_angle=1.0,
+                                           label_subset_size=3), 10, seed=29)
+        out = split_unseen(fed, 0.7, seed=0)
+        assert out.n_clients == 3 and sorted(out.true_clusters) == [0, 1, 2]
+
+    def test_holding_out_every_client_is_a_configuration_error(self):
+        pool = gen_pool(4, 3, 300, 1.0, seed=30)
+        fed = partition(pool, GlDir(alpha=1.0), 10, seed=31)
+        with pytest.raises(ConfigurationError, match="holds out all 10 clients"):
+            split_unseen(fed, 0.95, seed=0)
+
 
 class TestCsvIngestion:
     def test_roundtrip(self, tmp_path):

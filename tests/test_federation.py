@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import fedtier.federation
+from fedtier.adaptation import adapt_unseen
 from fedtier.clustering import BasisTracker, cluster_clients
 from fedtier.datagen import ClientSplit, FederationData, gen_pool
 from fedtier.errors import ConfigurationError, PreconditionError
@@ -16,7 +17,8 @@ from fedtier.linalg import frobenius_norm
 from fedtier.lora import (AdapterPath, LoraAdapter, Tier, delta, init_adapter,
                           zero_adapter)
 from fedtier.metrics import accuracy
-from fedtier.model import ClientStack, SgdConfig, build_model, dataset_loss, local_update
+from fedtier.model import (ClientStack, SgdConfig, build_model, dataset_loss, gradient_check,
+                           local_update)
 from fedtier.streams import stream
 from oracles import best_rank_k
 
@@ -520,3 +522,60 @@ class TestStackedRounds:
             assert len(calls) == sum(rounds.values())
         else:
             assert sum(rounds.values()) < len(calls) <= workers * sum(rounds.values())
+
+
+# configs whose cascade cannot run: (overrides of small_config, field the error names)
+CASCADE_CONFIGS = {
+    "t_root_zero": (dict(t_root=0, total_budget=7), "t_root"),
+    "k_min_above_n_clients_minus_one": (dict(n_clients=8, k_min=8, k_max=10), "k_min"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASCADE_CONFIGS))
+def test_a_cascade_that_cannot_run_fails_at_config_time(case):
+    overrides, name = CASCADE_CONFIGS[case]
+    with pytest.raises(ConfigurationError, match=name):
+        small_config(**overrides)
+
+
+def test_two_clients_need_no_selection_range():
+    # fewer than three clients fall back to one cluster, whatever k_min says
+    fed = run_protocol(small_config(n_clients=2, k_min=5, k_max=6), tiny_federation(2, seed=3))
+    assert fed.server.assignment.degenerate
+
+
+# wrongly typed raw sizes and SGD settings: (call given the trained federation,
+# the argument the error names)
+RAW_SIZE_TYPE_ERRORS = {
+    "sgd_fractional_epochs": (lambda fed: SgdConfig(lr=0.1, epochs=1.5), "epochs"),
+    "sgd_fractional_batch_size": (
+        lambda fed: SgdConfig(lr=0.1, epochs=1, batch_size=2.5), "batch_size"),
+    "sgd_string_lr": (lambda fed: SgdConfig(lr="0.1", epochs=1), "lr"),
+    "sgd_unknown_batch_mode": (lambda fed: SgdConfig(lr=0.1, epochs=1, batch_mode="adam"),
+                               "batch_mode"),
+    "federation_unknown_batch_mode": (lambda fed: small_config(batch_mode="adam"),
+                                      "batch_mode"),
+    "federation_zero_batch_size": (lambda fed: small_config(batch_size=0), "batch_size"),
+    "adapt_fractional_epochs": (
+        lambda fed: adapt_unseen(fed.model, fed.data.unseen[0], fed.server, fed.config,
+                                 epochs=1.5), "epochs"),
+    "adapt_bool_epochs": (
+        lambda fed: adapt_unseen(fed.model, fed.data.unseen[0], fed.server, fed.config,
+                                 epochs=True), "epochs"),
+    "gradcheck_fractional_trials": (lambda fed: gradient_check(trials=1.5), "trials"),
+    "cluster_clients_fractional_k_min": (lambda fed: cluster_clients(fed.tracker, k_min=2.5),
+                                         "k_min"),
+    "cluster_clients_fractional_k_max": (
+        lambda fed: cluster_clients(fed.tracker, k_min=2, k_max=3.5), "k_max"),
+    "build_model_fractional_hidden_dim": (lambda fed: build_model(4, 3, 6.5, seed=0),
+                                          "hidden_dim"),
+    "build_model_fractional_class_count": (lambda fed: build_model(4, 2.5, 6, seed=0),
+                                           "class_count"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RAW_SIZE_TYPE_ERRORS))
+def test_wrongly_typed_size_is_a_configuration_error_naming_it(trained_fed, case):
+    call, name = RAW_SIZE_TYPE_ERRORS[case]
+    with pytest.raises(ConfigurationError, match=name):
+        call(trained_fed)

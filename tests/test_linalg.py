@@ -180,3 +180,51 @@ class TestSubspaceOverlap:
             rot = random_orthonormal(3, 3, rng)
             assert subspace_overlap(u1 @ rot, u2) == pytest.approx(
                 subspace_overlap(u1, u2), abs=1e-10)
+
+
+class TestStackedSubspaceOverlap:
+    @staticmethod
+    def stack(rng, n, p, r):
+        return np.stack([random_orthonormal(p, r, rng) for _ in range(n)])
+
+    @pytest.mark.parametrize("n1", [None, 1, 4])
+    @pytest.mark.parametrize("n2", [None, 1, 3])
+    @pytest.mark.parametrize("r1, r2", [(2, 2), (3, 1)])
+    def test_stacks_match_every_pair_of_bases(self, n1, n2, r1, r2):
+        # None is one p×r basis, whose axis the result drops
+        rng = np.random.default_rng(7)
+        u1 = self.stack(rng, n1 or 1, 6, r1)
+        u2 = self.stack(rng, n2 or 1, 6, r2)
+        got = subspace_overlap(u1[0] if n1 is None else u1, u2[0] if n2 is None else u2)
+        want = np.array([[subspace_overlap(a, b) for b in u2] for a in u1])
+        if n1 is None and n2 is None:
+            assert isinstance(got, float)
+        else:
+            assert got.shape == ((n1,) if n1 else ()) + ((n2,) if n2 else ())
+        want = want[0 if n1 is None else slice(None), 0 if n2 is None else slice(None)]
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_a_stack_against_itself_is_bitwise_the_symmetric_product(self):
+        # the reference is the distance matrix's overlap formula, written out
+        rng = np.random.default_rng(8)
+        n, p, r = 9, 7, 2
+        u = self.stack(rng, n, p, r)
+        flat = u.transpose(0, 2, 1).reshape(n * r, p)
+        cross = (flat @ flat.T).reshape(n, r, n, r)
+        reference = np.minimum(np.sum(cross * cross, axis=(1, 3)), float(r))
+        assert np.array_equal(subspace_overlap(u, u), reference)
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_a_non_orthonormal_basis_inside_a_stack_is_rejected(self, side):
+        rng = np.random.default_rng(9)
+        stack = self.stack(rng, 4, 5, 2)
+        stack[2] *= 1.01
+        args = [self.stack(rng, 3, 5, 2), self.stack(rng, 3, 5, 2)]
+        args[side] = stack
+        with pytest.raises(PreconditionError,
+                           match=r"basis \(entry 2\) columns are not orthonormal"):
+            subspace_overlap(*args)
+
+    def test_rejects_a_four_dimensional_stack(self):
+        with pytest.raises(PreconditionError, match=r"stack, got \(2, 2, 3, 1\)"):
+            subspace_overlap(np.zeros((2, 2, 3, 1)), np.eye(3)[:, :1])

@@ -48,6 +48,19 @@ class TestAdapterValidation:
                         leaf=zero_adapter(3, 4, 1))
 
 
+class TestCascade:
+    def test_earlier_lists_the_frozen_tiers_in_cascade_order(self):
+        assert [t.earlier for t in Tier] == [[], [Tier.ROOT], [Tier.ROOT, Tier.CLUSTER]]
+
+    @pytest.mark.parametrize("call", ["adapter", "replace"])
+    def test_a_non_tier_is_rejected(self, call):
+        path = AdapterPath(root=zero_adapter(2, 3, 1), cluster=zero_adapter(2, 3, 1),
+                           leaf=zero_adapter(2, 3, 1))
+        args = ("root",) if call == "adapter" else ("root", zero_adapter(2, 3, 1))
+        with pytest.raises(ConfigurationError, match="unknown tier"):
+            getattr(path, call)(*args)
+
+
 class TestComposePath:
     def test_all_zero_returns_base(self):
         path = AdapterPath(root=zero_adapter(2, 3, 1), cluster=zero_adapter(2, 3, 1),
