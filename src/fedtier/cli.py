@@ -31,11 +31,14 @@ directory holding one text dump per frozen adapter (root.adapter,
 cluster_<j>.adapter, leaf_<i>.adapter) and per EMA basis (ema_<i>.matrix).
 Adapter dumps are ``p q rank`` followed by the rows of B then the rows of A,
 matrix dumps are ``rows cols`` followed by the rows; entries are printed with
-%.17g and round-trip float64 exactly.
+%.17g and round-trip float64 exactly. The manifest of a csv run also holds
+``csv_sha256``, the digest of the CSV bytes; the reload commands refuse a
+file that no longer matches it.
 """
 
 import argparse
 import csv
+import hashlib
 import json
 import sys
 from dataclasses import MISSING, fields
@@ -77,11 +80,14 @@ def _need(section: dict, key: str, where: str):
     return section[key]
 
 
-def _materialize_config(raw: dict, seed=None, workers=None,
-                        out=None) -> tuple[dict, FederationConfig, FederationData]:
+def _materialize_config(raw: dict, seed=None, workers=None, out=None,
+                        run_manifest=None) -> tuple[dict, FederationConfig, FederationData]:
     """Validate the raw document under the run command's --seed, --workers and
     --out overrides and fill in every default, so the manifest fully describes
-    the run; returns it with the run's config and data, each built once."""
+    the run; returns the manifest's head (the filled-in config, the out_dir
+    and, for a csv input, the sha256 of its bytes) with the run's config and
+    data, each built once. A csv input of a reloaded run (run_manifest) must
+    still hash to the digest that run recorded."""
     if not isinstance(raw, dict):
         raise ConfigurationError("config document must be a JSON object")
     for key in raw:
@@ -132,6 +138,13 @@ def _materialize_config(raw: dict, seed=None, workers=None,
                                      f"got {value!r}")
     if not 0.0 <= data["unseen_fraction"] < 1.0:
         raise ConfigurationError("data.unseen_fraction must lie in [0, 1)")
+    pins = {}
+    if kind == "csv":
+        pins["csv_sha256"] = hashlib.sha256(Path(data["path"]).read_bytes()).hexdigest()
+        if run_manifest is not None and _need(run_manifest, "csv_sha256",
+                                              "manifest.json") != pins["csv_sha256"]:
+            raise ConfigurationError(f"{data['path']} changed since the run "
+                                     "(csv_sha256 in manifest.json differs); re-run it")
     built = _build_data(data)
     if kind == "csv":
         data["n_total"] = len(built.clients) + len(built.unseen)
@@ -141,8 +154,10 @@ def _materialize_config(raw: dict, seed=None, workers=None,
         raise ConfigurationError(
             f"federation.n_clients={fed['n_clients']} but the data section "
             f"yields {participating} participating clients")
-    return ({"federation": {f: getattr(config, f) for f in _FED_FIELDS}, "data": data,
-             "out_dir": raw.get("out_dir", "run_out") if out is None else out}, config, built)
+    return ({"config": {"federation": {f: getattr(config, f) for f in _FED_FIELDS},
+                        "data": data},
+             "out_dir": raw.get("out_dir", "run_out") if out is None else out, **pins},
+            config, built)
 
 
 def _build_data(data_spec: dict) -> FederationData:
@@ -177,9 +192,6 @@ def _write_roundlog(path: Path, fed: TrainedFederation):
 
 
 def _clustering_payload(assignment: ClusterAssignment) -> dict:
-    n = len(assignment.labels)
-    affinities = (assignment.affinities if assignment.affinities is not None
-                  else np.ones((n, n)))
     return {
         "k_star": int(assignment.k_star),
         "sigma": float(assignment.sigma),
@@ -187,7 +199,7 @@ def _clustering_payload(assignment: ClusterAssignment) -> dict:
         "eigengaps": [float(x) for x in assignment.eigengaps],
         "labels": [int(x) for x in assignment.labels],
         "distance_matrix": [[float(x) for x in row] for row in assignment.distances],
-        "affinity_matrix": [[float(x) for x in row] for row in affinities],
+        "affinity_matrix": [[float(x) for x in row] for row in assignment.affinities],
         "k_range": list(assignment.k_range),
         "degenerate": bool(assignment.degenerate),
     }
@@ -238,16 +250,14 @@ def _cmd_run(args) -> int:
                                             out=args.out)
     fed = run_protocol(config, data)
 
-    out_dir = Path(doc["out_dir"])
+    out_dir = Path(doc.pop("out_dir"))
     out_dir.mkdir(parents=True, exist_ok=True)
     files = ["manifest.json", "roundlog.csv", "clustering.json"]
     _write_roundlog(out_dir / "roundlog.csv", fed)
     _write_json(out_dir / "clustering.json", _clustering_payload(fed.server.assignment))
     files += _write_metrics(out_dir, compute_metrics(fed))
     files += _save_checkpoints(out_dir, fed)
-    _write_json(out_dir / "manifest.json",
-                {"config": {"federation": doc["federation"], "data": doc["data"]},
-                 "files": sorted(files)})
+    _write_json(out_dir / "manifest.json", {**doc, "files": sorted(files)})
     print(f"run complete: {out_dir} ({fed.rounds_executed} rounds executed)")
     return 0
 
@@ -260,12 +270,14 @@ def _read_json_object(path: Path) -> dict:
 
 
 def _reload_federation(run_dir: Path) -> TrainedFederation:
-    _, config, data = _materialize_config(_need(_read_json_object(run_dir / "manifest.json"),
-                                                "config", "manifest.json"))
+    manifest = _read_json_object(run_dir / "manifest.json")
+    _, config, data = _materialize_config(_need(manifest, "config", "manifest.json"),
+                                          run_manifest=manifest)
     model = build_model(data.feature_dim, data.class_count, config.hidden_dim,
                         config.master_seed)
     diag = _read_json_object(run_dir / "clustering.json")
-    for key in ("k_star", "labels", "eigengaps", "sigma", "eigenvalues", "distance_matrix"):
+    for key in ("k_star", "labels", "eigengaps", "k_range", "sigma", "eigenvalues",
+                "distance_matrix", "affinity_matrix", "degenerate"):
         _need(diag, key, "clustering.json")
     labels = diag["labels"]
     if not isinstance(labels, list) or len(labels) != config.n_clients:
@@ -276,13 +288,12 @@ def _reload_federation(run_dir: Path) -> TrainedFederation:
         assignment = ClusterAssignment(
             k_star=int(diag["k_star"]), labels=np.array(labels, dtype=np.int64),
             eigengaps=np.array(diag["eigengaps"], dtype=np.float64),
-            k_range=tuple(int(k) for k in diag.get("k_range", (0, 0))),
+            k_range=tuple(int(k) for k in diag["k_range"]),
             sigma=float(diag["sigma"]),
             eigenvalues=np.array(diag["eigenvalues"], dtype=np.float64),
             distances=np.array(diag["distance_matrix"], dtype=np.float64),
-            affinities=(np.array(diag["affinity_matrix"], dtype=np.float64)
-                        if "affinity_matrix" in diag else None),
-            degenerate=bool(diag.get("degenerate", False)))
+            affinities=np.array(diag["affinity_matrix"], dtype=np.float64),
+            degenerate=bool(diag["degenerate"]))
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"clustering.json holds a malformed value: {exc}") from None
     # read exactly the checkpoints the run wrote: a missing one is an i/o

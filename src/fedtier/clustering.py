@@ -222,8 +222,8 @@ class ClusterAssignment:
     sigma: float
     eigenvalues: np.ndarray
     distances: Matrix
-    affinities: Matrix | None = None
-    degenerate: bool = False
+    affinities: Matrix
+    degenerate: bool
 
     def members(self, j: int) -> list[int]:
         return [int(i) for i in np.flatnonzero(self.labels == j)]
@@ -243,18 +243,17 @@ def _relabel_by_first_appearance(labels: np.ndarray) -> np.ndarray:
     return out
 
 
-def cluster_clients(tracker: BasisTracker, k_min: int = 2, k_max: int | None = None,
+def cluster_clients(tracker: BasisTracker, k_min: int = 2, k_max: int = 10,
                     seed: int = 0, expected_clients: int | None = None) -> ClusterAssignment:
     """Run the full pipeline on the tracker's smoothed bases.
 
     Bases are reduced to their dominant left subspaces, pairwise distances and
-    affinities are formed, the eigengap picks K, and spectral clustering
-    produces the labels. Fewer than three clients cannot support eigengap
-    selection and fall back to a single flagged cluster.
+    affinities are formed, the eigengap picks K over [max(2, k_min),
+    min(k_max, n - 1)], and spectral clustering produces the labels. Fewer
+    than three clients cannot support eigengap selection and fall back to a
+    single flagged cluster with all-ones affinities.
     """
-    check_types(int, k_min=k_min)
-    if k_max is not None:
-        check_types(int, k_max=k_max)
+    check_types(int, k_min=k_min, k_max=k_max)
     clients = sorted(tracker.bases)
     if expected_clients is not None and len(clients) != expected_clients:
         raise ConfigurationError(
@@ -266,14 +265,15 @@ def cluster_clients(tracker: BasisTracker, k_min: int = 2, k_max: int | None = N
         return ClusterAssignment(
             k_star=1, labels=np.zeros(n, dtype=np.int64),
             eigengaps=np.array([]), k_range=(1, 1), sigma=0.0,
-            eigenvalues=np.zeros(n), distances=np.zeros((n, n)), degenerate=True)
+            eigenvalues=np.zeros(n), distances=np.zeros((n, n)), affinities=np.ones((n, n)),
+            degenerate=True)
     r = tracker.bases[clients[0]].shape[1]
     bases = [[orthonormal_columns(tracker.bases[i], r)] for i in clients]
     d = distance_matrix(bases)
     sigma = median_offdiag_distance(d)
     s = affinity(d, sigma)
     lo = max(2, k_min)
-    hi = min(k_max if k_max is not None else min(10, n - 1), n - 1)
+    hi = min(k_max, n - 1)
     if hi < lo:
         raise ConfigurationError(f"empty selection range [{lo}, {hi}]")
     k_star, gaps = select_k(s, lo, hi)

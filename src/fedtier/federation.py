@@ -3,10 +3,10 @@ progressive freezing.
 
 Each stage trains only its own tier while earlier tiers stay frozen. Server
 tiers (root, cluster) aggregate client factor products Sum_i pi_i B_i A_i and
-refactorize through a truncated SVD back to rank r; a separate-averaging mode
-(averaging B and A independently) exists as a contrast baseline. Stages stop
-on a relative step-size criterion rho = ||D_new - D_prev||_F / (||D_prev||_F
-+ eps) <= tau, or on their round budget. Leaf adapters never leave their
+refactorize through a truncated SVD back to rank r. Stages stop on a relative
+step-size criterion rho = ||D_new - D_prev||_F / (||D_prev||_F + eps) <= tau,
+or on their round budget; a stage whose budget is 0 runs no round and keeps
+its initial adapters, whose B is exactly 0. Leaf adapters never leave their
 client and their budget is counted in local epochs.
 
 All three stages run one loop over groups (all clients for the root, each
@@ -43,8 +43,6 @@ from .model import (ClientStack, EncodedData, HeadModel, SgdConfig, build_model,
                     local_update, _stack_losses)
 from .streams import stream
 
-AGGREGATION_MODES = ("product_svd", "separate_average")
-
 
 @dataclass
 class FederationConfig:
@@ -67,7 +65,6 @@ class FederationConfig:
     batch_size: int = 32
     k_min: int = 2
     k_max: int = 10
-    aggregation_mode: str = "product_svd"
     master_seed: int = 0
     hidden_dim: int = 32
     probe_steps: int = 20
@@ -99,9 +96,6 @@ class FederationConfig:
             raise ConfigurationError("need 2 <= k_min <= k_max")
         if self.n_clients >= 3 and self.k_min > self.n_clients - 1:
             raise ConfigurationError(f"k_min must be at most n_clients - 1 = {self.n_clients - 1}")
-        if self.aggregation_mode not in AGGREGATION_MODES:
-            raise ConfigurationError(
-                f"aggregation_mode must be one of {AGGREGATION_MODES}")
 
     def sgd(self) -> SgdConfig:
         return SgdConfig(lr=self.lr, epochs=self.local_epochs,
@@ -223,20 +217,16 @@ def _stage_settings(config: FederationConfig, active: Tier):
 def _absorb(config: FederationConfig, active: Tier, tracker: BasisTracker | None,
             members: list[int], local: list[LoraAdapter], weights: np.ndarray):
     """A group's new adapter and the delta its stop check compares. A leaf
-    keeps its client's local adapter. A server group aggregates its local
-    adapters in member order and refactors (or averages the factors in
-    separate_average mode); `tracker`, when given, first receives every
-    member's local basis."""
+    keeps its client's local adapter. A server group aggregates the products
+    B_i A_i of its local adapters in member order and refactors the sum to
+    rank r; `tracker`, when given, first receives every member's local basis."""
     if active is Tier.LEAF:
         return local[0], delta(local[0])
     if tracker is not None:
         for i, ad in zip(members, local):
             ema_update(tracker, i, ad.b)
-    if config.aggregation_mode == "product_svd":
-        delta_new = aggregate_product(local, weights)
-        return refactor(delta_new, config.rank), delta_new
-    server = aggregate_separate(local, weights)
-    return server, delta(server)
+    delta_new = aggregate_product(local, weights)
+    return refactor(delta_new, config.rank), delta_new
 
 
 def _until_stopped(config: FederationConfig, model: HeadModel, enc: list[EncodedData],
@@ -415,28 +405,13 @@ def run_protocol(config: FederationConfig, data: FederationData,
                             config.hidden_dim, config.master_seed)
     enc = _encode_clients(model, data)
     tracker = BasisTracker(config.ema_decay)
-    p, q = model.class_count, model.backbone.hidden_dim
-
     root_star, root_report = run_root_stage(config, data, model, tracker, enc)
-    reports = [root_report]
-
-    n = config.n_clients
     assignment = cluster_clients(tracker, config.k_min, config.k_max,
-                                 seed=config.master_seed, expected_clients=n)
-
-    if config.t_cluster > 0:
-        clusters, cluster_reports = run_cluster_stage(
-            config, data, model, assignment, root_star, enc)
-        reports.extend(cluster_reports)
-    else:
-        clusters = {j: zero_adapter(p, q, config.rank) for j in assignment.cluster_ids}
-
-    if config.t_leaf > 0:
-        leaves, leaf_reports = run_leaf_stage(
-            config, data, model, root_star, clusters, assignment, enc)
-        reports.extend(leaf_reports)
-    else:
-        leaves = [zero_adapter(p, q, config.rank) for _ in range(n)]
-
+                                 seed=config.master_seed, expected_clients=config.n_clients)
+    clusters, cluster_reports = run_cluster_stage(config, data, model, assignment,
+                                                  root_star, enc)
+    leaves, leaf_reports = run_leaf_stage(config, data, model, root_star, clusters,
+                                          assignment, enc)
     return TrainedFederation.from_tiers(config, model, data, root_star, clusters, leaves,
-                                        assignment, reports, tracker)
+                                        assignment, [root_report, *cluster_reports,
+                                                     *leaf_reports], tracker)

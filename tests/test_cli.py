@@ -123,6 +123,8 @@ BAD_CONFIG_VALUES = {
     "local_epochs_fractional": ({"federation.local_epochs": 1.5}, "local_epochs"),
     "t_root_float": ({"federation.t_root": 4.0}, "t_root"),
     "k_max_fractional": ({"federation.k_max": 3.5}, "k_max"),
+    "aggregation_mode_removed": ({"federation.aggregation_mode": "product_svd"},
+                                 "aggregation_mode"),
     "workers_fractional": ({"federation.workers": 1.5}, "workers"),
     "probe_steps_fractional": ({"federation.probe_steps": 2.5}, "probe_steps"),
     "data_section_a_list": ({"data": [1, 2]}, "data"),
@@ -301,6 +303,9 @@ RUN_DIR_FAULTS = {
     "non_numeric_cluster_label": ("clustering.json",
                                   lambda doc: dict(doc, labels=["a"] + doc["labels"][1:])),
     "non_numeric_sigma": ("clustering.json", lambda doc: dict(doc, sigma="wide")),
+    "clustering_without_k_range": ("clustering.json", drop("k_range")),
+    "clustering_without_affinity_matrix": ("clustering.json", drop("affinity_matrix")),
+    "clustering_without_degenerate": ("clustering.json", drop("degenerate")),
     "fractional_k_true": ("manifest.json", set_data_field("k_true", 2.5)),
 }
 
@@ -471,6 +476,23 @@ class TestCsvDataKind:
         calls.clear()
         assert main(["report", "--run", str(tmp_path / "csvrun")]) == 0
         assert len(calls) == 1
+
+    def test_reload_refuses_a_csv_edited_after_the_run(self, tmp_path, capsys):
+        cfg = write_csv_config(tmp_path)
+        assert main(["run", "--config", str(cfg)]) == 0
+        run_dir = tmp_path / "csvrun"
+        metrics = (run_dir / "metrics.csv").read_bytes()
+        csv_path = tmp_path / "pool.csv"
+        lines = csv_path.read_text().splitlines()
+        client, label, *features = lines[1].split(",")
+        lines[1] = ",".join([client, str((int(label) + 1) % 4), *features])
+        csv_path.write_text("\n".join(lines) + "\n")
+        for command in ("report", "adapt", "cluster-diag"):
+            capsys.readouterr()
+            assert main([command, "--run", str(run_dir)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "csv_sha256" in err
+        assert (run_dir / "metrics.csv").read_bytes() == metrics
 
     def test_non_finite_feature_fails_naming_the_line(self, tmp_path, capsys):
         pool = gen_pool(2, 2, 10, 3.0, seed=8)

@@ -462,17 +462,6 @@ class TestRunProtocol:
         with pytest.raises(ConfigurationError):
             SgdConfig(lr=value, epochs=1)
 
-    def test_separate_average_baseline_mode(self):
-        # contrast mode averaging B and A independently: no refactorization, so
-        # the broadcast B is a plain average and generally not orthonormal
-        data = tiny_federation(4, seed=12)
-        product = run_protocol(small_config(n_clients=4), data)
-        separate = run_protocol(small_config(n_clients=4,
-                                             aggregation_mode="separate_average"), data)
-        assert not np.allclose(delta(product.server.root), delta(separate.server.root))
-        gram = separate.server.root.b.T @ separate.server.root.b
-        assert frobenius_norm(gram - np.eye(2)) > 1e-6
-
     def test_mini_batch_mode_is_deterministic(self):
         data = tiny_federation(3, seed=11)
         config = small_config(batch_mode="mini", batch_size=8)
@@ -538,6 +527,32 @@ def test_a_cascade_that_cannot_run_fails_at_config_time(case):
         small_config(**overrides)
 
 
+# (t_cluster, t_leaf) after a 4-round root stage, including each zero budget
+BUDGET_SPLITS = [(3, 2), (0, 5), (5, 0), (0, 0)]
+
+
+@pytest.mark.parametrize("t_cluster,t_leaf", BUDGET_SPLITS)
+def test_every_stage_reports_for_every_budget_split(t_cluster, t_leaf):
+    # a stage with budget 0 runs zero rounds: one report per group, each
+    # with no round, and its never-trained init adapters keep B exactly 0
+    config = small_config(n_clients=6, t_root=4, t_cluster=t_cluster, t_leaf=t_leaf,
+                          total_budget=4 + t_cluster + t_leaf)
+    fed = run_protocol(config, tiny_federation(6, seed=13))
+    n_clusters = len(fed.server.clusters)
+    assert len(fed.reports) == 1 + n_clusters + config.n_clients
+    assert ([r.stage for r in fed.reports]
+            == ["root"] + ["cluster"] * n_clusters + ["leaf"] * config.n_clients)
+    budgets = {"root": 4, "cluster": t_cluster, "leaf": t_leaf}
+    for rep in fed.reports:
+        assert len(rep.rho) == len(rep.weighted_loss) == rep.rounds <= budgets[rep.stage]
+        if budgets[rep.stage] == 0:
+            assert rep.rounds == 0 and rep.stop_reason == "budget"
+    untrained = ([] if t_cluster else list(fed.server.clusters.values())) + (
+        [] if t_leaf else [c.path.leaf for c in fed.clients])
+    assert all(np.all(ad.b == 0.0) for ad in untrained)
+    assert fed.rounds_executed <= config.total_budget
+
+
 def test_two_clients_need_no_selection_range():
     # fewer than three clients fall back to one cluster, whatever k_min says
     fed = run_protocol(small_config(n_clients=2, k_min=5, k_max=6), tiny_federation(2, seed=3))
@@ -567,6 +582,8 @@ RAW_SIZE_TYPE_ERRORS = {
                                          "k_min"),
     "cluster_clients_fractional_k_max": (
         lambda fed: cluster_clients(fed.tracker, k_min=2, k_max=3.5), "k_max"),
+    "cluster_clients_none_k_max": (lambda fed: cluster_clients(fed.tracker, k_max=None),
+                                   "k_max"),
     "build_model_fractional_hidden_dim": (lambda fed: build_model(4, 3, 6.5, seed=0),
                                           "hidden_dim"),
     "build_model_fractional_class_count": (lambda fed: build_model(4, 2.5, 6, seed=0),
