@@ -17,7 +17,7 @@ import numpy as np
 from .datagen import ClientSplit
 from .errors import ConfigurationError, DegenerateInputError, check_types
 from .federation import FederationConfig, ServerState, _stage_settings
-from .linalg import Matrix, frobenius_norm, orthonormal_columns, subspace_overlap
+from .linalg import Matrix, frobenius_norm, one_blas_thread, orthonormal_columns, subspace_overlap
 from .lora import AdapterPath, LoraAdapter, Tier, init_adapter, zero_adapter
 from .metrics import accuracy
 from .model import EncodedData, HeadModel, Samples, SgdConfig, encode, local_update
@@ -85,11 +85,13 @@ class AdaptationResult:
     accuracy_trajectory: list[float]  # length epochs + 1, entry 0 = root+cluster
 
 
+@one_blas_thread()
 def adapt_unseen(model: HeadModel, client: ClientSplit, server: ServerState,
                  config: FederationConfig, epochs: int, seed: int = 0) -> AdaptationResult:
     """Route an unseen client, then fine-tune a fresh leaf for `epochs` local
     epochs, recording test accuracy after each epoch (entry 0 is the
-    root+cluster model before any local work)."""
+    root+cluster model before any local work). BLAS runs on one thread
+    (linalg.one_blas_thread)."""
     check_types(int, epochs=epochs)
     if epochs < 0:
         raise ConfigurationError("epochs must be non-negative")

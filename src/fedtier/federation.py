@@ -14,9 +14,10 @@ cluster's members, each client alone for its leaf). A group is its members
 and one AdapterPath whose active slot holds the adapter being trained; the
 penalty bases (the B factors of the tiers before the active one) and the
 data-proportional weights are derived from that path and the members' train
-sizes, never stored. Each round stacks the members of every still-running
-group into one local update; `workers` > 1 splits that stack into
-contiguous chunks run on a thread pool.
+sizes, never stored. The members of every still-running group form one
+stack, packed once per set of running groups, and each round runs one local
+update on it; `workers` > 1 splits that stack into contiguous chunks run on
+a thread pool.
 
 Determinism: the local-update kernel lays each client's rows out in fixed
 blocks of batch_size rows and computes every (client, block) slice on its
@@ -36,7 +37,7 @@ import numpy as np
 from .clustering import BasisTracker, ClusterAssignment, cluster_clients, ema_update
 from .datagen import ClientSplit, FederationData
 from .errors import ConfigurationError, PreconditionError, check_field_types, check_seed
-from .linalg import Matrix, frobenius_norm, truncated_svd
+from .linalg import Matrix, frobenius_norm, one_blas_thread, truncated_svd
 from .lora import (AdapterPath, LoraAdapter, Tier, compose_path, delta, init_adapter,
                    zero_adapter)
 from .model import (ClientStack, EncodedData, HeadModel, SgdConfig, build_model, encode,
@@ -238,9 +239,10 @@ def _until_stopped(config: FederationConfig, model: HeadModel, enc: list[Encoded
     Everything else is derived from the groups: the penalty bases are the B
     factors of the path's tiers before the active one, and a group's
     aggregation and round-loss weights are weights_root over its members'
-    train sizes. Each round stacks the members of every running group, in
-    group order, into one local update; with config.workers > 1 the stack is
-    split into at most that many contiguous chunks run on a thread pool.
+    train sizes. The members of every running group, in group order, form
+    one ClientStack, packed once per set of running groups, and each round
+    runs one local update on it; with config.workers > 1 the stack is split
+    into at most that many contiguous chunks run on a thread pool.
     _absorb then gives the group's new adapter and the delta its stop check
     compares, the round loss is taken at compose_path(path, w0), and a
     group retires once stop_check passes on consecutive deltas or the
@@ -251,26 +253,32 @@ def _until_stopped(config: FederationConfig, model: HeadModel, enc: list[Encoded
                 for g in groups for i in g.members if opt.batch_mode == "mini"}
     for g in groups:
         g.prev_delta = delta(g.path.adapter(active))
+    packed = []   # the running groups the stack below was packed for
     with ThreadPoolExecutor(config.workers) if config.workers > 1 else nullcontext() as pool:
         for t in range(1, budget + 1):
             running = [(g, w) for g, w in zip(groups, weights) if not g.stopped]
             if not running:
                 break
-            ids = [i for g, _ in running for i in g.members]
+            if len(running) != len(packed):   # groups only retire: a new count is a new set
+                packed = running
+                ids = [i for g, _ in running for i in g.members]
+                ends = np.cumsum([len(g.members) for g, _ in running])
+                spans = [slice(end - len(g.members), end) for (g, _), end in zip(running, ends)]
+                stack = ClientStack([enc[i] for i in ids])
+                parts = [slice(ix[0], ix[-1] + 1) for ix in
+                         np.array_split(np.arange(len(ids)), min(config.workers, len(ids)))]
+                # a single chunk is the stack itself, whose layout the round loss reuses
+                chunks = [stack] if len(parts) == 1 else [stack[part] for part in parts]
+                rngs = [shuffles.get(i) for i in ids]
             paths = [g.path for g, _ in running for _ in g.members]
-            ends = np.cumsum([len(g.members) for g, _ in running])
-            spans = [slice(end - len(g.members), end) for (g, _), end in zip(running, ends)]
-            stack = ClientStack([enc[i] for i in ids])
             bases = [[path.adapter(tier).b for path in paths] for tier in active.earlier]
 
-            def chunk(part):
-                return local_update(model, paths[part], stack[part], active,
+            def chunk(part, data):
+                return local_update(model, paths[part], data, active,
                                     [entry[part] for entry in bases], gammas,
-                                    opt=opt, rng=[shuffles.get(i) for i in ids[part]])
+                                    opt=opt, rng=rngs[part])
 
-            parts = [slice(ix[0], ix[-1] + 1) for ix in
-                     np.array_split(np.arange(len(ids)), min(config.workers, len(ids)))]
-            results = map(chunk, parts) if pool is None else pool.map(chunk, parts)
+            results = (map if pool is None else pool.map)(chunk, parts, chunks)
             local = [ad for part in results for ad in part]
             w_eff = []
             for (g, w), span in zip(running, spans):
@@ -393,10 +401,12 @@ class TrainedFederation:
         return root + cluster + leaf
 
 
+@one_blas_thread()
 def run_protocol(config: FederationConfig, data: FederationData,
                  model: HeadModel | None = None) -> TrainedFederation:
     """Full cascade: root stage, subspace clustering, cluster stage, leaf
-    stage; returns the trained federation with every tier frozen."""
+    stage; returns the trained federation with every tier frozen. BLAS runs
+    on one thread throughout (linalg.one_blas_thread)."""
     if len(data.clients) != config.n_clients:
         raise ConfigurationError(
             f"config expects {config.n_clients} clients, data has {len(data.clients)}")

@@ -7,8 +7,14 @@ given machine and BLAS/LAPACK build. Principal-angle overlaps between
 orthonormal bases come from :func:`subspace_overlap`, which takes one basis
 or an (n, p, r) stack on each side and gives every pair's overlap from one
 product: the one similarity rule behind client distances and cluster routing.
+:func:`one_blas_thread` runs its body with numpy's bundled OpenBLAS on one
+thread: the problems here are small, and OpenBLAS's threads cost more than
+they save on them.
 """
 
+import ctypes
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +22,47 @@ import numpy as np
 from .errors import ConfigurationError, PreconditionError
 
 Matrix = np.ndarray
+
+
+def _openblas():
+    """The (get, set) thread-count functions of the OpenBLAS that numpy's
+    wheel bundles, or None when numpy links another BLAS (MKL, Accelerate)."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+_OPENBLAS = _openblas()
+# OpenBLAS has one thread count per process, shared by every thread, so pins
+# are counted: the first to open saves the count, the last to close restores it
+_PIN_LOCK = threading.Lock()
+_pins = {"open": 0, "saved": None}
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the body with numpy's bundled OpenBLAS on one thread and give the
+    caller's count back on exit, also when the body raises. Nests, is safe
+    across threads, and does nothing without that OpenBLAS. Usable as a
+    decorator, so the decorated function stays the one object every module
+    binds."""
+    with _PIN_LOCK:
+        if _pins["open"] == 0 and _OPENBLAS is not None:
+            _pins["saved"] = _OPENBLAS[0]()
+            _OPENBLAS[1](1)
+        _pins["open"] += 1
+    try:
+        yield
+    finally:
+        with _PIN_LOCK:
+            _pins["open"] -= 1
+            if _pins["open"] == 0 and _OPENBLAS is not None:
+                _OPENBLAS[1](_pins["saved"])
 
 
 def as_matrix(m) -> Matrix:

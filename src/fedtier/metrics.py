@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import ConfigurationError, PreconditionError
 from .federation import TrainedFederation, weights_cluster
-from .linalg import frobenius_norm, orthonormal_columns, subspace_overlap
+from .linalg import frobenius_norm, one_blas_thread, orthonormal_columns, subspace_overlap
 from .lora import AdapterPath, compose_path
 from .model import ClientStack, EncodedData, HeadModel, encode, _stack_losses
 
@@ -222,13 +222,14 @@ class MetricsReport:
         }
 
 
+@one_blas_thread()
 def compute_metrics(fed: TrainedFederation) -> MetricsReport:
     """Evaluate every participating client on its own test split at each stage
     snapshot, collect tier gains, overlaps, and clustering agreement.
 
     Each client's train and test split is encoded once, and all tier gains
     come from one _gains call over every client (see TierGains for the G_c
-    identity)."""
+    identity). BLAS runs on one thread (linalg.one_blas_thread)."""
     ids = [client.id for client in fed.clients]
     clusters = [int(client.cluster) for client in fed.clients]
     acc_full, acc_root, acc_cluster = [], [], []

@@ -133,7 +133,12 @@ def _as_encoded(model: HeadModel, data) -> EncodedData:
 @dataclass(frozen=True)
 class ClientStack:
     """Several clients' encoded rows, updated together by one local_update
-    call. ``len()`` counts real rows over all clients."""
+    call. ``len()`` counts real rows over all clients, ``sizes`` each
+    client's rows.
+
+    The kernel reads the rows in fixed blocks (see below). ``layout`` packs
+    them once per block size into one read-only array, and ``gather`` copies
+    a shuffle of them out of it into buffers of the caller's own."""
 
     clients: tuple[EncodedData, ...]
 
@@ -143,12 +148,48 @@ class ClientStack:
             raise PreconditionError("client stack is empty")
         if not all(isinstance(e, EncodedData) for e in self.clients):
             raise ConfigurationError("a client stack holds EncodedData only")
+        object.__setattr__(self, "sizes", np.array([len(e) for e in self.clients]))
+        object.__setattr__(self, "_layouts", {})
 
     def __len__(self):
-        return sum(len(e) for e in self.clients)
+        return int(self.sizes.sum())
 
     def __getitem__(self, part: slice) -> "ClientStack":
         return ClientStack(self.clients[part])
+
+    def buffers(self, block: int):
+        """New zero (S, blocks, block, h) feature and (S, blocks, block) label
+        buffers, with room for every client's rows in blocks of `block`."""
+        shape = (len(self.clients), -(-int(self.sizes.max()) // block), block)
+        return np.zeros(shape + self.clients[0].z.shape[1:]), np.zeros(shape, dtype=np.int64)
+
+    def layout(self, block: int):
+        """Each client's rows in stored order at the front of its zero-padded
+        slot: (S, blocks, block, h) features and (S, blocks, block) labels,
+        packed once per block size and read-only."""
+        if block not in self._layouts:
+            z, labels = self.buffers(block)
+            for s, e in enumerate(self.clients):
+                z.reshape(len(self.clients), -1, z.shape[-1])[s, :len(e)] = e.z
+                labels.reshape(len(self.clients), -1)[s, :len(e)] = e.y
+            z.setflags(write=False)
+            labels.setflags(write=False)
+            self._layouts[block] = z, labels
+        return self._layouts[block]
+
+    def gather(self, z, labels, orders):
+        """Fill the buffers from ``buffers`` with each client's rows in its
+        order (a permutation of its rows) at the front of its slot, in one
+        indexed copy from the packed layout, and return them. A padding slot
+        copies the layout's padding at the same place, a zero row."""
+        packed_z, packed_labels = self.layout(labels.shape[2])
+        slots = np.arange(labels.size).reshape(len(self.clients), -1)
+        real = np.arange(slots.shape[1]) < self.sizes[:, None]
+        slots[real] = np.concatenate(orders) + np.repeat(slots[:, 0], self.sizes)
+        np.take(packed_z.reshape(-1, z.shape[-1]), slots.ravel(), axis=0,
+                out=z.reshape(-1, z.shape[-1]), mode="clip")   # "clip" copies unbuffered
+        np.take(packed_labels.ravel(), slots.ravel(), out=labels.reshape(-1), mode="clip")
+        return z, labels
 
 
 def forward(model: HeadModel, path: AdapterPath, x) -> np.ndarray:
@@ -187,27 +228,6 @@ def _check_penalty_args(frozen_bases, gammas):
         raise ConfigurationError("frozen_bases and gammas must have equal length")
 
 
-def _block_layout(clients, block: int):
-    """Zero-padded (S, blocks, block, h) feature and (S, blocks, block) label
-    buffers, the per-client row counts, and fill(orders=None), which writes
-    each client's rows into the buffers in its order (stored order for
-    None) and returns the buffers."""
-    sizes = np.array([len(e) for e in clients])
-    shape = (len(clients), -(-int(sizes.max()) // block), block)
-    z = np.zeros(shape + (clients[0].z.shape[1],))
-    labels = np.zeros(shape, dtype=np.int64)
-    z_rows = z.reshape(len(clients), -1, z.shape[-1])
-    label_rows = labels.reshape(len(clients), -1)
-
-    def fill(orders=None):
-        for s, (e, n) in enumerate(zip(clients, sizes)):
-            z_rows[s, :n] = e.z if orders is None else e.z[orders[s]]
-            label_rows[s, :n] = e.y if orders is None else e.y[orders[s]]
-        return z, labels
-
-    return sizes, fill
-
-
 def _class_probs(w: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Softmax probabilities (S, K, C, block) of the rows in z (S, K, block,
     h) under each client's head weight w (S, C, h)."""
@@ -243,8 +263,8 @@ def _stack_losses(w: np.ndarray, data: ClientStack) -> np.ndarray:
     """Mean cross-entropy of each stacked client under its own head weight
     w[s] (S, C, h), over the kernel's fixed blocks. Like the gradient, it sums
     each block, then the blocks in block order, so stack mates change no bit."""
-    sizes, fill = _block_layout(data.clients, _DEFAULT_BATCH)
-    z, labels = fill()
+    sizes = data.sizes
+    z, labels = data.layout(_DEFAULT_BATCH)
     picked = np.take_along_axis(_class_probs(w, z), labels[:, :, None], axis=-2)[:, :, 0]
     real = np.arange(labels[0].size).reshape(labels.shape[1:]) < sizes[:, None, None]
     part = np.where(real, -np.log(np.maximum(picked, _PROB_FLOOR)), 0.0).sum(axis=-1)
@@ -287,8 +307,9 @@ def tier_gradient(model: HeadModel, path: AdapterPath, data, active: Tier,
     """
     frozen_w, b, a, bases = _stack_inputs(model, [path], active,
                                           [[base] for base in frozen_bases], gammas, 1)
-    sizes, fill = _block_layout([_as_encoded(model, data)], _DEFAULT_BATCH)
-    db, da = _stack_gradient(frozen_w, b, a, *fill(), sizes, bases, gammas)
+    stack = ClientStack((_as_encoded(model, data),))
+    db, da = _stack_gradient(frozen_w, b, a, *stack.layout(_DEFAULT_BATCH), stack.sizes,
+                             bases, gammas)
     return db[0], da[0]
 
 
@@ -343,13 +364,16 @@ def local_update(model: HeadModel, path, data, active: Tier,
     mini = opt.batch_mode == "mini"
     if mini and any(r is None for r in rng):
         raise ConfigurationError("mini-batch mode needs an rng for shuffling")
-    sizes, fill = _block_layout(data.clients, opt.batch_size)
+    sizes = data.sizes
     blocks = -(-sizes // opt.batch_size)
     # a step runs over a span of blocks: all of them in full batch, one in mini batch
     spans = [(k, k + 1) for k in range(blocks.max())] if mini else [(0, blocks.max())]
-    for epoch in range(opt.epochs):
-        if mini or epoch == 0:   # the full-batch layout is filled once per call
-            z, labels = fill([r.permutation(n) for r, n in zip(rng, sizes)] if mini else None)
+    # full batch reads the stack's cached layout; mini batch gathers each
+    # epoch's shuffle into buffers of this call's own
+    z, labels = data.buffers(opt.batch_size) if mini else data.layout(opt.batch_size)
+    for _ in range(opt.epochs):
+        if mini:
+            data.gather(z, labels, [r.permutation(n) for r, n in zip(rng, sizes)])
         for lo, hi in spans:
             # clients with fewer blocks sit out their missing steps
             sel = slice(None) if lo < blocks.min() else np.flatnonzero(blocks > lo)
