@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datagen import ClientSplit
-from .errors import ConfigurationError, DegenerateInputError, check_types
+from .errors import NON_NEGATIVE, POSITIVE, ConfigurationError, DegenerateInputError, check_types
 from .federation import FederationConfig, ServerState, _stage_settings
 from .linalg import Matrix, frobenius_norm, one_blas_thread, orthonormal_columns, subspace_overlap
 from .lora import AdapterPath, LoraAdapter, Tier, init_adapter, zero_adapter
@@ -55,8 +55,7 @@ def probe_basis(model: HeadModel, train: Samples | EncodedData, root_star: LoraA
                 rank: int, steps: int, lr: float, seed: int = 0) -> Matrix:
     """Run `steps` full-batch gradient steps of a fresh probe adapter above the
     frozen root on `train` and return the probe B's dominant left subspace."""
-    if steps < 1:
-        raise ConfigurationError("probe needs at least one step")
+    check_types(int, POSITIVE, steps=steps)
     p, q = model.class_count, model.backbone.hidden_dim
     probe = init_adapter(p, q, rank, stream(seed, "probe_init"))
     path = AdapterPath(root=root_star, cluster=probe, leaf=zero_adapter(p, q, rank))
@@ -92,9 +91,7 @@ def adapt_unseen(model: HeadModel, client: ClientSplit, server: ServerState,
     epochs, recording test accuracy after each epoch (entry 0 is the
     root+cluster model before any local work). BLAS runs on one thread
     (linalg.one_blas_thread)."""
-    check_types(int, epochs=epochs)
-    if epochs < 0:
-        raise ConfigurationError("epochs must be non-negative")
+    check_types(int, NON_NEGATIVE, epochs=epochs)
     reps = build_representatives(server, config.rank)
     train, test = encode(model, client.train), encode(model, client.test)
     u_u = probe_basis(model, train, server.root, config.rank,

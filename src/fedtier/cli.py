@@ -51,7 +51,7 @@ from .clustering import BasisTracker, ClusterAssignment, cluster_clients
 from .datagen import (ClusterShift, FederationData, GlDir, Patho, ScDir,
                       load_csv, gen_pool, partition, split_unseen)
 from .errors import (ConfigurationError, DegenerateInputError, GenerationError,
-                     PreconditionError, check_seed, check_types, has_type)
+                     PreconditionError, Rule, check_seed, check_types, has_type, one_of)
 from .federation import FederationConfig, TrainedFederation, run_protocol
 from .lora import read_adapter, save_adapter, load_matrix, dump_matrix
 from .metrics import compute_metrics
@@ -63,10 +63,10 @@ _DATA_KINDS = {"gl_dir": GlDir, "sc_dir": ScDir, "patho": Patho,
 _DATA_GENERATOR = ("classes", "feature_dim", "per_class", "n_total")
 _DATA_COMMON = {"kind", "separation", "seed", "unseen_fraction", *_DATA_GENERATOR}
 _DATA_NAME = {"superclass_of": "superclasses"}  # the one spec field renamed in the data section
-# the types of the data fields that no partition spec or seed rule checks
-_DATA_TYPES = {"path": str, "classes": int, "feature_dim": int, "per_class": int,
-               "n_total": int, "separation": float, "unseen_fraction": float,
-               "superclasses": list}
+# the type and rule of each data field that no partition spec or seed rule checks
+_DATA_RULES = {"path": (str, None), "classes": (int, None), "feature_dim": (int, None),
+               "per_class": (int, None), "n_total": (int, None), "separation": (float, None),
+               "unseen_fraction": (float, Rule("must lie in [0, 1)", lo=0, hi=1, closed_lo=True))}
 
 
 def _fail(msg: str) -> int:
@@ -96,8 +96,7 @@ def _materialize_config(raw: dict, seed=None, workers=None, out=None,
     for name in ("federation", "data"):
         if not isinstance(raw.get(name, {}), dict):
             raise ConfigurationError(f"the {name} section must be a JSON object")
-    if not isinstance(raw.get("out_dir", ""), str):
-        raise ConfigurationError("out_dir must be a string")
+    check_types(str, out_dir=raw.get("out_dir", ""))
     fed = dict(raw.get("federation", {}))
     fed.update((k, v) for k, v in (("master_seed", seed), ("workers", workers)) if v is not None)
     data = dict(raw.get("data", {}))
@@ -105,8 +104,7 @@ def _materialize_config(raw: dict, seed=None, workers=None, out=None,
         if key not in _FED_FIELDS:
             raise ConfigurationError(f"unknown field 'federation.{key}'")
     kind = _need(data, "kind", "the data section")
-    if type(kind) is not str or kind not in _DATA_KINDS:
-        raise ConfigurationError(f"data.kind must be one of {sorted(_DATA_KINDS)}")
+    check_types(str, one_of(*_DATA_KINDS), **{"data.kind": kind})
     spec = _DATA_KINDS[kind]
     # the kind's own fields and their defaults: a partition kind's are its spec's
     own = ({"path": MISSING} if spec is None else
@@ -127,17 +125,16 @@ def _materialize_config(raw: dict, seed=None, workers=None, out=None,
     if kind != "csv":
         data.setdefault("separation", 3.0)
     for key, value in data.items():
-        want = _DATA_TYPES.get(key)
-        if want in (int, float):
-            check_types(want, **{f"data.{key}": value})
-        elif want is str and type(value) is not str:
-            raise ConfigurationError(f"data.{key} must be a string, got {value!r}")
-        elif want is list and not (value is None or type(value) is list
-                                   and all(has_type(i, int) for i in value)):
-            raise ConfigurationError(f"data.{key} must be a list of integers or null, "
-                                     f"got {value!r}")
-    if not 0.0 <= data["unseen_fraction"] < 1.0:
-        raise ConfigurationError("data.unseen_fraction must lie in [0, 1)")
+        if key in _DATA_RULES:
+            check_types(*_DATA_RULES[key], **{f"data.{key}": value})
+    sc = data.get("superclasses")
+    if not (sc is None or type(sc) is list and all(has_type(i, int) for i in sc)):
+        raise ConfigurationError(f"data.superclasses must be a list of integers or null, "
+                                 f"got {sc!r}")
+    out_dir = raw.get("out_dir", "run_out") if out is None else out
+    for name, path in (("out_dir", out_dir), ("data.path", data.get("path", ""))):
+        if "\0" in path:   # every file operation on it would raise ValueError
+            raise ConfigurationError(f"{name} must not hold a NUL byte")
     pins = {}
     if kind == "csv":
         pins["csv_sha256"] = hashlib.sha256(Path(data["path"]).read_bytes()).hexdigest()
@@ -156,7 +153,7 @@ def _materialize_config(raw: dict, seed=None, workers=None, out=None,
             f"yields {participating} participating clients")
     return ({"config": {"federation": {f: getattr(config, f) for f in _FED_FIELDS},
                         "data": data},
-             "out_dir": raw.get("out_dir", "run_out") if out is None else out, **pins},
+             "out_dir": out_dir, **pins},
             config, built)
 
 
@@ -393,7 +390,8 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (ConfigurationError, DegenerateInputError, GenerationError, PreconditionError) as exc:
         return _fail(str(exc))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    # RecursionError: json.loads of a document nested past the recursion limit
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         return _fail(f"i/o failure: {exc}")
 
 

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateInputError, PreconditionError, check_types
+from .errors import (OPEN_UNIT, ConfigurationError, DegenerateInputError, PreconditionError,
+                     check_field_types, check_types, ruled)
 from .linalg import Matrix, frobenius_norm, orthonormal_columns, subspace_overlap
 from .streams import stream
 
@@ -29,13 +30,12 @@ _KMEANS_MAX_ITER = 300
 class BasisTracker:
     """EMA-smoothed, unit-Frobenius-norm adapter basis per client."""
 
-    decay: float
+    decay: float = ruled(OPEN_UNIT)
     bases: dict[int, Matrix] = field(default_factory=dict)
     rounds: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.decay < 1.0:
-            raise ConfigurationError("EMA decay must lie in (0, 1)")
+        check_field_types(self)
 
 
 def ema_update(tracker: BasisTracker, client: int, b_new: Matrix) -> BasisTracker:

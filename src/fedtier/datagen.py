@@ -24,9 +24,13 @@ every client at least 10 samples. When every class has the same size, as
 `gen_pool` gives, the label-subset rule's row counts do not depend on the
 drawn class order, so it decides feasibility once, before any draw.
 
-The entry points and the specs check their int and float arguments with
-`errors.check_types`, and `partition` checks the spec's fields; `stream`
-checks the seeds, and each entry point draws from a stream of its own purpose.
+Each spec field declares its value rule (`errors.ruled`), and `partition`
+holds the spec to its rules with `errors.check_field_types`; the entry points
+check each int and float argument's type and rule in one `errors.check_types`
+call. Rules that relate a field to the pool or to n_clients (k_true <=
+n_clients, classes_per_client <= the class count, the superclass_of map)
+stay in the spec's one-attempt rule. `stream` checks the seeds, and each
+entry point draws from a stream of its own purpose.
 
 Pools and client splits hold their rows as `Samples` arrays: `partition` deals
 pool row indices to clients, then takes each client's rows once.
@@ -40,8 +44,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (ConfigurationError, GenerationError, check_field_types, check_types,
-                     has_type)
+from .errors import (FINITE, FINITE_POSITIVE, NON_NEGATIVE, OPEN_UNIT, POSITIVE,
+                     ConfigurationError, GenerationError, check_field_types, check_types,
+                     has_type, ruled)
 from .model import Samples
 from .streams import stream
 
@@ -63,7 +68,7 @@ class LabeledPool:
 
 @dataclass(frozen=True)
 class GlDir:
-    alpha: float
+    alpha: float = ruled(FINITE_POSITIVE)
 
     def _rule(self, pool, n_clients):
         return _dirichlet_rule(self.alpha, np.arange(pool.class_count), pool, n_clients)
@@ -71,7 +76,7 @@ class GlDir:
 
 @dataclass(frozen=True)
 class ScDir:
-    alpha: float
+    alpha: float = ruled(FINITE_POSITIVE)
     superclass_of: tuple | None = None  # class -> superclass; default: 10 equal blocks
 
     def _rule(self, pool, n_clients):
@@ -90,31 +95,25 @@ class ScDir:
 
 @dataclass(frozen=True)
 class Patho:
-    classes_per_client: int
+    classes_per_client: int = ruled(POSITIVE)
 
     def _rule(self, pool, n_clients):
         if self.classes_per_client > pool.class_count:
             raise ConfigurationError("classes_per_client exceeds the class count")
-        if self.classes_per_client < 1:
-            raise ConfigurationError("classes_per_client must be positive")
         return _label_subset_rule(pool, np.arange(n_clients), self.classes_per_client)
 
 
 @dataclass(frozen=True)
 class ClusterShift:
-    k_true: int
-    rotation_angle: float
-    label_subset_size: int
+    k_true: int = ruled(POSITIVE)
+    rotation_angle: float = ruled(FINITE)
+    label_subset_size: int = ruled(POSITIVE)
 
     def _rule(self, pool, n_clients):
-        if self.k_true < 1 or self.k_true > n_clients:
+        if self.k_true > n_clients:
             raise ConfigurationError("k_true must be in [1, n_clients]")
-        if self.label_subset_size < 1:
-            raise ConfigurationError("label_subset_size must be positive")
         if pool.feature_dim < 2:
             raise ConfigurationError("feature rotation needs at least 2 dimensions")
-        if not math.isfinite(self.rotation_angle):
-            raise ConfigurationError(f"rotation_angle must be finite, got {self.rotation_angle}")
         return _label_subset_rule(pool, np.arange(n_clients) % self.k_true,
                                   self.label_subset_size, self.rotation_angle)
 
@@ -167,12 +166,9 @@ def gen_pool(class_count: int, feature_dim: int, per_class: int,
              separation: float, seed: int) -> LabeledPool:
     """Gaussian blobs: class c gets a random unit direction scaled by
     `separation` as its mean and unit covariance."""
-    check_types(int, class_count=class_count, feature_dim=feature_dim, per_class=per_class)
-    check_types(float, separation=separation)
-    if class_count < 1 or feature_dim < 1 or per_class < 1:
-        raise ConfigurationError("pool dimensions must be positive")
-    if not 0 <= separation < math.inf:
-        raise ConfigurationError(f"separation must be finite and non-negative, got {separation}")
+    check_types(int, POSITIVE, class_count=class_count, feature_dim=feature_dim,
+                per_class=per_class)
+    check_types(float, NON_NEGATIVE, separation=separation)
     rng = stream(seed, "pool")
     means = np.zeros((class_count, feature_dim))
     for c in range(class_count):
@@ -237,8 +233,6 @@ def _dirichlet_rule(alpha, superclass_of, pool, n_clients):
     """Each client draws Dirichlet(alpha) superclass priors, spreads every
     superclass's mass evenly over its classes, and draws its n_each label
     counts from the result; an attempt that oversubscribes a class fails."""
-    if not 0 < alpha < math.inf:
-        raise ConfigurationError(f"Dirichlet alpha must be finite and positive, got {alpha}")
     total = len(pool.samples)
     n_each = total // (2 * n_clients)
     if n_each < _MIN_CLIENT_SAMPLES:
@@ -309,9 +303,7 @@ def partition(pool: LabeledPool, spec, n_clients: int, seed: int) -> FederationD
     """Split the pool across clients according to the scheme: attempt k runs
     the scheme's one-attempt rule on stream(seed, "partition", k), and the
     first feasible federation is kept."""
-    check_types(int, n_clients=n_clients)
-    if n_clients < 1:
-        raise ConfigurationError("n_clients must be positive")
+    check_types(int, POSITIVE, n_clients=n_clients)
     if not isinstance(spec, (GlDir, ScDir, Patho, ClusterShift)):
         raise ConfigurationError(f"unknown partition spec {spec!r}")
     check_field_types(spec)
@@ -336,9 +328,7 @@ def split_unseen(data: FederationData, fraction: float, seed: int) -> Federation
     draw, and a draw that would strip any group of all its participating
     clients is resampled (logged), bounded by retries.
     """
-    check_types(float, fraction=fraction)
-    if not 0.0 < fraction < 1.0:
-        raise ConfigurationError("unseen fraction must lie in (0, 1)")
+    check_types(float, OPEN_UNIT, fraction=fraction)
     n = data.n_clients
     n_unseen = math.ceil(fraction * n)
     truth = data.true_clusters

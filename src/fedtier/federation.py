@@ -27,7 +27,6 @@ aggregation reduces in ascending member order, so results are identical for
 any worker count on a given machine and BLAS build.
 """
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
@@ -36,63 +35,52 @@ import numpy as np
 
 from .clustering import BasisTracker, ClusterAssignment, cluster_clients, ema_update
 from .datagen import ClientSplit, FederationData
-from .errors import ConfigurationError, PreconditionError, check_field_types, check_seed
+from .errors import (FINITE_POSITIVE, NON_NEGATIVE, OPEN_UNIT, POSITIVE, ConfigurationError,
+                     PreconditionError, check_field_types, check_seed, ruled)
 from .linalg import Matrix, frobenius_norm, one_blas_thread, truncated_svd
 from .lora import (AdapterPath, LoraAdapter, Tier, compose_path, delta, init_adapter,
                    zero_adapter)
-from .model import (ClientStack, EncodedData, HeadModel, SgdConfig, build_model, encode,
-                    local_update, _stack_losses)
+from .model import (BATCH_MODES, ClientStack, EncodedData, HeadModel, SgdConfig, build_model,
+                    encode, local_update, _stack_losses)
 from .streams import stream
 
 
 @dataclass
 class FederationConfig:
-    """Protocol hyperparameters; stage budgets must sum to total_budget."""
+    """Protocol hyperparameters. Each field declares its own value rule; the
+    rules relating two fields are checked after them: stage budgets sum to
+    total_budget, and 2 <= k_min <= k_max with k_min <= n_clients - 1 from
+    3 clients on."""
 
-    n_clients: int
-    rank: int = 2
-    gamma_c: float = 1.0
-    gamma_l: float = 1.0
-    ema_decay: float = 0.9
-    tau_rel: float = 1e-3
-    eps: float = 1e-8
-    t_root: int = 20
-    t_cluster: int = 20
-    t_leaf: int = 10
+    n_clients: int = ruled(POSITIVE)
+    rank: int = ruled(POSITIVE, 2)
+    gamma_c: float = ruled(NON_NEGATIVE, 1.0)
+    gamma_l: float = ruled(NON_NEGATIVE, 1.0)
+    ema_decay: float = ruled(OPEN_UNIT, 0.9)
+    tau_rel: float = ruled(FINITE_POSITIVE, 1e-3)
+    eps: float = ruled(FINITE_POSITIVE, 1e-8)
+    t_root: int = ruled(POSITIVE, 20)
+    t_cluster: int = ruled(NON_NEGATIVE, 20)
+    t_leaf: int = ruled(NON_NEGATIVE, 10)
     total_budget: int = 50
-    lr: float = 0.05
-    local_epochs: int = 1
-    batch_mode: str = "mini"
-    batch_size: int = 32
+    lr: float = ruled(FINITE_POSITIVE, 0.05)
+    local_epochs: int = ruled(POSITIVE, 1)
+    batch_mode: str = ruled(BATCH_MODES, "mini")
+    batch_size: int = ruled(POSITIVE, 32)
     k_min: int = 2
     k_max: int = 10
     master_seed: int = 0
-    hidden_dim: int = 32
-    probe_steps: int = 20
-    workers: int = 1
+    hidden_dim: int = ruled(POSITIVE, 32)
+    probe_steps: int = ruled(POSITIVE, 20)
+    workers: int = ruled(POSITIVE, 1)
 
     def __post_init__(self):
         check_field_types(self)
         check_seed(master_seed=self.master_seed)
-        for name in ("n_clients", "rank", "t_root", "local_epochs", "hidden_dim",
-                     "probe_steps", "workers"):
-            if getattr(self, name) < 1:
-                raise ConfigurationError(f"{name} must be positive")
-        if not (0 <= self.gamma_c < math.inf and 0 <= self.gamma_l < math.inf):
-            raise ConfigurationError("penalty weights must be finite and non-negative")
-        if not 0.0 < self.ema_decay < 1.0:
-            raise ConfigurationError("ema_decay must lie in (0, 1)")
-        if not 0 < self.tau_rel < math.inf:
-            raise ConfigurationError("tau_rel must be finite and positive")
-        if not 0 < self.eps < math.inf:
-            raise ConfigurationError("eps must be finite and positive")
-        if min(self.t_cluster, self.t_leaf) < 0:
-            raise ConfigurationError("stage budgets must be non-negative")
         if self.t_root + self.t_cluster + self.t_leaf != self.total_budget:
             raise ConfigurationError(
                 f"stage budgets {self.t_root}+{self.t_cluster}+{self.t_leaf} "
                 f"must sum to total_budget={self.total_budget}")
-        self.sgd()   # SgdConfig checks lr, batch_mode and batch_size
         if not 2 <= self.k_min <= self.k_max:
             raise ConfigurationError("need 2 <= k_min <= k_max")
         if self.n_clients >= 3 and self.k_min > self.n_clients - 1:

@@ -12,13 +12,13 @@ finite-difference oracle used by tests and the gradcheck command checks the
 gradient.
 """
 
-import math
 from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
-from .errors import ConfigurationError, PreconditionError, check_field_types, check_types
+from .errors import (FINITE_POSITIVE, NON_NEGATIVE, POSITIVE, ConfigurationError,
+                     PreconditionError, check_field_types, check_types, one_of, ruled)
 from .linalg import Matrix, as_matrix
 from .lora import (AdapterPath, LoraAdapter, Tier, compose_path, delta, orth_penalty,
                    orth_penalty_grad)
@@ -221,6 +221,7 @@ def dataset_loss(model: HeadModel, path: AdapterPath, data) -> float:
 # contiguous memory rather than along the short class axis.
 
 _DEFAULT_BATCH = 32
+BATCH_MODES = one_of("full", "mini")   # shared with FederationConfig.batch_mode
 
 
 def _check_penalty_args(frozen_bases, gammas):
@@ -317,21 +318,13 @@ def tier_gradient(model: HeadModel, path: AdapterPath, data, active: Tier,
 class SgdConfig:
     """Plain gradient descent settings for one local update."""
 
-    lr: float
-    epochs: int
-    batch_mode: str = "full"   # "full" or "mini"
-    batch_size: int = _DEFAULT_BATCH
+    lr: float = ruled(FINITE_POSITIVE)
+    epochs: int = ruled(NON_NEGATIVE)
+    batch_mode: str = ruled(BATCH_MODES, "full")
+    batch_size: int = ruled(POSITIVE, _DEFAULT_BATCH)
 
     def __post_init__(self):
         check_field_types(self)
-        if not 0.0 < self.lr < math.inf:
-            raise ConfigurationError(f"lr must be finite and positive, got {self.lr!r}")
-        if self.epochs < 0:
-            raise ConfigurationError(f"epochs must be non-negative, got {self.epochs!r}")
-        if self.batch_mode not in ("full", "mini"):
-            raise ConfigurationError(f"batch_mode must be full or mini, got {self.batch_mode!r}")
-        if self.batch_size < 1:
-            raise ConfigurationError(f"batch_size must be positive, got {self.batch_size!r}")
 
 
 def local_update(model: HeadModel, path, data, active: Tier,
@@ -430,9 +423,7 @@ def fd_tier_gradient(model: HeadModel, path: AdapterPath, data, active: Tier,
 def gradient_check(trials: int = 24, seed: int = 0, h: float = 1e-5) -> float:
     """Max relative error of the analytic tier gradient against central finite
     differences over random (tier, penalty, data) configurations."""
-    check_types(int, trials=trials)
-    if trials < 1:
-        raise ConfigurationError("the gradient check needs at least one trial")
+    check_types(int, POSITIVE, trials=trials)
     worst = 0.0
     rng = stream(seed, "gradcheck")
     for trial in range(trials):

@@ -104,6 +104,13 @@ class TestRun:
         assert main(["run", "--config", str(cfg)]) == 2
         assert "n_clients" in capsys.readouterr().err
 
+    def test_deeply_nested_config_fails_cleanly(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text("[" * 200_000)
+        assert main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
 
 GL_DIR_WITHOUT_ALPHA = {"kind": "gl_dir", "classes": 4, "feature_dim": 4,
                         "per_class": 60, "n_total": 6}
@@ -144,6 +151,8 @@ BAD_CONFIG_VALUES = {
                                          "classes_per_client"),
     "t_root_zero": ({"federation.t_root": 0, "federation.total_budget": 5}, "t_root"),
     "k_min_above_n_clients_minus_one": ({"federation.k_min": 8}, "k_min"),
+    "data_path_nul_byte": ({"data": {"kind": "csv", "path": "pool\u0000.csv"}}, "data.path"),
+    "out_dir_nul_byte": ({"out_dir": "run\u0000"}, "out_dir"),
 }
 
 
@@ -269,7 +278,9 @@ def finished_run(tmp_path_factory):
 
 
 def edit_json(path, edit):
-    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    """Write back edit(document); an edit that returns a str gives the new text."""
+    doc = edit(json.loads(path.read_text()))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
 
 
 def drop(key):
@@ -307,6 +318,8 @@ RUN_DIR_FAULTS = {
     "clustering_without_affinity_matrix": ("clustering.json", drop("affinity_matrix")),
     "clustering_without_degenerate": ("clustering.json", drop("degenerate")),
     "fractional_k_true": ("manifest.json", set_data_field("k_true", 2.5)),
+    "deeply_nested_manifest": ("manifest.json", lambda doc: "[" * 200_000),
+    "deeply_nested_clustering": ("clustering.json", lambda doc: "[" * 200_000),
 }
 
 
