@@ -20,7 +20,7 @@ from .federation import FederationConfig, ServerState, _stage_settings
 from .linalg import Matrix, frobenius_norm, one_blas_thread, orthonormal_columns, subspace_overlap
 from .lora import AdapterPath, LoraAdapter, Tier, init_adapter, zero_adapter
 from .metrics import accuracy
-from .model import EncodedData, HeadModel, Samples, SgdConfig, encode, local_update
+from .model import ClientStack, EncodedData, HeadModel, Samples, SgdConfig, encode, local_update
 from .streams import stream
 
 _ZERO_B = 1e-12  # a B factor this small spans no direction
@@ -93,7 +93,8 @@ def adapt_unseen(model: HeadModel, client: ClientSplit, server: ServerState,
     (linalg.one_blas_thread)."""
     check_types(int, NON_NEGATIVE, epochs=epochs)
     reps = build_representatives(server, config.rank)
-    train, test = encode(model, client.train), encode(model, client.test)
+    # the test split is packed once and scored epochs + 1 times
+    train, test = encode(model, client.train), ClientStack((encode(model, client.test),))
     u_u = probe_basis(model, train, server.root, config.rank,
                       steps=config.probe_steps, lr=config.lr, seed=seed)
     j = assign_cluster(u_u, reps)

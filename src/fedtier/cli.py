@@ -18,7 +18,9 @@ Config document (JSON)::
                 n_total, seed, unseen_fraction) plus the fields of the kind's
                 partition spec (GlDir, ScDir, Patho, ClusterShift; a field
                 without a default is required, and ScDir's superclass_of is
-                spelled superclasses), or for csv a path },
+                spelled superclasses), or for csv a path plus seed and
+                unseen_fraction, and n_total only if it equals the file's
+                client count },
       "out_dir": "runs/exp" (optional; --out overrides)
     }
 
@@ -60,8 +62,11 @@ from .model import build_model, gradient_check
 _FED_FIELDS = {f for f in FederationConfig.__dataclass_fields__}
 _DATA_KINDS = {"gl_dir": GlDir, "sc_dir": ScDir, "patho": Patho,
                "cluster_shift": ClusterShift, "csv": None}
-_DATA_GENERATOR = ("classes", "feature_dim", "per_class", "n_total")
-_DATA_COMMON = {"kind", "separation", "seed", "unseen_fraction", *_DATA_GENERATOR}
+# the pool generator's fields and defaults; a csv input takes only n_total,
+# which must then equal the file's client count
+_DATA_GENERATOR = {"classes": MISSING, "feature_dim": MISSING, "per_class": MISSING,
+                   "n_total": MISSING, "separation": 3.0}
+_DATA_COMMON = {"kind", "seed", "unseen_fraction", "n_total"}
 _DATA_NAME = {"superclass_of": "superclasses"}  # the one spec field renamed in the data section
 # the type and rule of each data field that no partition spec or seed rule checks
 _DATA_RULES = {"path": (str, None), "classes": (int, None), "feature_dim": (int, None),
@@ -106,11 +111,11 @@ def _materialize_config(raw: dict, seed=None, workers=None, out=None,
     kind = _need(data, "kind", "the data section")
     check_types(str, one_of(*_DATA_KINDS), **{"data.kind": kind})
     spec = _DATA_KINDS[kind]
-    # the kind's own fields and their defaults: a partition kind's are its spec's
-    own = ({"path": MISSING} if spec is None else
-           {_DATA_NAME.get(f.name, f.name): f.default for f in fields(spec)})
-    required = (() if spec is None else _DATA_GENERATOR) + tuple(
-        key for key, default in own.items() if default is MISSING)
+    # the kind's own fields and their defaults: a partition kind's are the
+    # generator's and its spec's
+    own = ({"path": MISSING} if spec is None else dict(
+        _DATA_GENERATOR, **{_DATA_NAME.get(f.name, f.name): f.default for f in fields(spec)}))
+    required = [key for key, default in own.items() if default is MISSING]
     allowed = _DATA_COMMON.union(own)
     for key in data:
         if key not in allowed:
@@ -123,7 +128,7 @@ def _materialize_config(raw: dict, seed=None, workers=None, out=None,
     for key in required:
         _need(data, key, "the data section")
     if kind != "csv":
-        data.setdefault("separation", 3.0)
+        data.setdefault("separation", _DATA_GENERATOR["separation"])
     for key, value in data.items():
         if key in _DATA_RULES:
             check_types(*_DATA_RULES[key], **{f"data.{key}": value})
@@ -143,8 +148,10 @@ def _materialize_config(raw: dict, seed=None, workers=None, out=None,
             raise ConfigurationError(f"{data['path']} changed since the run "
                                      "(csv_sha256 in manifest.json differs); re-run it")
     built = _build_data(data)
-    if kind == "csv":
-        data["n_total"] = len(built.clients) + len(built.unseen)
+    n_total = len(built.clients) + len(built.unseen)
+    if kind == "csv" and data.setdefault("n_total", n_total) != n_total:
+        raise ConfigurationError(f"data.n_total={data['n_total']} but {data['path']} holds "
+                                 f"{n_total} clients")
     participating = len(built.clients)
     config = FederationConfig(**{"n_clients": participating, **fed})
     if config.n_clients != participating:
@@ -242,7 +249,7 @@ def _save_checkpoints(out_dir: Path, fed: TrainedFederation) -> list[str]:
 
 
 def _cmd_run(args) -> int:
-    doc, config, data = _materialize_config(json.loads(Path(args.config).read_text()),
+    doc, config, data = _materialize_config(_read_json_object(Path(args.config)),
                                             seed=args.seed, workers=args.workers,
                                             out=args.out)
     fed = run_protocol(config, data)
@@ -260,7 +267,10 @@ def _cmd_run(args) -> int:
 
 
 def _read_json_object(path: Path) -> dict:
-    doc = json.loads(path.read_text())
+    try:
+        doc = json.loads(path.read_text())
+    except ValueError as exc:   # not JSON, or an integer past Python's int-to-str digit limit
+        raise ConfigurationError(f"{path.name} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigurationError(f"{path.name} must hold a JSON object")
     return doc
@@ -391,7 +401,7 @@ def main(argv=None) -> int:
     except (ConfigurationError, DegenerateInputError, GenerationError, PreconditionError) as exc:
         return _fail(str(exc))
     # RecursionError: json.loads of a document nested past the recursion limit
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    except (OSError, UnicodeDecodeError, RecursionError) as exc:
         return _fail(f"i/o failure: {exc}")
 
 

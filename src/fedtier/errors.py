@@ -12,6 +12,7 @@ their own `check_seed`.
 import math
 import numbers
 from dataclasses import MISSING, field, fields
+from sys import float_info
 from typing import NamedTuple
 
 
@@ -78,6 +79,9 @@ def check_types(kind: type, rule: Rule | None = None, **values):
     for name, value in values.items():
         if not has_type(value, kind):
             raise ConfigurationError(f"{name} must be {_KINDS[kind][1]}, got {value!r}")
+        # an integer past the largest float would overflow in the float arithmetic after
+        if kind is float and isinstance(value, numbers.Rational) and abs(value) > float_info.max:
+            raise ConfigurationError(f"{name} must lie within the float range")
         if rule is not None and not rule.holds(value):
             raise ConfigurationError(f"{name} {rule.text}, got {value!r}")
 

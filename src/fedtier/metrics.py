@@ -1,16 +1,23 @@
 """Evaluation: per-client accuracy, tail statistics, stage-wise tier gains,
-clustering agreement scores, and cross-tier orthogonality summaries."""
+clustering agreement scores, and cross-tier orthogonality summaries.
+
+Scores come from the model's blocked kernel: accuracy is its argmax score
+and the tier gains its loss. compute_metrics builds each client's root-only,
+root+cluster and full head weights once and scores every client at the three
+snapshots as stacks; the orthogonality report is three stacked
+subspace_overlap calls."""
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, PreconditionError
+from .errors import PreconditionError
 from .federation import TrainedFederation, weights_cluster
 from .linalg import frobenius_norm, one_blas_thread, orthonormal_columns, subspace_overlap
 from .lora import AdapterPath, compose_path
-from .model import ClientStack, EncodedData, HeadModel, encode, _stack_losses
+from .model import (ClientStack, HeadModel, encode, _stack_accuracy, _stack_losses,
+                    _stack_of_one)
 
 # leaves (or clusters) whose B factor is this small carry no direction and are
 # excluded from subspace statistics
@@ -18,14 +25,13 @@ _NEGLIGIBLE_B = 1e-6
 
 
 def accuracy(model: HeadModel, path: AdapterPath, test) -> float:
-    """Fraction of argmax-correct predictions over Samples or their
-    EncodedData; ties pick the lowest class."""
+    """Fraction of argmax-correct predictions over Samples, their EncodedData
+    or a one-client ClientStack; ties pick the lowest class. The blocked
+    kernel's accuracy on a stack of one."""
     if len(test) == 0:
         raise PreconditionError("test set is empty")
-    enc = test if isinstance(test, EncodedData) else encode(model, test)
-    logits = enc.z @ compose_path(path, model.w0).T
-    preds = np.argmax(logits, axis=1)
-    return float(np.mean(preds == enc.y))
+    return float(_stack_accuracy(compose_path(path, model.w0)[None],
+                                 _stack_of_one(model, test))[0])
 
 
 def worst_decile(accs) -> float:
@@ -53,22 +59,20 @@ class TierGains:
     g_cluster_own: float
 
 
-def _gains(fed: TrainedFederation, ids: list[int], train: dict) -> list[TierGains]:
+def _stage_weights(fed: TrainedFederation, ids: list[int]) -> list[np.ndarray]:
+    """The (len(ids), C, h) head weights of `ids` at each stage snapshot:
+    root only, root+cluster and the full path."""
+    return [np.stack([compose_path(path_of(i), fed.model.w0) for i in ids])
+            for path_of in (fed.path_root, fed.path_cluster, fed.path_full)]
+
+
+def _gains(fed: TrainedFederation, ids: list[int], train: ClientStack, weights) -> list[TierGains]:
     """Tier gains of `ids`, which must form whole clusters, from three stacked
-    loss passes (root-only, root+cluster and full weights) over their
-    encoded train splits; `train` maps a client to its EncodedData. A
-    client's losses do not depend on its stack mates, so any set of whole
-    clusters gives a client the same gains bitwise."""
-    if fed.server.root is None:
-        raise ConfigurationError("federation has no frozen root snapshot")
-    stack = ClientStack([train[i] for i in ids])
-
-    def losses(path_of):
-        return _stack_losses(np.stack([compose_path(path_of(i), fed.model.w0) for i in ids]),
-                             stack)
-
-    l_cluster = losses(fed.path_cluster)
-    own = dict(zip(ids, losses(fed.path_root) - l_cluster))
+    loss passes over `train`, their train splits in order, under their
+    _stage_weights. A client's losses do not depend on its stack mates, so
+    any set of whole clusters gives a client the same gains bitwise."""
+    l_root, l_cluster, l_full = (_stack_losses(w, train) for w in weights)
+    own = dict(zip(ids, l_root - l_cluster))
     g_cluster = {}
     for j in {fed.clients[i].cluster for i in ids}:
         members = fed.server.assignment.members(j)
@@ -76,13 +80,13 @@ def _gains(fed: TrainedFederation, ids: list[int], train: dict) -> list[TierGain
         g_cluster[j] = float(sum(w * own[m] for w, m in zip(pi, members)))
     return [TierGains(g_cluster=g_cluster[fed.clients[i].cluster], g_leaf=float(leaf),
                       g_cluster_own=float(own[i]))
-            for i, leaf in zip(ids, l_cluster - losses(fed.path_full))]
+            for i, leaf in zip(ids, l_cluster - l_full)]
 
 
 def tier_gains(fed: TrainedFederation, client_id: int) -> TierGains:
     members = fed.server.assignment.members(fed.clients[client_id].cluster)
-    train = {i: encode(fed.model, fed.data.clients[i].train) for i in members}
-    return _gains(fed, members, train)[members.index(client_id)]
+    train = ClientStack([encode(fed.model, fed.data.clients[i].train) for i in members])
+    return _gains(fed, members, train, _stage_weights(fed, members))[members.index(client_id)]
 
 
 def _comb2(x: np.ndarray) -> float:
@@ -149,31 +153,32 @@ class OrthogonalityReport:
 
 
 def orthogonality_report(fed: TrainedFederation) -> OrthogonalityReport:
+    """Three stacked overlaps: the root basis against every client's cluster
+    basis and against every leaf basis, and each client's cluster basis
+    against its own leaf basis (the diagonal of one cluster-by-leaf call).
+    A client whose factor on either side is negligible enters no overlap."""
     rank = fed.config.rank
-    buckets = {"root_cluster": [], "root_leaf": [], "cluster_leaf": []}
-    excluded = {k: 0 for k in buckets}
+
+    def basis(b):
+        return orthonormal_columns(b, rank) if frobenius_norm(b) > _NEGLIGIBLE_B else None
+
+    u_cluster = {j: basis(ad.b) for j, ad in fed.server.clusters.items()}
+    cluster = [u_cluster[c.cluster] for c in fed.clients]
+    leaf = [basis(c.path.leaf.b) for c in fed.clients]
     u_root = orthonormal_columns(fed.server.root.b, rank)
-    u_cluster = {j: (orthonormal_columns(ad.b, rank)
-                     if frobenius_norm(ad.b) > _NEGLIGIBLE_B else None)
-                 for j, ad in fed.server.clusters.items()}
-    for client in fed.clients:
-        uc = u_cluster[client.cluster]
-        leaf_b = client.path.leaf.b
-        ul = (orthonormal_columns(leaf_b, rank)
-              if frobenius_norm(leaf_b) > _NEGLIGIBLE_B else None)
-        for name, pair in (("root_cluster", (u_root, uc)),
-                           ("root_leaf", (u_root, ul)),
-                           ("cluster_leaf", (uc, ul))):
-            if pair[0] is None or pair[1] is None:
-                excluded[name] += 1
-            else:
-                buckets[name].append(subspace_overlap(pair[0], pair[1]) / rank)
     pairs = {}
-    for name, vals in buckets.items():
-        pairs[name] = PairOverlap(
-            mean=float(np.mean(vals)) if vals else None,
-            max=float(np.max(vals)) if vals else None,
-            count=len(vals), excluded=excluded[name])
+    for name, first, second in (("root_cluster", None, cluster), ("root_leaf", None, leaf),
+                                ("cluster_leaf", cluster, leaf)):
+        kept = [i for i, u in enumerate(second)
+                if u is not None and (first is None or first[i] is not None)]
+        if not kept:
+            pairs[name] = PairOverlap(mean=None, max=None, count=0, excluded=len(second))
+            continue
+        right = np.stack([second[i] for i in kept])
+        vals = (subspace_overlap(u_root, right) if first is None else np.diagonal(
+            subspace_overlap(np.stack([first[i] for i in kept]), right))) / rank
+        pairs[name] = PairOverlap(mean=float(np.mean(vals)), max=float(np.max(vals)),
+                                  count=len(kept), excluded=len(second) - len(kept))
     return OrthogonalityReport(pairs=pairs)
 
 
@@ -227,22 +232,21 @@ def compute_metrics(fed: TrainedFederation) -> MetricsReport:
     """Evaluate every participating client on its own test split at each stage
     snapshot, collect tier gains, overlaps, and clustering agreement.
 
-    Each client's train and test split is encoded once, and all tier gains
-    come from one _gains call over every client (see TierGains for the G_c
-    identity). BLAS runs on one thread (linalg.one_blas_thread)."""
+    Each client's train and test split is encoded once into one train and
+    one test stack, and the three stage snapshots' head weights are built
+    once: three stacked accuracy passes over the test stack and three
+    stacked loss passes over the train stack (one _gains call; see TierGains
+    for the G_c identity) read them. BLAS runs on one thread
+    (linalg.one_blas_thread)."""
     ids = [client.id for client in fed.clients]
     clusters = [int(client.cluster) for client in fed.clients]
-    acc_full, acc_root, acc_cluster = [], [], []
-    for client in fed.clients:
-        test = encode(fed.model, client.data.test)
-        acc_full.append(accuracy(fed.model, fed.path_full(client.id), test))
-        acc_root.append(accuracy(fed.model, fed.path_root(client.id), test))
-        acc_cluster.append(accuracy(fed.model, fed.path_cluster(client.id), test))
-    gains = _gains(fed, ids, {c.id: encode(fed.model, c.data.train) for c in fed.clients})
-    per_cluster = {}
-    for j in sorted(set(clusters)):
-        vals = [a for a, c in zip(acc_full, clusters) if c == j]
-        per_cluster[j] = float(np.mean(vals))
+    weights = _stage_weights(fed, ids)
+    test = ClientStack([encode(fed.model, c.data.test) for c in fed.clients])
+    acc_root, acc_cluster, acc_full = (_stack_accuracy(w, test).tolist() for w in weights)
+    gains = _gains(fed, ids, ClientStack([encode(fed.model, c.data.train)
+                                          for c in fed.clients]), weights)
+    per_cluster = {j: float(np.mean([a for a, c in zip(acc_full, clusters) if c == j]))
+                   for j in sorted(set(clusters))}
     truth = fed.data.true_clusters
     ari = nmi = None
     if truth is not None:

@@ -7,7 +7,9 @@ hidden_dim). Cross-entropy loss and plain gradient-descent local updates
 live here: one blocked kernel updates a whole stack of clients at once, with
 one setup of its inputs and one step loop over block spans (all blocks in
 full batch, one in mini batch). The analytic tier gradient is that kernel's
-gradient on a stack of one, and every loss is the kernel's loss. The central
+gradient on a stack of one. Every score is the kernel's too: the loss and
+the argmax accuracy read the same blocks and the same mask of real rows, so
+a client scores the same bits alone or in any stack. The central
 finite-difference oracle used by tests and the gradcheck command checks the
 gradient.
 """
@@ -126,10 +128,6 @@ def encode(model: HeadModel, data: Samples) -> EncodedData:
     return EncodedData(z=z, y=data.y)
 
 
-def _as_encoded(model: HeadModel, data) -> EncodedData:
-    return data if isinstance(data, EncodedData) else encode(model, data)
-
-
 @dataclass(frozen=True)
 class ClientStack:
     """Several clients' encoded rows, updated together by one local_update
@@ -192,6 +190,15 @@ class ClientStack:
         return z, labels
 
 
+def _stack_of_one(model: HeadModel, data) -> ClientStack:
+    """One client's Samples, EncodedData or one-client ClientStack as a stack of one."""
+    if not isinstance(data, ClientStack):
+        return ClientStack((data if isinstance(data, EncodedData) else encode(model, data),))
+    if len(data.clients) != 1:
+        raise ConfigurationError(f"expected one client's data, got a stack of {len(data.clients)}")
+    return data
+
+
 def forward(model: HeadModel, path: AdapterPath, x) -> np.ndarray:
     """Logits (C,) for one input: (w0 + composed update) @ tanh(M x + bias)."""
     x = np.asarray(x, dtype=np.float64)
@@ -205,8 +212,7 @@ def forward(model: HeadModel, path: AdapterPath, x) -> np.ndarray:
 def dataset_loss(model: HeadModel, path: AdapterPath, data) -> float:
     """Mean cross-entropy of the composed model over the dataset: the
     blocked kernel's loss on a stack of one."""
-    stack = ClientStack((_as_encoded(model, data),))
-    return float(_stack_losses(compose_path(path, model.w0)[None], stack)[0])
+    return float(_stack_losses(compose_path(path, model.w0)[None], _stack_of_one(model, data))[0])
 
 
 # --- the blocked SGD kernel ----------------------------------------------------
@@ -260,16 +266,32 @@ def _stack_gradient(frozen_w, b, a, z, labels, rows, bases, gammas):
     return db, da
 
 
+def _scored_blocks(data: ClientStack):
+    """The stack's rows in the default blocks, (S, blocks, block, h) features
+    and (S, blocks, block) labels, with the (S, blocks, block) mask of its
+    real rows: the inputs of every score, loss or accuracy."""
+    z, labels = data.layout(_DEFAULT_BATCH)
+    return z, labels, (np.arange(labels[0].size) < data.sizes[:, None]).reshape(labels.shape)
+
+
 def _stack_losses(w: np.ndarray, data: ClientStack) -> np.ndarray:
     """Mean cross-entropy of each stacked client under its own head weight
     w[s] (S, C, h), over the kernel's fixed blocks. Like the gradient, it sums
     each block, then the blocks in block order, so stack mates change no bit."""
-    sizes = data.sizes
-    z, labels = data.layout(_DEFAULT_BATCH)
+    z, labels, real = _scored_blocks(data)
     picked = np.take_along_axis(_class_probs(w, z), labels[:, :, None], axis=-2)[:, :, 0]
-    real = np.arange(labels[0].size).reshape(labels.shape[1:]) < sizes[:, None, None]
     part = np.where(real, -np.log(np.maximum(picked, _PROB_FLOOR)), 0.0).sum(axis=-1)
-    return reduce(np.add, part.swapaxes(0, 1)) / sizes
+    return reduce(np.add, part.swapaxes(0, 1)) / data.sizes
+
+
+def _stack_accuracy(w: np.ndarray, data: ClientStack) -> np.ndarray:
+    """Each stacked client's share of rows whose largest logit under its own
+    head weight w[s] (S, C, h) is its label; ties pick the lowest class. Hits
+    are counted per (client, block) slice, so stack mates change no bit."""
+    z, labels, real = _scored_blocks(data)
+    # row-major logits (S, blocks, block, C): the argmax runs along contiguous classes
+    hits = (np.argmax(z @ w[:, None].swapaxes(-1, -2), axis=-1) == labels) & real
+    return hits.reshape(len(hits), -1).sum(axis=1) / data.sizes
 
 
 def _stack_inputs(model: HeadModel, paths, active: Tier, frozen_bases, gammas, count: int):
@@ -308,7 +330,7 @@ def tier_gradient(model: HeadModel, path: AdapterPath, data, active: Tier,
     """
     frozen_w, b, a, bases = _stack_inputs(model, [path], active,
                                           [[base] for base in frozen_bases], gammas, 1)
-    stack = ClientStack((_as_encoded(model, data),))
+    stack = _stack_of_one(model, data)
     db, da = _stack_gradient(frozen_w, b, a, *stack.layout(_DEFAULT_BATCH), stack.sizes,
                              bases, gammas)
     return db[0], da[0]
@@ -346,7 +368,7 @@ def local_update(model: HeadModel, path, data, active: Tier,
         raise ConfigurationError("an SgdConfig is required")
     stacked = isinstance(data, ClientStack)
     if not stacked:
-        data = ClientStack((_as_encoded(model, data),))
+        data = _stack_of_one(model, data)
         path, rng = [path], [rng]
         frozen_bases = [[base] for base in frozen_bases]
     count = len(data.clients)

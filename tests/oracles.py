@@ -51,3 +51,33 @@ def softmax_loss_oracle(logits_rows, labels, floor=1e-12):
         p = exps[y] / sum(exps)
         total += -math.log(max(p, floor))
     return total / len(labels)
+
+
+def accuracy_oracle(z, y, w):
+    """Share of rows whose largest logit in z @ w.T is the label; np.argmax
+    takes the first, so ties pick the lowest class."""
+    return float(np.mean(np.argmax(z @ w.T, axis=1) == y))
+
+
+def orthogonality_oracle(root_b, cluster_bs, leaf_bs, rank, negligible):
+    """Per tier pair, {mean, max, count, excluded} of ||U1.T @ U2||_F^2 / rank
+    taken one client at a time, where U is the top-`rank` left singular basis
+    of a B factor. cluster_bs and leaf_bs hold each client's factors; a factor
+    of Frobenius norm <= negligible spans no direction, so each pair it is
+    part of counts the client as excluded."""
+    def basis(b):
+        return None if np.linalg.norm(b) <= negligible else np.linalg.svd(b)[0][:, :rank]
+
+    u_root = np.linalg.svd(root_b)[0][:, :rank]
+    vals = {"root_cluster": [], "root_leaf": [], "cluster_leaf": []}
+    excluded = dict.fromkeys(vals, 0)
+    for cluster_b, leaf_b in zip(cluster_bs, leaf_bs):
+        uc, ul = basis(cluster_b), basis(leaf_b)
+        for name, (u1, u2) in (("root_cluster", (u_root, uc)), ("root_leaf", (u_root, ul)),
+                               ("cluster_leaf", (uc, ul))):
+            if u1 is None or u2 is None:
+                excluded[name] += 1
+            else:
+                vals[name].append(float(np.sum((u1.T @ u2) ** 2)) / rank)
+    return {name: {"mean": float(np.mean(v)) if v else None, "max": max(v) if v else None,
+                   "count": len(v), "excluded": excluded[name]} for name, v in vals.items()}

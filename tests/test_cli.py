@@ -104,6 +104,13 @@ class TestRun:
         assert main(["run", "--config", str(cfg)]) == 2
         assert "n_clients" in capsys.readouterr().err
 
+    def test_integer_past_the_json_digit_limit_fails_cleanly(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        cfg.write_text(cfg.read_text().replace('"lr": 0.05', '"lr": ' + "1" * 5000))
+        assert main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_deeply_nested_config_fails_cleanly(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"
         cfg.write_text("[" * 200_000)
@@ -153,6 +160,20 @@ BAD_CONFIG_VALUES = {
     "k_min_above_n_clients_minus_one": ({"federation.k_min": 8}, "k_min"),
     "data_path_nul_byte": ({"data": {"kind": "csv", "path": "pool\u0000.csv"}}, "data.path"),
     "out_dir_nul_byte": ({"out_dir": "run\u0000"}, "out_dir"),
+    "lr_past_the_float_range": ({"federation.lr": 10**400}, "lr"),
+    "gamma_c_past_the_float_range": ({"federation.gamma_c": 10**400}, "gamma_c"),
+    "eps_past_the_float_range": ({"federation.eps": 10**400}, "eps"),
+    "rotation_angle_past_the_float_range": ({"data.rotation_angle": -10**400}, "rotation_angle"),
+    "separation_past_the_float_range": ({"data.separation": 10**400}, "separation"),
+    "gl_dir_alpha_past_the_float_range": ({"data": dict(GL_DIR_WITHOUT_ALPHA, alpha=10**400)},
+                                          "alpha"),
+    "csv_with_classes": ({"data": {"kind": "csv", "path": "pool.csv", "classes": 0}}, "classes"),
+    "csv_with_feature_dim": ({"data": {"kind": "csv", "path": "pool.csv", "feature_dim": 3}},
+                             "feature_dim"),
+    "csv_with_per_class": ({"data": {"kind": "csv", "path": "pool.csv", "per_class": -5}},
+                           "per_class"),
+    "csv_with_separation": ({"data": {"kind": "csv", "path": "pool.csv", "separation": 3.0}},
+                            "separation"),
 }
 
 
@@ -320,6 +341,9 @@ RUN_DIR_FAULTS = {
     "fractional_k_true": ("manifest.json", set_data_field("k_true", 2.5)),
     "deeply_nested_manifest": ("manifest.json", lambda doc: "[" * 200_000),
     "deeply_nested_clustering": ("clustering.json", lambda doc: "[" * 200_000),
+    "integer_past_the_digit_limit": ("manifest.json",
+                                     lambda doc: json.dumps(dict(doc, files="N"))
+                                     .replace('"N"', "1" * 5000)),
 }
 
 
@@ -506,6 +530,20 @@ class TestCsvDataKind:
             err = capsys.readouterr().err
             assert err.startswith("error:") and "csv_sha256" in err
         assert (run_dir / "metrics.csv").read_bytes() == metrics
+
+    def test_n_total_must_equal_the_csv_client_count(self, tmp_path, capsys):
+        cfg = write_csv_config(tmp_path)
+        doc = json.loads(cfg.read_text())
+        cfg.write_text(json.dumps({**doc, "data": {**doc["data"], "n_total": 99}}))
+        assert main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "n_total" in err
+        cfg.write_text(json.dumps({**doc, "data": {**doc["data"], "n_total": 4}}))
+        assert main(["run", "--config", str(cfg)]) == 0
+        run_dir = tmp_path / "csvrun"
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert manifest["config"]["data"]["n_total"] == 4
+        assert main(["report", "--run", str(run_dir)]) == 0
 
     def test_non_finite_feature_fails_naming_the_line(self, tmp_path, capsys):
         pool = gen_pool(2, 2, 10, 3.0, seed=8)

@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,10 +10,12 @@ import fedtier.model
 from fedtier.datagen import ClientSplit, FederationData, gen_pool
 from fedtier.errors import PreconditionError
 from fedtier.federation import FederationConfig, run_protocol, weights_cluster
-from fedtier.lora import AdapterPath, zero_adapter
+from fedtier.lora import AdapterPath, Tier, compose_path, zero_adapter
 from fedtier.metrics import (accuracy, clustering_quality, compute_metrics,
                              orthogonality_report, tier_gains, worst_decile)
-from fedtier.model import FrozenBackbone, HeadModel, Samples, dataset_loss, forward
+from fedtier.model import (ClientStack, FrozenBackbone, HeadModel, Samples, dataset_loss, encode,
+                           forward)
+from oracles import accuracy_oracle, orthogonality_oracle
 
 
 def pair_count_ari(labels, truth):
@@ -232,6 +235,65 @@ class TestOrthogonalityReport:
             if stats.count:
                 assert 0.0 <= stats.mean <= 1.0
                 assert stats.mean <= stats.max + 1e-15
+
+
+def orthogonality_by_loop(fed):
+    return orthogonality_oracle(
+        fed.server.root.b, [fed.server.clusters[c.cluster].b for c in fed.clients],
+        [c.path.leaf.b for c in fed.clients], fed.config.rank, fedtier.metrics._NEGLIGIBLE_B)
+
+
+class TestStackedScores:
+    def test_every_stage_accuracy_matches_the_argmax_oracle(self, trained_fed):
+        fed = trained_fed
+        report = compute_metrics(fed)
+        for i, client in enumerate(fed.clients):
+            test = encode(fed.model, client.data.test)
+            for got, path in ((report.accuracies_root[i], fed.path_root(i)),
+                              (report.accuracies_cluster[i], fed.path_cluster(i)),
+                              (report.accuracies[i], fed.path_full(i))):
+                assert got == accuracy_oracle(test.z, test.y, compose_path(path, fed.model.w0))
+
+    def test_accuracy_takes_a_one_client_stack(self, trained_fed):
+        fed = trained_fed
+        test = encode(fed.model, fed.clients[4].data.test)
+        path = fed.path_full(4)
+        assert accuracy(fed.model, path, ClientStack([test])) == accuracy(fed.model, path, test)
+
+    def test_orthogonality_matches_the_per_pair_loop(self, trained_fed):
+        report = orthogonality_report(trained_fed)
+        expect = orthogonality_by_loop(trained_fed)
+        assert sum(expect[name]["count"] for name in expect) > 0
+        for name, stats in report.pairs.items():
+            assert (stats.count, stats.excluded) == (expect[name]["count"],
+                                                     expect[name]["excluded"])
+            for key in ("mean", "max"):
+                if expect[name]["count"]:
+                    assert getattr(stats, key) == pytest.approx(expect[name][key], rel=0,
+                                                                abs=1e-15)
+                else:
+                    assert getattr(stats, key) is None
+
+    def test_negligible_leaves_leave_only_their_own_pairs(self, trained_fed):
+        # three clients' leaves zeroed: they drop out of the leaf pairs alone
+        fed = trained_fed
+        zero = zero_adapter(fed.model.class_count, fed.model.backbone.hidden_dim, fed.config.rank)
+        fed = replace(fed, clients=[replace(c, path=c.path.replace(Tier.LEAF, zero))
+                                    if c.id in (0, 3, 5) else c for c in fed.clients])
+        report = orthogonality_report(fed)
+        for name, expect in orthogonality_by_loop(fed).items():
+            stats = report.pairs[name]
+            assert (stats.count, stats.excluded) == (expect["count"], expect["excluded"])
+            assert stats.excluded == (0 if name == "root_cluster" else 3)
+            assert stats.mean == pytest.approx(expect["mean"], rel=0, abs=1e-15)
+            assert stats.max == pytest.approx(expect["max"], rel=0, abs=1e-15)
+
+    def test_root_only_run_counts_match_the_loop(self):
+        fed = root_only_fed()
+        report = orthogonality_report(fed)
+        for name, expect in orthogonality_by_loop(fed).items():
+            assert (report.pairs[name].count, report.pairs[name].excluded) == (
+                expect["count"], expect["excluded"])
 
 
 class TestComputeMetrics:

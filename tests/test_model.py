@@ -7,8 +7,9 @@ from fedtier.errors import ConfigurationError, PreconditionError
 from fedtier.lora import AdapterPath, LoraAdapter, Tier, compose_path, orth_penalty_grad, zero_adapter
 from fedtier.model import (ClientStack, FrozenBackbone, HeadModel, Samples, SgdConfig,
                            build_model, dataset_loss, encode, fd_tier_gradient, forward,
-                           gradient_check, local_update, tier_gradient, _stack_losses)
-from oracles import loop_matmul, softmax_loss_oracle
+                           gradient_check, local_update, tier_gradient, _stack_accuracy,
+                           _stack_losses)
+from oracles import accuracy_oracle, loop_matmul, softmax_loss_oracle
 
 
 def zero_path(p, q, r=1):
@@ -380,3 +381,39 @@ class TestStackLosses:
                 pair = _stack_losses(w[[s, mate]], ClientStack([encs[s], encs[mate]]))
                 assert pair[0] == alone[s] and pair[1] == alone[mate]
         assert np.array_equal(_stack_losses(w, ClientStack(encs)), alone)
+
+
+class TestStackAccuracy:
+    # mates of up to 300 rows widen the padded stack well past 128 rows
+    SIZES = [5, 1, 33, 64, 45, 129, 150, 200, 257, 300]
+
+    def test_client_accuracy_does_not_depend_on_stack_mates(self):
+        model, encs, paths, _ = stacked_case(7, self.SIZES, Tier.ROOT, 0)
+        w = np.stack([compose_path(p, model.w0) for p in paths])
+        alone = [_stack_accuracy(w[s:s + 1], ClientStack(encs[s:s + 1]))[0]
+                 for s in range(len(self.SIZES))]
+        for s in range(len(self.SIZES)):
+            for mate in range(s + 1, len(self.SIZES)):
+                pair = _stack_accuracy(w[[s, mate]], ClientStack([encs[s], encs[mate]]))
+                assert pair[0] == alone[s] and pair[1] == alone[mate]
+        assert np.array_equal(_stack_accuracy(w, ClientStack(encs)), alone)
+
+    def test_matches_the_argmax_oracle(self):
+        model, encs, paths, _ = stacked_case(8, self.SIZES, Tier.ROOT, 0)
+        w = np.stack([compose_path(p, model.w0) for p in paths])
+        got = _stack_accuracy(w, ClientStack(encs))
+        assert got.tolist() == [accuracy_oracle(e.z, e.y, w[s]) for s, e in enumerate(encs)]
+
+    def test_padding_rows_never_count_as_hits(self):
+        # every padding row is zero, so all its logits tie and it "predicts"
+        # class 0; with every label 0 only the real rows may count
+        model = HeadModel(w0=np.zeros((3, 2)),
+                          backbone=FrozenBackbone(m=np.eye(2), bias=np.zeros(2)))
+        encs = [encode(model, Samples(np.ones((n, 2)), np.zeros(n))) for n in (1, 40)]
+        w = np.zeros((2, 3, 2))
+        assert _stack_accuracy(w, ClientStack(encs)).tolist() == [1.0, 1.0]
+
+    def test_a_stack_of_several_clients_is_not_one_clients_data(self):
+        model, encs, paths, _ = stacked_case(9, [4, 6], Tier.ROOT, 0)
+        with pytest.raises(ConfigurationError, match="one client"):
+            dataset_loss(model, paths[0], ClientStack(encs))

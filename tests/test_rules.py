@@ -156,6 +156,19 @@ def test_rejected_edge_raises_naming_the_field(cls, name, value):
         build(cls, **{name: value})
 
 
+# an integer past the largest float passes a number's interval, but no float holds it
+BEYOND_FLOAT = [(cls, name, sign * 10**400) for cls, name, kind, _ in RULED if kind is float
+                for sign in (1, -1)]
+
+
+@pytest.mark.parametrize("cls,name,value", BEYOND_FLOAT,
+                         ids=[f"{cls.__name__}.{name}={'-' * (v < 0)}10**400"
+                              for cls, name, v in BEYOND_FLOAT])
+def test_integer_beyond_the_float_range_raises_naming_the_field(cls, name, value):
+    with pytest.raises(ConfigurationError, match=rf"^{name} must lie within the float range$"):
+        build(cls, **{name: value})
+
+
 @pytest.mark.parametrize("cls,name,kind,rule", RULED,
                          ids=[f"{cls.__name__}.{name}" for cls, name, *_ in RULED])
 @PROPERTY
@@ -202,6 +215,14 @@ def test_argument_rule_edges(small_fed, trained_fed, name):
         with pytest.raises(ConfigurationError) as info:
             call(value, small_fed, trained_fed)
         assert str(info.value) == f"{name} {rule.text}, got {value!r}"
+
+
+@pytest.mark.parametrize("name", sorted(n for n, (kind, *_) in ARGUMENTS.items() if kind is float))
+def test_float_argument_beyond_the_float_range_raises(small_fed, trained_fed, name):
+    call = ARGUMENTS[name][2]
+    for value in (10**400, -10**400):
+        with pytest.raises(ConfigurationError, match=rf"^{name} must lie within the float range$"):
+            call(value, small_fed, trained_fed)
 
 
 # the data section of the round trip: four participating clients
