@@ -51,8 +51,8 @@ def build_representatives(server: ServerState, rank: int) -> list[ClusterReprese
     return reps
 
 
-def probe_basis(model: HeadModel, train: Samples | EncodedData, root_star: LoraAdapter,
-                rank: int, steps: int, lr: float, seed: int = 0) -> Matrix:
+def probe_basis(model: HeadModel, train: Samples | EncodedData | ClientStack,
+                root_star: LoraAdapter, rank: int, steps: int, lr: float, seed: int = 0) -> Matrix:
     """Run `steps` full-batch gradient steps of a fresh probe adapter above the
     frozen root on `train` and return the probe B's dominant left subspace."""
     check_types(int, POSITIVE, steps=steps)
@@ -93,8 +93,9 @@ def adapt_unseen(model: HeadModel, client: ClientSplit, server: ServerState,
     (linalg.one_blas_thread)."""
     check_types(int, NON_NEGATIVE, epochs=epochs)
     reps = build_representatives(server, config.rank)
-    # the test split is packed once and scored epochs + 1 times
-    train, test = encode(model, client.train), ClientStack((encode(model, client.test),))
+    # each split is packed once: the train split serves the probe and every
+    # epoch, the test split is scored epochs + 1 times
+    train, test = (ClientStack((encode(model, split),)) for split in (client.train, client.test))
     u_u = probe_basis(model, train, server.root, config.rank,
                       steps=config.probe_steps, lr=config.lr, seed=seed)
     j = assign_cluster(u_u, reps)

@@ -31,6 +31,12 @@ cluster), metrics.json and the flat metrics.csv
 (``client_id,cluster,acc,G_c,G_l``), clustering.json, and a checkpoints/
 directory holding one text dump per frozen adapter (root.adapter,
 cluster_<j>.adapter, leaf_<i>.adapter) and per EMA basis (ema_<i>.matrix).
+clustering.json holds the ClusterAssignment: k_star (integer), sigma
+(number), degenerate (boolean), labels and k_range (lists of integers),
+eigenvalues and eigengaps (lists of numbers), distance_matrix and
+affinity_matrix (lists of lists of numbers). One table (_CLUSTERING_JSON)
+writes it and reads it back, and the reload commands refuse a missing key
+or a value of the wrong kind.
 Adapter dumps are ``p q rank`` followed by the rows of B then the rows of A,
 matrix dumps are ``rows cols`` followed by the rows; entries are printed with
 %.17g and round-trip float64 exactly. The manifest of a csv run also holds
@@ -73,6 +79,18 @@ _DATA_RULES = {"path": (str, None), "classes": (int, None), "feature_dim": (int,
                "per_class": (int, None), "n_total": (int, None), "separation": (float, None),
                "unseen_fraction": (float, Rule("must lie in [0, 1)", lo=0, hi=1, closed_lo=True))}
 
+# each clustering.json key, the ClusterAssignment field it holds, the JSON
+# kind of its elements and its list depth; _clustering_payload writes the
+# file from it and _reload_federation reads it back
+_CLUSTERING_JSON = {
+    "k_star": ("k_star", int, 0), "sigma": ("sigma", float, 0),
+    "degenerate": ("degenerate", bool, 0), "labels": ("labels", int, 1),
+    "k_range": ("k_range", int, 1), "eigenvalues": ("eigenvalues", float, 1),
+    "eigengaps": ("eigengaps", float, 1), "distance_matrix": ("distances", float, 2),
+    "affinity_matrix": ("affinities", float, 2)}
+# the JSON types each element kind admits, and its array dtype
+_JSON_KINDS = {int: ({int}, np.int64), float: ({int, float}, np.float64), bool: ({bool}, np.bool_)}
+
 
 def _fail(msg: str) -> int:
     print(f"error: {msg}", file=sys.stderr)
@@ -83,6 +101,23 @@ def _need(section: dict, key: str, where: str):
     if key not in section:
         raise ConfigurationError(f"missing field '{key}' in {where}")
     return section[key]
+
+
+def _clustering_value(doc: dict, key: str, kind: type, depth: int):
+    """doc[key] of clustering.json: a kind value at depth 0, else an array of
+    kind values nested `depth` lists deep. A bool is not a number, a float is
+    not an int, and a string or a ragged list has the wrong depth."""
+    allowed, dtype = _JSON_KINDS[kind]
+    value = _need(doc, key, "clustering.json")
+    try:
+        value = np.array(value, dtype=object)
+        if value.ndim != depth or not all(type(x) in allowed for x in value.flat):
+            raise ValueError
+        value = value.astype(dtype)   # OverflowError past the int64 or float range
+    except (ValueError, OverflowError):
+        raise ConfigurationError(f"clustering.json {key} must hold {kind.__name__} values "
+                                 f"at list depth {depth}") from None
+    return value.item() if depth == 0 else value
 
 
 def _materialize_config(raw: dict, seed=None, workers=None, out=None,
@@ -196,17 +231,8 @@ def _write_roundlog(path: Path, fed: TrainedFederation):
 
 
 def _clustering_payload(assignment: ClusterAssignment) -> dict:
-    return {
-        "k_star": int(assignment.k_star),
-        "sigma": float(assignment.sigma),
-        "eigenvalues": [float(x) for x in assignment.eigenvalues],
-        "eigengaps": [float(x) for x in assignment.eigengaps],
-        "labels": [int(x) for x in assignment.labels],
-        "distance_matrix": [[float(x) for x in row] for row in assignment.distances],
-        "affinity_matrix": [[float(x) for x in row] for row in assignment.affinities],
-        "k_range": list(assignment.k_range),
-        "degenerate": bool(assignment.degenerate),
-    }
+    return {key: np.asarray(getattr(assignment, name)).tolist()
+            for key, (name, _, _) in _CLUSTERING_JSON.items()}
 
 
 def _json_text(payload: dict) -> str:
@@ -229,23 +255,27 @@ def _write_metrics(out_dir: Path, report) -> list[str]:
     return ["metrics.json", "metrics.csv"]
 
 
+def _checkpoints(run_dir: Path, cluster_ids, n_clients: int) -> tuple[Path, dict, list, list]:
+    """The checkpoint files of a run: the root's, each cluster's by id, and
+    each client's leaf and EMA basis in client order."""
+    ck = run_dir / "checkpoints"
+    return (ck / "root.adapter", {j: ck / f"cluster_{j}.adapter" for j in cluster_ids},
+            [ck / f"leaf_{i}.adapter" for i in range(n_clients)],
+            [ck / f"ema_{i}.matrix" for i in range(n_clients)])
+
+
 def _save_checkpoints(out_dir: Path, fed: TrainedFederation) -> list[str]:
-    ck = out_dir / "checkpoints"
-    ck.mkdir(parents=True, exist_ok=True)
-    files = []
-    save_adapter(fed.server.root, ck / "root.adapter")
-    files.append("checkpoints/root.adapter")
-    for j in sorted(fed.server.clusters):
-        save_adapter(fed.server.clusters[j], ck / f"cluster_{j}.adapter")
-        files.append(f"checkpoints/cluster_{j}.adapter")
-    for client in fed.clients:
-        save_adapter(client.path.leaf, ck / f"leaf_{client.id}.adapter")
-        files.append(f"checkpoints/leaf_{client.id}.adapter")
-    for i in sorted(fed.tracker.bases):
-        (ck / f"ema_{i}.matrix").write_text(dump_matrix(fed.tracker.bases[i]),
-                                            encoding="ascii")
-        files.append(f"checkpoints/ema_{i}.matrix")
-    return files
+    (out_dir / "checkpoints").mkdir(parents=True, exist_ok=True)
+    root, clusters, leaves, emas = _checkpoints(out_dir, sorted(fed.server.clusters),
+                                                len(fed.clients))
+    save_adapter(fed.server.root, root)
+    for j, path in clusters.items():
+        save_adapter(fed.server.clusters[j], path)
+    for client, path in zip(fed.clients, leaves):
+        save_adapter(client.path.leaf, path)
+    for i, path in enumerate(emas):
+        path.write_text(dump_matrix(fed.tracker.bases[i]), encoding="ascii")
+    return [p.relative_to(out_dir).as_posix() for p in (root, *clusters.values(), *leaves, *emas)]
 
 
 def _cmd_run(args) -> int:
@@ -267,10 +297,13 @@ def _cmd_run(args) -> int:
 
 
 def _read_json_object(path: Path) -> dict:
+    text = path.read_text()
     try:
-        doc = json.loads(path.read_text())
-    except ValueError as exc:   # not JSON, or an integer past Python's int-to-str digit limit
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
         raise ConfigurationError(f"{path.name} is not valid JSON: {exc}") from None
+    except ValueError:   # an integer past Python's int-to-str digit limit
+        raise ConfigurationError(f"{path.name} holds an integer with too many digits") from None
     if not isinstance(doc, dict):
         raise ConfigurationError(f"{path.name} must hold a JSON object")
     return doc
@@ -283,37 +316,19 @@ def _reload_federation(run_dir: Path) -> TrainedFederation:
     model = build_model(data.feature_dim, data.class_count, config.hidden_dim,
                         config.master_seed)
     diag = _read_json_object(run_dir / "clustering.json")
-    for key in ("k_star", "labels", "eigengaps", "k_range", "sigma", "eigenvalues",
-                "distance_matrix", "affinity_matrix", "degenerate"):
-        _need(diag, key, "clustering.json")
-    labels = diag["labels"]
-    if not isinstance(labels, list) or len(labels) != config.n_clients:
+    values = {name: _clustering_value(diag, key, kind, depth)
+              for key, (name, kind, depth) in _CLUSTERING_JSON.items()}
+    if len(values["labels"]) != config.n_clients:
         raise ConfigurationError(f"clustering.json needs {config.n_clients} labels")
-    if not all(type(j) is int for j in labels):
-        raise ConfigurationError("clustering.json labels must be integers")
-    try:
-        assignment = ClusterAssignment(
-            k_star=int(diag["k_star"]), labels=np.array(labels, dtype=np.int64),
-            eigengaps=np.array(diag["eigengaps"], dtype=np.float64),
-            k_range=tuple(int(k) for k in diag["k_range"]),
-            sigma=float(diag["sigma"]),
-            eigenvalues=np.array(diag["eigenvalues"], dtype=np.float64),
-            distances=np.array(diag["distance_matrix"], dtype=np.float64),
-            affinities=np.array(diag["affinity_matrix"], dtype=np.float64),
-            degenerate=bool(diag["degenerate"]))
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"clustering.json holds a malformed value: {exc}") from None
+    assignment = ClusterAssignment(**dict(values, k_range=tuple(values["k_range"].tolist())))
     # read exactly the checkpoints the run wrote: a missing one is an i/o
     # failure, and stray files beside them are never parsed
-    ck = run_dir / "checkpoints"
-    root = read_adapter(ck / "root.adapter")
-    clusters = {j: read_adapter(ck / f"cluster_{j}.adapter") for j in assignment.cluster_ids}
+    root, clusters, leaves, emas = _checkpoints(run_dir, assignment.cluster_ids, config.n_clients)
     tracker = BasisTracker(config.ema_decay)
-    for i in range(config.n_clients):
-        tracker.bases[i] = load_matrix((ck / f"ema_{i}.matrix").read_text())
-    leaves = [read_adapter(ck / f"leaf_{i}.adapter") for i in range(config.n_clients)]
-    return TrainedFederation.from_tiers(config, model, data, root, clusters, leaves,
-                                        assignment, [], tracker)
+    tracker.bases.update(enumerate(load_matrix(path.read_text()) for path in emas))
+    return TrainedFederation.from_tiers(config, model, data, read_adapter(root),
+                                        {j: read_adapter(path) for j, path in clusters.items()},
+                                        list(map(read_adapter, leaves)), assignment, [], tracker)
 
 
 def _cmd_report(args) -> int:

@@ -354,23 +354,25 @@ def local_update(model: HeadModel, path, data, active: Tier,
                  rng=None):
     """Run `opt.epochs` of gradient descent on the active adapter.
 
-    With one client's data (Samples or EncodedData), `path` is its
-    AdapterPath, each `frozen_bases` entry one B factor, `rng` one
-    Generator, and a fresh LoraAdapter is returned. With a ClientStack,
-    `path`, each `frozen_bases` entry and `rng` hold one item per client and
-    a list of adapters comes back; a client's result is bitwise the same as
-    when it is updated alone. Input paths and their frozen tiers are left
-    bitwise untouched. Mini-batch mode needs the rngs for the shuffles; a
-    full-batch step sums the gradients of all of a client's blocks, a
-    mini-batch step takes one block per client.
+    With one AdapterPath, `data` is its client's Samples, EncodedData or
+    one-client ClientStack, each `frozen_bases` entry one B factor, `rng` one
+    Generator, and a fresh LoraAdapter is returned. With a list of paths,
+    `data` is a ClientStack of their clients, each `frozen_bases` entry and
+    `rng` hold one item per client, and a list of adapters comes back; a
+    client's result is bitwise the same as when it is updated alone. Input
+    paths and their frozen tiers are left bitwise untouched. Mini-batch mode
+    needs the rngs for the shuffles; a full-batch step sums the gradients of
+    all of a client's blocks, a mini-batch step takes one block per client.
     """
     if opt is None:
         raise ConfigurationError("an SgdConfig is required")
-    stacked = isinstance(data, ClientStack)
-    if not stacked:
+    single = isinstance(path, AdapterPath)
+    if single:
         data = _stack_of_one(model, data)
         path, rng = [path], [rng]
         frozen_bases = [[base] for base in frozen_bases]
+    elif not isinstance(data, ClientStack):
+        raise ConfigurationError("a list of paths needs a ClientStack of their clients")
     count = len(data.clients)
     frozen_w, b, a, bases = _stack_inputs(model, path, active, frozen_bases, gammas, count)
     rng = [None] * count if rng is None else rng
@@ -399,7 +401,7 @@ def local_update(model: HeadModel, path, data, active: Tier,
             b[sel] -= opt.lr * db
             a[sel] -= opt.lr * da
     out = [LoraAdapter(b=b[s], a=a[s], rank=b.shape[2]) for s in range(count)]
-    return out if stacked else out[0]
+    return out[0] if single else out
 
 
 def objective(model: HeadModel, path: AdapterPath, data, active: Tier,

@@ -8,7 +8,7 @@ from fedtier.adaptation import (ClusterRepresentative, adapt_unseen, assign_clus
 from fedtier.errors import ConfigurationError, DegenerateInputError
 from fedtier.federation import FederationConfig, run_protocol
 from fedtier.linalg import orthonormal_columns
-from fedtier.model import FrozenBackbone, HeadModel, Samples, local_update
+from fedtier.model import ClientStack, FrozenBackbone, HeadModel, Samples, local_update
 from fedtier.lora import zero_adapter
 from oracles import random_orthonormal
 
@@ -137,6 +137,23 @@ class TestAdaptUnseen:
             assert len(bases) == len(Tier.LEAF.earlier) == 2
             assert bases[0] is fed.server.root.b and bases[1] is cluster.b
             assert path.root is fed.server.root and path.cluster is cluster
+
+    @pytest.mark.parametrize("batch_mode", ["full", "mini"])
+    def test_each_split_is_packed_once(self, trained_fed, monkeypatch, batch_mode):
+        # the probe and every fine-tune epoch read one packed train stack
+        fed = trained_fed
+        packed = []
+        layout = ClientStack.layout
+
+        def spy(stack, block):
+            packed.append(stack)
+            return layout(stack, block)
+
+        monkeypatch.setattr(ClientStack, "layout", spy)
+        config = replace(fed.config, batch_mode=batch_mode)
+        adapt_unseen(fed.model, fed.data.unseen[1], fed.server, config, epochs=3, seed=2)
+        assert len({id(stack) for stack in packed}) == 2
+
 
 class TestUntrainedClusters:
     def test_zero_cluster_adapters_refuse_routing(self, clustershift_data):

@@ -1,15 +1,19 @@
 import csv
 import json
 import shutil
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fedtier.cli
-from fedtier.cli import _materialize_config, main
+from fedtier.cli import (_clustering_payload, _json_text, _materialize_config,
+                         _reload_federation, main)
+from fedtier.clustering import ClusterAssignment
 from fedtier.datagen import (ClusterShift, GlDir, Patho, ScDir, gen_pool, load_csv,
                              partition, split_unseen)
+from fedtier.federation import run_protocol
 from fedtier.model import Samples
 
 
@@ -110,6 +114,13 @@ class TestRun:
         assert main(["run", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+    def test_digit_limit_message_names_the_integer(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        cfg.write_text(cfg.read_text().replace('"lr": 0.05', '"lr": ' + "1" * 5000))
+        assert main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: config.json holds an integer with too many digits\n"
 
     def test_deeply_nested_config_fails_cleanly(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"
@@ -323,6 +334,11 @@ def set_data_field(key, value):
     return edit
 
 
+def drop_last_entry_of_later_rows(doc):
+    first, *rest = doc["distance_matrix"]
+    return dict(doc, distance_matrix=[first] + [row[:-1] for row in rest])
+
+
 RUN_DIR_FAULTS = {
     "unknown_federation_field": ("manifest.json", add_bogus_federation_field),
     "manifest_without_config": ("manifest.json", drop("config")),
@@ -344,6 +360,21 @@ RUN_DIR_FAULTS = {
     "integer_past_the_digit_limit": ("manifest.json",
                                      lambda doc: json.dumps(dict(doc, files="N"))
                                      .replace('"N"', "1" * 5000)),
+    "clustering_without_k_star": ("clustering.json", drop("k_star")),
+    "clustering_without_sigma": ("clustering.json", drop("sigma")),
+    "clustering_without_eigenvalues": ("clustering.json", drop("eigenvalues")),
+    "clustering_without_eigengaps": ("clustering.json", drop("eigengaps")),
+    "clustering_without_distance_matrix": ("clustering.json", drop("distance_matrix")),
+    "degenerate_as_a_string": ("clustering.json", lambda doc: dict(doc, degenerate="no")),
+    "fractional_k_star": ("clustering.json", lambda doc: dict(doc, k_star=2.7)),
+    "fractional_k_range": ("clustering.json", lambda doc: dict(doc, k_range=[2.9, 5.1])),
+    "sigma_as_a_string": ("clustering.json", lambda doc: dict(doc, sigma="0.5")),
+    "boolean_eigengaps": ("clustering.json", lambda doc: dict(doc, eigengaps=[True, False])),
+    "eigenvalues_as_a_string": ("clustering.json", lambda doc: dict(doc, eigenvalues="0123")),
+    "ragged_distance_matrix": ("clustering.json", drop_last_entry_of_later_rows),
+    "flat_distance_matrix": ("clustering.json",
+                             lambda doc: dict(doc, distance_matrix=doc["distance_matrix"][0])),
+    "k_star_past_int64": ("clustering.json", lambda doc: dict(doc, k_star=10 ** 399)),
 }
 
 
@@ -374,6 +405,43 @@ def test_stray_checkpoint_files_are_ignored(finished_run, tmp_path, capsys):
     capsys.readouterr()
     assert main(["cluster-diag", "--run", str(run_dir)]) == 0
     assert capsys.readouterr().out == (run_dir / "clustering.json").read_text()
+
+
+def readme_config(out_dir):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return dict(json.loads(readme.split("```json\n", 1)[1].split("```", 1)[0]),
+                out_dir=str(out_dir))
+
+
+@pytest.mark.parametrize("case", ["readme", "two_clients"])
+def test_clustering_json_round_trips_the_assignment(tmp_path, monkeypatch, case):
+    # the file reloads as the trained assignment, field by field and bit by
+    # bit, and writing the reloaded assignment gives the file's text again
+    if case == "readme":
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(readme_config(tmp_path / "run")))
+    else:
+        cfg = write_config(tmp_path, **{"data.n_total": 2, "data.unseen_fraction": 0.0})
+    trained = []
+
+    def keep(config, data):
+        trained.append(run_protocol(config, data))
+        return trained[0]
+
+    monkeypatch.setattr(fedtier.cli, "run_protocol", keep)
+    assert main(["run", "--config", str(cfg)]) == 0
+    run_dir = tmp_path / "run"
+    reloaded = _reload_federation(run_dir).server.assignment
+    assert reloaded.degenerate is (case == "two_clients")
+    for f in fields(ClusterAssignment):
+        got, want = getattr(reloaded, f.name), getattr(trained[0].server.assignment, f.name)
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype and got.shape == want.shape, f.name
+            assert got.tobytes() == want.tobytes(), f.name
+        else:
+            assert got == want, f.name
+    text = (run_dir / "clustering.json").read_text()
+    assert _json_text(_clustering_payload(reloaded)) == text
 
 
 class TestClusterDiag:

@@ -362,6 +362,27 @@ class TestStackedLocalUpdate:
         with pytest.raises(ConfigurationError):
             local_update(model, paths, ClientStack(encs), Tier.ROOT, opt=opt)
 
+    @pytest.mark.parametrize("batch_mode", ["full", "mini"])
+    def test_one_path_takes_a_one_client_stack(self, batch_mode):
+        # one AdapterPath is one client, whether its rows come encoded or
+        # already packed in a stack of one
+        model, encs, paths, bases = stacked_case(6, [45], Tier.LEAF, 2)
+        opt = SgdConfig(lr=0.2, epochs=3, batch_mode=batch_mode, batch_size=16)
+        frozen = [e[0] for e in bases]
+        alone, stacked = (local_update(model, paths[0], data, Tier.LEAF, frozen, (0.5, 1.5),
+                                       opt=opt, rng=streams(1)[0])
+                          for data in (encs[0], ClientStack(encs)))
+        assert isinstance(stacked, LoraAdapter)
+        assert np.array_equal(stacked.b, alone.b) and np.array_equal(stacked.a, alone.a)
+
+    def test_paths_must_match_the_data(self):
+        model, encs, paths, _ = stacked_case(7, [5, 16], Tier.ROOT, 0)
+        opt = SgdConfig(lr=0.1, epochs=1)
+        with pytest.raises(ConfigurationError, match="ClientStack"):
+            local_update(model, paths[:1], encs[0], Tier.ROOT, opt=opt)
+        with pytest.raises(ConfigurationError, match="stack of 2"):
+            local_update(model, paths[0], ClientStack(encs), Tier.ROOT, opt=opt)
+
     def test_empty_stack_rejected(self):
         with pytest.raises(PreconditionError):
             ClientStack([])
