@@ -55,12 +55,13 @@ from pathlib import Path
 import numpy as np
 
 from .adaptation import adapt_unseen
-from .clustering import BasisTracker, ClusterAssignment, cluster_clients
+from .clustering import BasisTracker, ClusterAssignment
 from .datagen import (ClusterShift, FederationData, GlDir, Patho, ScDir,
                       load_csv, gen_pool, partition, split_unseen)
-from .errors import (ConfigurationError, DegenerateInputError, GenerationError,
-                     PreconditionError, Rule, check_seed, check_types, has_type, one_of)
-from .federation import FederationConfig, TrainedFederation, run_protocol
+from .errors import (NON_NEGATIVE, POSITIVE, ConfigurationError, DegenerateInputError,
+                     GenerationError, PreconditionError, Rule, check_seed, check_types, has_type,
+                     one_of)
+from .federation import FederationConfig, TrainedFederation, _run_clustering, run_protocol
 from .lora import read_adapter, save_adapter, load_matrix, dump_matrix
 from .metrics import compute_metrics
 from .model import build_model, gradient_check
@@ -74,9 +75,11 @@ _DATA_GENERATOR = {"classes": MISSING, "feature_dim": MISSING, "per_class": MISS
                    "n_total": MISSING, "separation": 3.0}
 _DATA_COMMON = {"kind", "seed", "unseen_fraction", "n_total"}
 _DATA_NAME = {"superclass_of": "superclasses"}  # the one spec field renamed in the data section
-# the type and rule of each data field that no partition spec or seed rule checks
-_DATA_RULES = {"path": (str, None), "classes": (int, None), "feature_dim": (int, None),
-               "per_class": (int, None), "n_total": (int, None), "separation": (float, None),
+# the type and rule of each data field that no partition spec or seed rule
+# checks: the rules gen_pool and partition apply, so an error names the field
+_DATA_RULES = {"path": (str, None), "classes": (int, POSITIVE), "feature_dim": (int, POSITIVE),
+               "per_class": (int, POSITIVE), "n_total": (int, POSITIVE),
+               "separation": (float, NON_NEGATIVE),
                "unseen_fraction": (float, Rule("must lie in [0, 1)", lo=0, hi=1, closed_lo=True))}
 
 # each clustering.json key, the ClusterAssignment field it holds, the JSON
@@ -342,10 +345,7 @@ def _cmd_report(args) -> int:
 def _cmd_cluster_diag(args) -> int:
     run_dir = Path(args.run)
     fed = _reload_federation(run_dir)
-    assignment = cluster_clients(fed.tracker, fed.config.k_min, fed.config.k_max,
-                                 seed=fed.config.master_seed,
-                                 expected_clients=fed.config.n_clients)
-    text = _json_text(_clustering_payload(assignment))
+    text = _json_text(_clustering_payload(_run_clustering(fed.config, fed.tracker)))
     if args.out:
         Path(args.out).write_text(text, encoding="ascii")
         print(f"clustering diagnostics written to {args.out}")

@@ -9,15 +9,19 @@ or on their round budget; a stage whose budget is 0 runs no round and keeps
 its initial adapters, whose B is exactly 0. Leaf adapters never leave their
 client and their budget is counted in local epochs.
 
-All three stages run one loop over groups (all clients for the root, each
-cluster's members, each client alone for its leaf). A group is its members
-and one AdapterPath whose active slot holds the adapter being trained; the
-penalty bases (the B factors of the tiers before the active one) and the
-data-proportional weights are derived from that path and the members' train
-sizes, never stored. The members of every still-running group form one
-stack, packed once per set of running groups, and each round runs one local
-update on it; `workers` > 1 splits that stack into contiguous chunks run on
-a thread pool.
+All three stages run on one engine, _run_stage. A stage function only
+describes its groups (all clients for the root, each cluster's members, each
+client alone for its leaf) by an index, the members, the frozen adapters of
+the earlier tiers and its report's labels. The engine checks the client
+count, encodes the clients when needed, puts a fresh adapter from the
+stage's "<tier>_init" stream in each group's active slot, and fills each
+group's StageReport round by round. The penalty bases (the B factors of the
+tiers before the active one) are read from a group's path, and its
+data-proportional weights are taken once from the members' train sizes.
+The members of every still-running group form one stack, packed once per
+set of running groups, and each round runs one local update on it;
+`workers` > 1 splits that stack into contiguous chunks run on a thread
+pool.
 
 Determinism: the local-update kernel lays each client's rows out in fixed
 blocks of batch_size rows and computes every (client, block) slice on its
@@ -178,21 +182,25 @@ def _encode_clients(model, data) -> list[EncodedData]:
     return [encode(model, c.train) for c in data.clients]
 
 
+def _path(config: FederationConfig, model: HeadModel, *adapters: LoraAdapter) -> AdapterPath:
+    """The path whose first tiers hold `adapters` and whose other tiers are zero."""
+    zero = zero_adapter(*model.w0.shape, config.rank)
+    return AdapterPath(*adapters, *[zero] * (len(Tier) - len(adapters)))
+
+
 @dataclass
 class _Group:
     """Clients that train one adapter together: every client in the root
     stage, one cluster's members in the cluster stage, one client in the
     leaf stage. The path holds the frozen tiers and, in the active slot, the
-    adapter being trained."""
+    adapter being trained; the report fills in round by round, and the group
+    runs while its stop_reason is "budget"."""
 
     members: list[int]
     path: AdapterPath
-    cluster: int | None = None   # the StageReport's labels
-    client: int | None = None
-    rho: list[float] = field(default_factory=list)
-    loss: list[float] = field(default_factory=list)
-    stopped: bool = False
-    prev_delta: Matrix | None = None   # what the next stop check compares against
+    weights: np.ndarray   # weights_root over the members' train sizes
+    report: StageReport
+    prev_delta: Matrix    # what the next stop check compares against
 
 
 def _stage_settings(config: FederationConfig, active: Tier):
@@ -218,11 +226,19 @@ def _absorb(config: FederationConfig, active: Tier, tracker: BasisTracker | None
     return refactor(delta_new, config.rank), delta_new
 
 
-def _until_stopped(config: FederationConfig, model: HeadModel, enc: list[EncodedData],
-                   active: Tier, groups: list[_Group],
-                   tracker: BasisTracker | None = None) -> list[StageReport]:
-    """Advance the groups in lockstep for rounds t = 1..budget, training the
-    active slot of each group's path.
+def _run_stage(config: FederationConfig, model: HeadModel, data: FederationData,
+               enc: list[EncodedData] | None, active: Tier, described,
+               tracker: BasisTracker | None = None):
+    """Train the active tier of each described group for rounds t = 1..budget,
+    the groups in lockstep; returns the trained adapters and the groups'
+    StageReports, both in group order.
+
+    A group is described as (index, members, frozen, labels). Its path holds
+    the frozen adapters of the tiers before the active one, a fresh adapter
+    from stream(master_seed, "<tier>_init", index) in the active slot and
+    zero adapters after it; labels are its report's (cluster, client). The
+    data must hold config.n_clients clients, and enc, their encoded train
+    rows, is computed here when None.
 
     Everything else is derived from the groups: the penalty bases are the B
     factors of the path's tiers before the active one, and a group's
@@ -235,30 +251,38 @@ def _until_stopped(config: FederationConfig, model: HeadModel, enc: list[Encoded
     compares, the round loss is taken at compose_path(path, w0), and a
     group retires once stop_check passes on consecutive deltas or the
     budget runs out."""
+    if len(data.clients) != config.n_clients:
+        raise ConfigurationError(
+            f"config expects {config.n_clients} clients, data has {len(data.clients)}")
+    enc = enc if enc is not None else _encode_clients(model, data)
     budget, opt, gammas = _stage_settings(config, active)
-    weights = [weights_root([len(enc[i]) for i in g.members]) for g in groups]
+    groups = []
+    for index, members, frozen, labels in described:
+        init = init_adapter(*model.w0.shape, config.rank,
+                            stream(config.master_seed, f"{active.value}_init", index))
+        groups.append(_Group(list(members), _path(config, model, *frozen, init),
+                             weights_root([len(enc[i]) for i in members]),
+                             StageReport(active.value, [], [], 0, "budget", *labels), delta(init)))
     shuffles = {i: stream(config.master_seed, f"{active.value}_shuffle", i)
                 for g in groups for i in g.members if opt.batch_mode == "mini"}
-    for g in groups:
-        g.prev_delta = delta(g.path.adapter(active))
     packed = []   # the running groups the stack below was packed for
     with ThreadPoolExecutor(config.workers) if config.workers > 1 else nullcontext() as pool:
-        for t in range(1, budget + 1):
-            running = [(g, w) for g, w in zip(groups, weights) if not g.stopped]
+        for _ in range(budget):
+            running = [g for g in groups if g.report.stop_reason == "budget"]
             if not running:
                 break
             if len(running) != len(packed):   # groups only retire: a new count is a new set
                 packed = running
-                ids = [i for g, _ in running for i in g.members]
-                ends = np.cumsum([len(g.members) for g, _ in running])
-                spans = [slice(end - len(g.members), end) for (g, _), end in zip(running, ends)]
+                ids = [i for g in running for i in g.members]
+                ends = np.cumsum([len(g.members) for g in running])
+                spans = [slice(end - len(g.members), end) for g, end in zip(running, ends)]
                 stack = ClientStack([enc[i] for i in ids])
                 parts = [slice(ix[0], ix[-1] + 1) for ix in
                          np.array_split(np.arange(len(ids)), min(config.workers, len(ids)))]
                 # a single chunk is the stack itself, whose layout the round loss reuses
                 chunks = [stack] if len(parts) == 1 else [stack[part] for part in parts]
                 rngs = [shuffles.get(i) for i in ids]
-            paths = [g.path for g, _ in running for _ in g.members]
+            paths = [g.path for g in running for _ in g.members]
             bases = [[path.adapter(tier).b for path in paths] for tier in active.earlier]
 
             def chunk(part, data):
@@ -269,36 +293,31 @@ def _until_stopped(config: FederationConfig, model: HeadModel, enc: list[Encoded
             results = (map if pool is None else pool.map)(chunk, parts, chunks)
             local = [ad for part in results for ad in part]
             w_eff = []
-            for (g, w), span in zip(running, spans):
+            for g, span in zip(running, spans):
                 adapter, delta_new = _absorb(config, active, tracker, g.members,
-                                             local[span], w)
+                                             local[span], g.weights)
                 g.path = g.path.replace(active, adapter)
-                g.stopped, rho = stop_check(g.prev_delta, delta_new, config.tau_rel, config.eps)
-                g.rho.append(rho)
+                stopped, rho = stop_check(g.prev_delta, delta_new, config.tau_rel, config.eps)
+                g.report.rho.append(rho)
+                g.report.rounds = len(g.report.rho)
+                g.report.stop_reason = "criterion" if stopped else "budget"
                 g.prev_delta = delta_new
                 w_eff += [compose_path(g.path, model.w0)] * len(g.members)
             losses = _stack_losses(np.stack(w_eff), stack)
-            for (g, w), span in zip(running, spans):
-                g.loss.append(float(sum(wi * x for wi, x in zip(w, losses[span]))))
-    return [StageReport(stage=active.value, rho=g.rho, weighted_loss=g.loss,
-                        rounds=len(g.rho), stop_reason="criterion" if g.stopped else "budget",
-                        cluster=g.cluster, client=g.client)
-            for g in groups]
+            for g, span in zip(running, spans):
+                g.report.weighted_loss.append(
+                    float(sum(wi * x for wi, x in zip(g.weights, losses[span]))))
+    return [g.path.adapter(active) for g in groups], [g.report for g in groups]
 
 
 def run_root_stage(config: FederationConfig, data: FederationData, model: HeadModel,
                    tracker: BasisTracker, enc: list[EncodedData] | None = None):
     """Train the global root adapter; feed every client's local basis into the
     EMA tracker each round. Returns the frozen root and the stage report."""
-    enc = enc if enc is not None else _encode_clients(model, data)
-    p, q = model.class_count, model.backbone.hidden_dim
-    zero = zero_adapter(p, q, config.rank)
-    root = init_adapter(p, q, config.rank, stream(config.master_seed, "root_init"))
-    group = _Group(members=list(range(config.n_clients)),
-                   path=AdapterPath(root=root, cluster=zero, leaf=zero))
-    [report] = _until_stopped(config, model, enc, Tier.ROOT, [group], tracker)
+    [root], [report] = _run_stage(config, model, data, enc, Tier.ROOT,
+                                  [(0, range(config.n_clients), (), ())], tracker)
     tracker.rounds = report.rounds
-    return group.path.root, report
+    return root, report
 
 
 def run_cluster_stage(config: FederationConfig, data: FederationData, model: HeadModel,
@@ -307,16 +326,10 @@ def run_cluster_stage(config: FederationConfig, data: FederationData, model: Hea
     """Train one adapter per cluster, each orthogonality-penalized against the
     frozen root; clusters run in lockstep and stop independently within
     t_cluster."""
-    enc = enc if enc is not None else _encode_clients(model, data)
-    p, q = model.class_count, model.backbone.hidden_dim
-    zero = zero_adapter(p, q, config.rank)
-    groups = []
-    for j in assignment.cluster_ids:
-        cluster = init_adapter(p, q, config.rank, stream(config.master_seed, "cluster_init", j))
-        groups.append(_Group(members=assignment.members(j), cluster=j,
-                             path=AdapterPath(root=root_star, cluster=cluster, leaf=zero)))
-    reports = _until_stopped(config, model, enc, Tier.CLUSTER, groups)
-    return {g.cluster: g.path.cluster for g in groups}, reports
+    ids = assignment.cluster_ids
+    clusters, reports = _run_stage(config, model, data, enc, Tier.CLUSTER,
+                                   [(j, assignment.members(j), (root_star,), (j,)) for j in ids])
+    return dict(zip(ids, clusters)), reports
 
 
 def run_leaf_stage(config: FederationConfig, data: FederationData, model: HeadModel,
@@ -328,16 +341,9 @@ def run_leaf_stage(config: FederationConfig, data: FederationData, model: HeadMo
     The leaf budget is counted in local epochs, with the same relative
     step-size stopping applied to the client's own leaf update.
     """
-    enc = enc if enc is not None else _encode_clients(model, data)
-    p, q = model.class_count, model.backbone.hidden_dim
-    groups = []
-    for i in range(config.n_clients):
-        j = int(assignment.labels[i])
-        leaf = init_adapter(p, q, config.rank, stream(config.master_seed, "leaf_init", i))
-        groups.append(_Group(members=[i], cluster=j, client=i,
-                             path=AdapterPath(root=root_star, cluster=clusters[j], leaf=leaf)))
-    reports = _until_stopped(config, model, enc, Tier.LEAF, groups)
-    return [g.path.leaf for g in groups], reports
+    return _run_stage(config, model, data, enc, Tier.LEAF,
+                      [(i, [i], (root_star, clusters[j]), (j, i))
+                       for i, j in enumerate(map(int, assignment.labels))])
 
 
 @dataclass
@@ -353,16 +359,11 @@ class TrainedFederation:
     tracker: BasisTracker
 
     def path_root(self, i: int) -> AdapterPath:
-        p, q = self.model.class_count, self.model.backbone.hidden_dim
-        return AdapterPath(root=self.server.root,
-                           cluster=zero_adapter(p, q, self.config.rank),
-                           leaf=zero_adapter(p, q, self.config.rank))
+        return _path(self.config, self.model, self.server.root)
 
     def path_cluster(self, i: int) -> AdapterPath:
-        p, q = self.model.class_count, self.model.backbone.hidden_dim
-        j = self.clients[i].cluster
-        return AdapterPath(root=self.server.root, cluster=self.server.clusters[j],
-                           leaf=zero_adapter(p, q, self.config.rank))
+        return _path(self.config, self.model, self.server.root,
+                     self.server.clusters[self.clients[i].cluster])
 
     def path_full(self, i: int) -> AdapterPath:
         return self.clients[i].path
@@ -389,23 +390,25 @@ class TrainedFederation:
         return root + cluster + leaf
 
 
+def _run_clustering(config: FederationConfig, tracker: BasisTracker) -> ClusterAssignment:
+    """The run's clustering of the tracker's EMA bases; cluster-diag recomputes it."""
+    return cluster_clients(tracker, config.k_min, config.k_max, seed=config.master_seed,
+                           expected_clients=config.n_clients)
+
+
 @one_blas_thread()
 def run_protocol(config: FederationConfig, data: FederationData,
                  model: HeadModel | None = None) -> TrainedFederation:
     """Full cascade: root stage, subspace clustering, cluster stage, leaf
     stage; returns the trained federation with every tier frozen. BLAS runs
     on one thread throughout (linalg.one_blas_thread)."""
-    if len(data.clients) != config.n_clients:
-        raise ConfigurationError(
-            f"config expects {config.n_clients} clients, data has {len(data.clients)}")
     if model is None:
         model = build_model(data.feature_dim, data.class_count,
                             config.hidden_dim, config.master_seed)
     enc = _encode_clients(model, data)
     tracker = BasisTracker(config.ema_decay)
     root_star, root_report = run_root_stage(config, data, model, tracker, enc)
-    assignment = cluster_clients(tracker, config.k_min, config.k_max,
-                                 seed=config.master_seed, expected_clients=config.n_clients)
+    assignment = _run_clustering(config, tracker)
     clusters, cluster_reports = run_cluster_stage(config, data, model, assignment,
                                                   root_star, enc)
     leaves, leaf_reports = run_leaf_stage(config, data, model, root_star, clusters,

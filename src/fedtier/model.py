@@ -135,8 +135,9 @@ class ClientStack:
     client's rows.
 
     The kernel reads the rows in fixed blocks (see below). ``layout`` packs
-    them once per block size into one read-only array, and ``gather`` copies
-    a shuffle of them out of it into buffers of the caller's own."""
+    them once per block size into one read-only array, with the mask of its
+    real rows, and ``gather`` copies a shuffle of them out of it into
+    buffers of the caller's own."""
 
     clients: tuple[EncodedData, ...]
 
@@ -148,6 +149,7 @@ class ClientStack:
             raise ConfigurationError("a client stack holds EncodedData only")
         object.__setattr__(self, "sizes", np.array([len(e) for e in self.clients]))
         object.__setattr__(self, "_layouts", {})
+        object.__setattr__(self, "_real", {})   # block size -> real-row mask of its layout
 
     def __len__(self):
         return int(self.sizes.sum())
@@ -164,14 +166,17 @@ class ClientStack:
     def layout(self, block: int):
         """Each client's rows in stored order at the front of its zero-padded
         slot: (S, blocks, block, h) features and (S, blocks, block) labels,
-        packed once per block size and read-only."""
+        packed once per block size and read-only. The (S, blocks, block)
+        mask of the real rows is kept beside them in ``_real[block]``."""
         if block not in self._layouts:
             z, labels = self.buffers(block)
             for s, e in enumerate(self.clients):
                 z.reshape(len(self.clients), -1, z.shape[-1])[s, :len(e)] = e.z
                 labels.reshape(len(self.clients), -1)[s, :len(e)] = e.y
-            z.setflags(write=False)
-            labels.setflags(write=False)
+            real = (np.arange(labels[0].size) < self.sizes[:, None]).reshape(labels.shape)
+            for arr in (z, labels, real):
+                arr.setflags(write=False)
+            self._real[block] = real   # before the layout, which marks the block as packed
             self._layouts[block] = z, labels
         return self._layouts[block]
 
@@ -181,9 +186,9 @@ class ClientStack:
         indexed copy from the packed layout, and return them. A padding slot
         copies the layout's padding at the same place, a zero row."""
         packed_z, packed_labels = self.layout(labels.shape[2])
-        slots = np.arange(labels.size).reshape(len(self.clients), -1)
-        real = np.arange(slots.shape[1]) < self.sizes[:, None]
-        slots[real] = np.concatenate(orders) + np.repeat(slots[:, 0], self.sizes)
+        slots = np.arange(labels.size).reshape(labels.shape)
+        slots[self._real[labels.shape[2]]] = (np.concatenate(orders)
+                                              + np.repeat(slots[:, 0, 0], self.sizes))
         np.take(packed_z.reshape(-1, z.shape[-1]), slots.ravel(), axis=0,
                 out=z.reshape(-1, z.shape[-1]), mode="clip")   # "clip" copies unbuffered
         np.take(packed_labels.ravel(), slots.ravel(), out=labels.reshape(-1), mode="clip")
@@ -269,9 +274,9 @@ def _stack_gradient(frozen_w, b, a, z, labels, rows, bases, gammas):
 def _scored_blocks(data: ClientStack):
     """The stack's rows in the default blocks, (S, blocks, block, h) features
     and (S, blocks, block) labels, with the (S, blocks, block) mask of its
-    real rows: the inputs of every score, loss or accuracy."""
-    z, labels = data.layout(_DEFAULT_BATCH)
-    return z, labels, (np.arange(labels[0].size) < data.sizes[:, None]).reshape(labels.shape)
+    real rows, all three cached with the layout: the inputs of every score,
+    loss or accuracy."""
+    return (*data.layout(_DEFAULT_BATCH), data._real[_DEFAULT_BATCH])
 
 
 def _stack_losses(w: np.ndarray, data: ClientStack) -> np.ndarray:

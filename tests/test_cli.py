@@ -185,6 +185,12 @@ BAD_CONFIG_VALUES = {
                            "per_class"),
     "csv_with_separation": ({"data": {"kind": "csv", "path": "pool.csv", "separation": 3.0}},
                             "separation"),
+    # the data section's generator fields are checked under their own names
+    "classes_zero": ({"data.classes": 0}, "data.classes"),
+    "feature_dim_zero": ({"data.feature_dim": 0}, "data.feature_dim"),
+    "per_class_negative": ({"data.per_class": -5}, "data.per_class"),
+    "n_total_zero": ({"data.n_total": 0}, "data.n_total"),
+    "separation_negative": ({"data.separation": -1.0}, "data.separation"),
 }
 
 

@@ -596,3 +596,22 @@ def test_wrongly_typed_size_is_a_configuration_error_naming_it(trained_fed, case
     call, name = RAW_SIZE_TYPE_ERRORS[case]
     with pytest.raises(ConfigurationError, match=name):
         call(trained_fed)
+
+
+# each stage entry point, called on the trained federation's data under config
+STAGE_CALLS = {
+    "root": lambda fed, config: run_root_stage(config, fed.data, fed.model,
+                                               BasisTracker(config.ema_decay)),
+    "cluster": lambda fed, config: run_cluster_stage(config, fed.data, fed.model,
+                                                     fed.server.assignment, fed.server.root),
+    "leaf": lambda fed, config: run_leaf_stage(config, fed.data, fed.model, fed.server.root,
+                                               fed.server.clusters, fed.server.assignment),
+}
+
+
+@pytest.mark.parametrize("n_clients", [28, 32])
+@pytest.mark.parametrize("stage", sorted(STAGE_CALLS))
+def test_stage_refuses_a_client_count_the_data_does_not_hold(trained_fed, stage, n_clients):
+    config = replace(trained_fed.config, n_clients=n_clients)
+    with pytest.raises(ConfigurationError, match=f"config expects {n_clients} clients, data has 30"):
+        STAGE_CALLS[stage](trained_fed, config)

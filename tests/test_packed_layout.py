@@ -10,7 +10,7 @@ import pytest
 
 from fedtier.lora import AdapterPath, LoraAdapter, Tier, compose_path
 from fedtier.model import (ClientStack, Samples, SgdConfig, build_model, encode, local_update,
-                           _stack_losses)
+                           _scored_blocks, _stack_losses)
 
 # sizes below, at and above the block size, and not multiples of it
 SIZES = [5, 16, 45, 33, 1]
@@ -106,3 +106,11 @@ def test_gather_writes_each_client_in_its_own_order():
         assert np.array_equal(z[s].reshape(-1, z.shape[-1])[:n], e.z[order])
         assert np.array_equal(labels[s].reshape(-1)[:n], e.y[order])
         assert not z[s].reshape(-1, z.shape[-1])[n:].any()
+
+
+def test_scores_of_one_stack_share_one_real_row_mask():
+    _, encs, _ = case(seed=5)
+    stack = ClientStack(encs)
+    first, second = _scored_blocks(stack)[2], _scored_blocks(stack)[2]
+    assert first is second and not first.flags.writeable
+    assert first.reshape(len(SIZES), -1).sum(axis=1).tolist() == SIZES
