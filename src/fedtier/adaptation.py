@@ -105,7 +105,7 @@ def adapt_unseen(model: HeadModel, client: ClientSplit, server: ServerState,
     path = AdapterPath(root=server.root, cluster=cluster_ad, leaf=leaf)
     # the fresh leaf has b = 0, so this is exactly the root+cluster model
     trajectory = [accuracy(model, path, test)]
-    _, opt, gammas = _stage_settings(config, Tier.LEAF)
+    _, opt, gammas = _stage_settings(config, Tier.LEAF, len(client.train))
     frozen = [path.adapter(tier).b for tier in Tier.LEAF.earlier]
     shuffle = stream(seed, "unseen_leaf_shuffle")
     for _ in range(epochs):

@@ -27,9 +27,11 @@ Config document (JSON)::
 Artifacts of ``run`` (all listed in manifest.json): roundlog.csv with columns
 ``stage,round,cluster,rho,weighted_train_loss,stopped`` (root rows use
 cluster=-1; leaf rows appear once per client per epoch carrying the client's
-cluster), metrics.json and the flat metrics.csv
-(``client_id,cluster,acc,G_c,G_l``), clustering.json, and a checkpoints/
-directory holding one text dump per frozen adapter (root.adapter,
+cluster), metrics.json (one record per client under ``clients``, plus the
+run's summaries) and the flat metrics.csv (``client_id,cluster,acc,G_c,G_l``),
+both written from one column table (metrics.CLIENT_COLUMNS: each per-client
+column's report field, JSON key and csv header), clustering.json, and a
+checkpoints/ directory holding one text dump per frozen adapter (root.adapter,
 cluster_<j>.adapter, leaf_<i>.adapter) and per EMA basis (ema_<i>.matrix).
 clustering.json holds the ClusterAssignment: k_star (integer), sigma
 (number), degenerate (boolean), labels and k_range (lists of integers),
@@ -41,7 +43,8 @@ Adapter dumps are ``p q rank`` followed by the rows of B then the rows of A,
 matrix dumps are ``rows cols`` followed by the rows; entries are printed with
 %.17g and round-trip float64 exactly. The manifest of a csv run also holds
 ``csv_sha256``, the digest of the CSV bytes; the reload commands refuse a
-file that no longer matches it.
+file that no longer matches it. ``adapt`` refuses a run with no unseen
+clients. Every csv float is written as its shortest round-trip repr.
 """
 
 import argparse
@@ -63,7 +66,7 @@ from .errors import (NON_NEGATIVE, POSITIVE, ConfigurationError, DegenerateInput
                      one_of)
 from .federation import FederationConfig, TrainedFederation, _run_clustering, run_protocol
 from .lora import read_adapter, save_adapter, load_matrix, dump_matrix
-from .metrics import compute_metrics
+from .metrics import CLIENT_COLUMNS, MetricsReport, compute_metrics
 from .model import build_model, gradient_check
 
 _FED_FIELDS = {f for f in FederationConfig.__dataclass_fields__}
@@ -217,10 +220,6 @@ def _build_data(data_spec: dict) -> FederationData:
     return data
 
 
-def _repr_float(x) -> str:
-    return repr(float(x))
-
-
 def _write_roundlog(path: Path, fed: TrainedFederation):
     with path.open("w", newline="") as fh:
         w = csv.writer(fh)
@@ -229,8 +228,7 @@ def _write_roundlog(path: Path, fed: TrainedFederation):
             cluster = -1 if rep.cluster is None else rep.cluster
             for rnd, (rho, loss) in enumerate(zip(rep.rho, rep.weighted_loss), start=1):
                 stopped = rep.stop_reason == "criterion" and rnd == rep.rounds
-                w.writerow([rep.stage, rnd, cluster, _repr_float(rho),
-                            _repr_float(loss), stopped])
+                w.writerow([rep.stage, rnd, cluster, rho, loss, stopped])
 
 
 def _clustering_payload(assignment: ClusterAssignment) -> dict:
@@ -246,15 +244,16 @@ def _write_json(path: Path, payload: dict):
     path.write_text(_json_text(payload), encoding="ascii")
 
 
-def _write_metrics(out_dir: Path, report) -> list[str]:
-    _write_json(out_dir / "metrics.json", report.to_dict())
+def _write_metrics(out_dir: Path, report: MetricsReport) -> list[str]:
+    """metrics.json, the report's to_dict, and metrics.csv, the CLIENT_COLUMNS
+    that have a csv header, one row per client record."""
+    payload = report.to_dict()
+    _write_json(out_dir / "metrics.json", payload)
+    columns = [(key, header) for _, key, header in CLIENT_COLUMNS if header is not None]
     with (out_dir / "metrics.csv").open("w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["client_id", "cluster", "acc", "G_c", "G_l"])
-        for cid, cl, acc, gc, gl in zip(report.client_ids, report.clusters,
-                                        report.accuracies, report.gains_cluster,
-                                        report.gains_leaf):
-            w.writerow([cid, cl, _repr_float(acc), _repr_float(gc), _repr_float(gl)])
+        w.writerow([header for _, header in columns])
+        w.writerows([client[key] for key, _ in columns] for client in payload["clients"])
     return ["metrics.json", "metrics.csv"]
 
 
@@ -357,6 +356,8 @@ def _cmd_cluster_diag(args) -> int:
 def _cmd_adapt(args) -> int:
     run_dir = Path(args.run)
     fed = _reload_federation(run_dir)
+    if not fed.data.unseen:
+        raise ConfigurationError("the run holds no unseen clients: data.unseen_fraction is 0")
     out_path = Path(args.out) if args.out else run_dir / "adapt.csv"
     # adapt everyone before opening the file, so a failure keeps an earlier one
     results = [adapt_unseen(fed.model, client, fed.server, fed.config,
@@ -367,7 +368,7 @@ def _cmd_adapt(args) -> int:
         w.writerow(["client_id", "assigned_cluster", "epoch", "test_accuracy"])
         for u, result in enumerate(results):
             for epoch, acc in enumerate(result.accuracy_trajectory):
-                w.writerow([u, result.assigned_cluster, epoch, _repr_float(acc)])
+                w.writerow([u, result.assigned_cluster, epoch, acc])
     print(f"adaptation results written to {out_path}")
     return 0
 

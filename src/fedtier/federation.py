@@ -203,10 +203,14 @@ class _Group:
     prev_delta: Matrix    # what the next stop check compares against
 
 
-def _stage_settings(config: FederationConfig, active: Tier):
+def _stage_settings(config: FederationConfig, active: Tier, rows: int):
     """(round budget, optimiser, penalty weights) of a stage: gamma_c, gamma_l pair
-    with the active tier's earlier tiers in order; a leaf round is one local epoch."""
-    opt = replace(config.sgd(), epochs=1) if active is Tier.LEAF else config.sgd()
+    with the active tier's earlier tiers in order; a leaf round is one local epoch.
+    The batch size is capped at `rows`, the most train rows of any client the
+    stage may see, since a larger block only adds padding. The cap never
+    depends on which clients share a stack, so a client's bits do not either."""
+    opt = replace(config.sgd(), epochs=1 if active is Tier.LEAF else config.local_epochs,
+                  batch_size=min(config.batch_size, rows))
     gammas = (config.gamma_c, config.gamma_l)[:len(active.earlier)]
     return getattr(config, f"t_{active.value}"), opt, gammas
 
@@ -255,7 +259,7 @@ def _run_stage(config: FederationConfig, model: HeadModel, data: FederationData,
         raise ConfigurationError(
             f"config expects {config.n_clients} clients, data has {len(data.clients)}")
     enc = enc if enc is not None else _encode_clients(model, data)
-    budget, opt, gammas = _stage_settings(config, active)
+    budget, opt, gammas = _stage_settings(config, active, max(map(len, enc)))
     groups = []
     for index, members, frozen, labels in described:
         init = init_adapter(*model.w0.shape, config.rank,

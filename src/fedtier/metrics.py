@@ -8,7 +8,7 @@ snapshots as stacks; the orthogonality report is three stacked
 subspace_overlap calls."""
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -66,27 +66,28 @@ def _stage_weights(fed: TrainedFederation, ids: list[int]) -> list[np.ndarray]:
             for path_of in (fed.path_root, fed.path_cluster, fed.path_full)]
 
 
-def _gains(fed: TrainedFederation, ids: list[int], train: ClientStack, weights) -> list[TierGains]:
-    """Tier gains of `ids`, which must form whole clusters, from three stacked
-    loss passes over `train`, their train splits in order, under their
-    _stage_weights. A client's losses do not depend on its stack mates, so
-    any set of whole clusters gives a client the same gains bitwise."""
+def _gains(fed: TrainedFederation, ids: list[int], train: ClientStack, weights):
+    """The (g_cluster, g_leaf, g_cluster_own) columns of `ids`, which must
+    form whole clusters, from three stacked loss passes over `train`, their
+    train splits in order, under their _stage_weights. A client's losses do
+    not depend on its stack mates, so any set of whole clusters gives a
+    client the same gains bitwise."""
     l_root, l_cluster, l_full = (_stack_losses(w, train) for w in weights)
-    own = dict(zip(ids, l_root - l_cluster))
+    own = dict(zip(ids, (l_root - l_cluster).tolist()))
     g_cluster = {}
     for j in {fed.clients[i].cluster for i in ids}:
         members = fed.server.assignment.members(j)
         pi = weights_cluster(fed.data.train_sizes, members)
         g_cluster[j] = float(sum(w * own[m] for w, m in zip(pi, members)))
-    return [TierGains(g_cluster=g_cluster[fed.clients[i].cluster], g_leaf=float(leaf),
-                      g_cluster_own=float(own[i]))
-            for i, leaf in zip(ids, l_cluster - l_full)]
+    return ([g_cluster[fed.clients[i].cluster] for i in ids], (l_cluster - l_full).tolist(),
+            [own[i] for i in ids])
 
 
 def tier_gains(fed: TrainedFederation, client_id: int) -> TierGains:
     members = fed.server.assignment.members(fed.clients[client_id].cluster)
     train = ClientStack([encode(fed.model, fed.data.clients[i].train) for i in members])
-    return _gains(fed, members, train, _stage_weights(fed, members))[members.index(client_id)]
+    gains = _gains(fed, members, train, _stage_weights(fed, members))
+    return TierGains(*(column[members.index(client_id)] for column in gains))
 
 
 def _comb2(x: np.ndarray) -> float:
@@ -182,6 +183,16 @@ def orthogonality_report(fed: TrainedFederation) -> OrthogonalityReport:
     return OrthogonalityReport(pairs=pairs)
 
 
+# each per-client column of the metrics files: (MetricsReport field, key in a
+# metrics.json client record, metrics.csv header or None if JSON only);
+# metrics.csv keeps the table's order
+CLIENT_COLUMNS = (("client_ids", "id", "client_id"), ("clusters", "cluster", "cluster"),
+                  ("accuracies", "accuracy", "acc"), ("accuracies_root", "accuracy_root", None),
+                  ("accuracies_cluster", "accuracy_cluster", None),
+                  ("gains_cluster", "gain_cluster", "G_c"), ("gains_leaf", "gain_leaf", "G_l"),
+                  ("gains_cluster_own", "gain_cluster_own", None))
+
+
 @dataclass
 class MetricsReport:
     """Everything the evaluation protocol reports for one trained federation."""
@@ -203,28 +214,17 @@ class MetricsReport:
     stage_mean_accuracy: dict[str, float] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        orth = {name: {"mean": po.mean, "max": po.max, "count": po.count,
-                       "excluded": po.excluded}
-                for name, po in self.orthogonality.pairs.items()}
-        return {
-            "clients": [
-                {"id": cid, "cluster": cl, "accuracy": acc,
-                 "accuracy_root": ar, "accuracy_cluster": ac,
-                 "gain_cluster": gc, "gain_leaf": gl, "gain_cluster_own": go}
-                for cid, cl, acc, ar, ac, gc, gl, go in zip(
-                    self.client_ids, self.clusters, self.accuracies,
-                    self.accuracies_root, self.accuracies_cluster,
-                    self.gains_cluster, self.gains_leaf, self.gains_cluster_own)
-            ],
-            "mean_accuracy": self.mean_accuracy,
-            "worst_decile_accuracy": self.worst_decile_accuracy,
-            "per_cluster_accuracy": {str(k): v for k, v in
-                                     sorted(self.per_cluster_accuracy.items())},
-            "stage_mean_accuracy": self.stage_mean_accuracy,
-            "orthogonality": orth,
-            "ari": self.ari,
-            "nmi": self.nmi,
-        }
+        """The metrics.json payload: each field under its own name, except
+        that the CLIENT_COLUMNS fields become one record per client under
+        "clients", per_cluster_accuracy is keyed by the cluster id as a
+        string, and orthogonality is its pairs."""
+        payload = asdict(self)
+        names, keys, _ = zip(*CLIENT_COLUMNS)
+        payload["clients"] = [dict(zip(keys, row)) for row in zip(*map(payload.pop, names))]
+        payload["per_cluster_accuracy"] = {str(k): v for k, v in
+                                           sorted(self.per_cluster_accuracy.items())}
+        payload["orthogonality"] = payload["orthogonality"]["pairs"]
+        return payload
 
 
 @one_blas_thread()
@@ -243,8 +243,8 @@ def compute_metrics(fed: TrainedFederation) -> MetricsReport:
     weights = _stage_weights(fed, ids)
     test = ClientStack([encode(fed.model, c.data.test) for c in fed.clients])
     acc_root, acc_cluster, acc_full = (_stack_accuracy(w, test).tolist() for w in weights)
-    gains = _gains(fed, ids, ClientStack([encode(fed.model, c.data.train)
-                                          for c in fed.clients]), weights)
+    gains_cluster, gains_leaf, gains_cluster_own = _gains(
+        fed, ids, ClientStack([encode(fed.model, c.data.train) for c in fed.clients]), weights)
     per_cluster = {j: float(np.mean([a for a, c in zip(acc_full, clusters) if c == j]))
                    for j in sorted(set(clusters))}
     truth = fed.data.true_clusters
@@ -257,8 +257,7 @@ def compute_metrics(fed: TrainedFederation) -> MetricsReport:
         mean_accuracy=float(np.mean(acc_full)),
         worst_decile_accuracy=worst_decile(acc_full),
         per_cluster_accuracy=per_cluster,
-        gains_cluster=[g.g_cluster for g in gains], gains_leaf=[g.g_leaf for g in gains],
-        gains_cluster_own=[g.g_cluster_own for g in gains],
+        gains_cluster=gains_cluster, gains_leaf=gains_leaf, gains_cluster_own=gains_cluster_own,
         orthogonality=orthogonality_report(fed),
         ari=ari, nmi=nmi,
         stage_mean_accuracy={"root": float(np.mean(acc_root)),

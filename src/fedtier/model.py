@@ -8,10 +8,13 @@ live here: one blocked kernel updates a whole stack of clients at once, with
 one setup of its inputs and one step loop over block spans (all blocks in
 full batch, one in mini batch). The analytic tier gradient is that kernel's
 gradient on a stack of one. Every score is the kernel's too: the loss and
-the argmax accuracy read the same blocks and the same mask of real rows, so
-a client scores the same bits alone or in any stack. The central
-finite-difference oracle used by tests and the gradcheck command checks the
-gradient.
+the argmax accuracy read the same blocks and the same mask of real rows,
+which a ClientStack's layout holds together, so a client scores the same
+bits alone or in any stack. A block longer than a client's rows only adds
+padding: local_update takes the batch size as given, and the stage settings
+(federation._stage_settings) cap it at the largest client they may see. The
+central finite-difference oracle used by tests and the gradcheck command
+checks the gradient.
 """
 
 from dataclasses import dataclass
@@ -149,7 +152,6 @@ class ClientStack:
             raise ConfigurationError("a client stack holds EncodedData only")
         object.__setattr__(self, "sizes", np.array([len(e) for e in self.clients]))
         object.__setattr__(self, "_layouts", {})
-        object.__setattr__(self, "_real", {})   # block size -> real-row mask of its layout
 
     def __len__(self):
         return int(self.sizes.sum())
@@ -158,26 +160,25 @@ class ClientStack:
         return ClientStack(self.clients[part])
 
     def buffers(self, block: int):
-        """New zero (S, blocks, block, h) feature and (S, blocks, block) label
-        buffers, with room for every client's rows in blocks of `block`."""
-        shape = (len(self.clients), -(-int(self.sizes.max()) // block), block)
-        return np.zeros(shape + self.clients[0].z.shape[1:]), np.zeros(shape, dtype=np.int64)
+        """New zero feature and label buffers shaped like the layout's."""
+        z, labels, _ = self.layout(block)
+        return np.zeros(z.shape), np.zeros(labels.shape, dtype=np.int64)
 
     def layout(self, block: int):
         """Each client's rows in stored order at the front of its zero-padded
-        slot: (S, blocks, block, h) features and (S, blocks, block) labels,
-        packed once per block size and read-only. The (S, blocks, block)
-        mask of the real rows is kept beside them in ``_real[block]``."""
+        slot, packed once per block size and read-only: (S, blocks, block, h)
+        features, (S, blocks, block) labels and the (S, blocks, block) mask
+        of the real rows."""
         if block not in self._layouts:
-            z, labels = self.buffers(block)
+            shape = (len(self.clients), -(-int(self.sizes.max()) // block), block)
+            z, labels = np.zeros(shape + self.clients[0].z.shape[1:]), np.zeros(shape, np.int64)
             for s, e in enumerate(self.clients):
                 z.reshape(len(self.clients), -1, z.shape[-1])[s, :len(e)] = e.z
                 labels.reshape(len(self.clients), -1)[s, :len(e)] = e.y
-            real = (np.arange(labels[0].size) < self.sizes[:, None]).reshape(labels.shape)
+            real = (np.arange(labels[0].size) < self.sizes[:, None]).reshape(shape)
             for arr in (z, labels, real):
                 arr.setflags(write=False)
-            self._real[block] = real   # before the layout, which marks the block as packed
-            self._layouts[block] = z, labels
+            self._layouts[block] = z, labels, real
         return self._layouts[block]
 
     def gather(self, z, labels, orders):
@@ -185,10 +186,9 @@ class ClientStack:
         order (a permutation of its rows) at the front of its slot, in one
         indexed copy from the packed layout, and return them. A padding slot
         copies the layout's padding at the same place, a zero row."""
-        packed_z, packed_labels = self.layout(labels.shape[2])
+        packed_z, packed_labels, real = self.layout(labels.shape[2])
         slots = np.arange(labels.size).reshape(labels.shape)
-        slots[self._real[labels.shape[2]]] = (np.concatenate(orders)
-                                              + np.repeat(slots[:, 0, 0], self.sizes))
+        slots[real] = np.concatenate(orders) + np.repeat(slots[:, 0, 0], self.sizes)
         np.take(packed_z.reshape(-1, z.shape[-1]), slots.ravel(), axis=0,
                 out=z.reshape(-1, z.shape[-1]), mode="clip")   # "clip" copies unbuffered
         np.take(packed_labels.ravel(), slots.ravel(), out=labels.reshape(-1), mode="clip")
@@ -271,19 +271,11 @@ def _stack_gradient(frozen_w, b, a, z, labels, rows, bases, gammas):
     return db, da
 
 
-def _scored_blocks(data: ClientStack):
-    """The stack's rows in the default blocks, (S, blocks, block, h) features
-    and (S, blocks, block) labels, with the (S, blocks, block) mask of its
-    real rows, all three cached with the layout: the inputs of every score,
-    loss or accuracy."""
-    return (*data.layout(_DEFAULT_BATCH), data._real[_DEFAULT_BATCH])
-
-
 def _stack_losses(w: np.ndarray, data: ClientStack) -> np.ndarray:
     """Mean cross-entropy of each stacked client under its own head weight
     w[s] (S, C, h), over the kernel's fixed blocks. Like the gradient, it sums
     each block, then the blocks in block order, so stack mates change no bit."""
-    z, labels, real = _scored_blocks(data)
+    z, labels, real = data.layout(_DEFAULT_BATCH)
     picked = np.take_along_axis(_class_probs(w, z), labels[:, :, None], axis=-2)[:, :, 0]
     part = np.where(real, -np.log(np.maximum(picked, _PROB_FLOOR)), 0.0).sum(axis=-1)
     return reduce(np.add, part.swapaxes(0, 1)) / data.sizes
@@ -293,7 +285,7 @@ def _stack_accuracy(w: np.ndarray, data: ClientStack) -> np.ndarray:
     """Each stacked client's share of rows whose largest logit under its own
     head weight w[s] (S, C, h) is its label; ties pick the lowest class. Hits
     are counted per (client, block) slice, so stack mates change no bit."""
-    z, labels, real = _scored_blocks(data)
+    z, labels, real = data.layout(_DEFAULT_BATCH)
     # row-major logits (S, blocks, block, C): the argmax runs along contiguous classes
     hits = (np.argmax(z @ w[:, None].swapaxes(-1, -2), axis=-1) == labels) & real
     return hits.reshape(len(hits), -1).sum(axis=1) / data.sizes
@@ -336,7 +328,7 @@ def tier_gradient(model: HeadModel, path: AdapterPath, data, active: Tier,
     frozen_w, b, a, bases = _stack_inputs(model, [path], active,
                                           [[base] for base in frozen_bases], gammas, 1)
     stack = _stack_of_one(model, data)
-    db, da = _stack_gradient(frozen_w, b, a, *stack.layout(_DEFAULT_BATCH), stack.sizes,
+    db, da = _stack_gradient(frozen_w, b, a, *stack.layout(_DEFAULT_BATCH)[:2], stack.sizes,
                              bases, gammas)
     return db[0], da[0]
 
@@ -392,7 +384,7 @@ def local_update(model: HeadModel, path, data, active: Tier,
     spans = [(k, k + 1) for k in range(blocks.max())] if mini else [(0, blocks.max())]
     # full batch reads the stack's cached layout; mini batch gathers each
     # epoch's shuffle into buffers of this call's own
-    z, labels = data.buffers(opt.batch_size) if mini else data.layout(opt.batch_size)
+    z, labels = data.buffers(opt.batch_size) if mini else data.layout(opt.batch_size)[:2]
     for _ in range(opt.epochs):
         if mini:
             data.gather(z, labels, [r.permutation(n) for r, n in zip(rng, sizes)])
@@ -428,25 +420,21 @@ def fd_tier_gradient(model: HeadModel, path: AdapterPath, data, active: Tier,
     Independent numerical route used to validate tier_gradient.
     """
     adapter = path.adapter(active)
-    db = np.zeros_like(adapter.b)
-    da = np.zeros_like(adapter.a)
 
     def perturbed(attr, i, j, step):
         bumped = adapter.copy()
         getattr(bumped, attr)[i, j] += step
         return path.replace(active, bumped)
 
-    for i in range(adapter.b.shape[0]):
-        for j in range(adapter.b.shape[1]):
-            hi = objective(model, perturbed("b", i, j, +h), data, active, frozen_bases, gammas)
-            lo = objective(model, perturbed("b", i, j, -h), data, active, frozen_bases, gammas)
-            db[i, j] = (hi - lo) / (2.0 * h)
-    for i in range(adapter.a.shape[0]):
-        for j in range(adapter.a.shape[1]):
-            hi = objective(model, perturbed("a", i, j, +h), data, active, frozen_bases, gammas)
-            lo = objective(model, perturbed("a", i, j, -h), data, active, frozen_bases, gammas)
-            da[i, j] = (hi - lo) / (2.0 * h)
-    return db, da
+    grads = []
+    for attr in ("b", "a"):
+        grad = np.zeros_like(getattr(adapter, attr))
+        for i, j in np.ndindex(grad.shape):
+            hi = objective(model, perturbed(attr, i, j, +h), data, active, frozen_bases, gammas)
+            lo = objective(model, perturbed(attr, i, j, -h), data, active, frozen_bases, gammas)
+            grad[i, j] = (hi - lo) / (2.0 * h)
+        grads.append(grad)
+    return tuple(grads)
 
 
 def gradient_check(trials: int = 24, seed: int = 0, h: float = 1e-5) -> float:

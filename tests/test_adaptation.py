@@ -128,7 +128,7 @@ class TestAdaptUnseen:
         monkeypatch.setattr(adaptation, "local_update", spy)
         result = adapt_unseen(fed.model, fed.data.unseen[2], fed.server, config,
                               epochs=2, seed=4)
-        _, opt, gammas = _stage_settings(config, Tier.LEAF)
+        _, opt, gammas = _stage_settings(config, Tier.LEAF, len(fed.data.unseen[2].train))
         assert len(calls) == 2
         cluster = fed.server.clusters[result.assigned_cluster]
         for path, bases, got_gammas, got_opt in calls:

@@ -14,6 +14,7 @@ from fedtier.clustering import ClusterAssignment
 from fedtier.datagen import (ClusterShift, GlDir, Patho, ScDir, gen_pool, load_csv,
                              partition, split_unseen)
 from fedtier.federation import run_protocol
+from fedtier.metrics import compute_metrics
 from fedtier.model import Samples
 
 
@@ -308,6 +309,45 @@ class TestReport:
         assert all(float(r["G_c"]) == 0.0 and float(r["G_l"]) == 0.0 for r in rows)
 
 
+# each metrics.json client key and the MetricsReport field it holds, and
+# each metrics.csv header and the client key its column copies
+METRICS_CLIENT_KEYS = {"id": "client_ids", "cluster": "clusters", "accuracy": "accuracies",
+                       "accuracy_root": "accuracies_root",
+                       "accuracy_cluster": "accuracies_cluster",
+                       "gain_cluster": "gains_cluster", "gain_leaf": "gains_leaf",
+                       "gain_cluster_own": "gains_cluster_own"}
+METRICS_CSV_COLUMNS = {"client_id": "id", "cluster": "cluster", "acc": "accuracy",
+                       "G_c": "gain_cluster", "G_l": "gain_leaf"}
+METRICS_SUMMARIES = {"mean_accuracy", "worst_decile_accuracy", "per_cluster_accuracy",
+                     "stage_mean_accuracy", "orthogonality", "ari", "nmi"}
+
+
+def test_metrics_files_hold_the_report_client_by_client(finished_run):
+    report = compute_metrics(_reload_federation(finished_run))
+    payload = json.loads((finished_run / "metrics.json").read_text())
+    assert set(payload) == {"clients"} | METRICS_SUMMARIES
+    assert payload["mean_accuracy"] == report.mean_accuracy
+    assert payload["worst_decile_accuracy"] == report.worst_decile_accuracy
+    assert payload["stage_mean_accuracy"] == report.stage_mean_accuracy
+    assert payload["per_cluster_accuracy"] == {str(j): acc for j, acc in
+                                               report.per_cluster_accuracy.items()}
+    assert (payload["ari"], payload["nmi"]) == (report.ari, report.nmi)
+    records = payload["clients"]
+    assert len(records) == len(report.client_ids) == 8
+    for i, record in enumerate(records):
+        assert set(record) == set(METRICS_CLIENT_KEYS)
+        for key, name in METRICS_CLIENT_KEYS.items():
+            value = getattr(report, name)[i]
+            assert record[key] == value and type(record[key]) is type(value), key
+    with (finished_run / "metrics.csv").open(newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == list(METRICS_CSV_COLUMNS)
+    assert len(rows) == len(records)
+    for row, record in zip(rows, records):
+        parsed = [int(row[0]), int(row[1]), *map(float, row[2:])]
+        assert parsed == [record[key] for key in METRICS_CSV_COLUMNS.values()]
+
+
 @pytest.fixture(scope="module")
 def finished_run(tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("finished")
@@ -529,6 +569,18 @@ class TestAdapt:
         adapt_csv.write_bytes(earlier)
         assert main(["adapt", "--run", str(tmp_path / "run")]) == 2
         assert adapt_csv.read_bytes() == earlier
+
+    def test_run_without_unseen_clients_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, **{"data.unseen_fraction": 0.0})
+        assert main(["run", "--config", str(cfg)]) == 0
+        run_dir = tmp_path / "run"
+        before = sorted(p.relative_to(run_dir) for p in run_dir.rglob("*"))
+        capsys.readouterr()
+        assert main(["adapt", "--run", str(run_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "data.unseen_fraction" in captured.err
+        assert captured.out == ""
+        assert sorted(p.relative_to(run_dir) for p in run_dir.rglob("*")) == before
 
 
 class TestGradcheck:

@@ -50,6 +50,19 @@ def cloned_federation(n_clients, seed=0, classes=4, dim=4, separation=4.0):
     return FederationData(clients=clients, class_count=classes, feature_dim=dim)
 
 
+def uneven_federation(seed=12):
+    """Four clients with 20, 35, 50 and 28 train rows and one unseen client
+    with 30, each with 10 test rows, drawn from one shuffled pool."""
+    pool = gen_pool(4, 4, 60, 4.0, seed=seed)
+    samples = pool.samples[np.random.default_rng(seed).permutation(len(pool.samples))]
+    splits, start = [], 0
+    for n_train in (20, 35, 50, 28, 30):
+        splits.append(ClientSplit(train=samples[start:start + n_train],
+                                  test=samples[start + n_train:start + n_train + 10]))
+        start += n_train + 10
+    return FederationData(clients=splits[:4], unseen=splits[4:], class_count=4, feature_dim=4)
+
+
 def rank1_adapter(p, q, i, j):
     b = np.zeros((p, 1))
     b[i, 0] = 1.0
@@ -461,6 +474,30 @@ class TestRunProtocol:
     def test_sgd_config_rejects_non_finite_lr(self, value):
         with pytest.raises(ConfigurationError):
             SgdConfig(lr=value, epochs=1)
+
+    @pytest.mark.parametrize("batch_mode", ["full", "mini"])
+    def test_batch_size_above_the_largest_client_trains_as_the_largest_client(self, batch_mode):
+        # a block above the largest train split only adds padding: the stages
+        # cap it at the largest split in the federation, at any worker count,
+        # and adaptation at the unseen client's own train rows. At hidden_dim
+        # 32 a longer padded block changes the kernel's bits, so an uncapped
+        # 4096 would not match
+        data = uneven_federation()
+        config = small_config(n_clients=4, batch_mode=batch_mode, batch_size=4096, hidden_dim=32)
+        feds = [run_protocol(c, data) for c in (replace(config, batch_size=50), config,
+                                                replace(config, workers=2))]
+        tiers = [[f.server.root, *f.server.clusters.values(), *(c.path.leaf for c in f.clients)]
+                 for f in feds]
+        for first, *others in zip(*tiers, strict=True):
+            assert all(np.array_equal(first.b, ad.b) and np.array_equal(first.a, ad.a)
+                       for ad in others)
+        unseen, fed = data.unseen[0], feds[0]
+        own, huge = (adapt_unseen(fed.model, unseen, fed.server, replace(config, batch_size=size),
+                                  epochs=2, seed=3) for size in (30, 4096))
+        assert own.assigned_cluster == huge.assigned_cluster
+        assert own.accuracy_trajectory == huge.accuracy_trajectory
+        assert np.array_equal(own.path.leaf.b, huge.path.leaf.b)
+        assert np.array_equal(own.path.leaf.a, huge.path.leaf.a)
 
     def test_mini_batch_mode_is_deterministic(self):
         data = tiny_federation(3, seed=11)

@@ -1,6 +1,7 @@
-"""ClientStack packs its clients' rows once: the stored-order block layout is
-cached read-only, and a mini-batch epoch gathers its shuffle into buffers of
-its own call, so reusing one stack never changes a bit of any result."""
+"""ClientStack packs its clients' rows once: the stored-order block layout and
+the mask of its real rows are cached read-only, and a mini-batch epoch
+gathers its shuffle into buffers of its own call, so reusing one stack never
+changes a bit of any result."""
 
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -10,7 +11,7 @@ import pytest
 
 from fedtier.lora import AdapterPath, LoraAdapter, Tier, compose_path
 from fedtier.model import (ClientStack, Samples, SgdConfig, build_model, encode, local_update,
-                           _scored_blocks, _stack_losses)
+                           _DEFAULT_BATCH, _stack_losses)
 
 # sizes below, at and above the block size, and not multiples of it
 SIZES = [5, 16, 45, 33, 1]
@@ -82,10 +83,12 @@ def test_losses_after_a_mini_batch_update_match_a_fresh_stack():
 def test_layout_is_cached_read_only_and_holds_the_stored_rows():
     _, encs, _ = case(seed=3)
     stack = ClientStack(encs)
-    z, labels = stack.layout(16)
+    z, labels, real = stack.layout(16)
     assert stack.layout(16)[0] is z
     assert z.shape == (len(SIZES), 3, 16, encs[0].z.shape[1]) and labels.shape == z.shape[:3]
-    for arr in (z, labels):
+    assert real.shape == labels.shape
+    assert real.reshape(len(SIZES), -1).sum(axis=1).tolist() == SIZES
+    for arr in (z, labels, real):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0, 0, 0] = 1
@@ -111,6 +114,6 @@ def test_gather_writes_each_client_in_its_own_order():
 def test_scores_of_one_stack_share_one_real_row_mask():
     _, encs, _ = case(seed=5)
     stack = ClientStack(encs)
-    first, second = _scored_blocks(stack)[2], _scored_blocks(stack)[2]
+    first, second = stack.layout(_DEFAULT_BATCH)[2], stack.layout(_DEFAULT_BATCH)[2]
     assert first is second and not first.flags.writeable
     assert first.reshape(len(SIZES), -1).sum(axis=1).tolist() == SIZES
