@@ -13,15 +13,17 @@ All three stages run on one engine, _run_stage. A stage function only
 describes its groups (all clients for the root, each cluster's members, each
 client alone for its leaf) by an index, the members, the frozen adapters of
 the earlier tiers and its report's labels. The engine checks the client
-count, encodes the clients when needed, puts a fresh adapter from the
-stage's "<tier>_init" stream in each group's active slot, and fills each
-group's StageReport round by round. The penalty bases (the B factors of the
-tiers before the active one) are read from a group's path, and its
-data-proportional weights are taken once from the members' train sizes.
-The members of every still-running group form one stack, packed once per
-set of running groups, and each round runs one local update on it;
-`workers` > 1 splits that stack into contiguous chunks run on a thread
-pool.
+count, encodes the clients when needed, draws each group's fresh active
+adapter from the stage's "<tier>_init" stream, and fills each group's
+StageReport round by round. It holds the stage's state as arrays: each
+group's active factors and previous delta, and each member's penalty bases
+(the B factors of the earlier tiers) and frozen weight (w0 plus the earlier
+tiers' updates), built once per stage. The members of every still-running
+group form one stack, packed once per set of running groups; each round
+spreads the group factors to the members, runs one local update on the
+stack (`workers` > 1 splits it into contiguous chunks run on a thread
+pool), and aggregates, refactors and stop-checks every group with the
+stacked forms of aggregate_product, refactor and stop_check.
 
 Determinism: the local-update kernel lays each client's rows out in fixed
 blocks of batch_size rows and computes every (client, block) slice on its
@@ -34,6 +36,7 @@ any worker count on a given machine and BLAS build.
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
+from functools import reduce
 
 import numpy as np
 
@@ -41,11 +44,10 @@ from .clustering import BasisTracker, ClusterAssignment, cluster_clients, ema_up
 from .datagen import ClientSplit, FederationData
 from .errors import (FINITE_POSITIVE, NON_NEGATIVE, OPEN_UNIT, POSITIVE, ConfigurationError,
                      PreconditionError, check_field_types, check_seed, ruled)
-from .linalg import Matrix, frobenius_norm, one_blas_thread, truncated_svd
-from .lora import (AdapterPath, LoraAdapter, Tier, compose_path, delta, init_adapter,
-                   zero_adapter)
-from .model import (BATCH_MODES, ClientStack, EncodedData, HeadModel, SgdConfig, build_model,
-                    encode, local_update, _stack_losses)
+from .linalg import Matrix, as_matrix, frobenius_norm, one_blas_thread, truncated_svd
+from .lora import AdapterPath, LoraAdapter, Tier, delta, init_adapter, zero_adapter
+from .model import (BATCH_MODES, ClientStack, EncodedData, HeadModel, KernelInputs, SgdConfig,
+                    build_model, encode, local_update, _stack_losses)
 from .streams import stream
 
 
@@ -135,44 +137,51 @@ def weights_cluster(sizes, members) -> np.ndarray:
 
 
 def _check_weights(adapters, weights):
+    if isinstance(adapters, tuple):   # a (b, a) pair of factor stacks
+        b, a = adapters
+        if not b.ndim == a.ndim == 3 or a.shape[:2] != (len(b), b.shape[2]):
+            raise ConfigurationError(f"factor stacks {b.shape} and {a.shape} do not pair")
+        adapters = b
+    elif len(dims := {(ad.p, ad.q) for ad in adapters}) > 1:
+        raise ConfigurationError(f"adapters disagree on dimensions: {dims}")
     if len(adapters) != len(weights):
         raise ConfigurationError("one weight per adapter is required")
     if abs(float(np.sum(weights)) - 1.0) > 1e-9:
         raise ConfigurationError("aggregation weights must sum to 1")
-    dims = {(ad.p, ad.q) for ad in adapters}
-    if len(dims) != 1:
-        raise ConfigurationError(f"adapters disagree on dimensions: {dims}")
 
 
-def aggregate_product(adapters: list[LoraAdapter], weights) -> Matrix:
-    """Product-space aggregate Sum_i pi_i B_i A_i (no cross terms)."""
+def aggregate_product(adapters, weights) -> Matrix:
+    """Product-space aggregate Sum_i pi_i B_i A_i (no cross terms), summed in
+    member order. `adapters` is a list of LoraAdapters or a (b, a) pair of
+    (n, p, r) and (n, r, q) factor stacks; a stack gives bitwise the same sum."""
+    stacked = isinstance(adapters, tuple)
+    if stacked:
+        adapters = tuple(as_matrix(f, stacked=True) for f in adapters)
     _check_weights(adapters, weights)
-    out = np.zeros((adapters[0].p, adapters[0].q))
-    for ad, w in zip(adapters, weights):
-        out += w * (ad.b @ ad.a)
-    return out
+    products = np.matmul(*adapters) if stacked else (ad.b @ ad.a for ad in adapters)
+    return reduce(np.add, (w * p for w, p in zip(weights, products)))
 
 
 def aggregate_separate(adapters: list[LoraAdapter], weights) -> LoraAdapter:
     """Baseline averaging of B and A separately; exhibits cross terms."""
     _check_weights(adapters, weights)
-    b = np.zeros_like(adapters[0].b)
-    a = np.zeros_like(adapters[0].a)
-    for ad, w in zip(adapters, weights):
-        b += w * ad.b
-        a += w * ad.a
+    b, a = (reduce(np.add, (w * getattr(ad, f) for ad, w in zip(adapters, weights))) for f in "ba")
     return LoraAdapter(b=b, a=a, rank=adapters[0].rank)
 
 
-def refactor(delta_w: Matrix, r: int) -> LoraAdapter:
-    """Truncated-SVD refactorization: B = U_r, A = Sigma_r V_r^T."""
+def refactor(delta_w: Matrix, r: int):
+    """Truncated-SVD refactorization: B = U_r, A = Sigma_r V_r^T, as a
+    LoraAdapter. An (n, p, q) stack gives the (b, a) pair of (n, p, r) and
+    (n, r, q) factor stacks, each matrix's bitwise its own call's."""
     f = truncated_svd(delta_w, r)
-    return LoraAdapter(b=f.u, a=f.singular_values[:, None] * f.vt, rank=r)
+    b, a = f.u, f.singular_values[..., None] * f.vt
+    return (b, a) if b.ndim == 3 else LoraAdapter(b=b, a=a, rank=r)
 
 
 def stop_check(delta_prev: Matrix, delta_new: Matrix, tau_rel: float, eps: float):
     """Relative step size rho = ||new - prev||_F / (||prev||_F + eps); stop
-    when rho falls at or below tau_rel."""
+    when rho falls at or below tau_rel. Two matrices give (bool, float); two
+    (n, p, q) stacks give (n,) arrays, each entry bitwise its pair's."""
     rho = frobenius_norm(np.asarray(delta_new) - np.asarray(delta_prev)) / (
         frobenius_norm(delta_prev) + eps)
     return rho <= tau_rel, rho
@@ -188,21 +197,6 @@ def _path(config: FederationConfig, model: HeadModel, *adapters: LoraAdapter) ->
     return AdapterPath(*adapters, *[zero] * (len(Tier) - len(adapters)))
 
 
-@dataclass
-class _Group:
-    """Clients that train one adapter together: every client in the root
-    stage, one cluster's members in the cluster stage, one client in the
-    leaf stage. The path holds the frozen tiers and, in the active slot, the
-    adapter being trained; the report fills in round by round, and the group
-    runs while its stop_reason is "budget"."""
-
-    members: list[int]
-    path: AdapterPath
-    weights: np.ndarray   # weights_root over the members' train sizes
-    report: StageReport
-    prev_delta: Matrix    # what the next stop check compares against
-
-
 def _stage_settings(config: FederationConfig, active: Tier, rows: int):
     """(round budget, optimiser, penalty weights) of a stage: gamma_c, gamma_l pair
     with the active tier's earlier tiers in order; a leaf round is one local epoch.
@@ -215,21 +209,6 @@ def _stage_settings(config: FederationConfig, active: Tier, rows: int):
     return getattr(config, f"t_{active.value}"), opt, gammas
 
 
-def _absorb(config: FederationConfig, active: Tier, tracker: BasisTracker | None,
-            members: list[int], local: list[LoraAdapter], weights: np.ndarray):
-    """A group's new adapter and the delta its stop check compares. A leaf
-    keeps its client's local adapter. A server group aggregates the products
-    B_i A_i of its local adapters in member order and refactors the sum to
-    rank r; `tracker`, when given, first receives every member's local basis."""
-    if active is Tier.LEAF:
-        return local[0], delta(local[0])
-    if tracker is not None:
-        for i, ad in zip(members, local):
-            ema_update(tracker, i, ad.b)
-    delta_new = aggregate_product(local, weights)
-    return refactor(delta_new, config.rank), delta_new
-
-
 def _run_stage(config: FederationConfig, model: HeadModel, data: FederationData,
                enc: list[EncodedData] | None, active: Tier, described,
                tracker: BasisTracker | None = None):
@@ -237,81 +216,101 @@ def _run_stage(config: FederationConfig, model: HeadModel, data: FederationData,
     the groups in lockstep; returns the trained adapters and the groups'
     StageReports, both in group order.
 
-    A group is described as (index, members, frozen, labels). Its path holds
-    the frozen adapters of the tiers before the active one, a fresh adapter
-    from stream(master_seed, "<tier>_init", index) in the active slot and
-    zero adapters after it; labels are its report's (cluster, client). The
-    data must hold config.n_clients clients, and enc, their encoded train
-    rows, is computed here when None.
+    A group is described as (index, members, frozen, labels): frozen holds
+    the adapters of the tiers before the active one, the active adapter
+    starts from stream(master_seed, "<tier>_init", index), and labels are
+    its report's (cluster, client). The data must hold config.n_clients
+    clients, and enc, their encoded train rows, is computed here when None.
 
-    Everything else is derived from the groups: the penalty bases are the B
-    factors of the path's tiers before the active one, and a group's
-    aggregation and round-loss weights are weights_root over its members'
-    train sizes. The members of every running group, in group order, form
-    one ClientStack, packed once per set of running groups, and each round
-    runs one local update on it; with config.workers > 1 the stack is split
-    into at most that many contiguous chunks run on a thread pool.
-    _absorb then gives the group's new adapter and the delta its stop check
-    compares, the round loss is taken at compose_path(path, w0), and a
-    group retires once stop_check passes on consecutive deltas or the
-    budget runs out."""
+    The state of the G groups is held as arrays: the active factors b
+    (G, C, r) and a (G, r, h) and the delta each group's next stop check
+    compares (G, C, h). No earlier tier changes within a stage, so the S
+    members' frozen weights (S, C, h), w0 plus the earlier tiers' updates in
+    tier order, and penalty bases (S, C, r), one stack per earlier tier's B
+    factors, are built once, with the index of each member's group; members
+    are in group order. A group's aggregation and round-loss weights are
+    weights_root over its members' train sizes. Once per set of running
+    groups, the members of retired groups are dropped from these arrays and
+    the rest are packed into one ClientStack. Each round then:
+    - spreads the group factors to the members by that index and runs one
+      local update per chunk of the stack (config.workers > 1 splits it into
+      at most that many contiguous chunks, run on a thread pool);
+    - keeps a leaf's local factors; a server group instead aggregates its
+      members' products B_i A_i in member order (the tracker, when given,
+      first receives every member's local B), and one stacked SVD
+      refactors all server groups;
+    - takes every group's rho from one stacked stop_check and the round
+      loss at frozen + B A; a group retires once rho falls to tau_rel or
+      its budget runs out."""
     if len(data.clients) != config.n_clients:
         raise ConfigurationError(
             f"config expects {config.n_clients} clients, data has {len(data.clients)}")
     enc = enc if enc is not None else _encode_clients(model, data)
     budget, opt, gammas = _stage_settings(config, active, max(map(len, enc)))
-    groups = []
-    for index, members, frozen, labels in described:
-        init = init_adapter(*model.w0.shape, config.rank,
-                            stream(config.master_seed, f"{active.value}_init", index))
-        groups.append(_Group(list(members), _path(config, model, *frozen, init),
-                             weights_root([len(enc[i]) for i in members]),
-                             StageReport(active.value, [], [], 0, "budget", *labels), delta(init)))
+    indices, members, frozen, labels = zip(*described)
+    inits = [init_adapter(*model.w0.shape, config.rank,
+                          stream(config.master_seed, f"{active.value}_init", index))
+             for index in indices]
+    b, a = np.stack([ad.b for ad in inits]), np.stack([ad.a for ad in inits])
+    # each member's group, frozen weight and penalty bases, members in group order
+    owner = np.repeat(np.arange(len(members)), [len(group) for group in members])
+    member_frozen = np.stack([reduce(np.add, map(delta, tiers), model.w0)
+                              for tiers in frozen])[owner]
+    member_bases = [np.stack([ad.b for ad in tier])[owner] for tier in zip(*frozen)]
+    prev = b @ a
+    weights = [weights_root([len(enc[i]) for i in group]) for group in members]
+    reports = [StageReport(active.value, [], [], 0, "budget", *label) for label in labels]
     shuffles = {i: stream(config.master_seed, f"{active.value}_shuffle", i)
-                for g in groups for i in g.members if opt.batch_mode == "mini"}
-    packed = []   # the running groups the stack below was packed for
+                for group in members for i in group if opt.batch_mode == "mini"}
+    packed = None   # the running groups the member arrays below were packed for
     with ThreadPoolExecutor(config.workers) if config.workers > 1 else nullcontext() as pool:
         for _ in range(budget):
-            running = [g for g in groups if g.report.stop_reason == "budget"]
+            running = [g for g, report in enumerate(reports) if report.stop_reason == "budget"]
             if not running:
                 break
-            if len(running) != len(packed):   # groups only retire: a new count is a new set
+            if running != packed:
                 packed = running
-                ids = [i for g in running for i in g.members]
-                ends = np.cumsum([len(g.members) for g in running])
-                spans = [slice(end - len(g.members), end) for g, end in zip(running, ends)]
+                keep = np.isin(owner, running)   # groups only retire: drop their members
+                owner, member_frozen = owner[keep], member_frozen[keep]
+                member_bases = [base[keep] for base in member_bases]
+                ids = [i for g in running for i in members[g]]
+                spans = [slice(*np.searchsorted(owner, [g, g + 1])) for g in running]
                 stack = ClientStack([enc[i] for i in ids])
                 parts = [slice(ix[0], ix[-1] + 1) for ix in
                          np.array_split(np.arange(len(ids)), min(config.workers, len(ids)))]
                 # a single chunk is the stack itself, whose layout the round loss reuses
                 chunks = [stack] if len(parts) == 1 else [stack[part] for part in parts]
                 rngs = [shuffles.get(i) for i in ids]
-            paths = [g.path for g in running for _ in g.members]
-            bases = [[path.adapter(tier).b for path in paths] for tier in active.earlier]
+            local = KernelInputs(member_frozen, b[owner], a[owner])
 
             def chunk(part, data):
-                return local_update(model, paths[part], data, active,
-                                    [entry[part] for entry in bases], gammas,
+                return local_update(model, KernelInputs(*(x[part] for x in local)), data, active,
+                                    [base[part] for base in member_bases], gammas,
                                     opt=opt, rng=rngs[part])
 
-            results = (map if pool is None else pool.map)(chunk, parts, chunks)
-            local = [ad for part in results for ad in part]
-            w_eff = []
-            for g, span in zip(running, spans):
-                adapter, delta_new = _absorb(config, active, tracker, g.members,
-                                             local[span], g.weights)
-                g.path = g.path.replace(active, adapter)
-                stopped, rho = stop_check(g.prev_delta, delta_new, config.tau_rel, config.eps)
-                g.report.rho.append(rho)
-                g.report.rounds = len(g.report.rho)
-                g.report.stop_reason = "criterion" if stopped else "budget"
-                g.prev_delta = delta_new
-                w_eff += [compose_path(g.path, model.w0)] * len(g.members)
-            losses = _stack_losses(np.stack(w_eff), stack)
-            for g, span in zip(running, spans):
-                g.report.weighted_loss.append(
-                    float(sum(wi * x for wi, x in zip(g.weights, losses[span]))))
-    return [g.path.adapter(active) for g in groups], [g.report for g in groups]
+            # each chunk updates its slice of the local factors in place
+            list((map if pool is None else pool.map)(chunk, parts, chunks))
+            if active is Tier.LEAF:
+                b[running], a[running] = local.b, local.a
+                delta_new = local.b @ local.a
+            else:
+                if tracker is not None:
+                    for i, local_b in zip(ids, local.b):
+                        ema_update(tracker, i, local_b)
+                delta_new = np.stack([aggregate_product((local.b[span], local.a[span]), weights[g])
+                                      for g, span in zip(running, spans)])
+                b[running], a[running] = refactor(delta_new, config.rank)
+            stopped, rho = stop_check(prev[running], delta_new, config.tau_rel, config.eps)
+            prev[running] = delta_new
+            del delta_new
+            losses = _stack_losses(member_frozen + (b @ a)[owner], stack)
+            for g, span, stop, r in zip(running, spans, stopped, rho):
+                reports[g].rho.append(float(r))
+                reports[g].rounds = len(reports[g].rho)
+                reports[g].stop_reason = "criterion" if stop else "budget"
+                reports[g].weighted_loss.append(
+                    float(sum(wi * x for wi, x in zip(weights[g], losses[span]))))
+    return [LoraAdapter(b=b[g], a=a[g], rank=config.rank) for g in range(len(b))], reports
 
 
 def run_root_stage(config: FederationConfig, data: FederationData, model: HeadModel,

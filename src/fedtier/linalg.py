@@ -65,11 +65,12 @@ def one_blas_thread():
                 _OPENBLAS[1](_pins["saved"])
 
 
-def as_matrix(m) -> Matrix:
-    """Coerce to a finite 2-D float64 array, raising on anything else."""
+def as_matrix(m, stacked: bool = False) -> Matrix:
+    """Coerce to a finite 2-D float64 array, or with `stacked` also to an
+    (n, p, q) stack of them, raising on anything else."""
     out = np.asarray(m, dtype=np.float64)
-    if out.ndim != 2:
-        raise ConfigurationError(f"expected a 2-D matrix, got ndim={out.ndim}")
+    if out.ndim != 2 and not (stacked and out.ndim == 3):
+        raise ConfigurationError(f"expected a matrix{' or stack' * stacked}, got ndim={out.ndim}")
     if not np.all(np.isfinite(out)):
         raise ConfigurationError("matrix contains non-finite entries")
     return out
@@ -84,33 +85,41 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     return a @ b
 
 
-def frobenius_norm(m: Matrix) -> float:
-    """sqrt of the sum of squared entries; 0 exactly iff m is the zero matrix."""
+def frobenius_norm(m: Matrix):
+    """sqrt of the sum of squared entries; 0 exactly iff m is the zero matrix.
+    An (n, p, q) stack gives the (n,) norms of its matrices, bitwise each
+    one's when the stack is C-ordered."""
     m = np.asarray(m, dtype=np.float64)
-    return float(np.sqrt(np.sum(m * m)))
+    if m.ndim < 3:
+        return float(np.sqrt(np.sum(m * m)))
+    return np.sqrt((m * m).reshape(len(m), -1).sum(axis=1))
 
 
 @dataclass(frozen=True)
 class SvdFactors:
     """Top-k singular triplets: u (p×k, orthonormal columns), non-increasing
-    singular values (k,), vt (k×q, orthonormal rows)."""
+    singular values (k,), vt (k×q, orthonormal rows); each with a leading
+    (n,) axis for a stack."""
 
     u: Matrix
     singular_values: np.ndarray
     vt: Matrix
 
     def reconstruct(self) -> Matrix:
-        return self.u @ (self.singular_values[:, None] * self.vt)
+        return self.u @ (self.singular_values[..., None] * self.vt)
 
 
 def _apply_sign_convention(u: Matrix, vt: Matrix):
     """Flip each (u column, vt row) pair so the largest-magnitude entry of the
-    left vector is positive; magnitude ties break at the lowest row index."""
-    for j in range(u.shape[1]):
-        idx = int(np.argmax(np.abs(u[:, j])))
-        if u[idx, j] < 0.0:
-            u[:, j] = -u[:, j]
-            vt[j, :] = -vt[j, :]
+    left vector is positive; magnitude ties break at the lowest row index.
+    Stacks flip each matrix's pairs on their own. u and vt must be C-ordered:
+    they are flipped in place."""
+    for uu, vv in zip(u.reshape((-1,) + u.shape[-2:]), vt.reshape((-1,) + vt.shape[-2:])):
+        for j in range(uu.shape[1]):
+            idx = int(np.argmax(np.abs(uu[:, j])))
+            if uu[idx, j] < 0.0:
+                uu[:, j] = -uu[:, j]
+                vv[j, :] = -vv[j, :]
     return u, vt
 
 
@@ -118,16 +127,17 @@ def truncated_svd(m: Matrix, k: int) -> SvdFactors:
     """Top-k singular triplets of m via LAPACK's thin SVD.
 
     The reconstruction u @ diag(s) @ vt is a best rank-k approximation of m.
-    Output is bitwise deterministic for identical input on a given machine
-    and BLAS/LAPACK build.
+    An (n, p, q) stack gives stacked factors, each matrix's bitwise equal to
+    its own call's. Output is bitwise deterministic for identical input on a
+    given machine and BLAS/LAPACK build; non-finite input is refused.
     """
-    m = as_matrix(m)
-    p, q = m.shape
+    m = as_matrix(m, stacked=True)
+    p, q = m.shape[-2:]
     if not 1 <= k <= min(p, q):
         raise ConfigurationError(f"rank k={k} out of range for a {p}x{q} matrix")
     u, sigma, vt = np.linalg.svd(m, full_matrices=False)
-    u, vt = _apply_sign_convention(u[:, :k].copy(), vt[:k, :].copy())
-    return SvdFactors(u=u, singular_values=sigma[:k].copy(), vt=vt)
+    u, vt = _apply_sign_convention(u[..., :k].copy(), vt[..., :k, :].copy())
+    return SvdFactors(u=u, singular_values=sigma[..., :k].copy(), vt=vt)
 
 
 def orthonormal_columns(m: Matrix, r: int) -> Matrix:

@@ -5,20 +5,22 @@ The backbone z = tanh(M x + bias) is fixed at construction; all learning is
 carried by the composed low-rank update on the head weight (class_count ×
 hidden_dim). Cross-entropy loss and plain gradient-descent local updates
 live here: one blocked kernel updates a whole stack of clients at once, with
-one setup of its inputs and one step loop over block spans (all blocks in
-full batch, one in mini batch). The analytic tier gradient is that kernel's
-gradient on a stack of one. Every score is the kernel's too: the loss and
-the argmax accuracy read the same blocks and the same mask of real rows,
-which a ClientStack's layout holds together, so a client scores the same
-bits alone or in any stack. A block longer than a client's rows only adds
-padding: local_update takes the batch size as given, and the stage settings
-(federation._stage_settings) cap it at the largest client they may see. The
-central finite-difference oracle used by tests and the gradcheck command
-checks the gradient.
+one form of its inputs (KernelInputs: stacked frozen weights and active
+factors, built from AdapterPaths or handed over by the stage engine) and one
+step loop over block spans (all blocks in full batch, one in mini batch).
+The analytic tier gradient is that kernel's gradient on a stack of one.
+Every score is the kernel's too: the loss and the argmax accuracy read the
+same blocks and the same mask of real rows, which a ClientStack's layout
+holds together, so a client scores the same bits alone or in any stack. A
+block longer than a client's rows only adds padding: local_update takes the
+batch size as given, and the stage settings (federation._stage_settings)
+cap it at the largest client they may see. The central finite-difference
+oracle used by tests and the gradcheck command checks the gradient.
 """
 
 from dataclasses import dataclass
 from functools import reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -291,29 +293,29 @@ def _stack_accuracy(w: np.ndarray, data: ClientStack) -> np.ndarray:
     return hits.reshape(len(hits), -1).sum(axis=1) / data.sizes
 
 
-def _stack_inputs(model: HeadModel, paths, active: Tier, frozen_bases, gammas, count: int):
-    """The kernel's checked inputs for `count` stacked clients, each (S, ., .):
-    the frozen weight (w0 plus every other tier's update, in tier order,
-    built once per path object, as one group's clients share theirs), the
-    active factors b and a, and each penalty entry's per-client B factors."""
+class KernelInputs(NamedTuple):
+    """The blocked kernel's inputs for S stacked clients: each client's frozen
+    weight (S, C, h), w0 plus every other tier's update, and the active
+    factors b (S, C, r) and a (S, r, h)."""
+
+    frozen: np.ndarray
+    b: np.ndarray
+    a: np.ndarray
+
+
+def _stack_inputs(model: HeadModel, paths, active: Tier) -> KernelInputs:
+    """The kernel's checked inputs for stacked clients, one path each: the
+    frozen weight is w0 plus every other tier's update in tier order."""
     if not isinstance(active, Tier):
         raise ConfigurationError(f"unknown active tier {active!r}")
-    _check_penalty_args(frozen_bases, gammas)
-    if len(paths) != count or any(len(entry) != count for entry in frozen_bases):
-        raise ConfigurationError("a client stack needs one path and one basis per client")
     adapters = [p.adapter(active) for p in paths]
     if {(ad.p, ad.q, ad.rank) for ad in adapters} != {model.w0.shape + (adapters[0].rank,)}:
         raise ConfigurationError(f"stacked active adapters must share one shape matching "
                                  f"the base weight {model.w0.shape}")
-    frozen = {}
-    for p in paths:
-        if id(p) not in frozen:
-            frozen[id(p)] = reduce(np.add, (delta(p.adapter(t)) for t in Tier if t is not active),
-                                   model.w0)
-    return (np.stack([frozen[id(p)] for p in paths]),
-            np.stack([ad.b for ad in adapters]), np.stack([ad.a for ad in adapters]),
-            [np.stack([np.asarray(base, dtype=np.float64) for base in entry])
-             for entry in frozen_bases])
+    frozen = [reduce(np.add, (delta(p.adapter(t)) for t in Tier if t is not active), model.w0)
+              for p in paths]
+    return KernelInputs(np.stack(frozen), np.stack([ad.b for ad in adapters]),
+                        np.stack([ad.a for ad in adapters]))
 
 
 def tier_gradient(model: HeadModel, path: AdapterPath, data, active: Tier,
@@ -325,11 +327,12 @@ def tier_gradient(model: HeadModel, path: AdapterPath, data, active: Tier,
     probability clamp in dataset_loss is ignored here; it only binds below
     1e-12 where the loss surface is flat anyway.
     """
-    frozen_w, b, a, bases = _stack_inputs(model, [path], active,
-                                          [[base] for base in frozen_bases], gammas, 1)
+    _check_penalty_args(frozen_bases, gammas)
     stack = _stack_of_one(model, data)
-    db, da = _stack_gradient(frozen_w, b, a, *stack.layout(_DEFAULT_BATCH)[:2], stack.sizes,
-                             bases, gammas)
+    db, da = _stack_gradient(*_stack_inputs(model, [path], active),
+                             *stack.layout(_DEFAULT_BATCH)[:2], stack.sizes,
+                             [np.asarray(base, dtype=np.float64)[None] for base in frozen_bases],
+                             gammas)
     return db[0], da[0]
 
 
@@ -355,26 +358,31 @@ def local_update(model: HeadModel, path, data, active: Tier,
     one-client ClientStack, each `frozen_bases` entry one B factor, `rng` one
     Generator, and a fresh LoraAdapter is returned. With a list of paths,
     `data` is a ClientStack of their clients, each `frozen_bases` entry and
-    `rng` hold one item per client, and a list of adapters comes back; a
-    client's result is bitwise the same as when it is updated alone. Input
-    paths and their frozen tiers are left bitwise untouched. Mini-batch mode
-    needs the rngs for the shuffles; a full-batch step sums the gradients of
-    all of a client's blocks, a mini-batch step takes one block per client.
+    `rng` hold one item per client, and a list of adapters comes back; the
+    input paths and their frozen tiers are left bitwise untouched. With
+    KernelInputs, the stage engine's form, `data` and `frozen_bases` are as
+    for a list, each entry possibly one (S, C, r_f) array, and the inputs'
+    b and a are updated in place and returned. A client's result is bitwise
+    the same as when it is updated alone, and a step that leaves a factor
+    non-finite raises ConfigurationError. Mini-batch mode needs the rngs for
+    the shuffles; a full-batch step sums the gradients of all of a client's
+    blocks, a mini-batch step takes one block per client.
     """
     if opt is None:
         raise ConfigurationError("an SgdConfig is required")
-    single = isinstance(path, AdapterPath)
+    single, packed = isinstance(path, AdapterPath), isinstance(path, KernelInputs)
     if single:
         data = _stack_of_one(model, data)
         path, rng = [path], [rng]
         frozen_bases = [[base] for base in frozen_bases]
     elif not isinstance(data, ClientStack):
-        raise ConfigurationError("a list of paths needs a ClientStack of their clients")
-    count = len(data.clients)
-    frozen_w, b, a, bases = _stack_inputs(model, path, active, frozen_bases, gammas, count)
-    rng = [None] * count if rng is None else rng
-    if len(rng) != count:
-        raise ConfigurationError("a client stack needs one rng per client")
+        raise ConfigurationError("a list of paths or KernelInputs need a ClientStack")
+    frozen_w, b, a = path if packed else _stack_inputs(model, path, active)
+    _check_penalty_args(frozen_bases, gammas)
+    bases = [np.asarray(entry, dtype=np.float64) for entry in frozen_bases]
+    rng = [None] * len(data.clients) if rng is None else rng
+    if any(len(x) != len(data.clients) for x in (frozen_w, b, a, rng, *bases)):
+        raise ConfigurationError("a client stack needs one path, basis and rng per client")
     mini = opt.batch_mode == "mini"
     if mini and any(r is None for r in rng):
         raise ConfigurationError("mini-batch mode needs an rng for shuffling")
@@ -397,7 +405,9 @@ def local_update(model: HeadModel, path, data, active: Tier,
                                      gammas)
             b[sel] -= opt.lr * db
             a[sel] -= opt.lr * da
-    out = [LoraAdapter(b=b[s], a=a[s], rank=b.shape[2]) for s in range(count)]
+    if packed:   # a diverged step fails here, as in the LoraAdapters below
+        return as_matrix(b, stacked=True), as_matrix(a, stacked=True)
+    out = [LoraAdapter(b=bi, a=ai, rank=b.shape[2]) for bi, ai in zip(b, a)]
     return out[0] if single else out
 
 
