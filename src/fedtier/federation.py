@@ -302,7 +302,7 @@ def _run_stage(config: FederationConfig, model: HeadModel, data: FederationData,
                 b[running], a[running] = refactor(delta_new, config.rank)
             stopped, rho = stop_check(prev[running], delta_new, config.tau_rel, config.eps)
             prev[running] = delta_new
-            del delta_new
+            del delta_new   # not kept through the loss pass, the round's memory peak
             losses = _stack_losses(member_frozen + (b @ a)[owner], stack)
             for g, span, stop, r in zip(running, spans, stopped, rho):
                 reports[g].rho.append(float(r))

@@ -55,14 +55,14 @@ def reference_stage(config, model, data, active, described, tracker=None):
     c, h = model.w0.shape
     opt = SgdConfig(lr=config.lr, epochs=1 if active is Tier.LEAF else config.local_epochs,
                     batch_mode=config.batch_mode,
-                    batch_size=min(config.batch_size, max(TRAIN_SIZES)))
+                    batch_size=min(config.batch_size, max(len(c.train) for c in data.clients)))
     gammas = [config.gamma_c, config.gamma_l][:len(active.earlier)]
     adapters, reports = [], []
     for index, members, frozen, labels in described:
         init = init_adapter(c, h, config.rank,
                             stream(config.master_seed, f"{active.value}_init", index))
         path = AdapterPath(*frozen, init, *[zero_adapter(c, h, config.rank)] * (2 - len(frozen)))
-        weights = weights_root([TRAIN_SIZES[i] for i in members])
+        weights = weights_root([len(data.clients[i].train) for i in members])
         rngs = {i: stream(config.master_seed, f"{active.value}_shuffle", i) for i in members}
         report = StageReport(active.value, [], [], 0, "budget", *labels)
         prev = delta(init)
