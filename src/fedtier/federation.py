@@ -45,7 +45,7 @@ from .datagen import ClientSplit, FederationData
 from .errors import (FINITE_POSITIVE, NON_NEGATIVE, OPEN_UNIT, POSITIVE, ConfigurationError,
                      PreconditionError, check_field_types, check_seed, ruled)
 from .linalg import Matrix, as_matrix, frobenius_norm, one_blas_thread, truncated_svd
-from .lora import AdapterPath, LoraAdapter, Tier, delta, init_adapter, zero_adapter
+from .lora import AdapterPath, LoraAdapter, Tier, compose_path, init_adapter, zero_adapter
 from .model import (BATCH_MODES, ClientStack, EncodedData, HeadModel, KernelInputs, SgdConfig,
                     build_model, encode, local_update, _stack_losses)
 from .streams import stream
@@ -136,36 +136,39 @@ def weights_cluster(sizes, members) -> np.ndarray:
     return weights_root([sizes[i] for i in members])
 
 
-def _check_weights(adapters, weights):
-    if isinstance(adapters, tuple):   # a (b, a) pair of factor stacks
-        b, a = adapters
-        if not b.ndim == a.ndim == 3 or a.shape[:2] != (len(b), b.shape[2]):
-            raise ConfigurationError(f"factor stacks {b.shape} and {a.shape} do not pair")
-        adapters = b
-    elif len(dims := {(ad.p, ad.q) for ad in adapters}) > 1:
-        raise ConfigurationError(f"adapters disagree on dimensions: {dims}")
-    if len(adapters) != len(weights):
+def _check_weights(shapes, weights):
+    """One weight per adapter, summing to 1, and one (p, q, rank) for all;
+    `shapes` holds each adapter's (p, q, rank)."""
+    if len(shapes) != len(weights):
         raise ConfigurationError("one weight per adapter is required")
     if abs(float(np.sum(weights)) - 1.0) > 1e-9:
         raise ConfigurationError("aggregation weights must sum to 1")
+    if len(set(shapes)) != 1:
+        raise ConfigurationError(f"adapters disagree on dimensions: {set(shapes)}")
 
 
 def aggregate_product(adapters, weights) -> Matrix:
     """Product-space aggregate Sum_i pi_i B_i A_i (no cross terms), summed in
-    member order. `adapters` is a list of LoraAdapters or a (b, a) pair of
-    (n, p, r) and (n, r, q) factor stacks; a stack gives bitwise the same sum."""
-    stacked = isinstance(adapters, tuple)
-    if stacked:
-        adapters = tuple(as_matrix(f, stacked=True) for f in adapters)
-    _check_weights(adapters, weights)
-    products = np.matmul(*adapters) if stacked else (ad.b @ ad.a for ad in adapters)
-    return reduce(np.add, (w * p for w, p in zip(weights, products)))
+    member order. `adapters` is a list of LoraAdapters of one shape and rank,
+    or their (b, a) pair of (n, p, r) and (n, r, q) factor stacks."""
+    if not isinstance(adapters, tuple):   # checked first: mixed shapes cannot stack
+        _check_weights([(ad.p, ad.q, ad.rank) for ad in adapters], weights)
+        adapters = np.stack([ad.b for ad in adapters]), np.stack([ad.a for ad in adapters])
+    b, a = (as_matrix(f, stacked=True) for f in adapters)
+    if not b.ndim == a.ndim == 3 or a.shape[:2] != (len(b), b.shape[2]):
+        raise ConfigurationError(f"factor stacks {b.shape} and {a.shape} do not pair")
+    _check_weights([(b.shape[1], a.shape[2], a.shape[1])] * len(b), weights)
+    return reduce(np.add, (w * p for w, p in zip(weights, b @ a)))
 
 
 def aggregate_separate(adapters: list[LoraAdapter], weights) -> LoraAdapter:
     """Baseline averaging of B and A separately; exhibits cross terms."""
-    _check_weights(adapters, weights)
-    b, a = (reduce(np.add, (w * getattr(ad, f) for ad, w in zip(adapters, weights))) for f in "ba")
+    _check_weights([(ad.p, ad.q, ad.rank) for ad in adapters], weights)
+    b = np.zeros_like(adapters[0].b)
+    a = np.zeros_like(adapters[0].a)
+    for ad, w in zip(adapters, weights):
+        b += w * ad.b
+        a += w * ad.a
     return LoraAdapter(b=b, a=a, rank=adapters[0].rank)
 
 
@@ -254,7 +257,8 @@ def _run_stage(config: FederationConfig, model: HeadModel, data: FederationData,
     b, a = np.stack([ad.b for ad in inits]), np.stack([ad.a for ad in inits])
     # each member's group, frozen weight and penalty bases, members in group order
     owner = np.repeat(np.arange(len(members)), [len(group) for group in members])
-    member_frozen = np.stack([reduce(np.add, map(delta, tiers), model.w0)
+    # the path checks the frozen adapters' shapes; its tiers after them are zero
+    member_frozen = np.stack([compose_path(_path(config, model, *tiers), model.w0)
                               for tiers in frozen])[owner]
     member_bases = [np.stack([ad.b for ad in tier])[owner] for tier in zip(*frozen)]
     prev = b @ a

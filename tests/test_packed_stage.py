@@ -172,6 +172,25 @@ def test_many_chunk_threads_writing_one_member_stack_change_no_bit(federation):
     assert [r.weighted_loss for r in alone.reports] == [r.weighted_loss for r in crowded.reports]
 
 
+@pytest.mark.parametrize("shape", [(6, 1), (7, 10)], ids=["one_column", "wrong_p"])
+def test_frozen_adapters_of_another_shape_are_refused_typed(federation, shape):
+    # a (6, 1) root is a valid rank-1 adapter that numpy would broadcast
+    # over the (6, 10) base weight's columns
+    config = FederationConfig(n_clients=9, rank=1, t_root=2, t_cluster=2, t_leaf=2,
+                              total_budget=6, master_seed=5, hidden_dim=10)
+    model = build_model(5, 6, config.hidden_dim, config.master_seed)
+    assert model.w0.shape == (6, 10)
+    rng = np.random.default_rng(0)
+    bad = LoraAdapter(b=rng.normal(size=(shape[0], 1)), a=rng.normal(size=(1, shape[1])),
+                      rank=1)
+    good = init_adapter(6, 10, 1, rng)
+    clusters_of = assignment()
+    with pytest.raises(ConfigurationError, match="disagree on dimensions"):
+        run_cluster_stage(config, federation, model, clusters_of, bad)
+    with pytest.raises(ConfigurationError, match="disagree on dimensions"):
+        run_leaf_stage(config, federation, model, good, {0: good, 1: bad, 2: good}, clusters_of)
+
+
 # --- stacked forms -------------------------------------------------------------
 
 
@@ -189,7 +208,7 @@ def test_aggregate_product_of_factor_stacks_is_the_adapter_list_sum_bitwise():
     assert np.array_equal(aggregate_product((b, a), weights), listed)
 
 
-@pytest.mark.parametrize("bad", ["pairing", "weights", "non_finite"])
+@pytest.mark.parametrize("bad", ["pairing", "weights", "weight_sum", "non_finite"])
 def test_aggregate_product_refuses_bad_factor_stacks(bad):
     b, a = factor_stacks(1)
     weights = np.full(5, 0.2)
@@ -197,10 +216,20 @@ def test_aggregate_product_refuses_bad_factor_stacks(bad):
         a = a[:, :2]
     elif bad == "weights":
         weights = np.full(4, 0.25)
+    elif bad == "weight_sum":
+        weights = np.full(5, 0.3)
     else:
         b[2, 1, 0] = np.inf
     with pytest.raises(ConfigurationError):
         aggregate_product((b, a), weights)
+
+
+def test_aggregate_product_refuses_a_list_of_mixed_ranks():
+    # a list is summed as one factor stack, so its adapters must share a rank
+    b, a = factor_stacks(5)
+    mixed = [LoraAdapter(b=b[0], a=a[0], rank=3), LoraAdapter(b=b[1, :, :2], a=a[1, :2], rank=2)]
+    with pytest.raises(ConfigurationError, match="disagree on dimensions"):
+        aggregate_product(mixed, [0.5, 0.5])
 
 
 def test_refactor_of_a_stack_is_each_matrix_refactored_bitwise():
