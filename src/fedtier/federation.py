@@ -9,21 +9,30 @@ or on their round budget; a stage whose budget is 0 runs no round and keeps
 its initial adapters, whose B is exactly 0. Leaf adapters never leave their
 client and their budget is counted in local epochs.
 
-All three stages run on one engine, _run_stage. A stage function only
-describes its groups (all clients for the root, each cluster's members, each
-client alone for its leaf) by an index, the members, the frozen adapters of
-the earlier tiers and its report's labels. The engine checks the client
-count, encodes the clients when needed, draws each group's fresh active
-adapter from the stage's "<tier>_init" stream, and fills each group's
-StageReport round by round. It holds the stage's state as arrays: each
-group's active factors and previous delta, and each member's penalty bases
-(the B factors of the earlier tiers) and frozen weight (w0 plus the earlier
-tiers' updates), built once per stage. The members of every still-running
-group form one stack, packed once per set of running groups; each round
-spreads the group factors to the members, runs one local update on the
-stack (`workers` > 1 splits it into contiguous chunks run on a thread
-pool), and aggregates, refactors and stop-checks every group with the
-stacked forms of aggregate_product, refactor and stop_check.
+All three stages run on one engine, _run_stage, and on one ClientStack per
+run: every client's encoded train rows in client order, which run_protocol
+encodes once and the TrainedFederation keeps for the metrics. A stage
+function only describes its groups (all clients for the root, each cluster,
+each client alone for its leaf): an owner vector gives each client's group
+position (zeros for the root, the position of its label among the cluster
+ids, arange for the leaves), and each group has an index, the frozen
+adapters of the earlier tiers and its report's labels. Group g's members are
+the clients whose owner is g, in ascending client order, the order its
+aggregation and round loss sum in. The stage functions check the client
+count and the assignment's labels; the engine encodes the clients when no
+stack is given, draws each group's fresh active adapter from the stage's
+"<tier>_init" stream, and fills each group's StageReport round by round. It
+holds the stage's state as arrays: each group's active factors and previous
+delta, and each member's penalty bases (the B factors of the earlier tiers)
+and frozen weight (w0 plus the earlier tiers' updates), built once per stage.
+While every group runs, the rounds train on the run's stack itself, so the
+layouts it caches serve all three stages and the metrics' loss pass; once
+groups retire, the running members, ids, train on train[ids], taken once per
+set of running groups. Each round spreads the group factors to the members,
+runs one local update on the stack (`workers` > 1 splits it into contiguous
+chunks run on a thread pool), refuses local factors that went non-finite,
+and aggregates, refactors and stop-checks every group with the stacked forms
+of aggregate_product, refactor and stop_check.
 
 Determinism: the local-update kernel lays each client's rows out in fixed
 blocks of batch_size rows and computes every (client, block) slice on its
@@ -46,8 +55,8 @@ from .errors import (FINITE_POSITIVE, NON_NEGATIVE, OPEN_UNIT, POSITIVE, Configu
                      PreconditionError, check_field_types, check_seed, ruled)
 from .linalg import Matrix, as_matrix, frobenius_norm, one_blas_thread, truncated_svd
 from .lora import AdapterPath, LoraAdapter, Tier, compose_path, init_adapter, zero_adapter
-from .model import (BATCH_MODES, ClientStack, EncodedData, HeadModel, KernelInputs, SgdConfig,
-                    build_model, encode, local_update, _stack_losses)
+from .model import (BATCH_MODES, ClientStack, HeadModel, KernelInputs, SgdConfig, build_model,
+                    encode, local_update, _stack_losses)
 from .streams import stream
 
 
@@ -190,14 +199,32 @@ def stop_check(delta_prev: Matrix, delta_new: Matrix, tau_rel: float, eps: float
     return rho <= tau_rel, rho
 
 
-def _encode_clients(model, data) -> list[EncodedData]:
-    return [encode(model, c.train) for c in data.clients]
+def _encode_train(model: HeadModel, data: FederationData) -> ClientStack:
+    """Every client's encoded train rows, as one ClientStack in client order."""
+    return ClientStack([encode(model, c.train) for c in data.clients])
 
 
 def _path(config: FederationConfig, model: HeadModel, *adapters: LoraAdapter) -> AdapterPath:
     """The path whose first tiers hold `adapters` and whose other tiers are zero."""
     zero = zero_adapter(*model.w0.shape, config.rank)
     return AdapterPath(*adapters, *[zero] * (len(Tier) - len(adapters)))
+
+
+# local factors whose norms multiply past this would overflow a server rule:
+# the squared norms of a delta and of two deltas' difference must stay finite
+_FACTOR_BOUND = np.sqrt(np.finfo(np.float64).max) / 4
+
+
+def _check_round(config: FederationConfig, active: Tier, t: int, local: KernelInputs):
+    """Refuse round t of the active stage once a member's local factors are
+    non-finite, or so large that tracking, aggregating or stop-checking them
+    would overflow: ||B||_F ||A||_F bounds ||B A||_F."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = frobenius_norm(local.b) * frobenius_norm(local.a)
+    if not np.all(bound <= _FACTOR_BOUND):
+        raise ConfigurationError(f"the {active.value} stage diverged in round {t}: its local "
+                                 f"factors are non-finite or about to overflow; lower lr "
+                                 f"(now {config.lr:g})")
 
 
 def _stage_settings(config: FederationConfig, active: Tier, rows: int):
@@ -213,31 +240,36 @@ def _stage_settings(config: FederationConfig, active: Tier, rows: int):
 
 
 def _run_stage(config: FederationConfig, model: HeadModel, data: FederationData,
-               enc: list[EncodedData] | None, active: Tier, described,
+               enc: ClientStack | None, active: Tier, owner: np.ndarray, described,
                tracker: BasisTracker | None = None):
     """Train the active tier of each described group for rounds t = 1..budget,
     the groups in lockstep; returns the trained adapters and the groups'
     StageReports, both in group order.
 
-    A group is described as (index, members, frozen, labels): frozen holds
-    the adapters of the tiers before the active one, the active adapter
-    starts from stream(master_seed, "<tier>_init", index), and labels are
-    its report's (cluster, client). The data must hold config.n_clients
-    clients, and enc, their encoded train rows, is computed here when None.
+    owner holds each client's group position, and group g is described as
+    (index, frozen, labels): frozen holds the adapters of the tiers before
+    the active one, the active adapter starts from stream(master_seed,
+    "<tier>_init", index), and labels are its report's (cluster, client).
+    Group g's members are the clients with owner == g, in ascending client
+    order. The stage functions check that the data holds config.n_clients
+    clients; enc, their encoded train rows as one ClientStack in client
+    order, is computed here when None.
 
     The state of the G groups is held as arrays: the active factors b
     (G, C, r) and a (G, r, h) and the delta each group's next stop check
     compares (G, C, h). No earlier tier changes within a stage, so the S
-    members' frozen weights (S, C, h), w0 plus the earlier tiers' updates in
+    clients' frozen weights (S, C, h), w0 plus the earlier tiers' updates in
     tier order, and penalty bases (S, C, r), one stack per earlier tier's B
-    factors, are built once, with the index of each member's group; members
-    are in group order. A group's aggregation and round-loss weights are
-    weights_root over its members' train sizes. Once per set of running
-    groups, the members of retired groups are dropped from these arrays and
-    the rest are packed into one ClientStack. Each round then:
-    - spreads the group factors to the members by that index and runs one
-      local update per chunk of the stack (config.workers > 1 splits it into
-      at most that many contiguous chunks, run on a thread pool);
+    factors, are built once, in client order. A group's aggregation and
+    round-loss weights are weights_root over its members' train sizes. While
+    every group runs, the engine trains on enc itself, so the layouts it
+    caches serve every stage; once per later set of running groups, the
+    members of retired groups are dropped from these arrays and the rest
+    train on enc[ids], ids being the running members. Each round then:
+    - spreads the group factors to the members by owner and runs one local
+      update per chunk of the stack (config.workers > 1 splits it into at
+      most that many contiguous chunks, run on a thread pool), then refuses
+      the round if a member's factors went non-finite (_check_round);
     - keeps a leaf's local factors; a server group instead aggregates its
       members' products B_i A_i in member order (the tracker, when given,
       first receives every member's local B), and one stacked SVD
@@ -245,41 +277,38 @@ def _run_stage(config: FederationConfig, model: HeadModel, data: FederationData,
     - takes every group's rho from one stacked stop_check and the round
       loss at frozen + B A; a group retires once rho falls to tau_rel or
       its budget runs out."""
-    if len(data.clients) != config.n_clients:
-        raise ConfigurationError(
-            f"config expects {config.n_clients} clients, data has {len(data.clients)}")
-    enc = enc if enc is not None else _encode_clients(model, data)
-    budget, opt, gammas = _stage_settings(config, active, max(map(len, enc)))
-    indices, members, frozen, labels = zip(*described)
+    train = enc if enc is not None else _encode_train(model, data)
+    budget, opt, gammas = _stage_settings(config, active, int(train.sizes.max()))
+    indices, frozen, labels = zip(*described)
     inits = [init_adapter(*model.w0.shape, config.rank,
                           stream(config.master_seed, f"{active.value}_init", index))
              for index in indices]
     b, a = np.stack([ad.b for ad in inits]), np.stack([ad.a for ad in inits])
-    # each member's group, frozen weight and penalty bases, members in group order
-    owner = np.repeat(np.arange(len(members)), [len(group) for group in members])
     # the path checks the frozen adapters' shapes; its tiers after them are zero
     member_frozen = np.stack([compose_path(_path(config, model, *tiers), model.w0)
                               for tiers in frozen])[owner]
     member_bases = [np.stack([ad.b for ad in tier])[owner] for tier in zip(*frozen)]
     prev = b @ a
-    weights = [weights_root([len(enc[i]) for i in group]) for group in members]
+    weights = [weights_root(train.sizes[owner == g]) for g in range(len(b))]
     reports = [StageReport(active.value, [], [], 0, "budget", *label) for label in labels]
     shuffles = {i: stream(config.master_seed, f"{active.value}_shuffle", i)
-                for group in members for i in group if opt.batch_mode == "mini"}
+                for i in range(config.n_clients) if opt.batch_mode == "mini"}
+    ids = np.arange(config.n_clients)   # the members of the running groups
     packed = None   # the running groups the member arrays below were packed for
     with ThreadPoolExecutor(config.workers) if config.workers > 1 else nullcontext() as pool:
-        for _ in range(budget):
+        for t in range(1, budget + 1):
             running = [g for g, report in enumerate(reports) if report.stop_reason == "budget"]
             if not running:
                 break
             if running != packed:
                 packed = running
                 keep = np.isin(owner, running)   # groups only retire: drop their members
-                owner, member_frozen = owner[keep], member_frozen[keep]
+                owner, ids, member_frozen = owner[keep], ids[keep], member_frozen[keep]
                 member_bases = [base[keep] for base in member_bases]
-                ids = [i for g in running for i in members[g]]
-                spans = [slice(*np.searchsorted(owner, [g, g + 1])) for g in running]
-                stack = ClientStack([enc[i] for i in ids])
+                members = [np.flatnonzero(owner == g) for g in running]
+                # the run's stack itself while every group runs: its cached
+                # layouts serve all three stages and the metrics
+                stack = train if len(ids) == len(train.clients) else train[ids]
                 parts = [slice(ix[0], ix[-1] + 1) for ix in
                          np.array_split(np.arange(len(ids)), min(config.workers, len(ids)))]
                 # a single chunk is the stack itself, whose layout the round loss reuses
@@ -294,68 +323,92 @@ def _run_stage(config: FederationConfig, model: HeadModel, data: FederationData,
 
             # each chunk updates its slice of the local factors in place
             list((map if pool is None else pool.map)(chunk, parts, chunks))
+            _check_round(config, active, t, local)
             if active is Tier.LEAF:
                 b[running], a[running] = local.b, local.a
                 delta_new = local.b @ local.a
             else:
                 if tracker is not None:
-                    for i, local_b in zip(ids, local.b):
+                    for i, local_b in zip(ids.tolist(), local.b):
                         ema_update(tracker, i, local_b)
-                delta_new = np.stack([aggregate_product((local.b[span], local.a[span]), weights[g])
-                                      for g, span in zip(running, spans)])
+                delta_new = np.stack([aggregate_product((local.b[m], local.a[m]), weights[g])
+                                      for g, m in zip(running, members)])
                 b[running], a[running] = refactor(delta_new, config.rank)
             stopped, rho = stop_check(prev[running], delta_new, config.tau_rel, config.eps)
             prev[running] = delta_new
             del delta_new   # not kept through the loss pass, the round's memory peak
             losses = _stack_losses(member_frozen + (b @ a)[owner], stack)
-            for g, span, stop, r in zip(running, spans, stopped, rho):
+            for g, m, stop, r in zip(running, members, stopped, rho):
                 reports[g].rho.append(float(r))
                 reports[g].rounds = len(reports[g].rho)
                 reports[g].stop_reason = "criterion" if stop else "budget"
                 reports[g].weighted_loss.append(
-                    float(sum(wi * x for wi, x in zip(weights[g], losses[span]))))
+                    float(sum(wi * x for wi, x in zip(weights[g], losses[m]))))
     return [LoraAdapter(b=b[g], a=a[g], rank=config.rank) for g in range(len(b))], reports
 
 
+def _client_labels(config: FederationConfig, data: FederationData,
+                   assignment: ClusterAssignment | None = None) -> np.ndarray:
+    """Check that data holds config.n_clients clients and that the
+    assignment gives each of them one non-negative label; returns those
+    labels, which the stages build their owner vectors from, or all zeros
+    without an assignment (the root stage's one group)."""
+    if len(data.clients) != config.n_clients:
+        raise ConfigurationError(
+            f"config expects {config.n_clients} clients, data has {len(data.clients)}")
+    labels = np.zeros(config.n_clients, int) if assignment is None else np.asarray(
+        assignment.labels)
+    if labels.shape != (config.n_clients,):
+        raise ConfigurationError(f"the assignment holds {labels.size} labels for "
+                                 f"n_clients={config.n_clients} clients")
+    if labels.min() < 0:
+        raise ConfigurationError(f"cluster label {labels.min()} is negative")
+    return labels
+
+
 def run_root_stage(config: FederationConfig, data: FederationData, model: HeadModel,
-                   tracker: BasisTracker, enc: list[EncodedData] | None = None):
+                   tracker: BasisTracker, enc: ClientStack | None = None):
     """Train the global root adapter; feed every client's local basis into the
     EMA tracker each round. Returns the frozen root and the stage report."""
     [root], [report] = _run_stage(config, model, data, enc, Tier.ROOT,
-                                  [(0, range(config.n_clients), (), ())], tracker)
+                                  _client_labels(config, data), [(0, (), ())], tracker)
     tracker.rounds = report.rounds
     return root, report
 
 
 def run_cluster_stage(config: FederationConfig, data: FederationData, model: HeadModel,
                       assignment: ClusterAssignment, root_star: LoraAdapter,
-                      enc: list[EncodedData] | None = None):
+                      enc: ClientStack | None = None):
     """Train one adapter per cluster, each orthogonality-penalized against the
     frozen root; clusters run in lockstep and stop independently within
     t_cluster."""
     ids = assignment.cluster_ids
-    clusters, reports = _run_stage(config, model, data, enc, Tier.CLUSTER,
-                                   [(j, assignment.members(j), (root_star,), (j,)) for j in ids])
+    owner = np.searchsorted(ids, _client_labels(config, data, assignment))
+    clusters, reports = _run_stage(config, model, data, enc, Tier.CLUSTER, owner,
+                                   [(j, (root_star,), (j,)) for j in ids])
     return dict(zip(ids, clusters)), reports
 
 
 def run_leaf_stage(config: FederationConfig, data: FederationData, model: HeadModel,
                    root_star: LoraAdapter, clusters: dict[int, LoraAdapter],
                    assignment: ClusterAssignment,
-                   enc: list[EncodedData] | None = None):
+                   enc: ClientStack | None = None):
     """Train each client's private leaf adapter; no aggregation ever happens.
 
     The leaf budget is counted in local epochs, with the same relative
     step-size stopping applied to the client's own leaf update.
     """
-    return _run_stage(config, model, data, enc, Tier.LEAF,
-                      [(i, [i], (root_star, clusters[j]), (j, i))
-                       for i, j in enumerate(map(int, assignment.labels))])
+    labels = _client_labels(config, data, assignment).tolist()
+    return _run_stage(config, model, data, enc, Tier.LEAF, np.arange(config.n_clients),
+                      [(i, (root_star, clusters[j]), (j, i)) for i, j in enumerate(labels)])
 
 
 @dataclass
 class TrainedFederation:
-    """Frozen server tiers, per-client paths, and all stage reports."""
+    """Frozen server tiers, per-client paths, and all stage reports. train
+    holds every client's encoded train rows as one ClientStack in client
+    order, the stack the three stages trained on (or a reload's encoding of
+    it), which the metrics read instead of encoding the rows again."""
 
     config: FederationConfig
     model: HeadModel
@@ -364,6 +417,7 @@ class TrainedFederation:
     server: ServerState
     reports: list[StageReport]
     tracker: BasisTracker
+    train: ClientStack = field(repr=False, compare=False)
 
     def path_root(self, i: int) -> AdapterPath:
         return _path(self.config, self.model, self.server.root)
@@ -377,9 +431,11 @@ class TrainedFederation:
 
     @classmethod
     def from_tiers(cls, config, model, data, root, clusters, leaves, assignment, reports,
-                   tracker) -> "TrainedFederation":
+                   tracker, train=None) -> "TrainedFederation":
         """The federation whose client i runs the frozen root, the adapter of
-        its assigned cluster (clusters maps label to adapter) and leaves[i]."""
+        its assigned cluster (clusters maps label to adapter) and leaves[i].
+        train, the stack the stages trained on, is encoded here when None, as
+        for a reloaded run."""
         clients = []
         for i in range(config.n_clients):
             j = int(assignment.labels[i])
@@ -387,7 +443,8 @@ class TrainedFederation:
             clients.append(ClientState(id=i, data=data.clients[i], cluster=j, path=path))
         server = ServerState(root=root, clusters=clusters, assignment=assignment)
         return cls(config=config, model=model, data=data, clients=clients,
-                   server=server, reports=reports, tracker=tracker)
+                   server=server, reports=reports, tracker=tracker,
+                   train=_encode_train(model, data) if train is None else train)
 
     @property
     def rounds_executed(self) -> int:
@@ -412,14 +469,14 @@ def run_protocol(config: FederationConfig, data: FederationData,
     if model is None:
         model = build_model(data.feature_dim, data.class_count,
                             config.hidden_dim, config.master_seed)
-    enc = _encode_clients(model, data)
+    train = _encode_train(model, data)
     tracker = BasisTracker(config.ema_decay)
-    root_star, root_report = run_root_stage(config, data, model, tracker, enc)
+    root_star, root_report = run_root_stage(config, data, model, tracker, train)
     assignment = _run_clustering(config, tracker)
     clusters, cluster_reports = run_cluster_stage(config, data, model, assignment,
-                                                  root_star, enc)
+                                                  root_star, train)
     leaves, leaf_reports = run_leaf_stage(config, data, model, root_star, clusters,
-                                          assignment, enc)
+                                          assignment, train)
     return TrainedFederation.from_tiers(config, model, data, root_star, clusters, leaves,
                                         assignment, [root_report, *cluster_reports,
-                                                     *leaf_reports], tracker)
+                                                     *leaf_reports], tracker, train)

@@ -4,8 +4,10 @@ clustering agreement scores, and cross-tier orthogonality summaries.
 Scores come from the model's blocked kernel: accuracy is its argmax score
 and the tier gains its loss. compute_metrics builds each client's root-only,
 root+cluster and full head weights once and scores every client at the three
-snapshots as stacks; the orthogonality report is three stacked
-subspace_overlap calls."""
+snapshots as stacks: the losses over the federation's train stack
+(TrainedFederation.train, which the stages trained on and whose layout they
+packed), the accuracies over the test splits, the only rows encoded here;
+the orthogonality report is three stacked subspace_overlap calls."""
 
 import math
 from dataclasses import asdict, dataclass, field
@@ -84,9 +86,10 @@ def _gains(fed: TrainedFederation, ids: list[int], train: ClientStack, weights):
 
 
 def tier_gains(fed: TrainedFederation, client_id: int) -> TierGains:
+    """The gains of one client, from the three loss passes over its
+    cluster's members' rows of the federation's train stack."""
     members = fed.server.assignment.members(fed.clients[client_id].cluster)
-    train = ClientStack([encode(fed.model, fed.data.clients[i].train) for i in members])
-    gains = _gains(fed, members, train, _stage_weights(fed, members))
+    gains = _gains(fed, members, fed.train[members], _stage_weights(fed, members))
     return TierGains(*(column[members.index(client_id)] for column in gains))
 
 
@@ -232,19 +235,18 @@ def compute_metrics(fed: TrainedFederation) -> MetricsReport:
     """Evaluate every participating client on its own test split at each stage
     snapshot, collect tier gains, overlaps, and clustering agreement.
 
-    Each client's train and test split is encoded once into one train and
-    one test stack, and the three stage snapshots' head weights are built
-    once: three stacked accuracy passes over the test stack and three
-    stacked loss passes over the train stack (one _gains call; see TierGains
-    for the G_c identity) read them. BLAS runs on one thread
-    (linalg.one_blas_thread)."""
+    The three stage snapshots' head weights are built once and read by
+    three stacked accuracy passes over the test stack, each client's test
+    split encoded once, and three stacked loss passes over fed.train, the
+    run's train stack in client order, encoded by run_protocol or the
+    reload (one _gains call; see TierGains for the G_c identity). BLAS runs
+    on one thread (linalg.one_blas_thread)."""
     ids = [client.id for client in fed.clients]
     clusters = [int(client.cluster) for client in fed.clients]
     weights = _stage_weights(fed, ids)
     test = ClientStack([encode(fed.model, c.data.test) for c in fed.clients])
     acc_root, acc_cluster, acc_full = (_stack_accuracy(w, test).tolist() for w in weights)
-    gains_cluster, gains_leaf, gains_cluster_own = _gains(
-        fed, ids, ClientStack([encode(fed.model, c.data.train) for c in fed.clients]), weights)
+    gains_cluster, gains_leaf, gains_cluster_own = _gains(fed, ids, fed.train, weights)
     per_cluster = {j: float(np.mean([a for a, c in zip(acc_full, clusters) if c == j]))
                    for j in sorted(set(clusters))}
     truth = fed.data.true_clusters

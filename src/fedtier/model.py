@@ -158,8 +158,11 @@ class ClientStack:
     def __len__(self):
         return int(self.sizes.sum())
 
-    def __getitem__(self, part: slice) -> "ClientStack":
-        return ClientStack(self.clients[part])
+    def __getitem__(self, part) -> "ClientStack":
+        """The stack of the clients at `part`, a slice or an index array, in
+        that order; it holds the same EncodedData objects, and packs its own
+        layouts."""
+        return ClientStack([self.clients[i] for i in np.arange(len(self.clients))[part]])
 
     def buffers(self, block: int):
         """New zero feature and label buffers shaped like the layout's."""
@@ -363,8 +366,10 @@ def local_update(model: HeadModel, path, data, active: Tier,
     KernelInputs, the stage engine's form, `data` and `frozen_bases` are as
     for a list, each entry possibly one (S, C, r_f) array, and the inputs'
     b and a are updated in place and returned. A client's result is bitwise
-    the same as when it is updated alone, and a step that leaves a factor
-    non-finite raises ConfigurationError. Mini-batch mode needs the rngs for
+    the same as when it is updated alone. A step that leaves a factor
+    non-finite warns nowhere: the adapters refuse it with ConfigurationError,
+    and KernelInputs come back unchecked, for the stage engine's own check
+    (federation._check_round). Mini-batch mode needs the rngs for
     the shuffles; a full-batch step sums the gradients of all of a client's
     blocks, a mini-batch step takes one block per client.
     """
@@ -393,20 +398,22 @@ def local_update(model: HeadModel, path, data, active: Tier,
     # full batch reads the stack's cached layout; mini batch gathers each
     # epoch's shuffle into buffers of this call's own
     z, labels = data.buffers(opt.batch_size) if mini else data.layout(opt.batch_size)[:2]
-    for _ in range(opt.epochs):
-        if mini:
-            data.gather(z, labels, [r.permutation(n) for r, n in zip(rng, sizes)])
-        for lo, hi in spans:
-            # clients with fewer blocks sit out their missing steps
-            sel = slice(None) if lo < blocks.min() else np.flatnonzero(blocks > lo)
-            rows = np.minimum(sizes[sel] - lo * opt.batch_size, (hi - lo) * opt.batch_size)
-            db, da = _stack_gradient(frozen_w[sel], b[sel], a[sel], z[sel, lo:hi],
-                                     labels[sel, lo:hi], rows, [base[sel] for base in bases],
-                                     gammas)
-            b[sel] -= opt.lr * db
-            a[sel] -= opt.lr * da
-    if packed:   # a diverged step fails here, as in the LoraAdapters below
-        return as_matrix(b, stacked=True), as_matrix(a, stacked=True)
+    # a diverging step warns nowhere: the adapters below or the stage engine refuse it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(opt.epochs):
+            if mini:
+                data.gather(z, labels, [r.permutation(n) for r, n in zip(rng, sizes)])
+            for lo, hi in spans:
+                # clients with fewer blocks sit out their missing steps
+                sel = slice(None) if lo < blocks.min() else np.flatnonzero(blocks > lo)
+                rows = np.minimum(sizes[sel] - lo * opt.batch_size, (hi - lo) * opt.batch_size)
+                db, da = _stack_gradient(frozen_w[sel], b[sel], a[sel], z[sel, lo:hi],
+                                         labels[sel, lo:hi], rows, [base[sel] for base in bases],
+                                         gammas)
+                b[sel] -= opt.lr * db
+                a[sel] -= opt.lr * da
+    if packed:   # the stage engine checks its factors itself, with the stage and round
+        return b, a
     out = [LoraAdapter(b=bi, a=ai, rank=b.shape[2]) for bi, ai in zip(b, a)]
     return out[0] if single else out
 

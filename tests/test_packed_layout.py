@@ -117,3 +117,13 @@ def test_scores_of_one_stack_share_one_real_row_mask():
     first, second = stack.layout(_DEFAULT_BATCH)[2], stack.layout(_DEFAULT_BATCH)[2]
     assert first is second and not first.flags.writeable
     assert first.reshape(len(SIZES), -1).sum(axis=1).tolist() == SIZES
+
+
+def test_a_stack_taken_at_an_index_array_holds_those_clients_in_that_order():
+    # the stage engine trains the running members of the run's stack on stack[ids]
+    _, encs, _ = case()
+    stack = ClientStack(encs)
+    picked = stack[np.array([3, 0, 2])]
+    assert [id(e) for e in picked.clients] == [id(encs[i]) for i in (3, 0, 2)]
+    assert picked.sizes.tolist() == [SIZES[i] for i in (3, 0, 2)]
+    assert [id(e) for e in stack[1:3].clients] == [id(e) for e in encs[1:3]]

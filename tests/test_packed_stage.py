@@ -1,17 +1,24 @@
 """The stage engine holds a stage's groups as arrays. These tests pin it to
 the public per-adapter API bit for bit, check the stacked forms of the
-server-side rules against their one-matrix forms, and check that a diverging
-run still fails with a typed error."""
+server-side rules against their one-matrix forms, check that a run encodes
+its train rows once into the one stack all three stages and the metrics
+read, and check that a diverging run still fails with a typed error."""
 
 import json
 import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from fedtier import ClusterShift, FederationConfig, build_model, gen_pool, partition
+import fedtier.adaptation
+import fedtier.federation
+import fedtier.metrics
+import fedtier.model
+from fedtier import (ClusterShift, FederationConfig, build_model, compute_metrics, gen_pool,
+                     partition)
 from fedtier.cli import main
 from fedtier.clustering import BasisTracker, ClusterAssignment, ema_update
 from fedtier.datagen import ClientSplit, FederationData
@@ -22,7 +29,7 @@ from fedtier.federation import (StageReport, aggregate_product, refactor, run_cl
 from fedtier.linalg import frobenius_norm, truncated_svd
 from fedtier.lora import (AdapterPath, LoraAdapter, Tier, delta, init_adapter,
                           zero_adapter)
-from fedtier.model import SgdConfig, dataset_loss, local_update
+from fedtier.model import ClientStack, SgdConfig, dataset_loss, local_update
 from fedtier.streams import stream
 
 # uneven train sizes, some below the batch size of 8, so clients sit out steps
@@ -191,6 +198,76 @@ def test_frozen_adapters_of_another_shape_are_refused_typed(federation, shape):
         run_leaf_stage(config, federation, model, good, {0: good, 1: bad, 2: good}, clusters_of)
 
 
+@pytest.mark.parametrize("labels, message", [
+    (LABELS[:-2], "holds 7 labels for n_clients=9 clients"),
+    (LABELS + [1, 2], "holds 11 labels for n_clients=9 clients"),
+    ([-1] + LABELS[1:], "cluster label -1 is negative"),
+], ids=["fewer", "more", "negative"])
+@pytest.mark.parametrize("stage", ["cluster", "leaf"])
+def test_an_assignment_must_label_every_client_exactly_once(federation, stage, labels,
+                                                           message):
+    config = FederationConfig(n_clients=9, rank=2, t_root=2, t_cluster=2, t_leaf=2,
+                              total_budget=6, master_seed=5, hidden_dim=10)
+    model = build_model(5, 6, config.hidden_dim, config.master_seed)
+    root = init_adapter(6, 10, 2, np.random.default_rng(0))
+    bad = replace(assignment(), labels=np.array(labels))
+    with pytest.raises(ConfigurationError, match=message):
+        if stage == "cluster":
+            run_cluster_stage(config, federation, model, bad, root)
+        else:
+            run_leaf_stage(config, federation, model, root, {j: root for j in range(3)}, bad)
+
+
+# --- one train stack per run ----------------------------------------------------
+
+
+@pytest.mark.parametrize("batch_mode", ["full", "mini"])
+def test_a_run_and_its_metrics_encode_each_split_once(federation, monkeypatch, batch_mode):
+    original = fedtier.model.encode
+    encoded = Counter()
+
+    def counted(model, data):
+        encoded[id(data)] += 1
+        return original(model, data)
+
+    for module in (fedtier.model, fedtier.federation, fedtier.metrics, fedtier.adaptation):
+        assert module.encode is original
+        monkeypatch.setattr(module, "encode", counted)
+    config = FederationConfig(n_clients=9, rank=2, t_root=4, t_cluster=4, t_leaf=4,
+                              total_budget=12, lr=0.5, batch_mode=batch_mode, batch_size=8,
+                              master_seed=5, hidden_dim=10, k_max=4)
+    compute_metrics(run_protocol(config, federation))
+    for client in federation.clients:
+        assert (encoded[id(client.train)], encoded[id(client.test)]) == (1, 1)
+    assert sum(encoded.values()) == 2 * len(federation.clients)
+
+
+def test_every_stage_trains_on_the_runs_own_encoded_rows(federation, monkeypatch):
+    original = fedtier.federation.local_update
+    stacks = []
+
+    def recorded(model, path, data, active, *args, **kwargs):
+        stacks.append((active, data))
+        return original(model, path, data, active, *args, **kwargs)
+
+    monkeypatch.setattr(fedtier.federation, "local_update", recorded)
+    config = FederationConfig(n_clients=9, rank=2, t_root=6, t_cluster=6, t_leaf=6,
+                              total_budget=18, lr=0.5, batch_mode="mini", batch_size=8,
+                              master_seed=5, hidden_dim=10, k_max=4, tau_rel=0.3, workers=1)
+    fed = run_protocol(config, federation)
+    assert isinstance(fed.train, ClientStack)
+    assert fed.train.sizes.tolist() == TRAIN_SIZES   # client order
+    run_rows = {id(e) for e in fed.train.clients}
+    for tier in Tier:
+        stage = [data for active, data in stacks if active is tier]
+        # while every group runs the stage trains on the run's stack itself
+        assert stage[0] is fed.train
+        for data in stage:
+            assert {id(e) for e in data.clients} <= run_rows
+    # groups retired, so some rounds trained on the running members' rows only
+    assert any(len(data.clients) < 9 for _, data in stacks)
+
+
 # --- stacked forms -------------------------------------------------------------
 
 
@@ -288,13 +365,19 @@ def test_divergence_fails_typed_in_every_stage_and_the_protocol(federation, batc
              lambda: run_cluster_stage(config, federation, model, clusters_of, root),
              lambda: run_leaf_stage(config, federation, model, root, clusters, clusters_of),
              lambda: run_protocol(config, federation)]
-    for call in calls:
-        with np.errstate(all="ignore"), pytest.raises(ConfigurationError, match="non-finite"):
+    stages = ["root", "cluster", "leaf", "root"]
+    for call, stage in zip(calls, stages, strict=True):
+        # no numpy warning escapes: under filterwarnings = error it would raise instead
+        with pytest.raises(ConfigurationError,
+                           match=rf"the {stage} stage diverged in round \d+: .*non-finite.*"
+                                 rf"lower lr \(now 1e\+150\)"):
             call()
 
 
-def test_diverging_cli_run_exits_2(tmp_path, capsys):
-    doc = {"federation": dict(rank=2, batch_mode="full", master_seed=3, hidden_dim=12,
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("batch_mode", ["full", "mini"])
+def test_diverging_cli_run_exits_2(tmp_path, capsys, batch_mode, workers):
+    doc = {"federation": dict(rank=2, batch_mode=batch_mode, master_seed=3, hidden_dim=12,
                               **DIVERGING),
            "data": {"kind": "cluster_shift", "classes": 6, "feature_dim": 6,
                     "per_class": 120, "separation": 3.0, "n_total": 10, "k_true": 2,
@@ -302,7 +385,9 @@ def test_diverging_cli_run_exits_2(tmp_path, capsys):
                     "seed": 4}}
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
-    with np.errstate(all="ignore"):
-        code = main(["run", "--config", str(path), "--out", str(tmp_path / "run")])
+    code = main(["run", "--config", str(path), "--out", str(tmp_path / "run"),
+                 "--workers", str(workers)])
     assert code == 2
-    assert "error:" in capsys.readouterr().err
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: the root stage diverged in round ")
+    assert "non-finite" in line and "lr (now 1e+150)" in line
