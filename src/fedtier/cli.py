@@ -64,7 +64,8 @@ from .datagen import (ClusterShift, FederationData, GlDir, Patho, ScDir,
 from .errors import (NON_NEGATIVE, POSITIVE, ConfigurationError, DegenerateInputError,
                      GenerationError, PreconditionError, Rule, check_seed, check_types, has_type,
                      one_of)
-from .federation import FederationConfig, TrainedFederation, _run_clustering, run_protocol
+from .federation import (FederationConfig, ServerState, TrainedFederation, _run_clustering,
+                         run_protocol)
 from .lora import read_adapter, save_adapter, load_matrix, dump_matrix
 from .metrics import CLIENT_COLUMNS, MetricsReport, compute_metrics
 from .model import build_model, gradient_check
@@ -269,12 +270,12 @@ def _checkpoints(run_dir: Path, cluster_ids, n_clients: int) -> tuple[Path, dict
 def _save_checkpoints(out_dir: Path, fed: TrainedFederation) -> list[str]:
     (out_dir / "checkpoints").mkdir(parents=True, exist_ok=True)
     root, clusters, leaves, emas = _checkpoints(out_dir, sorted(fed.server.clusters),
-                                                len(fed.clients))
+                                                len(fed.leaves))
     save_adapter(fed.server.root, root)
     for j, path in clusters.items():
         save_adapter(fed.server.clusters[j], path)
-    for client, path in zip(fed.clients, leaves):
-        save_adapter(client.path.leaf, path)
+    for leaf, path in zip(fed.leaves, leaves):
+        save_adapter(leaf, path)
     for i, path in enumerate(emas):
         path.write_text(dump_matrix(fed.tracker.bases[i]), encoding="ascii")
     return [p.relative_to(out_dir).as_posix() for p in (root, *clusters.values(), *leaves, *emas)]
@@ -328,9 +329,10 @@ def _reload_federation(run_dir: Path) -> TrainedFederation:
     root, clusters, leaves, emas = _checkpoints(run_dir, assignment.cluster_ids, config.n_clients)
     tracker = BasisTracker(config.ema_decay)
     tracker.bases.update(enumerate(load_matrix(path.read_text()) for path in emas))
-    return TrainedFederation.from_tiers(config, model, data, read_adapter(root),
-                                        {j: read_adapter(path) for j, path in clusters.items()},
-                                        list(map(read_adapter, leaves)), assignment, [], tracker)
+    server = ServerState(root=read_adapter(root), assignment=assignment,
+                         clusters={j: read_adapter(path) for j, path in clusters.items()})
+    return TrainedFederation(config, model, data, server, list(map(read_adapter, leaves)), [],
+                             tracker)
 
 
 def _cmd_report(args) -> int:

@@ -25,14 +25,17 @@ stack is given, draws each group's fresh active adapter from the stage's
 holds the stage's state as arrays: each group's active factors and previous
 delta, and each member's penalty bases (the B factors of the earlier tiers)
 and frozen weight (w0 plus the earlier tiers' updates), built once per stage.
-While every group runs, the rounds train on the run's stack itself, so the
-layouts it caches serve all three stages and the metrics' loss pass; once
-groups retire, the running members, ids, train on train[ids], taken once per
-set of running groups. Each round spreads the group factors to the members,
-runs one local update on the stack (`workers` > 1 splits it into contiguous
-chunks run on a thread pool), refuses local factors that went non-finite,
-and aggregates, refactors and stop-checks every group with the stacked forms
-of aggregate_product, refactor and stop_check.
+Every round trains the whole stack, so the layouts it caches serve all three
+stages and the metrics' loss pass; a retired group's members still run their
+local update, but nothing reads it. Each round spreads the group factors to
+the members, runs one local update on the stack (`workers` > 1 splits it
+into contiguous chunks run on a thread pool), refuses local factors that
+went non-finite, and aggregates, refactors and stop-checks every running
+group with the stacked forms of aggregate_product, refactor and stop_check.
+
+The trained federation holds each tier once: the root, the cluster adapters
+by label and the leaves in client order. A client's paths, its cluster and
+its data are derived from them, the assignment's labels and the data.
 
 Determinism: the local-update kernel lays each client's rows out in fixed
 blocks of batch_size rows and computes every (client, block) slice on its
@@ -45,14 +48,15 @@ any worker count on a given machine and BLAS build.
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
 from .clustering import BasisTracker, ClusterAssignment, cluster_clients, ema_update
-from .datagen import ClientSplit, FederationData
+from .datagen import FederationData
 from .errors import (FINITE_POSITIVE, NON_NEGATIVE, OPEN_UNIT, POSITIVE, ConfigurationError,
-                     PreconditionError, check_field_types, check_seed, ruled)
+                     PreconditionError, Rule, check_field_types, check_seed, check_types,
+                     ruled)
 from .linalg import Matrix, as_matrix, frobenius_norm, one_blas_thread, truncated_svd
 from .lora import AdapterPath, LoraAdapter, Tier, compose_path, init_adapter, zero_adapter
 from .model import (BATCH_MODES, ClientStack, HeadModel, KernelInputs, SgdConfig, build_model,
@@ -104,14 +108,6 @@ class FederationConfig:
     def sgd(self) -> SgdConfig:
         return SgdConfig(lr=self.lr, epochs=self.local_epochs,
                          batch_mode=self.batch_mode, batch_size=self.batch_size)
-
-
-@dataclass
-class ClientState:
-    id: int
-    data: ClientSplit
-    cluster: int | None
-    path: AdapterPath
 
 
 @dataclass
@@ -261,22 +257,22 @@ def _run_stage(config: FederationConfig, model: HeadModel, data: FederationData,
     clients' frozen weights (S, C, h), w0 plus the earlier tiers' updates in
     tier order, and penalty bases (S, C, r), one stack per earlier tier's B
     factors, are built once, in client order. A group's aggregation and
-    round-loss weights are weights_root over its members' train sizes. While
-    every group runs, the engine trains on enc itself, so the layouts it
-    caches serve every stage; once per later set of running groups, the
-    members of retired groups are dropped from these arrays and the rest
-    train on enc[ids], ids being the running members. Each round then:
+    round-loss weights are weights_root over its members' train sizes. Every
+    round trains on enc itself, so the layouts it caches serve every stage;
+    the members of a retired group still run their local update, but
+    nothing reads it, and a client's bits do not depend on its stack mates.
+    Each round then:
     - spreads the group factors to the members by owner and runs one local
       update per chunk of the stack (config.workers > 1 splits it into at
       most that many contiguous chunks, run on a thread pool), then refuses
       the round if a member's factors went non-finite (_check_round);
-    - keeps a leaf's local factors; a server group instead aggregates its
-      members' products B_i A_i in member order (the tracker, when given,
-      first receives every member's local B), and one stacked SVD
-      refactors all server groups;
-    - takes every group's rho from one stacked stop_check and the round
-      loss at frozen + B A; a group retires once rho falls to tau_rel or
-      its budget runs out."""
+    - keeps a running leaf's local factors; a running server group instead
+      aggregates its members' products B_i A_i in member order (the
+      tracker, given only to the root stage's one group, first receives
+      every member's local B), and one stacked SVD refactors them all;
+    - takes every running group's rho from one stacked stop_check and the
+      round loss at frozen + B A; a group retires once rho falls to tau_rel
+      or its budget runs out."""
     train = enc if enc is not None else _encode_train(model, data)
     budget, opt, gammas = _stage_settings(config, active, int(train.sizes.max()))
     indices, frozen, labels = zip(*described)
@@ -289,31 +285,20 @@ def _run_stage(config: FederationConfig, model: HeadModel, data: FederationData,
                               for tiers in frozen])[owner]
     member_bases = [np.stack([ad.b for ad in tier])[owner] for tier in zip(*frozen)]
     prev = b @ a
-    weights = [weights_root(train.sizes[owner == g]) for g in range(len(b))]
+    members = [np.flatnonzero(owner == g) for g in range(len(b))]
+    weights = [weights_root(train.sizes[m]) for m in members]
     reports = [StageReport(active.value, [], [], 0, "budget", *label) for label in labels]
-    shuffles = {i: stream(config.master_seed, f"{active.value}_shuffle", i)
-                for i in range(config.n_clients) if opt.batch_mode == "mini"}
-    ids = np.arange(config.n_clients)   # the members of the running groups
-    packed = None   # the running groups the member arrays below were packed for
+    rngs = [stream(config.master_seed, f"{active.value}_shuffle", i)
+            if opt.batch_mode == "mini" else None for i in range(config.n_clients)]
+    parts = [slice(ix[0], ix[-1] + 1) for ix in np.array_split(
+        np.arange(config.n_clients), min(config.workers, config.n_clients))]
+    # a single chunk is the stack itself, whose layout the round loss reuses
+    chunks = [train] if len(parts) == 1 else [train[part] for part in parts]
     with ThreadPoolExecutor(config.workers) if config.workers > 1 else nullcontext() as pool:
         for t in range(1, budget + 1):
             running = [g for g, report in enumerate(reports) if report.stop_reason == "budget"]
             if not running:
                 break
-            if running != packed:
-                packed = running
-                keep = np.isin(owner, running)   # groups only retire: drop their members
-                owner, ids, member_frozen = owner[keep], ids[keep], member_frozen[keep]
-                member_bases = [base[keep] for base in member_bases]
-                members = [np.flatnonzero(owner == g) for g in running]
-                # the run's stack itself while every group runs: its cached
-                # layouts serve all three stages and the metrics
-                stack = train if len(ids) == len(train.clients) else train[ids]
-                parts = [slice(ix[0], ix[-1] + 1) for ix in
-                         np.array_split(np.arange(len(ids)), min(config.workers, len(ids)))]
-                # a single chunk is the stack itself, whose layout the round loss reuses
-                chunks = [stack] if len(parts) == 1 else [stack[part] for part in parts]
-                rngs = [shuffles.get(i) for i in ids]
             local = KernelInputs(member_frozen, b[owner], a[owner])
 
             def chunk(part, data):
@@ -325,25 +310,26 @@ def _run_stage(config: FederationConfig, model: HeadModel, data: FederationData,
             list((map if pool is None else pool.map)(chunk, parts, chunks))
             _check_round(config, active, t, local)
             if active is Tier.LEAF:
-                b[running], a[running] = local.b, local.a
-                delta_new = local.b @ local.a
+                b[running], a[running] = local.b[running], local.a[running]
+                delta_new = b[running] @ a[running]
             else:
                 if tracker is not None:
-                    for i, local_b in zip(ids.tolist(), local.b):
+                    for i, local_b in enumerate(local.b):
                         ema_update(tracker, i, local_b)
-                delta_new = np.stack([aggregate_product((local.b[m], local.a[m]), weights[g])
-                                      for g, m in zip(running, members)])
+                delta_new = np.stack([aggregate_product((local.b[members[g]],
+                                                         local.a[members[g]]), weights[g])
+                                      for g in running])
                 b[running], a[running] = refactor(delta_new, config.rank)
             stopped, rho = stop_check(prev[running], delta_new, config.tau_rel, config.eps)
             prev[running] = delta_new
             del delta_new   # not kept through the loss pass, the round's memory peak
-            losses = _stack_losses(member_frozen + (b @ a)[owner], stack)
-            for g, m, stop, r in zip(running, members, stopped, rho):
+            losses = _stack_losses(member_frozen + (b @ a)[owner], train)
+            for g, stop, r in zip(running, stopped, rho):
                 reports[g].rho.append(float(r))
                 reports[g].rounds = len(reports[g].rho)
                 reports[g].stop_reason = "criterion" if stop else "budget"
                 reports[g].weighted_loss.append(
-                    float(sum(wi * x for wi, x in zip(weights[g], losses[m]))))
+                    float(sum(wi * x for wi, x in zip(weights[g], losses[members[g]]))))
     return [LoraAdapter(b=b[g], a=a[g], rank=config.rank) for g in range(len(b))], reports
 
 
@@ -405,46 +391,49 @@ def run_leaf_stage(config: FederationConfig, data: FederationData, model: HeadMo
 
 @dataclass
 class TrainedFederation:
-    """Frozen server tiers, per-client paths, and all stage reports. train
-    holds every client's encoded train rows as one ClientStack in client
-    order, the stack the three stages trained on (or a reload's encoding of
-    it), which the metrics read instead of encoding the rows again."""
+    """Frozen server tiers, one leaf per client in client order, and all
+    stage reports. Client i runs the root, the cluster adapter of its label
+    in server.assignment and leaves[i]; its paths are derived from these.
+    train, every client's encoded train rows as one ClientStack in client
+    order, is encoded on first read; run_protocol sets it to the stack the
+    three stages trained on, so the metrics never encode the rows again."""
 
     config: FederationConfig
     model: HeadModel
     data: FederationData
-    clients: list[ClientState]
     server: ServerState
+    leaves: list[LoraAdapter]
     reports: list[StageReport]
     tracker: BasisTracker
-    train: ClientStack = field(repr=False, compare=False)
+
+    def __post_init__(self):
+        shapes = {(ad.p, ad.q) for ad in (self.server.root, *self.server.clusters.values(),
+                                          *self.leaves)}
+        if shapes != {self.model.w0.shape}:
+            raise ConfigurationError(f"adapter dimensions {sorted(shapes)} do not match the "
+                                     f"base weight {self.model.w0.shape}")
+
+    @cached_property
+    def train(self) -> ClientStack:
+        return _encode_train(self.model, self.data)
+
+    def cluster_of(self, i: int) -> int:
+        """Client i's cluster label; i must be an int client index."""
+        check_types(int, Rule("must lie in [0, n_clients)", lo=0, hi=self.config.n_clients,
+                              closed_lo=True), client_id=i)
+        return int(self.server.assignment.labels[i])
 
     def path_root(self, i: int) -> AdapterPath:
+        self.cluster_of(i)   # checks i
         return _path(self.config, self.model, self.server.root)
 
     def path_cluster(self, i: int) -> AdapterPath:
         return _path(self.config, self.model, self.server.root,
-                     self.server.clusters[self.clients[i].cluster])
+                     self.server.clusters[self.cluster_of(i)])
 
     def path_full(self, i: int) -> AdapterPath:
-        return self.clients[i].path
-
-    @classmethod
-    def from_tiers(cls, config, model, data, root, clusters, leaves, assignment, reports,
-                   tracker, train=None) -> "TrainedFederation":
-        """The federation whose client i runs the frozen root, the adapter of
-        its assigned cluster (clusters maps label to adapter) and leaves[i].
-        train, the stack the stages trained on, is encoded here when None, as
-        for a reloaded run."""
-        clients = []
-        for i in range(config.n_clients):
-            j = int(assignment.labels[i])
-            path = AdapterPath(root=root, cluster=clusters[j], leaf=leaves[i])
-            clients.append(ClientState(id=i, data=data.clients[i], cluster=j, path=path))
-        server = ServerState(root=root, clusters=clusters, assignment=assignment)
-        return cls(config=config, model=model, data=data, clients=clients,
-                   server=server, reports=reports, tracker=tracker,
-                   train=_encode_train(model, data) if train is None else train)
+        return AdapterPath(self.server.root, self.server.clusters[self.cluster_of(i)],
+                           self.leaves[i])
 
     @property
     def rounds_executed(self) -> int:
@@ -477,6 +466,8 @@ def run_protocol(config: FederationConfig, data: FederationData,
                                                   root_star, train)
     leaves, leaf_reports = run_leaf_stage(config, data, model, root_star, clusters,
                                           assignment, train)
-    return TrainedFederation.from_tiers(config, model, data, root_star, clusters, leaves,
-                                        assignment, [root_report, *cluster_reports,
-                                                     *leaf_reports], tracker, train)
+    fed = TrainedFederation(config, model, data,
+                            ServerState(root=root_star, clusters=clusters, assignment=assignment),
+                            leaves, [root_report, *cluster_reports, *leaf_reports], tracker)
+    fed.train = train   # the stack the stages trained on: never encoded again
+    return fed

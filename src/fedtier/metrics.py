@@ -3,11 +3,12 @@ clustering agreement scores, and cross-tier orthogonality summaries.
 
 Scores come from the model's blocked kernel: accuracy is its argmax score
 and the tier gains its loss. compute_metrics builds each client's root-only,
-root+cluster and full head weights once and scores every client at the three
-snapshots as stacks: the losses over the federation's train stack
-(TrainedFederation.train, which the stages trained on and whose layout they
-packed), the accuracies over the test splits, the only rows encoded here;
-the orthogonality report is three stacked subspace_overlap calls."""
+root+cluster and full head weights once from the federation's tiers and
+scores every client at the three snapshots as stacks: the losses over the
+federation's train stack (TrainedFederation.train, which the stages trained
+on and whose layout they packed), the accuracies over the test splits, the
+only rows encoded here; the orthogonality report is three stacked
+subspace_overlap calls."""
 
 import math
 from dataclasses import asdict, dataclass, field
@@ -17,7 +18,7 @@ import numpy as np
 from .errors import PreconditionError
 from .federation import TrainedFederation, weights_cluster
 from .linalg import frobenius_norm, one_blas_thread, orthonormal_columns, subspace_overlap
-from .lora import AdapterPath, compose_path
+from .lora import AdapterPath, compose_path, delta
 from .model import (ClientStack, HeadModel, encode, _stack_accuracy, _stack_losses,
                     _stack_of_one)
 
@@ -63,9 +64,14 @@ class TierGains:
 
 def _stage_weights(fed: TrainedFederation, ids: list[int]) -> list[np.ndarray]:
     """The (len(ids), C, h) head weights of `ids` at each stage snapshot:
-    root only, root+cluster and the full path."""
-    return [np.stack([compose_path(path_of(i), fed.model.w0) for i in ids])
-            for path_of in (fed.path_root, fed.path_cluster, fed.path_full)]
+    root only, root+cluster and the full path. w0 + the root update is
+    formed once, then each client's cluster and leaf updates are added in
+    compose_path's order, so each weight is its path's compose_path bitwise."""
+    root = fed.model.w0 + delta(fed.server.root)
+    labels = fed.server.assignment.labels
+    cluster = np.stack([root + delta(fed.server.clusters[int(labels[i])]) for i in ids])
+    full = cluster + np.stack([delta(fed.leaves[i]) for i in ids])
+    return [np.stack([root] * len(ids)), cluster, full]
 
 
 def _gains(fed: TrainedFederation, ids: list[int], train: ClientStack, weights):
@@ -76,19 +82,19 @@ def _gains(fed: TrainedFederation, ids: list[int], train: ClientStack, weights):
     client the same gains bitwise."""
     l_root, l_cluster, l_full = (_stack_losses(w, train) for w in weights)
     own = dict(zip(ids, (l_root - l_cluster).tolist()))
+    labels = fed.server.assignment.labels[ids].tolist()
     g_cluster = {}
-    for j in {fed.clients[i].cluster for i in ids}:
+    for j in set(labels):
         members = fed.server.assignment.members(j)
         pi = weights_cluster(fed.data.train_sizes, members)
         g_cluster[j] = float(sum(w * own[m] for w, m in zip(pi, members)))
-    return ([g_cluster[fed.clients[i].cluster] for i in ids], (l_cluster - l_full).tolist(),
-            [own[i] for i in ids])
+    return [g_cluster[j] for j in labels], (l_cluster - l_full).tolist(), [own[i] for i in ids]
 
 
 def tier_gains(fed: TrainedFederation, client_id: int) -> TierGains:
     """The gains of one client, from the three loss passes over its
     cluster's members' rows of the federation's train stack."""
-    members = fed.server.assignment.members(fed.clients[client_id].cluster)
+    members = fed.server.assignment.members(fed.cluster_of(client_id))
     gains = _gains(fed, members, fed.train[members], _stage_weights(fed, members))
     return TierGains(*(column[members.index(client_id)] for column in gains))
 
@@ -167,8 +173,8 @@ def orthogonality_report(fed: TrainedFederation) -> OrthogonalityReport:
         return orthonormal_columns(b, rank) if frobenius_norm(b) > _NEGLIGIBLE_B else None
 
     u_cluster = {j: basis(ad.b) for j, ad in fed.server.clusters.items()}
-    cluster = [u_cluster[c.cluster] for c in fed.clients]
-    leaf = [basis(c.path.leaf.b) for c in fed.clients]
+    cluster = [u_cluster[j] for j in fed.server.assignment.labels.tolist()]
+    leaf = [basis(ad.b) for ad in fed.leaves]
     u_root = orthonormal_columns(fed.server.root.b, rank)
     pairs = {}
     for name, first, second in (("root_cluster", None, cluster), ("root_leaf", None, leaf),
@@ -238,13 +244,13 @@ def compute_metrics(fed: TrainedFederation) -> MetricsReport:
     The three stage snapshots' head weights are built once and read by
     three stacked accuracy passes over the test stack, each client's test
     split encoded once, and three stacked loss passes over fed.train, the
-    run's train stack in client order, encoded by run_protocol or the
-    reload (one _gains call; see TierGains for the G_c identity). BLAS runs
-    on one thread (linalg.one_blas_thread)."""
-    ids = [client.id for client in fed.clients]
-    clusters = [int(client.cluster) for client in fed.clients]
+    run's train stack in client order, encoded by run_protocol or, after
+    a reload, on first read (one _gains call; see TierGains for the G_c
+    identity). BLAS runs on one thread (linalg.one_blas_thread)."""
+    ids = list(range(fed.config.n_clients))
+    clusters = fed.server.assignment.labels.tolist()
     weights = _stage_weights(fed, ids)
-    test = ClientStack([encode(fed.model, c.data.test) for c in fed.clients])
+    test = ClientStack([encode(fed.model, c.test) for c in fed.data.clients])
     acc_root, acc_cluster, acc_full = (_stack_accuracy(w, test).tolist() for w in weights)
     gains_cluster, gains_leaf, gains_cluster_own = _gains(fed, ids, fed.train, weights)
     per_cluster = {j: float(np.mean([a for a, c in zip(acc_full, clusters) if c == j]))

@@ -7,7 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fedtier.adaptation
 import fedtier.cli
+import fedtier.federation
+import fedtier.metrics
+import fedtier.model
 from fedtier.cli import (_clustering_payload, _json_text, _materialize_config,
                          _reload_federation, main)
 from fedtier.clustering import ClusterAssignment
@@ -451,6 +455,41 @@ def test_stray_checkpoint_files_are_ignored(finished_run, tmp_path, capsys):
     capsys.readouterr()
     assert main(["cluster-diag", "--run", str(run_dir)]) == 0
     assert capsys.readouterr().out == (run_dir / "clustering.json").read_text()
+
+
+def test_reloads_encode_only_the_rows_they_read(finished_run, tmp_path, monkeypatch):
+    # cluster-diag reads no rows, adapt each unseen client's train and test
+    # split once, and report each participating client's train and test
+    # split once
+    run_dir = tmp_path / "run"
+    shutil.copytree(finished_run, run_dir)
+    original = fedtier.model.encode
+    encoded, reloaded = [], []
+
+    def counted(model, data):
+        encoded.append(id(data))
+        return original(model, data)
+
+    def kept(path):
+        reloaded.append(_reload_federation(path))
+        return reloaded[-1]
+
+    for module in (fedtier.model, fedtier.federation, fedtier.metrics, fedtier.adaptation):
+        assert module.encode is original
+        monkeypatch.setattr(module, "encode", counted)
+    monkeypatch.setattr(fedtier.cli, "_reload_federation", kept)
+    expected = {
+        "cluster-diag": lambda data: [],
+        "adapt": lambda data: [id(s) for c in data.unseen for s in (c.train, c.test)],
+        "report": lambda data: [id(c.train) for c in data.clients]
+                               + [id(c.test) for c in data.clients]}
+    for command, argv in (("cluster-diag", ["--out", str(tmp_path / "diag.json")]),
+                          ("adapt", ["--epochs", "2"]), ("report", [])):
+        encoded.clear()
+        assert main([command, "--run", str(run_dir)] + argv) == 0
+        data = reloaded[-1].data
+        assert len(data.clients) == 8 and len(data.unseen) == 2
+        assert sorted(encoded) == sorted(expected[command](data)), command
 
 
 def readme_config(out_dir):

@@ -359,7 +359,7 @@ class TestLeafStage:
                               total_budget=40, tau_rel=1e-5)
         model = build_model(4, 4, config.hidden_dim, config.master_seed)
         fed = run_protocol(config, data, model)
-        leaf = fed.clients[0].path.leaf
+        leaf = fed.leaves[0]
         assert frobenius_norm(delta(leaf)) <= 1e-3
 
     def test_no_penalties_reduces_to_plain_fine_tuning(self, trained_fed):
@@ -402,9 +402,9 @@ class TestRunProtocol:
         config = small_config(n_clients=4, t_cluster=0, t_leaf=0,
                               t_root=5, total_budget=5)
         fed = run_protocol(config, data)
-        for client in fed.clients:
-            assert frobenius_norm(delta(client.path.cluster)) == 0.0
-            assert frobenius_norm(delta(client.path.leaf)) == 0.0
+        for i in range(config.n_clients):
+            assert frobenius_norm(delta(fed.path_full(i).cluster)) == 0.0
+            assert frobenius_norm(delta(fed.path_full(i).leaf)) == 0.0
         assert fed.rounds_executed <= 5
 
     def test_identical_clients_get_identical_accuracy(self):
@@ -443,16 +443,16 @@ class TestRunProtocol:
         fed4 = run_protocol(replace(config, workers=4), data)
         assert np.array_equal(fed1.server.root.b, fed4.server.root.b)
         assert np.array_equal(fed1.server.root.a, fed4.server.root.a)
-        for c1, c4 in zip(fed1.clients, fed4.clients):
-            assert np.array_equal(c1.path.leaf.b, c4.path.leaf.b)
-            assert np.array_equal(c1.path.leaf.a, c4.path.leaf.a)
+        for l1, l4 in zip(fed1.leaves, fed4.leaves, strict=True):
+            assert np.array_equal(l1.b, l4.b)
+            assert np.array_equal(l1.a, l4.a)
 
     def test_single_client_protocol_runs(self):
         data = tiny_federation(1, seed=9)
         config = small_config(n_clients=1)
         fed = run_protocol(config, data)
         assert fed.server.assignment.k_star == 1
-        assert fed.clients[0].cluster == 0
+        assert fed.server.assignment.labels[0] == 0
 
     def test_client_count_mismatch(self):
         data = tiny_federation(3, seed=10)
@@ -486,7 +486,7 @@ class TestRunProtocol:
         config = small_config(n_clients=4, batch_mode=batch_mode, batch_size=4096, hidden_dim=32)
         feds = [run_protocol(c, data) for c in (replace(config, batch_size=50), config,
                                                 replace(config, workers=2))]
-        tiers = [[f.server.root, *f.server.clusters.values(), *(c.path.leaf for c in f.clients)]
+        tiers = [[f.server.root, *f.server.clusters.values(), *f.leaves]
                  for f in feds]
         for first, *others in zip(*tiers, strict=True):
             assert all(np.array_equal(first.b, ad.b) and np.array_equal(first.a, ad.a)
@@ -505,8 +505,8 @@ class TestRunProtocol:
         fed_a = run_protocol(config, data)
         fed_b = run_protocol(config, data)
         assert np.array_equal(fed_a.server.root.b, fed_b.server.root.b)
-        for ca, cb in zip(fed_a.clients, fed_b.clients):
-            assert np.array_equal(ca.path.leaf.b, cb.path.leaf.b)
+        for la, lb in zip(fed_a.leaves, fed_b.leaves, strict=True):
+            assert np.array_equal(la.b, lb.b)
 
 
 class TestStackedRounds:
@@ -585,7 +585,7 @@ def test_every_stage_reports_for_every_budget_split(t_cluster, t_leaf):
         if budgets[rep.stage] == 0:
             assert rep.rounds == 0 and rep.stop_reason == "budget"
     untrained = ([] if t_cluster else list(fed.server.clusters.values())) + (
-        [] if t_leaf else [c.path.leaf for c in fed.clients])
+        [] if t_leaf else fed.leaves)
     assert all(np.all(ad.b == 0.0) for ad in untrained)
     assert fed.rounds_executed <= config.total_budget
 

@@ -8,9 +8,9 @@ import pytest
 import fedtier.metrics
 import fedtier.model
 from fedtier.datagen import ClientSplit, FederationData, gen_pool
-from fedtier.errors import PreconditionError
+from fedtier.errors import ConfigurationError, PreconditionError
 from fedtier.federation import FederationConfig, run_protocol, weights_cluster
-from fedtier.lora import AdapterPath, Tier, compose_path, zero_adapter
+from fedtier.lora import AdapterPath, compose_path, zero_adapter
 from fedtier.metrics import (accuracy, clustering_quality, compute_metrics,
                              orthogonality_report, tier_gains, worst_decile)
 from fedtier.model import (ClientStack, FrozenBackbone, HeadModel, Samples, dataset_loss, encode,
@@ -73,17 +73,17 @@ class TestAccuracy:
 
     def test_matches_per_sample_loop(self, trained_fed):
         fed = trained_fed
-        client = fed.clients[2]
-        acc = accuracy(fed.model, client.path, client.data.test)
+        path, test = fed.path_full(2), fed.data.clients[2].test
+        acc = accuracy(fed.model, path, test)
         hits = 0
-        for x, y in zip(client.data.test.x, client.data.test.y):
-            logits = forward(fed.model, client.path, x)
+        for x, y in zip(test.x, test.y):
+            logits = forward(fed.model, path, x)
             hits += int(np.argmax(logits)) == y
-        assert acc == pytest.approx(hits / len(client.data.test), abs=1e-15)
+        assert acc == pytest.approx(hits / len(test), abs=1e-15)
 
     def test_empty_set_rejected(self, trained_fed):
         with pytest.raises(PreconditionError):
-            accuracy(trained_fed.model, trained_fed.clients[0].path,
+            accuracy(trained_fed.model, trained_fed.path_full(0),
                      Samples(np.zeros((0, 8)), []))
 
 
@@ -166,6 +166,20 @@ class TestTierGains:
             assert math.isfinite(gains.g_cluster)
             assert math.isfinite(gains.g_leaf)
 
+    @pytest.mark.parametrize("bad, message", [
+        (-1, r"must lie in \[0, n_clients\), got -1"),
+        (30, r"must lie in \[0, n_clients\), got 30"),
+        (2.0, "must be an integer, got 2.0"), (True, "must be an integer, got True"),
+    ], ids=["negative", "n", "float", "bool"])
+    def test_bad_client_ids_are_refused_typed(self, trained_fed, bad, message):
+        fed = trained_fed
+        assert fed.config.n_clients == 30
+        calls = [lambda: tier_gains(fed, bad), lambda: fed.path_root(bad),
+                 lambda: fed.path_cluster(bad), lambda: fed.path_full(bad)]
+        for call in calls:
+            with pytest.raises(ConfigurationError, match=f"^client_id {message}$"):
+                call()
+
 
 class TestClusteringQuality:
     def test_identical_partitions(self):
@@ -239,24 +253,34 @@ class TestOrthogonalityReport:
 
 def orthogonality_by_loop(fed):
     return orthogonality_oracle(
-        fed.server.root.b, [fed.server.clusters[c.cluster].b for c in fed.clients],
-        [c.path.leaf.b for c in fed.clients], fed.config.rank, fedtier.metrics._NEGLIGIBLE_B)
+        fed.server.root.b, [fed.server.clusters[j].b for j in fed.server.assignment.labels],
+        [leaf.b for leaf in fed.leaves], fed.config.rank, fedtier.metrics._NEGLIGIBLE_B)
 
 
 class TestStackedScores:
     def test_every_stage_accuracy_matches_the_argmax_oracle(self, trained_fed):
         fed = trained_fed
         report = compute_metrics(fed)
-        for i, client in enumerate(fed.clients):
-            test = encode(fed.model, client.data.test)
+        for i, client in enumerate(fed.data.clients):
+            test = encode(fed.model, client.test)
             for got, path in ((report.accuracies_root[i], fed.path_root(i)),
                               (report.accuracies_cluster[i], fed.path_cluster(i)),
                               (report.accuracies[i], fed.path_full(i))):
                 assert got == accuracy_oracle(test.z, test.y, compose_path(path, fed.model.w0))
 
+    def test_stage_weights_are_each_paths_composed_weight_bitwise(self, trained_fed):
+        fed = trained_fed
+        ids = list(range(fed.config.n_clients))
+        weights = fedtier.metrics._stage_weights(fed, ids)
+        for snapshot, path_of in zip(weights, (fed.path_root, fed.path_cluster, fed.path_full),
+                                     strict=True):
+            assert snapshot.shape == (len(ids), *fed.model.w0.shape)
+            for i in ids:
+                assert np.array_equal(snapshot[i], compose_path(path_of(i), fed.model.w0))
+
     def test_accuracy_takes_a_one_client_stack(self, trained_fed):
         fed = trained_fed
-        test = encode(fed.model, fed.clients[4].data.test)
+        test = encode(fed.model, fed.data.clients[4].test)
         path = fed.path_full(4)
         assert accuracy(fed.model, path, ClientStack([test])) == accuracy(fed.model, path, test)
 
@@ -278,8 +302,8 @@ class TestStackedScores:
         # three clients' leaves zeroed: they drop out of the leaf pairs alone
         fed = trained_fed
         zero = zero_adapter(fed.model.class_count, fed.model.backbone.hidden_dim, fed.config.rank)
-        fed = replace(fed, clients=[replace(c, path=c.path.replace(Tier.LEAF, zero))
-                                    if c.id in (0, 3, 5) else c for c in fed.clients])
+        fed = replace(fed, leaves=[zero if i in (0, 3, 5) else leaf
+                                   for i, leaf in enumerate(fed.leaves)])
         report = orthogonality_report(fed)
         for name, expect in orthogonality_by_loop(fed).items():
             stats = report.pairs[name]
@@ -320,10 +344,10 @@ def test_compute_metrics_encodes_each_split_once(trained_fed, monkeypatch):
     for module in (fedtier.metrics, fedtier.model):
         monkeypatch.setattr(module, "encode", counting)
     report = compute_metrics(trained_fed)
-    assert len(encoded) <= 2 * len(trained_fed.clients)
+    assert len(encoded) <= 2 * len(trained_fed.data.clients)
     monkeypatch.undo()
-    for i, client in enumerate(trained_fed.clients):
-        gains = tier_gains(trained_fed, client.id)
+    for i in range(len(trained_fed.data.clients)):
+        gains = tier_gains(trained_fed, i)
         assert report.gains_cluster[i] == gains.g_cluster
         assert report.gains_leaf[i] == gains.g_leaf
         assert report.gains_cluster_own[i] == gains.g_cluster_own
