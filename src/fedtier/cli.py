@@ -14,15 +14,19 @@ Config document (JSON)::
       "federation": { FederationConfig fields; n_clients may be omitted and
                       is then derived from the data section },
       "data": { "kind": "gl_dir" | "sc_dir" | "patho" | "cluster_shift" | "csv",
-                generator fields (classes, feature_dim, per_class, separation,
-                n_total, seed, unseen_fraction) plus the fields of the kind's
-                partition spec (GlDir, ScDir, Patho, ClusterShift; a field
-                without a default is required, and ScDir's superclass_of is
-                spelled superclasses), or for csv a path plus seed and
-                unseen_fraction, and n_total only if it equals the file's
-                client count },
+                seed and unseen_fraction, plus the kind's own fields: for a
+                partition kind the generator fields (classes, feature_dim,
+                per_class, n_total, separation) and the fields of its
+                partition spec (GlDir, ScDir, Patho, ClusterShift; ScDir's
+                superclass_of is spelled superclasses), for csv a path, and
+                n_total only if it equals the file's client count },
       "out_dir": "runs/exp" (optional; --out overrides)
     }
+
+One table (_DATA_KINDS) describes each data kind: its partition spec and its
+own fields as (type, rule, default), a field without a default being
+required. The manifest records every data field, defaults included (sc_dir's
+superclasses as null, a csv n_total as the file's client count).
 
 Artifacts of ``run`` (all listed in manifest.json): roundlog.csv with columns
 ``stage,round,cluster,rho,weighted_train_loss,stopped`` (root rows use
@@ -44,7 +48,9 @@ matrix dumps are ``rows cols`` followed by the rows; entries are printed with
 %.17g and round-trip float64 exactly. The manifest of a csv run also holds
 ``csv_sha256``, the digest of the CSV bytes; the reload commands refuse a
 file that no longer matches it. ``adapt`` refuses a run with no unseen
-clients. Every csv float is written as its shortest round-trip repr.
+clients. The three csv tables (roundlog.csv, metrics.csv, adapt.csv) are
+written by one helper, _write_csv, and every csv float as its shortest
+round-trip repr.
 """
 
 import argparse
@@ -71,20 +77,23 @@ from .metrics import CLIENT_COLUMNS, MetricsReport, compute_metrics
 from .model import build_model, gradient_check
 
 _FED_FIELDS = {f for f in FederationConfig.__dataclass_fields__}
-_DATA_KINDS = {"gl_dir": GlDir, "sc_dir": ScDir, "patho": Patho,
-               "cluster_shift": ClusterShift, "csv": None}
-# the pool generator's fields and defaults; a csv input takes only n_total,
-# which must then equal the file's client count
-_DATA_GENERATOR = {"classes": MISSING, "feature_dim": MISSING, "per_class": MISSING,
-                   "n_total": MISSING, "separation": 3.0}
-_DATA_COMMON = {"kind", "seed", "unseen_fraction", "n_total"}
-_DATA_NAME = {"superclass_of": "superclasses"}  # the one spec field renamed in the data section
-# the type and rule of each data field that no partition spec or seed rule
-# checks: the rules gen_pool and partition apply, so an error names the field
-_DATA_RULES = {"path": (str, None), "classes": (int, POSITIVE), "feature_dim": (int, POSITIVE),
-               "per_class": (int, POSITIVE), "n_total": (int, POSITIVE),
-               "separation": (float, NON_NEGATIVE),
-               "unseen_fraction": (float, Rule("must lie in [0, 1)", lo=0, hi=1, closed_lo=True))}
+# each data kind's partition spec (None for csv) and its own fields as
+# (type, rule, default), MISSING marking a required field. A partition kind
+# takes the pool generator's fields, typed here so that an error names the
+# field, then its spec's, which have no type here because the spec checks
+# them (ScDir's superclass_of is spelled superclasses). A csv n_total has no
+# default (None): it becomes the file's client count. Every kind also takes
+# seed and unseen_fraction.
+_DATA_KINDS = {
+    **{kind: (spec, {"classes": (int, POSITIVE, MISSING), "feature_dim": (int, POSITIVE, MISSING),
+                     "per_class": (int, POSITIVE, MISSING), "n_total": (int, POSITIVE, MISSING),
+                     "separation": (float, NON_NEGATIVE, 3.0),
+                     **{"superclasses" if f.name == "superclass_of" else f.name:
+                        (None, None, f.default) for f in fields(spec)}})
+       for kind, spec in (("gl_dir", GlDir), ("sc_dir", ScDir), ("patho", Patho),
+                          ("cluster_shift", ClusterShift))},
+    "csv": (None, {"path": (str, None, MISSING), "n_total": (int, POSITIVE, None)})}
+_UNSEEN_FRACTION = Rule("must lie in [0, 1)", lo=0, hi=1, closed_lo=True)
 
 # each clustering.json key, the ClusterAssignment field it holds, the JSON
 # kind of its elements and its list depth; _clustering_payload writes the
@@ -152,28 +161,21 @@ def _materialize_config(raw: dict, seed=None, workers=None, out=None,
             raise ConfigurationError(f"unknown field 'federation.{key}'")
     kind = _need(data, "kind", "the data section")
     check_types(str, one_of(*_DATA_KINDS), **{"data.kind": kind})
-    spec = _DATA_KINDS[kind]
-    # the kind's own fields and their defaults: a partition kind's are the
-    # generator's and its spec's
-    own = ({"path": MISSING} if spec is None else dict(
-        _DATA_GENERATOR, **{_DATA_NAME.get(f.name, f.name): f.default for f in fields(spec)}))
-    required = [key for key, default in own.items() if default is MISSING]
-    allowed = _DATA_COMMON.union(own)
+    own = _DATA_KINDS[kind][1]
     for key in data:
-        if key not in allowed:
+        if key not in own and key not in ("kind", "seed", "unseen_fraction"):
             raise ConfigurationError(f"unknown field 'data.{key}' for kind '{kind}'")
 
     master_seed = fed.get("master_seed", 0)
     data.setdefault("seed", master_seed)
     check_seed(**{"federation.master_seed": master_seed, "data.seed": data["seed"]})
-    data.setdefault("unseen_fraction", 0.0)
-    for key in required:
-        _need(data, key, "the data section")
-    if kind != "csv":
-        data.setdefault("separation", _DATA_GENERATOR["separation"])
-    for key, value in data.items():
-        if key in _DATA_RULES:
-            check_types(*_DATA_RULES[key], **{f"data.{key}": value})
+    # a given value is held to its type and rule, a missing one takes its default
+    for key, (typ, rule, default) in {"unseen_fraction": (float, _UNSEEN_FRACTION, 0.0),
+                                      **own}.items():
+        if key in data and typ is not None:
+            check_types(typ, rule, **{f"data.{key}": data[key]})
+        if data.setdefault(key, default) is MISSING:
+            raise ConfigurationError(f"missing field '{key}' in the data section")
     sc = data.get("superclasses")
     if not (sc is None or type(sc) is list and all(has_type(i, int) for i in sc)):
         raise ConfigurationError(f"data.superclasses must be a list of integers or null, "
@@ -191,9 +193,10 @@ def _materialize_config(raw: dict, seed=None, workers=None, out=None,
                                      "(csv_sha256 in manifest.json differs); re-run it")
     built = _build_data(data)
     n_total = len(built.clients) + len(built.unseen)
-    if kind == "csv" and data.setdefault("n_total", n_total) != n_total:
+    if data["n_total"] not in (None, n_total):   # only a csv n_total can differ
         raise ConfigurationError(f"data.n_total={data['n_total']} but {data['path']} holds "
                                  f"{n_total} clients")
+    data["n_total"] = n_total
     participating = len(built.clients)
     config = FederationConfig(**{"n_clients": participating, **fed})
     if config.n_clients != participating:
@@ -207,29 +210,25 @@ def _materialize_config(raw: dict, seed=None, workers=None, out=None,
 
 
 def _build_data(data_spec: dict) -> FederationData:
-    spec, seed = _DATA_KINDS[data_spec["kind"]], data_spec["seed"]
+    (spec, own), seed = _DATA_KINDS[data_spec["kind"]], data_spec["seed"]
     if spec is None:
         data = load_csv(data_spec["path"], seed=seed)
     else:
         pool = gen_pool(data_spec["classes"], data_spec["feature_dim"],
                         data_spec["per_class"], data_spec["separation"], seed=seed)
-        given = {f.name: data_spec[key] for f in fields(spec)
-                 if (key := _DATA_NAME.get(f.name, f.name)) in data_spec}
-        data = partition(pool, spec(**given), data_spec["n_total"], seed=seed)
+        # the spec's fields, in field order, are the kind's untyped ones
+        data = partition(pool, spec(*(data_spec[key] for key, (typ, _, _) in own.items()
+                                      if typ is None)), data_spec["n_total"], seed=seed)
     if data_spec["unseen_fraction"] > 0:
         data = split_unseen(data, data_spec["unseen_fraction"], seed=seed)
     return data
 
 
-def _write_roundlog(path: Path, fed: TrainedFederation):
+def _write_csv(path: Path, header: list[str], rows):
     with path.open("w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["stage", "round", "cluster", "rho", "weighted_train_loss", "stopped"])
-        for rep in fed.reports:
-            cluster = -1 if rep.cluster is None else rep.cluster
-            for rnd, (rho, loss) in enumerate(zip(rep.rho, rep.weighted_loss), start=1):
-                stopped = rep.stop_reason == "criterion" and rnd == rep.rounds
-                w.writerow([rep.stage, rnd, cluster, rho, loss, stopped])
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def _clustering_payload(assignment: ClusterAssignment) -> dict:
@@ -251,10 +250,8 @@ def _write_metrics(out_dir: Path, report: MetricsReport) -> list[str]:
     payload = report.to_dict()
     _write_json(out_dir / "metrics.json", payload)
     columns = [(key, header) for _, key, header in CLIENT_COLUMNS if header is not None]
-    with (out_dir / "metrics.csv").open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow([header for _, header in columns])
-        w.writerows([client[key] for key, _ in columns] for client in payload["clients"])
+    _write_csv(out_dir / "metrics.csv", [header for _, header in columns],
+               ([client[key] for key, _ in columns] for client in payload["clients"]))
     return ["metrics.json", "metrics.csv"]
 
 
@@ -290,7 +287,12 @@ def _cmd_run(args) -> int:
     out_dir = Path(doc.pop("out_dir"))
     out_dir.mkdir(parents=True, exist_ok=True)
     files = ["manifest.json", "roundlog.csv", "clustering.json"]
-    _write_roundlog(out_dir / "roundlog.csv", fed)
+    _write_csv(out_dir / "roundlog.csv",
+               ["stage", "round", "cluster", "rho", "weighted_train_loss", "stopped"],
+               ([rep.stage, rnd, -1 if rep.cluster is None else rep.cluster, rho, loss,
+                 rep.stop_reason == "criterion" and rnd == rep.rounds]
+                for rep in fed.reports
+                for rnd, (rho, loss) in enumerate(zip(rep.rho, rep.weighted_loss), start=1)))
     _write_json(out_dir / "clustering.json", _clustering_payload(fed.server.assignment))
     files += _write_metrics(out_dir, compute_metrics(fed))
     files += _save_checkpoints(out_dir, fed)
@@ -365,12 +367,9 @@ def _cmd_adapt(args) -> int:
     results = [adapt_unseen(fed.model, client, fed.server, fed.config,
                             epochs=args.epochs, seed=fed.config.master_seed + u)
                for u, client in enumerate(fed.data.unseen)]
-    with out_path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["client_id", "assigned_cluster", "epoch", "test_accuracy"])
-        for u, result in enumerate(results):
-            for epoch, acc in enumerate(result.accuracy_trajectory):
-                w.writerow([u, result.assigned_cluster, epoch, acc])
+    _write_csv(out_path, ["client_id", "assigned_cluster", "epoch", "test_accuracy"],
+               ([u, result.assigned_cluster, epoch, acc] for u, result in enumerate(results)
+                for epoch, acc in enumerate(result.accuracy_trajectory)))
     print(f"adaptation results written to {out_path}")
     return 0
 

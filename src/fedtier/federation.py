@@ -407,7 +407,10 @@ class TrainedFederation:
     tracker: BasisTracker
 
     def __post_init__(self):
-        shapes = {(ad.p, ad.q) for ad in (self.server.root, *self.server.clusters.values(),
+        if self.server.root is None or not self.server.clusters or self.server.assignment is None:
+            raise ConfigurationError("server is not fully trained: it needs a root, clusters "
+                                     "and an assignment")
+        shapes ={(ad.p, ad.q) for ad in (self.server.root, *self.server.clusters.values(),
                                           *self.leaves)}
         if shapes != {self.model.w0.shape}:
             raise ConfigurationError(f"adapter dimensions {sorted(shapes)} do not match the "

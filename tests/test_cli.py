@@ -262,6 +262,60 @@ def test_kind_table_builds_the_library_data(case):
                 assert np.array_equal(getattr(a, split).y, getattr(b, split).y)
 
 
+# each kind's minimal data section (its required fields only) and the data
+# keys its manifest must hold: every field of the kind, defaults included
+POOL_KEYS = {"classes", "feature_dim", "per_class", "n_total", "separation"}
+MINIMAL_DATA_SECTIONS = {
+    "gl_dir": ({"classes": 4, "feature_dim": 3, "per_class": 60, "n_total": 6, "alpha": 1.0},
+               POOL_KEYS | {"alpha"}),
+    "sc_dir": ({"classes": 4, "feature_dim": 3, "per_class": 60, "n_total": 6, "alpha": 0.5},
+               POOL_KEYS | {"alpha", "superclasses"}),
+    "patho": ({"classes": 6, "feature_dim": 4, "per_class": 40, "n_total": 6,
+               "classes_per_client": 2}, POOL_KEYS | {"classes_per_client"}),
+    "cluster_shift": ({"classes": 6, "feature_dim": 6, "per_class": 60, "n_total": 8,
+                       "k_true": 2, "rotation_angle": 1.2, "label_subset_size": 2},
+                      POOL_KEYS | {"k_true", "rotation_angle", "label_subset_size"}),
+    "csv": ({}, {"path", "n_total"}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MINIMAL_DATA_SECTIONS))
+def test_manifest_holds_every_data_field_of_its_kind(tmp_path, kind):
+    section, own = MINIMAL_DATA_SECTIONS[kind]
+    section = dict(section, kind=kind)
+    if kind == "csv":
+        section["path"] = json.loads(write_csv_config(tmp_path).read_text())["data"]["path"]
+    doc, _, built = _materialize_config({"data": section})
+    data = doc["config"]["data"]
+    assert set(data) == own | {"kind", "seed", "unseen_fraction"}
+    assert data["seed"] == 0 and data["unseen_fraction"] == 0.0
+    assert data["n_total"] == len(built.clients) + len(built.unseen)
+    if kind == "csv":
+        assert data["n_total"] == 4
+    else:
+        assert data["separation"] == 3.0
+    if kind == "sc_dir":
+        assert data["superclasses"] is None
+
+
+def test_sc_dir_manifest_without_superclasses_still_reloads(tmp_path):
+    """A manifest that leaves out the superclasses default, as those written
+    before the manifest held every default do, reloads to the same run."""
+    cfg = write_config(tmp_path, data={"kind": "sc_dir", "classes": 4, "feature_dim": 3,
+                                       "per_class": 60, "n_total": 8, "alpha": 0.5,
+                                       "unseen_fraction": 0.25})
+    assert main(["run", "--config", str(cfg)]) == 0
+    run_dir = tmp_path / "run"
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    assert manifest["config"]["data"].pop("superclasses") is None
+    (run_dir / "manifest.json").write_text(_json_text(manifest), encoding="ascii")
+    metrics = {name: (run_dir / name).read_bytes() for name in ("metrics.csv", "metrics.json")}
+    assert main(["report", "--run", str(run_dir)]) == 0
+    assert {name: (run_dir / name).read_bytes() for name in metrics} == metrics
+    assert main(["cluster-diag", "--run", str(run_dir)]) == 0
+    assert main(["adapt", "--run", str(run_dir), "--epochs", "1"]) == 0
+
+
 def test_readme_config_is_valid():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("```json\n", 1)[1].split("```", 1)[0]

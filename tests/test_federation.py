@@ -9,10 +9,10 @@ from fedtier.adaptation import adapt_unseen
 from fedtier.clustering import BasisTracker, cluster_clients
 from fedtier.datagen import ClientSplit, FederationData, gen_pool
 from fedtier.errors import ConfigurationError, PreconditionError
-from fedtier.federation import (FederationConfig, aggregate_product, aggregate_separate,
-                                refactor, run_cluster_stage, run_leaf_stage,
-                                run_protocol, run_root_stage, stop_check,
-                                weights_cluster, weights_root)
+from fedtier.federation import (FederationConfig, ServerState, TrainedFederation,
+                                aggregate_product, aggregate_separate, refactor,
+                                run_cluster_stage, run_leaf_stage, run_protocol,
+                                run_root_stage, stop_check, weights_cluster, weights_root)
 from fedtier.linalg import frobenius_norm
 from fedtier.lora import (AdapterPath, LoraAdapter, Tier, delta, init_adapter,
                           zero_adapter)
@@ -652,3 +652,21 @@ def test_stage_refuses_a_client_count_the_data_does_not_hold(trained_fed, stage,
     config = replace(trained_fed.config, n_clients=n_clients)
     with pytest.raises(ConfigurationError, match=f"config expects {n_clients} clients, data has 30"):
         STAGE_CALLS[stage](trained_fed, config)
+
+
+# a server missing one of its trained parts, from the trained federation's
+PARTIAL_SERVERS = {
+    "empty": lambda server: ServerState(),
+    "no_assignment": lambda server: ServerState(root=server.root, clusters=server.clusters),
+    "no_clusters": lambda server: ServerState(root=server.root, assignment=server.assignment),
+    "no_root": lambda server: ServerState(clusters=server.clusters,
+                                          assignment=server.assignment),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARTIAL_SERVERS))
+def test_trained_federation_refuses_a_partial_server(trained_fed, case):
+    server = PARTIAL_SERVERS[case](trained_fed.server)
+    with pytest.raises(ConfigurationError, match="server is not fully trained"):
+        TrainedFederation(trained_fed.config, trained_fed.model, trained_fed.data, server,
+                          trained_fed.leaves, [], trained_fed.tracker)

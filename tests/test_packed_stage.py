@@ -148,7 +148,7 @@ def test_packed_stages_match_the_per_group_public_loop_bitwise(federation, batch
     stage_reports.append(reports)
 
     if tau_rel == 0.3:
-        # groups retire in different rounds, so the engine repacks the rest
+        # groups retire in different rounds; a retired group's members still run, unread
         assert all(r.stop_reason == "criterion" for r in stage_reports[0])
         for reps in stage_reports[1:]:
             assert len({r.rounds for r in reps}) > 1
