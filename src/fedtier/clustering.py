@@ -38,25 +38,38 @@ class BasisTracker:
         check_field_types(self)
 
 
-def ema_update(tracker: BasisTracker, client: int, b_new: Matrix) -> BasisTracker:
+def ema_update(tracker: BasisTracker, client, b_new) -> BasisTracker:
     """Fold a freshly trained basis into the client's smoothed basis.
 
     The first observation seeds the average directly; afterwards
     mixed = decay * old + (1 - decay) * normalized(new), renormalized.
+    A sequence of distinct client ids with an (n, p, r) C-ordered stack of
+    their bases folds every one in with stacked operations, bitwise as one
+    call per client in order; a degenerate basis raises, naming the first such
+    client, before any basis is stored.
     """
-    norm = frobenius_norm(b_new)
-    if norm <= _DEGENERATE_NORM:
-        raise DegenerateInputError(f"client {client} basis has zero norm")
-    bhat = np.asarray(b_new, dtype=np.float64) / norm
-    old = tracker.bases.get(client)
-    if old is None:
-        tracker.bases[client] = bhat.copy()
-        return tracker
-    mixed = tracker.decay * old + (1.0 - tracker.decay) * bhat
-    mnorm = frobenius_norm(mixed)
-    if mnorm <= _DEGENERATE_NORM:
-        raise DegenerateInputError(f"client {client} EMA collapsed to zero")
-    tracker.bases[client] = mixed / mnorm
+    stacked = np.ndim(client) == 1
+    ids = list(client) if stacked else [client]
+    b_new = np.asarray(b_new, dtype=np.float64)
+    if stacked and (b_new.ndim != 3 or len(b_new) != len(ids) or len(set(ids)) != len(ids)):
+        raise ConfigurationError(f"{len(set(ids))} distinct client ids for {len(ids)} ids and "
+                                 f"a stack of shape {b_new.shape}")
+    # one matrix takes its own norm, so its bits do not depend on its memory order
+    norm = frobenius_norm(b_new) if stacked else np.array([frobenius_norm(b_new)])
+    bad = np.flatnonzero(norm <= _DEGENERATE_NORM)
+    if bad.size:
+        raise DegenerateInputError(f"client {ids[bad[0]]} basis has zero norm")
+    bhat = (b_new if stacked else b_new[None]) / norm[:, None, None]
+    seen = [i for i, c in enumerate(ids) if c in tracker.bases]
+    if seen:
+        mixed = tracker.decay * np.stack([tracker.bases[ids[i]] for i in seen]) + (
+            1.0 - tracker.decay) * bhat[seen]
+        mnorm = frobenius_norm(mixed)
+        bad = np.flatnonzero(mnorm <= _DEGENERATE_NORM)
+        if bad.size:
+            raise DegenerateInputError(f"client {ids[seen[bad[0]]]} EMA collapsed to zero")
+        bhat[seen] = mixed / mnorm[:, None, None]
+    tracker.bases.update(zip(ids, bhat))
     return tracker
 
 

@@ -48,7 +48,7 @@ any worker count on a given machine and BLAS build.
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
 
@@ -154,8 +154,10 @@ def _check_weights(shapes, weights):
 
 def aggregate_product(adapters, weights) -> Matrix:
     """Product-space aggregate Sum_i pi_i B_i A_i (no cross terms), summed in
-    member order. `adapters` is a list of LoraAdapters of one shape and rank,
-    or their (b, a) pair of (n, p, r) and (n, r, q) factor stacks."""
+    member order by one reduction over the member axis (numpy sums a 1×1
+    product's member axis pairwise instead). `adapters` is a list of
+    LoraAdapters of one shape and rank, or their (b, a) pair of (n, p, r)
+    and (n, r, q) factor stacks."""
     if not isinstance(adapters, tuple):   # checked first: mixed shapes cannot stack
         _check_weights([(ad.p, ad.q, ad.rank) for ad in adapters], weights)
         adapters = np.stack([ad.b for ad in adapters]), np.stack([ad.a for ad in adapters])
@@ -163,7 +165,7 @@ def aggregate_product(adapters, weights) -> Matrix:
     if not b.ndim == a.ndim == 3 or a.shape[:2] != (len(b), b.shape[2]):
         raise ConfigurationError(f"factor stacks {b.shape} and {a.shape} do not pair")
     _check_weights([(b.shape[1], a.shape[2], a.shape[1])] * len(b), weights)
-    return reduce(np.add, (w * p for w, p in zip(weights, b @ a)))
+    return np.add.reduce(np.asarray(weights, dtype=np.float64)[:, None, None] * (b @ a), axis=0)
 
 
 def aggregate_separate(adapters: list[LoraAdapter], weights) -> LoraAdapter:
@@ -269,7 +271,8 @@ def _run_stage(config: FederationConfig, model: HeadModel, data: FederationData,
     - keeps a running leaf's local factors; a running server group instead
       aggregates its members' products B_i A_i in member order (the
       tracker, given only to the root stage's one group, first receives
-      every member's local B), and one stacked SVD refactors them all;
+      every member's local B in one stacked ema_update call), and one
+      stacked SVD refactors them all;
     - takes every running group's rho from one stacked stop_check and the
       round loss at frozen + B A; a group retires once rho falls to tau_rel
       or its budget runs out."""
@@ -314,8 +317,7 @@ def _run_stage(config: FederationConfig, model: HeadModel, data: FederationData,
                 delta_new = b[running] @ a[running]
             else:
                 if tracker is not None:
-                    for i, local_b in enumerate(local.b):
-                        ema_update(tracker, i, local_b)
+                    ema_update(tracker, range(len(local.b)), local.b)
                 delta_new = np.stack([aggregate_product((local.b[members[g]],
                                                          local.a[members[g]]), weights[g])
                                       for g in running])

@@ -8,7 +8,10 @@ live here: one blocked kernel updates a whole stack of clients at once, with
 one form of its inputs (KernelInputs: stacked frozen weights and active
 factors, built from AdapterPaths or handed over by the stage engine) and one
 step loop over block spans (all blocks in full batch, one in mini batch).
-The analytic tier gradient is that kernel's gradient on a stack of one.
+Its softmax stores the probabilities class-outer, (C, S, blocks, block), so
+each operation runs once over the whole stack's classes; a mini-batch epoch
+shuffles each client's slice of one order buffer in place. The analytic
+tier gradient is that kernel's gradient on a stack of one.
 Every score is the kernel's too: the loss and the argmax accuracy read the
 same blocks and the same mask of real rows, which a ClientStack's layout
 holds together, so a client scores the same bits alone or in any stack. A
@@ -20,6 +23,7 @@ oracle used by tests and the gradcheck command checks the gradient.
 
 from dataclasses import dataclass
 from functools import reduce
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -232,9 +236,12 @@ def dataset_loss(model: HeadModel, path: AdapterPath, data) -> float:
 # fixed shape, and numpy's stacked matmul computes each slice exactly as it
 # would alone, so a client's bits never depend on which clients share its
 # stack. Zero-padded rows have zero features, so they add exact zeros to the
-# weight gradient whatever label they carry. Probabilities are kept
-# class-major, (S, blocks, C, block), so the softmax reduces across rows of
-# contiguous memory rather than along the short class axis.
+# weight gradient whatever label they carry. Probabilities are stored
+# class-outer, (C, S, blocks, block), and read through their (S, blocks, C,
+# block) transpose: each slice's logits matmul writes into that view, and the
+# softmax's max, exp, sum and divide each run once over the classes of the
+# whole (C, S·blocks·block) array. The sums keep the bits of the per-slice,
+# class-major (S, blocks, C, block) layout this replaced (tests/oracles.py).
 
 _DEFAULT_BATCH = 32
 BATCH_MODES = one_of("full", "mini")   # shared with FederationConfig.batch_mode
@@ -245,14 +252,30 @@ def _check_penalty_args(frozen_bases, gammas):
         raise ConfigurationError("frozen_bases and gammas must have equal length")
 
 
+def _class_exps(w: np.ndarray, z: np.ndarray):
+    """Softmax numerators exp(logit - the row's largest) of the rows in z
+    (S, K, block, h) under each client's head weight w (S, C, h), stored
+    class-outer (C, S, K, block), and their per-row sums (S, K, block).
+
+    A sum adds a row's classes in class order, as numpy summed the strided
+    class axis of the class-major layout; at block 1 that axis was
+    contiguous and numpy summed it pairwise, so a block of one row does too."""
+    exps = np.empty((w.shape[1], *z.shape[:3]))
+    np.matmul(w[:, None], z.swapaxes(-1, -2), out=exps.transpose(1, 2, 0, 3))
+    flat = exps.reshape(len(exps), -1)
+    flat -= flat.max(axis=0)
+    np.exp(flat, out=flat)
+    sums = flat.sum(axis=0) if z.shape[2] > 1 else np.ascontiguousarray(flat.T).sum(axis=1)
+    return exps, sums.reshape(z.shape[:3])
+
+
 def _class_probs(w: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Softmax probabilities (S, K, C, block) of the rows in z (S, K, block,
-    h) under each client's head weight w (S, C, h)."""
-    logits = w[:, None] @ z.swapaxes(-1, -2)
-    logits -= logits.max(axis=-2, keepdims=True)
-    np.exp(logits, out=logits)
-    logits /= logits.sum(axis=-2, keepdims=True)
-    return logits
+    h) under each client's head weight w (S, C, h): a view of the class-outer
+    (C, S, K, block) array."""
+    exps, sums = _class_exps(w, z)
+    exps /= sums
+    return exps.transpose(1, 2, 0, 3)
 
 
 def _stack_gradient(frozen_w, b, a, z, labels, rows, bases, gammas):
@@ -264,9 +287,8 @@ def _stack_gradient(frozen_w, b, a, z, labels, rows, bases, gammas):
     each. Block gradients are summed in block order.
     """
     resid = _class_probs(frozen_w + b @ a, z)   # minus the one-hot labels, below
-    slices, classes, block = resid.shape[0] * resid.shape[1], resid.shape[2], resid.shape[3]
-    resid.reshape(slices, classes, block)[np.arange(slices)[:, None],
-                                          labels.reshape(slices, block), np.arange(block)] -= 1.0
+    outer = resid.transpose(2, 0, 1, 3).reshape(resid.shape[2], -1)   # a view: class-outer
+    outer[labels.ravel(), np.arange(outer.shape[1])] -= 1.0
     dw = reduce(np.add, (resid @ z).swapaxes(0, 1)) / rows[:, None, None]
     db = dw @ a.swapaxes(-1, -2)
     da = b.swapaxes(-1, -2) @ dw
@@ -279,9 +301,11 @@ def _stack_gradient(frozen_w, b, a, z, labels, rows, bases, gammas):
 def _stack_losses(w: np.ndarray, data: ClientStack) -> np.ndarray:
     """Mean cross-entropy of each stacked client under its own head weight
     w[s] (S, C, h), over the kernel's fixed blocks. Like the gradient, it sums
-    each block, then the blocks in block order, so stack mates change no bit."""
+    each block, then the blocks in block order, so stack mates change no bit.
+    Only each row's label probability is normalised."""
     z, labels, real = data.layout(_DEFAULT_BATCH)
-    picked = np.take_along_axis(_class_probs(w, z), labels[:, :, None], axis=-2)[:, :, 0]
+    exps, sums = _class_exps(w, z)
+    picked = np.take_along_axis(exps, labels[None], axis=0)[0] / sums
     part = np.where(real, -np.log(np.maximum(picked, _PROB_FLOOR)), 0.0).sum(axis=-1)
     return reduce(np.add, part.swapaxes(0, 1)) / data.sizes
 
@@ -398,11 +422,20 @@ def local_update(model: HeadModel, path, data, active: Tier,
     # full batch reads the stack's cached layout; mini batch gathers each
     # epoch's shuffle into buffers of this call's own
     z, labels = data.buffers(opt.batch_size) if mini else data.layout(opt.batch_size)[:2]
+    if mini:   # each client's slice of one order buffer, reset to arange(n) each epoch
+        bounds = [0, *accumulate(sizes.tolist())]
+        order, ranks = np.empty(bounds[-1], np.int64), np.arange(bounds[-1])
+        orders = [order[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        if len(orders) > 1:   # a lone client's ranks are its positions already
+            ranks -= np.repeat(bounds[:-1], sizes)
     # a diverging step warns nowhere: the adapters below or the stage engine refuse it
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(opt.epochs):
-            if mini:
-                data.gather(z, labels, [r.permutation(n) for r, n in zip(rng, sizes)])
+            if mini:   # shuffling arange(n) in place draws what permutation(n) draws
+                order[:] = ranks
+                for r, client_order in zip(rng, orders):
+                    r.shuffle(client_order)
+                data.gather(z, labels, orders)
             for lo, hi in spans:
                 # clients with fewer blocks sit out their missing steps
                 sel = slice(None) if lo < blocks.min() else np.flatnonzero(blocks > lo)

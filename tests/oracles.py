@@ -1,5 +1,6 @@
 """Independent reference computations shared across test modules."""
 
+import functools
 import math
 
 import numpy as np
@@ -81,3 +82,36 @@ def orthogonality_oracle(root_b, cluster_bs, leaf_bs, rank, negligible):
                 vals[name].append(float(np.sum((u1.T @ u2) ** 2)) / rank)
     return {name: {"mean": float(np.mean(v)) if v else None, "max": max(v) if v else None,
                    "count": len(v), "excluded": excluded[name]} for name, v in vals.items()}
+
+
+def class_major_probs(w, z):
+    """Softmax probabilities (S, K, C, block) of the rows in z (S, K, block,
+    h) under each client's head weight w (S, C, h), computed slice by slice
+    in class-major (S, K, C, block) memory: the kernel's earlier layout."""
+    logits = w[:, None] @ z.swapaxes(-1, -2)
+    logits -= logits.max(axis=-2, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=-2, keepdims=True)
+    return logits
+
+
+def class_major_gradient(frozen_w, b, a, z, labels, rows):
+    """dB, dA of the mean cross-entropy over the blocks in z (no penalties),
+    from class_major_probs with the kernel's earlier formula: the one-hot
+    taken off each (client, block) slice, the blocks' weight gradients
+    summed in block order and divided by each client's real rows."""
+    probs = class_major_probs(frozen_w + b @ a, z)
+    slices, classes, block = probs.shape[0] * probs.shape[1], probs.shape[2], probs.shape[3]
+    probs.reshape(slices, classes, block)[np.arange(slices)[:, None],
+                                          labels.reshape(slices, block), np.arange(block)] -= 1.0
+    dw = functools.reduce(np.add, (probs @ z).swapaxes(0, 1)) / rows[:, None, None]
+    return dw @ a.swapaxes(-1, -2), b.swapaxes(-1, -2) @ dw
+
+
+def class_major_losses(w, z, labels, real):
+    """Each client's mean of -log max(p_label, 1e-12) over the real rows,
+    from class_major_probs: each block summed, then the blocks in order."""
+    probs = class_major_probs(w, z)
+    picked = np.take_along_axis(probs, labels[:, :, None], axis=-2)[:, :, 0]
+    part = np.where(real, -np.log(np.maximum(picked, 1e-12)), 0.0).sum(axis=-1)
+    return functools.reduce(np.add, part.swapaxes(0, 1)) / real.reshape(len(real), -1).sum(axis=1)
