@@ -38,7 +38,7 @@ class BasisTracker:
         check_field_types(self)
 
 
-def ema_update(tracker: BasisTracker, client, b_new) -> BasisTracker:
+def ema_update(tracker: BasisTracker, client, b_new: Matrix) -> BasisTracker:
     """Fold a freshly trained basis into the client's smoothed basis.
 
     The first observation seeds the average directly; afterwards
@@ -52,8 +52,9 @@ def ema_update(tracker: BasisTracker, client, b_new) -> BasisTracker:
     ids = list(client) if stacked else [client]
     b_new = np.asarray(b_new, dtype=np.float64)
     if stacked and (b_new.ndim != 3 or len(b_new) != len(ids) or len(set(ids)) != len(ids)):
-        raise ConfigurationError(f"{len(set(ids))} distinct client ids for {len(ids)} ids and "
-                                 f"a stack of shape {b_new.shape}")
+        raise ConfigurationError(f"a stacked update needs one basis per distinct client: got "
+                                 f"{len(ids)} ids ({len(set(ids))} distinct) and a stack of "
+                                 f"shape {b_new.shape}")
     # one matrix takes its own norm, so its bits do not depend on its memory order
     norm = frobenius_norm(b_new) if stacked else np.array([frobenius_norm(b_new)])
     bad = np.flatnonzero(norm <= _DEGENERATE_NORM)

@@ -165,7 +165,9 @@ def aggregate_product(adapters, weights) -> Matrix:
     if not b.ndim == a.ndim == 3 or a.shape[:2] != (len(b), b.shape[2]):
         raise ConfigurationError(f"factor stacks {b.shape} and {a.shape} do not pair")
     _check_weights([(b.shape[1], a.shape[2], a.shape[1])] * len(b), weights)
-    return np.add.reduce(np.asarray(weights, dtype=np.float64)[:, None, None] * (b @ a), axis=0)
+    products = b @ a
+    products *= np.asarray(weights, dtype=np.float64)[:, None, None]
+    return np.add.reduce(products, axis=0)
 
 
 def aggregate_separate(adapters: list[LoraAdapter], weights) -> LoraAdapter:

@@ -240,8 +240,9 @@ def dataset_loss(model: HeadModel, path: AdapterPath, data) -> float:
 # class-outer, (C, S, blocks, block), and read through their (S, blocks, C,
 # block) transpose: each slice's logits matmul writes into that view, and the
 # softmax's max, exp, sum and divide each run once over the classes of the
-# whole (C, S·blocks·block) array. The sums keep the bits of the per-slice,
-# class-major (S, blocks, C, block) layout this replaced (tests/oracles.py).
+# whole (C, S·blocks·block) array. Each row's classes are summed in the order
+# a per-slice softmax over class-major (S, blocks, C, block) memory sums them
+# (tests/oracles.py), so both give the same bits.
 
 _DEFAULT_BATCH = 32
 BATCH_MODES = one_of("full", "mini")   # shared with FederationConfig.batch_mode
@@ -257,15 +258,15 @@ def _class_exps(w: np.ndarray, z: np.ndarray):
     (S, K, block, h) under each client's head weight w (S, C, h), stored
     class-outer (C, S, K, block), and their per-row sums (S, K, block).
 
-    A sum adds a row's classes in class order, as numpy summed the strided
-    class axis of the class-major layout; at block 1 that axis was
-    contiguous and numpy summed it pairwise, so a block of one row does too."""
+    A sum adds a row's classes in class order, as numpy sums the strided
+    class axis of a class-major layout; at block 1 that axis is contiguous
+    and numpy sums it pairwise, so a block of one row does too."""
     exps = np.empty((w.shape[1], *z.shape[:3]))
     np.matmul(w[:, None], z.swapaxes(-1, -2), out=exps.transpose(1, 2, 0, 3))
     flat = exps.reshape(len(exps), -1)
-    flat -= flat.max(axis=0)
+    flat -= np.maximum.reduce(flat, axis=0)
     np.exp(flat, out=flat)
-    sums = flat.sum(axis=0) if z.shape[2] > 1 else np.ascontiguousarray(flat.T).sum(axis=1)
+    sums = np.add.reduce(flat, axis=0) if z.shape[2] > 1 else np.add.reduce(flat.T.copy(), axis=1)
     return exps, sums.reshape(z.shape[:3])
 
 
@@ -305,7 +306,9 @@ def _stack_losses(w: np.ndarray, data: ClientStack) -> np.ndarray:
     Only each row's label probability is normalised."""
     z, labels, real = data.layout(_DEFAULT_BATCH)
     exps, sums = _class_exps(w, z)
-    picked = np.take_along_axis(exps, labels[None], axis=0)[0] / sums
+    picked = np.take_along_axis(exps, labels[None], axis=0)[0]
+    picked /= sums
+    del exps   # the pass's largest array, freed before the log temporaries
     part = np.where(real, -np.log(np.maximum(picked, _PROB_FLOOR)), 0.0).sum(axis=-1)
     return reduce(np.add, part.swapaxes(0, 1)) / data.sizes
 
