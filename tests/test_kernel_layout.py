@@ -44,7 +44,8 @@ def kernel_outputs(s, k, c, block, monkeypatch):
     new = (model._class_probs(frozen + b @ a, z),
            *model._stack_gradient(frozen, b, a, z, labels, rows, [], []),
            model._stack_losses(w, stack))
-    ref = (class_major_probs(frozen + b @ a, z), *class_major_gradient(frozen, b, a, z, labels, rows),
+    ref = (class_major_probs(frozen + b @ a, z),
+           *class_major_gradient(frozen, b, a, z, labels, rows),
            class_major_losses(w, *stack.layout(block)))
     return new, ref
 
