@@ -35,20 +35,23 @@ class ClusterRepresentative:
 
 
 def build_representatives(server: ServerState, rank: int) -> list[ClusterRepresentative]:
-    """Top-r left singular bases of the frozen cluster adapters, by index.
+    """Top-r left singular bases of the frozen cluster adapters, by index:
+    one stacked norm and one stacked SVD over the B factors in ascending
+    cluster order, each basis bitwise its own call's.
 
     A cluster adapter whose B is numerically zero (as after a run with
-    t_cluster = 0) spans no subspace to route by, so it is rejected."""
+    t_cluster = 0) spans no subspace to route by, so it is rejected; the
+    error names the lowest such cluster."""
     if server.root is None or not server.clusters:
         raise ConfigurationError("server is not fully trained")
-    reps = []
-    for j in sorted(server.clusters):
-        if frobenius_norm(server.clusters[j].b) <= _ZERO_B:
-            raise DegenerateInputError(
-                f"cluster {j} adapter is numerically zero; unseen clients cannot be routed")
-        reps.append(ClusterRepresentative(
-            index=j, basis=orthonormal_columns(server.clusters[j].b, rank)))
-    return reps
+    ids = sorted(server.clusters)
+    b = np.stack([server.clusters[j].b for j in ids])
+    zero = frobenius_norm(b) <= _ZERO_B
+    if zero.any():
+        raise DegenerateInputError(f"cluster {ids[np.argmax(zero)]} adapter is numerically "
+                                   f"zero; unseen clients cannot be routed")
+    return [ClusterRepresentative(index=j, basis=u)
+            for j, u in zip(ids, orthonormal_columns(b, rank))]
 
 
 def probe_basis(model: HeadModel, train: Samples | EncodedData | ClientStack,

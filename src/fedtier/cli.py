@@ -323,8 +323,6 @@ def _reload_federation(run_dir: Path) -> TrainedFederation:
     diag = _read_json_object(run_dir / "clustering.json")
     values = {name: _clustering_value(diag, key, kind, depth)
               for key, (name, kind, depth) in _CLUSTERING_JSON.items()}
-    if len(values["labels"]) != config.n_clients:
-        raise ConfigurationError(f"clustering.json needs {config.n_clients} labels")
     assignment = ClusterAssignment(**dict(values, k_range=tuple(values["k_range"].tolist())))
     # read exactly the checkpoints the run wrote: a missing one is an i/o
     # failure, and stray files beside them are never parsed

@@ -248,22 +248,22 @@ class ClusterAssignment:
 
 
 def _relabel_by_first_appearance(labels: np.ndarray) -> np.ndarray:
-    mapping = {}
-    out = np.zeros_like(labels)
-    for i, lab in enumerate(labels.tolist()):
-        if lab not in mapping:
-            mapping[lab] = len(mapping)
-        out[i] = mapping[lab]
-    return out
+    """Labels renamed 0, 1, ... in the order each first appears, in the
+    input's dtype: each distinct label's new name is the rank of its first
+    index."""
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[inverse].astype(labels.dtype)
 
 
 def cluster_clients(tracker: BasisTracker, k_min: int = 2, k_max: int = 10,
                     seed: int = 0, expected_clients: int | None = None) -> ClusterAssignment:
     """Run the full pipeline on the tracker's smoothed bases.
 
-    Bases are reduced to their dominant left subspaces, pairwise distances and
-    affinities are formed, the eigengap picks K over [max(2, k_min),
-    min(k_max, n - 1)], and spectral clustering produces the labels. Fewer
+    The bases, which must share one shape, are stacked in client order and
+    reduced to their dominant left subspaces by one stacked SVD (each basis
+    bitwise its own call's), pairwise distances and affinities are formed,
+    the eigengap picks K over [max(2, k_min), min(k_max, n - 1)], and
+    spectral clustering produces the labels. Fewer
     than three clients cannot support eigengap selection and fall back to a
     single flagged cluster with all-ones affinities.
     """
@@ -281,9 +281,11 @@ def cluster_clients(tracker: BasisTracker, k_min: int = 2, k_max: int = 10,
             eigengaps=np.array([]), k_range=(1, 1), sigma=0.0,
             eigenvalues=np.zeros(n), distances=np.zeros((n, n)), affinities=np.ones((n, n)),
             degenerate=True)
-    r = tracker.bases[clients[0]].shape[1]
-    bases = [[orthonormal_columns(tracker.bases[i], r)] for i in clients]
-    d = distance_matrix(bases)
+    shapes = {np.shape(b) for b in tracker.bases.values()}
+    if len(shapes) != 1:
+        raise ConfigurationError(f"client bases disagree on shape: {sorted(shapes)}")
+    bases = np.stack([tracker.bases[i] for i in clients])
+    d = distance_matrix([[u] for u in orthonormal_columns(bases, bases.shape[2])])
     sigma = median_offdiag_distance(d)
     s = affinity(d, sigma)
     lo = max(2, k_min)

@@ -253,7 +253,9 @@ def _run_stage(config: FederationConfig, model: HeadModel, data: FederationData,
     Group g's members are the clients with owner == g, in ascending client
     order. The stage functions check that the data holds config.n_clients
     clients; enc, their encoded train rows as one ClientStack in client
-    order, is computed here when None.
+    order, is computed here when None. A config.rank above min(class count,
+    hidden_dim), which no adapter can have, is refused before anything is
+    drawn.
 
     The state of the G groups is held as arrays: the active factors b
     (G, C, r) and a (G, r, h) and the delta each group's next stop check
@@ -278,6 +280,9 @@ def _run_stage(config: FederationConfig, model: HeadModel, data: FederationData,
     - takes every running group's rho from one stacked stop_check and the
       round loss at frozen + B A; a group retires once rho falls to tau_rel
       or its budget runs out."""
+    if config.rank > min(model.w0.shape):
+        raise ConfigurationError(f"rank={config.rank} exceeds min(class count, hidden_dim) = "
+                                 f"min{model.w0.shape}: no adapter has that rank")
     train = enc if enc is not None else _encode_train(model, data)
     budget, opt, gammas = _stage_settings(config, active, int(train.sizes.max()))
     indices, frozen, labels = zip(*described)
@@ -400,7 +405,11 @@ class TrainedFederation:
     in server.assignment and leaves[i]; its paths are derived from these.
     train, every client's encoded train rows as one ClientStack in client
     order, is encoded on first read; run_protocol sets it to the stack the
-    three stages trained on, so the metrics never encode the rows again."""
+    three stages trained on, so the metrics never encode the rows again.
+    The parts must fit together: a root, clusters and an assignment, one
+    label and one leaf per client, a cluster adapter for every assigned
+    label, and every adapter of w0's shape; anything else is refused with
+    a ConfigurationError."""
 
     config: FederationConfig
     model: HeadModel
@@ -414,7 +423,14 @@ class TrainedFederation:
         if self.server.root is None or not self.server.clusters or self.server.assignment is None:
             raise ConfigurationError("server is not fully trained: it needs a root, clusters "
                                      "and an assignment")
-        shapes ={(ad.p, ad.q) for ad in (self.server.root, *self.server.clusters.values(),
+        labels, n = self.server.assignment.labels, self.config.n_clients
+        if len(labels) != n or len(self.leaves) != n:
+            raise ConfigurationError(f"server does not fit the federation: {len(labels)} labels "
+                                     f"and {len(self.leaves)} leaves for {n} clients")
+        if missing := sorted(set(labels.tolist()) - set(self.server.clusters)):
+            raise ConfigurationError(f"server is not fully trained: no cluster adapter for "
+                                     f"the assigned labels {missing}")
+        shapes = {(ad.p, ad.q) for ad in (self.server.root, *self.server.clusters.values(),
                                           *self.leaves)}
         if shapes != {self.model.w0.shape}:
             raise ConfigurationError(f"adapter dimensions {sorted(shapes)} do not match the "

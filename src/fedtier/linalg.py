@@ -112,15 +112,11 @@ class SvdFactors:
 def _apply_sign_convention(u: Matrix, vt: Matrix):
     """Flip each (u column, vt row) pair so the largest-magnitude entry of the
     left vector is positive; magnitude ties break at the lowest row index.
-    Stacks flip each matrix's pairs on their own. u and vt must be C-ordered:
-    they are flipped in place."""
-    for uu, vv in zip(u.reshape((-1,) + u.shape[-2:]), vt.reshape((-1,) + vt.shape[-2:])):
-        for j in range(uu.shape[1]):
-            idx = int(np.argmax(np.abs(uu[:, j])))
-            if uu[idx, j] < 0.0:
-                uu[:, j] = -uu[:, j]
-                vv[j, :] = -vv[j, :]
-    return u, vt
+    Stacks flip each matrix's pairs on their own. One array expression over
+    every pair; returns new C-ordered factors."""
+    top = np.take_along_axis(u, np.argmax(np.abs(u), axis=-2)[..., None, :], axis=-2)
+    flip = top < 0.0
+    return np.where(flip, -u, u), np.where(flip.swapaxes(-1, -2), -vt, vt)
 
 
 def truncated_svd(m: Matrix, k: int) -> SvdFactors:
@@ -136,7 +132,7 @@ def truncated_svd(m: Matrix, k: int) -> SvdFactors:
     if not 1 <= k <= min(p, q):
         raise ConfigurationError(f"rank k={k} out of range for a {p}x{q} matrix")
     u, sigma, vt = np.linalg.svd(m, full_matrices=False)
-    u, vt = _apply_sign_convention(u[..., :k].copy(), vt[..., :k, :].copy())
+    u, vt = _apply_sign_convention(u[..., :k], vt[..., :k, :])
     return SvdFactors(u=u, singular_values=sigma[..., :k].copy(), vt=vt)
 
 

@@ -166,29 +166,29 @@ def orthogonality_report(fed: TrainedFederation) -> OrthogonalityReport:
     """Three stacked overlaps: the root basis against every client's cluster
     basis and against every leaf basis, and each client's cluster basis
     against its own leaf basis (the diagonal of one cluster-by-leaf call).
-    A client whose factor on either side is negligible enters no overlap."""
+    The bases come from one stacked SVD over the clusters' B factors,
+    indexed to the clients by label, and one over the leaves' B factors; a
+    client whose factor on either side is negligible (a mask from stacked
+    norms) enters no overlap."""
     rank = fed.config.rank
-
-    def basis(b):
-        return orthonormal_columns(b, rank) if frobenius_norm(b) > _NEGLIGIBLE_B else None
-
-    u_cluster = {j: basis(ad.b) for j, ad in fed.server.clusters.items()}
-    cluster = [u_cluster[j] for j in fed.server.assignment.labels.tolist()]
-    leaf = [basis(ad.b) for ad in fed.leaves]
+    ids = sorted(fed.server.clusters)
+    of_client = np.searchsorted(ids, fed.server.assignment.labels)
+    cluster_b = np.stack([fed.server.clusters[j].b for j in ids])
+    leaf_b = np.stack([ad.b for ad in fed.leaves])
     u_root = orthonormal_columns(fed.server.root.b, rank)
+    u_cluster = orthonormal_columns(cluster_b, rank)[of_client]
+    u_leaf = orthonormal_columns(leaf_b, rank)
+    has_cluster = (frobenius_norm(cluster_b) > _NEGLIGIBLE_B)[of_client]
+    has_leaf = frobenius_norm(leaf_b) > _NEGLIGIBLE_B
     pairs = {}
-    for name, first, second in (("root_cluster", None, cluster), ("root_leaf", None, leaf),
-                                ("cluster_leaf", cluster, leaf)):
-        kept = [i for i, u in enumerate(second)
-                if u is not None and (first is None or first[i] is not None)]
-        if not kept:
-            pairs[name] = PairOverlap(mean=None, max=None, count=0, excluded=len(second))
-            continue
-        right = np.stack([second[i] for i in kept])
-        vals = (subspace_overlap(u_root, right) if first is None else np.diagonal(
-            subspace_overlap(np.stack([first[i] for i in kept]), right))) / rank
-        pairs[name] = PairOverlap(mean=float(np.mean(vals)), max=float(np.max(vals)),
-                                  count=len(kept), excluded=len(second) - len(kept))
+    for name, first, second, kept in (("root_cluster", None, u_cluster, has_cluster),
+                                      ("root_leaf", None, u_leaf, has_leaf),
+                                      ("cluster_leaf", u_cluster, u_leaf, has_cluster & has_leaf)):
+        # a pair with no kept client overlaps empty stacks and has no mean or max
+        vals = (subspace_overlap(u_root, second[kept]) if first is None else np.diagonal(
+            subspace_overlap(first[kept], second[kept]))) / rank
+        stats = (float(np.mean(vals)), float(np.max(vals))) if vals.size else (None, None)
+        pairs[name] = PairOverlap(*stats, count=vals.size, excluded=len(kept) - vals.size)
     return OrthogonalityReport(pairs=pairs)
 
 

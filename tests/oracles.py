@@ -115,3 +115,30 @@ def class_major_losses(w, z, labels, real):
     picked = np.take_along_axis(probs, labels[:, :, None], axis=-2)[:, :, 0]
     part = np.where(real, -np.log(np.maximum(picked, 1e-12)), 0.0).sum(axis=-1)
     return functools.reduce(np.add, part.swapaxes(0, 1)) / real.reshape(len(real), -1).sum(axis=1)
+
+
+def sign_convention_loop(u, vt):
+    """The SVD sign convention one (u column, vt row) pair at a time: flip
+    the pair when the u column's first largest-magnitude entry (lowest row
+    on ties) is negative; a stack's matrices are flipped one by one. Returns
+    flipped copies."""
+    u, vt = u.copy(), vt.copy()
+    for uu, vv in zip(u.reshape((-1,) + u.shape[-2:]), vt.reshape((-1,) + vt.shape[-2:])):
+        for j in range(uu.shape[1]):
+            idx = int(np.argmax(np.abs(uu[:, j])))
+            if uu[idx, j] < 0.0:
+                uu[:, j] = -uu[:, j]
+                vv[j, :] = -vv[j, :]
+    return u, vt
+
+
+def relabel_loop(labels):
+    """Labels renamed 0, 1, ... in order of first appearance, one entry at a
+    time, in the input's dtype."""
+    mapping = {}
+    out = np.zeros_like(labels)
+    for i, lab in enumerate(labels.tolist()):
+        if lab not in mapping:
+            mapping[lab] = len(mapping)
+        out[i] = mapping[lab]
+    return out

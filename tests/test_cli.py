@@ -9,6 +9,7 @@ import pytest
 
 import fedtier.adaptation
 import fedtier.cli
+import fedtier.errors
 import fedtier.federation
 import fedtier.metrics
 import fedtier.model
@@ -87,6 +88,20 @@ class TestRun:
         assert main(["run", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert "total_budget" in err
+
+    @pytest.mark.parametrize("rank,hidden_dim", [(7, 12), (3, 2)])
+    def test_a_rank_the_model_cannot_hold_names_the_field(self, tmp_path, capsys, rank,
+                                                          hidden_dim):
+        # 6 classes: rank 7 exceeds the class count, rank 3 a hidden_dim of 2
+        cfg = write_config(tmp_path, **{"federation.rank": rank,
+                                        "federation.hidden_dim": hidden_dim})
+        _, config, data = _materialize_config(json.loads(cfg.read_text()))
+        with pytest.raises(fedtier.errors.ConfigurationError,
+                           match=rf"rank={rank} exceeds min\(class count, hidden_dim\)"):
+            run_protocol(config, data)
+        assert main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "rank" in err and "hidden_dim" in err
 
     def test_unknown_field_is_named(self, tmp_path, capsys):
         cfg = write_config(tmp_path, **{"federation.learning_rate": 0.1})

@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from fedtier.clustering import (BasisTracker, affinity, cluster_clients,
+from fedtier.clustering import (BasisTracker, _relabel_by_first_appearance, affinity,
+                                cluster_clients,
                                 distance_matrix, ema_update, laplacian_sym,
                                 median_offdiag_distance, pairwise_distance,
                                 select_k, spectral_cluster)
 from fedtier.errors import ConfigurationError, DegenerateInputError, PreconditionError
 from fedtier.linalg import frobenius_norm
 from fedtier.metrics import clustering_quality
-from oracles import random_orthonormal
+from oracles import random_orthonormal, relabel_loop
 
 
 def block_affinity(sizes, off=0.0):
@@ -309,3 +310,13 @@ class TestClusterClients:
         assignment = cluster_clients(tracker, 2, 4, seed=0)
         assert assignment.k_star == 1
         assert assignment.degenerate
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.intp])
+def test_relabel_by_first_appearance_matches_the_loop(dtype):
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        labels = rng.integers(-3, int(rng.integers(1, 9)), size=int(rng.integers(1, 40)))
+        labels = labels.astype(dtype)
+        got, want = _relabel_by_first_appearance(labels), relabel_loop(labels)
+        assert got.dtype == want.dtype and np.array_equal(got, want)

@@ -670,3 +670,27 @@ def test_trained_federation_refuses_a_partial_server(trained_fed, case):
     with pytest.raises(ConfigurationError, match="server is not fully trained"):
         TrainedFederation(trained_fed.config, trained_fed.model, trained_fed.data, server,
                           trained_fed.leaves, [], trained_fed.tracker)
+
+
+# parts of a trained federation that do not fit together, from the trained
+# federation's (30 clients); each returns (server, leaves) and the message
+MISFIT_PARTS = {
+    "cluster_missing_a_label": (lambda fed: (ServerState(
+        root=fed.server.root, assignment=fed.server.assignment,
+        clusters={j: ad for j, ad in fed.server.clusters.items() if j != 1}), fed.leaves),
+        r"server is not fully trained: no cluster adapter for the assigned labels \[1\]"),
+    "three_leaves": (lambda fed: (fed.server, fed.leaves[:3]),
+                     "30 labels and 3 leaves for 30 clients"),
+    "labels_too_short": (lambda fed: (replace(fed.server, assignment=replace(
+        fed.server.assignment, labels=fed.server.assignment.labels[:-2])), fed.leaves),
+        "28 labels and 30 leaves for 30 clients"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISFIT_PARTS))
+def test_trained_federation_refuses_parts_that_do_not_fit(trained_fed, case):
+    build, message = MISFIT_PARTS[case]
+    server, leaves = build(trained_fed)
+    with pytest.raises(ConfigurationError, match=message):
+        TrainedFederation(trained_fed.config, trained_fed.model, trained_fed.data, server,
+                          leaves, [], trained_fed.tracker)

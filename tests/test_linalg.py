@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from fedtier.errors import ConfigurationError, PreconditionError
-from fedtier.linalg import (frobenius_norm, matmul, orthonormal_columns,
-                            subspace_overlap, truncated_svd)
+from fedtier.linalg import (_apply_sign_convention, frobenius_norm, matmul,
+                            orthonormal_columns, subspace_overlap, truncated_svd)
 
 
-from oracles import eigh_singular_values, loop_matmul, random_orthonormal
+from oracles import eigh_singular_values, loop_matmul, random_orthonormal, sign_convention_loop
 
 
 class TestMatmul:
@@ -120,6 +120,47 @@ class TestTruncatedSvd:
         f = truncated_svd(m, 5)
         assert frobenius_norm(m) ** 2 == pytest.approx(
             float(np.sum(f.singular_values ** 2)), abs=1e-9)
+
+
+def _same_bits(x, y):
+    return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+class TestSignConvention:
+    """The one-expression sign convention against the per-pair loop."""
+
+    def test_crafted_factors_match_the_loop_bitwise(self):
+        u = np.array([[[0.5, 0.0, -0.3], [-0.5, 0.0, -0.9], [0.1, 0.0, 0.2]],   # +- tie, zero
+                      [[-0.5, 0.7, 0.0], [0.5, -0.7, -0.0], [-0.2, 0.1, -1.0]]])  # -+ tie
+        vt = np.arange(24.0).reshape(2, 3, 4) - 11.0
+        got, want = _apply_sign_convention(u, vt), sign_convention_loop(u, vt)
+        assert all(_same_bits(g, w) for g, w in zip(got, want))
+        # the tie breaks at the lowest row: +0.5 stays, -0.5 first flips the pair
+        assert got[0][0, 0, 0] == 0.5 and got[0][1, 0, 0] == 0.5
+        assert np.array_equal(got[0][0, :, 1], np.zeros(3))   # a zero column is kept
+
+    @pytest.mark.parametrize("shape,k", [((6, 4), 1), ((6, 4), 4), ((4, 6), 3), ((1, 5, 3), 2),
+                                         ((7, 12, 2), 1), ((5, 12, 2), 2), ((3, 8, 8), 8)])
+    def test_truncated_svd_matches_the_loop_bitwise(self, shape, k):
+        rng = np.random.default_rng(sum(shape) + k)
+        m = rng.normal(size=shape)
+        m[..., 0, :] = -np.abs(m[..., 0, :]) * 50.0   # a negative maximum leads every column
+        u, sigma, vt = np.linalg.svd(m, full_matrices=False)
+        want_u, want_vt = sign_convention_loop(u[..., :k], vt[..., :k, :])
+        got = truncated_svd(m, k)
+        assert _same_bits(got.u, want_u) and _same_bits(got.vt, want_vt)
+        assert _same_bits(got.singular_values, sigma[..., :k])
+        assert got.u.flags.c_contiguous and got.vt.flags.c_contiguous
+
+    def test_zero_and_tied_matrices_match_the_loop_bitwise(self):
+        m = np.stack([np.zeros((4, 3)), np.eye(4, 3), -np.eye(4, 3),
+                      np.array([[1.0, 1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 0.0],
+                                [0.0, 0.0, 0.0]])])
+        u, _, vt = np.linalg.svd(m, full_matrices=False)
+        for k in (1, 3):
+            want_u, want_vt = sign_convention_loop(u[..., :k], vt[..., :k, :])
+            got = truncated_svd(m, k)
+            assert _same_bits(got.u, want_u) and _same_bits(got.vt, want_vt)
 
 
 class TestOrthonormalColumns:

@@ -42,14 +42,18 @@ import json
 import platform
 import re
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
+sys.path.insert(0, str(ROOT / "src"))
+from fedtier import cli  # noqa: E402
+from fedtier.lora import load_matrix, read_adapter  # noqa: E402
 
-# each README case's federation overrides, in the order CI applied them
+# each README case's federation overrides
 _README_CASES = {
     "readme_full_32": {"batch_mode": "full", "batch_size": 32},
     "readme_mini_32": {"batch_mode": "mini", "batch_size": 32},
@@ -96,9 +100,6 @@ def provenance() -> dict:
 
 
 def _fedtier(*argv: str):
-    sys.path.insert(0, str(ROOT / "src"))
-    from fedtier import cli
-
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(list(argv))
     if code != 0:
@@ -106,8 +107,6 @@ def _fedtier(*argv: str):
 
 
 def _norms(path: Path) -> list[float]:
-    from fedtier.lora import load_matrix, read_adapter
-
     if path.suffix == ".adapter":
         ad = read_adapter(path)
         return [float(np.linalg.norm(ad.b)), float(np.linalg.norm(ad.a))]
@@ -169,8 +168,6 @@ def main(argv=None) -> int:
         for case in CASES:
             (out / f"{case}.json").write_text(json.dumps(config(case)))
     if args.write:
-        import tempfile
-
         GOLDEN.mkdir(parents=True, exist_ok=True)
         with tempfile.TemporaryDirectory() as tmp:
             for case in CASES:
