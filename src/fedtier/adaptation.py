@@ -17,13 +17,11 @@ import numpy as np
 from .datagen import ClientSplit
 from .errors import NON_NEGATIVE, POSITIVE, ConfigurationError, DegenerateInputError, check_types
 from .federation import FederationConfig, ServerState, _stage_settings
-from .linalg import Matrix, frobenius_norm, one_blas_thread, orthonormal_columns, subspace_overlap
+from .linalg import Matrix, directed_bases, one_blas_thread, subspace_overlap
 from .lora import AdapterPath, LoraAdapter, Tier, init_adapter, zero_adapter
 from .metrics import accuracy
 from .model import ClientStack, EncodedData, HeadModel, Samples, SgdConfig, encode, local_update
 from .streams import stream
-
-_ZERO_B = 1e-12  # a B factor this small spans no direction
 
 
 @dataclass
@@ -36,37 +34,39 @@ class ClusterRepresentative:
 
 def build_representatives(server: ServerState, rank: int) -> list[ClusterRepresentative]:
     """Top-r left singular bases of the frozen cluster adapters, by index:
-    one stacked norm and one stacked SVD over the B factors in ascending
-    cluster order, each basis bitwise its own call's.
+    one linalg.directed_bases call (one stacked SVD and one stacked norm)
+    over the B factors in ascending cluster order, each basis bitwise its own
+    call's.
 
-    A cluster adapter whose B is numerically zero (as after a run with
-    t_cluster = 0) spans no subspace to route by, so it is rejected; the
-    error names the lowest such cluster."""
+    A cluster adapter whose B spans no direction (norm at most
+    linalg.NO_DIRECTION, as after a run with t_cluster = 0) gives no
+    subspace to route by, so it is rejected; the error names the lowest such
+    cluster."""
     if server.root is None or not server.clusters:
         raise ConfigurationError("server is not fully trained")
     ids = sorted(server.clusters)
-    b = np.stack([server.clusters[j].b for j in ids])
-    zero = frobenius_norm(b) <= _ZERO_B
-    if zero.any():
-        raise DegenerateInputError(f"cluster {ids[np.argmax(zero)]} adapter is numerically "
+    bases, spans = directed_bases(np.stack([server.clusters[j].b for j in ids]), rank)
+    if not spans.all():
+        raise DegenerateInputError(f"cluster {ids[np.argmin(spans)]} adapter is numerically "
                                    f"zero; unseen clients cannot be routed")
-    return [ClusterRepresentative(index=j, basis=u)
-            for j, u in zip(ids, orthonormal_columns(b, rank))]
+    return [ClusterRepresentative(index=j, basis=u) for j, u in zip(ids, bases)]
 
 
 def probe_basis(model: HeadModel, train: Samples | EncodedData | ClientStack,
                 root_star: LoraAdapter, rank: int, steps: int, lr: float, seed: int = 0) -> Matrix:
     """Run `steps` full-batch gradient steps of a fresh probe adapter above the
-    frozen root on `train` and return the probe B's dominant left subspace."""
+    frozen root on `train` and return the probe B's dominant left subspace;
+    a probe B with no direction (linalg.directed_bases) is refused."""
     check_types(int, POSITIVE, steps=steps)
     p, q = model.class_count, model.backbone.hidden_dim
     probe = init_adapter(p, q, rank, stream(seed, "probe_init"))
     path = AdapterPath(root=root_star, cluster=probe, leaf=zero_adapter(p, q, rank))
     opt = SgdConfig(lr=lr, epochs=steps, batch_mode="full")
     trained = local_update(model, path, train, Tier.CLUSTER, (), (), opt=opt)
-    if frobenius_norm(trained.b) <= _ZERO_B:
+    basis, spans = directed_bases(trained.b, rank)
+    if not spans:
         raise DegenerateInputError("probe basis stayed numerically zero")
-    return orthonormal_columns(trained.b, rank)
+    return basis
 
 
 def assign_cluster(u_u: Matrix, reps: list[ClusterRepresentative]) -> int:

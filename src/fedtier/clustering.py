@@ -155,26 +155,23 @@ def _farthest_point_init(points: Matrix, k: int, rng: np.random.Generator) -> Ma
 
 
 def _lloyd(points: Matrix, centers: Matrix):
-    k = centers.shape[0]
-    labels = np.zeros(points.shape[0], dtype=np.int64)
+    """Lloyd iterations from `centers`: (labels, objective). Each update
+    moves every center that has members to their mean, from one bincount
+    and one np.add.at over the points in order; a center with no members
+    keeps its place, the one rule for an empty cluster."""
     for _ in range(_KMEANS_MAX_ITER):
         d2 = np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
         labels = np.argmin(d2, axis=1)
-        moved = 0.0
-        new_centers = centers.copy()
-        for c in range(k):
-            members = points[labels == c]
-            if len(members) == 0:
-                continue  # an empty cluster keeps its previous center
-            new_centers[c] = members.mean(axis=0)
-            moved = max(moved, float(np.max(np.abs(new_centers[c] - centers[c]))))
+        counts = np.bincount(labels, minlength=len(centers))[:, None]
+        sums = np.zeros_like(centers)
+        np.add.at(sums, labels, points)
+        new_centers = np.where(counts > 0, sums / np.maximum(counts, 1), centers)
+        moved = float(np.max(np.abs(new_centers - centers)))
         centers = new_centers
         if moved <= _KMEANS_TOL:
             break
     d2 = np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
-    labels = np.argmin(d2, axis=1)
-    objective = float(np.sum(d2[np.arange(points.shape[0]), labels]))
-    return labels, objective
+    return np.argmin(d2, axis=1), float(np.sum(np.min(d2, axis=1)))
 
 
 def _kmeans(points: Matrix, k: int, seed: int) -> np.ndarray:

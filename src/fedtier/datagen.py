@@ -20,7 +20,8 @@ ascending order; label subsets: one class permutation, then ClusterShift's
 plane rotation per group), one permutation per dealt class in ascending
 class order, then one shuffle per client for the 80/20 train/test split.
 `partition` keeps the first attempt that oversubscribes no class and gives
-every client at least 10 samples. When every class has the same size, as
+every client at least 10 samples; it and `split_unseen` spend their retry
+budget in one loop, `_first_success`. When every class has the same size, as
 `gen_pool` gives, the label-subset rule's row counts do not depend on the
 drawn class order, so it decides feasibility once, before any draw.
 
@@ -39,7 +40,7 @@ pool row indices to clients, then takes each client's rows once.
 import csv
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -299,6 +300,18 @@ def _label_subset_rule(pool, group_of, subset_size, angle=None):
     return attempt
 
 
+def _first_success(seed: int, purpose: str, attempt, failure: str):
+    """The one retry loop: the first result other than None of
+    attempt(stream(seed, purpose, k), k) for k = 0, 1, ...; after
+    _MAX_ATTEMPTS failed attempts, a GenerationError with the message
+    `failure`."""
+    for k in range(_MAX_ATTEMPTS):
+        out = attempt(stream(seed, purpose, k), k)
+        if out is not None:
+            return out
+    raise GenerationError(failure)
+
+
 def partition(pool: LabeledPool, spec, n_clients: int, seed: int) -> FederationData:
     """Split the pool across clients according to the scheme: attempt k runs
     the scheme's one-attempt rule on stream(seed, "partition", k), and the
@@ -308,16 +321,15 @@ def partition(pool: LabeledPool, spec, n_clients: int, seed: int) -> FederationD
         raise ConfigurationError(f"unknown partition spec {spec!r}")
     check_field_types(spec)
     rule = spec._rule(pool, n_clients)
-    for attempt in range(_MAX_ATTEMPTS):
-        rng = stream(seed, "partition", attempt)
+
+    def attempt(rng, _):
         draw = rule(rng)
-        data = None if draw is None else _assemble(pool, draw, n_clients, rng)
-        if data is not None:
-            return data
-    raise GenerationError(
+        return None if draw is None else _assemble(pool, draw, n_clients, rng)
+
+    return _first_success(seed, "partition", attempt, (
         f"could not draw a feasible {type(spec).__name__} partition in {_MAX_ATTEMPTS} "
         f"attempts: a class was oversubscribed or a client got under "
-        f"{_MIN_CLIENT_SAMPLES} samples")
+        f"{_MIN_CLIENT_SAMPLES} samples"))
 
 
 def split_unseen(data: FederationData, fraction: float, seed: int) -> FederationData:
@@ -326,7 +338,9 @@ def split_unseen(data: FederationData, fraction: float, seed: int) -> Federation
     At least one client must participate. When ground-truth groups are
     present, a split that keeps fewer clients than groups fails before any
     draw, and a draw that would strip any group of all its participating
-    clients is resampled (logged), bounded by retries.
+    clients is resampled (one warning per resampled attempt) by the retry
+    loop partition uses, on stream(seed, "unseen_split", k). The kept
+    clients keep their label_priors rows, in client order.
     """
     check_types(float, OPEN_UNIT, fraction=fraction)
     n = data.n_clients
@@ -338,22 +352,20 @@ def split_unseen(data: FederationData, fraction: float, seed: int) -> Federation
     if n - n_unseen < len(groups):
         raise GenerationError(f"unseen fraction {fraction} keeps {n - n_unseen} of {n} "
                               f"clients, fewer than the {len(groups)} true clusters")
-    for attempt in range(_MAX_ATTEMPTS):
-        rng = stream(seed, "unseen_split", attempt)
+
+    def attempt(rng, k):
         chosen = set(int(i) for i in rng.choice(n, size=n_unseen, replace=False))
-        if groups:
-            kept = [truth[i] for i in range(n) if i not in chosen]
-            if set(kept) != groups:
-                logger.warning("unseen split attempt %d emptied a true cluster; resampling", attempt)
-                continue
-        clients = [data.clients[i] for i in range(n) if i not in chosen]
-        unseen = list(data.unseen) + [data.clients[i] for i in sorted(chosen)]
-        return FederationData(clients=clients, unseen=unseen,
-                              class_count=data.class_count,
-                              feature_dim=data.feature_dim,
-                              label_priors=None)
-    raise GenerationError("could not split unseen clients while keeping every "
-                          "true cluster represented")
+        kept = [i for i in range(n) if i not in chosen]
+        if groups and set(truth[kept].tolist()) != groups:
+            logger.warning("unseen split attempt %d emptied a true cluster; resampling", k)
+            return None
+        priors = data.label_priors
+        return replace(data, clients=[data.clients[i] for i in kept],
+                       unseen=list(data.unseen) + [data.clients[i] for i in sorted(chosen)],
+                       label_priors=None if priors is None else priors[kept])
+
+    return _first_success(seed, "unseen_split", attempt, "could not split unseen clients "
+                          "while keeping every true cluster represented")
 
 
 def load_csv(path: str | Path, seed: int = 0) -> FederationData:

@@ -193,7 +193,11 @@ def refactor(delta_w: Matrix, r: int):
 def stop_check(delta_prev: Matrix, delta_new: Matrix, tau_rel: float, eps: float):
     """Relative step size rho = ||new - prev||_F / (||prev||_F + eps); stop
     when rho falls at or below tau_rel. Two matrices give (bool, float); two
-    (n, p, q) stacks give (n,) arrays, each entry bitwise its pair's."""
+    (n, p, q) stacks give (n,) arrays, each entry bitwise its pair's; the
+    two must share a shape."""
+    if np.shape(delta_prev) != np.shape(delta_new):
+        raise ConfigurationError(f"stop_check needs deltas of one shape, got "
+                                 f"{np.shape(delta_prev)} and {np.shape(delta_new)}")
     rho = frobenius_norm(np.asarray(delta_new) - np.asarray(delta_prev)) / (
         frobenius_norm(delta_prev) + eps)
     return rho <= tau_rel, rho

@@ -19,9 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, PreconditionError
+from .errors import ConfigurationError, PreconditionError, check_types
 
 Matrix = np.ndarray
+
+# a factor of Frobenius norm at most this spans no direction: it gives no
+# subspace to route by, and no overlap to report
+NO_DIRECTION = 1e-6
 
 
 def _openblas():
@@ -125,8 +129,10 @@ def truncated_svd(m: Matrix, k: int) -> SvdFactors:
     The reconstruction u @ diag(s) @ vt is a best rank-k approximation of m.
     An (n, p, q) stack gives stacked factors, each matrix's bitwise equal to
     its own call's. Output is bitwise deterministic for identical input on a
-    given machine and BLAS/LAPACK build; non-finite input is refused.
+    given machine and BLAS/LAPACK build; non-finite input and a rank that is
+    not an integer in [1, min(p, q)] are refused.
     """
+    check_types(int, k=k)
     m = as_matrix(m, stacked=True)
     p, q = m.shape[-2:]
     if not 1 <= k <= min(p, q):
@@ -139,6 +145,16 @@ def truncated_svd(m: Matrix, k: int) -> SvdFactors:
 def orthonormal_columns(m: Matrix, r: int) -> Matrix:
     """p×r orthonormal basis of the dominant r-dimensional left subspace of m."""
     return truncated_svd(m, r).u
+
+
+def directed_bases(m: Matrix, r: int):
+    """(bases, spans): orthonormal_columns(m, r) and whether each factor spans
+    a direction, its Frobenius norm above NO_DIRECTION; one stacked SVD and
+    one stacked norm for an (n, p, q) stack, giving (n, p, r) bases and an
+    (n,) mask, or one basis and a bool for a matrix. The one rule for a
+    factor with no direction: routing refuses it, the orthogonality report
+    leaves it out."""
+    return orthonormal_columns(m, r), frobenius_norm(m) > NO_DIRECTION
 
 
 def _basis_stack(u, name: str) -> np.ndarray:

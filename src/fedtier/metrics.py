@@ -17,14 +17,10 @@ import numpy as np
 
 from .errors import PreconditionError
 from .federation import TrainedFederation, weights_cluster
-from .linalg import frobenius_norm, one_blas_thread, orthonormal_columns, subspace_overlap
+from .linalg import directed_bases, one_blas_thread, orthonormal_columns, subspace_overlap
 from .lora import AdapterPath, compose_path, delta
 from .model import (ClientStack, HeadModel, encode, _stack_accuracy, _stack_losses,
                     _stack_of_one)
-
-# leaves (or clusters) whose B factor is this small carry no direction and are
-# excluded from subspace statistics
-_NEGLIGIBLE_B = 1e-6
 
 
 def accuracy(model: HeadModel, path: AdapterPath, test) -> float:
@@ -157,7 +153,8 @@ class PairOverlap:
 @dataclass
 class OrthogonalityReport:
     """Normalized subspace overlap (mean cos^2 theta) per tier pair, with
-    degenerate (numerically zero) factors excluded and counted."""
+    factors that span no direction (linalg.directed_bases) excluded and
+    counted."""
 
     pairs: dict[str, PairOverlap]
 
@@ -166,20 +163,17 @@ def orthogonality_report(fed: TrainedFederation) -> OrthogonalityReport:
     """Three stacked overlaps: the root basis against every client's cluster
     basis and against every leaf basis, and each client's cluster basis
     against its own leaf basis (the diagonal of one cluster-by-leaf call).
-    The bases come from one stacked SVD over the clusters' B factors,
-    indexed to the clients by label, and one over the leaves' B factors; a
-    client whose factor on either side is negligible (a mask from stacked
-    norms) enters no overlap."""
+    The bases and their masks come from one linalg.directed_bases call over
+    the clusters' B factors, indexed to the clients by label, and one over
+    the leaves' B factors; a client whose factor on either side spans no
+    direction enters no overlap."""
     rank = fed.config.rank
     ids = sorted(fed.server.clusters)
     of_client = np.searchsorted(ids, fed.server.assignment.labels)
-    cluster_b = np.stack([fed.server.clusters[j].b for j in ids])
-    leaf_b = np.stack([ad.b for ad in fed.leaves])
     u_root = orthonormal_columns(fed.server.root.b, rank)
-    u_cluster = orthonormal_columns(cluster_b, rank)[of_client]
-    u_leaf = orthonormal_columns(leaf_b, rank)
-    has_cluster = (frobenius_norm(cluster_b) > _NEGLIGIBLE_B)[of_client]
-    has_leaf = frobenius_norm(leaf_b) > _NEGLIGIBLE_B
+    cluster_b = np.stack([fed.server.clusters[j].b for j in ids])
+    u_cluster, has_cluster = (part[of_client] for part in directed_bases(cluster_b, rank))
+    u_leaf, has_leaf = directed_bases(np.stack([ad.b for ad in fed.leaves]), rank)
     pairs = {}
     for name, first, second, kept in (("root_cluster", None, u_cluster, has_cluster),
                                       ("root_leaf", None, u_leaf, has_leaf),

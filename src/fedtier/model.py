@@ -107,8 +107,10 @@ class Samples:
 
 
 def build_model(feature_dim: int, class_count: int, hidden_dim: int, seed: int) -> HeadModel:
-    """Deterministic model construction from a seed."""
-    check_types(int, feature_dim=feature_dim, class_count=class_count, hidden_dim=hidden_dim)
+    """Deterministic model construction from a seed; every size must be a
+    positive integer."""
+    check_types(int, POSITIVE, feature_dim=feature_dim, class_count=class_count,
+                hidden_dim=hidden_dim)
     rng = stream(seed, "model")
     m = rng.normal(0.0, 1.0 / np.sqrt(feature_dim), size=(hidden_dim, feature_dim))
     bias = rng.normal(0.0, 0.1, size=hidden_dim)
@@ -128,9 +130,13 @@ class EncodedData:
 
 
 def encode(model: HeadModel, data: Samples) -> EncodedData:
-    """Run the frozen backbone once over all rows of `data`."""
+    """Run the frozen backbone once over all rows of `data`, which must be
+    as wide as the backbone's input and labeled within the class count."""
     if len(data) == 0:
         raise PreconditionError("dataset is empty")
+    if data.x.shape[1] != model.backbone.feature_dim:
+        raise PreconditionError(f"rows have {data.x.shape[1]} features, the model takes "
+                                f"{model.backbone.feature_dim}")
     if np.any(data.y < 0) or np.any(data.y >= model.class_count):
         raise PreconditionError("sample label out of range")
     z = np.tanh(data.x @ model.backbone.m.T + model.backbone.bias)

@@ -142,3 +142,28 @@ def relabel_loop(labels):
             mapping[lab] = len(mapping)
         out[i] = mapping[lab]
     return out
+
+
+def lloyd_loop(points, centers, max_iter=300, tol=1e-10):
+    """Lloyd's k-means one center at a time: each iteration labels every
+    point by its nearest center (lowest index on ties), then moves each
+    center with members to their mean; an empty cluster keeps its center.
+    Stops when no center moved more than tol or after max_iter iterations,
+    and returns the final labels and the summed squared distances."""
+    for _ in range(max_iter):
+        d2 = np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        labels = np.argmin(d2, axis=1)
+        moved = 0.0
+        new_centers = centers.copy()
+        for c in range(centers.shape[0]):
+            members = points[labels == c]
+            if len(members) == 0:
+                continue
+            new_centers[c] = members.mean(axis=0)
+            moved = max(moved, float(np.max(np.abs(new_centers[c] - centers[c]))))
+        centers = new_centers
+        if moved <= tol:
+            break
+    d2 = np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+    labels = np.argmin(d2, axis=1)
+    return labels, float(np.sum(d2[np.arange(points.shape[0]), labels]))

@@ -7,7 +7,8 @@ from fedtier.adaptation import (ClusterRepresentative, adapt_unseen, assign_clus
                                 build_representatives, probe_basis)
 from fedtier.errors import ConfigurationError, DegenerateInputError
 from fedtier.federation import FederationConfig, run_protocol
-from fedtier.linalg import orthonormal_columns
+from fedtier.linalg import frobenius_norm, orthonormal_columns
+from fedtier.metrics import orthogonality_report
 from fedtier.model import ClientStack, FrozenBackbone, HeadModel, Samples, local_update
 from fedtier.lora import zero_adapter
 from oracles import random_orthonormal
@@ -167,3 +168,22 @@ class TestUntrainedClusters:
             build_representatives(fed.server, config.rank)
         with pytest.raises(DegenerateInputError):
             adapt_unseen(fed.model, fed.data.unseen[0], fed.server, config, epochs=1)
+
+    def test_a_cluster_with_no_direction_is_refused_and_left_out_alike(self, trained_fed):
+        # routing and the orthogonality report read one no-direction rule: a
+        # cluster adapter scaled to ||B|| = 1e-9 is refused by the one and its
+        # members are excluded by the other
+        fed = trained_fed
+        j = int(fed.server.assignment.labels[0])
+        tiny = replace(fed.server.clusters[j], b=fed.server.clusters[j].b * (
+            1e-9 / frobenius_norm(fed.server.clusters[j].b)))
+        server = replace(fed.server, clusters={**fed.server.clusters, j: tiny})
+        with pytest.raises(DegenerateInputError, match=f"cluster {j} adapter"):
+            build_representatives(server, fed.config.rank)
+        members = len(fed.server.assignment.members(j))
+        before = orthogonality_report(fed).pairs
+        after = orthogonality_report(replace(fed, server=server)).pairs
+        for name in ("root_cluster", "cluster_leaf"):
+            assert after[name].excluded == before[name].excluded + members
+            assert after[name].count == before[name].count - members
+        assert after["root_leaf"] == before["root_leaf"]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fedtier.clustering import (BasisTracker, _relabel_by_first_appearance, affinity,
+from fedtier.clustering import (BasisTracker, _lloyd, _relabel_by_first_appearance, affinity,
                                 cluster_clients,
                                 distance_matrix, ema_update, laplacian_sym,
                                 median_offdiag_distance, pairwise_distance,
@@ -11,7 +11,7 @@ from fedtier.clustering import (BasisTracker, _relabel_by_first_appearance, affi
 from fedtier.errors import ConfigurationError, DegenerateInputError, PreconditionError
 from fedtier.linalg import frobenius_norm
 from fedtier.metrics import clustering_quality
-from oracles import random_orthonormal, relabel_loop
+from oracles import lloyd_loop, random_orthonormal, relabel_loop
 
 
 def block_affinity(sizes, off=0.0):
@@ -320,3 +320,25 @@ def test_relabel_by_first_appearance_matches_the_loop(dtype):
         labels = labels.astype(dtype)
         got, want = _relabel_by_first_appearance(labels), relabel_loop(labels)
         assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_lloyd_matches_the_per_center_loop_bitwise(seed):
+    # points of 2 to 5 dimensions, as the spectral embedding of k >= 2 gives,
+    # some rounded so that distances tie; every other start is drawn wide, so
+    # that some clusters start with no members
+    rng = np.random.default_rng(seed)
+    emptied = 0
+    for trial in range(250):
+        n, k, dim = int(rng.integers(3, 60)), int(rng.integers(2, 7)), int(rng.integers(2, 6))
+        points = rng.normal(size=(n, dim))
+        if trial % 3 == 0:
+            points = np.round(points, 1)
+        centers = rng.normal(size=(k, dim)) * (4.0 if trial % 2 else 1.0)
+        start = np.argmin(np.sum((points[:, None] - centers[None]) ** 2, axis=2), axis=1)
+        emptied += len(np.unique(start)) < k
+        labels, objective = _lloyd(points, centers.copy())
+        want_labels, want_objective = lloyd_loop(points, centers.copy())
+        assert labels.dtype == want_labels.dtype and np.array_equal(labels, want_labels)
+        assert objective == want_objective
+    assert emptied > 50

@@ -329,6 +329,34 @@ class TestSplitUnseen:
         with pytest.raises(ConfigurationError, match="holds out all 10 clients"):
             split_unseen(fed, 0.95, seed=0)
 
+    def test_each_resampled_attempt_logs_one_warning(self, caplog):
+        # keeping 3 of 10 clients in 3 groups fails on most draws; the
+        # attempts that fail are read off the split's own streams
+        pool = gen_pool(9, 4, 300, 1.0, seed=28)
+        fed = partition(pool, ClusterShift(k_true=3, rotation_angle=1.0,
+                                           label_subset_size=3), 10, seed=29)
+        truth, failed = fed.true_clusters, []
+        while True:
+            chosen = stream(9, "unseen_split", len(failed)).choice(10, size=7, replace=False)
+            if len(set(np.delete(truth, chosen).tolist())) == 3:
+                break
+            failed.append(len(failed))
+        assert len(failed) >= 2
+        with caplog.at_level("WARNING", logger="fedtier.datagen"):
+            split_unseen(fed, 0.7, seed=9)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"unseen split attempt {k} emptied a true cluster; resampling" for k in failed]
+
+    def test_kept_clients_keep_their_label_priors_in_order(self):
+        pool = gen_pool(10, 3, 300, 1.0, seed=24)
+        fed = partition(pool, GlDir(alpha=0.5), 20, seed=25)
+        out = split_unseen(fed, 0.25, seed=1)
+        kept = [[id(c) for c in fed.clients].index(id(c)) for c in out.clients]
+        assert fed.label_priors.shape == (20, 10) and kept == sorted(kept)
+        assert np.array_equal(out.label_priors, fed.label_priors[kept])
+        shifted = partition(pool, ClusterShift(2, 1.0, 3), 8, seed=25)
+        assert split_unseen(shifted, 0.25, seed=1).label_priors is None
+
 
 class TestCsvIngestion:
     def test_roundtrip(self, tmp_path):

@@ -194,6 +194,10 @@ class TestStopCheck:
         assert rho == pytest.approx(1.0, rel=1e-12)
         assert not stop
 
+    def test_deltas_of_two_shapes_are_refused(self):
+        with pytest.raises(ConfigurationError, match=r"\(2, 2\) and \(3, 3\)"):
+            stop_check(np.zeros((2, 2)), np.zeros((3, 3)), 1e-3, 1e-8)
+
 
 class TestRootStage:
     def test_single_client_matches_manual_loop(self):

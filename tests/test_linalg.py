@@ -72,6 +72,11 @@ class TestTruncatedSvd:
         with pytest.raises(ConfigurationError):
             truncated_svd(np.zeros((3, 2)), 0)
 
+    @pytest.mark.parametrize("k", [2.0, "2", None, True])
+    def test_a_rank_that_is_not_an_integer_is_refused(self, k):
+        with pytest.raises(ConfigurationError, match="k must be an integer"):
+            truncated_svd(np.eye(3), k)
+
     def test_determinism_bitwise(self):
         rng = np.random.default_rng(11)
         m = rng.normal(size=(5, 7))

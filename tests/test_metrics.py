@@ -254,7 +254,7 @@ class TestOrthogonalityReport:
 def orthogonality_by_loop(fed):
     return orthogonality_oracle(
         fed.server.root.b, [fed.server.clusters[j].b for j in fed.server.assignment.labels],
-        [leaf.b for leaf in fed.leaves], fed.config.rank, fedtier.metrics._NEGLIGIBLE_B)
+        [leaf.b for leaf in fed.leaves], fed.config.rank, fedtier.linalg.NO_DIRECTION)
 
 
 class TestStackedScores:

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from fedtier.datagen import GlDir, gen_pool, partition
 from fedtier.errors import ConfigurationError, PreconditionError
+from fedtier.federation import FederationConfig, run_protocol
 from fedtier.lora import AdapterPath, LoraAdapter, Tier, compose_path, orth_penalty_grad, zero_adapter
 from fedtier.model import (ClientStack, FrozenBackbone, HeadModel, Samples, SgdConfig,
                            build_model, dataset_loss, encode, fd_tier_gradient, forward,
@@ -19,6 +21,31 @@ def zero_path(p, q, r=1):
 
 def make_samples(rng, n, d, c):
     return Samples(rng.normal(size=(n, d)), rng.integers(c, size=n))
+
+
+class TestBuildModel:
+    @pytest.mark.parametrize("sizes, name", [((0, 3, 8), "feature_dim"),
+                                             ((4, 0, 8), "class_count"),
+                                             ((4, 3, 0), "hidden_dim"),
+                                             ((-1, 3, 8), "feature_dim")])
+    def test_a_size_that_is_not_positive_names_its_field(self, sizes, name):
+        with pytest.raises(ConfigurationError, match=f"{name} must be positive"):
+            build_model(*sizes, 0)
+
+
+class TestEncode:
+    def test_rows_of_the_wrong_width_name_both_widths(self, toy_model):
+        rows = Samples(np.zeros((3, 5)), [0, 1, 2])
+        with pytest.raises(PreconditionError, match="rows have 5 features, the model takes 4"):
+            encode(toy_model, rows)
+
+    def test_a_federation_of_the_wrong_width_is_refused_before_training(self, toy_model):
+        pool = gen_pool(3, 5, 100, 1.0, seed=2)
+        data = partition(pool, GlDir(alpha=1.0), 4, seed=2)
+        config = FederationConfig(n_clients=4, rank=1, t_root=1, t_cluster=1, t_leaf=1,
+                                  total_budget=3, hidden_dim=6)
+        with pytest.raises(PreconditionError, match="rows have 5 features, the model takes 4"):
+            run_protocol(config, data, toy_model)
 
 
 class TestSamples:
