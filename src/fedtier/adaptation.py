@@ -7,7 +7,10 @@ factor, and joins the cluster whose representative subspace it overlaps most.
 It can then serve immediately through root + cluster, or refine a private
 leaf adapter locally: each fine-tune epoch is one round of the leaf stage,
 with that stage's optimiser, gammas and penalty bases (federation's
-_stage_settings and Tier.LEAF.earlier).
+_stage_settings and Tier.LEAF.earlier), on the stage engine's kernel form:
+one KernelInputs whose frozen weight is w0 + root + cluster, updated in
+place epoch by epoch, with every epoch's row order drawn once up front and
+every epoch scored at frozen + B A, the path's composed weight bitwise.
 """
 
 from dataclasses import dataclass
@@ -20,7 +23,8 @@ from .federation import FederationConfig, ServerState, _stage_settings
 from .linalg import Matrix, directed_bases, one_blas_thread, subspace_overlap
 from .lora import AdapterPath, LoraAdapter, Tier, init_adapter, zero_adapter
 from .metrics import accuracy
-from .model import ClientStack, EncodedData, HeadModel, Samples, SgdConfig, encode, local_update
+from .model import (ClientStack, EncodedData, HeadModel, Samples, SgdConfig, encode,
+                    epoch_orders, local_update, _stack_accuracy, _stack_inputs)
 from .streams import stream
 
 
@@ -102,19 +106,19 @@ def adapt_unseen(model: HeadModel, client: ClientSplit, server: ServerState,
     u_u = probe_basis(model, train, server.root, config.rank,
                       steps=config.probe_steps, lr=config.lr, seed=seed)
     j = assign_cluster(u_u, reps)
-    p, q = model.class_count, model.backbone.hidden_dim
-    cluster_ad = server.clusters[j]
-    leaf = init_adapter(p, q, config.rank, stream(seed, "unseen_leaf_init"))
-    path = AdapterPath(root=server.root, cluster=cluster_ad, leaf=leaf)
+    leaf = init_adapter(*model.w0.shape, config.rank, stream(seed, "unseen_leaf_init"))
+    path = AdapterPath(root=server.root, cluster=server.clusters[j], leaf=leaf)
     # the fresh leaf has b = 0, so this is exactly the root+cluster model
     trajectory = [accuracy(model, path, test)]
     _, opt, gammas = _stage_settings(config, Tier.LEAF, len(client.train))
-    frozen = [path.adapter(tier).b for tier in Tier.LEAF.earlier]
-    shuffle = stream(seed, "unseen_leaf_shuffle")
-    for _ in range(epochs):
-        leaf = local_update(model, path, train, Tier.LEAF, frozen, gammas,
-                            opt=opt, rng=shuffle)
-        path = path.replace(Tier.LEAF, leaf)
-        trajectory.append(accuracy(model, path, test))
-    return AdaptationResult(assigned_cluster=j, path=path,
+    local = _stack_inputs(model, [path], Tier.LEAF)   # frozen: w0 + root + cluster
+    frozen = [path.adapter(tier).b[None] for tier in Tier.LEAF.earlier]
+    # every epoch's row order, drawn once; each local_update call takes one
+    orders = (epoch_orders([stream(seed, "unseen_leaf_shuffle")], train.sizes, epochs)[:, None]
+              if opt.batch_mode == "mini" else [None] * epochs)
+    for rows in orders:   # frozen + B A adds w0, root, cluster, leaf in compose_path's order
+        local_update(model, local._replace(orders=rows), train, Tier.LEAF, frozen, gammas, opt=opt)
+        trajectory.append(float(_stack_accuracy(local.frozen + local.b @ local.a, test)[0]))
+    leaf = LoraAdapter(b=local.b[0], a=local.a[0], rank=config.rank)
+    return AdaptationResult(assigned_cluster=j, path=path.replace(Tier.LEAF, leaf),
                             accuracy_trajectory=trajectory)

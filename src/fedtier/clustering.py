@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import (OPEN_UNIT, ConfigurationError, DegenerateInputError, PreconditionError,
                      check_field_types, check_types, ruled)
-from .linalg import Matrix, frobenius_norm, orthonormal_columns, subspace_overlap
+from .linalg import (Matrix, frobenius_norm, one_blas_thread, orthonormal_columns,
+                     subspace_overlap)
 from .streams import stream
 
 _DEGENERATE_NORM = 1e-300
@@ -252,6 +253,7 @@ def _relabel_by_first_appearance(labels: np.ndarray) -> np.ndarray:
     return np.argsort(np.argsort(first))[inverse].astype(labels.dtype)
 
 
+@one_blas_thread()
 def cluster_clients(tracker: BasisTracker, k_min: int = 2, k_max: int = 10,
                     seed: int = 0, expected_clients: int | None = None) -> ClusterAssignment:
     """Run the full pipeline on the tracker's smoothed bases.
@@ -262,7 +264,8 @@ def cluster_clients(tracker: BasisTracker, k_min: int = 2, k_max: int = 10,
     the eigengap picks K over [max(2, k_min), min(k_max, n - 1)], and
     spectral clustering produces the labels. Fewer
     than three clients cannot support eigengap selection and fall back to a
-    single flagged cluster with all-ones affinities.
+    single flagged cluster with all-ones affinities. BLAS runs on one thread
+    (linalg.one_blas_thread), also when cluster-diag calls it alone.
     """
     check_types(int, k_min=k_min, k_max=k_max)
     clients = sorted(tracker.bases)

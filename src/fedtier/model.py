@@ -9,9 +9,11 @@ one form of its inputs (KernelInputs: stacked frozen weights and active
 factors, built from AdapterPaths or handed over by the stage engine) and one
 step loop over block spans (all blocks in full batch, one in mini batch).
 Its softmax stores the probabilities class-outer, (C, S, blocks, block), so
-each operation runs once over the whole stack's classes; a mini-batch epoch
-shuffles each client's slice of one order buffer in place. The analytic
-tier gradient is that kernel's gradient on a stack of one.
+each operation runs once over the whole stack's classes. Mini-batch row
+orders are drawn once per call, or once per stage by the stage engine
+(epoch_orders: one Generator.permuted call per client), and each epoch
+gathers its row of them from the packed layout. The analytic tier gradient
+is that kernel's gradient on a stack of one.
 Every score is the kernel's too: the loss and the argmax accuracy read the
 same blocks and the same mask of real rows, which a ClientStack's layout
 holds together, so a client scores the same bits alone or in any stack. A
@@ -151,8 +153,8 @@ class ClientStack:
 
     The kernel reads the rows in fixed blocks (see below). ``layout`` packs
     them once per block size into one read-only array, with the mask of its
-    real rows, and ``gather`` copies a shuffle of them out of it into
-    buffers of the caller's own."""
+    real rows, and ``gather`` copies one epoch's order of them out of it
+    into buffers of the caller's own."""
 
     clients: tuple[EncodedData, ...]
 
@@ -196,18 +198,33 @@ class ClientStack:
             self._layouts[block] = z, labels, real
         return self._layouts[block]
 
-    def gather(self, z, labels, orders):
+    def gather(self, z, labels, order):
         """Fill the buffers from ``buffers`` with each client's rows in its
-        order (a permutation of its rows) at the front of its slot, in one
-        indexed copy from the packed layout, and return them. A padding slot
+        order at the front of its slot, in one indexed copy from the packed
+        layout, and return them. ``order`` is one flat row of epoch_orders:
+        each client's permutation of its rows, in stack order. A padding slot
         copies the layout's padding at the same place, a zero row."""
         packed_z, packed_labels, real = self.layout(labels.shape[2])
         slots = np.arange(labels.size).reshape(labels.shape)
-        slots[real] = np.concatenate(orders) + np.repeat(slots[:, 0, 0], self.sizes)
+        slots[real] = order + np.repeat(slots[:, 0, 0], self.sizes)
         np.take(packed_z.reshape(-1, z.shape[-1]), slots.ravel(), axis=0,
                 out=z.reshape(-1, z.shape[-1]), mode="clip")   # "clip" copies unbuffered
         np.take(packed_labels.ravel(), slots.ravel(), out=labels.reshape(-1), mode="clip")
         return z, labels
+
+
+def epoch_orders(rngs, sizes, epochs: int) -> np.ndarray:
+    """The row orders of `epochs` epochs of clients with `sizes` rows: an
+    (epochs, sum(sizes)) array of the smallest unsigned dtype that holds a
+    row index, client s's in its own column range, in client order. One
+    Generator.permuted call per client draws its rows, bitwise those of
+    `epochs` successive rngs[s].shuffle(np.arange(sizes[s])) calls, and
+    leaves rngs[s] in the same state."""
+    orders = np.empty((epochs, sum(sizes)), np.min_scalar_type(max(sizes) - 1))
+    for r, lo, n in zip(rngs, accumulate([0, *sizes]), sizes):
+        r.permuted(np.broadcast_to(np.arange(n, dtype=orders.dtype), (epochs, n)), axis=1,
+                   out=orders[:, lo:lo + n])
+    return orders
 
 
 def _stack_of_one(model: HeadModel, data) -> ClientStack:
@@ -223,7 +240,8 @@ def forward(model: HeadModel, path: AdapterPath, x) -> np.ndarray:
     """Logits (C,) for one input: (w0 + composed update) @ tanh(M x + bias)."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (model.backbone.feature_dim,):
-        raise ConfigurationError(f"input shape {x.shape} does not match feature dim")
+        raise PreconditionError(f"input has shape {x.shape}, the model takes "
+                                f"{model.backbone.feature_dim} features")
     w = compose_path(path, model.w0)
     z = np.tanh(model.backbone.m @ x + model.backbone.bias)
     return w @ z
@@ -331,12 +349,15 @@ def _stack_accuracy(w: np.ndarray, data: ClientStack) -> np.ndarray:
 
 class KernelInputs(NamedTuple):
     """The blocked kernel's inputs for S stacked clients: each client's frozen
-    weight (S, C, h), w0 plus every other tier's update, and the active
-    factors b (S, C, r) and a (S, r, h)."""
+    weight (S, C, h), w0 plus every other tier's update, the active factors
+    b (S, C, r) and a (S, r, h), and in mini batch the row orders of the
+    call's epochs, drawn once up front: an epoch_orders array (epochs, rows),
+    or None to draw them from local_update's rngs."""
 
     frozen: np.ndarray
     b: np.ndarray
     a: np.ndarray
+    orders: np.ndarray | None = None
 
 
 def _stack_inputs(model: HeadModel, paths, active: Tier) -> KernelInputs:
@@ -365,7 +386,7 @@ def tier_gradient(model: HeadModel, path: AdapterPath, data, active: Tier,
     """
     _check_penalty_args(frozen_bases, gammas)
     stack = _stack_of_one(model, data)
-    db, da = _stack_gradient(*_stack_inputs(model, [path], active),
+    db, da = _stack_gradient(*_stack_inputs(model, [path], active)[:3],
                              *stack.layout(_DEFAULT_BATCH)[:2], stack.sizes,
                              [np.asarray(base, dtype=np.float64)[None] for base in frozen_bases],
                              gammas)
@@ -402,9 +423,10 @@ def local_update(model: HeadModel, path, data, active: Tier,
     the same as when it is updated alone. A step that leaves a factor
     non-finite warns nowhere: the adapters refuse it with ConfigurationError,
     and KernelInputs come back unchecked, for the stage engine's own check
-    (federation._check_round). Mini-batch mode needs the rngs for
-    the shuffles; a full-batch step sums the gradients of all of a client's
-    blocks, a mini-batch step takes one block per client.
+    (federation._check_round). Mini-batch mode reads the row orders of
+    KernelInputs, or draws every epoch's from the rngs once, up front
+    (epoch_orders); a full-batch step sums the gradients of all of a
+    client's blocks, a mini-batch step takes one block per client.
     """
     if opt is None:
         raise ConfigurationError("an SgdConfig is required")
@@ -415,40 +437,34 @@ def local_update(model: HeadModel, path, data, active: Tier,
         frozen_bases = [[base] for base in frozen_bases]
     elif not isinstance(data, ClientStack):
         raise ConfigurationError("a list of paths or KernelInputs need a ClientStack")
-    frozen_w, b, a = path if packed else _stack_inputs(model, path, active)
+    frozen_w, b, a, orders = path if packed else _stack_inputs(model, path, active)
     _check_penalty_args(frozen_bases, gammas)
     bases = [np.asarray(entry, dtype=np.float64) for entry in frozen_bases]
     rng = [None] * len(data.clients) if rng is None else rng
     if any(len(x) != len(data.clients) for x in (frozen_w, b, a, rng, *bases)):
         raise ConfigurationError("a client stack needs one path, basis and rng per client")
     mini = opt.batch_mode == "mini"
-    if mini and any(r is None for r in rng):
-        raise ConfigurationError("mini-batch mode needs an rng for shuffling")
-    sizes = data.sizes
-    blocks = -(-sizes // opt.batch_size)
-    # a step runs over a span of blocks: all of them in full batch, one in mini batch
-    spans = [(k, k + 1) for k in range(blocks.max())] if mini else [(0, blocks.max())]
+    if mini and orders is None:
+        if any(r is None for r in rng):
+            raise ConfigurationError("mini-batch mode needs an rng for shuffling")
+        orders = epoch_orders(rng, data.sizes, opt.epochs)
+    blocks = -(-data.sizes // opt.batch_size)
+    # a step runs over a span of blocks: all of them in full batch, one in mini
+    # batch; clients with fewer blocks sit out their missing steps
+    steps = []
+    for lo, hi in [(k, k + 1) for k in range(blocks.max())] if mini else [(0, blocks.max())]:
+        sel = slice(None) if lo < blocks.min() else np.flatnonzero(blocks > lo)
+        steps.append((lo, hi, sel, np.minimum(data.sizes[sel] - lo * opt.batch_size,
+                                              (hi - lo) * opt.batch_size)))
     # full batch reads the stack's cached layout; mini batch gathers each
-    # epoch's shuffle into buffers of this call's own
+    # epoch's order into buffers of this call's own
     z, labels = data.buffers(opt.batch_size) if mini else data.layout(opt.batch_size)[:2]
-    if mini:   # each client's slice of one order buffer, reset to arange(n) each epoch
-        bounds = [0, *accumulate(sizes.tolist())]
-        order, ranks = np.empty(bounds[-1], np.int64), np.arange(bounds[-1])
-        orders = [order[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-        if len(orders) > 1:   # a lone client's ranks are its positions already
-            ranks -= np.repeat(bounds[:-1], sizes)
     # a diverging step warns nowhere: the adapters below or the stage engine refuse it
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(opt.epochs):
-            if mini:   # shuffling arange(n) in place draws what permutation(n) draws
-                order[:] = ranks
-                for r, client_order in zip(rng, orders):
-                    r.shuffle(client_order)
-                data.gather(z, labels, orders)
-            for lo, hi in spans:
-                # clients with fewer blocks sit out their missing steps
-                sel = slice(None) if lo < blocks.min() else np.flatnonzero(blocks > lo)
-                rows = np.minimum(sizes[sel] - lo * opt.batch_size, (hi - lo) * opt.batch_size)
+        for epoch in range(opt.epochs):
+            if mini:
+                data.gather(z, labels, orders[epoch])
+            for lo, hi, sel, rows in steps:
                 db, da = _stack_gradient(frozen_w[sel], b[sel], a[sel], z[sel, lo:hi],
                                          labels[sel, lo:hi], rows, [base[sel] for base in bases],
                                          gammas)

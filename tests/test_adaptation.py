@@ -111,33 +111,42 @@ class TestAdaptUnseen:
 
 
     def test_fine_tune_runs_the_leaf_stage_settings(self, trained_fed, monkeypatch):
-        # every fine-tune epoch is one leaf-stage round: the leaf stage's
-        # optimiser and gammas, penalized against the frozen root and cluster
+        # every fine-tune epoch is one leaf-stage round on the stage engine's
+        # kernel form: the leaf stage's optimiser and gammas, penalized against
+        # the frozen root and cluster, with one epoch of row orders per call
         import fedtier.adaptation as adaptation
         from fedtier.federation import _stage_settings
-        from fedtier.lora import Tier
+        from fedtier.lora import Tier, compose_path
+        from fedtier.model import KernelInputs
         fed = trained_fed
         config = replace(fed.config, gamma_c=0.3, gamma_l=0.7, batch_mode="mini")
         calls = []
 
         def spy(model, path, data, active, frozen_bases=(), gammas=(), opt=None, rng=None):
             if active is Tier.LEAF:
-                calls.append((path, list(frozen_bases), tuple(gammas), opt))
+                calls.append((path, list(frozen_bases), tuple(gammas), opt, len(data)))
             return local_update(model, path, data, active, frozen_bases, gammas, opt=opt,
                                 rng=rng)
 
         monkeypatch.setattr(adaptation, "local_update", spy)
-        result = adapt_unseen(fed.model, fed.data.unseen[2], fed.server, config,
-                              epochs=2, seed=4)
-        _, opt, gammas = _stage_settings(config, Tier.LEAF, len(fed.data.unseen[2].train))
+        client = fed.data.unseen[2]
+        result = adapt_unseen(fed.model, client, fed.server, config, epochs=2, seed=4)
+        _, opt, gammas = _stage_settings(config, Tier.LEAF, len(client.train))
         assert len(calls) == 2
         cluster = fed.server.clusters[result.assigned_cluster]
-        for path, bases, got_gammas, got_opt in calls:
+        without_leaf = replace(result.path, leaf=zero_adapter(*fed.model.w0.shape,
+                                                              config.rank))
+        for inputs, bases, got_gammas, got_opt, rows in calls:
+            assert isinstance(inputs, KernelInputs) and rows == len(client.train)
             assert got_opt == opt and got_opt.epochs == 1 and got_opt.batch_mode == "mini"
             assert got_gammas == gammas == (0.3, 0.7)
             assert len(bases) == len(Tier.LEAF.earlier) == 2
-            assert bases[0] is fed.server.root.b and bases[1] is cluster.b
-            assert path.root is fed.server.root and path.cluster is cluster
+            assert np.array_equal(bases[0], fed.server.root.b[None])
+            assert np.array_equal(bases[1], cluster.b[None])
+            assert np.array_equal(inputs.frozen, compose_path(without_leaf, fed.model.w0)[None])
+            assert inputs.orders.shape == (1, rows)
+            assert sorted(inputs.orders[0].tolist()) == list(range(rows))
+        assert calls[0][0].b is calls[1][0].b   # one KernelInputs, updated in place
 
     @pytest.mark.parametrize("batch_mode", ["full", "mini"])
     def test_each_split_is_packed_once(self, trained_fed, monkeypatch, batch_mode):

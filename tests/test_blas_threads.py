@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fedtier.clustering
 import fedtier.federation
 from fedtier import linalg
 from fedtier.adaptation import adapt_unseen
@@ -66,6 +67,24 @@ def test_each_entry_point_restores_the_callers_count(tiny, two_threads, monkeypa
     assert blas_threads() == 2
     adapt_unseen(fed.model, data.unseen[0], fed.server, config, epochs=1)
     assert blas_threads() == 2
+
+
+@needs_openblas
+def test_clustering_alone_runs_on_one_thread(tiny, two_threads, monkeypatch):
+    # cluster-diag clusters a reloaded tracker outside run_protocol
+    data, config = tiny
+    tracker = run_protocol(config, data).tracker
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(blas_threads())
+        return select_k(*args, **kwargs)
+
+    select_k = fedtier.clustering.select_k
+    monkeypatch.setattr(fedtier.clustering, "select_k", spy)
+    assert blas_threads() == 2
+    fedtier.federation._run_clustering(config, tracker)
+    assert seen == [1] and blas_threads() == 2
 
 
 @needs_openblas

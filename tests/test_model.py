@@ -47,6 +47,15 @@ class TestEncode:
         with pytest.raises(PreconditionError, match="rows have 5 features, the model takes 4"):
             run_protocol(config, data, toy_model)
 
+    def test_a_model_of_another_hidden_dim_is_refused(self, toy_model):
+        # toy_model is 6 wide; the config's hidden_dim would be silently ignored
+        pool = gen_pool(3, 4, 100, 1.0, seed=2)
+        data = partition(pool, GlDir(alpha=1.0), 4, seed=2)
+        config = FederationConfig(n_clients=4, rank=1, t_root=1, t_cluster=1, t_leaf=1,
+                                  total_budget=3, hidden_dim=8)
+        with pytest.raises(ConfigurationError, match="model's hidden_dim is 6, the config's 8"):
+            run_protocol(config, data, toy_model)
+
 
 class TestSamples:
     def test_rejects_1d_features_and_mismatched_label_count(self):
@@ -102,7 +111,7 @@ class TestForward:
         assert np.max(np.abs(forward(toy_model, path, x) - oracle)) <= 1e-12
 
     def test_shape_mismatch(self, toy_model):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(PreconditionError, match=r"input has shape \(5,\), the model takes 4"):
             forward(toy_model, zero_path(3, 6), np.zeros(5))
 
 

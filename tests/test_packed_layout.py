@@ -1,7 +1,7 @@
 """ClientStack packs its clients' rows once: the stored-order block layout and
 the mask of its real rows are cached read-only, and a mini-batch epoch
-gathers its shuffle into buffers of its own call, so reusing one stack never
-changes a bit of any result."""
+gathers its row of epoch_orders into buffers of its own call, so reusing one
+stack never changes a bit of any result."""
 
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from fedtier.lora import AdapterPath, LoraAdapter, Tier, compose_path
-from fedtier.model import (ClientStack, Samples, SgdConfig, build_model, encode, local_update,
-                           _DEFAULT_BATCH, _stack_losses)
+from fedtier.model import (ClientStack, Samples, SgdConfig, build_model, encode, epoch_orders,
+                           local_update, _DEFAULT_BATCH, _stack_losses)
 
 # sizes below, at and above the block size, and not multiples of it
 SIZES = [5, 16, 45, 33, 1]
@@ -103,12 +103,44 @@ def test_gather_writes_each_client_in_its_own_order():
     _, encs, _ = case(seed=4)
     stack = ClientStack(encs)
     orders = [np.random.default_rng(s).permutation(len(e)) for s, e in enumerate(encs)]
-    z, labels = stack.gather(*stack.buffers(16), orders)
+    z, labels = stack.gather(*stack.buffers(16), np.concatenate(orders))
     for s, (e, order) in enumerate(zip(encs, orders)):
         n = len(e)
         assert np.array_equal(z[s].reshape(-1, z.shape[-1])[:n], e.z[order])
         assert np.array_equal(labels[s].reshape(-1)[:n], e.y[order])
         assert not z[s].reshape(-1, z.shape[-1])[n:].any()
+
+
+def successive_shuffles(rng, n, epochs):
+    orders = []
+    for _ in range(epochs):
+        order = np.arange(n)
+        rng.shuffle(order)
+        orders.append(order)
+    return np.stack(orders).reshape(epochs, n)
+
+
+@pytest.mark.parametrize("epochs", [1, 4, 100])
+@pytest.mark.parametrize("n", [1, 2, 58, 256, 257])
+def test_epoch_orders_are_successive_shuffles(n, epochs):
+    # one Generator.permuted call along the rows of a broadcast arange draws
+    # what successive shuffles draw and leaves the generator where they do
+    # (numpy behaviour, checked on numpy 2.4)
+    drawn, shuffled = np.random.default_rng(n), np.random.default_rng(n)
+    orders = epoch_orders([drawn], [n], epochs)
+    assert orders.dtype == (np.uint8 if n <= 256 else np.uint16)
+    assert np.array_equal(orders, successive_shuffles(shuffled, n, epochs))
+    assert drawn.bit_generator.state == shuffled.bit_generator.state
+
+
+def test_epoch_orders_give_each_client_its_own_columns():
+    sizes = [3, 58, 1, 257, 2]
+    orders = epoch_orders([np.random.default_rng(s) for s in range(len(sizes))], sizes, 4)
+    assert orders.shape == (4, sum(sizes)) and orders.dtype == np.uint16
+    bounds = np.cumsum([0, *sizes])
+    for s, n in enumerate(sizes):
+        want = successive_shuffles(np.random.default_rng(s), n, 4)
+        assert np.array_equal(orders[:, bounds[s]:bounds[s + 1]], want)
 
 
 def test_scores_of_one_stack_share_one_real_row_mask():
