@@ -9,8 +9,8 @@ leaf adapter locally: each fine-tune epoch is one round of the leaf stage,
 with that stage's optimiser, gammas and penalty bases (federation's
 _stage_settings and Tier.LEAF.earlier), on the stage engine's kernel form:
 one KernelInputs whose frozen weight is w0 + root + cluster, updated in
-place epoch by epoch, with every epoch's row order drawn once up front and
-every epoch scored at frozen + B A, the path's composed weight bitwise.
+place epoch by epoch and scored at frozen + B A, the path's composed weight
+bitwise; an epoch whose factors go non-finite is refused there.
 """
 
 from dataclasses import dataclass
@@ -20,11 +20,11 @@ import numpy as np
 from .datagen import ClientSplit
 from .errors import NON_NEGATIVE, POSITIVE, ConfigurationError, DegenerateInputError, check_types
 from .federation import FederationConfig, ServerState, _stage_settings
-from .linalg import Matrix, directed_bases, one_blas_thread, subspace_overlap
+from .linalg import Matrix, as_matrix, directed_bases, one_blas_thread, subspace_overlap
 from .lora import AdapterPath, LoraAdapter, Tier, init_adapter, zero_adapter
 from .metrics import accuracy
 from .model import (ClientStack, EncodedData, HeadModel, Samples, SgdConfig, encode,
-                    epoch_orders, local_update, _stack_accuracy, _stack_inputs)
+                    local_update, _stack_accuracy, _stack_inputs)
 from .streams import stream
 
 
@@ -113,11 +113,11 @@ def adapt_unseen(model: HeadModel, client: ClientSplit, server: ServerState,
     _, opt, gammas = _stage_settings(config, Tier.LEAF, len(client.train))
     local = _stack_inputs(model, [path], Tier.LEAF)   # frozen: w0 + root + cluster
     frozen = [path.adapter(tier).b[None] for tier in Tier.LEAF.earlier]
-    # every epoch's row order, drawn once; each local_update call takes one
-    orders = (epoch_orders([stream(seed, "unseen_leaf_shuffle")], train.sizes, epochs)[:, None]
-              if opt.batch_mode == "mini" else [None] * epochs)
-    for rows in orders:   # frozen + B A adds w0, root, cluster, leaf in compose_path's order
-        local_update(model, local._replace(orders=rows), train, Tier.LEAF, frozen, gammas, opt=opt)
+    shuffle = [stream(seed, "unseen_leaf_shuffle")]
+    for _ in range(epochs):   # frozen + B A adds w0, root, cluster, leaf in compose_path's order
+        local_update(model, local, train, Tier.LEAF, frozen, gammas, opt=opt, rng=shuffle)
+        for factor in (local.b, local.a):   # the adapters' rule: a diverged epoch stops here
+            as_matrix(factor, stacked=True)
         trajectory.append(float(_stack_accuracy(local.frozen + local.b @ local.a, test)[0]))
     leaf = LoraAdapter(b=local.b[0], a=local.a[0], rank=config.rank)
     return AdaptationResult(assigned_cluster=j, path=path.replace(Tier.LEAF, leaf),

@@ -40,10 +40,9 @@ its data are derived from them, the assignment's labels and the data.
 Determinism: the local-update kernel lays each client's rows out in fixed
 blocks of batch_size rows and computes every (client, block) slice on its
 own, so a client's bits do not depend on which clients share its stack or
-chunk. Each client draws all of a stage's row orders from its own stream,
-in one draw before the first round, and aggregation reduces in ascending
-member order, so results are identical for any worker count on a given
-machine and BLAS build.
+chunk. Each client draws all of a stage's shuffles from its own stream, and
+aggregation reduces in ascending member order, so results are identical for
+any worker count on a given machine and BLAS build.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -61,7 +60,7 @@ from .errors import (FINITE_POSITIVE, NON_NEGATIVE, OPEN_UNIT, POSITIVE, Configu
 from .linalg import Matrix, as_matrix, frobenius_norm, one_blas_thread, truncated_svd
 from .lora import AdapterPath, LoraAdapter, Tier, compose_path, init_adapter, zero_adapter
 from .model import (BATCH_MODES, ClientStack, HeadModel, KernelInputs, SgdConfig, build_model,
-                    encode, epoch_orders, local_update, _stack_losses)
+                    encode, local_update, _stack_losses)
 from .streams import stream
 
 
@@ -268,11 +267,7 @@ def _run_stage(config: FederationConfig, model: HeadModel, data: FederationData,
     clients' frozen weights (S, C, h), w0 plus the earlier tiers' updates in
     tier order, and penalty bases (S, C, r), one stack per earlier tier's B
     factors, are built once, in client order. A group's aggregation and
-    round-loss weights are weights_root over its members' train sizes. In
-    mini batch, each client's row orders for every round of the stage are
-    drawn from its "<tier>_shuffle" stream once (model.epoch_orders), and
-    round t hands each chunk its epochs' rows of its clients' columns; a
-    stage that stops early leaves its later rows unread. Every
+    round-loss weights are weights_root over its members' train sizes. Every
     round trains on enc itself, so the layouts it caches serve every stage;
     the members of a retired group still run their local update, but
     nothing reads it, and a client's bits do not depend on its stack mates.
@@ -307,13 +302,10 @@ def _run_stage(config: FederationConfig, model: HeadModel, data: FederationData,
     members = [np.flatnonzero(owner == g) for g in range(len(b))]
     weights = [weights_root(train.sizes[m]) for m in members]
     reports = [StageReport(active.value, [], [], 0, "budget", *label) for label in labels]
-    # every client draws the whole stage's row orders from its own stream, once
-    orders = epoch_orders([stream(config.master_seed, f"{active.value}_shuffle", i)
-                           for i in range(config.n_clients)], train.sizes,
-                          budget * opt.epochs) if opt.batch_mode == "mini" else None
+    rngs = [stream(config.master_seed, f"{active.value}_shuffle", i)
+            if opt.batch_mode == "mini" else None for i in range(config.n_clients)]
     parts = [slice(ix[0], ix[-1] + 1) for ix in np.array_split(
         np.arange(config.n_clients), min(config.workers, config.n_clients))]
-    bounds = np.cumsum([0, *train.sizes])   # each client's columns of the orders
     # a single chunk is the stack itself, whose layout the round loss reuses
     chunks = [train] if len(parts) == 1 else [train[part] for part in parts]
     with ThreadPoolExecutor(config.workers) if config.workers > 1 else nullcontext() as pool:
@@ -323,12 +315,10 @@ def _run_stage(config: FederationConfig, model: HeadModel, data: FederationData,
                 break
             local = KernelInputs(member_frozen, b[owner], a[owner])
 
-            def chunk(part, data):   # round t's epochs of the orders, the chunk's columns
-                rows = None if orders is None else orders[
-                    (t - 1) * opt.epochs:t * opt.epochs, bounds[part.start]:bounds[part.stop]]
-                return local_update(model, KernelInputs(*(x[part] for x in local[:3]), rows),
-                                    data, active, [base[part] for base in member_bases], gammas,
-                                    opt=opt)
+            def chunk(part, data):
+                return local_update(model, KernelInputs(*(x[part] for x in local)), data, active,
+                                    [base[part] for base in member_bases], gammas,
+                                    opt=opt, rng=rngs[part])
 
             # each chunk updates its slice of the local factors in place
             list((map if pool is None else pool.map)(chunk, parts, chunks))

@@ -9,10 +9,9 @@ one form of its inputs (KernelInputs: stacked frozen weights and active
 factors, built from AdapterPaths or handed over by the stage engine) and one
 step loop over block spans (all blocks in full batch, one in mini batch).
 Its softmax stores the probabilities class-outer, (C, S, blocks, block), so
-each operation runs once over the whole stack's classes. Mini-batch row
-orders are drawn once per call, or once per stage by the stage engine
-(epoch_orders: one Generator.permuted call per client), and each epoch
-gathers its row of them from the packed layout. The analytic tier gradient
+each operation runs once over the whole stack's classes. A mini-batch
+call draws the row orders of all its epochs up front (epoch_orders), and
+each epoch gathers its row of them from the packed layout. The analytic tier gradient
 is that kernel's gradient on a stack of one.
 Every score is the kernel's too: the loss and the argmax accuracy read the
 same blocks and the same mask of real rows, which a ClientStack's layout
@@ -215,15 +214,16 @@ class ClientStack:
 
 def epoch_orders(rngs, sizes, epochs: int) -> np.ndarray:
     """The row orders of `epochs` epochs of clients with `sizes` rows: an
-    (epochs, sum(sizes)) array of the smallest unsigned dtype that holds a
-    row index, client s's in its own column range, in client order. One
-    Generator.permuted call per client draws its rows, bitwise those of
-    `epochs` successive rngs[s].shuffle(np.arange(sizes[s])) calls, and
-    leaves rngs[s] in the same state."""
-    orders = np.empty((epochs, sum(sizes)), np.min_scalar_type(max(sizes) - 1))
-    for r, lo, n in zip(rngs, accumulate([0, *sizes]), sizes):
-        r.permuted(np.broadcast_to(np.arange(n, dtype=orders.dtype), (epochs, n)), axis=1,
-                   out=orders[:, lo:lo + n])
+    (epochs, sum(sizes)) array, client s's in its own column range, in
+    client order. Each row of client s is one rngs[s].shuffle of
+    arange(sizes[s]) (the draws of permutation), epoch after epoch. The
+    orders are intp, the items Generator.shuffle swaps fastest."""
+    bounds = [0, *accumulate(sizes)]
+    orders = np.empty((epochs, bounds[-1]), np.intp)
+    orders[:] = np.arange(bounds[-1]) - np.repeat(bounds[:-1], sizes)
+    for row in orders:
+        for r, lo, hi in zip(rngs, bounds, bounds[1:]):
+            r.shuffle(row[lo:hi])
     return orders
 
 
@@ -349,15 +349,12 @@ def _stack_accuracy(w: np.ndarray, data: ClientStack) -> np.ndarray:
 
 class KernelInputs(NamedTuple):
     """The blocked kernel's inputs for S stacked clients: each client's frozen
-    weight (S, C, h), w0 plus every other tier's update, the active factors
-    b (S, C, r) and a (S, r, h), and in mini batch the row orders of the
-    call's epochs, drawn once up front: an epoch_orders array (epochs, rows),
-    or None to draw them from local_update's rngs."""
+    weight (S, C, h), w0 plus every other tier's update, and the active
+    factors b (S, C, r) and a (S, r, h)."""
 
     frozen: np.ndarray
     b: np.ndarray
     a: np.ndarray
-    orders: np.ndarray | None = None
 
 
 def _stack_inputs(model: HeadModel, paths, active: Tier) -> KernelInputs:
@@ -386,7 +383,7 @@ def tier_gradient(model: HeadModel, path: AdapterPath, data, active: Tier,
     """
     _check_penalty_args(frozen_bases, gammas)
     stack = _stack_of_one(model, data)
-    db, da = _stack_gradient(*_stack_inputs(model, [path], active)[:3],
+    db, da = _stack_gradient(*_stack_inputs(model, [path], active),
                              *stack.layout(_DEFAULT_BATCH)[:2], stack.sizes,
                              [np.asarray(base, dtype=np.float64)[None] for base in frozen_bases],
                              gammas)
@@ -423,10 +420,10 @@ def local_update(model: HeadModel, path, data, active: Tier,
     the same as when it is updated alone. A step that leaves a factor
     non-finite warns nowhere: the adapters refuse it with ConfigurationError,
     and KernelInputs come back unchecked, for the stage engine's own check
-    (federation._check_round). Mini-batch mode reads the row orders of
-    KernelInputs, or draws every epoch's from the rngs once, up front
-    (epoch_orders); a full-batch step sums the gradients of all of a
-    client's blocks, a mini-batch step takes one block per client.
+    (federation._check_round). Mini-batch mode needs the rngs: it draws
+    every epoch's row orders from them once, up front (epoch_orders); a
+    full-batch step sums the gradients of all of a client's blocks, a
+    mini-batch step takes one block per client.
     """
     if opt is None:
         raise ConfigurationError("an SgdConfig is required")
@@ -437,14 +434,14 @@ def local_update(model: HeadModel, path, data, active: Tier,
         frozen_bases = [[base] for base in frozen_bases]
     elif not isinstance(data, ClientStack):
         raise ConfigurationError("a list of paths or KernelInputs need a ClientStack")
-    frozen_w, b, a, orders = path if packed else _stack_inputs(model, path, active)
+    frozen_w, b, a = path if packed else _stack_inputs(model, path, active)
     _check_penalty_args(frozen_bases, gammas)
     bases = [np.asarray(entry, dtype=np.float64) for entry in frozen_bases]
     rng = [None] * len(data.clients) if rng is None else rng
     if any(len(x) != len(data.clients) for x in (frozen_w, b, a, rng, *bases)):
         raise ConfigurationError("a client stack needs one path, basis and rng per client")
     mini = opt.batch_mode == "mini"
-    if mini and orders is None:
+    if mini:
         if any(r is None for r in rng):
             raise ConfigurationError("mini-batch mode needs an rng for shuffling")
         orders = epoch_orders(rng, data.sizes, opt.epochs)

@@ -113,7 +113,7 @@ class TestAdaptUnseen:
     def test_fine_tune_runs_the_leaf_stage_settings(self, trained_fed, monkeypatch):
         # every fine-tune epoch is one leaf-stage round on the stage engine's
         # kernel form: the leaf stage's optimiser and gammas, penalized against
-        # the frozen root and cluster, with one epoch of row orders per call
+        # the frozen root and cluster, drawing its order from one shuffle stream
         import fedtier.adaptation as adaptation
         from fedtier.federation import _stage_settings
         from fedtier.lora import Tier, compose_path
@@ -124,7 +124,7 @@ class TestAdaptUnseen:
 
         def spy(model, path, data, active, frozen_bases=(), gammas=(), opt=None, rng=None):
             if active is Tier.LEAF:
-                calls.append((path, list(frozen_bases), tuple(gammas), opt, len(data)))
+                calls.append((path, list(frozen_bases), tuple(gammas), opt, len(data), rng))
             return local_update(model, path, data, active, frozen_bases, gammas, opt=opt,
                                 rng=rng)
 
@@ -136,7 +136,7 @@ class TestAdaptUnseen:
         cluster = fed.server.clusters[result.assigned_cluster]
         without_leaf = replace(result.path, leaf=zero_adapter(*fed.model.w0.shape,
                                                               config.rank))
-        for inputs, bases, got_gammas, got_opt, rows in calls:
+        for inputs, bases, got_gammas, got_opt, rows, rng in calls:
             assert isinstance(inputs, KernelInputs) and rows == len(client.train)
             assert got_opt == opt and got_opt.epochs == 1 and got_opt.batch_mode == "mini"
             assert got_gammas == gammas == (0.3, 0.7)
@@ -144,9 +144,38 @@ class TestAdaptUnseen:
             assert np.array_equal(bases[0], fed.server.root.b[None])
             assert np.array_equal(bases[1], cluster.b[None])
             assert np.array_equal(inputs.frozen, compose_path(without_leaf, fed.model.w0)[None])
-            assert inputs.orders.shape == (1, rows)
-            assert sorted(inputs.orders[0].tolist()) == list(range(rows))
+            assert len(rng) == 1 and rng[0] is calls[0][5][0]
         assert calls[0][0].b is calls[1][0].b   # one KernelInputs, updated in place
+
+    @pytest.mark.parametrize("batch_mode", ["full", "mini"])
+    def test_a_diverging_fine_tune_is_refused_at_its_epoch(self, trained_fed, monkeypatch,
+                                                           batch_mode):
+        # the first epoch whose leaf factors go non-finite raises, as the leaf
+        # adapter would, before anything scores it or runs another epoch
+        import warnings
+        import fedtier.adaptation as adaptation
+        from fedtier.lora import Tier
+        fed = trained_fed
+        stage_settings, finite = adaptation._stage_settings, []
+
+        def huge_lr(*args):   # the probe keeps its lr, the fine-tune diverges
+            budget, opt, gammas = stage_settings(*args)
+            return budget, replace(opt, lr=1e300), gammas
+
+        def spy(model, path, data, active, frozen_bases=(), gammas=(), opt=None, rng=None):
+            out = local_update(model, path, data, active, frozen_bases, gammas, opt=opt, rng=rng)
+            if active is Tier.LEAF:
+                finite.append(bool(np.isfinite(path.b).all() and np.isfinite(path.a).all()))
+            return out
+
+        monkeypatch.setattr(adaptation, "_stage_settings", huge_lr)
+        monkeypatch.setattr(adaptation, "local_update", spy)
+        config = replace(fed.config, batch_mode=batch_mode)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match="non-finite"):
+                adapt_unseen(fed.model, fed.data.unseen[2], fed.server, config, epochs=8, seed=4)
+        assert finite and not finite[-1] and all(finite[:-1])
 
     @pytest.mark.parametrize("batch_mode", ["full", "mini"])
     def test_each_split_is_packed_once(self, trained_fed, monkeypatch, batch_mode):
