@@ -11,8 +11,8 @@ step loop over block spans (all blocks in full batch, one in mini batch).
 Its softmax stores the probabilities class-outer, (C, S, blocks, block), so
 each operation runs once over the whole stack's classes. A mini-batch
 call draws the row orders of all its epochs up front (epoch_orders), and
-each epoch gathers its row of them from the packed layout. The analytic tier gradient
-is that kernel's gradient on a stack of one.
+each epoch gathers its row of them from the packed layout. The analytic
+tier gradient is that kernel's gradient on a stack of one.
 Every score is the kernel's too: the loss and the argmax accuracy read the
 same blocks and the same mask of real rows, which a ClientStack's layout
 holds together, so a client scores the same bits alone or in any stack. A
