@@ -10,7 +10,10 @@ with that stage's optimiser, gammas and penalty bases (federation's
 _stage_settings and Tier.LEAF.earlier), on the stage engine's kernel form:
 one KernelInputs whose frozen weight is w0 + root + cluster, updated in
 place epoch by epoch and scored at frozen + B A, the path's composed weight
-bitwise; an epoch whose factors go non-finite is refused there.
+bitwise. After each epoch the leaf stage's round check runs
+(federation._check_round): an epoch whose factors go non-finite, or so large
+that their product could overflow, is refused as a diverged leaf round is,
+before it is scored.
 """
 
 from dataclasses import dataclass
@@ -19,8 +22,8 @@ import numpy as np
 
 from .datagen import ClientSplit
 from .errors import NON_NEGATIVE, POSITIVE, ConfigurationError, DegenerateInputError, check_types
-from .federation import FederationConfig, ServerState, _stage_settings
-from .linalg import Matrix, as_matrix, directed_bases, one_blas_thread, subspace_overlap
+from .federation import FederationConfig, ServerState, _check_round, _stage_settings
+from .linalg import Matrix, directed_bases, one_blas_thread, subspace_overlap
 from .lora import AdapterPath, LoraAdapter, Tier, init_adapter, zero_adapter
 from .metrics import accuracy
 from .model import (ClientStack, EncodedData, HeadModel, Samples, SgdConfig, encode,
@@ -114,10 +117,10 @@ def adapt_unseen(model: HeadModel, client: ClientSplit, server: ServerState,
     local = _stack_inputs(model, [path], Tier.LEAF)   # frozen: w0 + root + cluster
     frozen = [path.adapter(tier).b[None] for tier in Tier.LEAF.earlier]
     shuffle = [stream(seed, "unseen_leaf_shuffle")]
-    for _ in range(epochs):   # frozen + B A adds w0, root, cluster, leaf in compose_path's order
+    # frozen + B A adds w0, root, cluster, leaf in compose_path's order
+    for epoch in range(1, epochs + 1):
         local_update(model, local, train, Tier.LEAF, frozen, gammas, opt=opt, rng=shuffle)
-        for factor in (local.b, local.a):   # the adapters' rule: a diverged epoch stops here
-            as_matrix(factor, stacked=True)
+        _check_round(config, Tier.LEAF, epoch, local)   # refused as a diverged leaf round is
         trajectory.append(float(_stack_accuracy(local.frozen + local.b @ local.a, test)[0]))
     leaf = LoraAdapter(b=local.b[0], a=local.a[0], rank=config.rank)
     return AdaptationResult(assigned_cluster=j, path=path.replace(Tier.LEAF, leaf),

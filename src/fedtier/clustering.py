@@ -33,7 +33,6 @@ class BasisTracker:
 
     decay: float = ruled(OPEN_UNIT)
     bases: dict[int, Matrix] = field(default_factory=dict)
-    rounds: int = 0
 
     def __post_init__(self):
         check_field_types(self)

@@ -25,6 +25,8 @@ stack is given, draws each group's fresh active adapter from the stage's
 holds the stage's state as arrays: each group's active factors and previous
 delta, and each member's penalty bases (the B factors of the earlier tiers)
 and frozen weight (w0 plus the earlier tiers' updates), built once per stage.
+The factors and frozen weights start as one model._stack_inputs call over
+the groups' paths, the one builder of the kernel's inputs from adapters.
 Every round trains the whole stack, so the layouts it caches serve all three
 stages and the metrics' loss pass; a retired group's members still run their
 local update, but nothing reads it. Each round spreads the group factors to
@@ -58,9 +60,9 @@ from .errors import (FINITE_POSITIVE, NON_NEGATIVE, OPEN_UNIT, POSITIVE, Configu
                      PreconditionError, Rule, check_field_types, check_seed, check_types,
                      ruled)
 from .linalg import Matrix, as_matrix, frobenius_norm, one_blas_thread, truncated_svd
-from .lora import AdapterPath, LoraAdapter, Tier, compose_path, init_adapter, zero_adapter
+from .lora import AdapterPath, LoraAdapter, Tier, init_adapter, zero_adapter
 from .model import (BATCH_MODES, ClientStack, HeadModel, KernelInputs, SgdConfig, build_model,
-                    encode, local_update, _stack_losses)
+                    encode, local_update, _stack_inputs, _stack_losses)
 from .streams import stream
 
 
@@ -266,7 +268,10 @@ def _run_stage(config: FederationConfig, model: HeadModel, data: FederationData,
     compares (G, C, h). No earlier tier changes within a stage, so the S
     clients' frozen weights (S, C, h), w0 plus the earlier tiers' updates in
     tier order, and penalty bases (S, C, r), one stack per earlier tier's B
-    factors, are built once, in client order. A group's aggregation and
+    factors, are built once, in client order. The factors and the groups'
+    frozen weights come from one _stack_inputs call over the groups' paths
+    (_path of the frozen tiers and the fresh adapter); the frozen weights
+    are then spread to the members by owner. A group's aggregation and
     round-loss weights are weights_root over its members' train sizes. Every
     round trains on enc itself, so the layouts it caches serve every stage;
     the members of a retired group still run their local update, but
@@ -293,10 +298,10 @@ def _run_stage(config: FederationConfig, model: HeadModel, data: FederationData,
     inits = [init_adapter(*model.w0.shape, config.rank,
                           stream(config.master_seed, f"{active.value}_init", index))
              for index in indices]
-    b, a = np.stack([ad.b for ad in inits]), np.stack([ad.a for ad in inits])
-    # the path checks the frozen adapters' shapes; its tiers after them are zero
-    member_frozen = np.stack([compose_path(_path(config, model, *tiers), model.w0)
-                              for tiers in frozen])[owner]
+    # each group's path holds its frozen tiers, its fresh active adapter, then zero tiers
+    member_frozen, b, a = _stack_inputs(model, [_path(config, model, *tiers, init)
+                                                for tiers, init in zip(frozen, inits)], active)
+    member_frozen = member_frozen[owner]   # the groups' stack is not kept through the rounds
     member_bases = [np.stack([ad.b for ad in tier])[owner] for tier in zip(*frozen)]
     prev = b @ a
     members = [np.flatnonzero(owner == g) for g in range(len(b))]
@@ -371,7 +376,6 @@ def run_root_stage(config: FederationConfig, data: FederationData, model: HeadMo
     EMA tracker each round. Returns the frozen root and the stage report."""
     [root], [report] = _run_stage(config, model, data, enc, Tier.ROOT,
                                   _client_labels(config, data), [(0, (), ())], tracker)
-    tracker.rounds = report.rounds
     return root, report
 
 

@@ -6,8 +6,10 @@ carried by the composed low-rank update on the head weight (class_count ×
 hidden_dim). Cross-entropy loss and plain gradient-descent local updates
 live here: one blocked kernel updates a whole stack of clients at once, with
 one form of its inputs (KernelInputs: stacked frozen weights and active
-factors, built from AdapterPaths or handed over by the stage engine) and one
-step loop over block spans (all blocks in full batch, one in mini batch).
+factors, built from AdapterPaths by one builder, _stack_inputs, for every
+caller) and one step loop over block spans (all blocks in full batch, one in
+mini batch). local_update has two call forms: one AdapterPath, which returns
+a fresh LoraAdapter, or KernelInputs with a ClientStack, updated in place.
 Its softmax stores the probabilities class-outer, (C, S, blocks, block), so
 each operation runs once over the whole stack's classes. A mini-batch
 call draws the row orders of all its epochs up front (epoch_orders), and
@@ -359,9 +361,9 @@ class KernelInputs(NamedTuple):
 
 def _stack_inputs(model: HeadModel, paths, active: Tier) -> KernelInputs:
     """The kernel's checked inputs for stacked clients, one path each: the
-    frozen weight is w0 plus every other tier's update in tier order."""
-    if not isinstance(active, Tier):
-        raise ConfigurationError(f"unknown active tier {active!r}")
+    frozen weight is w0 plus every other tier's update in tier order. It is
+    the one builder of KernelInputs from adapters, for local_update's path
+    form, tier_gradient, the stage engine's start and the unseen fine-tune."""
     adapters = [p.adapter(active) for p in paths]
     if {(ad.p, ad.q, ad.rank) for ad in adapters} != {model.w0.shape + (adapters[0].rank,)}:
         raise ConfigurationError(f"stacked active adapters must share one shape matching "
@@ -408,38 +410,38 @@ def local_update(model: HeadModel, path, data, active: Tier,
                  rng=None):
     """Run `opt.epochs` of gradient descent on the active adapter.
 
-    With one AdapterPath, `data` is its client's Samples, EncodedData or
-    one-client ClientStack, each `frozen_bases` entry one B factor, `rng` one
-    Generator, and a fresh LoraAdapter is returned. With a list of paths,
-    `data` is a ClientStack of their clients, each `frozen_bases` entry and
-    `rng` hold one item per client, and a list of adapters comes back; the
-    input paths and their frozen tiers are left bitwise untouched. With
-    KernelInputs, the stage engine's form, `data` and `frozen_bases` are as
-    for a list, each entry possibly one (S, C, r_f) array, and the inputs'
-    b and a are updated in place and returned. A client's result is bitwise
-    the same as when it is updated alone. A step that leaves a factor
-    non-finite warns nowhere: the adapters refuse it with ConfigurationError,
-    and KernelInputs come back unchecked, for the stage engine's own check
-    (federation._check_round). Mini-batch mode needs the rngs: it draws
-    every epoch's row orders from them once, up front (epoch_orders); a
-    full-batch step sums the gradients of all of a client's blocks, a
+    There are two call forms. With one AdapterPath, `data` is its client's
+    Samples, EncodedData or one-client ClientStack, each `frozen_bases` entry
+    one B factor, `rng` one Generator, and a fresh LoraAdapter is returned;
+    the path is left bitwise untouched. With KernelInputs (built from paths
+    by _stack_inputs), the stage engine's form, `data` is a ClientStack of
+    their clients, each `frozen_bases` entry an (S, C, r_f) stack and `rng`
+    one Generator per client; the inputs' b and a are updated in place and
+    the inputs returned. A client's result is bitwise the same as when it is
+    updated alone. A step that leaves a factor non-finite warns nowhere: the
+    adapter refuses it with ConfigurationError, and KernelInputs come back
+    unchecked, for the stage engine's own check (federation._check_round),
+    which the unseen fine-tune runs too. Mini-batch mode needs the rngs: it
+    draws every epoch's row orders from them once, up front (epoch_orders);
+    a full-batch step sums the gradients of all of a client's blocks, a
     mini-batch step takes one block per client.
     """
     if opt is None:
         raise ConfigurationError("an SgdConfig is required")
-    single, packed = isinstance(path, AdapterPath), isinstance(path, KernelInputs)
+    single = isinstance(path, AdapterPath)
     if single:
         data = _stack_of_one(model, data)
-        path, rng = [path], [rng]
+        path, rng = _stack_inputs(model, [path], active), [rng]
         frozen_bases = [[base] for base in frozen_bases]
-    elif not isinstance(data, ClientStack):
-        raise ConfigurationError("a list of paths or KernelInputs need a ClientStack")
-    frozen_w, b, a = path if packed else _stack_inputs(model, path, active)
+    elif not (isinstance(path, KernelInputs) and isinstance(data, ClientStack)):
+        raise ConfigurationError("local_update takes one AdapterPath, or KernelInputs with a "
+                                 "ClientStack")
+    frozen_w, b, a = path
     _check_penalty_args(frozen_bases, gammas)
     bases = [np.asarray(entry, dtype=np.float64) for entry in frozen_bases]
     rng = [None] * len(data.clients) if rng is None else rng
     if any(len(x) != len(data.clients) for x in (frozen_w, b, a, rng, *bases)):
-        raise ConfigurationError("a client stack needs one path, basis and rng per client")
+        raise ConfigurationError("a client stack needs one input, basis and rng per client")
     mini = opt.batch_mode == "mini"
     if mini:
         if any(r is None for r in rng):
@@ -467,10 +469,7 @@ def local_update(model: HeadModel, path, data, active: Tier,
                                          gammas)
                 b[sel] -= opt.lr * db
                 a[sel] -= opt.lr * da
-    if packed:   # the stage engine checks its factors itself, with the stage and round
-        return b, a
-    out = [LoraAdapter(b=bi, a=ai, rank=b.shape[2]) for bi, ai in zip(b, a)]
-    return out[0] if single else out
+    return LoraAdapter(b=b[0], a=a[0], rank=b.shape[2]) if single else path
 
 
 def objective(model: HeadModel, path: AdapterPath, data, active: Tier,

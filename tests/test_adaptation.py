@@ -150,13 +150,17 @@ class TestAdaptUnseen:
     @pytest.mark.parametrize("batch_mode", ["full", "mini"])
     def test_a_diverging_fine_tune_is_refused_at_its_epoch(self, trained_fed, monkeypatch,
                                                            batch_mode):
-        # the first epoch whose leaf factors go non-finite raises, as the leaf
-        # adapter would, before anything scores it or runs another epoch
+        # a fine-tune epoch is refused as a leaf round is (federation._check_round):
+        # the first epoch past the factor bound raises, before anything scores
+        # it or runs another epoch
         import warnings
         import fedtier.adaptation as adaptation
+        from fedtier.federation import _FACTOR_BOUND
+        from fedtier.linalg import frobenius_norm
         from fedtier.lora import Tier
         fed = trained_fed
-        stage_settings, finite = adaptation._stage_settings, []
+        stage_settings, score = adaptation._stage_settings, adaptation._stack_accuracy
+        within, finite, scored = [], [], []
 
         def huge_lr(*args):   # the probe keeps its lr, the fine-tune diverges
             budget, opt, gammas = stage_settings(*args)
@@ -165,17 +169,30 @@ class TestAdaptUnseen:
         def spy(model, path, data, active, frozen_bases=(), gammas=(), opt=None, rng=None):
             out = local_update(model, path, data, active, frozen_bases, gammas, opt=opt, rng=rng)
             if active is Tier.LEAF:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    bound = frobenius_norm(path.b) * frobenius_norm(path.a)
+                within.append(bool(np.all(bound <= _FACTOR_BOUND)))
                 finite.append(bool(np.isfinite(path.b).all() and np.isfinite(path.a).all()))
             return out
 
+        def scoring(w, stack):
+            scored.append(len(within))
+            return score(w, stack)
+
         monkeypatch.setattr(adaptation, "_stage_settings", huge_lr)
         monkeypatch.setattr(adaptation, "local_update", spy)
+        monkeypatch.setattr(adaptation, "_stack_accuracy", scoring)
         config = replace(fed.config, batch_mode=batch_mode)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ConfigurationError, match="non-finite"):
+            with pytest.raises(ConfigurationError) as refused:
                 adapt_unseen(fed.model, fed.data.unseen[2], fed.server, config, epochs=8, seed=4)
-        assert finite and not finite[-1] and all(finite[:-1])
+        assert within and not within[-1] and all(within[:-1])
+        assert scored == list(range(1, len(within)))
+        assert f"leaf stage diverged in round {len(within)}" in str(refused.value)
+        assert f"lower lr (now {config.lr:g})" in str(refused.value)
+        if batch_mode == "full":   # refused at its first epoch, whose factors are still finite
+            assert len(within) == 1 and finite == [True]
 
     @pytest.mark.parametrize("batch_mode", ["full", "mini"])
     def test_each_split_is_packed_once(self, trained_fed, monkeypatch, batch_mode):

@@ -330,13 +330,11 @@ class TestClusterStage:
     def test_cluster_stage_leaves_the_tracker_untouched(self, trained_fed):
         fed = trained_fed
         before = {i: b.copy() for i, b in fed.tracker.bases.items()}
-        rounds = fed.tracker.rounds
         run_cluster_stage(fed.config, fed.data, fed.model, fed.server.assignment,
                           fed.server.root)
         assert sorted(fed.tracker.bases) == sorted(before)
         for i, b in before.items():
             assert np.array_equal(fed.tracker.bases[i], b)
-        assert fed.tracker.rounds == rounds
 
     def test_penalty_pushes_cluster_bases_off_the_root(self, clustershift_data):
         # paired runs, same seed: strong penalty keeps the root/cluster overlap

@@ -121,9 +121,10 @@ def test_stacked_clients_shuffle_their_own_slices():
     # the three clients share one order buffer: each slice takes its own draws
     net, encs, paths, bases = shuffle_case()
     opt = SgdConfig(lr=LR, epochs=EPOCHS, batch_mode="mini", batch_size=32)
-    out = local_update(net, paths, ClientStack(encs), Tier.LEAF, bases, GAMMAS, opt=opt,
-                       rng=[stream(7, "leaf_shuffle", s) for s in range(len(SIZES))])
+    out = model._stack_inputs(net, paths, Tier.LEAF)
+    local_update(net, out, ClientStack(encs), Tier.LEAF, [np.stack(base) for base in bases],
+                 GAMMAS, opt=opt, rng=[stream(7, "leaf_shuffle", s) for s in range(len(SIZES))])
     for s, (enc, path) in enumerate(zip(encs, paths)):
         _, leaf = twin_steps(net, enc, path, [base[s] for base in bases],
                              stream(7, "leaf_shuffle", s))
-        assert np.array_equal(out[s].b, leaf.b) and np.array_equal(out[s].a, leaf.a)
+        assert np.array_equal(out.b[s], leaf.b) and np.array_equal(out.a[s], leaf.a)

@@ -7,10 +7,10 @@ from fedtier.datagen import GlDir, gen_pool, partition
 from fedtier.errors import ConfigurationError, PreconditionError
 from fedtier.federation import FederationConfig, run_protocol
 from fedtier.lora import AdapterPath, LoraAdapter, Tier, compose_path, orth_penalty_grad, zero_adapter
-from fedtier.model import (ClientStack, FrozenBackbone, HeadModel, Samples, SgdConfig,
-                           build_model, dataset_loss, encode, fd_tier_gradient, forward,
-                           gradient_check, local_update, tier_gradient, _stack_accuracy,
-                           _stack_losses)
+from fedtier.model import (ClientStack, FrozenBackbone, HeadModel, KernelInputs, Samples,
+                           SgdConfig, build_model, dataset_loss, encode, fd_tier_gradient,
+                           forward, gradient_check, local_update, tier_gradient,
+                           _stack_accuracy, _stack_inputs, _stack_losses)
 from oracles import accuracy_oracle, loop_matmul, softmax_loss_oracle
 
 
@@ -326,39 +326,39 @@ class TestStackedLocalUpdate:
     @pytest.mark.parametrize("active,gammas", [(Tier.ROOT, ()), (Tier.CLUSTER, (0.7,)),
                                                (Tier.LEAF, (1.3, 0.0))])
     def test_client_bits_do_not_depend_on_stack_or_chunking(self, batch_mode, active, gammas):
+        # the chunks are sliced as the stage engine slices its stack
         model, encs, paths, bases = stacked_case(1, self.SIZES, active, len(gammas))
         opt = SgdConfig(lr=0.2, epochs=3, batch_mode=batch_mode, batch_size=16)
-        n = len(encs)
+        n, stack, stacks = len(encs), ClientStack(encs), [np.stack(e) for e in bases]
         alone = [local_update(model, paths[s], encs[s], active, [e[s] for e in bases],
                               gammas, opt=opt, rng=streams(n)[s])
                  for s in range(n)]
-        whole = local_update(model, paths, ClientStack(encs), active, bases, gammas,
-                             opt=opt, rng=streams(n))
-        assert isinstance(whole, list) and len(whole) == n
+        whole = _stack_inputs(model, paths, active)
+        assert local_update(model, whole, stack, active, stacks, gammas, opt=opt,
+                            rng=streams(n)) is whole
         for cut in range(1, n):
-            rngs = streams(n)
-            parts = [local_update(model, paths[lo:hi], ClientStack(encs[lo:hi]), active,
-                                  [e[lo:hi] for e in bases], gammas, opt=opt, rng=rngs[lo:hi])
-                     for lo, hi in ((0, cut), (cut, n))]
-            split = parts[0] + parts[1]
-            for ad, ref in zip(split, alone):
-                assert np.array_equal(ad.b, ref.b) and np.array_equal(ad.a, ref.a)
-        for ad, ref, path in zip(whole, alone, paths):
-            assert np.array_equal(ad.b, ref.b) and np.array_equal(ad.a, ref.a)
-            assert not np.array_equal(ad.b, path.adapter(active).b)
+            local, rngs = _stack_inputs(model, paths, active), streams(n)
+            for part in (slice(0, cut), slice(cut, n)):
+                local_update(model, KernelInputs(*(x[part] for x in local)), stack[part], active,
+                             [base[part] for base in stacks], gammas, opt=opt, rng=rngs[part])
+            for s, ref in enumerate(alone):
+                assert np.array_equal(local.b[s], ref.b) and np.array_equal(local.a[s], ref.a)
+        for s, (ref, path) in enumerate(zip(alone, paths)):
+            assert np.array_equal(whole.b[s], ref.b) and np.array_equal(whole.a[s], ref.a)
+            assert not np.array_equal(whole.b[s], path.adapter(active).b)
 
     def test_zero_gamma_penalty_is_skipped(self):
         # a skipped term cannot touch its basis, so even a NaN basis leaves
         # the result bitwise equal to training without that penalty
         model, encs, paths, _ = stacked_case(2, self.SIZES, Tier.CLUSTER, 0)
         opt = SgdConfig(lr=0.2, epochs=2, batch_mode="mini", batch_size=16)
-        nan_bases = [[np.full((5, 2), np.nan) for _ in encs]]
-        skipped = local_update(model, paths, ClientStack(encs), Tier.CLUSTER, nan_bases,
-                               (0.0,), opt=opt, rng=streams(len(encs)))
-        plain = local_update(model, paths, ClientStack(encs), Tier.CLUSTER, opt=opt,
-                             rng=streams(len(encs)))
-        for a, b in zip(skipped, plain):
-            assert np.array_equal(a.b, b.b) and np.array_equal(a.a, b.a)
+        nan_bases = [np.full((len(encs), 5, 2), np.nan)]
+        skipped, plain = (_stack_inputs(model, paths, Tier.CLUSTER) for _ in range(2))
+        local_update(model, skipped, ClientStack(encs), Tier.CLUSTER, nan_bases, (0.0,),
+                     opt=opt, rng=streams(len(encs)))
+        local_update(model, plain, ClientStack(encs), Tier.CLUSTER, opt=opt,
+                     rng=streams(len(encs)))
+        assert np.array_equal(skipped.b, plain.b) and np.array_equal(skipped.a, plain.a)
 
     def test_full_batch_sums_blocks_to_the_full_gradient(self):
         # one full-batch epoch over several blocks is one step along the
@@ -378,25 +378,27 @@ class TestStackedLocalUpdate:
         # is bitwise one step along that client's own tier gradient
         sizes, gammas, lr = [20, 45, 80], (0.5, 1.5), 0.1
         model, encs, paths, bases = stacked_case(5, sizes, Tier.LEAF, 2)
-        out = local_update(model, paths, ClientStack(encs), Tier.LEAF, bases, gammas,
-                           opt=SgdConfig(lr=lr, epochs=3, batch_size=32))
+        out = _stack_inputs(model, paths, Tier.LEAF)
+        local_update(model, out, ClientStack(encs), Tier.LEAF, [np.stack(e) for e in bases],
+                     gammas, opt=SgdConfig(lr=lr, epochs=3, batch_size=32))
         for s, (enc, path) in enumerate(zip(encs, paths)):
             frozen = [e[s] for e in bases]
             for _ in range(3):
                 db, da = tier_gradient(model, path, enc, Tier.LEAF, frozen, gammas)
                 path = path.replace(Tier.LEAF, LoraAdapter(b=path.leaf.b - lr * db,
                                                            a=path.leaf.a - lr * da, rank=2))
-            assert np.array_equal(out[s].b, path.leaf.b)
-            assert np.array_equal(out[s].a, path.leaf.a)
+            assert np.array_equal(out.b[s], path.leaf.b)
+            assert np.array_equal(out.a[s], path.leaf.a)
 
     def test_stack_needs_one_path_and_rng_per_client(self):
         model, encs, paths, _ = stacked_case(4, self.SIZES, Tier.ROOT, 0)
         opt = SgdConfig(lr=0.1, epochs=1, batch_mode="mini")
-        with pytest.raises(ConfigurationError):
-            local_update(model, paths[:2], ClientStack(encs), Tier.ROOT, opt=opt,
-                         rng=streams(len(encs)))
-        with pytest.raises(ConfigurationError):
-            local_update(model, paths, ClientStack(encs), Tier.ROOT, opt=opt)
+        with pytest.raises(ConfigurationError, match="one input, basis and rng per client"):
+            local_update(model, _stack_inputs(model, paths[:2], Tier.ROOT), ClientStack(encs),
+                         Tier.ROOT, opt=opt, rng=streams(len(encs)))
+        with pytest.raises(ConfigurationError, match="needs an rng"):
+            local_update(model, _stack_inputs(model, paths, Tier.ROOT), ClientStack(encs),
+                         Tier.ROOT, opt=opt)
 
     @pytest.mark.parametrize("batch_mode", ["full", "mini"])
     def test_one_path_takes_a_one_client_stack(self, batch_mode):
@@ -415,9 +417,17 @@ class TestStackedLocalUpdate:
         model, encs, paths, _ = stacked_case(7, [5, 16], Tier.ROOT, 0)
         opt = SgdConfig(lr=0.1, epochs=1)
         with pytest.raises(ConfigurationError, match="ClientStack"):
-            local_update(model, paths[:1], encs[0], Tier.ROOT, opt=opt)
+            local_update(model, _stack_inputs(model, paths[:1], Tier.ROOT), encs[0], Tier.ROOT,
+                         opt=opt)
         with pytest.raises(ConfigurationError, match="stack of 2"):
             local_update(model, paths[0], ClientStack(encs), Tier.ROOT, opt=opt)
+
+    def test_a_list_of_paths_is_refused(self):
+        # the two call forms are one path and the stage engine's KernelInputs
+        model, encs, paths, _ = stacked_case(8, [5, 16], Tier.ROOT, 0)
+        with pytest.raises(ConfigurationError, match="one AdapterPath, or KernelInputs"):
+            local_update(model, paths, ClientStack(encs), Tier.ROOT,
+                         opt=SgdConfig(lr=0.1, epochs=1))
 
     def test_empty_stack_rejected(self):
         with pytest.raises(PreconditionError):

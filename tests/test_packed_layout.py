@@ -11,7 +11,7 @@ import pytest
 
 from fedtier.lora import AdapterPath, LoraAdapter, Tier, compose_path
 from fedtier.model import (ClientStack, Samples, SgdConfig, build_model, encode, epoch_orders,
-                           local_update, _DEFAULT_BATCH, _stack_losses)
+                           local_update, _DEFAULT_BATCH, _stack_inputs, _stack_losses)
 
 # sizes below, at and above the block size, and not multiples of it
 SIZES = [5, 16, 45, 33, 1]
@@ -38,12 +38,14 @@ def fresh_streams():
 
 
 def mini_update(model, paths, stack):
-    return local_update(model, paths, stack, Tier.ROOT, opt=MINI, rng=fresh_streams())
+    """The paths' KernelInputs after one mini-batch local_update on stack."""
+    return local_update(model, _stack_inputs(model, paths, Tier.ROOT), stack, Tier.ROOT,
+                        opt=MINI, rng=fresh_streams())
 
 
 def assert_same(left, right):
     for x, y in zip(left, right, strict=True):
-        assert np.array_equal(x.b, y.b) and np.array_equal(x.a, y.a)
+        assert np.array_equal(x, y)
 
 
 def test_repeated_mini_batch_updates_on_one_stack_are_bitwise_equal():
