@@ -116,7 +116,8 @@ def adapt_unseen(model: HeadModel, client: ClientSplit, server: ServerState,
     _, opt, gammas = _stage_settings(config, Tier.LEAF, len(client.train))
     local = _stack_inputs(model, [path], Tier.LEAF)   # frozen: w0 + root + cluster
     frozen = [path.adapter(tier).b[None] for tier in Tier.LEAF.earlier]
-    shuffle = [stream(seed, "unseen_leaf_shuffle")]
+    # only mini batch reads row orders, so only it draws a shuffle stream
+    shuffle = [stream(seed, "unseen_leaf_shuffle") if opt.batch_mode == "mini" else None]
     # frozen + B A adds w0, root, cluster, leaf in compose_path's order
     for epoch in range(1, epochs + 1):
         local_update(model, local, train, Tier.LEAF, frozen, gammas, opt=opt, rng=shuffle)

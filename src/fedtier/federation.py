@@ -224,10 +224,13 @@ _FACTOR_BOUND = np.sqrt(np.finfo(np.float64).max) / 4
 def _check_round(config: FederationConfig, active: Tier, t: int, local: KernelInputs):
     """Refuse round t of the active stage once a member's local factors are
     non-finite, or so large that tracking, aggregating or stop-checking them
-    would overflow: ||B||_F ||A||_F bounds ||B A||_F."""
+    would overflow: ||B||_F ||A||_F bounds ||B A||_F. The product of the
+    squared norms is held to the bound's square, so a non-finite factor (a
+    NaN or inf product) fails it too, and nothing warns."""
+    b, a = (x.reshape(len(x), -1) for x in (local.b, local.a))
     with np.errstate(over="ignore", invalid="ignore"):
-        bound = frobenius_norm(local.b) * frobenius_norm(local.a)
-    if not np.all(bound <= _FACTOR_BOUND):
+        squares = np.add.reduce(b * b, axis=1) * np.add.reduce(a * a, axis=1)
+    if not np.all(squares <= _FACTOR_BOUND ** 2):
         raise ConfigurationError(f"the {active.value} stage diverged in round {t}: its local "
                                  f"factors are non-finite or about to overflow; lower lr "
                                  f"(now {config.lr:g})")

@@ -19,6 +19,7 @@ from fedtier.clustering import ClusterAssignment
 from fedtier.datagen import (ClusterShift, GlDir, Patho, ScDir, gen_pool, load_csv,
                              partition, split_unseen)
 from fedtier.federation import run_protocol
+from fedtier.lora import Tier
 from fedtier.metrics import compute_metrics
 from fedtier.model import Samples
 
@@ -658,6 +659,27 @@ class TestAdapt:
                                  "test_accuracy"]
         assert len(rows) == 2 * 3  # 2 unseen clients x (epochs + 1)
         assert [r["epoch"] for r in rows if r["client_id"] == "0"] == ["0", "1", "2"]
+
+    def test_full_batch_fine_tune_draws_no_shuffle_stream(self, tmp_path, monkeypatch):
+        # full batch reads no row order: every leaf epoch gets rng=[None], and
+        # adapt.csv holds the bytes of a fine-tune handed a shuffle stream
+        assert main(["run", "--config", str(write_config(tmp_path))]) == 0
+        adapt_csv = tmp_path / "run" / "adapt.csv"
+        update, seen, handed = fedtier.adaptation.local_update, [], []
+
+        def spy(model, path, data, active, *args, rng=None, **kwargs):
+            if active is Tier.LEAF:
+                seen.append(rng)
+                rng = [np.random.default_rng(0)] if handed else rng
+            return update(model, path, data, active, *args, rng=rng, **kwargs)
+
+        monkeypatch.setattr(fedtier.adaptation, "local_update", spy)
+        assert main(["adapt", "--run", str(tmp_path / "run"), "--epochs", "3"]) == 0
+        assert seen == [[None]] * 2 * 3   # 2 unseen clients x 3 epochs
+        without = adapt_csv.read_bytes()
+        handed.append(True)
+        assert main(["adapt", "--run", str(tmp_path / "run"), "--epochs", "3"]) == 0
+        assert adapt_csv.read_bytes() == without
 
     def test_run_without_cluster_stage_cannot_route(self, tmp_path, capsys):
         cfg = write_config(tmp_path, **{"federation.t_root": 5, "federation.t_cluster": 0,

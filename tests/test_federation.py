@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -17,8 +18,8 @@ from fedtier.linalg import frobenius_norm
 from fedtier.lora import (AdapterPath, LoraAdapter, Tier, delta, init_adapter,
                           zero_adapter)
 from fedtier.metrics import accuracy
-from fedtier.model import (ClientStack, SgdConfig, build_model, dataset_loss, gradient_check,
-                           local_update)
+from fedtier.model import (ClientStack, KernelInputs, SgdConfig, build_model, dataset_loss,
+                           gradient_check, local_update)
 from fedtier.streams import stream
 from oracles import best_rank_k
 
@@ -197,6 +198,39 @@ class TestStopCheck:
     def test_deltas_of_two_shapes_are_refused(self):
         with pytest.raises(ConfigurationError, match=r"\(2, 2\) and \(3, 3\)"):
             stop_check(np.zeros((2, 2)), np.zeros((3, 3)), 1e-3, 1e-8)
+
+
+class TestCheckRound:
+    """The round check refuses local factors that are non-finite or whose
+    norms multiply past _FACTOR_BOUND, and warns nowhere."""
+
+    BOUND = fedtier.federation._FACTOR_BOUND
+
+    def check(self, b_entry, a_entry):
+        """_check_round on two clients: a healthy one, then one whose b and a
+        hold one nonzero entry each, so ||B||_F ||A||_F is their product."""
+        b, a = np.full((2, 3, 2), 0.5), np.full((2, 2, 4), 0.5)
+        b[1], a[1] = 0.0, 0.0
+        b[1, 2, 1], a[1, 0, 3] = b_entry, a_entry
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fedtier.federation._check_round(small_config(lr=0.25), Tier.CLUSTER, 7,
+                                            KernelInputs(np.zeros((2, 3, 4)), b, a))
+
+    @pytest.mark.parametrize("b_entry, a_entry", [
+        (np.nan, 1.0), (1.0, np.inf), (0.0, np.inf), (1.0, -np.inf),
+        (2.0 ** 60, BOUND / 2.0 ** 60 * (1 + 1e-12)), (BOUND * (1 + 1e-12), 1.0),
+        (1e200, 1e200), (1e200, 0.0)])   # the last: ||B||_F squared overflows
+    def test_refuses_non_finite_factors_and_a_product_over_the_bound(self, b_entry, a_entry):
+        with pytest.raises(ConfigurationError, match=r"the cluster stage diverged in round 7: "
+                                                     r".*lower lr \(now 0\.25\)"):
+            self.check(b_entry, a_entry)
+
+    @pytest.mark.parametrize("b_entry, a_entry", [
+        (2.0 ** 60, BOUND / 2.0 ** 60 * (1 - 1e-12)), (BOUND * (1 - 1e-12), 1.0),
+        (1e150, 1e-150), (0.0, 0.0), (-3.0, 7.0)])
+    def test_accepts_a_product_under_the_bound(self, b_entry, a_entry):
+        self.check(b_entry, a_entry)
 
 
 class TestRootStage:
