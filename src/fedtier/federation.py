@@ -227,10 +227,10 @@ def _check_round(config: FederationConfig, active: Tier, t: int, local: KernelIn
     would overflow: ||B||_F ||A||_F bounds ||B A||_F. The product of the
     squared norms is held to the bound's square, so a non-finite factor (a
     NaN or inf product) fails it too, and nothing warns."""
-    b, a = (x.reshape(len(x), -1) for x in (local.b, local.a))
+    b, a = local.b.reshape(len(local.b), -1), local.a.reshape(len(local.a), -1)
     with np.errstate(over="ignore", invalid="ignore"):
-        squares = np.add.reduce(b * b, axis=1) * np.add.reduce(a * a, axis=1)
-    if not np.all(squares <= _FACTOR_BOUND ** 2):
+        squares = (b * b).sum(axis=1) * (a * a).sum(axis=1)
+    if not (squares <= _FACTOR_BOUND ** 2).all():
         raise ConfigurationError(f"the {active.value} stage diverged in round {t}: its local "
                                  f"factors are non-finite or about to overflow; lower lr "
                                  f"(now {config.lr:g})")
