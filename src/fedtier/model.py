@@ -8,14 +8,13 @@ live here: one blocked kernel updates a whole stack of clients at once, with
 one form of its inputs (KernelInputs: stacked frozen weights and active
 factors, built from AdapterPaths by one builder, _stack_inputs, for every
 caller) and one step plan per call over block spans (all blocks in full
-batch, one in mini batch): each span's views of the inputs, its rows as
-float64, and the flat index of each row's label in the class-outer
-probabilities, made once per call in full batch and once per epoch in mini
-batch. local_update has two call forms: one AdapterPath, which returns a
-fresh LoraAdapter, or KernelInputs with a ClientStack, updated in place.
-Its softmax stores the probabilities class-outer, (C, S, blocks, block), so
+batch, one in mini batch), each with its clients and their rows as float64.
+local_update has two call forms: one AdapterPath, which returns a fresh
+LoraAdapter, or KernelInputs with a ClientStack, updated in place. Its
+softmax stores the probabilities class-outer, (C, S, blocks, block), so
 each operation runs once over the whole stack's classes, and the one-hot
-labels come off in one subtract by flat index. A mini-batch call draws the
+labels come off in one subtract by the flat index of each row's label in
+that array. A mini-batch call draws the
 row orders of all its epochs up front (epoch_orders), and each epoch
 gathers its row of them from the packed layout. The analytic tier gradient
 is that kernel's gradient on a stack of one.
@@ -321,13 +320,11 @@ def _stack_gradient(frozen_w, b, a, z, labels, rows, bases, gammas):
     plus the weighted orthogonality penalties, with respect to (b, a).
 
     frozen_w (S, C, h), b (S, C, r), a (S, r, h), z (S, K, block, h),
-    labels (S, K, block) or their flat index (_label_index) raveled, rows
-    (S,) real rows in z, bases (S, C, r_f) each. Block gradients are summed
-    in block order.
+    labels (S, K, block), rows (S,) real rows in z, bases (S, C, r_f)
+    each. Block gradients are summed in block order.
     """
     resid = _class_probs(frozen_w + b @ a, z)   # minus the one-hot labels, below
-    picks = labels if labels.ndim == 1 else _label_index(labels)
-    resid.transpose(2, 0, 1, 3).reshape(-1)[picks] -= 1.0   # a view: class-outer memory
+    resid.transpose(2, 0, 1, 3).reshape(-1)[_label_index(labels).ravel()] -= 1.0   # a view
     dw = np.add.reduce(resid @ z, axis=1)   # sequential over the blocks, as reduce(np.add)
     dw /= rows[:, None, None]
     db = dw @ a.swapaxes(-1, -2)
@@ -440,13 +437,11 @@ def local_update(model: HeadModel, path, data, active: Tier,
     a full-batch step sums the gradients of all of a client's blocks, a
     mini-batch step takes one block per client.
 
-    The call builds one step plan, an entry per block span: its clients and
-    blocks, its rows as float64 and, when it takes every client, the views
-    of its inputs; a span of fewer clients indexes them again on every step.
-    Each step subtracts the one-hot labels by the flat index of each row's
-    label in the class-outer probabilities (_label_index), made once per
-    call in full batch and once per epoch, after the gather, in mini batch.
-    No buffer is kept across steps or calls.
+    The call builds one step plan, an entry per block span: its blocks, its
+    clients and their rows as float64. Each step indexes its operands from
+    the plan's entry and subtracts the one-hot labels by the flat index of
+    each row's label in the class-outer probabilities (_label_index). No
+    buffer is kept across steps or calls.
     """
     if opt is None:
         raise ConfigurationError("an SgdConfig is required")
@@ -473,33 +468,25 @@ def local_update(model: HeadModel, path, data, active: Tier,
     # full batch reads the stack's cached layout; mini batch gathers each
     # epoch's order into buffers of this call's own
     z, labels = data.buffers(opt.batch_size) if mini else data.layout(opt.batch_size)[:2]
-
-    def span(sel, lo, hi):
-        return frozen_w[sel], b[sel], a[sel], z[sel, lo:hi], [base[sel] for base in bases]
-
-    # the step plan: a span of fewer clients (those with more blocks; the
-    # rest sit out the step) indexes them on every step, as fancy indexing
-    # copies and the gather refills the buffers in place
+    # the step plan: a step runs over a span of blocks, all of them in full
+    # batch, one in mini batch; clients with fewer blocks sit out their
+    # missing steps
     plan = []
     for lo, hi in [(k, k + 1) for k in range(blocks.max())] if mini else [(0, blocks.max())]:
         sel = slice(None) if lo < blocks.min() else np.flatnonzero(blocks > lo)
         rows = np.minimum(data.sizes[sel] - lo * opt.batch_size, (hi - lo) * opt.batch_size)
-        plan.append((sel, lo, hi, rows.astype(np.float64),
-                     span(sel, lo, hi) if isinstance(sel, slice) else None))
+        plan.append((lo, hi, sel, rows.astype(np.float64)))
     # a diverging step warns nowhere: the adapters below or the stage engine refuse it
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(opt.epochs):
             if mini:
                 data.gather(z, labels, orders[epoch])
-            if mini or epoch == 0:   # each span's flat label index, for its epoch's rows
-                picks = [_label_index(labels[sel, lo:hi]).ravel() for sel, lo, hi, *_ in plan]
-            for (sel, lo, hi, rows, views), index in zip(plan, picks):
-                fw, bs, as_, zs, bases_s = span(sel, lo, hi) if views is None else views
-                db, da = _stack_gradient(fw, bs, as_, zs, index, rows, bases_s, gammas)
-                bs -= opt.lr * db
-                as_ -= opt.lr * da
-                if views is None:
-                    b[sel], a[sel] = bs, as_
+            for lo, hi, sel, rows in plan:
+                db, da = _stack_gradient(frozen_w[sel], b[sel], a[sel], z[sel, lo:hi],
+                                         labels[sel, lo:hi], rows, [base[sel] for base in bases],
+                                         gammas)
+                b[sel] -= opt.lr * db
+                a[sel] -= opt.lr * da
     return LoraAdapter(b=b[0], a=a[0], rank=b.shape[2]) if single else path
 
 
