@@ -10,7 +10,10 @@ with that stage's optimiser, gammas and penalty bases (federation's
 _stage_settings and Tier.LEAF.earlier), on the stage engine's kernel form:
 one KernelInputs whose frozen weight is w0 + root + cluster, updated in
 place epoch by epoch and scored at frozen + B A, the path's composed weight
-bitwise. After each epoch the leaf stage's round check runs
+bitwise. In full batch the frozen logits of the client's train rows are
+computed once and read by every epoch's factored step; a mini-batch step
+computes its own. The probe's one full-batch call computes them once.
+After each epoch the leaf stage's round check runs
 (federation._check_round): an epoch whose factors go non-finite, or so large
 that their product could overflow, is refused as a diverged leaf round is,
 before it is scored.
@@ -27,7 +30,7 @@ from .linalg import Matrix, directed_bases, one_blas_thread, subspace_overlap
 from .lora import AdapterPath, LoraAdapter, Tier, init_adapter, zero_adapter
 from .metrics import accuracy
 from .model import (ClientStack, EncodedData, HeadModel, Samples, SgdConfig, encode,
-                    local_update, _stack_accuracy, _stack_inputs)
+                    local_update, _frozen_logits, _stack_accuracy, _stack_inputs)
 from .streams import stream
 
 
@@ -116,11 +119,15 @@ def adapt_unseen(model: HeadModel, client: ClientSplit, server: ServerState,
     _, opt, gammas = _stage_settings(config, Tier.LEAF, len(client.train))
     local = _stack_inputs(model, [path], Tier.LEAF)   # frozen: w0 + root + cluster
     frozen = [path.adapter(tier).b[None] for tier in Tier.LEAF.earlier]
-    # only mini batch reads row orders, so only it draws a shuffle stream
-    shuffle = [stream(seed, "unseen_leaf_shuffle") if opt.batch_mode == "mini" else None]
+    # only mini batch reads row orders, so only it draws a shuffle stream;
+    # only full batch reads the frozen logits, the same in every epoch
+    mini = opt.batch_mode == "mini"
+    shuffle = [stream(seed, "unseen_leaf_shuffle") if mini else None]
+    logits = None if mini else _frozen_logits(local.frozen, train.layout(opt.batch_size)[0])
     # frozen + B A adds w0, root, cluster, leaf in compose_path's order
     for epoch in range(1, epochs + 1):
-        local_update(model, local, train, Tier.LEAF, frozen, gammas, opt=opt, rng=shuffle)
+        local_update(model, local, train, Tier.LEAF, frozen, gammas, opt=opt, rng=shuffle,
+                     frozen_logits=logits)
         _check_round(config, Tier.LEAF, epoch, local)   # refused as a diverged leaf round is
         trajectory.append(float(_stack_accuracy(local.frozen + local.b @ local.a, test)[0]))
     leaf = LoraAdapter(b=local.b[0], a=local.a[0], rank=config.rank)

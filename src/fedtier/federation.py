@@ -24,7 +24,9 @@ stack is given, draws each group's fresh active adapter from the stage's
 "<tier>_init" stream, and fills each group's StageReport round by round. It
 holds the stage's state as arrays: each group's active factors and previous
 delta, and each member's penalty bases (the B factors of the earlier tiers)
-and frozen weight (w0 plus the earlier tiers' updates), built once per stage.
+and frozen weight (w0 plus the earlier tiers' updates), built once per stage;
+in full batch, each chunk's frozen logits (the frozen weights applied to its
+rows, which the kernel's factored step adds B (A z) to) are too.
 The factors and frozen weights start as one model._stack_inputs call over
 the groups' paths, the one builder of the kernel's inputs from adapters.
 Every round trains the whole stack, so the layouts it caches serve all three
@@ -62,7 +64,7 @@ from .errors import (FINITE_POSITIVE, NON_NEGATIVE, OPEN_UNIT, POSITIVE, Configu
 from .linalg import Matrix, as_matrix, frobenius_norm, one_blas_thread, truncated_svd
 from .lora import AdapterPath, LoraAdapter, Tier, init_adapter, zero_adapter
 from .model import (BATCH_MODES, ClientStack, HeadModel, KernelInputs, SgdConfig, build_model,
-                    encode, local_update, _stack_inputs, _stack_losses)
+                    encode, local_update, _frozen_logits, _stack_inputs, _stack_losses)
 from .streams import stream
 
 
@@ -274,11 +276,16 @@ def _run_stage(config: FederationConfig, model: HeadModel, data: FederationData,
     factors, are built once, in client order. The factors and the groups'
     frozen weights come from one _stack_inputs call over the groups' paths
     (_path of the frozen tiers and the fresh adapter); the frozen weights
-    are then spread to the members by owner. A group's aggregation and
-    round-loss weights are weights_root over its members' train sizes. Every
-    round trains on enc itself, so the layouts it caches serve every stage;
-    the members of a retired group still run their local update, but
-    nothing reads it, and a client's bits do not depend on its stack mates.
+    are then spread to the members by owner. In full batch the rows are
+    fixed too, so each chunk's frozen logits (model._frozen_logits of its
+    members' frozen weights over its own layout) are computed once and
+    passed to every round's local update, whose factored step adds
+    B (A z) to them; a mini-batch step computes its own. A group's
+    aggregation and round-loss weights are weights_root over its members'
+    train sizes. Every round trains on enc itself, so the layouts it caches
+    serve every stage; the members of a retired group still run their local
+    update, but nothing reads it, and a client's bits do not depend on its
+    stack mates.
     Each round then:
     - spreads the group factors to the members by owner and runs one local
       update per chunk of the stack (config.workers > 1 splits it into at
@@ -316,6 +323,10 @@ def _run_stage(config: FederationConfig, model: HeadModel, data: FederationData,
         np.arange(config.n_clients), min(config.workers, config.n_clients))]
     # a single chunk is the stack itself, whose layout the round loss reuses
     chunks = [train] if len(parts) == 1 else [train[part] for part in parts]
+    # a full-batch chunk's frozen logits are fixed for the stage: computed
+    # once, from its own layout
+    logits = [_frozen_logits(member_frozen[part], stack.layout(opt.batch_size)[0])
+              if opt.batch_mode == "full" else None for part, stack in zip(parts, chunks)]
     with ThreadPoolExecutor(config.workers) if config.workers > 1 else nullcontext() as pool:
         for t in range(1, budget + 1):
             running = [g for g, report in enumerate(reports) if report.stop_reason == "budget"]
@@ -323,13 +334,13 @@ def _run_stage(config: FederationConfig, model: HeadModel, data: FederationData,
                 break
             local = KernelInputs(member_frozen, b[owner], a[owner])
 
-            def chunk(part, data):
+            def chunk(part, data, frozen_logits):
                 return local_update(model, KernelInputs(*(x[part] for x in local)), data, active,
                                     [base[part] for base in member_bases], gammas,
-                                    opt=opt, rng=rngs[part])
+                                    opt=opt, rng=rngs[part], frozen_logits=frozen_logits)
 
             # each chunk updates its slice of the local factors in place
-            list((map if pool is None else pool.map)(chunk, parts, chunks))
+            list((map if pool is None else pool.map)(chunk, parts, chunks, logits))
             _check_round(config, active, t, local)
             if active is Tier.LEAF:
                 b[running], a[running] = local.b[running], local.a[running]

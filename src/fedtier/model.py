@@ -10,11 +10,18 @@ factors, built from AdapterPaths by one builder, _stack_inputs, for every
 caller) and one step plan per call over block spans (all blocks in full
 batch, one in mini batch), each with its clients and their rows as float64.
 local_update has two call forms: one AdapterPath, which returns a fresh
-LoraAdapter, or KernelInputs with a ClientStack, updated in place. Its
-softmax stores the probabilities class-outer, (C, S, blocks, block), so
-each operation runs once over the whole stack's classes, and the one-hot
-labels come off in one subtract by the flat index of each row's label in
-that array. A mini-batch call draws the
+LoraAdapter, or KernelInputs with a ClientStack, updated in place. A step
+runs in factored form: its logits are the frozen logits (the frozen weight,
+w0 plus every other tier's update, applied to the rows) plus B (A z), and
+dB and dA are taken through A z and B^T times the residual, so no C×h
+weight or weight gradient is formed in a step. The frozen logits stay fixed
+as long as the rows do: a full-batch call takes them as given (the stage
+engine computes them once per stage, the unseen fine-tune once per client)
+or computes them once itself, and a mini-batch step computes its own from
+the rows it gathered. Its softmax stores the probabilities class-outer,
+(C, S, blocks, block), so each operation runs once over the whole stack's
+classes, and the one-hot labels come off in one subtract by the flat index
+of each row's label in that array. A mini-batch call draws the
 row orders of all its epochs up front (epoch_orders), and each epoch
 gathers its row of them from the packed layout. The analytic tier gradient
 is that kernel's gradient on a stack of one.
@@ -264,8 +271,10 @@ def dataset_loss(model: HeadModel, path: AdapterPath, data) -> float:
 # (S, blocks, block, .). Every matmul runs over (client, block) slices of a
 # fixed shape, and numpy's stacked matmul computes each slice exactly as it
 # would alone, so a client's bits never depend on which clients share its
-# stack. Zero-padded rows have zero features, so they add exact zeros to the
-# weight gradient whatever label they carry. Probabilities are stored
+# stack. Zero-padded rows have zero features, and so a zero A z, so they add
+# exact zeros to both factor gradients whatever label they carry. The
+# score passes (loss, accuracy) form each client's C×h weight; a training
+# step does not (_stack_gradient). Probabilities are stored
 # class-outer, (C, S, blocks, block), and read through their (S, blocks, C,
 # block) transpose: each slice's logits matmul writes into that view, and the
 # softmax's max, exp, sum and divide each run once over the classes of the
@@ -282,30 +291,28 @@ def _check_penalty_args(frozen_bases, gammas):
         raise ConfigurationError("frozen_bases and gammas must have equal length")
 
 
-def _class_exps(w: np.ndarray, z: np.ndarray):
-    """Softmax numerators exp(logit - the row's largest) of the rows in z
-    (S, K, block, h) under each client's head weight w (S, C, h), stored
-    class-outer (C, S, K, block), and their per-row sums (S, K, block).
+def _frozen_logits(w: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Logits of the rows in z (S, K, block, h) under each client's weight w
+    (S, C, h), stored class-outer (C, S, K, block): one stacked matmul, each
+    (client, block) slice written into the (S, K, C, block) transpose view."""
+    logits = np.empty((w.shape[1], *z.shape[:3]))
+    np.matmul(w[:, None], z.swapaxes(-1, -2), out=logits.transpose(1, 2, 0, 3))
+    return logits
+
+
+def _softmax_exps(logits: np.ndarray):
+    """Softmax numerators exp(logit - the row's largest) of class-outer
+    logits (C, S, K, block), in place, and their per-row sums (S, K, block).
 
     A sum adds a row's classes in class order, as numpy sums the strided
     class axis of a class-major layout; at block 1 that axis is contiguous
     and numpy sums it pairwise, so a block of one row does too."""
-    exps = np.empty((w.shape[1], *z.shape[:3]))
-    np.matmul(w[:, None], z.swapaxes(-1, -2), out=exps.transpose(1, 2, 0, 3))
-    flat = exps.reshape(len(exps), -1)
+    flat = logits.reshape(len(logits), -1)
     flat -= np.maximum.reduce(flat, axis=0)
     np.exp(flat, out=flat)
-    sums = np.add.reduce(flat, axis=0) if z.shape[2] > 1 else np.add.reduce(flat.T.copy(), axis=1)
-    return exps, sums.reshape(z.shape[:3])
-
-
-def _class_probs(w: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Softmax probabilities (S, K, C, block) of the rows in z (S, K, block,
-    h) under each client's head weight w (S, C, h): a view of the class-outer
-    (C, S, K, block) array."""
-    exps, sums = _class_exps(w, z)
-    exps /= sums
-    return exps.transpose(1, 2, 0, 3)
+    sums = (np.add.reduce(flat, axis=0) if logits.shape[-1] > 1
+            else np.add.reduce(flat.T.copy(), axis=1))
+    return logits, sums.reshape(logits.shape[1:])
 
 
 def _label_index(labels: np.ndarray) -> np.ndarray:
@@ -315,23 +322,40 @@ def _label_index(labels: np.ndarray) -> np.ndarray:
     return labels * labels.size + np.arange(labels.size).reshape(labels.shape)
 
 
-def _stack_gradient(frozen_w, b, a, z, labels, rows, bases, gammas):
+def _stack_gradient(frozen_logits, b, a, z, labels, rows, bases, gammas):
     """Per-client gradient of the mean cross-entropy over the blocks in z,
-    plus the weighted orthogonality penalties, with respect to (b, a).
+    plus the weighted orthogonality penalties, with respect to (b, a), in
+    factored form: the logits are frozen_logits + B (A z), and
+    dB = sum_k resid_k (A z_k)^T / rows, dA = sum_k (B^T resid_k) z_k / rows
+    with resid the softmax minus the one-hot labels, so no C×h weight or
+    weight gradient is formed.
 
-    frozen_w (S, C, h), b (S, C, r), a (S, r, h), z (S, K, block, h),
-    labels (S, K, block), rows (S,) real rows in z, bases (S, C, r_f)
-    each. Block gradients are summed in block order.
+    frozen_logits (C, S, K, block) from _frozen_logits, b (S, C, r),
+    a (S, r, h), z (S, K, block, h), labels (S, K, block), rows (S,) real
+    rows in z, bases (S, C, r_f) each. Block gradients are summed in block
+    order.
     """
-    resid = _class_probs(frozen_w + b @ a, z)   # minus the one-hot labels, below
-    resid.transpose(2, 0, 1, 3).reshape(-1)[_label_index(labels).ravel()] -= 1.0   # a view
-    dw = np.add.reduce(resid @ z, axis=1)   # sequential over the blocks, as reduce(np.add)
-    dw /= rows[:, None, None]
-    db = dw @ a.swapaxes(-1, -2)
-    da = b.swapaxes(-1, -2) @ dw
+    b4, az = b[:, None], a[:, None] @ z.swapaxes(-1, -2)   # (S, 1, C, r), (S, K, r, block)
+    logits = np.empty(frozen_logits.shape)
+    np.matmul(b4, az, out=logits.transpose(1, 2, 0, 3))
+    logits += frozen_logits
+    exps, sums = _softmax_exps(logits)
+    exps /= sums
+    exps.reshape(-1)[_label_index(labels).ravel()] -= 1.0
+    resid = exps.transpose(1, 2, 0, 3)
+    if min(resid.shape[-1], b.shape[-1]) == 1:
+        # at block 1 or rank 1 numpy takes BLAS matrix-vector products,
+        # which sum a strided operand in another order: a contiguous copy
+        # keeps a slice's bits free of the stack's size
+        resid = resid.copy()
+    db = np.add.reduce(resid @ az.swapaxes(-1, -2), axis=1)   # sequential over the blocks
+    da = np.add.reduce((b4.swapaxes(-1, -2) @ resid) @ z, axis=1)
+    rows = rows[:, None, None]
+    db /= rows
+    da /= rows
     for base, gamma in zip(bases, gammas):
         if gamma != 0.0:
-            db = db + gamma * orth_penalty_grad(base, b)
+            db += gamma * orth_penalty_grad(base, b)
     return db, da
 
 
@@ -342,7 +366,7 @@ def _stack_losses(w: np.ndarray, data: ClientStack) -> np.ndarray:
     Only each row's label probability, picked by its flat index, is
     normalised."""
     z, labels, real = data.layout(_DEFAULT_BATCH)
-    exps, sums = _class_exps(w, z)
+    exps, sums = _softmax_exps(_frozen_logits(w, z))
     picked = exps.reshape(-1)[_label_index(labels)]
     picked /= sums
     del exps   # the pass's largest array, freed before the log temporaries
@@ -390,14 +414,16 @@ def tier_gradient(model: HeadModel, path: AdapterPath, data, active: Tier,
     """Analytic gradient of dataset_loss plus the weighted orthogonality
     penalties, taken with respect to the active adapter's (b, a) only.
 
-    This is local_update's full-batch kernel on a stack of one client. The
-    probability clamp in dataset_loss is ignored here; it only binds below
-    1e-12 where the loss surface is flat anyway.
+    This is local_update's full-batch kernel on a stack of one client, its
+    frozen logits computed once from the layout. The probability clamp in
+    dataset_loss is ignored here; it only binds below 1e-12 where the loss
+    surface is flat anyway.
     """
     _check_penalty_args(frozen_bases, gammas)
     stack = _stack_of_one(model, data)
-    db, da = _stack_gradient(*_stack_inputs(model, [path], active),
-                             *stack.layout(_DEFAULT_BATCH)[:2], stack.sizes,
+    frozen_w, b, a = _stack_inputs(model, [path], active)
+    z, labels, _ = stack.layout(_DEFAULT_BATCH)
+    db, da = _stack_gradient(_frozen_logits(frozen_w, z), b, a, z, labels, stack.sizes,
                              [np.asarray(base, dtype=np.float64)[None] for base in frozen_bases],
                              gammas)
     return db[0], da[0]
@@ -418,7 +444,7 @@ class SgdConfig:
 
 def local_update(model: HeadModel, path, data, active: Tier,
                  frozen_bases=(), gammas=(), opt: SgdConfig | None = None,
-                 rng=None):
+                 rng=None, frozen_logits=None):
     """Run `opt.epochs` of gradient descent on the active adapter.
 
     There are two call forms. With one AdapterPath, `data` is its client's
@@ -442,6 +468,15 @@ def local_update(model: HeadModel, path, data, active: Tier,
     the plan's entry and subtracts the one-hot labels by the flat index of
     each row's label in the class-outer probabilities (_label_index). No
     buffer is kept across steps or calls.
+
+    A step runs in factored form on the frozen logits (_stack_gradient). A
+    full-batch call reads them from `frozen_logits`, _frozen_logits of the
+    frozen weights over the stack's layout at opt.batch_size, class-outer
+    (C, S, blocks, block); when None it computes them once. The stage
+    engine passes each chunk's, computed once per stage, and the unseen
+    fine-tune its client's, computed once. A mini-batch step computes its
+    own from the rows it gathered, so passing them in mini batch, or in
+    another shape, is refused with ConfigurationError.
     """
     if opt is None:
         raise ConfigurationError("an SgdConfig is required")
@@ -468,6 +503,12 @@ def local_update(model: HeadModel, path, data, active: Tier,
     # full batch reads the stack's cached layout; mini batch gathers each
     # epoch's order into buffers of this call's own
     z, labels = data.buffers(opt.batch_size) if mini else data.layout(opt.batch_size)[:2]
+    shape = (b.shape[1], *labels.shape)   # class-outer (C, S, blocks, block)
+    if frozen_logits is None:
+        frozen_logits = None if mini else _frozen_logits(frozen_w, z)
+    elif mini or np.shape(frozen_logits) != shape:
+        raise ConfigurationError(f"frozen_logits are taken in full batch only, shaped {shape}; "
+                                 f"got {np.shape(frozen_logits)} in {opt.batch_mode} batch")
     # the step plan: a step runs over a span of blocks, all of them in full
     # batch, one in mini batch; clients with fewer blocks sit out their
     # missing steps
@@ -482,7 +523,11 @@ def local_update(model: HeadModel, path, data, active: Tier,
             if mini:
                 data.gather(z, labels, orders[epoch])
             for lo, hi, sel, rows in plan:
-                db, da = _stack_gradient(frozen_w[sel], b[sel], a[sel], z[sel, lo:hi],
+                # full batch reads the call's frozen logits; a mini-batch
+                # step computes its own from the rows it gathered
+                logits = (_frozen_logits(frozen_w[sel], z[sel, lo:hi]) if mini
+                          else frozen_logits[:, sel, lo:hi])
+                db, da = _stack_gradient(logits, b[sel], a[sel], z[sel, lo:hi],
                                          labels[sel, lo:hi], rows, [base[sel] for base in bases],
                                          gammas)
                 b[sel] -= opt.lr * db

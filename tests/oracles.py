@@ -108,6 +108,30 @@ def class_major_gradient(frozen_w, b, a, z, labels, rows):
     return dw @ a.swapaxes(-1, -2), b.swapaxes(-1, -2) @ dw
 
 
+def class_major_factored_gradient(frozen_w, b, a, z, labels, rows):
+    """dB, dA of the mean cross-entropy over the blocks in z (no penalties),
+    in factored form, one (client, block) slice at a time in class-major
+    (C, block) memory: logits = frozen_w z_k^T + B (A z_k^T), softmax over
+    the classes and the one-hot taken off, then
+    dB = sum_k resid_k (A z_k^T)^T and dA = sum_k (B^T resid_k) z_k, the
+    blocks summed in block order and divided by each client's real rows.
+    No C×h weight is formed."""
+    db, da = [], []
+    for fw, bs, as_, zs, ys, n in zip(frozen_w, b, a, z, labels, rows):
+        parts = []
+        for zk, yk in zip(zs, ys):
+            azk = as_ @ zk.T
+            resid = fw @ zk.T + bs @ azk
+            resid -= resid.max(axis=0)
+            np.exp(resid, out=resid)
+            resid /= resid.sum(axis=0)
+            resid[yk, np.arange(len(yk))] -= 1.0
+            parts.append((resid @ azk.T, (bs.T @ resid) @ zk))
+        db.append(functools.reduce(np.add, [p[0] for p in parts]) / n)
+        da.append(functools.reduce(np.add, [p[1] for p in parts]) / n)
+    return np.stack(db), np.stack(da)
+
+
 def class_major_losses(w, z, labels, real):
     """Each client's mean of -log max(p_label, 1e-12) over the real rows,
     from class_major_probs: each block summed, then the blocks in order."""

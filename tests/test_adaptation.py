@@ -122,11 +122,12 @@ class TestAdaptUnseen:
         config = replace(fed.config, gamma_c=0.3, gamma_l=0.7, batch_mode="mini")
         calls = []
 
-        def spy(model, path, data, active, frozen_bases=(), gammas=(), opt=None, rng=None):
+        def spy(model, path, data, active, frozen_bases=(), gammas=(), opt=None, rng=None,
+                frozen_logits=None):
             if active is Tier.LEAF:
                 calls.append((path, list(frozen_bases), tuple(gammas), opt, len(data), rng))
             return local_update(model, path, data, active, frozen_bases, gammas, opt=opt,
-                                rng=rng)
+                                rng=rng, frozen_logits=frozen_logits)
 
         monkeypatch.setattr(adaptation, "local_update", spy)
         client = fed.data.unseen[2]
@@ -166,8 +167,10 @@ class TestAdaptUnseen:
             budget, opt, gammas = stage_settings(*args)
             return budget, replace(opt, lr=1e300), gammas
 
-        def spy(model, path, data, active, frozen_bases=(), gammas=(), opt=None, rng=None):
-            out = local_update(model, path, data, active, frozen_bases, gammas, opt=opt, rng=rng)
+        def spy(model, path, data, active, frozen_bases=(), gammas=(), opt=None, rng=None,
+                frozen_logits=None):
+            out = local_update(model, path, data, active, frozen_bases, gammas, opt=opt, rng=rng,
+                               frozen_logits=frozen_logits)
             if active is Tier.LEAF:
                 with np.errstate(over="ignore", invalid="ignore"):
                     bound = frobenius_norm(path.b) * frobenius_norm(path.a)

@@ -483,6 +483,23 @@ class TestRunProtocol:
             assert np.array_equal(l1.b, l4.b)
             assert np.array_equal(l1.a, l4.a)
 
+    def test_worker_count_does_not_change_results_on_unequal_clients(self):
+        # full batch: each chunk reads frozen logits computed once per stage
+        # from its own layout, and at workers 3 the chunks (clients 0-1, 2
+        # and 3) pack 3, 4 and 2 blocks of 16 rows against the stack's 4
+        data = uneven_federation()
+        config = small_config(n_clients=4, batch_size=16, t_root=4, t_cluster=3, t_leaf=2,
+                              total_budget=9)
+        blocks = -(-np.asarray(data.train_sizes) // 16)
+        assert [int(blocks[part].max()) for part in np.array_split(np.arange(4), 3)] == [3, 4, 2]
+        fed1, fed3 = (run_protocol(replace(config, workers=w), data) for w in (1, 3))
+        assert np.array_equal(fed1.server.assignment.labels, fed3.server.assignment.labels)
+        assert fed1.server.clusters.keys() == fed3.server.clusters.keys()
+        for ad1, ad3 in zip([fed1.server.root, *fed1.server.clusters.values(), *fed1.leaves],
+                            [fed3.server.root, *fed3.server.clusters.values(), *fed3.leaves],
+                            strict=True):
+            assert np.array_equal(ad1.b, ad3.b) and np.array_equal(ad1.a, ad3.a)
+
     def test_single_client_protocol_runs(self):
         data = tiny_federation(1, seed=9)
         config = small_config(n_clients=1)

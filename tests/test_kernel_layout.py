@@ -1,12 +1,17 @@
-"""The blocked kernel's class-outer softmax and its mini-batch shuffles.
+"""The blocked kernel's class-outer softmax, its factored gradient and its
+mini-batch shuffles.
 
 The kernel stores probabilities class-outer, (C, S, K, block), and reduces
 over the class axis of one (C, S·K·block) array. These tests hold it
 bitwise to the earlier per-slice class-major formula
 (oracles.class_major_probs), at block 1 too, where that layout's classes
-were contiguous and numpy summed them pairwise. The shuffle tests hold every
-mini-batch step to one tier_gradient step on the rows a twin stream's
-permutation(n) picks.
+were contiguous and numpy summed them pairwise. The gradient runs in
+factored form, logits = frozen logits + B (A z), and is held bitwise to the
+same formula taken one slice at a time (oracles.class_major_factored_gradient);
+the weight-form formula (oracles.class_major_gradient) forms frozen + B A and
+sums its products in another order, so it agrees to rounding only. The
+shuffle tests hold every mini-batch step to one tier_gradient step on the
+rows a twin stream's permutation(n) picks.
 """
 
 import itertools
@@ -19,18 +24,23 @@ from fedtier.lora import AdapterPath, LoraAdapter, Tier
 from fedtier.model import (ClientStack, EncodedData, Samples, SgdConfig, build_model, encode,
                            local_update, tier_gradient)
 from fedtier.streams import stream
-from oracles import class_major_gradient, class_major_losses, class_major_probs
+from oracles import (class_major_factored_gradient, class_major_gradient, class_major_losses,
+                     class_major_probs)
 
 H, R = 5, 2
 GRID = list(itertools.product((1, 4, 90), (1, 3), (2, 12, 100)))   # (S, K, C)
+# the factored and weight-form gradients' largest gap over the grid and its
+# blocks, relative to the weight form's largest entry, measured 4.9e-15
+WEIGHT_FORM_RTOL = 1e-14
 
 
 def kernel_outputs(s, k, c, block, monkeypatch):
-    """(_class_probs, dB, dA, _stack_losses) and the class-major oracle's
-    same four, on inputs drawn from one seed per shape. The kernel reads z
-    and labels as non-contiguous [:, 1:k+1] slices of larger arrays; the
-    losses read a stack of s clients that each fill k blocks of the layout
-    at `block`, patched in as the scoring block."""
+    """(the kernel's softmax probabilities as (S, K, C, block), dB, dA,
+    _stack_losses) and the class-major oracles' same four, on inputs drawn
+    from one seed per shape, and the weight-form oracle's (dB, dA). The kernel reads z and labels as non-contiguous
+    [:, 1:k+1] slices of larger arrays; the losses read a stack of s clients
+    that each fill k blocks of the layout at `block`, patched in as the
+    scoring block."""
     rng = np.random.default_rng([s, k, c, block])
     z = rng.normal(size=(s, k + 2, block, H))[:, 1:k + 1]
     labels = rng.integers(c, size=(s, k + 2, block))[:, 1:k + 1]
@@ -41,21 +51,25 @@ def kernel_outputs(s, k, c, block, monkeypatch):
                          for n in sizes])
     w = rng.normal(size=(s, c, H))
     monkeypatch.setattr(model, "_DEFAULT_BATCH", block)
-    new = (model._class_probs(frozen + b @ a, z),
-           *model._stack_gradient(frozen, b, a, z, labels, rows, [], []),
+    exps, sums = model._softmax_exps(model._frozen_logits(frozen + b @ a, z))
+    new = ((exps / sums).transpose(1, 2, 0, 3),
+           *model._stack_gradient(model._frozen_logits(frozen, z), b, a, z, labels, rows, [],
+                                  []),
            model._stack_losses(w, stack))
     ref = (class_major_probs(frozen + b @ a, z),
-           *class_major_gradient(frozen, b, a, z, labels, rows),
+           *class_major_factored_gradient(frozen, b, a, z, labels, rows),
            class_major_losses(w, *stack.layout(block)))
-    return new, ref
+    return new, ref, class_major_gradient(frozen, b, a, z, labels, rows)
 
 
 @pytest.mark.parametrize("s, k, c, block", [(*g, block) for g in GRID for block in (1, 2, 7, 32)])
 def test_kernel_is_bitwise_the_class_major_formula(s, k, c, block, monkeypatch):
-    new, ref = kernel_outputs(s, k, c, block, monkeypatch)
+    new, ref, weight_form = kernel_outputs(s, k, c, block, monkeypatch)
     assert new[0].shape == (s, k, c, block)
     for got, want in zip(new, ref):
         assert np.array_equal(got, want)
+    for got, want in zip(new[1:3], weight_form):
+        assert np.max(np.abs(got - want)) <= WEIGHT_FORM_RTOL * np.max(np.abs(want))
 
 
 SIZES, LR, GAMMAS, EPOCHS = (20, 50, 90), 0.1, (0.5, 1.5), 2   # 1, 2 and 3 blocks of 32

@@ -10,7 +10,7 @@ from fedtier.lora import AdapterPath, LoraAdapter, Tier, compose_path, orth_pena
 from fedtier.model import (ClientStack, FrozenBackbone, HeadModel, KernelInputs, Samples,
                            SgdConfig, build_model, dataset_loss, encode, fd_tier_gradient,
                            forward, gradient_check, local_update, tier_gradient,
-                           _stack_accuracy, _stack_inputs, _stack_losses)
+                           _frozen_logits, _stack_accuracy, _stack_inputs, _stack_losses)
 from oracles import accuracy_oracle, loop_matmul, softmax_loss_oracle
 
 
@@ -389,6 +389,35 @@ class TestStackedLocalUpdate:
                                                            a=path.leaf.a - lr * da, rank=2))
             assert np.array_equal(out.b[s], path.leaf.b)
             assert np.array_equal(out.a[s], path.leaf.a)
+
+    def test_given_frozen_logits_change_no_bit(self):
+        # the stage engine and the fine-tune pass a full-batch call the
+        # frozen logits they computed once; a call without them computes
+        # its own from the layout
+        model, encs, paths, bases = stacked_case(8, self.SIZES, Tier.LEAF, 2)
+        opt, gammas = SgdConfig(lr=0.2, epochs=3, batch_size=16), (0.5, 1.5)
+        stack, stacks = ClientStack(encs), [np.stack(e) for e in bases]
+        own, given = (_stack_inputs(model, paths, Tier.LEAF) for _ in range(2))
+        local_update(model, own, stack, Tier.LEAF, stacks, gammas, opt=opt)
+        logits = _frozen_logits(given.frozen, stack.layout(16)[0])
+        local_update(model, given, stack, Tier.LEAF, stacks, gammas, opt=opt,
+                     frozen_logits=logits)
+        assert np.array_equal(own.b, given.b) and np.array_equal(own.a, given.a)
+        assert not np.array_equal(own.b, _stack_inputs(model, paths, Tier.LEAF).b)
+
+    @pytest.mark.parametrize("batch_mode, cut", [
+        ("mini", lambda logits: logits),                 # mini batch computes its own per step
+        ("full", lambda logits: logits[:, :, :-1]),      # one block short
+        ("full", lambda logits: logits[:, 1:]),          # one client short
+        ("full", lambda logits: logits[1:])])            # one class short
+    def test_frozen_logits_need_full_batch_and_the_layouts_shape(self, batch_mode, cut):
+        model, encs, paths, _ = stacked_case(9, self.SIZES, Tier.ROOT, 0)
+        opt = SgdConfig(lr=0.1, epochs=1, batch_mode=batch_mode, batch_size=16)
+        local, stack = _stack_inputs(model, paths, Tier.ROOT), ClientStack(encs)
+        logits = cut(_frozen_logits(local.frozen, stack.layout(16)[0]))
+        with pytest.raises(ConfigurationError, match="frozen_logits"):
+            local_update(model, local, stack, Tier.ROOT, opt=opt, rng=streams(len(encs)),
+                         frozen_logits=logits)
 
     def test_stack_needs_one_path_and_rng_per_client(self):
         model, encs, paths, _ = stacked_case(4, self.SIZES, Tier.ROOT, 0)
