@@ -6,14 +6,16 @@ top of the frozen root, takes the dominant left subspace of the probe's B
 factor, and joins the cluster whose representative subspace it overlaps most.
 It can then serve immediately through root + cluster, or refine a private
 leaf adapter locally: each fine-tune epoch is one round of the leaf stage,
-with that stage's optimiser, gammas and penalty bases (federation's
-_stage_settings and Tier.LEAF.earlier), on the stage engine's kernel form:
-one KernelInputs whose frozen weight is w0 + root + cluster, updated in
-place epoch by epoch and scored at frozen + B A, the path's composed weight
-bitwise. In full batch the frozen logits of the client's train rows are
-computed once and read by every epoch's factored step; a mini-batch step
-computes its own. The probe's one full-batch call computes them once.
-After each epoch the leaf stage's round check runs
+with that stage's optimiser and gammas (federation's _stage_settings), on
+the stage engine's kernel form: one KernelInputs built once from the
+client's path (model._stack_inputs), whose frozen weight is
+w0 + root + cluster and whose penalty bases are the root and cluster B
+factors (Tier.LEAF.earlier), updated in place epoch by epoch and scored at
+frozen + B A, the path's composed weight bitwise. In full batch the frozen
+logits of the client's train rows are computed once and read by every
+epoch's factored step; a mini-batch step computes its own. The probe's one
+full-batch call computes them once; it passes no gammas, so the probe
+trains without a penalty. After each epoch the leaf stage's round check runs
 (federation._check_round): an epoch whose factors go non-finite, or so large
 that their product could overflow, is refused as a diverged leaf round is,
 before it is scored.
@@ -72,7 +74,7 @@ def probe_basis(model: HeadModel, train: Samples | EncodedData | ClientStack,
     probe = init_adapter(p, q, rank, stream(seed, "probe_init"))
     path = AdapterPath(root=root_star, cluster=probe, leaf=zero_adapter(p, q, rank))
     opt = SgdConfig(lr=lr, epochs=steps, batch_mode="full")
-    trained = local_update(model, path, train, Tier.CLUSTER, (), (), opt=opt)
+    trained = local_update(model, path, train, Tier.CLUSTER, opt=opt)   # no gammas: no penalty
     basis, spans = directed_bases(trained.b, rank)
     if not spans:
         raise DegenerateInputError("probe basis stayed numerically zero")
@@ -117,8 +119,8 @@ def adapt_unseen(model: HeadModel, client: ClientSplit, server: ServerState,
     # the fresh leaf has b = 0, so this is exactly the root+cluster model
     trajectory = [accuracy(model, path, test)]
     _, opt, gammas = _stage_settings(config, Tier.LEAF, len(client.train))
-    local = _stack_inputs(model, [path], Tier.LEAF)   # frozen: w0 + root + cluster
-    frozen = [path.adapter(tier).b[None] for tier in Tier.LEAF.earlier]
+    # frozen: w0 + root + cluster; penalty bases: the root and cluster B factors
+    local = _stack_inputs(model, [path], Tier.LEAF)
     # only mini batch reads row orders, so only it draws a shuffle stream;
     # only full batch reads the frozen logits, the same in every epoch
     mini = opt.batch_mode == "mini"
@@ -126,7 +128,7 @@ def adapt_unseen(model: HeadModel, client: ClientSplit, server: ServerState,
     logits = None if mini else _frozen_logits(local.frozen, train.layout(opt.batch_size)[0])
     # frozen + B A adds w0, root, cluster, leaf in compose_path's order
     for epoch in range(1, epochs + 1):
-        local_update(model, local, train, Tier.LEAF, frozen, gammas, opt=opt, rng=shuffle,
+        local_update(model, local, train, Tier.LEAF, gammas, opt=opt, rng=shuffle,
                      frozen_logits=logits)
         _check_round(config, Tier.LEAF, epoch, local)   # refused as a diverged leaf round is
         trajectory.append(float(_stack_accuracy(local.frozen + local.b @ local.a, test)[0]))

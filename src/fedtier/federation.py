@@ -23,12 +23,13 @@ count and the assignment's labels; the engine encodes the clients when no
 stack is given, draws each group's fresh active adapter from the stage's
 "<tier>_init" stream, and fills each group's StageReport round by round. It
 holds the stage's state as arrays: each group's active factors and previous
-delta, and each member's penalty bases (the B factors of the earlier tiers)
-and frozen weight (w0 plus the earlier tiers' updates), built once per stage;
-in full batch, each chunk's frozen logits (the frozen weights applied to its
-rows, which the kernel's factored step adds B (A z) to) are too.
-The factors and frozen weights start as one model._stack_inputs call over
-the groups' paths, the one builder of the kernel's inputs from adapters.
+delta, and each member's penalty bases (the B factors of the earlier tiers
+on its path) and frozen weight (w0 plus the earlier tiers' updates), built
+once per stage; in full batch, each chunk's frozen logits (the frozen
+weights applied to its rows, which the kernel's factored step adds B (A z)
+to) are too. The factors, frozen weights and penalty bases start as one
+model._stack_inputs call over the groups' paths, the one builder of the
+kernel's inputs from adapters, spread once to the members.
 Every round trains the whole stack, so the layouts it caches serve all three
 stages and the metrics' loss pass; a retired group's members still run their
 local update, but nothing reads it. Each round spreads the group factors to
@@ -272,11 +273,12 @@ def _run_stage(config: FederationConfig, model: HeadModel, data: FederationData,
     (G, C, r) and a (G, r, h) and the delta each group's next stop check
     compares (G, C, h). No earlier tier changes within a stage, so the S
     clients' frozen weights (S, C, h), w0 plus the earlier tiers' updates in
-    tier order, and penalty bases (S, C, r), one stack per earlier tier's B
-    factors, are built once, in client order. The factors and the groups'
-    frozen weights come from one _stack_inputs call over the groups' paths
-    (_path of the frozen tiers and the fresh adapter); the frozen weights
-    are then spread to the members by owner. In full batch the rows are
+    tier order, and penalty bases, one (S, C, r) stack of B factors per
+    earlier tier, are built once, in client order. All of them come from
+    one _stack_inputs call over the groups' paths (_path of the frozen tiers
+    and the fresh adapter), whose KernelInputs are then spread to the
+    members by owner (KernelInputs.select); each round's inputs are that
+    spread with the members' current factors. In full batch the rows are
     fixed too, so each chunk's frozen logits (model._frozen_logits of its
     members' frozen weights over its own layout) are computed once and
     passed to every round's local update, whose factored step adds
@@ -309,10 +311,12 @@ def _run_stage(config: FederationConfig, model: HeadModel, data: FederationData,
                           stream(config.master_seed, f"{active.value}_init", index))
              for index in indices]
     # each group's path holds its frozen tiers, its fresh active adapter, then zero tiers
-    member_frozen, b, a = _stack_inputs(model, [_path(config, model, *tiers, init)
-                                                for tiers, init in zip(frozen, inits)], active)
-    member_frozen = member_frozen[owner]   # the groups' stack is not kept through the rounds
-    member_bases = [np.stack([ad.b for ad in tier])[owner] for tier in zip(*frozen)]
+    spread = _stack_inputs(model, [_path(config, model, *tiers, init)
+                                   for tiers, init in zip(frozen, inits)], active)
+    b, a = spread.b, spread.a
+    # each member's frozen weight and penalty bases, spread once; the groups'
+    # stacks are not kept through the rounds
+    spread = spread.select(owner)
     prev = b @ a
     members = [np.flatnonzero(owner == g) for g in range(len(b))]
     weights = [weights_root(train.sizes[m]) for m in members]
@@ -325,19 +329,18 @@ def _run_stage(config: FederationConfig, model: HeadModel, data: FederationData,
     chunks = [train] if len(parts) == 1 else [train[part] for part in parts]
     # a full-batch chunk's frozen logits are fixed for the stage: computed
     # once, from its own layout
-    logits = [_frozen_logits(member_frozen[part], stack.layout(opt.batch_size)[0])
+    logits = [_frozen_logits(spread.frozen[part], stack.layout(opt.batch_size)[0])
               if opt.batch_mode == "full" else None for part, stack in zip(parts, chunks)]
     with ThreadPoolExecutor(config.workers) if config.workers > 1 else nullcontext() as pool:
         for t in range(1, budget + 1):
             running = [g for g, report in enumerate(reports) if report.stop_reason == "budget"]
             if not running:
                 break
-            local = KernelInputs(member_frozen, b[owner], a[owner])
+            local = spread._replace(b=b[owner], a=a[owner])
 
             def chunk(part, data, frozen_logits):
-                return local_update(model, KernelInputs(*(x[part] for x in local)), data, active,
-                                    [base[part] for base in member_bases], gammas,
-                                    opt=opt, rng=rngs[part], frozen_logits=frozen_logits)
+                return local_update(model, local.select(part), data, active, gammas, opt=opt,
+                                    rng=rngs[part], frozen_logits=frozen_logits)
 
             # each chunk updates its slice of the local factors in place
             list((map if pool is None else pool.map)(chunk, parts, chunks, logits))
@@ -355,7 +358,7 @@ def _run_stage(config: FederationConfig, model: HeadModel, data: FederationData,
             stopped, rho = stop_check(prev[running], delta_new, config.tau_rel, config.eps)
             prev[running] = delta_new
             del delta_new   # not kept through the loss pass, the round's memory peak
-            losses = _stack_losses(member_frozen + (b @ a)[owner], train)
+            losses = _stack_losses(spread.frozen + (b @ a)[owner], train)
             for g, stop, r in zip(running, stopped, rho):
                 reports[g].rho.append(float(r))
                 reports[g].rounds = len(reports[g].rho)

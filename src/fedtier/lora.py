@@ -28,7 +28,10 @@ class Tier(Enum):
     @property
     def earlier(self) -> list["Tier"]:
         """The tiers before this one in the cascade, frozen and penalized while it trains."""
-        return list(Tier)[:list(Tier).index(self)]
+        return list(_CASCADE[:_CASCADE.index(self)])
+
+
+_CASCADE = tuple(Tier)   # iterating an Enum costs microseconds; the kernel reads this per call
 
 
 @dataclass

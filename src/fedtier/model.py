@@ -5,10 +5,13 @@ The backbone z = tanh(M x + bias) is fixed at construction; all learning is
 carried by the composed low-rank update on the head weight (class_count ×
 hidden_dim). Cross-entropy loss and plain gradient-descent local updates
 live here: one blocked kernel updates a whole stack of clients at once, with
-one form of its inputs (KernelInputs: stacked frozen weights and active
-factors, built from AdapterPaths by one builder, _stack_inputs, for every
-caller) and one step plan per call over block spans (all blocks in full
-batch, one in mini batch), each with its clients and their rows as float64.
+one form of its inputs (KernelInputs: stacked frozen weights, active factors
+and penalty bases, built from AdapterPaths by one builder, _stack_inputs,
+for every caller) and one step plan per call over block spans (all blocks in
+full batch, one in mini batch), each with its clients and their rows as
+float64. The cross-tier orthogonality penalty holds the active B against the
+B factor of each of the path's own tiers before it in the cascade
+(Tier.earlier), one stack per tier, weighted by the gamma in the same place.
 local_update has two call forms: one AdapterPath, which returns a fresh
 LoraAdapter, or KernelInputs with a ClientStack, updated in place. A step
 runs in factored form: its logits are the frozen logits (the frozen weight,
@@ -286,9 +289,15 @@ _DEFAULT_BATCH = 32
 BATCH_MODES = one_of("full", "mini")   # shared with FederationConfig.batch_mode
 
 
-def _check_penalty_args(frozen_bases, gammas):
-    if len(frozen_bases) != len(gammas):
-        raise ConfigurationError("frozen_bases and gammas must have equal length")
+def _check_gammas(active: Tier, gammas):
+    """The penalty weights' one rule: none, or one finite, non-negative real
+    per tier in active.earlier, each pairing with that tier's B factor."""
+    if not isinstance(active, Tier):
+        raise ConfigurationError(f"unknown tier {active!r}")
+    if len(gammas) not in (0, len(active.earlier)):
+        raise ConfigurationError(f"the {active.value} tier takes no gammas or one per earlier "
+                                 f"tier ({len(active.earlier)}); got {len(gammas)}")
+    check_types(float, NON_NEGATIVE, **{f"gammas[{i}]": g for i, g in enumerate(gammas)})
 
 
 def _frozen_logits(w: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -386,19 +395,30 @@ def _stack_accuracy(w: np.ndarray, data: ClientStack) -> np.ndarray:
 
 class KernelInputs(NamedTuple):
     """The blocked kernel's inputs for S stacked clients: each client's frozen
-    weight (S, C, h), w0 plus every other tier's update, and the active
-    factors b (S, C, r) and a (S, r, h)."""
+    weight (S, C, h), w0 plus every other tier's update, the active factors
+    b (S, C, r) and a (S, r, h), and the penalty bases: one (S, C, r_t)
+    stack of B factors per tier in active.earlier, in cascade order, so the
+    tiers of a path may differ in rank."""
 
     frozen: np.ndarray
     b: np.ndarray
     a: np.ndarray
+    bases: tuple
+
+    def select(self, part) -> "KernelInputs":
+        """The inputs of the clients at `part`, a slice (views, which an
+        update writes through) or an index array (copies, in that order)."""
+        return KernelInputs(self.frozen[part], self.b[part], self.a[part],
+                            tuple(base[part] for base in self.bases))
 
 
 def _stack_inputs(model: HeadModel, paths, active: Tier) -> KernelInputs:
     """The kernel's checked inputs for stacked clients, one path each: the
-    frozen weight is w0 plus every other tier's update in tier order. It is
-    the one builder of KernelInputs from adapters, for local_update's path
-    form, tier_gradient, the stage engine's start and the unseen fine-tune."""
+    frozen weight is w0 plus every other tier's update in tier order, and the
+    penalty bases are the B factors of the path's tiers in active.earlier. It
+    is the one builder of KernelInputs, and so of penalty bases, from
+    adapters: for local_update's path form, tier_gradient, the stage engine's
+    start and the unseen fine-tune."""
     adapters = [p.adapter(active) for p in paths]
     if {(ad.p, ad.q, ad.rank) for ad in adapters} != {model.w0.shape + (adapters[0].rank,)}:
         raise ConfigurationError(f"stacked active adapters must share one shape matching "
@@ -406,25 +426,28 @@ def _stack_inputs(model: HeadModel, paths, active: Tier) -> KernelInputs:
     frozen = [reduce(np.add, (delta(p.adapter(t)) for t in Tier if t is not active), model.w0)
               for p in paths]
     return KernelInputs(np.stack(frozen), np.stack([ad.b for ad in adapters]),
-                        np.stack([ad.a for ad in adapters]))
+                        np.stack([ad.a for ad in adapters]),
+                        tuple(np.stack([p.adapter(t).b for p in paths]) for t in active.earlier))
 
 
 def tier_gradient(model: HeadModel, path: AdapterPath, data, active: Tier,
-                  frozen_bases=(), gammas=()) -> tuple[Matrix, Matrix]:
+                  gammas=()) -> tuple[Matrix, Matrix]:
     """Analytic gradient of dataset_loss plus the weighted orthogonality
-    penalties, taken with respect to the active adapter's (b, a) only.
+    penalties, taken with respect to the active adapter's (b, a) only: the
+    active B is penalized against the B factor of each of the path's tiers
+    in active.earlier, weighted by the gamma in the same place (no gammas,
+    no penalty; see _check_gammas).
 
     This is local_update's full-batch kernel on a stack of one client, its
     frozen logits computed once from the layout. The probability clamp in
     dataset_loss is ignored here; it only binds below 1e-12 where the loss
     surface is flat anyway.
     """
-    _check_penalty_args(frozen_bases, gammas)
+    _check_gammas(active, gammas)
     stack = _stack_of_one(model, data)
-    frozen_w, b, a = _stack_inputs(model, [path], active)
+    frozen_w, b, a, bases = _stack_inputs(model, [path], active)
     z, labels, _ = stack.layout(_DEFAULT_BATCH)
-    db, da = _stack_gradient(_frozen_logits(frozen_w, z), b, a, z, labels, stack.sizes,
-                             [np.asarray(base, dtype=np.float64)[None] for base in frozen_bases],
+    db, da = _stack_gradient(_frozen_logits(frozen_w, z), b, a, z, labels, stack.sizes, bases,
                              gammas)
     return db[0], da[0]
 
@@ -442,26 +465,31 @@ class SgdConfig:
         check_field_types(self)
 
 
-def local_update(model: HeadModel, path, data, active: Tier,
-                 frozen_bases=(), gammas=(), opt: SgdConfig | None = None,
+def local_update(model: HeadModel, path, data, active: Tier, gammas=(), *, opt: SgdConfig,
                  rng=None, frozen_logits=None):
     """Run `opt.epochs` of gradient descent on the active adapter.
 
+    The active B is penalized against the B factor of each of the path's
+    tiers in active.earlier, weighted by the gamma in the same place: no
+    gammas, no penalty (the rule is _check_gammas). Those factors come with
+    the inputs (KernelInputs.bases), so no caller passes them; opt, rng and
+    frozen_logits are keyword-only.
+
     There are two call forms. With one AdapterPath, `data` is its client's
-    Samples, EncodedData or one-client ClientStack, each `frozen_bases` entry
-    one B factor, `rng` one Generator, and a fresh LoraAdapter is returned;
-    the path is left bitwise untouched. With KernelInputs (built from paths
-    by _stack_inputs), the stage engine's form, `data` is a ClientStack of
-    their clients, each `frozen_bases` entry an (S, C, r_f) stack and `rng`
-    one Generator per client; the inputs' b and a are updated in place and
-    the inputs returned. A client's result is bitwise the same as when it is
-    updated alone. A step that leaves a factor non-finite warns nowhere: the
-    adapter refuses it with ConfigurationError, and KernelInputs come back
-    unchecked, for the stage engine's own check (federation._check_round),
-    which the unseen fine-tune runs too. Mini-batch mode needs the rngs: it
-    draws every epoch's row orders from them once, up front (epoch_orders);
-    a full-batch step sums the gradients of all of a client's blocks, a
-    mini-batch step takes one block per client.
+    Samples, EncodedData or one-client ClientStack, `rng` one Generator,
+    and a fresh LoraAdapter is returned; the path is left bitwise
+    untouched. With KernelInputs (built from paths by _stack_inputs for the
+    same active tier), the stage engine's form, `data` is a ClientStack of
+    their clients and `rng` one Generator per client; the inputs' b and a
+    are updated in place and the inputs returned. A client's result is
+    bitwise the same as when it is updated alone. A step that leaves a factor non-finite warns nowhere:
+    the adapter refuses it with ConfigurationError, and KernelInputs come
+    back unchecked, for the stage engine's own check
+    (federation._check_round), which the unseen fine-tune runs too.
+    Mini-batch mode needs the rngs: it draws every epoch's row orders from
+    them once, up front (epoch_orders); a full-batch step sums the
+    gradients of all of a client's blocks, a mini-batch step takes one
+    block per client.
 
     The call builds one step plan, an entry per block span: its blocks, its
     clients and their rows as float64. Each step indexes its operands from
@@ -478,19 +506,15 @@ def local_update(model: HeadModel, path, data, active: Tier,
     own from the rows it gathered, so passing them in mini batch, or in
     another shape, is refused with ConfigurationError.
     """
-    if opt is None:
-        raise ConfigurationError("an SgdConfig is required")
+    _check_gammas(active, gammas)
     single = isinstance(path, AdapterPath)
     if single:
         data = _stack_of_one(model, data)
         path, rng = _stack_inputs(model, [path], active), [rng]
-        frozen_bases = [[base] for base in frozen_bases]
     elif not (isinstance(path, KernelInputs) and isinstance(data, ClientStack)):
         raise ConfigurationError("local_update takes one AdapterPath, or KernelInputs with a "
                                  "ClientStack")
-    frozen_w, b, a = path
-    _check_penalty_args(frozen_bases, gammas)
-    bases = [np.asarray(entry, dtype=np.float64) for entry in frozen_bases]
+    frozen_w, b, a, bases = path
     rng = [None] * len(data.clients) if rng is None else rng
     if any(len(x) != len(data.clients) for x in (frozen_w, b, a, rng, *bases)):
         raise ConfigurationError("a client stack needs one input, basis and rng per client")
@@ -535,21 +559,24 @@ def local_update(model: HeadModel, path, data, active: Tier,
     return LoraAdapter(b=b[0], a=a[0], rank=b.shape[2]) if single else path
 
 
-def objective(model: HeadModel, path: AdapterPath, data, active: Tier,
-              frozen_bases=(), gammas=()) -> float:
-    """dataset_loss plus the active tier's weighted orthogonality penalties."""
-    _check_penalty_args(frozen_bases, gammas)
+def objective(model: HeadModel, path: AdapterPath, data, active: Tier, gammas=()) -> float:
+    """dataset_loss plus the active tier's weighted orthogonality penalties:
+    gamma times orth_penalty against the B factor of the path's tier in the
+    same place of active.earlier. It reads those factors off the path itself,
+    not through the kernel's _stack_inputs, so the oracle stays independent."""
+    _check_gammas(active, gammas)
     total = dataset_loss(model, path, data)
-    adapter = path.adapter(active)
-    for base, gamma in zip(frozen_bases, gammas):
+    for tier, gamma in zip(active.earlier, gammas):
         if gamma != 0.0:
-            total += gamma * orth_penalty(base, adapter.b)
+            total += gamma * orth_penalty(path.adapter(tier).b, path.adapter(active).b)
     return total
 
 
-def fd_tier_gradient(model: HeadModel, path: AdapterPath, data, active: Tier,
-                     frozen_bases=(), gammas=(), h: float = 1e-5):
-    """Central finite differences of the training objective, entry by entry.
+def fd_tier_gradient(model: HeadModel, path: AdapterPath, data, active: Tier, gammas=(), *,
+                     h: float = 1e-5):
+    """Central finite differences of the training objective, entry by entry,
+    with the penalties of tier_gradient (the path's earlier tiers, paired in
+    order with gammas); h is keyword-only.
 
     Independent numerical route used to validate tier_gradient.
     """
@@ -564,8 +591,8 @@ def fd_tier_gradient(model: HeadModel, path: AdapterPath, data, active: Tier,
     for attr in ("b", "a"):
         grad = np.zeros_like(getattr(adapter, attr))
         for i, j in np.ndindex(grad.shape):
-            hi = objective(model, perturbed(attr, i, j, +h), data, active, frozen_bases, gammas)
-            lo = objective(model, perturbed(attr, i, j, -h), data, active, frozen_bases, gammas)
+            hi = objective(model, perturbed(attr, i, j, +h), data, active, gammas)
+            lo = objective(model, perturbed(attr, i, j, -h), data, active, gammas)
             grad[i, j] = (hi - lo) / (2.0 * h)
         grads.append(grad)
     return tuple(grads)
@@ -573,7 +600,8 @@ def fd_tier_gradient(model: HeadModel, path: AdapterPath, data, active: Tier,
 
 def gradient_check(trials: int = 24, seed: int = 0, h: float = 1e-5) -> float:
     """Max relative error of the analytic tier gradient against central finite
-    differences over random (tier, penalty, data) configurations."""
+    differences over random (tier, penalty, data) configurations; each tier
+    is penalized against the path's own earlier tiers."""
     check_types(int, POSITIVE, trials=trials)
     worst = 0.0
     rng = stream(seed, "gradcheck")
@@ -593,12 +621,10 @@ def gradient_check(trials: int = 24, seed: int = 0, h: float = 1e-5) -> float:
 
         path = AdapterPath(root=rand_adapter(), cluster=rand_adapter(), leaf=rand_adapter())
         active = list(Tier)[trial % 3]
-        n_frozen = len(active.earlier)
-        frozen = [rng.normal(size=(c, r)) for _ in range(n_frozen)]
-        gammas = [float(rng.choice([0.0, 0.5, 2.0])) for _ in range(n_frozen)]
+        gammas = [float(rng.choice([0.0, 0.5, 2.0])) for _ in active.earlier]
 
-        anal = tier_gradient(model, path, data, active, frozen, gammas)
-        num = fd_tier_gradient(model, path, data, active, frozen, gammas, h=h)
+        anal = tier_gradient(model, path, data, active, gammas)
+        num = fd_tier_gradient(model, path, data, active, gammas, h=h)
         for g_anal, g_num in zip(anal, num):
             scale = max(float(np.max(np.abs(g_num))), 1e-12)
             worst = max(worst, float(np.max(np.abs(g_anal - g_num))) / scale)

@@ -122,12 +122,11 @@ class TestAdaptUnseen:
         config = replace(fed.config, gamma_c=0.3, gamma_l=0.7, batch_mode="mini")
         calls = []
 
-        def spy(model, path, data, active, frozen_bases=(), gammas=(), opt=None, rng=None,
-                frozen_logits=None):
+        def spy(model, path, data, active, gammas=(), *, opt, rng=None, frozen_logits=None):
             if active is Tier.LEAF:
-                calls.append((path, list(frozen_bases), tuple(gammas), opt, len(data), rng))
-            return local_update(model, path, data, active, frozen_bases, gammas, opt=opt,
-                                rng=rng, frozen_logits=frozen_logits)
+                calls.append((path, tuple(gammas), opt, len(data), rng))
+            return local_update(model, path, data, active, gammas, opt=opt, rng=rng,
+                                frozen_logits=frozen_logits)
 
         monkeypatch.setattr(adaptation, "local_update", spy)
         client = fed.data.unseen[2]
@@ -137,15 +136,15 @@ class TestAdaptUnseen:
         cluster = fed.server.clusters[result.assigned_cluster]
         without_leaf = replace(result.path, leaf=zero_adapter(*fed.model.w0.shape,
                                                               config.rank))
-        for inputs, bases, got_gammas, got_opt, rows, rng in calls:
+        for inputs, got_gammas, got_opt, rows, rng in calls:
             assert isinstance(inputs, KernelInputs) and rows == len(client.train)
             assert got_opt == opt and got_opt.epochs == 1 and got_opt.batch_mode == "mini"
             assert got_gammas == gammas == (0.3, 0.7)
-            assert len(bases) == len(Tier.LEAF.earlier) == 2
-            assert np.array_equal(bases[0], fed.server.root.b[None])
-            assert np.array_equal(bases[1], cluster.b[None])
+            assert len(inputs.bases) == len(Tier.LEAF.earlier) == 2
+            assert np.array_equal(inputs.bases[0], fed.server.root.b[None])
+            assert np.array_equal(inputs.bases[1], cluster.b[None])
             assert np.array_equal(inputs.frozen, compose_path(without_leaf, fed.model.w0)[None])
-            assert len(rng) == 1 and rng[0] is calls[0][5][0]
+            assert len(rng) == 1 and rng[0] is calls[0][4][0]
         assert calls[0][0].b is calls[1][0].b   # one KernelInputs, updated in place
 
     @pytest.mark.parametrize("batch_mode", ["full", "mini"])
@@ -167,9 +166,8 @@ class TestAdaptUnseen:
             budget, opt, gammas = stage_settings(*args)
             return budget, replace(opt, lr=1e300), gammas
 
-        def spy(model, path, data, active, frozen_bases=(), gammas=(), opt=None, rng=None,
-                frozen_logits=None):
-            out = local_update(model, path, data, active, frozen_bases, gammas, opt=opt, rng=rng,
+        def spy(model, path, data, active, gammas=(), *, opt, rng=None, frozen_logits=None):
+            out = local_update(model, path, data, active, gammas, opt=opt, rng=rng,
                                frozen_logits=frozen_logits)
             if active is Tier.LEAF:
                 with np.errstate(over="ignore", invalid="ignore"):

@@ -215,7 +215,8 @@ class TestCheckRound:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             fedtier.federation._check_round(small_config(lr=0.25), Tier.CLUSTER, 7,
-                                            KernelInputs(np.zeros((2, 3, 4)), b, a))
+                                            KernelInputs(np.zeros((2, 3, 4)), b, a,
+                                                         (np.zeros((2, 3, 2)),)))
 
     @pytest.mark.parametrize("b_entry, a_entry", [
         (np.nan, 1.0), (1.0, np.inf), (0.0, np.inf), (1.0, -np.inf),
@@ -321,8 +322,7 @@ class TestClusterStage:
             path = AdapterPath(root=root_star, cluster=server,
                                leaf=zero_adapter(p, q, config.rank))
             local = local_update(model, path, fed.data.clients[member].train,
-                                 Tier.CLUSTER, (root_star.b,), (config.gamma_c,),
-                                 opt=config.sgd(), rng=shuffle)
+                                 Tier.CLUSTER, (config.gamma_c,), opt=config.sgd(), rng=shuffle)
             agg = delta(local) * 1.0
             server = refactor(agg, config.rank)
             stop, _ = stop_check(prev, agg, config.tau_rel, config.eps)
@@ -422,7 +422,7 @@ class TestLeafStage:
             path = AdapterPath(root=fed.server.root, cluster=fed.server.clusters[j],
                                leaf=leaf)
             leaf = local_update(fed.model, path, fed.data.clients[i].train, Tier.LEAF,
-                                (), (), opt=opt, rng=shuffle)
+                                opt=opt, rng=shuffle)
             new = delta(leaf)
             stop, _ = stop_check(prev, new, config.tau_rel, config.eps)
             prev = new

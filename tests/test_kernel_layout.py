@@ -85,11 +85,10 @@ def shuffle_case():
                            rank=R)
 
     paths = [AdapterPath(*[rand_adapter() for _ in Tier]) for _ in SIZES]
-    bases = [[rng.normal(size=(5, R)) for _ in SIZES] for _ in GAMMAS]
-    return net, encs, paths, bases
+    return net, encs, paths
 
 
-def twin_steps(net, enc, path, frozen, twin):
+def twin_steps(net, enc, path, twin):
     """Every mini-batch step's starting (b, a) and the final leaf, taking
     each epoch's blocks of 32 from twin.permutation(n) and stepping along
     tier_gradient on each block's rows."""
@@ -100,17 +99,16 @@ def twin_steps(net, enc, path, frozen, twin):
             rows = order[lo:lo + 32]
             steps.append((path.leaf.b, path.leaf.a))
             db, da = tier_gradient(net, path, EncodedData(enc.z[rows], enc.y[rows]), Tier.LEAF,
-                                   frozen, GAMMAS)
+                                   GAMMAS)
             path = path.replace(Tier.LEAF, LoraAdapter(b=path.leaf.b - LR * db,
                                                        a=path.leaf.a - LR * da, rank=R))
     return steps, path.leaf
 
 
 def test_each_mini_batch_step_is_a_tier_gradient_step_on_a_twin_permutation(monkeypatch):
-    net, encs, paths, bases = shuffle_case()
+    net, encs, paths = shuffle_case()
     opt = SgdConfig(lr=LR, epochs=EPOCHS, batch_mode="mini", batch_size=32)
-    frozen = [[base[s] for base in bases] for s in range(len(SIZES))]
-    twins = [twin_steps(net, enc, path, frozen[s], stream(7, "leaf_shuffle", s))
+    twins = [twin_steps(net, enc, path, stream(7, "leaf_shuffle", s))
              for s, (enc, path) in enumerate(zip(encs, paths))]
     seen = []
     kernel = model._stack_gradient
@@ -122,7 +120,7 @@ def test_each_mini_batch_step_is_a_tier_gradient_step_on_a_twin_permutation(monk
     monkeypatch.setattr(model, "_stack_gradient", recording)
     for s, (enc, path) in enumerate(zip(encs, paths)):
         seen.clear()
-        out = local_update(net, path, enc, Tier.LEAF, frozen[s], GAMMAS, opt=opt,
+        out = local_update(net, path, enc, Tier.LEAF, GAMMAS, opt=opt,
                            rng=stream(7, "leaf_shuffle", s))
         steps, leaf = twins[s]
         assert len(seen) == len(steps) == EPOCHS * (s + 1)
@@ -133,12 +131,11 @@ def test_each_mini_batch_step_is_a_tier_gradient_step_on_a_twin_permutation(monk
 
 def test_stacked_clients_shuffle_their_own_slices():
     # the three clients share one order buffer: each slice takes its own draws
-    net, encs, paths, bases = shuffle_case()
+    net, encs, paths = shuffle_case()
     opt = SgdConfig(lr=LR, epochs=EPOCHS, batch_mode="mini", batch_size=32)
     out = model._stack_inputs(net, paths, Tier.LEAF)
-    local_update(net, out, ClientStack(encs), Tier.LEAF, [np.stack(base) for base in bases],
-                 GAMMAS, opt=opt, rng=[stream(7, "leaf_shuffle", s) for s in range(len(SIZES))])
+    local_update(net, out, ClientStack(encs), Tier.LEAF, GAMMAS, opt=opt,
+                 rng=[stream(7, "leaf_shuffle", s) for s in range(len(SIZES))])
     for s, (enc, path) in enumerate(zip(encs, paths)):
-        _, leaf = twin_steps(net, enc, path, [base[s] for base in bases],
-                             stream(7, "leaf_shuffle", s))
+        _, leaf = twin_steps(net, enc, path, stream(7, "leaf_shuffle", s))
         assert np.array_equal(out.b[s], leaf.b) and np.array_equal(out.a[s], leaf.a)

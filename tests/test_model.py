@@ -7,9 +7,9 @@ from fedtier.datagen import GlDir, gen_pool, partition
 from fedtier.errors import ConfigurationError, PreconditionError
 from fedtier.federation import FederationConfig, run_protocol
 from fedtier.lora import AdapterPath, LoraAdapter, Tier, compose_path, orth_penalty_grad, zero_adapter
-from fedtier.model import (ClientStack, FrozenBackbone, HeadModel, KernelInputs, Samples,
-                           SgdConfig, build_model, dataset_loss, encode, fd_tier_gradient,
-                           forward, gradient_check, local_update, tier_gradient,
+from fedtier.model import (ClientStack, FrozenBackbone, HeadModel, Samples, SgdConfig,
+                           build_model, dataset_loss, encode, fd_tier_gradient, forward,
+                           gradient_check, local_update, objective, tier_gradient,
                            _frozen_logits, _stack_accuracy, _stack_inputs, _stack_losses)
 from oracles import accuracy_oracle, loop_matmul, softmax_loss_oracle
 
@@ -164,17 +164,16 @@ class TestTierGradient:
 
     def test_pure_penalty_decomposition(self):
         # zero backbone output kills the data gradient entirely, leaving the
-        # penalty term alone
+        # penalty term against the path's own root alone
         model = HeadModel(w0=np.zeros((3, 4)),
                           backbone=FrozenBackbone(m=np.zeros((4, 2)), bias=np.zeros(4)))
         rng = np.random.default_rng(3)
         active = LoraAdapter(b=rng.normal(size=(3, 2)), a=rng.normal(size=(2, 4)), rank=2)
-        path = AdapterPath(root=zero_adapter(3, 4, 2), cluster=active,
-                           leaf=zero_adapter(3, 4, 2))
-        frozen = rng.normal(size=(3, 2))
+        root = LoraAdapter(b=rng.normal(size=(3, 2)), a=rng.normal(size=(2, 4)), rank=2)
+        path = AdapterPath(root=root, cluster=active, leaf=zero_adapter(3, 4, 2))
         data = Samples(np.zeros((2, 2)), [0, 1])
-        db, da = tier_gradient(model, path, data, Tier.CLUSTER, (frozen,), (1.0,))
-        assert np.allclose(db, orth_penalty_grad(frozen, active.b), atol=1e-15)
+        db, da = tier_gradient(model, path, data, Tier.CLUSTER, (1.0,))
+        assert np.allclose(db, orth_penalty_grad(root.b, active.b), atol=1e-15)
         assert np.max(np.abs(da)) == 0.0
 
     def test_matches_finite_differences_on_random_configs(self):
@@ -187,23 +186,125 @@ class TestTierGradient:
             cluster=LoraAdapter(b=rng.normal(size=(3, 1)), a=rng.normal(size=(1, 6)), rank=1),
             leaf=LoraAdapter(b=rng.normal(size=(3, 1)), a=rng.normal(size=(1, 6)), rank=1))
         data = make_samples(rng, 6, 4, 3)
-        frozen = (rng.normal(size=(3, 1)), rng.normal(size=(3, 1)))
         gammas = (0.7, 1.3)
-        db, da = tier_gradient(toy_model, path, data, Tier.LEAF, frozen, gammas)
-        fdb, fda = fd_tier_gradient(toy_model, path, data, Tier.LEAF, frozen, gammas)
+        db, da = tier_gradient(toy_model, path, data, Tier.LEAF, gammas)
+        fdb, fda = fd_tier_gradient(toy_model, path, data, Tier.LEAF, gammas)
         for g, f in ((db, fdb), (da, fda)):
             assert np.max(np.abs(g - f)) / max(np.max(np.abs(f)), 1e-12) <= 1e-4
 
-    def test_mismatched_penalty_args(self, toy_model):
-        data = Samples(np.zeros((1, 4)), [0])
-        with pytest.raises(ConfigurationError):
-            tier_gradient(toy_model, zero_path(3, 6), data, Tier.ROOT,
-                          (np.zeros((3, 1)),), ())
+    def test_penalty_bases_are_the_paths_earlier_b_factors(self, toy_model):
+        # one stack per earlier tier, in cascade order, each the path's own B
+        rng = np.random.default_rng(11)
+        path = AdapterPath(*[LoraAdapter(b=rng.normal(size=(3, 2)), a=rng.normal(size=(2, 6)),
+                                         rank=2) for _ in Tier])
+        for active in Tier:
+            bases = _stack_inputs(toy_model, [path, path], active).bases
+            assert len(bases) == len(active.earlier)
+            for base, tier in zip(bases, active.earlier, strict=True):
+                assert base.shape == (2, 3, 2) and base.flags.c_contiguous
+                assert all(np.array_equal(b, path.adapter(tier).b) for b in base)
+
+    def test_mixed_rank_path_trains_at_the_leaf(self, toy_model):
+        # a rank-1 root under a rank-2 cluster and leaf: the bases keep each
+        # tier's own rank, the gradient matches finite differences and the
+        # path form is a stack of one, bitwise, in both batch modes
+        rng = np.random.default_rng(12)
+
+        def adapter(r):
+            return LoraAdapter(b=rng.normal(size=(3, r)), a=rng.normal(size=(r, 6)), rank=r)
+
+        path = AdapterPath(root=adapter(1), cluster=adapter(2), leaf=adapter(2))
+        enc = encode(toy_model, make_samples(rng, 40, 4, 3))
+        gammas = (0.5, 1.5)
+        assert [base.shape for base in _stack_inputs(toy_model, [path], Tier.LEAF).bases] == [
+            (1, 3, 1), (1, 3, 2)]
+        db, da = tier_gradient(toy_model, path, enc, Tier.LEAF, gammas)
+        fdb, fda = fd_tier_gradient(toy_model, path, enc, Tier.LEAF, gammas)
+        for g, f in ((db, fdb), (da, fda)):
+            assert np.max(np.abs(g - f)) / max(np.max(np.abs(f)), 1e-12) <= 1e-4
+        for batch_mode in ("full", "mini"):
+            opt = SgdConfig(lr=0.1, epochs=3, batch_mode=batch_mode, batch_size=16)
+            alone = local_update(toy_model, path, enc, Tier.LEAF, gammas, opt=opt,
+                                 rng=streams(1)[0])
+            stacked = local_update(toy_model, _stack_inputs(toy_model, [path], Tier.LEAF),
+                                   ClientStack([enc]), Tier.LEAF, gammas, opt=opt, rng=streams(1))
+            assert np.array_equal(stacked.b[0], alone.b) and np.array_equal(stacked.a[0], alone.a)
+            assert not np.array_equal(alone.b, path.leaf.b)
 
     def test_unknown_tier(self, toy_model):
         data = Samples(np.zeros((1, 4)), [0])
         with pytest.raises(ConfigurationError):
             tier_gradient(toy_model, zero_path(3, 6), data, "root")
+
+
+def cluster_case(toy_model):
+    rng = np.random.default_rng(13)
+    path = AdapterPath(*[LoraAdapter(b=rng.normal(size=(3, 2)), a=rng.normal(size=(2, 6)),
+                                     rank=2) for _ in Tier])
+    return path, make_samples(rng, 6, 4, 3)
+
+
+# every entry point that takes gammas, called at the cluster tier
+GAMMA_TAKERS = {
+    "tier_gradient": lambda m, p, d, g: tier_gradient(m, p, d, Tier.CLUSTER, g),
+    "local_update": lambda m, p, d, g: local_update(m, p, d, Tier.CLUSTER, g,
+                                                    opt=SgdConfig(lr=0.1, epochs=1)),
+    "objective": lambda m, p, d, g: objective(m, p, d, Tier.CLUSTER, g),
+    "fd_tier_gradient": lambda m, p, d, g: fd_tier_gradient(m, p, d, Tier.CLUSTER, g),
+}
+
+
+class TestGammaRule:
+    """gammas are none, or one finite, non-negative real per earlier tier."""
+
+    @pytest.mark.parametrize("taker", GAMMA_TAKERS)
+    @pytest.mark.parametrize("gammas, match", [
+        (["x"], r"gammas\[0\] must be a number"),
+        ([True], r"gammas\[0\] must be a number"),
+        ([np.nan], r"gammas\[0\] must be finite and non-negative"),
+        ([np.inf], r"gammas\[0\] must be finite and non-negative"),
+        ([-1.0], r"gammas\[0\] must be finite and non-negative"),
+        ([0.5, 0.5], r"cluster tier takes no gammas or one per earlier tier \(1\); got 2")])
+    def test_a_bad_gamma_is_refused(self, toy_model, taker, gammas, match):
+        path, data = cluster_case(toy_model)
+        with pytest.raises(ConfigurationError, match=match):
+            GAMMA_TAKERS[taker](toy_model, path, data, gammas)
+
+    def test_the_root_takes_no_gammas(self, toy_model):
+        path, data = cluster_case(toy_model)
+        with pytest.raises(ConfigurationError, match=r"root tier takes no gammas or one per earlier tier \(0\); got 1"):
+            tier_gradient(toy_model, path, data, Tier.ROOT, (1.0,))
+
+    @pytest.mark.parametrize("gammas", [(), (0.0,), (2,), (np.float64(0.5),), [1.5]])
+    def test_none_or_one_real_per_earlier_tier_is_taken(self, toy_model, gammas):
+        path, data = cluster_case(toy_model)
+        for take in GAMMA_TAKERS.values():
+            take(toy_model, path, data, gammas)
+
+
+class TestOldStyleCalls:
+    """The penalty bases are no parameter: a call written for the old
+    signature, bases before gammas, fails loudly instead of rebinding."""
+
+    def test_positional_opt_is_a_type_error(self, toy_model):
+        path, data = cluster_case(toy_model)
+        with pytest.raises(TypeError):
+            local_update(toy_model, path, data, Tier.CLUSTER, (1.0,), SgdConfig(lr=0.1, epochs=1))
+
+    @pytest.mark.parametrize("call", [
+        lambda m, p, d, b: local_update(m, p, d, Tier.CLUSTER, [b], [1.0],
+                                        opt=SgdConfig(lr=0.1, epochs=1)),
+        lambda m, p, d, b: local_update(m, p, d, Tier.CLUSTER, [b],
+                                        opt=SgdConfig(lr=0.1, epochs=1)),
+        lambda m, p, d, b: tier_gradient(m, p, d, Tier.CLUSTER, [b], [1.0]),
+        lambda m, p, d, b: tier_gradient(m, p, d, Tier.CLUSTER, [b]),
+        lambda m, p, d, b: objective(m, p, d, Tier.CLUSTER, [b], [1.0]),
+        lambda m, p, d, b: fd_tier_gradient(m, p, d, Tier.CLUSTER, [b], [1.0]),   # [1.0] was h
+        lambda m, p, d, b: fd_tier_gradient(m, p, d, Tier.CLUSTER, [b])])
+    def test_bases_passed_as_before_are_refused(self, toy_model, call):
+        path, data = cluster_case(toy_model)
+        with pytest.raises((TypeError, ConfigurationError)):
+            call(toy_model, path, data, path.root.b)
 
 
 class TestLocalUpdate:
@@ -239,7 +340,7 @@ class TestLocalUpdate:
         leaf_b = path.leaf.b.copy()
         leaf_a = path.leaf.a.copy()
         data = make_samples(rng, 6, 4, 3)
-        local_update(toy_model, path, data, Tier.CLUSTER, (path.root.b,), (1.0,),
+        local_update(toy_model, path, data, Tier.CLUSTER, (1.0,),
                      opt=SgdConfig(lr=0.1, epochs=3))
         assert np.array_equal(path.root.b, root_b)
         assert np.array_equal(path.root.a, root_a)
@@ -291,9 +392,9 @@ class TestLocalUpdate:
                          opt=SgdConfig(lr=0.1, epochs=1, batch_mode="mini"))
 
 
-def stacked_case(seed, sizes, active, n_frozen, c=5, h=7, d=4, r=2):
-    """A model, per-client encodings of the given sizes, per-client paths and
-    per-client frozen bases, all drawn from one seed."""
+def stacked_case(seed, sizes, c=5, h=7, d=4, r=2):
+    """A model, per-client encodings of the given sizes and per-client paths,
+    all drawn from one seed; a path's earlier tiers are its penalty bases."""
     rng = np.random.default_rng(seed)
     model = build_model(d, c, h, seed=seed)
     encs = [encode(model, make_samples(rng, n, d, c)) for n in sizes]
@@ -304,8 +405,7 @@ def stacked_case(seed, sizes, active, n_frozen, c=5, h=7, d=4, r=2):
 
     paths = [AdapterPath(root=rand_adapter(), cluster=rand_adapter(), leaf=rand_adapter())
              for _ in sizes]
-    bases = [[rng.normal(size=(c, r)) for _ in sizes] for _ in range(n_frozen)]
-    return model, encs, paths, bases
+    return model, encs, paths
 
 
 def streams(count, seed=0):
@@ -317,7 +417,7 @@ class TestStackedLocalUpdate:
     SIZES = [5, 16, 45, 33, 1]
 
     def test_len_counts_real_rows(self):
-        _, encs, _, _ = stacked_case(0, self.SIZES, Tier.ROOT, 0)
+        _, encs, _ = stacked_case(0, self.SIZES)
         stack = ClientStack(encs)
         assert len(stack) == sum(self.SIZES)
         assert len(stack[1:3]) == 16 + 45
@@ -327,49 +427,49 @@ class TestStackedLocalUpdate:
                                                (Tier.LEAF, (1.3, 0.0))])
     def test_client_bits_do_not_depend_on_stack_or_chunking(self, batch_mode, active, gammas):
         # the chunks are sliced as the stage engine slices its stack
-        model, encs, paths, bases = stacked_case(1, self.SIZES, active, len(gammas))
+        model, encs, paths = stacked_case(1, self.SIZES)
         opt = SgdConfig(lr=0.2, epochs=3, batch_mode=batch_mode, batch_size=16)
-        n, stack, stacks = len(encs), ClientStack(encs), [np.stack(e) for e in bases]
-        alone = [local_update(model, paths[s], encs[s], active, [e[s] for e in bases],
-                              gammas, opt=opt, rng=streams(n)[s])
+        n, stack = len(encs), ClientStack(encs)
+        alone = [local_update(model, paths[s], encs[s], active, gammas, opt=opt,
+                              rng=streams(n)[s])
                  for s in range(n)]
         whole = _stack_inputs(model, paths, active)
-        assert local_update(model, whole, stack, active, stacks, gammas, opt=opt,
+        assert local_update(model, whole, stack, active, gammas, opt=opt,
                             rng=streams(n)) is whole
         for cut in range(1, n):
             local, rngs = _stack_inputs(model, paths, active), streams(n)
             for part in (slice(0, cut), slice(cut, n)):
-                local_update(model, KernelInputs(*(x[part] for x in local)), stack[part], active,
-                             [base[part] for base in stacks], gammas, opt=opt, rng=rngs[part])
+                local_update(model, local.select(part), stack[part], active, gammas, opt=opt,
+                             rng=rngs[part])
             for s, ref in enumerate(alone):
                 assert np.array_equal(local.b[s], ref.b) and np.array_equal(local.a[s], ref.a)
         for s, (ref, path) in enumerate(zip(alone, paths)):
             assert np.array_equal(whole.b[s], ref.b) and np.array_equal(whole.a[s], ref.a)
             assert not np.array_equal(whole.b[s], path.adapter(active).b)
 
-    def test_zero_gamma_penalty_is_skipped(self):
-        # a skipped term cannot touch its basis, so even a NaN basis leaves
-        # the result bitwise equal to training without that penalty
-        model, encs, paths, _ = stacked_case(2, self.SIZES, Tier.CLUSTER, 0)
-        opt = SgdConfig(lr=0.2, epochs=2, batch_mode="mini", batch_size=16)
-        nan_bases = [np.full((len(encs), 5, 2), np.nan)]
-        skipped, plain = (_stack_inputs(model, paths, Tier.CLUSTER) for _ in range(2))
-        local_update(model, skipped, ClientStack(encs), Tier.CLUSTER, nan_bases, (0.0,),
-                     opt=opt, rng=streams(len(encs)))
-        local_update(model, plain, ClientStack(encs), Tier.CLUSTER, opt=opt,
-                     rng=streams(len(encs)))
-        assert np.array_equal(skipped.b, plain.b) and np.array_equal(skipped.a, plain.a)
+    @pytest.mark.parametrize("batch_mode", ["full", "mini"])
+    @pytest.mark.parametrize("active", [Tier.CLUSTER, Tier.LEAF])
+    def test_a_zero_gamma_is_bitwise_no_penalty(self, batch_mode, active):
+        # zero gammas train bitwise as no gammas do; a nonzero one moves bits
+        model, encs, paths = stacked_case(2, self.SIZES)
+        opt = SgdConfig(lr=0.2, epochs=2, batch_mode=batch_mode, batch_size=16)
+        n = len(active.earlier)
+        zero, plain, penalized = (_stack_inputs(model, paths, active) for _ in range(3))
+        for local, gammas in ((zero, (0.0,) * n), (plain, ()), (penalized, (0.7,) * n)):
+            local_update(model, local, ClientStack(encs), active, gammas, opt=opt,
+                         rng=streams(len(encs)))
+        assert np.array_equal(zero.b, plain.b) and np.array_equal(zero.a, plain.a)
+        assert not np.array_equal(penalized.b, plain.b)
 
     def test_full_batch_sums_blocks_to_the_full_gradient(self):
         # one full-batch epoch over several blocks is one step along the
         # gradient of the mean loss over all rows
-        model, encs, paths, bases = stacked_case(3, [45], Tier.LEAF, 2)
-        frozen = [e[0] for e in bases]
-        db, da = tier_gradient(model, paths[0], encs[0], Tier.LEAF, frozen, (0.5, 1.5))
-        fdb, fda = fd_tier_gradient(model, paths[0], encs[0], Tier.LEAF, frozen, (0.5, 1.5))
+        model, encs, paths = stacked_case(3, [45])
+        db, da = tier_gradient(model, paths[0], encs[0], Tier.LEAF, (0.5, 1.5))
+        fdb, fda = fd_tier_gradient(model, paths[0], encs[0], Tier.LEAF, (0.5, 1.5))
         for g, f in ((db, fdb), (da, fda)):
             assert np.max(np.abs(g - f)) / max(np.max(np.abs(f)), 1e-12) <= 1e-4
-        out = local_update(model, paths[0], encs[0], Tier.LEAF, frozen, (0.5, 1.5),
+        out = local_update(model, paths[0], encs[0], Tier.LEAF, (0.5, 1.5),
                            opt=SgdConfig(lr=0.1, epochs=1, batch_size=16))
         assert np.allclose(out.b, paths[0].leaf.b - 0.1 * db, rtol=0, atol=1e-14)
 
@@ -377,14 +477,13 @@ class TestStackedLocalUpdate:
         # clients of 1, 2 and 3 blocks share one full-batch span; each epoch
         # is bitwise one step along that client's own tier gradient
         sizes, gammas, lr = [20, 45, 80], (0.5, 1.5), 0.1
-        model, encs, paths, bases = stacked_case(5, sizes, Tier.LEAF, 2)
+        model, encs, paths = stacked_case(5, sizes)
         out = _stack_inputs(model, paths, Tier.LEAF)
-        local_update(model, out, ClientStack(encs), Tier.LEAF, [np.stack(e) for e in bases],
-                     gammas, opt=SgdConfig(lr=lr, epochs=3, batch_size=32))
+        local_update(model, out, ClientStack(encs), Tier.LEAF, gammas,
+                     opt=SgdConfig(lr=lr, epochs=3, batch_size=32))
         for s, (enc, path) in enumerate(zip(encs, paths)):
-            frozen = [e[s] for e in bases]
             for _ in range(3):
-                db, da = tier_gradient(model, path, enc, Tier.LEAF, frozen, gammas)
+                db, da = tier_gradient(model, path, enc, Tier.LEAF, gammas)
                 path = path.replace(Tier.LEAF, LoraAdapter(b=path.leaf.b - lr * db,
                                                            a=path.leaf.a - lr * da, rank=2))
             assert np.array_equal(out.b[s], path.leaf.b)
@@ -394,14 +493,13 @@ class TestStackedLocalUpdate:
         # the stage engine and the fine-tune pass a full-batch call the
         # frozen logits they computed once; a call without them computes
         # its own from the layout
-        model, encs, paths, bases = stacked_case(8, self.SIZES, Tier.LEAF, 2)
+        model, encs, paths = stacked_case(8, self.SIZES)
         opt, gammas = SgdConfig(lr=0.2, epochs=3, batch_size=16), (0.5, 1.5)
-        stack, stacks = ClientStack(encs), [np.stack(e) for e in bases]
+        stack = ClientStack(encs)
         own, given = (_stack_inputs(model, paths, Tier.LEAF) for _ in range(2))
-        local_update(model, own, stack, Tier.LEAF, stacks, gammas, opt=opt)
+        local_update(model, own, stack, Tier.LEAF, gammas, opt=opt)
         logits = _frozen_logits(given.frozen, stack.layout(16)[0])
-        local_update(model, given, stack, Tier.LEAF, stacks, gammas, opt=opt,
-                     frozen_logits=logits)
+        local_update(model, given, stack, Tier.LEAF, gammas, opt=opt, frozen_logits=logits)
         assert np.array_equal(own.b, given.b) and np.array_equal(own.a, given.a)
         assert not np.array_equal(own.b, _stack_inputs(model, paths, Tier.LEAF).b)
 
@@ -411,7 +509,7 @@ class TestStackedLocalUpdate:
         ("full", lambda logits: logits[:, 1:]),          # one client short
         ("full", lambda logits: logits[1:])])            # one class short
     def test_frozen_logits_need_full_batch_and_the_layouts_shape(self, batch_mode, cut):
-        model, encs, paths, _ = stacked_case(9, self.SIZES, Tier.ROOT, 0)
+        model, encs, paths = stacked_case(9, self.SIZES)
         opt = SgdConfig(lr=0.1, epochs=1, batch_mode=batch_mode, batch_size=16)
         local, stack = _stack_inputs(model, paths, Tier.ROOT), ClientStack(encs)
         logits = cut(_frozen_logits(local.frozen, stack.layout(16)[0]))
@@ -420,7 +518,7 @@ class TestStackedLocalUpdate:
                          frozen_logits=logits)
 
     def test_stack_needs_one_path_and_rng_per_client(self):
-        model, encs, paths, _ = stacked_case(4, self.SIZES, Tier.ROOT, 0)
+        model, encs, paths = stacked_case(4, self.SIZES)
         opt = SgdConfig(lr=0.1, epochs=1, batch_mode="mini")
         with pytest.raises(ConfigurationError, match="one input, basis and rng per client"):
             local_update(model, _stack_inputs(model, paths[:2], Tier.ROOT), ClientStack(encs),
@@ -433,17 +531,16 @@ class TestStackedLocalUpdate:
     def test_one_path_takes_a_one_client_stack(self, batch_mode):
         # one AdapterPath is one client, whether its rows come encoded or
         # already packed in a stack of one
-        model, encs, paths, bases = stacked_case(6, [45], Tier.LEAF, 2)
+        model, encs, paths = stacked_case(6, [45])
         opt = SgdConfig(lr=0.2, epochs=3, batch_mode=batch_mode, batch_size=16)
-        frozen = [e[0] for e in bases]
-        alone, stacked = (local_update(model, paths[0], data, Tier.LEAF, frozen, (0.5, 1.5),
+        alone, stacked = (local_update(model, paths[0], data, Tier.LEAF, (0.5, 1.5),
                                        opt=opt, rng=streams(1)[0])
                           for data in (encs[0], ClientStack(encs)))
         assert isinstance(stacked, LoraAdapter)
         assert np.array_equal(stacked.b, alone.b) and np.array_equal(stacked.a, alone.a)
 
     def test_paths_must_match_the_data(self):
-        model, encs, paths, _ = stacked_case(7, [5, 16], Tier.ROOT, 0)
+        model, encs, paths = stacked_case(7, [5, 16])
         opt = SgdConfig(lr=0.1, epochs=1)
         with pytest.raises(ConfigurationError, match="ClientStack"):
             local_update(model, _stack_inputs(model, paths[:1], Tier.ROOT), encs[0], Tier.ROOT,
@@ -453,7 +550,7 @@ class TestStackedLocalUpdate:
 
     def test_a_list_of_paths_is_refused(self):
         # the two call forms are one path and the stage engine's KernelInputs
-        model, encs, paths, _ = stacked_case(8, [5, 16], Tier.ROOT, 0)
+        model, encs, paths = stacked_case(8, [5, 16])
         with pytest.raises(ConfigurationError, match="one AdapterPath, or KernelInputs"):
             local_update(model, paths, ClientStack(encs), Tier.ROOT,
                          opt=SgdConfig(lr=0.1, epochs=1))
@@ -467,7 +564,7 @@ class TestStackLosses:
     def test_client_loss_does_not_depend_on_stack_mates(self):
         # mates of up to 300 rows widen the padded stack well past 128 rows
         sizes = [5, 1, 33, 64, 45, 129, 150, 200, 257, 300]
-        model, encs, paths, _ = stacked_case(6, sizes, Tier.ROOT, 0)
+        model, encs, paths = stacked_case(6, sizes)
         w = np.stack([compose_path(p, model.w0) for p in paths])
         alone = [_stack_losses(w[s:s + 1], ClientStack(encs[s:s + 1]))[0]
                  for s in range(len(sizes))]
@@ -484,7 +581,7 @@ class TestStackAccuracy:
     SIZES = [5, 1, 33, 64, 45, 129, 150, 200, 257, 300]
 
     def test_client_accuracy_does_not_depend_on_stack_mates(self):
-        model, encs, paths, _ = stacked_case(7, self.SIZES, Tier.ROOT, 0)
+        model, encs, paths = stacked_case(7, self.SIZES)
         w = np.stack([compose_path(p, model.w0) for p in paths])
         alone = [_stack_accuracy(w[s:s + 1], ClientStack(encs[s:s + 1]))[0]
                  for s in range(len(self.SIZES))]
@@ -495,7 +592,7 @@ class TestStackAccuracy:
         assert np.array_equal(_stack_accuracy(w, ClientStack(encs)), alone)
 
     def test_matches_the_argmax_oracle(self):
-        model, encs, paths, _ = stacked_case(8, self.SIZES, Tier.ROOT, 0)
+        model, encs, paths = stacked_case(8, self.SIZES)
         w = np.stack([compose_path(p, model.w0) for p in paths])
         got = _stack_accuracy(w, ClientStack(encs))
         assert got.tolist() == [accuracy_oracle(e.z, e.y, w[s]) for s, e in enumerate(encs)]
@@ -510,6 +607,6 @@ class TestStackAccuracy:
         assert _stack_accuracy(w, ClientStack(encs)).tolist() == [1.0, 1.0]
 
     def test_a_stack_of_several_clients_is_not_one_clients_data(self):
-        model, encs, paths, _ = stacked_case(9, [4, 6], Tier.ROOT, 0)
+        model, encs, paths = stacked_case(9, [4, 6])
         with pytest.raises(ConfigurationError, match="one client"):
             dataset_loss(model, paths[0], ClientStack(encs))

@@ -74,8 +74,7 @@ def reference_stage(config, model, data, active, described, tracker=None):
         report = StageReport(active.value, [], [], 0, "budget", *labels)
         prev = delta(init)
         for _ in range(getattr(config, f"t_{active.value}")):
-            local = [local_update(model, path, data.clients[i].train, active,
-                                  [path.adapter(t).b for t in active.earlier], gammas,
+            local = [local_update(model, path, data.clients[i].train, active, gammas,
                                   opt=opt, rng=rngs[i]) for i in members]
             if active is Tier.LEAF:
                 adapter, new = local[0], delta(local[0])
