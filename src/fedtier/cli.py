@@ -418,6 +418,9 @@ def main(argv=None) -> int:
     # RecursionError: json.loads of a document nested past the recursion limit
     except (OSError, UnicodeDecodeError, RecursionError) as exc:
         return _fail(f"i/o failure: {exc}")
+    # numpy's _ArrayMemoryError: an array the config asks for cannot be allocated
+    except MemoryError as exc:
+        return _fail(f"out of memory: {exc}")
 
 
 if __name__ == "__main__":

@@ -24,10 +24,11 @@ or computes them once itself, and a mini-batch step computes its own from
 the rows it gathered. Its softmax stores the probabilities class-outer,
 (C, S, blocks, block), so each operation runs once over the whole stack's
 classes, and the one-hot labels come off in one subtract by the flat index
-of each row's label in that array. A mini-batch call draws the
-row orders of all its epochs up front (epoch_orders), and each epoch
-gathers its row of them from the packed layout. The analytic tier gradient
-is that kernel's gradient on a stack of one.
+of each row's label in that array. A mini-batch call takes its epochs
+from one generator, ClientStack.epochs, which shuffles each client's rows
+afresh every epoch and gathers them from the packed layout into one buffer
+pair, so the call's memory does not grow with its epochs. The analytic
+tier gradient is that kernel's gradient on a stack of one.
 Every score is the kernel's too: the loss and the argmax accuracy read the
 same blocks and the same mask of real rows, which a ClientStack's layout
 holds together, so a client scores the same bits alone or in any stack. A
@@ -39,7 +40,7 @@ oracle used by tests and the gradcheck command checks the gradient.
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -167,8 +168,8 @@ class ClientStack:
 
     The kernel reads the rows in fixed blocks (see below). ``layout`` packs
     them once per block size into one read-only array, with the mask of its
-    real rows, and ``gather`` copies one epoch's order of them out of it
-    into buffers of the caller's own."""
+    real rows, and ``epochs`` yields mini-batch epochs of them, each a fresh
+    shuffle copied out of that array into one buffer pair of its own."""
 
     clients: tuple[EncodedData, ...]
 
@@ -190,11 +191,6 @@ class ClientStack:
         layouts."""
         return ClientStack([self.clients[i] for i in np.arange(len(self.clients))[part]])
 
-    def buffers(self, block: int):
-        """New zero feature and label buffers shaped like the layout's."""
-        z, labels, _ = self.layout(block)
-        return np.zeros(z.shape), np.zeros(labels.shape, dtype=np.int64)
-
     def layout(self, block: int):
         """Each client's rows in stored order at the front of its zero-padded
         slot, packed once per block size and read-only: (S, blocks, block, h)
@@ -212,34 +208,28 @@ class ClientStack:
             self._layouts[block] = z, labels, real
         return self._layouts[block]
 
-    def gather(self, z, labels, order):
-        """Fill the buffers from ``buffers`` with each client's rows in its
-        order at the front of its slot, in one indexed copy from the packed
-        layout, and return them. ``order`` is one flat row of epoch_orders:
-        each client's permutation of its rows, in stack order. A padding slot
-        copies the layout's padding at the same place, a zero row."""
-        packed_z, packed_labels, real = self.layout(labels.shape[2])
-        slots = np.arange(labels.size).reshape(labels.shape)
-        slots[real] = order + np.repeat(slots[:, 0, 0], self.sizes)
-        np.take(packed_z.reshape(-1, z.shape[-1]), slots.ravel(), axis=0,
-                out=z.reshape(-1, z.shape[-1]), mode="clip")   # "clip" copies unbuffered
-        np.take(packed_labels.ravel(), slots.ravel(), out=labels.reshape(-1), mode="clip")
-        return z, labels
-
-
-def epoch_orders(rngs, sizes, epochs: int) -> np.ndarray:
-    """The row orders of `epochs` epochs of clients with `sizes` rows: an
-    (epochs, sum(sizes)) array, client s's in its own column range, in
-    client order. Each row of client s is one rngs[s].shuffle of
-    arange(sizes[s]) (the draws of permutation), epoch after epoch. The
-    orders are intp, the items Generator.shuffle swaps fastest."""
-    bounds = [0, *accumulate(sizes)]
-    orders = np.empty((epochs, bounds[-1]), np.intp)
-    orders[:] = np.arange(bounds[-1]) - np.repeat(bounds[:-1], sizes)
-    for row in orders:
-        for r, lo, hi in zip(rngs, bounds, bounds[1:]):
-            r.shuffle(row[lo:hi])
-    return orders
+    def epochs(self, rngs, count: int, block: int):
+        """Yield `count` mini-batch epochs of the stack at `block`: each a
+        (z, labels) pair shaped like the layout's, every client's rows in a
+        fresh shuffle at the front of its slot. Each epoch refills one
+        identity order of the layout's slots and shuffles each client's
+        range of real slots with rngs[s] (the draws of permutation, epoch
+        after epoch), then copies the packed layout through it into one
+        buffer pair of this generator's own, reused every epoch; a padding
+        slot copies the layout's padding at the same place, a zero row. The
+        order is intp, the items Generator.shuffle swaps fastest."""
+        packed_z, packed_labels, real = self.layout(block)
+        order, width = np.empty(real.size, np.intp), packed_z.shape[-1]
+        ranges = [order.reshape(len(real), -1)[s, :n] for s, n in enumerate(self.sizes)]
+        z, labels = np.empty(packed_z.shape), np.empty(real.shape, np.int64)
+        for _ in range(count):
+            order[:] = np.arange(order.size)
+            for r, slots in zip(rngs, ranges):
+                r.shuffle(slots)
+            np.take(packed_z.reshape(-1, width), order, axis=0, out=z.reshape(-1, width),
+                    mode="clip")   # "clip" copies unbuffered
+            np.take(packed_labels.ravel(), order, out=labels.reshape(-1), mode="clip")
+            yield z, labels
 
 
 def _stack_of_one(model: HeadModel, data) -> ClientStack:
@@ -486,16 +476,18 @@ def local_update(model: HeadModel, path, data, active: Tier, gammas=(), *, opt: 
     the adapter refuses it with ConfigurationError, and KernelInputs come
     back unchecked, for the stage engine's own check
     (federation._check_round), which the unseen fine-tune runs too.
-    Mini-batch mode needs the rngs: it draws every epoch's row orders from
-    them once, up front (epoch_orders); a full-batch step sums the
-    gradients of all of a client's blocks, a mini-batch step takes one
-    block per client.
+    Mini-batch mode needs the rngs: it iterates ClientStack.epochs, which
+    shuffles each client's rows with its rng epoch by epoch into one buffer
+    pair; full batch reads the stack's cached layout every epoch. A
+    full-batch step sums the gradients of all of a client's blocks, a
+    mini-batch step takes one block per client.
 
     The call builds one step plan, an entry per block span: its blocks, its
     clients and their rows as float64. Each step indexes its operands from
     the plan's entry and subtracts the one-hot labels by the flat index of
     each row's label in the class-outer probabilities (_label_index). No
-    buffer is kept across steps or calls.
+    buffer is kept across calls, and none across steps but the mini-batch
+    epochs' one pair.
 
     A step runs in factored form on the frozen logits (_stack_gradient). A
     full-batch call reads them from `frozen_logits`, _frozen_logits of the
@@ -519,17 +511,13 @@ def local_update(model: HeadModel, path, data, active: Tier, gammas=(), *, opt: 
     if any(len(x) != len(data.clients) for x in (frozen_w, b, a, rng, *bases)):
         raise ConfigurationError("a client stack needs one input, basis and rng per client")
     mini = opt.batch_mode == "mini"
-    if mini:
-        if any(r is None for r in rng):
-            raise ConfigurationError("mini-batch mode needs an rng for shuffling")
-        orders = epoch_orders(rng, data.sizes, opt.epochs)
+    if mini and any(r is None for r in rng):
+        raise ConfigurationError("mini-batch mode needs an rng for shuffling")
     blocks = -(-data.sizes // opt.batch_size)
-    # full batch reads the stack's cached layout; mini batch gathers each
-    # epoch's order into buffers of this call's own
-    z, labels = data.buffers(opt.batch_size) if mini else data.layout(opt.batch_size)[:2]
-    shape = (b.shape[1], *labels.shape)   # class-outer (C, S, blocks, block)
+    layout = data.layout(opt.batch_size)[:2]
+    shape = (b.shape[1], *layout[1].shape)   # class-outer (C, S, blocks, block)
     if frozen_logits is None:
-        frozen_logits = None if mini else _frozen_logits(frozen_w, z)
+        frozen_logits = None if mini else _frozen_logits(frozen_w, layout[0])
     elif mini or np.shape(frozen_logits) != shape:
         raise ConfigurationError(f"frozen_logits are taken in full batch only, shaped {shape}; "
                                  f"got {np.shape(frozen_logits)} in {opt.batch_mode} batch")
@@ -543,9 +531,10 @@ def local_update(model: HeadModel, path, data, active: Tier, gammas=(), *, opt: 
         plan.append((lo, hi, sel, rows.astype(np.float64)))
     # a diverging step warns nowhere: the adapters below or the stage engine refuse it
     with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(opt.epochs):
-            if mini:
-                data.gather(z, labels, orders[epoch])
+        # full batch reads the stack's cached layout every epoch; mini batch
+        # a fresh shuffle of it
+        for z, labels in (data.epochs(rng, opt.epochs, opt.batch_size) if mini
+                          else repeat(layout, opt.epochs)):
             for lo, hi, sel, rows in plan:
                 # full batch reads the call's frozen logits; a mini-batch
                 # step computes its own from the rows it gathered

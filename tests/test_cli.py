@@ -124,6 +124,15 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "pool too small" in err
 
+    def test_a_pool_too_large_to_allocate_exits_2(self, tmp_path, capsys):
+        # 10^15 rows per class need petabytes: the allocation itself fails,
+        # with nothing the OS could overcommit and then fill
+        cfg = write_config(tmp_path, **{"data.per_class": 10**15})
+        assert main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory:") and err.count("\n") == 1
+        assert "Traceback" not in err and not (tmp_path / "run").exists()
+
     def test_n_clients_must_match_data(self, tmp_path, capsys):
         cfg = write_config(tmp_path, **{"federation.n_clients": 10})
         assert main(["run", "--config", str(cfg)]) == 2

@@ -1,5 +1,7 @@
-"""The golden run record: each case of tools/golden.py, run in process, must
-reproduce its committed record in tests/golden.
+"""The golden run record: each case of tools/golden.py, run in process at one
+and two workers, must give the same files at both, reload to the same
+metrics and clustering bytes, and reproduce its committed record in
+tests/golden.
 
 Under the provenance a record was made with (Python, numpy, BLAS and the
 OpenBLAS kernel core), every artifact's sha256 must match. Under any other,
@@ -29,10 +31,29 @@ def test_records_and_cases_are_one_list():
     assert sorted(p.stem for p in golden.GOLDEN.glob("*.json")) == golden.CASES
 
 
-def test_configs_writes_every_case(tmp_path):
-    assert golden.main(["--configs", str(tmp_path)]) == 0
-    for case in golden.CASES:
-        assert json.loads((tmp_path / f"{case}.json").read_text()) == golden.config(case)
+# each fault: the command after which it strikes, the file it appends to and
+# the refusal it must meet
+FAULTS = {"an artifact that depends on the worker count": ("run", "roundlog.csv", "differ"),
+          "report rewriting the metrics": ("report", "metrics.json", "report rewrote"),
+          "cluster-diag writing other bytes": ("cluster-diag", "cluster_diag.json",
+                                               "cluster-diag")}
+
+
+@pytest.mark.parametrize("command, name, refusal", FAULTS.values(), ids=list(FAULTS))
+def test_record_refuses_a_case_its_reloads_or_worker_counts_do_not_reproduce(
+        monkeypatch, tmp_path, command, name, refusal):
+    real = golden._fedtier
+
+    def faulty(*argv):
+        real(*argv)
+        if argv[0] == command:
+            run = Path(argv[argv.index("--out" if command == "run" else "--run") + 1])
+            with (run / name).open("a") as fh:
+                fh.write(argv[argv.index("--workers") + 1] if command == "run" else "\n")
+
+    monkeypatch.setattr(golden, "_fedtier", faulty)
+    with pytest.raises(RuntimeError, match=refusal):
+        golden.record("sc_dir", tmp_path)
 
 
 @pytest.mark.parametrize("case", golden.CASES)

@@ -1,16 +1,18 @@
 """ClientStack packs its clients' rows once: the stored-order block layout and
-the mask of its real rows are cached read-only, and a mini-batch epoch
-gathers its row of epoch_orders into buffers of its own call, so reusing one
-stack never changes a bit of any result."""
+the mask of its real rows are cached read-only, and a mini-batch call's
+epochs (ClientStack.epochs) shuffle them into one buffer pair of the call's
+own, so reusing one stack never changes a bit of any result, and a call's
+memory does not grow with its epochs."""
 
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from fedtier.lora import AdapterPath, LoraAdapter, Tier, compose_path
-from fedtier.model import (ClientStack, Samples, SgdConfig, build_model, encode, epoch_orders,
+from fedtier.model import (ClientStack, EncodedData, Samples, SgdConfig, build_model, encode,
                            local_update, _DEFAULT_BATCH, _stack_inputs, _stack_losses)
 
 # sizes below, at and above the block size, and not multiples of it
@@ -101,18 +103,6 @@ def test_layout_is_cached_read_only_and_holds_the_stored_rows():
         assert not z[s].reshape(-1, z.shape[-1])[n:].any() and not labels[s].reshape(-1)[n:].any()
 
 
-def test_gather_writes_each_client_in_its_own_order():
-    _, encs, _ = case(seed=4)
-    stack = ClientStack(encs)
-    orders = [np.random.default_rng(s).permutation(len(e)) for s, e in enumerate(encs)]
-    z, labels = stack.gather(*stack.buffers(16), np.concatenate(orders))
-    for s, (e, order) in enumerate(zip(encs, orders)):
-        n = len(e)
-        assert np.array_equal(z[s].reshape(-1, z.shape[-1])[:n], e.z[order])
-        assert np.array_equal(labels[s].reshape(-1)[:n], e.y[order])
-        assert not z[s].reshape(-1, z.shape[-1])[n:].any()
-
-
 def successive_shuffles(rng, n, epochs):
     orders = []
     for _ in range(epochs):
@@ -122,25 +112,62 @@ def successive_shuffles(rng, n, epochs):
     return np.stack(orders)
 
 
+def numbered_rows(n, h=3):
+    """EncodedData whose rows carry their own index: z[i] = (i, ..., i), y[i] = i."""
+    return EncodedData(z=np.repeat(np.arange(n, dtype=np.float64)[:, None], h, axis=1),
+                       y=np.arange(n))
+
+
 @pytest.mark.parametrize("epochs", [1, 4, 100])
 @pytest.mark.parametrize("n", [1, 2, 58, 256, 257])
-def test_epoch_orders_are_successive_shuffles(n, epochs):
-    # each row is one shuffle of arange(n), epoch after epoch, and the
+def test_epochs_are_successive_shuffles(n, epochs):
+    # epoch e holds the rows in the e-th shuffle of arange(n), and the
     # generator ends where those shuffles leave it
     drawn, shuffled = np.random.default_rng(n), np.random.default_rng(n)
-    orders = epoch_orders([drawn], [n], epochs)
-    assert np.array_equal(orders, successive_shuffles(shuffled, n, epochs))
+    want = successive_shuffles(shuffled, n, epochs)
+    got = [labels.reshape(-1)[:n].copy()
+           for _, labels in ClientStack([numbered_rows(n)]).epochs([drawn], epochs, 32)]
+    assert np.array_equal(np.stack(got), want)
     assert drawn.bit_generator.state == shuffled.bit_generator.state
 
 
-def test_epoch_orders_give_each_client_its_own_columns():
-    sizes = [3, 58, 1, 257, 2]
-    orders = epoch_orders([np.random.default_rng(s) for s in range(len(sizes))], sizes, 4)
-    assert orders.shape == (4, sum(sizes))
-    bounds = np.cumsum([0, *sizes])
-    for s, n in enumerate(sizes):
-        want = successive_shuffles(np.random.default_rng(s), n, 4)
-        assert np.array_equal(orders[:, bounds[s]:bounds[s + 1]], want)
+def test_epochs_shuffle_each_client_in_its_own_slot_into_one_buffer_pair():
+    sizes, block, epochs = [3, 58, 1, 257, 2], 16, 4
+    stack = ClientStack([numbered_rows(n) for n in sizes])
+    want = [successive_shuffles(np.random.default_rng(s), n, epochs) for s, n in enumerate(sizes)]
+    seen = []
+    rngs = [np.random.default_rng(s) for s in range(len(sizes))]
+    for e, (z, labels) in enumerate(stack.epochs(rngs, epochs, block)):
+        assert z.shape[:3] == labels.shape == (len(sizes), -(-max(sizes) // block), block)
+        seen.append((z, labels))
+        for s, n in enumerate(sizes):
+            rows, row_labels = z[s].reshape(-1, z.shape[-1]), labels[s].reshape(-1)
+            assert np.array_equal(row_labels[:n], want[s][e])
+            assert np.array_equal(rows[:n], numbered_rows(n).z[want[s][e]])
+            assert not rows[n:].any() and not row_labels[n:].any()
+    assert len(seen) == epochs
+    assert all(z is seen[0][0] and labels is seen[0][1] for z, labels in seen)
+
+
+def test_a_mini_batch_call_takes_no_more_memory_at_a_thousand_epochs_than_at_one():
+    # the layout is packed first, so each call's peak is its own: one
+    # (epochs x rows) array of row orders would add 800 kB at 1,000 epochs
+    model, encs, paths = case(seed=6)
+    stack = ClientStack(encs)
+    stack.layout(MINI.batch_size)
+
+    def peak(epochs):
+        inputs = _stack_inputs(model, paths, Tier.ROOT)
+        opt = SgdConfig(lr=MINI.lr, epochs=epochs, batch_mode="mini", batch_size=MINI.batch_size)
+        tracemalloc.start()
+        try:
+            local_update(model, inputs, stack, Tier.ROOT, opt=opt, rng=fresh_streams())
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one, thousand = peak(1), peak(1000)
+    assert thousand <= one + 8 * 1024, (one, thousand)
 
 
 def test_scores_of_one_stack_share_one_real_row_mask():

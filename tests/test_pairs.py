@@ -1,10 +1,12 @@
-"""tools/pairs.py runs the benchmark alternately in a base tree and this
-checkout, stops at the first run that fails, and summarises every
-end-to-end metric: both medians, their ratio, the pairs the change won and
-the base's spread."""
+"""tools/pairs.py runs the benchmark alternately in copies of a base ref and of
+this checkout, side by side in directories whose names have one length,
+stops at the first run that fails, and summarises every end-to-end metric:
+both medians, their ratio, the pairs the change won and the base's
+spread."""
 
 import importlib.util
 import json
+import shutil
 import subprocess
 from pathlib import Path
 
@@ -59,11 +61,13 @@ def fake_runs(monkeypatch, fail=None):
     protocol_s 2.0 in the base tree and 1.0 here, every other end-to-end
     metric 1.0; the run numbered `fail` (0-based) exits 1 instead, or with
     fail=("incorrect", n) exits 0 but reports itself incorrect."""
-    calls = []
+    calls, trees = [], set()
     monkeypatch.setattr(pairs, "extract", lambda ref, dest: True)
+    monkeypatch.setattr(pairs, "copy_checkout", lambda dest: True)
 
     def run(tree, workload, seconds, seed):
-        side = "change" if tree == pairs.ROOT else "base"
+        side = "base" if tree.name == "base" else "change"
+        trees.add(tree)
         calls.append((side, workload, seconds, seed))
         values = {m["name"]: 1.0 for m in END_TO_END}
         values["protocol_s"] = 1.0 if side == "change" else 2.0
@@ -74,15 +78,19 @@ def fake_runs(monkeypatch, fail=None):
         return 0, result(**values)
 
     monkeypatch.setattr(pairs, "run_benchmark", run)
-    return calls
+    return calls, trees
 
 
 def test_runs_alternate_and_every_end_to_end_metric_is_printed(monkeypatch, capsys):
-    calls = fake_runs(monkeypatch)
+    calls, trees = fake_runs(monkeypatch)
     assert pairs.main(["--base", "HEAD~1", "--workload", "readme_full", "--pairs", "3",
                        "--seconds", "2", "--seed", "5"]) == 0
     assert [side for side, *_ in calls] == ["base", "change", "change", "base",
                                             "base", "change"]
+    # both sides run from sibling copies whose paths differ only in their names
+    base, change = sorted(trees, key=lambda tree: tree.name != "base")
+    assert base.parent == change.parent != pairs.ROOT
+    assert len(base.name) == len(change.name)
     assert {tuple(rest) for _, *rest in calls} == {("readme_full", 2.0, 5)}
     lines = capsys.readouterr().out.splitlines()
     for metric in END_TO_END:
@@ -93,7 +101,7 @@ def test_runs_alternate_and_every_end_to_end_metric_is_printed(monkeypatch, caps
 
 @pytest.mark.parametrize("fail", [0, 3, ("incorrect", 2)])
 def test_stops_at_the_first_failing_or_incorrect_run(monkeypatch, capsys, fail):
-    calls = fake_runs(monkeypatch, fail=fail)
+    calls, _ = fake_runs(monkeypatch, fail=fail)
     assert pairs.main(["--base", "HEAD", "--workload", "readme_full", "--pairs", "4"]) == 1
     stop = fail if isinstance(fail, int) else fail[1]
     assert len(calls) == stop + 1
@@ -106,6 +114,34 @@ def test_a_ref_that_cannot_be_extracted_fails(monkeypatch, capsys):
     monkeypatch.setattr(pairs, "run_benchmark", lambda *args: pytest.fail("ran a benchmark"))
     assert pairs.main(["--base", "no-such-ref", "--workload", "readme_full"]) == 1
     assert "no-such-ref" in capsys.readouterr().err
+
+
+def test_a_checkout_that_cannot_be_copied_fails(monkeypatch, capsys):
+    monkeypatch.setattr(pairs, "extract", lambda ref, dest: True)
+    monkeypatch.setattr(pairs, "copy_checkout", lambda dest: False)
+    monkeypatch.setattr(pairs, "run_benchmark", lambda *args: pytest.fail("ran a benchmark"))
+    assert pairs.main(["--base", "HEAD", "--workload", "readme_full"]) == 1
+    assert "git ls-files" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="no git")
+def test_copy_checkout_copies_the_work_tree_as_it_stands(monkeypatch, tmp_path):
+    repo, dest = tmp_path / "repo", tmp_path / "copy"
+    (repo / "pkg").mkdir(parents=True)
+    dest.mkdir()
+    for name, text in {"pkg/kept.py": "committed", "gone.py": "x", ".gitignore": "*.log\n"}.items():
+        (repo / name).write_text(text)
+    subprocess.run(["git", "init", "-q"], cwd=repo, check=True)
+    subprocess.run(["git", "add", "."], cwd=repo, check=True)
+    (repo / "pkg" / "kept.py").write_text("edited")
+    (repo / "gone.py").unlink()
+    (repo / "new.py").write_text("untracked")
+    (repo / "out.log").write_text("ignored")
+    monkeypatch.setattr(pairs, "ROOT", repo)
+    assert pairs.copy_checkout(dest)
+    copied = {p.relative_to(dest).as_posix(): p.read_text() for p in dest.rglob("*")
+              if p.is_file()}
+    assert copied == {"pkg/kept.py": "edited", "new.py": "untracked", ".gitignore": "*.log\n"}
 
 
 @pytest.mark.skipif(not (TOOL.parents[1] / ".git").exists(), reason="not a git checkout")

@@ -1,20 +1,22 @@
 """The golden run record: the artifacts of six fixed runs, the numbers behind
 them, and the build they were made on.
 
-    python3 tools/golden.py --write          # regenerate tests/golden/<case>.json
-    python3 tools/golden.py --configs DIR    # write each case's config as DIR/<case>.json
+    python3 tools/golden.py --write    # regenerate tests/golden/<case>.json
 
 The cases are the README config in full batch (batch size 32), in mini batch
 at batch sizes 32, 4096 and 1 (batch size 1 at lr 0.02: it diverges at the
 README's lr 0.1), in full batch with no leaf stage (t_leaf 0, so every leaf
 is zero and the orthogonality report excludes every leaf pair), and a small
-sc_dir config whose manifest fills in the default superclass map. CI's
-determinism step runs the configs that --configs writes, and
+sc_dir config whose manifest fills in the default superclass map.
 tests/test_golden.py runs the same cases in process.
 
-record(case, work) runs `fedtier run --workers 1`, `report`, `cluster-diag
---out cluster_diag.json` and `adapt --epochs 5` in process in `work` and
-returns the case's record:
+record(case, work) runs `fedtier run`, `report`, `cluster-diag --out
+cluster_diag.json` and `adapt --epochs 5` in process in `work`, once at
+`--workers 1` and once at `--workers 2`. It is also the determinism gate: it
+raises RuntimeError unless `report` leaves metrics.json and metrics.csv
+byte-unchanged, cluster_diag.json holds the bytes of clustering.json, and
+every artifact except manifest.json has one digest at both worker counts.
+It returns the case's record:
 - config: the config the case ran;
 - provenance: Python, numpy, numpy's BLAS name and version (as
   perfbench/run.py reads them) and the runtime configuration string of
@@ -113,16 +115,39 @@ def _norms(path: Path) -> list[float]:
     return [float(np.linalg.norm(load_matrix(path.read_text())))]
 
 
+def _digests(cfg: Path, out: Path, workers: int) -> dict:
+    """Run the four commands at `workers` into `out` and return the sha256
+    of every artifact except manifest.json, which holds the output path;
+    raise RuntimeError if a reload does not reproduce the run's bytes."""
+    _fedtier("run", "--config", str(cfg), "--workers", str(workers), "--out", str(out))
+    before = {name: (out / name).read_bytes() for name in ("metrics.json", "metrics.csv")}
+    _fedtier("report", "--run", str(out))
+    changed = [name for name, data in before.items() if (out / name).read_bytes() != data]
+    if changed:
+        raise RuntimeError(f"report rewrote {changed} of {out.name} at --workers {workers}")
+    _fedtier("cluster-diag", "--run", str(out), "--out", str(out / "cluster_diag.json"))
+    if (out / "cluster_diag.json").read_bytes() != (out / "clustering.json").read_bytes():
+        raise RuntimeError(f"cluster-diag of {out.name} differs from clustering.json at "
+                           f"--workers {workers}")
+    _fedtier("adapt", "--run", str(out), "--epochs", "5")
+    return {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.rglob("*")) if p.is_file() and p.name != "manifest.json"}
+
+
 def record(case: str, work: Path) -> dict:
-    """Run the case's four commands in `work` and return its record."""
+    """Run the case's four commands in `work` at one and two workers and
+    return its record; raise RuntimeError unless both give the same files."""
     doc = config(case)
     cfg, out = work / f"{case}.json", work / case
     cfg.write_text(json.dumps(doc))
-    _fedtier("run", "--config", str(cfg), "--workers", "1", "--out", str(out))
-    _fedtier("report", "--run", str(out))
-    _fedtier("cluster-diag", "--run", str(out), "--out", str(out / "cluster_diag.json"))
-    _fedtier("adapt", "--run", str(out), "--epochs", "5")
-    files = sorted(p for p in out.rglob("*") if p.is_file() and p.name != "manifest.json")
+    digests = _digests(cfg, out, 1)
+    other = _digests(cfg, work / f"{case}_w2", 2)
+    moved = sorted(name for name in digests.keys() | other.keys()
+                   if digests.get(name) != other.get(name))
+    if moved:
+        raise RuntimeError(f"{case}: {len(moved)} artifacts differ between --workers 1 and 2: "
+                           f"{moved[:5]}")
+    files = [out / name for name in digests]
     metrics = json.loads((out / "metrics.json").read_text())
     clustering = json.loads((out / "clustering.json").read_text())
     with (out / "adapt.csv").open(newline="") as fh:
@@ -146,8 +171,7 @@ def record(case: str, work: Path) -> dict:
               for u in unseen]
     return {
         "case": case, "config": doc, "provenance": provenance(),
-        "sha256": {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
-                   for p in files},
+        "sha256": digests,
         "exact": {"k_star": clustering["k_star"], "labels": clustering["labels"],
                   "routes": routes},
         "numbers": numbers,
@@ -158,22 +182,15 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--write", action="store_true",
                         help="regenerate every record in tests/golden")
-    parser.add_argument("--configs", metavar="DIR", help="write each case's config to DIR")
     args = parser.parse_args(argv)
-    if not args.write and not args.configs:
-        parser.error("give --write, --configs DIR or both")
-    if args.configs:
-        out = Path(args.configs)
-        out.mkdir(parents=True, exist_ok=True)
+    if not args.write:
+        parser.error("give --write")
+    GOLDEN.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
         for case in CASES:
-            (out / f"{case}.json").write_text(json.dumps(config(case)))
-    if args.write:
-        GOLDEN.mkdir(parents=True, exist_ok=True)
-        with tempfile.TemporaryDirectory() as tmp:
-            for case in CASES:
-                text = json.dumps(record(case, Path(tmp)), indent=1, sort_keys=True)
-                (GOLDEN / f"{case}.json").write_text(text + "\n")
-                print(f"wrote {(GOLDEN / f'{case}.json').relative_to(ROOT)}")
+            text = json.dumps(record(case, Path(tmp)), indent=1, sort_keys=True)
+            (GOLDEN / f"{case}.json").write_text(text + "\n")
+            print(f"wrote {(GOLDEN / f'{case}.json').relative_to(ROOT)}")
     return 0
 
 

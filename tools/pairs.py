@@ -3,21 +3,26 @@ alternating pairs of runs.
 
     python3 tools/pairs.py --base <ref> --workload W [--pairs 10] [--seconds 6] [--seed 23]
 
-The base is extracted with ``git archive <ref> | tar -x`` into a temporary
-directory, so the repository's .git and work tree are left untouched; the
-change is this checkout, uncommitted edits included. Each pair runs
-perfbench/run.py --trace 0 once in each tree, each run a subprocess of its
-own; the base runs first in odd pairs and second in even ones, so a drift
-of the shared CPU's speed favours neither. For every end-to-end metric of
-BENCHMARK.json the tool then prints the base median, the change median,
-their ratio, the pairs the change won (strictly better by the metric's
-``better``) and the base IQR over its median, the spread a change must
-beat. It stops with exit code 1 at the first run that exits non-zero or
+Both sides run from copies in one temporary directory, in sibling
+directories whose names have the same length, so neither side's paths
+differ from the other's but by those names. The base is extracted with
+``git archive <ref> | tar -x``; the change is this checkout's files as they
+stand (tracked files with their uncommitted edits, and untracked files that
+git does not ignore). The repository's .git and work tree are left
+untouched. Each pair runs perfbench/run.py --trace 0 once in each tree,
+each run a subprocess of its own; the base runs first in odd pairs and
+second in even ones, so a drift of the shared CPU's speed favours neither.
+For every end-to-end metric of BENCHMARK.json the tool then prints the base
+median, the change median, their ratio, the pairs the change won (strictly
+better by the metric's ``better``) and the base IQR over its median, the
+spread a change must beat. It stops with exit code 1 at the first run that exits non-zero or
 reports itself incorrect. Only the standard library is used.
 """
 
 import argparse
 import json
+import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -33,6 +38,21 @@ def extract(ref: str, dest: Path) -> bool:
     untar = subprocess.run(["tar", "-x", "-C", str(dest)], stdin=archive.stdout)
     archive.stdout.close()
     return archive.wait() == 0 and untar.returncode == 0
+
+
+def copy_checkout(dest: Path) -> bool:
+    """Copy this checkout's files into dest as they stand: tracked files,
+    uncommitted edits included, and untracked files that git does not ignore;
+    a tracked file deleted from the work tree is left out. False if git fails."""
+    listed = subprocess.run(["git", "ls-files", "-z", "--cached", "--others",
+                             "--exclude-standard"], cwd=ROOT, capture_output=True)
+    if listed.returncode != 0:
+        return False
+    for name in filter(None, os.fsdecode(listed.stdout).split("\0")):
+        if (ROOT / name).is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, dest / name)
+    return True
 
 
 def run_benchmark(tree: Path, workload: str, seconds: float, seed: int):
@@ -90,12 +110,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
-    with tempfile.TemporaryDirectory(prefix="pairs-base-") as tmp:
-        base_tree = Path(tmp)
-        if not extract(args.base, base_tree):
+    with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
+        trees, pairs = {"base": Path(tmp) / "base", "change": Path(tmp) / "work"}, []
+        for tree in trees.values():
+            tree.mkdir()
+        if not extract(args.base, trees["base"]):
             print(f"error: cannot extract {args.base!r} with git archive", file=sys.stderr)
             return 1
-        trees, pairs = {"base": base_tree, "change": ROOT}, []
+        if not copy_checkout(trees["change"]):
+            print("error: cannot list this checkout's files with git ls-files", file=sys.stderr)
+            return 1
         for i in range(args.pairs):
             results = {}
             for side in (("base", "change") if i % 2 == 0 else ("change", "base")):
@@ -110,7 +134,7 @@ def main(argv=None) -> int:
             pairs.append((results["base"], results["change"]))
             print(f"pair {i + 1}/{args.pairs} done", flush=True)
     print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs at {args.seconds:g} s: "
-          f"base {args.base} against this checkout")
+          f"base {args.base} against a copy of this checkout")
     print("\n".join(summary(pairs, spec["end_to_end"])))
     return 0
 
