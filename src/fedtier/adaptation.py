@@ -11,14 +11,14 @@ the stage engine's kernel form: one KernelInputs built once from the
 client's path (model._stack_inputs), whose frozen weight is
 w0 + root + cluster and whose penalty bases are the root and cluster B
 factors (Tier.LEAF.earlier), updated in place epoch by epoch and scored at
-frozen + B A, the path's composed weight bitwise. In full batch the frozen
-logits of the client's train rows are computed once and read by every
-epoch's factored step; a mini-batch step computes its own. The probe's one
-full-batch call computes them once; it passes no gammas, so the probe
-trains without a penalty. After each epoch the leaf stage's round check runs
-(federation._check_round): an epoch whose factors go non-finite, or so large
-that their product could overflow, is refused as a diverged leaf round is,
-before it is scored.
+frozen + B A, the path's composed weight bitwise. In either batch mode the
+frozen logits of the client's train rows are computed once and read by
+every epoch's factored step, gathered with the rows in mini batch. The
+probe's one full-batch call computes them once; it passes no gammas, so
+the probe trains without a penalty. After each epoch the leaf stage's
+round check runs (federation._check_round): an epoch whose factors go
+non-finite, or so large that their product could overflow, is refused as a
+diverged leaf round is, before it is scored.
 """
 
 from dataclasses import dataclass
@@ -122,10 +122,9 @@ def adapt_unseen(model: HeadModel, client: ClientSplit, server: ServerState,
     # frozen: w0 + root + cluster; penalty bases: the root and cluster B factors
     local = _stack_inputs(model, [path], Tier.LEAF)
     # only mini batch reads row orders, so only it draws a shuffle stream;
-    # only full batch reads the frozen logits, the same in every epoch
-    mini = opt.batch_mode == "mini"
-    shuffle = [stream(seed, "unseen_leaf_shuffle") if mini else None]
-    logits = None if mini else _frozen_logits(local.frozen, train.layout(opt.batch_size)[0])
+    # the frozen logits are the same in every epoch
+    shuffle = [stream(seed, "unseen_leaf_shuffle") if opt.batch_mode == "mini" else None]
+    logits = _frozen_logits(local.frozen, train.layout(opt.batch_size)[0])
     # frozen + B A adds w0, root, cluster, leaf in compose_path's order
     for epoch in range(1, epochs + 1):
         local_update(model, local, train, Tier.LEAF, gammas, opt=opt, rng=shuffle,

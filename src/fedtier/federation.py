@@ -25,10 +25,10 @@ stack is given, draws each group's fresh active adapter from the stage's
 holds the stage's state as arrays: each group's active factors and previous
 delta, and each member's penalty bases (the B factors of the earlier tiers
 on its path) and frozen weight (w0 plus the earlier tiers' updates), built
-once per stage; in full batch, each chunk's frozen logits (the frozen
-weights applied to its rows, which the kernel's factored step adds B (A z)
-to) are too. The factors, frozen weights and penalty bases start as one
-model._stack_inputs call over the groups' paths, the one builder of the
+once per stage, and so are each chunk's frozen logits (the frozen weights
+applied to its rows, which the kernel's factored step adds B (A z) to), in
+either batch mode. The factors, frozen weights and penalty bases start as
+one model._stack_inputs call over the groups' paths, the one builder of the
 kernel's inputs from adapters, spread once to the members.
 Every round trains the whole stack, so the layouts it caches serve all three
 stages and the metrics' loss pass; a retired group's members still run their
@@ -278,16 +278,16 @@ def _run_stage(config: FederationConfig, model: HeadModel, data: FederationData,
     one _stack_inputs call over the groups' paths (_path of the frozen tiers
     and the fresh adapter), whose KernelInputs are then spread to the
     members by owner (KernelInputs.select); each round's inputs are that
-    spread with the members' current factors. In full batch the rows are
-    fixed too, so each chunk's frozen logits (model._frozen_logits of its
-    members' frozen weights over its own layout) are computed once and
+    spread with the members' current factors. The rows are fixed too, so
+    in either batch mode each chunk's frozen logits (model._frozen_logits of
+    its members' frozen weights over its own layout) are computed once and
     passed to every round's local update, whose factored step adds
-    B (A z) to them; a mini-batch step computes its own. A group's
-    aggregation and round-loss weights are weights_root over its members'
-    train sizes. Every round trains on enc itself, so the layouts it caches
-    serve every stage; the members of a retired group still run their local
-    update, but nothing reads it, and a client's bits do not depend on its
-    stack mates.
+    B (A z) to them; a mini-batch step reads them gathered with its rows.
+    A group's aggregation and round-loss weights are weights_root over its
+    members' train sizes. Every round trains on enc itself, so the layouts
+    it caches serve every stage; the members of a retired group still run
+    their local update, but nothing reads it, and a client's bits do not
+    depend on its stack mates.
     Each round then:
     - spreads the group factors to the members by owner and runs one local
       update per chunk of the stack (config.workers > 1 splits it into at
@@ -327,10 +327,10 @@ def _run_stage(config: FederationConfig, model: HeadModel, data: FederationData,
         np.arange(config.n_clients), min(config.workers, config.n_clients))]
     # a single chunk is the stack itself, whose layout the round loss reuses
     chunks = [train] if len(parts) == 1 else [train[part] for part in parts]
-    # a full-batch chunk's frozen logits are fixed for the stage: computed
-    # once, from its own layout
+    # a chunk's frozen logits are fixed for the stage: computed once, from
+    # its own layout
     logits = [_frozen_logits(spread.frozen[part], stack.layout(opt.batch_size)[0])
-              if opt.batch_mode == "full" else None for part, stack in zip(parts, chunks)]
+              for part, stack in zip(parts, chunks)]
     with ThreadPoolExecutor(config.workers) if config.workers > 1 else nullcontext() as pool:
         for t in range(1, budget + 1):
             running = [g for g, report in enumerate(reports) if report.stop_reason == "budget"]

@@ -17,18 +17,19 @@ LoraAdapter, or KernelInputs with a ClientStack, updated in place. A step
 runs in factored form: its logits are the frozen logits (the frozen weight,
 w0 plus every other tier's update, applied to the rows) plus B (A z), and
 dB and dA are taken through A z and B^T times the residual, so no C×h
-weight or weight gradient is formed in a step. The frozen logits stay fixed
-as long as the rows do: a full-batch call takes them as given (the stage
-engine computes them once per stage, the unseen fine-tune once per client)
-or computes them once itself, and a mini-batch step computes its own from
-the rows it gathered. Its softmax stores the probabilities class-outer,
-(C, S, blocks, block), so each operation runs once over the whole stack's
-classes, and the one-hot labels come off in one subtract by the flat index
-of each row's label in that array. A mini-batch call takes its epochs
-from one generator, ClientStack.epochs, which shuffles each client's rows
-afresh every epoch and gathers them from the packed layout into one buffer
-pair, so the call's memory does not grow with its epochs. The analytic
-tier gradient is that kernel's gradient on a stack of one.
+weight or weight gradient is formed in a step. The frozen logits have one
+rule in both batch modes: they are computed once over the stack's layout
+and read by every step. A call takes them as given (the stage engine
+computes them once per stage, the unseen fine-tune once per client) or
+computes them once itself. A step's softmax stores the probabilities
+class-outer, (C, S, blocks, block), so each operation runs once over the
+whole stack's classes, and the one-hot labels come off in one subtract by
+the flat index of each row's label in that array. A mini-batch call takes
+its epochs from one generator, ClientStack.epochs, which shuffles each
+client's rows afresh every epoch and gathers them, their labels and their
+frozen logits from the packed layout into one buffer triple, so the call's
+memory does not grow with its epochs. The analytic tier gradient is that
+kernel's gradient on a stack of one.
 Every score is the kernel's too: the loss and the argmax accuracy read the
 same blocks and the same mask of real rows, which a ClientStack's layout
 holds together, so a client scores the same bits alone or in any stack. A
@@ -169,7 +170,8 @@ class ClientStack:
     The kernel reads the rows in fixed blocks (see below). ``layout`` packs
     them once per block size into one read-only array, with the mask of its
     real rows, and ``epochs`` yields mini-batch epochs of them, each a fresh
-    shuffle copied out of that array into one buffer pair of its own."""
+    shuffle copied out of that array, with the rows' frozen logits, into one
+    buffer triple of its own."""
 
     clients: tuple[EncodedData, ...]
 
@@ -208,20 +210,23 @@ class ClientStack:
             self._layouts[block] = z, labels, real
         return self._layouts[block]
 
-    def epochs(self, rngs, count: int, block: int):
+    def epochs(self, rngs, count: int, block: int, logits):
         """Yield `count` mini-batch epochs of the stack at `block`: each a
-        (z, labels) pair shaped like the layout's, every client's rows in a
-        fresh shuffle at the front of its slot. Each epoch refills one
-        identity order of the layout's slots and shuffles each client's
-        range of real slots with rngs[s] (the draws of permutation, epoch
-        after epoch), then copies the packed layout through it into one
-        buffer pair of this generator's own, reused every epoch; a padding
-        slot copies the layout's padding at the same place, a zero row. The
-        order is intp, the items Generator.shuffle swaps fastest."""
+        (z, labels, logits) triple shaped like the layout's and like
+        `logits`, the class-outer (C, S, blocks, block) frozen logits of the
+        layout's rows, with every client's rows in a fresh shuffle at the
+        front of its slot. Each epoch refills one identity order of the
+        layout's slots and shuffles each client's range of real slots with
+        rngs[s] (the draws of permutation, epoch after epoch), then copies
+        the packed layout and `logits` through it into one buffer triple of
+        this generator's own, reused every epoch; a padding slot copies the
+        padding at the same place, a zero row and its logits. The order is
+        intp, the items Generator.shuffle swaps fastest."""
         packed_z, packed_labels, real = self.layout(block)
         order, width = np.empty(real.size, np.intp), packed_z.shape[-1]
         ranges = [order.reshape(len(real), -1)[s, :n] for s, n in enumerate(self.sizes)]
         z, labels = np.empty(packed_z.shape), np.empty(real.shape, np.int64)
+        gathered = np.empty(logits.shape)
         for _ in range(count):
             order[:] = np.arange(order.size)
             for r, slots in zip(rngs, ranges):
@@ -229,7 +234,9 @@ class ClientStack:
             np.take(packed_z.reshape(-1, width), order, axis=0, out=z.reshape(-1, width),
                     mode="clip")   # "clip" copies unbuffered
             np.take(packed_labels.ravel(), order, out=labels.reshape(-1), mode="clip")
-            yield z, labels
+            np.take(logits.reshape(len(logits), -1), order, axis=1,
+                    out=gathered.reshape(len(logits), -1), mode="clip")
+            yield z, labels, gathered
 
 
 def _stack_of_one(model: HeadModel, data) -> ClientStack:
@@ -472,13 +479,14 @@ def local_update(model: HeadModel, path, data, active: Tier, gammas=(), *, opt: 
     same active tier), the stage engine's form, `data` is a ClientStack of
     their clients and `rng` one Generator per client; the inputs' b and a
     are updated in place and the inputs returned. A client's result is
-    bitwise the same as when it is updated alone. A step that leaves a factor non-finite warns nowhere:
-    the adapter refuses it with ConfigurationError, and KernelInputs come
-    back unchecked, for the stage engine's own check
-    (federation._check_round), which the unseen fine-tune runs too.
+    bitwise the same as when it is updated alone. A step that leaves a
+    factor non-finite warns nowhere: the adapter refuses it with
+    ConfigurationError, and KernelInputs come back unchecked, for the stage
+    engine's own check (federation._check_round), which the unseen
+    fine-tune runs too.
     Mini-batch mode needs the rngs: it iterates ClientStack.epochs, which
     shuffles each client's rows with its rng epoch by epoch into one buffer
-    pair; full batch reads the stack's cached layout every epoch. A
+    triple; full batch reads the stack's cached layout every epoch. A
     full-batch step sums the gradients of all of a client's blocks, a
     mini-batch step takes one block per client.
 
@@ -487,16 +495,16 @@ def local_update(model: HeadModel, path, data, active: Tier, gammas=(), *, opt: 
     the plan's entry and subtracts the one-hot labels by the flat index of
     each row's label in the class-outer probabilities (_label_index). No
     buffer is kept across calls, and none across steps but the mini-batch
-    epochs' one pair.
+    epochs' one triple.
 
-    A step runs in factored form on the frozen logits (_stack_gradient). A
-    full-batch call reads them from `frozen_logits`, _frozen_logits of the
-    frozen weights over the stack's layout at opt.batch_size, class-outer
-    (C, S, blocks, block); when None it computes them once. The stage
-    engine passes each chunk's, computed once per stage, and the unseen
-    fine-tune its client's, computed once. A mini-batch step computes its
-    own from the rows it gathered, so passing them in mini batch, or in
-    another shape, is refused with ConfigurationError.
+    A step runs in factored form on the frozen logits (_stack_gradient),
+    which have one rule in both batch modes: `frozen_logits` is
+    _frozen_logits of the frozen weights over the stack's layout at
+    opt.batch_size, class-outer (C, S, blocks, block), computed once by the
+    call when None. The stage engine passes each chunk's, computed once per
+    stage, and the unseen fine-tune its client's, computed once. Full batch
+    reads them as they are, mini batch gathers them with the rows of each
+    epoch; an array of another shape is refused with ConfigurationError.
     """
     _check_gammas(active, gammas)
     single = isinstance(path, AdapterPath)
@@ -517,10 +525,9 @@ def local_update(model: HeadModel, path, data, active: Tier, gammas=(), *, opt: 
     layout = data.layout(opt.batch_size)[:2]
     shape = (b.shape[1], *layout[1].shape)   # class-outer (C, S, blocks, block)
     if frozen_logits is None:
-        frozen_logits = None if mini else _frozen_logits(frozen_w, layout[0])
-    elif mini or np.shape(frozen_logits) != shape:
-        raise ConfigurationError(f"frozen_logits are taken in full batch only, shaped {shape}; "
-                                 f"got {np.shape(frozen_logits)} in {opt.batch_mode} batch")
+        frozen_logits = _frozen_logits(frozen_w, layout[0])
+    elif np.shape(frozen_logits) != shape:
+        raise ConfigurationError(f"frozen_logits must be {shape}, got {np.shape(frozen_logits)}")
     # the step plan: a step runs over a span of blocks, all of them in full
     # batch, one in mini batch; clients with fewer blocks sit out their
     # missing steps
@@ -531,16 +538,12 @@ def local_update(model: HeadModel, path, data, active: Tier, gammas=(), *, opt: 
         plan.append((lo, hi, sel, rows.astype(np.float64)))
     # a diverging step warns nowhere: the adapters below or the stage engine refuse it
     with np.errstate(over="ignore", invalid="ignore"):
-        # full batch reads the stack's cached layout every epoch; mini batch
-        # a fresh shuffle of it
-        for z, labels in (data.epochs(rng, opt.epochs, opt.batch_size) if mini
-                          else repeat(layout, opt.epochs)):
+        # full batch reads the stack's cached layout and the frozen logits
+        # every epoch; mini batch a fresh shuffle of both
+        for z, labels, logits in (data.epochs(rng, opt.epochs, opt.batch_size, frozen_logits)
+                                  if mini else repeat((*layout, frozen_logits), opt.epochs)):
             for lo, hi, sel, rows in plan:
-                # full batch reads the call's frozen logits; a mini-batch
-                # step computes its own from the rows it gathered
-                logits = (_frozen_logits(frozen_w[sel], z[sel, lo:hi]) if mini
-                          else frozen_logits[:, sel, lo:hi])
-                db, da = _stack_gradient(logits, b[sel], a[sel], z[sel, lo:hi],
+                db, da = _stack_gradient(logits[:, sel, lo:hi], b[sel], a[sel], z[sel, lo:hi],
                                          labels[sel, lo:hi], rows, [base[sel] for base in bases],
                                          gammas)
                 b[sel] -= opt.lr * db

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import fedtier.model
 from fedtier.datagen import GlDir, gen_pool, partition
 from fedtier.errors import ConfigurationError, PreconditionError
 from fedtier.federation import FederationConfig, run_protocol
@@ -489,26 +490,28 @@ class TestStackedLocalUpdate:
             assert np.array_equal(out.b[s], path.leaf.b)
             assert np.array_equal(out.a[s], path.leaf.a)
 
-    def test_given_frozen_logits_change_no_bit(self):
-        # the stage engine and the fine-tune pass a full-batch call the
-        # frozen logits they computed once; a call without them computes
-        # its own from the layout
+    @pytest.mark.parametrize("batch_mode", ["full", "mini"])
+    def test_given_frozen_logits_change_no_bit(self, batch_mode):
+        # the stage engine and the fine-tune pass the frozen logits they
+        # computed once; a call without them computes its own from the
+        # layout, in either batch mode
         model, encs, paths = stacked_case(8, self.SIZES)
-        opt, gammas = SgdConfig(lr=0.2, epochs=3, batch_size=16), (0.5, 1.5)
-        stack = ClientStack(encs)
+        opt = SgdConfig(lr=0.2, epochs=3, batch_mode=batch_mode, batch_size=16)
+        gammas, stack = (0.5, 1.5), ClientStack(encs)
         own, given = (_stack_inputs(model, paths, Tier.LEAF) for _ in range(2))
-        local_update(model, own, stack, Tier.LEAF, gammas, opt=opt)
+        local_update(model, own, stack, Tier.LEAF, gammas, opt=opt, rng=streams(len(encs)))
         logits = _frozen_logits(given.frozen, stack.layout(16)[0])
-        local_update(model, given, stack, Tier.LEAF, gammas, opt=opt, frozen_logits=logits)
+        local_update(model, given, stack, Tier.LEAF, gammas, opt=opt, rng=streams(len(encs)),
+                     frozen_logits=logits)
         assert np.array_equal(own.b, given.b) and np.array_equal(own.a, given.a)
         assert not np.array_equal(own.b, _stack_inputs(model, paths, Tier.LEAF).b)
 
-    @pytest.mark.parametrize("batch_mode, cut", [
-        ("mini", lambda logits: logits),                 # mini batch computes its own per step
-        ("full", lambda logits: logits[:, :, :-1]),      # one block short
-        ("full", lambda logits: logits[:, 1:]),          # one client short
-        ("full", lambda logits: logits[1:])])            # one class short
-    def test_frozen_logits_need_full_batch_and_the_layouts_shape(self, batch_mode, cut):
+    @pytest.mark.parametrize("batch_mode", ["full", "mini"])
+    @pytest.mark.parametrize("cut", [lambda logits: logits[:, :, :-1],   # one block short
+                                     lambda logits: logits[:, 1:],       # one client short
+                                     lambda logits: logits[1:]],         # one class short
+                             ids=["block", "client", "class"])
+    def test_frozen_logits_of_another_shape_are_refused(self, batch_mode, cut):
         model, encs, paths = stacked_case(9, self.SIZES)
         opt = SgdConfig(lr=0.1, epochs=1, batch_mode=batch_mode, batch_size=16)
         local, stack = _stack_inputs(model, paths, Tier.ROOT), ClientStack(encs)
@@ -516,6 +519,28 @@ class TestStackedLocalUpdate:
         with pytest.raises(ConfigurationError, match="frozen_logits"):
             local_update(model, local, stack, Tier.ROOT, opt=opt, rng=streams(len(encs)),
                          frozen_logits=logits)
+
+    @pytest.mark.parametrize("given, calls", [(True, 0), (False, 1)])
+    def test_a_mini_batch_call_computes_its_frozen_logits_at_most_once(self, monkeypatch,
+                                                                       given, calls):
+        # 3 epochs over 3 blocks are 9 steps; each reads the logits gathered
+        # with its rows, none computes its own, and a call given none
+        # computes them once over the whole layout
+        model, encs, paths = stacked_case(10, self.SIZES)
+        opt = SgdConfig(lr=0.1, epochs=3, batch_mode="mini", batch_size=16)
+        local, stack = _stack_inputs(model, paths, Tier.LEAF), ClientStack(encs)
+        assert stack.layout(16)[0].shape[1] == 3
+        logits = _frozen_logits(local.frozen, stack.layout(16)[0]) if given else None
+        seen = []
+
+        def counted(w, z):
+            seen.append(z.shape)
+            return _frozen_logits(w, z)
+
+        monkeypatch.setattr(fedtier.model, "_frozen_logits", counted)
+        local_update(model, local, stack, Tier.LEAF, (0.5, 1.5), opt=opt,
+                     rng=streams(len(encs)), frozen_logits=logits)
+        assert seen == [stack.layout(16)[0].shape] * calls
 
     def test_stack_needs_one_path_and_rng_per_client(self):
         model, encs, paths = stacked_case(4, self.SIZES)

@@ -1,8 +1,8 @@
 """ClientStack packs its clients' rows once: the stored-order block layout and
 the mask of its real rows are cached read-only, and a mini-batch call's
-epochs (ClientStack.epochs) shuffle them into one buffer pair of the call's
-own, so reusing one stack never changes a bit of any result, and a call's
-memory does not grow with its epochs."""
+epochs (ClientStack.epochs) shuffle them, with their frozen logits, into one
+buffer triple of the call's own, so reusing one stack never changes a bit of
+any result, and a call's memory does not grow with its epochs."""
 
 import sys
 import tracemalloc
@@ -13,7 +13,8 @@ import pytest
 
 from fedtier.lora import AdapterPath, LoraAdapter, Tier, compose_path
 from fedtier.model import (ClientStack, EncodedData, Samples, SgdConfig, build_model, encode,
-                           local_update, _DEFAULT_BATCH, _stack_inputs, _stack_losses)
+                           local_update, _DEFAULT_BATCH, _frozen_logits, _stack_inputs,
+                           _stack_losses)
 
 # sizes below, at and above the block size, and not multiples of it
 SIZES = [5, 16, 45, 33, 1]
@@ -118,6 +119,13 @@ def numbered_rows(n, h=3):
                        y=np.arange(n))
 
 
+def layout_logits(stack, block, c=2):
+    """Frozen logits of the stack's layout at `block` under random weights:
+    class-outer (C, S, blocks, block), zero at every padding slot."""
+    w = np.random.default_rng(c).normal(size=(len(stack.clients), c, stack.clients[0].z.shape[1]))
+    return _frozen_logits(w, stack.layout(block)[0])
+
+
 @pytest.mark.parametrize("epochs", [1, 4, 100])
 @pytest.mark.parametrize("n", [1, 2, 58, 256, 257])
 def test_epochs_are_successive_shuffles(n, epochs):
@@ -125,28 +133,34 @@ def test_epochs_are_successive_shuffles(n, epochs):
     # generator ends where those shuffles leave it
     drawn, shuffled = np.random.default_rng(n), np.random.default_rng(n)
     want = successive_shuffles(shuffled, n, epochs)
+    stack = ClientStack([numbered_rows(n)])
     got = [labels.reshape(-1)[:n].copy()
-           for _, labels in ClientStack([numbered_rows(n)]).epochs([drawn], epochs, 32)]
+           for _, labels, _ in stack.epochs([drawn], epochs, 32, layout_logits(stack, 32))]
     assert np.array_equal(np.stack(got), want)
     assert drawn.bit_generator.state == shuffled.bit_generator.state
 
 
-def test_epochs_shuffle_each_client_in_its_own_slot_into_one_buffer_pair():
+def test_epochs_shuffle_each_client_in_its_own_slot_into_one_buffer_triple():
+    # the rows, their labels and their frozen logits move through one order
     sizes, block, epochs = [3, 58, 1, 257, 2], 16, 4
     stack = ClientStack([numbered_rows(n) for n in sizes])
+    given = layout_logits(stack, block, c=3)
     want = [successive_shuffles(np.random.default_rng(s), n, epochs) for s, n in enumerate(sizes)]
     seen = []
     rngs = [np.random.default_rng(s) for s in range(len(sizes))]
-    for e, (z, labels) in enumerate(stack.epochs(rngs, epochs, block)):
+    for e, (z, labels, logits) in enumerate(stack.epochs(rngs, epochs, block, given)):
         assert z.shape[:3] == labels.shape == (len(sizes), -(-max(sizes) // block), block)
-        seen.append((z, labels))
+        assert logits.shape == given.shape == (3, *labels.shape)
+        seen.append((z, labels, logits))
         for s, n in enumerate(sizes):
             rows, row_labels = z[s].reshape(-1, z.shape[-1]), labels[s].reshape(-1)
+            row_logits, packed = logits[:, s].reshape(3, -1), given[:, s].reshape(3, -1)
             assert np.array_equal(row_labels[:n], want[s][e])
             assert np.array_equal(rows[:n], numbered_rows(n).z[want[s][e]])
-            assert not rows[n:].any() and not row_labels[n:].any()
+            assert np.array_equal(row_logits[:, :n], packed[:, want[s][e]])
+            assert not rows[n:].any() and not row_labels[n:].any() and not row_logits[:, n:].any()
     assert len(seen) == epochs
-    assert all(z is seen[0][0] and labels is seen[0][1] for z, labels in seen)
+    assert all(all(x is first for x, first in zip(triple, seen[0])) for triple in seen)
 
 
 def test_a_mini_batch_call_takes_no_more_memory_at_a_thousand_epochs_than_at_one():
