@@ -8,14 +8,15 @@ It can then serve immediately through root + cluster, or refine a private
 leaf adapter locally: each fine-tune epoch is one round of the leaf stage,
 with that stage's optimiser and gammas (federation's _stage_settings), on
 the stage engine's kernel form: one KernelInputs built once from the
-client's path (model._stack_inputs), whose frozen weight is
-w0 + root + cluster and whose penalty bases are the root and cluster B
-factors (Tier.LEAF.earlier), updated in place epoch by epoch and scored at
-frozen + B A, the path's composed weight bitwise. In either batch mode the
-frozen logits of the client's train rows are computed once and read by
-every epoch's factored step, gathered with the rows in mini batch. The
-probe's one full-batch call computes them once; it passes no gammas, so
-the probe trains without a penalty. After each epoch the leaf stage's
+client's path and the gammas (model._stack_inputs, which checks them once),
+whose frozen weight is w0 + root + cluster and whose penalty pair holds the
+root and cluster B factors (Tier.LEAF.earlier) with a non-zero gamma,
+updated in place epoch by epoch and scored at frozen + B A, the path's
+composed weight bitwise. In either batch mode the frozen logits of the
+client's train rows are computed once and read by every epoch's factored
+step, gathered with the rows in mini batch. The probe's one full-batch call
+computes them once and builds its step operands once; it passes no gammas,
+so the probe trains without a penalty. After each epoch the leaf stage's
 round check runs (federation._check_round): an epoch whose factors go
 non-finite, or so large that their product could overflow, is refused as a
 diverged leaf round is, before it is scored.
@@ -119,15 +120,15 @@ def adapt_unseen(model: HeadModel, client: ClientSplit, server: ServerState,
     # the fresh leaf has b = 0, so this is exactly the root+cluster model
     trajectory = [accuracy(model, path, test)]
     _, opt, gammas = _stage_settings(config, Tier.LEAF, len(client.train))
-    # frozen: w0 + root + cluster; penalty bases: the root and cluster B factors
-    local = _stack_inputs(model, [path], Tier.LEAF)
+    # frozen: w0 + root + cluster; penalty pair: the root and cluster B factors
+    local = _stack_inputs(model, [path], Tier.LEAF, gammas)
     # only mini batch reads row orders, so only it draws a shuffle stream;
     # the frozen logits are the same in every epoch
     shuffle = [stream(seed, "unseen_leaf_shuffle") if opt.batch_mode == "mini" else None]
     logits = _frozen_logits(local.frozen, train.layout(opt.batch_size)[0])
     # frozen + B A adds w0, root, cluster, leaf in compose_path's order
     for epoch in range(1, epochs + 1):
-        local_update(model, local, train, Tier.LEAF, gammas, opt=opt, rng=shuffle,
+        local_update(model, local, train, Tier.LEAF, opt=opt, rng=shuffle,
                      frozen_logits=logits)
         _check_round(config, Tier.LEAF, epoch, local)   # refused as a diverged leaf round is
         trajectory.append(float(_stack_accuracy(local.frozen + local.b @ local.a, test)[0]))

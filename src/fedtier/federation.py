@@ -23,13 +23,15 @@ count and the assignment's labels; the engine encodes the clients when no
 stack is given, draws each group's fresh active adapter from the stage's
 "<tier>_init" stream, and fills each group's StageReport round by round. It
 holds the stage's state as arrays: each group's active factors and previous
-delta, and each member's penalty bases (the B factors of the earlier tiers
-on its path) and frozen weight (w0 plus the earlier tiers' updates), built
-once per stage, and so are each chunk's frozen logits (the frozen weights
-applied to its rows, which the kernel's factored step adds B (A z) to), in
-either batch mode. The factors, frozen weights and penalty bases start as
-one model._stack_inputs call over the groups' paths, the one builder of the
-kernel's inputs from adapters, spread once to the members.
+delta, and each member's penalty pair (the B factors of the earlier tiers
+on its path side by side, and their transposes scaled by 2 gamma) and
+frozen weight (w0 plus the earlier tiers' updates), built once per stage,
+and so are each chunk's frozen logits (the frozen weights applied to its
+rows, which the kernel's factored step adds B (A z) to), in either batch
+mode. The factors, frozen weights and penalty pair start as one
+model._stack_inputs call over the groups' paths with the stage's gammas,
+the one builder of the kernel's inputs from adapters and the one check of
+the gammas, spread once to the members.
 Every round trains the whole stack, so the layouts it caches serve all three
 stages and the metrics' loss pass; a retired group's members still run their
 local update, but nothing reads it. Each round spreads the group factors to
@@ -273,10 +275,12 @@ def _run_stage(config: FederationConfig, model: HeadModel, data: FederationData,
     (G, C, r) and a (G, r, h) and the delta each group's next stop check
     compares (G, C, h). No earlier tier changes within a stage, so the S
     clients' frozen weights (S, C, h), w0 plus the earlier tiers' updates in
-    tier order, and penalty bases, one (S, C, r) stack of B factors per
-    earlier tier, are built once, in client order. All of them come from
-    one _stack_inputs call over the groups' paths (_path of the frozen tiers
-    and the fresh adapter), whose KernelInputs are then spread to the
+    tier order, and the penalty pair, the B factors of the earlier tiers
+    with a non-zero gamma side by side (S, C, P) and their transposes scaled
+    by 2 gamma (S, P, C), are built once, in client order. All of them come
+    from one _stack_inputs call over the groups' paths (_path of the frozen
+    tiers and the fresh adapter) with the stage's gammas, which it checks
+    once; its KernelInputs are then spread to the
     members by owner (KernelInputs.select); each round's inputs are that
     spread with the members' current factors. The rows are fixed too, so
     in either batch mode each chunk's frozen logits (model._frozen_logits of
@@ -312,9 +316,9 @@ def _run_stage(config: FederationConfig, model: HeadModel, data: FederationData,
              for index in indices]
     # each group's path holds its frozen tiers, its fresh active adapter, then zero tiers
     spread = _stack_inputs(model, [_path(config, model, *tiers, init)
-                                   for tiers, init in zip(frozen, inits)], active)
+                                   for tiers, init in zip(frozen, inits)], active, gammas)
     b, a = spread.b, spread.a
-    # each member's frozen weight and penalty bases, spread once; the groups'
+    # each member's frozen weight and penalty pair, spread once; the groups'
     # stacks are not kept through the rounds
     spread = spread.select(owner)
     prev = b @ a
@@ -339,7 +343,7 @@ def _run_stage(config: FederationConfig, model: HeadModel, data: FederationData,
             local = spread._replace(b=b[owner], a=a[owner])
 
             def chunk(part, data, frozen_logits):
-                return local_update(model, local.select(part), data, active, gammas, opt=opt,
+                return local_update(model, local.select(part), data, active, opt=opt,
                                     rng=rngs[part], frozen_logits=frozen_logits)
 
             # each chunk updates its slice of the local factors in place

@@ -6,12 +6,17 @@ carried by the composed low-rank update on the head weight (class_count ×
 hidden_dim). Cross-entropy loss and plain gradient-descent local updates
 live here: one blocked kernel updates a whole stack of clients at once, with
 one form of its inputs (KernelInputs: stacked frozen weights, active factors
-and penalty bases, built from AdapterPaths by one builder, _stack_inputs,
+and the penalty pair, built from AdapterPaths by one builder, _stack_inputs,
 for every caller) and one step plan per call over block spans (all blocks in
-full batch, one in mini batch), each with its clients and their rows as
-float64. The cross-tier orthogonality penalty holds the active B against the
+full batch, one in mini batch), each with its clients, their rows as
+float64 and their places, from which a step's operands are built once per
+call in full batch and per step in mini batch, in one step loop. The
+cross-tier orthogonality penalty holds the active B against the
 B factor of each of the path's own tiers before it in the cascade
-(Tier.earlier), one stack per tier, weighted by the gamma in the same place.
+(Tier.earlier), weighted by the gamma in the same place; _stack_inputs
+checks the gammas once and builds the penalty as one product pair, the
+penalized tiers' B factors side by side and their transposes scaled by
+2 gamma, so a step adds it as two matmuls whatever the tier count.
 local_update has two call forms: one AdapterPath, which returns a fresh
 LoraAdapter, or KernelInputs with a ClientStack, updated in place. A step
 runs in factored form: its logits are the frozen logits (the frozen weight,
@@ -41,7 +46,7 @@ oracle used by tests and the gradcheck command checks the gradient.
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import repeat
+from itertools import repeat, starmap
 from typing import NamedTuple
 
 import numpy as np
@@ -49,8 +54,7 @@ import numpy as np
 from .errors import (FINITE_POSITIVE, NON_NEGATIVE, POSITIVE, ConfigurationError,
                      PreconditionError, check_field_types, check_types, one_of, ruled)
 from .linalg import Matrix, as_matrix
-from .lora import (AdapterPath, LoraAdapter, Tier, compose_path, delta, orth_penalty,
-                   orth_penalty_grad)
+from .lora import AdapterPath, LoraAdapter, Tier, compose_path, delta, orth_penalty
 from .streams import stream
 
 _PROB_FLOOR = 1e-12  # clamp applied before log so confidently wrong predictions stay finite
@@ -321,25 +325,29 @@ def _softmax_exps(logits: np.ndarray):
     return logits, sums.reshape(logits.shape[1:])
 
 
-def _label_index(labels: np.ndarray) -> np.ndarray:
+def _label_index(labels: np.ndarray, places=None) -> np.ndarray:
     """The flat index of each row's label in the class-outer (C, S, K, block)
     probabilities of the rows of labels (S, K, block): the label times
-    S·K·block, plus the row's own place; shaped like labels."""
-    return labels * labels.size + np.arange(labels.size).reshape(labels.shape)
+    S·K·block, plus the row's own place (places, arange shaped like labels,
+    when not given); shaped like labels."""
+    places = np.arange(labels.size).reshape(labels.shape) if places is None else places
+    return labels * labels.size + places
 
 
-def _stack_gradient(frozen_logits, b, a, z, labels, rows, bases, gammas):
+def _stack_gradient(frozen_logits, b, a, z, index, rows, penalty_b, penalty_bt):
     """Per-client gradient of the mean cross-entropy over the blocks in z,
     plus the weighted orthogonality penalties, with respect to (b, a), in
     factored form: the logits are frozen_logits + B (A z), and
     dB = sum_k resid_k (A z_k)^T / rows, dA = sum_k (B^T resid_k) z_k / rows
     with resid the softmax minus the one-hot labels, so no C×h weight or
-    weight gradient is formed.
+    weight gradient is formed. The penalties add
+    penalty_b @ (penalty_bt @ B) to dB (KernelInputs).
 
     frozen_logits (C, S, K, block) from _frozen_logits, b (S, C, r),
-    a (S, r, h), z (S, K, block, h), labels (S, K, block), rows (S,) real
-    rows in z, bases (S, C, r_f) each. Block gradients are summed in block
-    order.
+    a (S, r, h), z (S, K, block, h), index the flat _label_index of the
+    rows' labels, rows (S, 1, 1) real rows in z, and the penalty pair
+    (S, C, P) and (S, P, C). Block gradients are summed in block order; one
+    block is taken as it is, which is bitwise its sum.
     """
     b4, az = b[:, None], a[:, None] @ z.swapaxes(-1, -2)   # (S, 1, C, r), (S, K, r, block)
     logits = np.empty(frozen_logits.shape)
@@ -347,21 +355,20 @@ def _stack_gradient(frozen_logits, b, a, z, labels, rows, bases, gammas):
     logits += frozen_logits
     exps, sums = _softmax_exps(logits)
     exps /= sums
-    exps.reshape(-1)[_label_index(labels).ravel()] -= 1.0
+    exps.reshape(-1)[index] -= 1.0
     resid = exps.transpose(1, 2, 0, 3)
     if min(resid.shape[-1], b.shape[-1]) == 1:
         # at block 1 or rank 1 numpy takes BLAS matrix-vector products,
         # which sum a strided operand in another order: a contiguous copy
         # keeps a slice's bits free of the stack's size
         resid = resid.copy()
-    db = np.add.reduce(resid @ az.swapaxes(-1, -2), axis=1)   # sequential over the blocks
-    da = np.add.reduce((b4.swapaxes(-1, -2) @ resid) @ z, axis=1)
-    rows = rows[:, None, None]
+    db, da = resid @ az.swapaxes(-1, -2), (b4.swapaxes(-1, -2) @ resid) @ z
+    db, da = ((np.add.reduce(db, axis=1), np.add.reduce(da, axis=1)) if z.shape[1] > 1
+              else (db[:, 0], da[:, 0]))   # sequential over the blocks; one is its own sum
     db /= rows
     da /= rows
-    for base, gamma in zip(bases, gammas):
-        if gamma != 0.0:
-            db += gamma * orth_penalty_grad(base, b)
+    if penalty_b.shape[-1]:
+        db += penalty_b @ (penalty_bt @ b)
     return db, da
 
 
@@ -393,38 +400,48 @@ def _stack_accuracy(w: np.ndarray, data: ClientStack) -> np.ndarray:
 class KernelInputs(NamedTuple):
     """The blocked kernel's inputs for S stacked clients: each client's frozen
     weight (S, C, h), w0 plus every other tier's update, the active factors
-    b (S, C, r) and a (S, r, h), and the penalty bases: one (S, C, r_t)
-    stack of B factors per tier in active.earlier, in cascade order, so the
-    tiers of a path may differ in rank."""
+    b (S, C, r) and a (S, r, h), and the penalty pair: penalty_b (S, C, P),
+    the B factors of the tiers in active.earlier whose gamma is not 0, side
+    by side in cascade order (so the tiers of a path may differ in rank),
+    and penalty_bt (S, P, C), their transposes each scaled by 2 gamma. The
+    penalties' gradient is penalty_b @ (penalty_bt @ b); with no penalty,
+    P is 0."""
 
     frozen: np.ndarray
     b: np.ndarray
     a: np.ndarray
-    bases: tuple
+    penalty_b: np.ndarray
+    penalty_bt: np.ndarray
 
     def select(self, part) -> "KernelInputs":
         """The inputs of the clients at `part`, a slice (views, which an
         update writes through) or an index array (copies, in that order)."""
-        return KernelInputs(self.frozen[part], self.b[part], self.a[part],
-                            tuple(base[part] for base in self.bases))
+        return KernelInputs(*(field[part] for field in self))
 
 
-def _stack_inputs(model: HeadModel, paths, active: Tier) -> KernelInputs:
+def _stack_inputs(model: HeadModel, paths, active: Tier, gammas=()) -> KernelInputs:
     """The kernel's checked inputs for stacked clients, one path each: the
     frozen weight is w0 plus every other tier's update in tier order, and the
-    penalty bases are the B factors of the path's tiers in active.earlier. It
-    is the one builder of KernelInputs, and so of penalty bases, from
-    adapters: for local_update's path form, tier_gradient, the stage engine's
-    start and the unseen fine-tune."""
+    penalty pair holds the B factors of the path's tiers in active.earlier,
+    weighted by the gammas in the same place (see _check_gammas, which runs
+    here once). It is the one builder of KernelInputs, and so of the
+    penalty, from adapters: for local_update's path form, tier_gradient,
+    the stage engine's start and the unseen fine-tune."""
+    _check_gammas(active, gammas)
     adapters = [p.adapter(active) for p in paths]
     if {(ad.p, ad.q, ad.rank) for ad in adapters} != {model.w0.shape + (adapters[0].rank,)}:
         raise ConfigurationError(f"stacked active adapters must share one shape matching "
                                  f"the base weight {model.w0.shape}")
     frozen = [reduce(np.add, (delta(p.adapter(t)) for t in Tier if t is not active), model.w0)
               for p in paths]
+    kept = [(np.stack([p.adapter(t).b for p in paths]), 2.0 * g)
+            for t, g in zip(active.earlier, gammas) if g != 0.0]
+    s, c = len(paths), model.w0.shape[0]
     return KernelInputs(np.stack(frozen), np.stack([ad.b for ad in adapters]),
                         np.stack([ad.a for ad in adapters]),
-                        tuple(np.stack([p.adapter(t).b for p in paths]) for t in active.earlier))
+                        np.concatenate([np.empty((s, c, 0)), *(b for b, _ in kept)], axis=2),
+                        np.concatenate([np.empty((s, 0, c)),
+                                        *(w * b.swapaxes(1, 2) for b, w in kept)], axis=1))
 
 
 def tier_gradient(model: HeadModel, path: AdapterPath, data, active: Tier,
@@ -440,12 +457,11 @@ def tier_gradient(model: HeadModel, path: AdapterPath, data, active: Tier,
     dataset_loss is ignored here; it only binds below 1e-12 where the loss
     surface is flat anyway.
     """
-    _check_gammas(active, gammas)
     stack = _stack_of_one(model, data)
-    frozen_w, b, a, bases = _stack_inputs(model, [path], active)
+    frozen_w, b, a, penalty_b, penalty_bt = _stack_inputs(model, [path], active, gammas)
     z, labels, _ = stack.layout(_DEFAULT_BATCH)
-    db, da = _stack_gradient(_frozen_logits(frozen_w, z), b, a, z, labels, stack.sizes, bases,
-                             gammas)
+    db, da = _stack_gradient(_frozen_logits(frozen_w, z), b, a, z, _label_index(labels).ravel(),
+                             stack.sizes[:, None, None], penalty_b, penalty_bt)
     return db[0], da[0]
 
 
@@ -469,16 +485,17 @@ def local_update(model: HeadModel, path, data, active: Tier, gammas=(), *, opt: 
     The active B is penalized against the B factor of each of the path's
     tiers in active.earlier, weighted by the gamma in the same place: no
     gammas, no penalty (the rule is _check_gammas). Those factors come with
-    the inputs (KernelInputs.bases), so no caller passes them; opt, rng and
-    frozen_logits are keyword-only.
+    the inputs, as KernelInputs' penalty pair, so no caller passes them;
+    opt, rng and frozen_logits are keyword-only.
 
     There are two call forms. With one AdapterPath, `data` is its client's
     Samples, EncodedData or one-client ClientStack, `rng` one Generator,
     and a fresh LoraAdapter is returned; the path is left bitwise
     untouched. With KernelInputs (built from paths by _stack_inputs for the
-    same active tier), the stage engine's form, `data` is a ClientStack of
-    their clients and `rng` one Generator per client; the inputs' b and a
-    are updated in place and the inputs returned. A client's result is
+    same active tier, with the gammas), the stage engine's form, `data` is
+    a ClientStack of their clients and `rng` one Generator per client; this
+    form takes no gammas, since the inputs carry the penalty. The inputs' b
+    and a are updated in place and the inputs returned. A client's result is
     bitwise the same as when it is updated alone. A step that leaves a
     factor non-finite warns nowhere: the adapter refuses it with
     ConfigurationError, and KernelInputs come back unchecked, for the stage
@@ -491,11 +508,18 @@ def local_update(model: HeadModel, path, data, active: Tier, gammas=(), *, opt: 
     mini-batch step takes one block per client.
 
     The call builds one step plan, an entry per block span: its blocks, its
-    clients and their rows as float64. Each step indexes its operands from
-    the plan's entry and subtracts the one-hot labels by the flat index of
-    each row's label in the class-outer probabilities (_label_index). No
-    buffer is kept across calls, and none across steps but the mini-batch
-    epochs' one triple.
+    clients, their rows as float64 (S, 1, 1) and the places of its rows in
+    the class-outer probabilities. From an entry and an epoch's rows come a
+    step's operands: the views of the factors, frozen logits, rows and
+    penalty pair (an index array of clients takes copies, and the stepped
+    factors are written back), and the flat index of each row's label
+    (_label_index), by which the step subtracts the one-hot labels; a
+    one-block span's gradient skips the sum over its one block, which
+    would copy it bitwise. Full batch builds them once per call,
+    from the cached layout, and mini batch per step, from its epoch's
+    shuffle; one step loop runs both. No buffer is kept across calls, and
+    none across steps but the mini-batch epochs' one triple and the
+    full-batch operands.
 
     A step runs in factored form on the frozen logits (_stack_gradient),
     which have one rule in both batch modes: `frozen_logits` is
@@ -506,48 +530,57 @@ def local_update(model: HeadModel, path, data, active: Tier, gammas=(), *, opt: 
     reads them as they are, mini batch gathers them with the rows of each
     epoch; an array of another shape is refused with ConfigurationError.
     """
-    _check_gammas(active, gammas)
     single = isinstance(path, AdapterPath)
     if single:
         data = _stack_of_one(model, data)
-        path, rng = _stack_inputs(model, [path], active), [rng]
+        path, rng = _stack_inputs(model, [path], active, gammas), [rng]
     elif not (isinstance(path, KernelInputs) and isinstance(data, ClientStack)):
         raise ConfigurationError("local_update takes one AdapterPath, or KernelInputs with a "
                                  "ClientStack")
-    frozen_w, b, a, bases = path
+    elif len(gammas):
+        raise ConfigurationError("KernelInputs carry their penalty: _stack_inputs takes the gammas")
+    frozen_w, b, a, penalty_b, penalty_bt = path
     rng = [None] * len(data.clients) if rng is None else rng
-    if any(len(x) != len(data.clients) for x in (frozen_w, b, a, rng, *bases)):
+    if any(len(x) != len(data.clients) for x in (*path, rng)):
         raise ConfigurationError("a client stack needs one input, basis and rng per client")
     mini = opt.batch_mode == "mini"
     if mini and any(r is None for r in rng):
         raise ConfigurationError("mini-batch mode needs an rng for shuffling")
-    blocks = -(-data.sizes // opt.batch_size)
-    layout = data.layout(opt.batch_size)[:2]
+    blocks, layout = -(-data.sizes // opt.batch_size), data.layout(opt.batch_size)[:2]
     shape = (b.shape[1], *layout[1].shape)   # class-outer (C, S, blocks, block)
     if frozen_logits is None:
         frozen_logits = _frozen_logits(frozen_w, layout[0])
     elif np.shape(frozen_logits) != shape:
         raise ConfigurationError(f"frozen_logits must be {shape}, got {np.shape(frozen_logits)}")
-    # the step plan: a step runs over a span of blocks, all of them in full
-    # batch, one in mini batch; clients with fewer blocks sit out their
-    # missing steps
+    # the step plan: a step runs over a span of blocks, all of the layout's
+    # shape[2] in full batch, one in mini batch; clients with fewer blocks
+    # sit out their missing steps
     plan = []
-    for lo, hi in [(k, k + 1) for k in range(blocks.max())] if mini else [(0, blocks.max())]:
+    for lo, hi in [(k, k + 1) for k in range(shape[2])] if mini else [(0, shape[2])]:
         sel = slice(None) if lo < blocks.min() else np.flatnonzero(blocks > lo)
         rows = np.minimum(data.sizes[sel] - lo * opt.batch_size, (hi - lo) * opt.batch_size)
-        plan.append((lo, hi, sel, rows.astype(np.float64)))
+        places = np.arange(len(rows) * (hi - lo) * opt.batch_size).reshape(len(rows), hi - lo, -1)
+        plan.append((lo, hi, sel, rows.astype(np.float64)[:, None, None], places))
+
+    def operands(z, labels, logits):
+        """Each plan entry's step operands over one epoch's rows."""
+        return ((sel, b[sel], a[sel], logits[:, sel, lo:hi], z[sel, lo:hi],
+                 _label_index(labels[sel, lo:hi], places).ravel(), rows, penalty_b[sel],
+                 penalty_bt[sel]) for lo, hi, sel, rows, places in plan)
+
+    # full batch reads the stack's cached layout and frozen logits every
+    # epoch, so its operands are built once; mini batch a fresh shuffle of both
+    epochs = (starmap(operands, data.epochs(rng, opt.epochs, opt.batch_size, frozen_logits))
+              if mini else repeat(list(operands(*layout, frozen_logits)), opt.epochs))
     # a diverging step warns nowhere: the adapters below or the stage engine refuse it
     with np.errstate(over="ignore", invalid="ignore"):
-        # full batch reads the stack's cached layout and the frozen logits
-        # every epoch; mini batch a fresh shuffle of both
-        for z, labels, logits in (data.epochs(rng, opt.epochs, opt.batch_size, frozen_logits)
-                                  if mini else repeat((*layout, frozen_logits), opt.epochs)):
-            for lo, hi, sel, rows in plan:
-                db, da = _stack_gradient(logits[:, sel, lo:hi], b[sel], a[sel], z[sel, lo:hi],
-                                         labels[sel, lo:hi], rows, [base[sel] for base in bases],
-                                         gammas)
-                b[sel] -= opt.lr * db
-                a[sel] -= opt.lr * da
+        for steps in epochs:
+            for sel, step_b, step_a, logits, z, index, rows, pen_b, pen_bt in steps:
+                db, da = _stack_gradient(logits, step_b, step_a, z, index, rows, pen_b, pen_bt)
+                step_b -= np.multiply(db, opt.lr, out=db)
+                step_a -= np.multiply(da, opt.lr, out=da)
+                if not isinstance(sel, slice):   # a slice's views write through
+                    b[sel], a[sel] = step_b, step_a
     return LoraAdapter(b=b[0], a=a[0], rank=b.shape[2]) if single else path
 
 

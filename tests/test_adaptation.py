@@ -136,13 +136,16 @@ class TestAdaptUnseen:
         cluster = fed.server.clusters[result.assigned_cluster]
         without_leaf = replace(result.path, leaf=zero_adapter(*fed.model.w0.shape,
                                                               config.rank))
+        assert gammas == (0.3, 0.7)
+        root_b, cluster_b = fed.server.root.b, cluster.b
         for inputs, got_gammas, got_opt, rows, rng in calls:
             assert isinstance(inputs, KernelInputs) and rows == len(client.train)
             assert got_opt == opt and got_opt.epochs == 1 and got_opt.batch_mode == "mini"
-            assert got_gammas == gammas == (0.3, 0.7)
-            assert len(inputs.bases) == len(Tier.LEAF.earlier) == 2
-            assert np.array_equal(inputs.bases[0], fed.server.root.b[None])
-            assert np.array_equal(inputs.bases[1], cluster.b[None])
+            # the inputs carry the gammas as their penalty pair
+            assert got_gammas == ()
+            assert np.array_equal(inputs.penalty_b, np.hstack([root_b, cluster_b])[None])
+            assert np.array_equal(inputs.penalty_bt,
+                                  np.vstack([0.6 * root_b.T, 1.4 * cluster_b.T])[None])
             assert np.array_equal(inputs.frozen, compose_path(without_leaf, fed.model.w0)[None])
             assert len(rng) == 1 and rng[0] is calls[0][4][0]
         assert calls[0][0].b is calls[1][0].b   # one KernelInputs, updated in place

@@ -216,7 +216,8 @@ class TestCheckRound:
             warnings.simplefilter("error")
             fedtier.federation._check_round(small_config(lr=0.25), Tier.CLUSTER, 7,
                                             KernelInputs(np.zeros((2, 3, 4)), b, a,
-                                                         (np.zeros((2, 3, 2)),)))
+                                                         np.zeros((2, 3, 2)),
+                                                         np.zeros((2, 2, 3))))
 
     @pytest.mark.parametrize("b_entry, a_entry", [
         (np.nan, 1.0), (1.0, np.inf), (0.0, np.inf), (1.0, -np.inf),

@@ -53,8 +53,9 @@ def kernel_outputs(s, k, c, block, monkeypatch):
     monkeypatch.setattr(model, "_DEFAULT_BATCH", block)
     exps, sums = model._softmax_exps(model._frozen_logits(frozen + b @ a, z))
     new = ((exps / sums).transpose(1, 2, 0, 3),
-           *model._stack_gradient(model._frozen_logits(frozen, z), b, a, z, labels, rows, [],
-                                  []),
+           *model._stack_gradient(model._frozen_logits(frozen, z), b, a, z,
+                                  model._label_index(labels).ravel(), rows[:, None, None],
+                                  np.empty((s, c, 0)), np.empty((s, 0, c))),
            model._stack_losses(w, stack))
     ref = (class_major_probs(frozen + b @ a, z),
            *class_major_factored_gradient(frozen, b, a, z, labels, rows),
@@ -133,8 +134,8 @@ def test_stacked_clients_shuffle_their_own_slices():
     # the three clients share one order buffer: each slice takes its own draws
     net, encs, paths = shuffle_case()
     opt = SgdConfig(lr=LR, epochs=EPOCHS, batch_mode="mini", batch_size=32)
-    out = model._stack_inputs(net, paths, Tier.LEAF)
-    local_update(net, out, ClientStack(encs), Tier.LEAF, GAMMAS, opt=opt,
+    out = model._stack_inputs(net, paths, Tier.LEAF, GAMMAS)
+    local_update(net, out, ClientStack(encs), Tier.LEAF, opt=opt,
                  rng=[stream(7, "leaf_shuffle", s) for s in range(len(SIZES))])
     for s, (enc, path) in enumerate(zip(encs, paths)):
         _, leaf = twin_steps(net, enc, path, stream(7, "leaf_shuffle", s))

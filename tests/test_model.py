@@ -193,17 +193,65 @@ class TestTierGradient:
         for g, f in ((db, fdb), (da, fda)):
             assert np.max(np.abs(g - f)) / max(np.max(np.abs(f)), 1e-12) <= 1e-4
 
-    def test_penalty_bases_are_the_paths_earlier_b_factors(self, toy_model):
-        # one stack per earlier tier, in cascade order, each the path's own B
+    def test_penalty_pair_is_the_paths_earlier_b_factors(self, toy_model):
+        # the earlier tiers' B side by side, in cascade order, each the
+        # path's own B, and their transposes scaled by 2 gamma
         rng = np.random.default_rng(11)
         path = AdapterPath(*[LoraAdapter(b=rng.normal(size=(3, 2)), a=rng.normal(size=(2, 6)),
                                          rank=2) for _ in Tier])
         for active in Tier:
-            bases = _stack_inputs(toy_model, [path, path], active).bases
-            assert len(bases) == len(active.earlier)
-            for base, tier in zip(bases, active.earlier, strict=True):
-                assert base.shape == (2, 3, 2) and base.flags.c_contiguous
-                assert all(np.array_equal(b, path.adapter(tier).b) for b in base)
+            gammas = (0.5, 1.5)[:len(active.earlier)]
+            inputs = _stack_inputs(toy_model, [path, path], active, gammas)
+            width = 2 * len(active.earlier)
+            assert inputs.penalty_b.shape == (2, 3, width) and inputs.penalty_b.flags.c_contiguous
+            assert inputs.penalty_bt.shape == (2, width, 3)
+            assert inputs.penalty_bt.flags.c_contiguous
+            for k, (tier, gamma) in enumerate(zip(active.earlier, gammas, strict=True)):
+                for side_by_side, scaled in zip(*inputs[3:]):
+                    assert np.array_equal(side_by_side[:, 2 * k:2 * k + 2], path.adapter(tier).b)
+                    assert np.array_equal(scaled[2 * k:2 * k + 2],
+                                          (2.0 * gamma) * path.adapter(tier).b.T)
+
+    @pytest.mark.parametrize("ranks, gammas", [
+        ((1, 2), (0.7,)),            # one earlier tier
+        ((1, 3, 2), (0.7, 1.3)),     # two earlier tiers of unequal rank
+        ((1, 3, 2), (0.0, 1.3)),     # a zero gamma leaves its tier out
+        ((3, 1, 2), (0.7, 0.0))])
+    def test_penalty_pair_term_is_the_sum_of_the_tiers_penalty_gradients(self, ranks, gammas):
+        rng = np.random.default_rng(14)
+        c, h = 7, 6
+        model = build_model(4, c, h, seed=14)
+        active = list(Tier)[len(gammas)]
+        paths = [AdapterPath(*[LoraAdapter(b=rng.normal(size=(c, r)), a=rng.normal(size=(r, h)),
+                                           rank=r)
+                               for r in (ranks + (2,))[:3]]) for _ in range(3)]
+        inputs = _stack_inputs(model, paths, active, gammas)
+        assert inputs.penalty_b.shape[-1] == sum(r for r, g in zip(ranks, gammas) if g != 0.0)
+        term = inputs.penalty_b @ (inputs.penalty_bt @ inputs.b)
+        for s, path in enumerate(paths):
+            want = sum(gamma * orth_penalty_grad(path.adapter(tier).b, path.adapter(active).b)
+                       for tier, gamma in zip(active.earlier, gammas))
+            assert np.max(np.abs(term[s] - want)) <= 1e-15 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("batch_mode", ["full", "mini"])
+    def test_zero_gammas_leave_the_pair_empty_and_the_update_unpenalized(self, monkeypatch,
+                                                                          batch_mode):
+        # the unpenalized update: penalized inputs stepped by a kernel that
+        # drops their pair
+        model, encs, paths = stacked_case(15, [5, 16, 45])
+        opt = SgdConfig(lr=0.2, epochs=2, batch_mode=batch_mode, batch_size=16)
+        zero, plain, dropped = (_stack_inputs(model, paths, Tier.LEAF, gammas)
+                                for gammas in ((0.0, 0.0), (), (0.5, 1.5)))
+        for inputs in (zero, plain):
+            assert inputs.penalty_b.shape == (3, 5, 0) and inputs.penalty_bt.shape == (3, 0, 5)
+            local_update(model, inputs, ClientStack(encs), Tier.LEAF, opt=opt, rng=streams(3))
+        kernel = fedtier.model._stack_gradient
+        monkeypatch.setattr(fedtier.model, "_stack_gradient", lambda *args: kernel(
+            *args[:6], args[6][..., :0], args[7][:, :0]))
+        local_update(model, dropped, ClientStack(encs), Tier.LEAF, opt=opt, rng=streams(3))
+        for inputs in (zero, plain):
+            assert np.array_equal(inputs.b, dropped.b) and np.array_equal(inputs.a, dropped.a)
+        assert not np.array_equal(zero.b, _stack_inputs(model, paths, Tier.LEAF).b)
 
     def test_mixed_rank_path_trains_at_the_leaf(self, toy_model):
         # a rank-1 root under a rank-2 cluster and leaf: the bases keep each
@@ -217,8 +265,8 @@ class TestTierGradient:
         path = AdapterPath(root=adapter(1), cluster=adapter(2), leaf=adapter(2))
         enc = encode(toy_model, make_samples(rng, 40, 4, 3))
         gammas = (0.5, 1.5)
-        assert [base.shape for base in _stack_inputs(toy_model, [path], Tier.LEAF).bases] == [
-            (1, 3, 1), (1, 3, 2)]
+        inputs = _stack_inputs(toy_model, [path], Tier.LEAF, gammas)
+        assert (inputs.penalty_b.shape, inputs.penalty_bt.shape) == ((1, 3, 3), (1, 3, 3))
         db, da = tier_gradient(toy_model, path, enc, Tier.LEAF, gammas)
         fdb, fda = fd_tier_gradient(toy_model, path, enc, Tier.LEAF, gammas)
         for g, f in ((db, fdb), (da, fda)):
@@ -227,8 +275,8 @@ class TestTierGradient:
             opt = SgdConfig(lr=0.1, epochs=3, batch_mode=batch_mode, batch_size=16)
             alone = local_update(toy_model, path, enc, Tier.LEAF, gammas, opt=opt,
                                  rng=streams(1)[0])
-            stacked = local_update(toy_model, _stack_inputs(toy_model, [path], Tier.LEAF),
-                                   ClientStack([enc]), Tier.LEAF, gammas, opt=opt, rng=streams(1))
+            stacked = local_update(toy_model, _stack_inputs(toy_model, [path], Tier.LEAF, gammas),
+                                   ClientStack([enc]), Tier.LEAF, opt=opt, rng=streams(1))
             assert np.array_equal(stacked.b[0], alone.b) and np.array_equal(stacked.a[0], alone.a)
             assert not np.array_equal(alone.b, path.leaf.b)
 
@@ -247,6 +295,7 @@ def cluster_case(toy_model):
 
 # every entry point that takes gammas, called at the cluster tier
 GAMMA_TAKERS = {
+    "_stack_inputs": lambda m, p, d, g: _stack_inputs(m, [p], Tier.CLUSTER, g),
     "tier_gradient": lambda m, p, d, g: tier_gradient(m, p, d, Tier.CLUSTER, g),
     "local_update": lambda m, p, d, g: local_update(m, p, d, Tier.CLUSTER, g,
                                                     opt=SgdConfig(lr=0.1, epochs=1)),
@@ -281,6 +330,16 @@ class TestGammaRule:
         path, data = cluster_case(toy_model)
         for take in GAMMA_TAKERS.values():
             take(toy_model, path, data, gammas)
+
+    @pytest.mark.parametrize("gammas", [(1.0,), (0.0,), [0.5]])
+    def test_the_kernel_inputs_form_takes_no_gammas(self, toy_model, gammas):
+        # KernelInputs carry the penalty _stack_inputs built from the gammas
+        path, data = cluster_case(toy_model)
+        inputs = _stack_inputs(toy_model, [path], Tier.CLUSTER, (1.0,))
+        with pytest.raises(ConfigurationError, match="KernelInputs carry their penalty"):
+            local_update(toy_model, inputs, ClientStack([encode(toy_model, data)]), Tier.CLUSTER,
+                         gammas, opt=SgdConfig(lr=0.1, epochs=1))
+        assert np.array_equal(inputs.b[0], path.cluster.b)
 
 
 class TestOldStyleCalls:
@@ -434,13 +493,12 @@ class TestStackedLocalUpdate:
         alone = [local_update(model, paths[s], encs[s], active, gammas, opt=opt,
                               rng=streams(n)[s])
                  for s in range(n)]
-        whole = _stack_inputs(model, paths, active)
-        assert local_update(model, whole, stack, active, gammas, opt=opt,
-                            rng=streams(n)) is whole
+        whole = _stack_inputs(model, paths, active, gammas)
+        assert local_update(model, whole, stack, active, opt=opt, rng=streams(n)) is whole
         for cut in range(1, n):
-            local, rngs = _stack_inputs(model, paths, active), streams(n)
+            local, rngs = _stack_inputs(model, paths, active, gammas), streams(n)
             for part in (slice(0, cut), slice(cut, n)):
-                local_update(model, local.select(part), stack[part], active, gammas, opt=opt,
+                local_update(model, local.select(part), stack[part], active, opt=opt,
                              rng=rngs[part])
             for s, ref in enumerate(alone):
                 assert np.array_equal(local.b[s], ref.b) and np.array_equal(local.a[s], ref.a)
@@ -455,10 +513,10 @@ class TestStackedLocalUpdate:
         model, encs, paths = stacked_case(2, self.SIZES)
         opt = SgdConfig(lr=0.2, epochs=2, batch_mode=batch_mode, batch_size=16)
         n = len(active.earlier)
-        zero, plain, penalized = (_stack_inputs(model, paths, active) for _ in range(3))
-        for local, gammas in ((zero, (0.0,) * n), (plain, ()), (penalized, (0.7,) * n)):
-            local_update(model, local, ClientStack(encs), active, gammas, opt=opt,
-                         rng=streams(len(encs)))
+        zero, plain, penalized = (_stack_inputs(model, paths, active, gammas)
+                                  for gammas in ((0.0,) * n, (), (0.7,) * n))
+        for local in (zero, plain, penalized):
+            local_update(model, local, ClientStack(encs), active, opt=opt, rng=streams(len(encs)))
         assert np.array_equal(zero.b, plain.b) and np.array_equal(zero.a, plain.a)
         assert not np.array_equal(penalized.b, plain.b)
 
@@ -479,8 +537,8 @@ class TestStackedLocalUpdate:
         # is bitwise one step along that client's own tier gradient
         sizes, gammas, lr = [20, 45, 80], (0.5, 1.5), 0.1
         model, encs, paths = stacked_case(5, sizes)
-        out = _stack_inputs(model, paths, Tier.LEAF)
-        local_update(model, out, ClientStack(encs), Tier.LEAF, gammas,
+        out = _stack_inputs(model, paths, Tier.LEAF, gammas)
+        local_update(model, out, ClientStack(encs), Tier.LEAF,
                      opt=SgdConfig(lr=lr, epochs=3, batch_size=32))
         for s, (enc, path) in enumerate(zip(encs, paths)):
             for _ in range(3):
@@ -498,10 +556,10 @@ class TestStackedLocalUpdate:
         model, encs, paths = stacked_case(8, self.SIZES)
         opt = SgdConfig(lr=0.2, epochs=3, batch_mode=batch_mode, batch_size=16)
         gammas, stack = (0.5, 1.5), ClientStack(encs)
-        own, given = (_stack_inputs(model, paths, Tier.LEAF) for _ in range(2))
-        local_update(model, own, stack, Tier.LEAF, gammas, opt=opt, rng=streams(len(encs)))
+        own, given = (_stack_inputs(model, paths, Tier.LEAF, gammas) for _ in range(2))
+        local_update(model, own, stack, Tier.LEAF, opt=opt, rng=streams(len(encs)))
         logits = _frozen_logits(given.frozen, stack.layout(16)[0])
-        local_update(model, given, stack, Tier.LEAF, gammas, opt=opt, rng=streams(len(encs)),
+        local_update(model, given, stack, Tier.LEAF, opt=opt, rng=streams(len(encs)),
                      frozen_logits=logits)
         assert np.array_equal(own.b, given.b) and np.array_equal(own.a, given.a)
         assert not np.array_equal(own.b, _stack_inputs(model, paths, Tier.LEAF).b)
@@ -528,7 +586,7 @@ class TestStackedLocalUpdate:
         # computes them once over the whole layout
         model, encs, paths = stacked_case(10, self.SIZES)
         opt = SgdConfig(lr=0.1, epochs=3, batch_mode="mini", batch_size=16)
-        local, stack = _stack_inputs(model, paths, Tier.LEAF), ClientStack(encs)
+        local, stack = _stack_inputs(model, paths, Tier.LEAF, (0.5, 1.5)), ClientStack(encs)
         assert stack.layout(16)[0].shape[1] == 3
         logits = _frozen_logits(local.frozen, stack.layout(16)[0]) if given else None
         seen = []
@@ -538,8 +596,8 @@ class TestStackedLocalUpdate:
             return _frozen_logits(w, z)
 
         monkeypatch.setattr(fedtier.model, "_frozen_logits", counted)
-        local_update(model, local, stack, Tier.LEAF, (0.5, 1.5), opt=opt,
-                     rng=streams(len(encs)), frozen_logits=logits)
+        local_update(model, local, stack, Tier.LEAF, opt=opt, rng=streams(len(encs)),
+                     frozen_logits=logits)
         assert seen == [stack.layout(16)[0].shape] * calls
 
     def test_stack_needs_one_path_and_rng_per_client(self):
