@@ -7,16 +7,19 @@ factor, and joins the cluster whose representative subspace it overlaps most.
 It can then serve immediately through root + cluster, or refine a private
 leaf adapter locally: each fine-tune epoch is one round of the leaf stage,
 with that stage's optimiser and gammas (federation's _stage_settings), on
-the stage engine's kernel form: one KernelInputs built once from the
-client's path and the gammas (model._stack_inputs, which checks them once),
-whose frozen weight is w0 + root + cluster and whose penalty pair holds the
-root and cluster B factors (Tier.LEAF.earlier) with a non-zero gamma,
-updated in place epoch by epoch and scored at frozen + B A, the path's
-composed weight bitwise. In either batch mode the frozen logits of the
-client's train rows are computed once and read by every epoch's factored
-step, gathered with the rows in mini batch. The probe's one full-batch call
-computes them once and builds its step operands once; it passes no gammas,
-so the probe trains without a penalty. After each epoch the leaf stage's
+inputs built as the stage engine builds its own: one KernelInputs built
+once from the client's path and the gammas (model._stack_inputs, which
+checks them once), whose frozen weight is w0 + root + cluster and whose
+penalty pair holds the root and cluster B factors (Tier.LEAF.earlier) with
+a non-zero gamma, updated in place epoch by epoch and scored at frozen +
+B A, the path's composed weight bitwise. In either batch mode the frozen
+logits of the client's train rows are computed once and read by every
+epoch's factored step, gathered with the rows in mini batch. The probe
+builds its inputs the
+same way, from a path of the frozen root, the fresh probe as its cluster
+tier and a zero leaf, with no gammas, so it trains without a penalty; its
+one full-batch call computes its frozen logits and step operands once, and
+its basis is read off the stepped B. After each epoch the leaf stage's
 round check runs (federation._check_round): an epoch whose factors go
 non-finite, or so large that their product could overflow, is refused as a
 diverged leaf round is, before it is scored.
@@ -33,7 +36,7 @@ from .linalg import Matrix, directed_bases, one_blas_thread, subspace_overlap
 from .lora import AdapterPath, LoraAdapter, Tier, init_adapter, zero_adapter
 from .metrics import accuracy
 from .model import (ClientStack, EncodedData, HeadModel, Samples, SgdConfig, encode,
-                    local_update, _frozen_logits, _stack_accuracy, _stack_inputs)
+                    local_update, _frozen_logits, _stack_accuracy, _stack_inputs, _stack_of_one)
 from .streams import stream
 
 
@@ -69,14 +72,16 @@ def probe_basis(model: HeadModel, train: Samples | EncodedData | ClientStack,
                 root_star: LoraAdapter, rank: int, steps: int, lr: float, seed: int = 0) -> Matrix:
     """Run `steps` full-batch gradient steps of a fresh probe adapter above the
     frozen root on `train` and return the probe B's dominant left subspace;
-    a probe B with no direction (linalg.directed_bases) is refused."""
+    a probe B with no direction (linalg.directed_bases) is refused, and so,
+    with ConfigurationError and no warning, is one that went non-finite."""
     check_types(int, POSITIVE, steps=steps)
     p, q = model.class_count, model.backbone.hidden_dim
     probe = init_adapter(p, q, rank, stream(seed, "probe_init"))
     path = AdapterPath(root=root_star, cluster=probe, leaf=zero_adapter(p, q, rank))
-    opt = SgdConfig(lr=lr, epochs=steps, batch_mode="full")
-    trained = local_update(model, path, train, Tier.CLUSTER, opt=opt)   # no gammas: no penalty
-    basis, spans = directed_bases(trained.b, rank)
+    local = _stack_inputs(model, [path], Tier.CLUSTER)   # no gammas: no penalty
+    local_update(model, local, _stack_of_one(model, train),
+                 opt=SgdConfig(lr=lr, epochs=steps, batch_mode="full"))
+    basis, spans = directed_bases(local.b[0], rank)
     if not spans:
         raise DegenerateInputError("probe basis stayed numerically zero")
     return basis
@@ -128,8 +133,7 @@ def adapt_unseen(model: HeadModel, client: ClientSplit, server: ServerState,
     logits = _frozen_logits(local.frozen, train.layout(opt.batch_size)[0])
     # frozen + B A adds w0, root, cluster, leaf in compose_path's order
     for epoch in range(1, epochs + 1):
-        local_update(model, local, train, Tier.LEAF, opt=opt, rng=shuffle,
-                     frozen_logits=logits)
+        local_update(model, local, train, opt=opt, rng=shuffle, frozen_logits=logits)
         _check_round(config, Tier.LEAF, epoch, local)   # refused as a diverged leaf round is
         trajectory.append(float(_stack_accuracy(local.frozen + local.b @ local.a, test)[0]))
     leaf = LoraAdapter(b=local.b[0], a=local.a[0], rank=config.rank)

@@ -343,8 +343,8 @@ def _run_stage(config: FederationConfig, model: HeadModel, data: FederationData,
             local = spread._replace(b=b[owner], a=a[owner])
 
             def chunk(part, data, frozen_logits):
-                return local_update(model, local.select(part), data, active, opt=opt,
-                                    rng=rngs[part], frozen_logits=frozen_logits)
+                return local_update(model, local.select(part), data, opt=opt, rng=rngs[part],
+                                    frozen_logits=frozen_logits)
 
             # each chunk updates its slice of the local factors in place
             list((map if pool is None else pool.map)(chunk, parts, chunks, logits))

@@ -17,14 +17,14 @@ B factor of each of the path's own tiers before it in the cascade
 checks the gammas once and builds the penalty as one product pair, the
 penalized tiers' B factors side by side and their transposes scaled by
 2 gamma, so a step adds it as two matmuls whatever the tier count.
-local_update has two call forms: one AdapterPath, which returns a fresh
-LoraAdapter, or KernelInputs with a ClientStack, updated in place. A step
-runs in factored form: its logits are the frozen logits (the frozen weight,
-w0 plus every other tier's update, applied to the rows) plus B (A z), and
-dB and dA are taken through A z and B^T times the residual, so no C×h
-weight or weight gradient is formed in a step. The frozen logits have one
-rule in both batch modes: they are computed once over the stack's layout
-and read by every step. A call takes them as given (the stage engine
+local_update has one call form, KernelInputs with a ClientStack, whose
+factors it updates in place; the unseen client's probe and fine-tune build
+theirs as the stage engine does. A step runs in factored form: its logits
+are the frozen logits (the frozen weight, w0 plus every other tier's
+update, applied to the rows) plus B (A z), and dB and dA are taken through
+A z and B^T times the residual, so no C×h weight or weight gradient is
+formed in a step. The frozen logits have one rule in both batch modes:
+they are computed once over the stack's layout and read by every step. A call takes them as given (the stage engine
 computes them once per stage, the unseen fine-tune once per client) or
 computes them once itself. A step's softmax stores the probabilities
 class-outer, (C, S, blocks, block), so each operation runs once over the
@@ -425,8 +425,8 @@ def _stack_inputs(model: HeadModel, paths, active: Tier, gammas=()) -> KernelInp
     penalty pair holds the B factors of the path's tiers in active.earlier,
     weighted by the gammas in the same place (see _check_gammas, which runs
     here once). It is the one builder of KernelInputs, and so of the
-    penalty, from adapters: for local_update's path form, tier_gradient,
-    the stage engine's start and the unseen fine-tune."""
+    penalty, from adapters: for tier_gradient, the stage engine's start and
+    the unseen client's probe and fine-tune."""
     _check_gammas(active, gammas)
     adapters = [p.adapter(active) for p in paths]
     if {(ad.p, ad.q, ad.rank) for ad in adapters} != {model.w0.shape + (adapters[0].rank,)}:
@@ -478,29 +478,24 @@ class SgdConfig:
         check_field_types(self)
 
 
-def local_update(model: HeadModel, path, data, active: Tier, gammas=(), *, opt: SgdConfig,
-                 rng=None, frozen_logits=None):
-    """Run `opt.epochs` of gradient descent on the active adapter.
+def local_update(model: HeadModel, inputs: KernelInputs, data: ClientStack, *,
+                 opt: SgdConfig, rng=None, frozen_logits=None) -> KernelInputs:
+    """Run `opt.epochs` of gradient descent on the active factors of
+    `inputs`, KernelInputs built from one path per client by _stack_inputs,
+    on `data`, a ClientStack of those clients; `rng` is None or one
+    Generator per client. opt, rng and frozen_logits are keyword-only, and
+    any other inputs or data are refused with ConfigurationError.
 
     The active B is penalized against the B factor of each of the path's
-    tiers in active.earlier, weighted by the gamma in the same place: no
-    gammas, no penalty (the rule is _check_gammas). Those factors come with
-    the inputs, as KernelInputs' penalty pair, so no caller passes them;
-    opt, rng and frozen_logits are keyword-only.
-
-    There are two call forms. With one AdapterPath, `data` is its client's
-    Samples, EncodedData or one-client ClientStack, `rng` one Generator,
-    and a fresh LoraAdapter is returned; the path is left bitwise
-    untouched. With KernelInputs (built from paths by _stack_inputs for the
-    same active tier, with the gammas), the stage engine's form, `data` is
-    a ClientStack of their clients and `rng` one Generator per client; this
-    form takes no gammas, since the inputs carry the penalty. The inputs' b
-    and a are updated in place and the inputs returned. A client's result is
-    bitwise the same as when it is updated alone. A step that leaves a
-    factor non-finite warns nowhere: the adapter refuses it with
-    ConfigurationError, and KernelInputs come back unchecked, for the stage
-    engine's own check (federation._check_round), which the unseen
-    fine-tune runs too.
+    tiers in active.earlier, weighted by the gamma in the same place: the
+    inputs carry that penalty as their pair, built by _stack_inputs from
+    the gammas (no gammas, no penalty; the rule is _check_gammas). The
+    inputs' b and a are updated in place and the inputs returned. A client's
+    result is bitwise the same as when it is updated alone. A step that
+    leaves a factor non-finite warns nowhere: the inputs come back
+    unchecked, for the caller's own check: the stage engine's
+    (federation._check_round, which the unseen fine-tune runs too) or the
+    probe's SVD, which refuses a non-finite B.
     Mini-batch mode needs the rngs: it iterates ClientStack.epochs, which
     shuffles each client's rows with its rng epoch by epoch into one buffer
     triple; full batch reads the stack's cached layout every epoch. A
@@ -530,19 +525,13 @@ def local_update(model: HeadModel, path, data, active: Tier, gammas=(), *, opt: 
     reads them as they are, mini batch gathers them with the rows of each
     epoch; an array of another shape is refused with ConfigurationError.
     """
-    single = isinstance(path, AdapterPath)
-    if single:
-        data = _stack_of_one(model, data)
-        path, rng = _stack_inputs(model, [path], active, gammas), [rng]
-    elif not (isinstance(path, KernelInputs) and isinstance(data, ClientStack)):
-        raise ConfigurationError("local_update takes one AdapterPath, or KernelInputs with a "
-                                 "ClientStack")
-    elif len(gammas):
-        raise ConfigurationError("KernelInputs carry their penalty: _stack_inputs takes the gammas")
-    frozen_w, b, a, penalty_b, penalty_bt = path
+    if not (isinstance(inputs, KernelInputs) and isinstance(data, ClientStack)):
+        raise ConfigurationError("local_update takes KernelInputs with a ClientStack")
+    frozen_w, b, a, penalty_b, penalty_bt = inputs
     rng = [None] * len(data.clients) if rng is None else rng
-    if any(len(x) != len(data.clients) for x in (*path, rng)):
-        raise ConfigurationError("a client stack needs one input, basis and rng per client")
+    if any(len(x) != len(data.clients) for x in (*inputs, rng)):
+        raise ConfigurationError("a client stack needs one row of every input and one rng "
+                                 "per client")
     mini = opt.batch_mode == "mini"
     if mini and any(r is None for r in rng):
         raise ConfigurationError("mini-batch mode needs an rng for shuffling")
@@ -572,7 +561,7 @@ def local_update(model: HeadModel, path, data, active: Tier, gammas=(), *, opt: 
     # epoch, so its operands are built once; mini batch a fresh shuffle of both
     epochs = (starmap(operands, data.epochs(rng, opt.epochs, opt.batch_size, frozen_logits))
               if mini else repeat(list(operands(*layout, frozen_logits)), opt.epochs))
-    # a diverging step warns nowhere: the adapters below or the stage engine refuse it
+    # a diverging step warns nowhere: the caller refuses it
     with np.errstate(over="ignore", invalid="ignore"):
         for steps in epochs:
             for sel, step_b, step_a, logits, z, index, rows, pen_b, pen_bt in steps:
@@ -581,7 +570,7 @@ def local_update(model: HeadModel, path, data, active: Tier, gammas=(), *, opt: 
                 step_a -= np.multiply(da, opt.lr, out=da)
                 if not isinstance(sel, slice):   # a slice's views write through
                     b[sel], a[sel] = step_b, step_a
-    return LoraAdapter(b=b[0], a=a[0], rank=b.shape[2]) if single else path
+    return inputs
 
 
 def objective(model: HeadModel, path: AdapterPath, data, active: Tier, gammas=()) -> float:

@@ -9,7 +9,7 @@ from fedtier.errors import ConfigurationError, DegenerateInputError
 from fedtier.federation import FederationConfig, run_protocol
 from fedtier.linalg import frobenius_norm, orthonormal_columns
 from fedtier.metrics import orthogonality_report
-from fedtier.model import ClientStack, FrozenBackbone, HeadModel, Samples, local_update
+from fedtier.model import ClientStack, FrozenBackbone, HeadModel, Samples, encode, local_update
 from fedtier.lora import zero_adapter
 from oracles import random_orthonormal
 
@@ -42,6 +42,33 @@ class TestProbeBasis:
         with pytest.raises(ConfigurationError):
             probe_basis(fed.model, fed.data.unseen[0].train, fed.server.root,
                         rank=fed.config.rank, steps=0, lr=0.1)
+
+    def test_one_clients_rows_in_any_form_give_the_same_bits(self, trained_fed):
+        # Samples, their EncodedData and a stack of one are one client's rows
+        fed = trained_fed
+        train = fed.data.unseen[0].train
+        enc = encode(fed.model, train)
+        u = [probe_basis(fed.model, data, fed.server.root, rank=fed.config.rank, steps=10,
+                         lr=fed.config.lr, seed=3)
+             for data in (train, enc, ClientStack([enc]))]
+        assert np.array_equal(u[0], u[1]) and np.array_equal(u[0], u[2])
+
+    def test_a_stack_of_two_clients_is_refused(self, trained_fed):
+        fed = trained_fed
+        stack = ClientStack([encode(fed.model, client.train) for client in fed.data.unseen[:2]])
+        with pytest.raises(ConfigurationError, match="stack of 2"):
+            probe_basis(fed.model, stack, fed.server.root, rank=fed.config.rank, steps=5,
+                        lr=fed.config.lr)
+
+    def test_a_diverging_probe_is_refused_without_a_warning(self, trained_fed):
+        # the probe's B goes non-finite, which its SVD refuses
+        import warnings
+        fed = trained_fed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match="non-finite"):
+                probe_basis(fed.model, fed.data.unseen[0].train, fed.server.root,
+                            rank=fed.config.rank, steps=5, lr=1e300)
 
 
 class TestAssignCluster:
@@ -111,9 +138,10 @@ class TestAdaptUnseen:
 
 
     def test_fine_tune_runs_the_leaf_stage_settings(self, trained_fed, monkeypatch):
-        # every fine-tune epoch is one leaf-stage round on the stage engine's
-        # kernel form: the leaf stage's optimiser and gammas, penalized against
-        # the frozen root and cluster, drawing its order from one shuffle stream
+        # every fine-tune epoch is one leaf-stage round on inputs built as the
+        # stage engine builds them: the leaf stage's optimiser and gammas,
+        # penalized against the frozen root and cluster, drawing its order
+        # from one shuffle stream; the probe's call comes first, unpenalized
         import fedtier.adaptation as adaptation
         from fedtier.federation import _stage_settings
         from fedtier.lora import Tier, compose_path
@@ -122,32 +150,33 @@ class TestAdaptUnseen:
         config = replace(fed.config, gamma_c=0.3, gamma_l=0.7, batch_mode="mini")
         calls = []
 
-        def spy(model, path, data, active, gammas=(), *, opt, rng=None, frozen_logits=None):
-            if active is Tier.LEAF:
-                calls.append((path, tuple(gammas), opt, len(data), rng))
-            return local_update(model, path, data, active, gammas, opt=opt, rng=rng,
+        def spy(model, inputs, data, *, opt, rng=None, frozen_logits=None):
+            calls.append((inputs, opt, len(data), rng))
+            return local_update(model, inputs, data, opt=opt, rng=rng,
                                 frozen_logits=frozen_logits)
 
         monkeypatch.setattr(adaptation, "local_update", spy)
         client = fed.data.unseen[2]
         result = adapt_unseen(fed.model, client, fed.server, config, epochs=2, seed=4)
         _, opt, gammas = _stage_settings(config, Tier.LEAF, len(client.train))
+        (probe, probe_opt, _, probe_rng), *calls = calls
+        assert probe.penalty_b.shape[-1] == 0 and probe_rng is None
+        assert probe_opt.epochs == config.probe_steps and probe_opt.batch_mode == "full"
         assert len(calls) == 2
         cluster = fed.server.clusters[result.assigned_cluster]
         without_leaf = replace(result.path, leaf=zero_adapter(*fed.model.w0.shape,
                                                               config.rank))
         assert gammas == (0.3, 0.7)
         root_b, cluster_b = fed.server.root.b, cluster.b
-        for inputs, got_gammas, got_opt, rows, rng in calls:
+        for inputs, got_opt, rows, rng in calls:
             assert isinstance(inputs, KernelInputs) and rows == len(client.train)
             assert got_opt == opt and got_opt.epochs == 1 and got_opt.batch_mode == "mini"
             # the inputs carry the gammas as their penalty pair
-            assert got_gammas == ()
             assert np.array_equal(inputs.penalty_b, np.hstack([root_b, cluster_b])[None])
             assert np.array_equal(inputs.penalty_bt,
                                   np.vstack([0.6 * root_b.T, 1.4 * cluster_b.T])[None])
             assert np.array_equal(inputs.frozen, compose_path(without_leaf, fed.model.w0)[None])
-            assert len(rng) == 1 and rng[0] is calls[0][4][0]
+            assert len(rng) == 1 and rng[0] is calls[0][3][0]
         assert calls[0][0].b is calls[1][0].b   # one KernelInputs, updated in place
 
     @pytest.mark.parametrize("batch_mode", ["full", "mini"])
@@ -160,27 +189,25 @@ class TestAdaptUnseen:
         import fedtier.adaptation as adaptation
         from fedtier.federation import _FACTOR_BOUND
         from fedtier.linalg import frobenius_norm
-        from fedtier.lora import Tier
         fed = trained_fed
         stage_settings, score = adaptation._stage_settings, adaptation._stack_accuracy
-        within, finite, scored = [], [], []
+        updates, scored = [], []
 
         def huge_lr(*args):   # the probe keeps its lr, the fine-tune diverges
             budget, opt, gammas = stage_settings(*args)
             return budget, replace(opt, lr=1e300), gammas
 
-        def spy(model, path, data, active, gammas=(), *, opt, rng=None, frozen_logits=None):
-            out = local_update(model, path, data, active, gammas, opt=opt, rng=rng,
+        def spy(model, inputs, data, *, opt, rng=None, frozen_logits=None):
+            out = local_update(model, inputs, data, opt=opt, rng=rng,
                                frozen_logits=frozen_logits)
-            if active is Tier.LEAF:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    bound = frobenius_norm(path.b) * frobenius_norm(path.a)
-                within.append(bool(np.all(bound <= _FACTOR_BOUND)))
-                finite.append(bool(np.isfinite(path.b).all() and np.isfinite(path.a).all()))
+            with np.errstate(over="ignore", invalid="ignore"):
+                bound = frobenius_norm(inputs.b) * frobenius_norm(inputs.a)
+            updates.append((bool(np.all(bound <= _FACTOR_BOUND)),
+                            bool(np.isfinite(inputs.b).all() and np.isfinite(inputs.a).all())))
             return out
 
         def scoring(w, stack):
-            scored.append(len(within))
+            scored.append(len(updates) - 1)   # fine-tune epochs, after the probe's call
             return score(w, stack)
 
         monkeypatch.setattr(adaptation, "_stage_settings", huge_lr)
@@ -191,6 +218,8 @@ class TestAdaptUnseen:
             warnings.simplefilter("error")
             with pytest.raises(ConfigurationError) as refused:
                 adapt_unseen(fed.model, fed.data.unseen[2], fed.server, config, epochs=8, seed=4)
+        _, *epochs = updates   # the probe's call comes first
+        within, finite = ([epoch[k] for epoch in epochs] for k in (0, 1))
         assert within and not within[-1] and all(within[:-1])
         assert scored == list(range(1, len(within)))
         assert f"leaf stage diverged in round {len(within)}" in str(refused.value)

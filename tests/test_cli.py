@@ -671,17 +671,26 @@ class TestAdapt:
 
     def test_full_batch_fine_tune_draws_no_shuffle_stream(self, tmp_path, monkeypatch):
         # full batch reads no row order: every leaf epoch gets rng=[None], and
-        # adapt.csv holds the bytes of a fine-tune handed a shuffle stream
+        # adapt.csv holds the bytes of a fine-tune handed a shuffle stream;
+        # the fine-tune's inputs are the ones _stack_inputs builds for the leaf
         assert main(["run", "--config", str(write_config(tmp_path))]) == 0
         adapt_csv = tmp_path / "run" / "adapt.csv"
-        update, seen, handed = fedtier.adaptation.local_update, [], []
+        build, update = fedtier.adaptation._stack_inputs, fedtier.adaptation.local_update
+        leaves, seen, handed = [], [], []
 
-        def spy(model, path, data, active, *args, rng=None, **kwargs):
+        def building(model, paths, active, *args):
+            inputs = build(model, paths, active, *args)
             if active is Tier.LEAF:
+                leaves.append(inputs)
+            return inputs
+
+        def spy(model, inputs, data, *, rng=None, **kwargs):
+            if any(inputs is leaf for leaf in leaves):
                 seen.append(rng)
                 rng = [np.random.default_rng(0)] if handed else rng
-            return update(model, path, data, active, *args, rng=rng, **kwargs)
+            return update(model, inputs, data, rng=rng, **kwargs)
 
+        monkeypatch.setattr(fedtier.adaptation, "_stack_inputs", building)
         monkeypatch.setattr(fedtier.adaptation, "local_update", spy)
         assert main(["adapt", "--run", str(tmp_path / "run"), "--epochs", "3"]) == 0
         assert seen == [[None]] * 2 * 3   # 2 unseen clients x 3 epochs

@@ -7,8 +7,9 @@ from fedtier.datagen import (ClusterShift, GlDir, LabeledPool, Patho, ScDir, gen
                              load_csv, partition, split_unseen)
 from fedtier.errors import ConfigurationError, GenerationError
 from fedtier.lora import AdapterPath, LoraAdapter, zero_adapter
-from fedtier.model import SgdConfig, Tier, build_model, forward, local_update
+from fedtier.model import SgdConfig, Tier, build_model, forward
 from fedtier.streams import stream
+from one_client import update_path
 
 
 def client_labels(client):
@@ -49,8 +50,8 @@ class TestGenPool:
         path = AdapterPath(root=LoraAdapter(b=np.zeros((2, 2)),
                                             a=0.01 * rng.normal(size=(2, 8)), rank=2),
                            cluster=zero_adapter(2, 8, 2), leaf=zero_adapter(2, 8, 2))
-        trained = local_update(model, path, pool.samples, Tier.ROOT,
-                               opt=SgdConfig(lr=0.5, epochs=200))
+        trained = update_path(model, path, pool.samples, Tier.ROOT,
+                              opt=SgdConfig(lr=0.5, epochs=200))
         final = path.replace(Tier.ROOT, trained)
         preds = [int(np.argmax(forward(model, final, x))) for x in pool.samples.x]
         acc = float(np.mean(np.array(preds) == pool.samples.y))

@@ -19,8 +19,9 @@ from fedtier.lora import (AdapterPath, LoraAdapter, Tier, delta, init_adapter,
                           zero_adapter)
 from fedtier.metrics import accuracy
 from fedtier.model import (ClientStack, KernelInputs, SgdConfig, build_model, dataset_loss,
-                           gradient_check, local_update)
+                           gradient_check)
 from fedtier.streams import stream
+from one_client import update_path
 from oracles import best_rank_k
 
 
@@ -251,8 +252,8 @@ class TestRootStage:
         for rnd in range(1, config.t_root + 1):
             path = AdapterPath(root=server, cluster=zero_adapter(p, q, config.rank),
                                leaf=zero_adapter(p, q, config.rank))
-            local = local_update(model, path, data.clients[0].train, Tier.ROOT,
-                                 opt=config.sgd(), rng=shuffle)
+            local = update_path(model, path, data.clients[0].train, Tier.ROOT,
+                                opt=config.sgd(), rng=shuffle)
             agg = delta(local) * 1.0
             server = refactor(agg, config.rank)
             stop, _ = stop_check(prev, agg, config.tau_rel, config.eps)
@@ -322,8 +323,8 @@ class TestClusterStage:
         for rnd in range(1, config.t_cluster + 1):
             path = AdapterPath(root=root_star, cluster=server,
                                leaf=zero_adapter(p, q, config.rank))
-            local = local_update(model, path, fed.data.clients[member].train,
-                                 Tier.CLUSTER, (config.gamma_c,), opt=config.sgd(), rng=shuffle)
+            local = update_path(model, path, fed.data.clients[member].train,
+                                Tier.CLUSTER, (config.gamma_c,), opt=config.sgd(), rng=shuffle)
             agg = delta(local) * 1.0
             server = refactor(agg, config.rank)
             stop, _ = stop_check(prev, agg, config.tau_rel, config.eps)
@@ -422,8 +423,8 @@ class TestLeafStage:
         for e in range(1, config.t_leaf + 1):
             path = AdapterPath(root=fed.server.root, cluster=fed.server.clusters[j],
                                leaf=leaf)
-            leaf = local_update(fed.model, path, fed.data.clients[i].train, Tier.LEAF,
-                                opt=opt, rng=shuffle)
+            leaf = update_path(fed.model, path, fed.data.clients[i].train, Tier.LEAF,
+                               opt=opt, rng=shuffle)
             new = delta(leaf)
             stop, _ = stop_check(prev, new, config.tau_rel, config.eps)
             prev = new

@@ -24,6 +24,7 @@ from fedtier.lora import AdapterPath, LoraAdapter, Tier
 from fedtier.model import (ClientStack, EncodedData, Samples, SgdConfig, build_model, encode,
                            local_update, tier_gradient)
 from fedtier.streams import stream
+from one_client import update_path
 from oracles import (class_major_factored_gradient, class_major_gradient, class_major_losses,
                      class_major_probs)
 
@@ -121,8 +122,8 @@ def test_each_mini_batch_step_is_a_tier_gradient_step_on_a_twin_permutation(monk
     monkeypatch.setattr(model, "_stack_gradient", recording)
     for s, (enc, path) in enumerate(zip(encs, paths)):
         seen.clear()
-        out = local_update(net, path, enc, Tier.LEAF, GAMMAS, opt=opt,
-                           rng=stream(7, "leaf_shuffle", s))
+        out = update_path(net, path, enc, Tier.LEAF, GAMMAS, opt=opt,
+                          rng=stream(7, "leaf_shuffle", s))
         steps, leaf = twins[s]
         assert len(seen) == len(steps) == EPOCHS * (s + 1)
         for (b, a), (want_b, want_a) in zip(seen, steps):
@@ -135,7 +136,7 @@ def test_stacked_clients_shuffle_their_own_slices():
     net, encs, paths = shuffle_case()
     opt = SgdConfig(lr=LR, epochs=EPOCHS, batch_mode="mini", batch_size=32)
     out = model._stack_inputs(net, paths, Tier.LEAF, GAMMAS)
-    local_update(net, out, ClientStack(encs), Tier.LEAF, opt=opt,
+    local_update(net, out, ClientStack(encs), opt=opt,
                  rng=[stream(7, "leaf_shuffle", s) for s in range(len(SIZES))])
     for s, (enc, path) in enumerate(zip(encs, paths)):
         _, leaf = twin_steps(net, enc, path, stream(7, "leaf_shuffle", s))

@@ -12,6 +12,7 @@ from fedtier.model import (ClientStack, FrozenBackbone, HeadModel, Samples, SgdC
                            build_model, dataset_loss, encode, fd_tier_gradient, forward,
                            gradient_check, local_update, objective, tier_gradient,
                            _frozen_logits, _stack_accuracy, _stack_inputs, _stack_losses)
+from one_client import update_path
 from oracles import accuracy_oracle, loop_matmul, softmax_loss_oracle
 
 
@@ -244,19 +245,19 @@ class TestTierGradient:
                                 for gammas in ((0.0, 0.0), (), (0.5, 1.5)))
         for inputs in (zero, plain):
             assert inputs.penalty_b.shape == (3, 5, 0) and inputs.penalty_bt.shape == (3, 0, 5)
-            local_update(model, inputs, ClientStack(encs), Tier.LEAF, opt=opt, rng=streams(3))
+            local_update(model, inputs, ClientStack(encs), opt=opt, rng=streams(3))
         kernel = fedtier.model._stack_gradient
         monkeypatch.setattr(fedtier.model, "_stack_gradient", lambda *args: kernel(
             *args[:6], args[6][..., :0], args[7][:, :0]))
-        local_update(model, dropped, ClientStack(encs), Tier.LEAF, opt=opt, rng=streams(3))
+        local_update(model, dropped, ClientStack(encs), opt=opt, rng=streams(3))
         for inputs in (zero, plain):
             assert np.array_equal(inputs.b, dropped.b) and np.array_equal(inputs.a, dropped.a)
         assert not np.array_equal(zero.b, _stack_inputs(model, paths, Tier.LEAF).b)
 
     def test_mixed_rank_path_trains_at_the_leaf(self, toy_model):
         # a rank-1 root under a rank-2 cluster and leaf: the bases keep each
-        # tier's own rank, the gradient matches finite differences and the
-        # path form is a stack of one, bitwise, in both batch modes
+        # tier's own rank, the gradient matches finite differences and one
+        # path updated alone is a stack of one, bitwise, in both batch modes
         rng = np.random.default_rng(12)
 
         def adapter(r):
@@ -273,10 +274,10 @@ class TestTierGradient:
             assert np.max(np.abs(g - f)) / max(np.max(np.abs(f)), 1e-12) <= 1e-4
         for batch_mode in ("full", "mini"):
             opt = SgdConfig(lr=0.1, epochs=3, batch_mode=batch_mode, batch_size=16)
-            alone = local_update(toy_model, path, enc, Tier.LEAF, gammas, opt=opt,
-                                 rng=streams(1)[0])
+            alone = update_path(toy_model, path, enc, Tier.LEAF, gammas, opt=opt,
+                                rng=streams(1)[0])
             stacked = local_update(toy_model, _stack_inputs(toy_model, [path], Tier.LEAF, gammas),
-                                   ClientStack([enc]), Tier.LEAF, opt=opt, rng=streams(1))
+                                   ClientStack([enc]), opt=opt, rng=streams(1))
             assert np.array_equal(stacked.b[0], alone.b) and np.array_equal(stacked.a[0], alone.a)
             assert not np.array_equal(alone.b, path.leaf.b)
 
@@ -297,8 +298,8 @@ def cluster_case(toy_model):
 GAMMA_TAKERS = {
     "_stack_inputs": lambda m, p, d, g: _stack_inputs(m, [p], Tier.CLUSTER, g),
     "tier_gradient": lambda m, p, d, g: tier_gradient(m, p, d, Tier.CLUSTER, g),
-    "local_update": lambda m, p, d, g: local_update(m, p, d, Tier.CLUSTER, g,
-                                                    opt=SgdConfig(lr=0.1, epochs=1)),
+    "local_update": lambda m, p, d, g: update_path(m, p, d, Tier.CLUSTER, g,
+                                                   opt=SgdConfig(lr=0.1, epochs=1)),
     "objective": lambda m, p, d, g: objective(m, p, d, Tier.CLUSTER, g),
     "fd_tier_gradient": lambda m, p, d, g: fd_tier_gradient(m, p, d, Tier.CLUSTER, g),
 }
@@ -333,10 +334,11 @@ class TestGammaRule:
 
     @pytest.mark.parametrize("gammas", [(1.0,), (0.0,), [0.5]])
     def test_the_kernel_inputs_form_takes_no_gammas(self, toy_model, gammas):
-        # KernelInputs carry the penalty _stack_inputs built from the gammas
+        # KernelInputs carry the penalty _stack_inputs built from the gammas:
+        # local_update has no tier or gammas parameter to take them
         path, data = cluster_case(toy_model)
         inputs = _stack_inputs(toy_model, [path], Tier.CLUSTER, (1.0,))
-        with pytest.raises(ConfigurationError, match="KernelInputs carry their penalty"):
+        with pytest.raises(TypeError):
             local_update(toy_model, inputs, ClientStack([encode(toy_model, data)]), Tier.CLUSTER,
                          gammas, opt=SgdConfig(lr=0.1, epochs=1))
         assert np.array_equal(inputs.b[0], path.cluster.b)
@@ -348,8 +350,10 @@ class TestOldStyleCalls:
 
     def test_positional_opt_is_a_type_error(self, toy_model):
         path, data = cluster_case(toy_model)
+        inputs = _stack_inputs(toy_model, [path], Tier.CLUSTER, (1.0,))
         with pytest.raises(TypeError):
-            local_update(toy_model, path, data, Tier.CLUSTER, (1.0,), SgdConfig(lr=0.1, epochs=1))
+            local_update(toy_model, inputs, ClientStack([encode(toy_model, data)]),
+                         SgdConfig(lr=0.1, epochs=1))
 
     @pytest.mark.parametrize("call", [
         lambda m, p, d, b: local_update(m, p, d, Tier.CLUSTER, [b], [1.0],
@@ -372,8 +376,8 @@ class TestLocalUpdate:
         rng = np.random.default_rng(5)
         path = zero_path(3, 6, 2)
         data = make_samples(rng, 5, 4, 3)
-        out = local_update(toy_model, path, data, Tier.ROOT,
-                           opt=SgdConfig(lr=0.1, epochs=0))
+        out = update_path(toy_model, path, data, Tier.ROOT,
+                          opt=SgdConfig(lr=0.1, epochs=0))
         assert np.array_equal(out.b, path.root.b)
         assert np.array_equal(out.a, path.root.a)
 
@@ -384,8 +388,8 @@ class TestLocalUpdate:
                            leaf=zero_adapter(3, 6, 2))
         data = make_samples(rng, 7, 4, 3)
         db, da = tier_gradient(toy_model, path, data, Tier.ROOT)
-        out = local_update(toy_model, path, data, Tier.ROOT,
-                           opt=SgdConfig(lr=0.05, epochs=1))
+        out = update_path(toy_model, path, data, Tier.ROOT,
+                          opt=SgdConfig(lr=0.05, epochs=1))
         assert np.array_equal(out.b, start.b - 0.05 * db)
         assert np.array_equal(out.a, start.a - 0.05 * da)
 
@@ -400,8 +404,8 @@ class TestLocalUpdate:
         leaf_b = path.leaf.b.copy()
         leaf_a = path.leaf.a.copy()
         data = make_samples(rng, 6, 4, 3)
-        local_update(toy_model, path, data, Tier.CLUSTER, (1.0,),
-                     opt=SgdConfig(lr=0.1, epochs=3))
+        update_path(toy_model, path, data, Tier.CLUSTER, (1.0,),
+                    opt=SgdConfig(lr=0.1, epochs=3))
         assert np.array_equal(path.root.b, root_b)
         assert np.array_equal(path.root.a, root_a)
         assert np.array_equal(path.leaf.b, leaf_b)
@@ -415,8 +419,8 @@ class TestLocalUpdate:
         path = AdapterPath(root=LoraAdapter(b=np.zeros((2, 2)),
                                             a=0.01 * rng.normal(size=(2, 8)), rank=2),
                            cluster=zero_adapter(2, 8, 2), leaf=zero_adapter(2, 8, 2))
-        trained = local_update(model, path, data, Tier.ROOT,
-                               opt=SgdConfig(lr=0.5, epochs=200))
+        trained = update_path(model, path, data, Tier.ROOT,
+                              opt=SgdConfig(lr=0.5, epochs=200))
         final = path.replace(Tier.ROOT, trained)
         logits = np.stack([forward(model, final, x) for x in data.x])
         acc = float(np.mean(np.argmax(logits, axis=1) == data.y))
@@ -430,8 +434,8 @@ class TestLocalUpdate:
                            cluster=zero_adapter(3, 6, 2), leaf=zero_adapter(3, 6, 2))
         losses = [dataset_loss(toy_model, path, data)]
         for _ in range(60):
-            updated = local_update(toy_model, path, data, Tier.ROOT,
-                                   opt=SgdConfig(lr=0.01, epochs=1))
+            updated = update_path(toy_model, path, data, Tier.ROOT,
+                                  opt=SgdConfig(lr=0.01, epochs=1))
             path = path.replace(Tier.ROOT, updated)
             losses.append(dataset_loss(toy_model, path, data))
         diffs = np.diff(losses)
@@ -448,8 +452,8 @@ class TestLocalUpdate:
     def test_minibatch_requires_rng(self, toy_model):
         data = Samples(np.stack([np.zeros(4), np.ones(4)]), [0, 1])
         with pytest.raises(ConfigurationError):
-            local_update(toy_model, zero_path(3, 6), data, Tier.ROOT,
-                         opt=SgdConfig(lr=0.1, epochs=1, batch_mode="mini"))
+            update_path(toy_model, zero_path(3, 6), data, Tier.ROOT,
+                        opt=SgdConfig(lr=0.1, epochs=1, batch_mode="mini"))
 
 
 def stacked_case(seed, sizes, c=5, h=7, d=4, r=2):
@@ -490,16 +494,15 @@ class TestStackedLocalUpdate:
         model, encs, paths = stacked_case(1, self.SIZES)
         opt = SgdConfig(lr=0.2, epochs=3, batch_mode=batch_mode, batch_size=16)
         n, stack = len(encs), ClientStack(encs)
-        alone = [local_update(model, paths[s], encs[s], active, gammas, opt=opt,
-                              rng=streams(n)[s])
+        alone = [update_path(model, paths[s], encs[s], active, gammas, opt=opt,
+                             rng=streams(n)[s])
                  for s in range(n)]
         whole = _stack_inputs(model, paths, active, gammas)
-        assert local_update(model, whole, stack, active, opt=opt, rng=streams(n)) is whole
+        assert local_update(model, whole, stack, opt=opt, rng=streams(n)) is whole
         for cut in range(1, n):
             local, rngs = _stack_inputs(model, paths, active, gammas), streams(n)
             for part in (slice(0, cut), slice(cut, n)):
-                local_update(model, local.select(part), stack[part], active, opt=opt,
-                             rng=rngs[part])
+                local_update(model, local.select(part), stack[part], opt=opt, rng=rngs[part])
             for s, ref in enumerate(alone):
                 assert np.array_equal(local.b[s], ref.b) and np.array_equal(local.a[s], ref.a)
         for s, (ref, path) in enumerate(zip(alone, paths)):
@@ -516,7 +519,7 @@ class TestStackedLocalUpdate:
         zero, plain, penalized = (_stack_inputs(model, paths, active, gammas)
                                   for gammas in ((0.0,) * n, (), (0.7,) * n))
         for local in (zero, plain, penalized):
-            local_update(model, local, ClientStack(encs), active, opt=opt, rng=streams(len(encs)))
+            local_update(model, local, ClientStack(encs), opt=opt, rng=streams(len(encs)))
         assert np.array_equal(zero.b, plain.b) and np.array_equal(zero.a, plain.a)
         assert not np.array_equal(penalized.b, plain.b)
 
@@ -528,8 +531,8 @@ class TestStackedLocalUpdate:
         fdb, fda = fd_tier_gradient(model, paths[0], encs[0], Tier.LEAF, (0.5, 1.5))
         for g, f in ((db, fdb), (da, fda)):
             assert np.max(np.abs(g - f)) / max(np.max(np.abs(f)), 1e-12) <= 1e-4
-        out = local_update(model, paths[0], encs[0], Tier.LEAF, (0.5, 1.5),
-                           opt=SgdConfig(lr=0.1, epochs=1, batch_size=16))
+        out = update_path(model, paths[0], encs[0], Tier.LEAF, (0.5, 1.5),
+                          opt=SgdConfig(lr=0.1, epochs=1, batch_size=16))
         assert np.allclose(out.b, paths[0].leaf.b - 0.1 * db, rtol=0, atol=1e-14)
 
     def test_full_batch_epochs_are_tier_gradient_steps(self):
@@ -538,8 +541,7 @@ class TestStackedLocalUpdate:
         sizes, gammas, lr = [20, 45, 80], (0.5, 1.5), 0.1
         model, encs, paths = stacked_case(5, sizes)
         out = _stack_inputs(model, paths, Tier.LEAF, gammas)
-        local_update(model, out, ClientStack(encs), Tier.LEAF,
-                     opt=SgdConfig(lr=lr, epochs=3, batch_size=32))
+        local_update(model, out, ClientStack(encs), opt=SgdConfig(lr=lr, epochs=3, batch_size=32))
         for s, (enc, path) in enumerate(zip(encs, paths)):
             for _ in range(3):
                 db, da = tier_gradient(model, path, enc, Tier.LEAF, gammas)
@@ -557,10 +559,9 @@ class TestStackedLocalUpdate:
         opt = SgdConfig(lr=0.2, epochs=3, batch_mode=batch_mode, batch_size=16)
         gammas, stack = (0.5, 1.5), ClientStack(encs)
         own, given = (_stack_inputs(model, paths, Tier.LEAF, gammas) for _ in range(2))
-        local_update(model, own, stack, Tier.LEAF, opt=opt, rng=streams(len(encs)))
+        local_update(model, own, stack, opt=opt, rng=streams(len(encs)))
         logits = _frozen_logits(given.frozen, stack.layout(16)[0])
-        local_update(model, given, stack, Tier.LEAF, opt=opt, rng=streams(len(encs)),
-                     frozen_logits=logits)
+        local_update(model, given, stack, opt=opt, rng=streams(len(encs)), frozen_logits=logits)
         assert np.array_equal(own.b, given.b) and np.array_equal(own.a, given.a)
         assert not np.array_equal(own.b, _stack_inputs(model, paths, Tier.LEAF).b)
 
@@ -575,7 +576,7 @@ class TestStackedLocalUpdate:
         local, stack = _stack_inputs(model, paths, Tier.ROOT), ClientStack(encs)
         logits = cut(_frozen_logits(local.frozen, stack.layout(16)[0]))
         with pytest.raises(ConfigurationError, match="frozen_logits"):
-            local_update(model, local, stack, Tier.ROOT, opt=opt, rng=streams(len(encs)),
+            local_update(model, local, stack, opt=opt, rng=streams(len(encs)),
                          frozen_logits=logits)
 
     @pytest.mark.parametrize("given, calls", [(True, 0), (False, 1)])
@@ -596,46 +597,36 @@ class TestStackedLocalUpdate:
             return _frozen_logits(w, z)
 
         monkeypatch.setattr(fedtier.model, "_frozen_logits", counted)
-        local_update(model, local, stack, Tier.LEAF, opt=opt, rng=streams(len(encs)),
-                     frozen_logits=logits)
+        local_update(model, local, stack, opt=opt, rng=streams(len(encs)), frozen_logits=logits)
         assert seen == [stack.layout(16)[0].shape] * calls
 
     def test_stack_needs_one_path_and_rng_per_client(self):
         model, encs, paths = stacked_case(4, self.SIZES)
         opt = SgdConfig(lr=0.1, epochs=1, batch_mode="mini")
-        with pytest.raises(ConfigurationError, match="one input, basis and rng per client"):
+        with pytest.raises(ConfigurationError,
+                           match="one row of every input and one rng per client"):
             local_update(model, _stack_inputs(model, paths[:2], Tier.ROOT), ClientStack(encs),
-                         Tier.ROOT, opt=opt, rng=streams(len(encs)))
+                         opt=opt, rng=streams(len(encs)))
+        with pytest.raises(ConfigurationError,
+                           match="one row of every input and one rng per client"):
+            local_update(model, _stack_inputs(model, paths, Tier.ROOT), ClientStack(encs),
+                         opt=opt, rng=streams(2))
         with pytest.raises(ConfigurationError, match="needs an rng"):
             local_update(model, _stack_inputs(model, paths, Tier.ROOT), ClientStack(encs),
-                         Tier.ROOT, opt=opt)
-
-    @pytest.mark.parametrize("batch_mode", ["full", "mini"])
-    def test_one_path_takes_a_one_client_stack(self, batch_mode):
-        # one AdapterPath is one client, whether its rows come encoded or
-        # already packed in a stack of one
-        model, encs, paths = stacked_case(6, [45])
-        opt = SgdConfig(lr=0.2, epochs=3, batch_mode=batch_mode, batch_size=16)
-        alone, stacked = (local_update(model, paths[0], data, Tier.LEAF, (0.5, 1.5),
-                                       opt=opt, rng=streams(1)[0])
-                          for data in (encs[0], ClientStack(encs)))
-        assert isinstance(stacked, LoraAdapter)
-        assert np.array_equal(stacked.b, alone.b) and np.array_equal(stacked.a, alone.a)
-
-    def test_paths_must_match_the_data(self):
-        model, encs, paths = stacked_case(7, [5, 16])
-        opt = SgdConfig(lr=0.1, epochs=1)
-        with pytest.raises(ConfigurationError, match="ClientStack"):
-            local_update(model, _stack_inputs(model, paths[:1], Tier.ROOT), encs[0], Tier.ROOT,
                          opt=opt)
-        with pytest.raises(ConfigurationError, match="stack of 2"):
-            local_update(model, paths[0], ClientStack(encs), Tier.ROOT, opt=opt)
 
-    def test_a_list_of_paths_is_refused(self):
-        # the two call forms are one path and the stage engine's KernelInputs
-        model, encs, paths = stacked_case(8, [5, 16])
-        with pytest.raises(ConfigurationError, match="one AdapterPath, or KernelInputs"):
-            local_update(model, paths, ClientStack(encs), Tier.ROOT,
+    @pytest.mark.parametrize("inputs, data", [
+        (lambda model, paths: paths[0], lambda encs: ClientStack(encs[:1])),
+        (lambda model, paths: paths, lambda encs: ClientStack(encs)),
+        (lambda model, paths: _stack_inputs(model, paths[:1], Tier.ROOT), lambda encs: encs[0])],
+        ids=["path", "paths", "encoded"])
+    def test_only_kernel_inputs_with_a_client_stack_are_taken(self, inputs, data):
+        # the one call form: an AdapterPath, a list of them, or one client's
+        # EncodedData in place of its stack is refused before any step
+        model, encs, paths = stacked_case(7, [5, 16])
+        with pytest.raises(ConfigurationError,
+                           match="local_update takes KernelInputs with a ClientStack"):
+            local_update(model, inputs(model, paths), data(encs),
                          opt=SgdConfig(lr=0.1, epochs=1))
 
     def test_empty_stack_rejected(self):

@@ -42,8 +42,8 @@ def fresh_streams():
 
 def mini_update(model, paths, stack):
     """The paths' KernelInputs after one mini-batch local_update on stack."""
-    return local_update(model, _stack_inputs(model, paths, Tier.ROOT), stack, Tier.ROOT,
-                        opt=MINI, rng=fresh_streams())
+    return local_update(model, _stack_inputs(model, paths, Tier.ROOT), stack, opt=MINI,
+                        rng=fresh_streams())
 
 
 def assert_same(left, right):
@@ -175,7 +175,7 @@ def test_a_mini_batch_call_takes_no_more_memory_at_a_thousand_epochs_than_at_one
         opt = SgdConfig(lr=MINI.lr, epochs=epochs, batch_mode="mini", batch_size=MINI.batch_size)
         tracemalloc.start()
         try:
-            local_update(model, inputs, stack, Tier.ROOT, opt=opt, rng=fresh_streams())
+            local_update(model, inputs, stack, opt=opt, rng=fresh_streams())
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

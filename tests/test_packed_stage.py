@@ -29,8 +29,9 @@ from fedtier.federation import (StageReport, aggregate_product, refactor, run_cl
 from fedtier.linalg import frobenius_norm, truncated_svd
 from fedtier.lora import (AdapterPath, LoraAdapter, Tier, delta, init_adapter,
                           zero_adapter)
-from fedtier.model import ClientStack, SgdConfig, dataset_loss, local_update
+from fedtier.model import ClientStack, SgdConfig, dataset_loss
 from fedtier.streams import stream
+from one_client import update_path
 
 # uneven train sizes, some below the batch size of 8, so clients sit out steps
 TRAIN_SIZES = [22, 9, 17, 4, 21, 13, 20, 6, 15]
@@ -57,7 +58,7 @@ def assignment():
 
 def reference_stage(config, model, data, active, described, tracker=None):
     """Each group alone, each member updated alone: one AdapterPath per
-    local_update, then aggregate_product and refactor (server tiers),
+    update_path, then aggregate_product and refactor (server tiers),
     stop_check, and the round loss of the composed path."""
     c, h = model.w0.shape
     opt = SgdConfig(lr=config.lr, epochs=1 if active is Tier.LEAF else config.local_epochs,
@@ -74,8 +75,8 @@ def reference_stage(config, model, data, active, described, tracker=None):
         report = StageReport(active.value, [], [], 0, "budget", *labels)
         prev = delta(init)
         for _ in range(getattr(config, f"t_{active.value}")):
-            local = [local_update(model, path, data.clients[i].train, active, gammas,
-                                  opt=opt, rng=rngs[i]) for i in members]
+            local = [update_path(model, path, data.clients[i].train, active, gammas,
+                                 opt=opt, rng=rngs[i]) for i in members]
             if active is Tier.LEAF:
                 adapter, new = local[0], delta(local[0])
             else:
@@ -243,13 +244,19 @@ def test_a_run_and_its_metrics_encode_each_split_once(federation, monkeypatch, b
 
 
 def test_every_stage_trains_on_the_runs_own_encoded_rows(federation, monkeypatch):
-    original = fedtier.federation.local_update
-    stacks = []
+    # a stage builds its inputs (_stack_inputs) before its rounds train
+    build, original = fedtier.federation._stack_inputs, fedtier.federation.local_update
+    tiers, stacks = [], []
 
-    def recorded(model, path, data, active, *args, **kwargs):
-        stacks.append((active, data))
-        return original(model, path, data, active, *args, **kwargs)
+    def building(model, paths, active, *args):
+        tiers.append(active)
+        return build(model, paths, active, *args)
 
+    def recorded(model, inputs, data, **kwargs):
+        stacks.append((tiers[-1], data))
+        return original(model, inputs, data, **kwargs)
+
+    monkeypatch.setattr(fedtier.federation, "_stack_inputs", building)
     monkeypatch.setattr(fedtier.federation, "local_update", recorded)
     config = FederationConfig(n_clients=9, rank=2, t_root=6, t_cluster=6, t_leaf=6,
                               total_budget=18, lr=0.5, batch_mode="mini", batch_size=8,
