@@ -1,11 +1,13 @@
-"""Unseen-client pipeline: probe-basis extraction, cluster routing by mean
+"""Unseen-client pipeline: routing-basis extraction, cluster routing by mean
 squared principal-angle cosine, and optional leaf fine-tuning.
 
-A new client runs a few full-batch gradient steps on a fresh probe adapter on
-top of the frozen root, takes the dominant left subspace of the probe's B
-factor, and joins the cluster whose representative subspace it overlaps most.
-It can then serve immediately through root + cluster, or refine a private
-leaf adapter locally: each fine-tune epoch is one round of the leaf stage,
+A new client takes the dominant left singular subspace of its head gradient
+dW, the gradient of its mean train cross-entropy with respect to the head
+weight at w0 + root, and joins the cluster whose representative subspace it
+overlaps most. dW is the blocked kernel's own gradient
+(model._stack_gradient) at B = I and A = 0, whose dA is then dW exactly.
+The client can then serve immediately through root + cluster, or refine a
+private leaf adapter locally: each fine-tune epoch is one round of the leaf stage,
 with that stage's optimiser and gammas (federation's _stage_settings), on
 inputs built as the stage engine builds its own: one KernelInputs built
 once from the client's path and the gammas (model._stack_inputs, which
@@ -14,15 +16,10 @@ penalty pair holds the root and cluster B factors (Tier.LEAF.earlier) with
 a non-zero gamma, updated in place epoch by epoch and scored at frozen +
 B A, the path's composed weight bitwise. In either batch mode the frozen
 logits of the client's train rows are computed once and read by every
-epoch's factored step, gathered with the rows in mini batch. The probe
-builds its inputs the
-same way, from a path of the frozen root, the fresh probe as its cluster
-tier and a zero leaf, with no gammas, so it trains without a penalty; its
-one full-batch call computes its frozen logits and step operands once, and
-its basis is read off the stepped B. After each epoch the leaf stage's
-round check runs (federation._check_round): an epoch whose factors go
-non-finite, or so large that their product could overflow, is refused as a
-diverged leaf round is, before it is scored.
+epoch's factored step, gathered with the rows in mini batch. After each
+epoch the leaf stage's round check runs (federation._check_round): an epoch
+whose factors go non-finite, or so large that their product could
+overflow, is refused as a diverged leaf round is, before it is scored.
 """
 
 from dataclasses import dataclass
@@ -30,13 +27,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datagen import ClientSplit
-from .errors import NON_NEGATIVE, POSITIVE, ConfigurationError, DegenerateInputError, check_types
+from .errors import NON_NEGATIVE, ConfigurationError, DegenerateInputError, check_types
 from .federation import FederationConfig, ServerState, _check_round, _stage_settings
 from .linalg import Matrix, directed_bases, one_blas_thread, subspace_overlap
-from .lora import AdapterPath, LoraAdapter, Tier, init_adapter, zero_adapter
+from .lora import AdapterPath, LoraAdapter, Tier, delta, init_adapter
 from .metrics import accuracy
-from .model import (ClientStack, EncodedData, HeadModel, Samples, SgdConfig, encode,
-                    local_update, _frozen_logits, _stack_accuracy, _stack_inputs, _stack_of_one)
+from .model import (ClientStack, EncodedData, HeadModel, Samples, encode, local_update,
+                    _DEFAULT_BATCH, _frozen_logits, _label_index, _stack_accuracy,
+                    _stack_gradient, _stack_inputs, _stack_of_one)
 from .streams import stream
 
 
@@ -69,21 +67,22 @@ def build_representatives(server: ServerState, rank: int) -> list[ClusterReprese
 
 
 def probe_basis(model: HeadModel, train: Samples | EncodedData | ClientStack,
-                root_star: LoraAdapter, rank: int, steps: int, lr: float, seed: int = 0) -> Matrix:
-    """Run `steps` full-batch gradient steps of a fresh probe adapter above the
-    frozen root on `train` and return the probe B's dominant left subspace;
-    a probe B with no direction (linalg.directed_bases) is refused, and so,
-    with ConfigurationError and no warning, is one that went non-finite."""
-    check_types(int, POSITIVE, steps=steps)
-    p, q = model.class_count, model.backbone.hidden_dim
-    probe = init_adapter(p, q, rank, stream(seed, "probe_init"))
-    path = AdapterPath(root=root_star, cluster=probe, leaf=zero_adapter(p, q, rank))
-    local = _stack_inputs(model, [path], Tier.CLUSTER)   # no gammas: no penalty
-    local_update(model, local, _stack_of_one(model, train),
-                 opt=SgdConfig(lr=lr, epochs=steps, batch_mode="full"))
-    basis, spans = directed_bases(local.b[0], rank)
+                root_star: LoraAdapter, rank: int) -> Matrix:
+    """The top-`rank` left singular subspace of dW, the gradient of the mean
+    cross-entropy on `train` with respect to the head weight at w0 + root;
+    a gradient with no direction (linalg.directed_bases), as from a dead
+    backbone, is refused."""
+    stack = _stack_of_one(model, train)
+    z, labels, _ = stack.layout(_DEFAULT_BATCH)
+    c, h = model.w0.shape
+    # the kernel's gradient at B = I, A = 0 and no penalty: the logits are the
+    # frozen ones, and dA = resid z / n is dW; padding rows add exact zeros
+    _, dw = _stack_gradient(_frozen_logits((model.w0 + delta(root_star))[None], z),
+                            np.eye(c)[None], np.zeros((1, c, h)), z, _label_index(labels).ravel(),
+                            stack.sizes[:, None, None], np.empty((1, c, 0)), np.empty((1, 0, c)))
+    basis, spans = directed_bases(dw[0], rank)
     if not spans:
-        raise DegenerateInputError("probe basis stayed numerically zero")
+        raise DegenerateInputError("routing gradient is numerically zero")
     return basis
 
 
@@ -114,11 +113,10 @@ def adapt_unseen(model: HeadModel, client: ClientSplit, server: ServerState,
     (linalg.one_blas_thread)."""
     check_types(int, NON_NEGATIVE, epochs=epochs)
     reps = build_representatives(server, config.rank)
-    # each split is packed once: the train split serves the probe and every
-    # epoch, the test split is scored epochs + 1 times
+    # each split is packed once: the train split serves the routing basis and
+    # every epoch, the test split is scored epochs + 1 times
     train, test = (ClientStack((encode(model, split),)) for split in (client.train, client.test))
-    u_u = probe_basis(model, train, server.root, config.rank,
-                      steps=config.probe_steps, lr=config.lr, seed=seed)
+    u_u = probe_basis(model, train, server.root, config.rank)
     j = assign_cluster(u_u, reps)
     leaf = init_adapter(*model.w0.shape, config.rank, stream(seed, "unseen_leaf_init"))
     path = AdapterPath(root=server.root, cluster=server.clusters[j], leaf=leaf)

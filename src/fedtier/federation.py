@@ -97,7 +97,6 @@ class FederationConfig:
     k_max: int = 10
     master_seed: int = 0
     hidden_dim: int = ruled(POSITIVE, 32)
-    probe_steps: int = ruled(POSITIVE, 20)
     workers: int = ruled(POSITIVE, 1)
 
     def __post_init__(self):

@@ -18,8 +18,8 @@ checks the gammas once and builds the penalty as one product pair, the
 penalized tiers' B factors side by side and their transposes scaled by
 2 gamma, so a step adds it as two matmuls whatever the tier count.
 local_update has one call form, KernelInputs with a ClientStack, whose
-factors it updates in place; the unseen client's probe and fine-tune build
-theirs as the stage engine does. A step runs in factored form: its logits
+factors it updates in place; the unseen client's fine-tune builds its own
+as the stage engine does. A step runs in factored form: its logits
 are the frozen logits (the frozen weight, w0 plus every other tier's
 update, applied to the rows) plus B (A z), and dB and dA are taken through
 A z and B^T times the residual, so no C×h weight or weight gradient is
@@ -34,7 +34,9 @@ its epochs from one generator, ClientStack.epochs, which shuffles each
 client's rows afresh every epoch and gathers them, their labels and their
 frozen logits from the packed layout into one buffer triple, so the call's
 memory does not grow with its epochs. The analytic tier gradient is that
-kernel's gradient on a stack of one.
+kernel's gradient on a stack of one, and so is the unseen client's routing
+gradient (adaptation.probe_basis: the head gradient, read off dA at B = I
+and A = 0).
 Every score is the kernel's too: the loss and the argmax accuracy read the
 same blocks and the same mask of real rows, which a ClientStack's layout
 holds together, so a client scores the same bits alone or in any stack. A
@@ -426,7 +428,7 @@ def _stack_inputs(model: HeadModel, paths, active: Tier, gammas=()) -> KernelInp
     weighted by the gammas in the same place (see _check_gammas, which runs
     here once). It is the one builder of KernelInputs, and so of the
     penalty, from adapters: for tier_gradient, the stage engine's start and
-    the unseen client's probe and fine-tune."""
+    the unseen client's fine-tune."""
     _check_gammas(active, gammas)
     adapters = [p.adapter(active) for p in paths]
     if {(ad.p, ad.q, ad.rank) for ad in adapters} != {model.w0.shape + (adapters[0].rank,)}:
@@ -494,8 +496,7 @@ def local_update(model: HeadModel, inputs: KernelInputs, data: ClientStack, *,
     result is bitwise the same as when it is updated alone. A step that
     leaves a factor non-finite warns nowhere: the inputs come back
     unchecked, for the caller's own check: the stage engine's
-    (federation._check_round, which the unseen fine-tune runs too) or the
-    probe's SVD, which refuses a non-finite B.
+    (federation._check_round, which the unseen fine-tune runs too).
     Mini-batch mode needs the rngs: it iterates ClientStack.epochs, which
     shuffles each client's rows with its rng epoch by epoch into one buffer
     triple; full batch reads the stack's cached layout every epoch. A

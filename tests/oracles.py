@@ -54,6 +54,20 @@ def softmax_loss_oracle(logits_rows, labels, floor=1e-12):
     return total / len(labels)
 
 
+def head_gradient_oracle(w, z, y):
+    """Gradient of the mean softmax cross-entropy with respect to the head
+    weight w (C×h), one row at a time: the sum over the rows of
+    (softmax(w z) - onehot(y)) z^T, divided by the row count."""
+    grad = np.zeros_like(w)
+    for row, label in zip(z, y):
+        logits = w @ row
+        resid = np.exp(logits - logits.max())
+        resid /= resid.sum()
+        resid[label] -= 1.0
+        grad += np.outer(resid, row)
+    return grad / len(y)
+
+
 def accuracy_oracle(z, y, w):
     """Share of rows whose largest logit in z @ w.T is the label; np.argmax
     takes the first, so ties pick the lowest class."""

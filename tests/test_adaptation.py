@@ -7,49 +7,90 @@ from fedtier.adaptation import (ClusterRepresentative, adapt_unseen, assign_clus
                                 build_representatives, probe_basis)
 from fedtier.errors import ConfigurationError, DegenerateInputError
 from fedtier.federation import FederationConfig, run_protocol
-from fedtier.linalg import frobenius_norm, orthonormal_columns
+from fedtier.linalg import frobenius_norm, orthonormal_columns, subspace_overlap
 from fedtier.metrics import orthogonality_report
 from fedtier.model import ClientStack, FrozenBackbone, HeadModel, Samples, encode, local_update
 from fedtier.lora import zero_adapter
-from oracles import random_orthonormal
+from oracles import head_gradient_oracle, random_orthonormal
 
 
 class TestProbeBasis:
-    def test_deterministic_for_identical_data_and_seed(self, trained_fed):
+    def test_spans_the_head_gradients_top_subspace(self, trained_fed):
+        # the routing basis is the top-rank left singular subspace of the
+        # head gradient of the client's mean train cross-entropy at w0 + root
+        fed, rank = trained_fed, trained_fed.config.rank
+        train = fed.data.unseen[0].train
+        enc = encode(fed.model, train)
+        root = fed.server.root
+        dw = head_gradient_oracle(fed.model.w0 + root.b @ root.a, enc.z, enc.y)
+        top = np.linalg.svd(dw)[0][:, :rank]
+        u = probe_basis(fed.model, train, root, rank=rank)
+        assert abs(subspace_overlap(u, top) - rank) <= 1e-10
+
+    def test_spans_the_bare_heads_gradient_under_a_zero_root(self, trained_fed):
+        # the root sets the weight the gradient is taken at: a zero root
+        # leaves w0 alone
+        fed, rank = trained_fed, trained_fed.config.rank
+        train = fed.data.unseen[1].train
+        enc = encode(fed.model, train)
+        top = np.linalg.svd(head_gradient_oracle(fed.model.w0, enc.z, enc.y))[0][:, :rank]
+        u = probe_basis(fed.model, train, zero_adapter(*fed.model.w0.shape, rank), rank=rank)
+        assert abs(subspace_overlap(u, top) - rank) <= 1e-10
+
+    @pytest.mark.parametrize("rows", ["shuffled", "each_twice"])
+    def test_a_mean_over_the_rows_gives_the_same_subspace(self, trained_fed, rows):
+        # dW is a mean over the rows: reordering them or repeating every row
+        # (twice the count, padded differently) leaves it unchanged
+        fed, rank = trained_fed, trained_fed.config.rank
+        train = fed.data.unseen[0].train
+        u = probe_basis(fed.model, train, fed.server.root, rank=rank)
+        order = np.random.default_rng(0).permutation(len(train.y))
+        if rows == "each_twice":
+            order = np.concatenate([order, order])
+        moved = probe_basis(fed.model, Samples(train.x[order], train.y[order]),
+                            fed.server.root, rank=rank)
+        assert abs(subspace_overlap(u, moved) - rank) <= 1e-10
+
+    def test_makes_no_kernel_call(self, trained_fed, monkeypatch):
+        # the basis is one gradient: nothing is trained
+        import fedtier.adaptation as adaptation
+        import fedtier.model as model
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("probe_basis ran local_update")
+
+        monkeypatch.setattr(adaptation, "local_update", refuse)
+        monkeypatch.setattr(model, "local_update", refuse)
+        fed = trained_fed
+        probe_basis(fed.model, fed.data.unseen[0].train, fed.server.root, rank=fed.config.rank)
+
+    def test_deterministic_for_identical_data(self, trained_fed):
         fed = trained_fed
         client = fed.data.unseen[0]
-        kwargs = dict(rank=fed.config.rank, steps=10, lr=fed.config.lr, seed=3)
-        u1 = probe_basis(fed.model, client.train, fed.server.root, **kwargs)
-        u2 = probe_basis(fed.model, client.train, fed.server.root, **kwargs)
+        u1 = probe_basis(fed.model, client.train, fed.server.root, rank=fed.config.rank)
+        u2 = probe_basis(fed.model, client.train, fed.server.root, rank=fed.config.rank)
         assert np.array_equal(u1, u2)
 
     def test_returns_orthonormal_columns(self, trained_fed):
         fed = trained_fed
         u = probe_basis(fed.model, fed.data.unseen[1].train, fed.server.root,
-                        rank=fed.config.rank, steps=5, lr=fed.config.lr, seed=0)
+                        rank=fed.config.rank)
         assert np.allclose(u.T @ u, np.eye(fed.config.rank), atol=1e-10)
 
     def test_degenerate_data_rejected(self):
-        # a dead backbone (zero features) never moves the probe's B off zero
+        # a dead backbone (zero features) gives a zero head gradient
         model = HeadModel(w0=np.zeros((3, 4)),
                           backbone=FrozenBackbone(m=np.zeros((4, 2)), bias=np.zeros(4)))
         data = Samples(np.zeros((2, 2)), [0, 1])
         with pytest.raises(DegenerateInputError):
-            probe_basis(model, data, zero_adapter(3, 4, 2), rank=2, steps=3, lr=0.1)
-
-    def test_step_count_validated(self, trained_fed):
-        fed = trained_fed
-        with pytest.raises(ConfigurationError):
-            probe_basis(fed.model, fed.data.unseen[0].train, fed.server.root,
-                        rank=fed.config.rank, steps=0, lr=0.1)
+            probe_basis(model, data, zero_adapter(3, 4, 2), rank=2)
 
     def test_one_clients_rows_in_any_form_give_the_same_bits(self, trained_fed):
         # Samples, their EncodedData and a stack of one are one client's rows
         fed = trained_fed
         train = fed.data.unseen[0].train
         enc = encode(fed.model, train)
-        u = [probe_basis(fed.model, data, fed.server.root, rank=fed.config.rank, steps=10,
-                         lr=fed.config.lr, seed=3)
+        u = [probe_basis(fed.model, data, fed.server.root, rank=fed.config.rank)
              for data in (train, enc, ClientStack([enc]))]
         assert np.array_equal(u[0], u[1]) and np.array_equal(u[0], u[2])
 
@@ -57,18 +98,7 @@ class TestProbeBasis:
         fed = trained_fed
         stack = ClientStack([encode(fed.model, client.train) for client in fed.data.unseen[:2]])
         with pytest.raises(ConfigurationError, match="stack of 2"):
-            probe_basis(fed.model, stack, fed.server.root, rank=fed.config.rank, steps=5,
-                        lr=fed.config.lr)
-
-    def test_a_diverging_probe_is_refused_without_a_warning(self, trained_fed):
-        # the probe's B goes non-finite, which its SVD refuses
-        import warnings
-        fed = trained_fed
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ConfigurationError, match="non-finite"):
-                probe_basis(fed.model, fed.data.unseen[0].train, fed.server.root,
-                            rank=fed.config.rank, steps=5, lr=1e300)
+            probe_basis(fed.model, stack, fed.server.root, rank=fed.config.rank)
 
 
 class TestAssignCluster:
@@ -102,7 +132,7 @@ class TestAssignCluster:
             big = 37.5 * fed.server.clusters[j].b
             scaled.append(ClusterRepresentative(j, orthonormal_columns(big, fed.config.rank)))
         u = probe_basis(fed.model, fed.data.unseen[0].train, fed.server.root,
-                        rank=fed.config.rank, steps=10, lr=fed.config.lr, seed=5)
+                        rank=fed.config.rank)
         assert assign_cluster(u, reps) == assign_cluster(u, scaled)
 
     def test_empty_reps_rejected(self):
@@ -137,11 +167,20 @@ class TestAdaptUnseen:
         assert abs(result.accuracy_trajectory[0] - member_cluster_acc) <= 0.05
 
 
+    def test_the_route_draws_nothing_from_the_seed(self, trained_fed):
+        # routing reads the client's data and the server only; the seed
+        # draws the leaf the fine-tune starts from
+        fed = trained_fed
+        for client in fed.data.unseen:
+            routes = {adapt_unseen(fed.model, client, fed.server, fed.config, epochs=0,
+                                   seed=seed).assigned_cluster for seed in (0, 1, 7)}
+            assert len(routes) == 1
+
     def test_fine_tune_runs_the_leaf_stage_settings(self, trained_fed, monkeypatch):
         # every fine-tune epoch is one leaf-stage round on inputs built as the
         # stage engine builds them: the leaf stage's optimiser and gammas,
         # penalized against the frozen root and cluster, drawing its order
-        # from one shuffle stream; the probe's call comes first, unpenalized
+        # from one shuffle stream; routing makes no call, so there is one per epoch
         import fedtier.adaptation as adaptation
         from fedtier.federation import _stage_settings
         from fedtier.lora import Tier, compose_path
@@ -159,9 +198,6 @@ class TestAdaptUnseen:
         client = fed.data.unseen[2]
         result = adapt_unseen(fed.model, client, fed.server, config, epochs=2, seed=4)
         _, opt, gammas = _stage_settings(config, Tier.LEAF, len(client.train))
-        (probe, probe_opt, _, probe_rng), *calls = calls
-        assert probe.penalty_b.shape[-1] == 0 and probe_rng is None
-        assert probe_opt.epochs == config.probe_steps and probe_opt.batch_mode == "full"
         assert len(calls) == 2
         cluster = fed.server.clusters[result.assigned_cluster]
         without_leaf = replace(result.path, leaf=zero_adapter(*fed.model.w0.shape,
@@ -193,7 +229,7 @@ class TestAdaptUnseen:
         stage_settings, score = adaptation._stage_settings, adaptation._stack_accuracy
         updates, scored = [], []
 
-        def huge_lr(*args):   # the probe keeps its lr, the fine-tune diverges
+        def huge_lr(*args):   # the fine-tune diverges
             budget, opt, gammas = stage_settings(*args)
             return budget, replace(opt, lr=1e300), gammas
 
@@ -203,11 +239,12 @@ class TestAdaptUnseen:
             with np.errstate(over="ignore", invalid="ignore"):
                 bound = frobenius_norm(inputs.b) * frobenius_norm(inputs.a)
             updates.append((bool(np.all(bound <= _FACTOR_BOUND)),
-                            bool(np.isfinite(inputs.b).all() and np.isfinite(inputs.a).all())))
+                            bool(np.isfinite(inputs.b).all() and np.isfinite(inputs.a).all()),
+                            inputs.penalty_b.shape[-1]))
             return out
 
         def scoring(w, stack):
-            scored.append(len(updates) - 1)   # fine-tune epochs, after the probe's call
+            scored.append(len(updates))   # fine-tune epochs run so far
             return score(w, stack)
 
         monkeypatch.setattr(adaptation, "_stage_settings", huge_lr)
@@ -218,8 +255,10 @@ class TestAdaptUnseen:
             warnings.simplefilter("error")
             with pytest.raises(ConfigurationError) as refused:
                 adapt_unseen(fed.model, fed.data.unseen[2], fed.server, config, epochs=8, seed=4)
-        _, *epochs = updates   # the probe's call comes first
-        within, finite = ([epoch[k] for epoch in epochs] for k in (0, 1))
+        # one call per epoch up to the refused one, each penalized against the
+        # root and cluster B factors, side by side in its penalty pair
+        within, finite, penalized = ([epoch[k] for epoch in updates] for k in (0, 1, 2))
+        assert penalized == [2 * config.rank] * len(updates)
         assert within and not within[-1] and all(within[:-1])
         assert scored == list(range(1, len(within)))
         assert f"leaf stage diverged in round {len(within)}" in str(refused.value)
@@ -229,7 +268,7 @@ class TestAdaptUnseen:
 
     @pytest.mark.parametrize("batch_mode", ["full", "mini"])
     def test_each_split_is_packed_once(self, trained_fed, monkeypatch, batch_mode):
-        # the probe and every fine-tune epoch read one packed train stack
+        # the routing basis and every fine-tune epoch read one packed train stack
         fed = trained_fed
         packed = []
         layout = ClientStack.layout

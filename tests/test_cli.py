@@ -180,8 +180,8 @@ BAD_CONFIG_VALUES = {
     "k_max_fractional": ({"federation.k_max": 3.5}, "k_max"),
     "aggregation_mode_removed": ({"federation.aggregation_mode": "product_svd"},
                                  "aggregation_mode"),
+    "probe_steps_removed": ({"federation.probe_steps": 20}, "probe_steps"),
     "workers_fractional": ({"federation.workers": 1.5}, "workers"),
-    "probe_steps_fractional": ({"federation.probe_steps": 2.5}, "probe_steps"),
     "data_section_a_list": ({"data": [1, 2]}, "data"),
     "federation_section_a_list": ({"federation": [1, 2]}, "federation"),
     "gl_dir_without_alpha": ({"data": GL_DIR_WITHOUT_ALPHA}, "alpha"),
@@ -339,6 +339,23 @@ def test_sc_dir_manifest_without_superclasses_still_reloads(tmp_path):
     assert {name: (run_dir / name).read_bytes() for name in metrics} == metrics
     assert main(["cluster-diag", "--run", str(run_dir)]) == 0
     assert main(["adapt", "--run", str(run_dir), "--epochs", "1"]) == 0
+
+
+def test_a_manifest_holding_probe_steps_is_refused_by_name(finished_run, tmp_path, capsys):
+    """A manifest written while the config still had probe_steps names the
+    removed field instead of reloading under another routing rule."""
+    run_dir = tmp_path / "run"
+    shutil.copytree(finished_run, run_dir)
+
+    def old_manifest(doc):
+        doc["config"]["federation"]["probe_steps"] = 20
+        return doc
+
+    edit_json(run_dir / "manifest.json", old_manifest)
+    for command in ("report", "adapt", "cluster-diag"):
+        capsys.readouterr()
+        assert main([command, "--run", str(run_dir)]) == 2
+        assert "unknown field 'federation.probe_steps'" in capsys.readouterr().err
 
 
 def test_readme_config_is_valid():

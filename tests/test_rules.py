@@ -107,7 +107,7 @@ DECLARED = {
         "eps": FINITE_POSITIVE, "t_root": POSITIVE, "t_cluster": NON_NEGATIVE,
         "t_leaf": NON_NEGATIVE, "lr": FINITE_POSITIVE, "local_epochs": POSITIVE,
         "batch_mode": one_of("full", "mini"), "batch_size": POSITIVE, "hidden_dim": POSITIVE,
-        "probe_steps": POSITIVE, "workers": POSITIVE},
+        "workers": POSITIVE},
     "SgdConfig": {"lr": FINITE_POSITIVE, "epochs": NON_NEGATIVE,
                   "batch_mode": one_of("full", "mini"), "batch_size": POSITIVE},
     "BasisTracker": {"decay": OPEN_UNIT},
@@ -197,9 +197,6 @@ ARGUMENTS = {
     "epochs": (int, NON_NEGATIVE,
                lambda v, fed, tf: adapt_unseen(tf.model, tf.data.unseen[0], tf.server,
                                                tf.config, epochs=v)),
-    "steps": (int, POSITIVE,
-              lambda v, fed, tf: probe_basis(tf.model, tf.data.unseen[0].train, tf.server.root,
-                                             2, steps=v, lr=0.05)),
     "trials": (int, POSITIVE, lambda v, fed, tf: gradient_check(trials=v)),
 }
 

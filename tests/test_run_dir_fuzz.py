@@ -34,8 +34,7 @@ def base_run(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
     doc = {
         "federation": {"rank": 2, "t_root": 3, "t_cluster": 2, "t_leaf": 1, "total_budget": 6,
-                       "lr": 0.05, "batch_mode": "full", "master_seed": 3, "hidden_dim": 8,
-                       "probe_steps": 2},
+                       "lr": 0.05, "batch_mode": "full", "master_seed": 3, "hidden_dim": 8},
         "data": {"kind": "cluster_shift", "classes": 4, "feature_dim": 3, "per_class": 40,
                  "n_total": 6, "k_true": 2, "rotation_angle": 1.2, "label_subset_size": 2,
                  "unseen_fraction": 0.25, "seed": 4},
