@@ -18,27 +18,30 @@ position (zeros for the root, the position of its label among the cluster
 ids, arange for the leaves), and each group has an index, the frozen
 adapters of the earlier tiers and its report's labels. Group g's members are
 the clients whose owner is g, in ascending client order, the order its
-aggregation and round loss sum in. The stage functions check the client
-count and the assignment's labels; the engine encodes the clients when no
-stack is given, draws each group's fresh active adapter from the stage's
-"<tier>_init" stream, and fills each group's StageReport round by round. It
-holds the stage's state as arrays: each group's active factors and previous
-delta, and each member's penalty pair (the B factors of the earlier tiers
-on its path side by side, and their transposes scaled by 2 gamma) and
+aggregation and round loss (group_sums) sum in. The stage functions check
+the client count and the assignment's labels; the engine encodes the clients
+when no stack is given, draws each group's fresh active adapter from the
+stage's "<tier>_init" stream, and fills each group's StageReport round by
+round. It holds the stage's state as arrays: each group's active factors and
+previous delta, and each member's penalty pair (the B factors of the earlier
+tiers on its path side by side, and their transposes scaled by 2 gamma) and
 frozen weight (w0 plus the earlier tiers' updates), built once per stage,
 and so are each chunk's frozen logits (the frozen weights applied to its
-rows, which the kernel's factored step adds B (A z) to), in either batch
-mode. The factors, frozen weights and penalty pair start as one
-model._stack_inputs call over the groups' paths with the stage's gammas,
+rows, which the kernel's factored step and the round loss add B (A z) to),
+in either batch mode. The factors, frozen weights and penalty pair start as
+one model._stack_inputs call over the groups' paths with the stage's gammas,
 the one builder of the kernel's inputs from adapters and the one check of
 the gammas, spread once to the members.
 Every round trains the whole stack, so the layouts it caches serve all three
-stages and the metrics' loss pass; a retired group's members still run their
-local update, but nothing reads it. Each round spreads the group factors to
-the members, runs one local update on the stack (`workers` > 1 splits it
-into contiguous chunks run on a thread pool), refuses local factors that
-went non-finite, and aggregates, refactors and stop-checks every running
-group with the stacked forms of aggregate_product, refactor and stop_check.
+stages, and at the metrics' block the metrics' loss pass; a retired group's
+members still run their local update, but nothing reads it. Each round
+spreads the group factors to the members, runs one local update on the
+stack (`workers` > 1 splits it into contiguous chunks run on a thread pool),
+refuses local factors that went non-finite, and aggregates, refactors and
+stop-checks every running group with the stacked forms of
+aggregate_product, refactor and stop_check. Its round loss is each chunk's
+factored logits at the new group factors over the chunk's cached frozen
+logits, so no C×h weight is formed for it.
 
 The trained federation holds each tier once: the root, the cluster adapters
 by label and the leaves in client order. A client's paths, its cluster and
@@ -48,13 +51,13 @@ Determinism: the local-update kernel lays each client's rows out in fixed
 blocks of batch_size rows and computes every (client, block) slice on its
 own, so a client's bits do not depend on which clients share its stack or
 chunk. Each client draws all of a stage's shuffles from its own stream, and
-aggregation reduces in ascending member order, so results are identical for
-any worker count on a given machine and BLAS build.
+aggregation and the round loss reduce in ascending member order, so results
+are identical for any worker count on a given machine and BLAS build.
 """
 
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -67,7 +70,8 @@ from .errors import (FINITE_POSITIVE, NON_NEGATIVE, OPEN_UNIT, POSITIVE, Configu
 from .linalg import Matrix, as_matrix, frobenius_norm, one_blas_thread, truncated_svd
 from .lora import AdapterPath, LoraAdapter, Tier, init_adapter, zero_adapter
 from .model import (BATCH_MODES, ClientStack, HeadModel, KernelInputs, SgdConfig, build_model,
-                    encode, local_update, _frozen_logits, _stack_inputs, _stack_losses)
+                    encode, local_update, _factored_logits, _frozen_logits, _logit_losses,
+                    _stack_inputs)
 from .streams import stream
 
 
@@ -134,12 +138,21 @@ class StageReport:
     client: int | None = None
 
 
-def weights_root(sizes) -> np.ndarray:
-    """Data-proportional weights n_i / sum(n)."""
+def weights_root(sizes, owner=None) -> np.ndarray:
+    """Data-proportional weights n_i / sum(n); given owner, each client's
+    group position, the sum runs over client i's own group instead."""
     sizes = np.asarray(sizes, dtype=np.float64)
     if np.any(sizes <= 0):
         raise PreconditionError("client sizes must be positive")
-    return sizes / sizes.sum()
+    return sizes / (sizes.sum() if owner is None else np.bincount(owner, weights=sizes)[owner])
+
+
+def group_sums(owner, values, groups: int) -> np.ndarray:
+    """Each of the groups' sum of values over its members, the i with
+    owner[i] == g (0 for a group without one), added one at a time from 0.0
+    in ascending i by np.bincount. The sum is sequential on every Python
+    version; sum() of floats compensates from Python 3.12 on."""
+    return np.bincount(owner, weights=values, minlength=groups)
 
 
 def weights_cluster(sizes, members) -> np.ndarray:
@@ -246,8 +259,8 @@ def _stage_settings(config: FederationConfig, active: Tier, rows: int):
     The batch size is capped at `rows`, the most train rows of any client the
     stage may see, since a larger block only adds padding. The cap never
     depends on which clients share a stack, so a client's bits do not either."""
-    opt = replace(config.sgd(), epochs=1 if active is Tier.LEAF else config.local_epochs,
-                  batch_size=min(config.batch_size, rows))
+    opt = SgdConfig(lr=config.lr, epochs=1 if active is Tier.LEAF else config.local_epochs,
+                    batch_mode=config.batch_mode, batch_size=min(config.batch_size, rows))
     gammas = (config.gamma_c, config.gamma_l)[:len(active.earlier)]
     return getattr(config, f"t_{active.value}"), opt, gammas
 
@@ -286,11 +299,12 @@ def _run_stage(config: FederationConfig, model: HeadModel, data: FederationData,
     its members' frozen weights over its own layout) are computed once and
     passed to every round's local update, whose factored step adds
     B (A z) to them; a mini-batch step reads them gathered with its rows.
-    A group's aggregation and round-loss weights are weights_root over its
-    members' train sizes. Every round trains on enc itself, so the layouts
-    it caches serve every stage; the members of a retired group still run
-    their local update, but nothing reads it, and a client's bits do not
-    depend on its stack mates.
+    They are read-only, as the layouts are: every round reads them again.
+    A group's aggregation and round-loss weights are its members' shares
+    of its train rows (weights_root by owner). Every round trains on enc
+    itself, so the layouts it caches serve every stage; the members of a
+    retired group still run their local update, but nothing reads it, and
+    a client's bits do not depend on its stack mates.
     Each round then:
     - spreads the group factors to the members by owner and runs one local
       update per chunk of the stack (config.workers > 1 splits it into at
@@ -301,9 +315,13 @@ def _run_stage(config: FederationConfig, model: HeadModel, data: FederationData,
       tracker, given only to the root stage's one group, first receives
       every member's local B in one stacked ema_update call), and one
       stacked SVD refactors them all;
-    - takes every running group's rho from one stacked stop_check and the
-      round loss at frozen + B A; a group retires once rho falls to tau_rel
-      or its budget runs out."""
+    - takes every running group's rho from one stacked stop_check and its
+      round loss, the members' model._logit_losses of _factored_logits at
+      the group factors over each chunk's cached frozen logits and layout
+      at the stage's block, concatenated in client order and weighted and
+      summed by group_sums (a padding block adds exact zeros, so a client's
+      loss does not depend on its chunk); a group retires once rho falls
+      to tau_rel or its budget runs out."""
     if config.rank > min(model.w0.shape):
         raise ConfigurationError(f"rank={config.rank} exceeds min(class count, hidden_dim) = "
                                  f"min{model.w0.shape}: no adapter has that rank")
@@ -322,22 +340,31 @@ def _run_stage(config: FederationConfig, model: HeadModel, data: FederationData,
     spread = spread.select(owner)
     prev = b @ a
     members = [np.flatnonzero(owner == g) for g in range(len(b))]
-    weights = [weights_root(train.sizes[m]) for m in members]
+    pi = weights_root(train.sizes, owner)
     reports = [StageReport(active.value, [], [], 0, "budget", *label) for label in labels]
     rngs = [stream(config.master_seed, f"{active.value}_shuffle", i)
             if opt.batch_mode == "mini" else None for i in range(config.n_clients)]
     parts = [slice(ix[0], ix[-1] + 1) for ix in np.array_split(
         np.arange(config.n_clients), min(config.workers, config.n_clients))]
-    # a single chunk is the stack itself, whose layout the round loss reuses
+    # a single chunk is the stack itself, whose layouts the metrics reuse
     chunks = [train] if len(parts) == 1 else [train[part] for part in parts]
     # a chunk's frozen logits are fixed for the stage: computed once, from
-    # its own layout
+    # its own layout, and read-only, as every round's update and loss read them
     logits = [_frozen_logits(spread.frozen[part], stack.layout(opt.batch_size)[0])
               for part, stack in zip(parts, chunks)]
+    for frozen_logits in logits:
+        frozen_logits.setflags(write=False)
+
+    def losses(part, stack, frozen_logits):
+        """The round loss of the chunk's members at their group factors."""
+        z, labels, real = stack.layout(opt.batch_size)
+        return _logit_losses(_factored_logits(frozen_logits, b[owner[part]], a[owner[part]],
+                                              z)[0], labels, real, stack.sizes)
+
+    running = np.arange(len(b))   # the groups still training
     with ThreadPoolExecutor(config.workers) if config.workers > 1 else nullcontext() as pool:
         for t in range(1, budget + 1):
-            running = [g for g, report in enumerate(reports) if report.stop_reason == "budget"]
-            if not running:
+            if not running.size:
                 break
             local = spread._replace(b=b[owner], a=a[owner])
 
@@ -355,19 +382,21 @@ def _run_stage(config: FederationConfig, model: HeadModel, data: FederationData,
                 if tracker is not None:
                     ema_update(tracker, range(len(local.b)), local.b)
                 delta_new = np.stack([aggregate_product((local.b[members[g]],
-                                                         local.a[members[g]]), weights[g])
+                                                         local.a[members[g]]), pi[members[g]])
                                       for g in running])
                 b[running], a[running] = refactor(delta_new, config.rank)
             stopped, rho = stop_check(prev[running], delta_new, config.tau_rel, config.eps)
             prev[running] = delta_new
             del delta_new   # not kept through the loss pass, the round's memory peak
-            losses = _stack_losses(spread.frozen + (b @ a)[owner], train)
-            for g, stop, r in zip(running, stopped, rho):
-                reports[g].rho.append(float(r))
-                reports[g].rounds = len(reports[g].rho)
-                reports[g].stop_reason = "criterion" if stop else "budget"
-                reports[g].weighted_loss.append(
-                    float(sum(wi * x for wi, x in zip(weights[g], losses[members[g]]))))
+            loss = group_sums(owner, pi * np.concatenate([*map(losses, parts, chunks, logits)]),
+                              len(b))
+            for g, r, x in zip(running.tolist(), rho.tolist(), loss[running].tolist()):
+                reports[g].rho.append(r)
+                reports[g].weighted_loss.append(x)
+            running = running[~stopped]
+    for g, report in enumerate(reports):
+        report.rounds = len(report.rho)
+        report.stop_reason = "budget" if g in running else "criterion"
     return [LoraAdapter(b=b[g], a=a[g], rank=config.rank) for g in range(len(b))], reports
 
 

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import PreconditionError
-from .federation import TrainedFederation, weights_cluster
+from .federation import TrainedFederation, group_sums, weights_root
 from .linalg import directed_bases, one_blas_thread, orthonormal_columns, subspace_overlap
 from .lora import AdapterPath, compose_path, delta
 from .model import (ClientStack, HeadModel, encode, _stack_accuracy, _stack_losses,
@@ -72,19 +72,16 @@ def _stage_weights(fed: TrainedFederation, ids: list[int]) -> list[np.ndarray]:
 
 def _gains(fed: TrainedFederation, ids: list[int], train: ClientStack, weights):
     """The (g_cluster, g_leaf, g_cluster_own) columns of `ids`, which must
-    form whole clusters, from three stacked loss passes over `train`, their
-    train splits in order, under their _stage_weights. A client's losses do
-    not depend on its stack mates, so any set of whole clusters gives a
-    client the same gains bitwise."""
+    form whole clusters in ascending order, from three stacked loss passes
+    over `train`, their train splits in order, under their _stage_weights;
+    G_c sums in member order by group_sums. A client's losses do not depend
+    on its stack mates, so any set of whole clusters gives a client the
+    same gains bitwise."""
     l_root, l_cluster, l_full = (_stack_losses(w, train) for w in weights)
-    own = dict(zip(ids, (l_root - l_cluster).tolist()))
-    labels = fed.server.assignment.labels[ids].tolist()
-    g_cluster = {}
-    for j in set(labels):
-        members = fed.server.assignment.members(j)
-        pi = weights_cluster(fed.data.train_sizes, members)
-        g_cluster[j] = float(sum(w * own[m] for w, m in zip(pi, members)))
-    return [g_cluster[j] for j in labels], (l_cluster - l_full).tolist(), [own[i] for i in ids]
+    own = l_root - l_cluster
+    clusters, owner = np.unique(fed.server.assignment.labels[ids], return_inverse=True)
+    g_cluster = group_sums(owner, weights_root(train.sizes, owner) * own, len(clusters))
+    return g_cluster[owner].tolist(), (l_cluster - l_full).tolist(), own.tolist()
 
 
 def tier_gains(fed: TrainedFederation, client_id: int) -> TierGains:

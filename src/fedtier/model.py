@@ -18,32 +18,35 @@ checks the gammas once and builds the penalty as one product pair, the
 penalized tiers' B factors side by side and their transposes scaled by
 2 gamma, so a step adds it as two matmuls whatever the tier count.
 local_update has one call form, KernelInputs with a ClientStack, whose
-factors it updates in place; the unseen client's fine-tune builds its own
-as the stage engine does. A step runs in factored form: its logits
-are the frozen logits (the frozen weight, w0 plus every other tier's
-update, applied to the rows) plus B (A z), and dB and dA are taken through
-A z and B^T times the residual, so no C×h weight or weight gradient is
-formed in a step. The frozen logits have one rule in both batch modes:
-they are computed once over the stack's layout and read by every step. A call takes them as given (the stage engine
-computes them once per stage, the unseen fine-tune once per client) or
-computes them once itself. A step's softmax stores the probabilities
-class-outer, (C, S, blocks, block), so each operation runs once over the
-whole stack's classes, and the one-hot labels come off in one subtract by
-the flat index of each row's label in that array. A mini-batch call takes
-its epochs from one generator, ClientStack.epochs, which shuffles each
-client's rows afresh every epoch and gathers them, their labels and their
-frozen logits from the packed layout into one buffer triple, so the call's
-memory does not grow with its epochs. The analytic tier gradient is that
-kernel's gradient on a stack of one, and so is the unseen client's routing
-gradient (adaptation.probe_basis: the head gradient, read off dA at B = I
-and A = 0).
+factors it updates in place; the unseen client's fine-tune builds its own as
+the stage engine does. A step runs in factored form: its logits are the
+frozen logits (the frozen weight, w0 plus every other tier's update, applied
+to the rows) plus B (A z), and dB and dA are taken through A z and B^T times
+the residual, so no C×h weight or weight gradient is formed in a step. The
+frozen logits have one rule in both batch modes: they are computed once over
+the stack's layout and read by every step. A call takes them as given (the
+stage engine computes them once per stage, the unseen fine-tune once per
+client) or computes them once itself. A step's softmax stores the
+probabilities class-outer, (C, S, blocks, block), so each operation runs
+once over the whole stack's classes, and the one-hot labels come off in one
+subtract by the flat index of each row's label in that array. A mini-batch
+call takes its epochs from one generator, ClientStack.epochs, which shuffles
+each client's rows afresh every epoch and gathers them, their labels and
+their frozen logits from the packed layout into one buffer triple, so the
+call's memory does not grow with its epochs. The analytic tier gradient is
+that kernel's gradient on a stack of one, and so is the unseen client's
+routing gradient (adaptation.probe_basis: the head gradient, read off dA at
+B = I and A = 0).
 Every score is the kernel's too: the loss and the argmax accuracy read the
 same blocks and the same mask of real rows, which a ClientStack's layout
-holds together, so a client scores the same bits alone or in any stack. A
-block longer than a client's rows only adds padding: local_update takes the
-batch size as given, and the stage settings (federation._stage_settings)
-cap it at the largest client they may see. The central finite-difference
-oracle used by tests and the gradcheck command checks the gradient.
+holds together, so a client scores the same bits alone or in any stack.
+The loss is one function of a layout's logits (_logit_losses): the metrics
+take weight-form logits at _DEFAULT_BATCH, the stage engine's round loss
+factored ones at its own block. A block longer than a client's rows only
+adds padding: local_update takes the batch size as given, and the stage
+settings (federation._stage_settings) cap it at the largest client they may
+see. The central finite-difference oracle used by tests and the gradcheck
+command checks the gradient.
 """
 
 from dataclasses import dataclass
@@ -279,8 +282,9 @@ def dataset_loss(model: HeadModel, path: AdapterPath, data) -> float:
 # would alone, so a client's bits never depend on which clients share its
 # stack. Zero-padded rows have zero features, and so a zero A z, so they add
 # exact zeros to both factor gradients whatever label they carry. The
-# score passes (loss, accuracy) form each client's C×h weight; a training
-# step does not (_stack_gradient). Probabilities are stored
+# metrics' score passes (loss, accuracy) form each client's C×h weight; a
+# training step and the stage's round loss do not: both add B (A z) to the
+# cached frozen logits (_factored_logits). Probabilities are stored
 # class-outer, (C, S, blocks, block), and read through their (S, blocks, C,
 # block) transpose: each slice's logits matmul writes into that view, and the
 # softmax's max, exp, sum and divide each run once over the classes of the
@@ -336,6 +340,17 @@ def _label_index(labels: np.ndarray, places=None) -> np.ndarray:
     return labels * labels.size + places
 
 
+def _factored_logits(frozen_logits, b, a, z):
+    """The class-outer (C, S, K, block) logits frozen_logits + B (A z) of the
+    rows in z (S, K, block, h) under the factors b (S, C, r) and a (S, r, h),
+    each (client, block) slice's B (A z) written into the (S, K, C, block)
+    transpose view, and A z (S, K, r, block), which the gradient reuses."""
+    az = a[:, None] @ z.swapaxes(-1, -2)
+    logits = np.empty(frozen_logits.shape)
+    np.matmul(b[:, None], az, out=logits.transpose(1, 2, 0, 3))
+    return np.add(logits, frozen_logits, out=logits), az
+
+
 def _stack_gradient(frozen_logits, b, a, z, index, rows, penalty_b, penalty_bt):
     """Per-client gradient of the mean cross-entropy over the blocks in z,
     plus the weighted orthogonality penalties, with respect to (b, a), in
@@ -351,10 +366,7 @@ def _stack_gradient(frozen_logits, b, a, z, index, rows, penalty_b, penalty_bt):
     (S, C, P) and (S, P, C). Block gradients are summed in block order; one
     block is taken as it is, which is bitwise its sum.
     """
-    b4, az = b[:, None], a[:, None] @ z.swapaxes(-1, -2)   # (S, 1, C, r), (S, K, r, block)
-    logits = np.empty(frozen_logits.shape)
-    np.matmul(b4, az, out=logits.transpose(1, 2, 0, 3))
-    logits += frozen_logits
+    logits, az = _factored_logits(frozen_logits, b, a, z)
     exps, sums = _softmax_exps(logits)
     exps /= sums
     exps.reshape(-1)[index] -= 1.0
@@ -364,7 +376,7 @@ def _stack_gradient(frozen_logits, b, a, z, index, rows, penalty_b, penalty_bt):
         # which sum a strided operand in another order: a contiguous copy
         # keeps a slice's bits free of the stack's size
         resid = resid.copy()
-    db, da = resid @ az.swapaxes(-1, -2), (b4.swapaxes(-1, -2) @ resid) @ z
+    db, da = resid @ az.swapaxes(-1, -2), (b[:, None].swapaxes(-1, -2) @ resid) @ z
     db, da = ((np.add.reduce(db, axis=1), np.add.reduce(da, axis=1)) if z.shape[1] > 1
               else (db[:, 0], da[:, 0]))   # sequential over the blocks; one is its own sum
     db /= rows
@@ -374,19 +386,26 @@ def _stack_gradient(frozen_logits, b, a, z, index, rows, penalty_b, penalty_bt):
     return db, da
 
 
-def _stack_losses(w: np.ndarray, data: ClientStack) -> np.ndarray:
-    """Mean cross-entropy of each stacked client under its own head weight
-    w[s] (S, C, h), over the kernel's fixed blocks. Like the gradient, it sums
-    each block, then the blocks in block order, so stack mates change no bit.
+def _logit_losses(logits, labels, real, sizes) -> np.ndarray:
+    """Mean cross-entropy of each stacked client from the class-outer logits
+    (C, S, K, block) of a layout's rows, whose labels and real-row mask are
+    (S, K, block) and whose clients hold sizes real rows; the softmax runs
+    in place on logits. Like the gradient, it sums each block, then the
+    blocks in block order, so stack mates and padding blocks change no bit.
     Only each row's label probability, picked by its flat index, is
     normalised."""
-    z, labels, real = data.layout(_DEFAULT_BATCH)
-    exps, sums = _softmax_exps(_frozen_logits(w, z))
+    exps, sums = _softmax_exps(logits)
     picked = exps.reshape(-1)[_label_index(labels)]
     picked /= sums
-    del exps   # the pass's largest array, freed before the log temporaries
     part = np.where(real, -np.log(np.maximum(picked, _PROB_FLOOR)), 0.0).sum(axis=-1)
-    return reduce(np.add, part.swapaxes(0, 1)) / data.sizes
+    return reduce(np.add, part.swapaxes(0, 1)) / sizes
+
+
+def _stack_losses(w: np.ndarray, data: ClientStack) -> np.ndarray:
+    """Mean cross-entropy of each stacked client under its own head weight
+    w[s] (S, C, h), over the kernel's blocks of _DEFAULT_BATCH rows."""
+    z, labels, real = data.layout(_DEFAULT_BATCH)
+    return _logit_losses(_frozen_logits(w, z), labels, real, data.sizes)
 
 
 def _stack_accuracy(w: np.ndarray, data: ClientStack) -> np.ndarray:

@@ -1,6 +1,7 @@
-"""tools/bench_record.py runs every workload with tracing off and on, stops
-at the first run that fails, merges the six result files into one, and
-prints the end-to-end metrics against the newest earlier BENCH_<n>.json."""
+"""tools/bench_record.py runs every workload with tracing off once and on
+three times, stops at the first run that fails, merges each workload's
+trace-0 result and its median-wall trace-1 result into one file, and prints
+the end-to-end metrics against the newest earlier BENCH_<n>.json."""
 
 import importlib.util
 import json
@@ -15,10 +16,16 @@ WORKLOADS = [w["name"] for w in json.loads((TOOL.parents[1] / "BENCHMARK.json").
              ["workloads"]]
 
 
+# each workload's three traced walls, in run order: the median is the third run's
+WALLS = [0.5, 0.25, 0.375]
+
+
 def fake_runs(monkeypatch, tmp_path, fail=None, metrics=None):
     """Replace the benchmark subprocess by one that writes a small result
-    file, with `metrics` (name to value) when given, or exits 1 for the
-    (workload, trace) pair `fail`. Earlier records are looked up in tmp_path."""
+    file, with `metrics` (name to value) when given and, at trace 1, the
+    next of WALLS as its traced_wall_s and its run's place as "run", or
+    exits 1 for the (workload, trace) pair `fail`. Earlier records are
+    looked up in tmp_path."""
     calls = []
     monkeypatch.setattr(bench_record, "RESULTS", tmp_path)
     monkeypatch.setattr(bench_record, "RECORDS", tmp_path)
@@ -27,37 +34,43 @@ def fake_runs(monkeypatch, tmp_path, fail=None, metrics=None):
         calls.append((workload, trace))
         if (workload, trace) == fail:
             return 1
-        result = {"correct": True}
-        if metrics is not None:
-            result["metrics"] = {name: {"value": v} for name, v in metrics.items()}
-        (tmp_path / f"{workload}-seed23-trace{trace}.json").write_text(
-            json.dumps({"result": result, "seconds": seconds}))
+        result = {"correct": True, "metrics": {name: {"value": v}
+                                               for name, v in (metrics or {}).items()}}
+        out = {"result": result, "seconds": seconds}
+        if trace == 1:
+            out["run"] = calls.count((workload, 1)) - 1
+            result["metrics"]["traced_wall_s"] = {"value": WALLS[out["run"]]}
+        (tmp_path / f"{workload}-seed23-trace{trace}.json").write_text(json.dumps(out))
         return 0
 
     monkeypatch.setattr(bench_record, "run_benchmark", run)
     return calls
 
 
-def test_merges_every_workload_at_both_trace_settings(monkeypatch, tmp_path):
+def test_merges_every_workload_keeping_the_median_traced_run(monkeypatch, tmp_path):
     calls = fake_runs(monkeypatch, tmp_path)
     out = tmp_path / "bench.json"
     assert bench_record.main(["--out", str(out), "--seconds", "2"]) == 0
-    assert calls == [(w, t) for w in WORKLOADS for t in (0, 1)]
+    assert calls == [(w, t) for w in WORKLOADS for t in (0, 1, 1, 1)]
     record = json.loads(out.read_text())
     assert sorted(record["workloads"]) == sorted(WORKLOADS)
     for runs in record["workloads"].values():
-        assert runs == {f"trace{t}": {"result": {"correct": True}, "seconds": 2.0}
-                        for t in (0, 1)}
+        assert runs == {
+            "trace0": {"result": {"correct": True, "metrics": {}}, "seconds": 2.0},
+            "trace1": {"result": {"correct": True, "metrics": {"traced_wall_s": {
+                "value": 0.375}}}, "seconds": 2.0, "run": 2},
+            "trace1_walls_s": WALLS}
     assert (record["seed"], record["seconds"]) == (23, 2.0)
     assert record["blas_threads"] is None or record["blas_threads"] >= 1
     assert {"git_sha", "git_clean"} <= set(record)
 
 
 def test_stops_at_the_first_failing_run(monkeypatch, tmp_path, capsys):
-    calls = fake_runs(monkeypatch, tmp_path, fail=(WORKLOADS[0], 1))
+    calls = fake_runs(monkeypatch, tmp_path, fail=(WORKLOADS[1], 1))
     out = tmp_path / "bench.json"
     assert bench_record.main(["--out", str(out)]) == 1
-    assert calls == [(WORKLOADS[0], 0), (WORKLOADS[0], 1)]
+    assert calls == [(WORKLOADS[0], t) for t in (0, 1, 1, 1)] + [(WORKLOADS[1], 0),
+                                                                 (WORKLOADS[1], 1)]
     assert not out.exists()
     assert "exited with 1" in capsys.readouterr().err
 

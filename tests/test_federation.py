@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 import warnings
 from dataclasses import replace
 
@@ -11,7 +13,7 @@ from fedtier.clustering import BasisTracker, cluster_clients
 from fedtier.datagen import ClientSplit, FederationData, gen_pool
 from fedtier.errors import ConfigurationError, PreconditionError
 from fedtier.federation import (FederationConfig, ServerState, TrainedFederation,
-                                aggregate_product, aggregate_separate, refactor,
+                                aggregate_product, aggregate_separate, group_sums, refactor,
                                 run_cluster_stage, run_leaf_stage, run_protocol,
                                 run_root_stage, stop_check, weights_cluster, weights_root)
 from fedtier.linalg import frobenius_norm
@@ -98,6 +100,29 @@ class TestWeights:
     def test_cluster_three_members(self):
         w = weights_cluster([1, 2, 3], [0, 1, 2])
         assert np.allclose(w, [1 / 6, 2 / 6, 3 / 6], atol=1e-15)
+
+    # ragged groups, members interleaved; group 3 has no member
+    OWNER = np.array([2, 0, 1, 0, 2, 2, 0, 1, 2, 2, 0, 2, 2, 4, 2, 2, 2, 2, 2, 2, 2])
+
+    def test_by_owner_is_each_groups_cluster_weights_bitwise(self):
+        sizes = np.random.default_rng(1).integers(1, 400, size=len(self.OWNER))
+        w = weights_root(sizes, self.OWNER)
+        for g in (0, 1, 2, 4):
+            members = np.flatnonzero(self.OWNER == g).tolist()
+            assert np.array_equal(w[members], weights_cluster(sizes, members))
+
+    def test_group_sums_add_left_to_right_in_member_order(self):
+        # a ragged, ill-conditioned sum, where the order of additions shows
+        rng = np.random.default_rng(2)
+        values = rng.normal(size=len(self.OWNER)) * 10.0 ** rng.integers(-8, 9, size=len(
+            self.OWNER))
+        sums = group_sums(self.OWNER, values, 5)
+        assert sums.shape == (5,) and sums[3] == 0.0
+        for g in (0, 1, 2, 4):
+            members = values[self.OWNER == g].tolist()
+            assert sums[g] == functools.reduce(operator.add, members)
+        shuffled = functools.reduce(operator.add, reversed(values[self.OWNER == 2].tolist()))
+        assert sums[2] != shuffled   # the data tells the orders apart
 
 
 class TestAggregateProduct:

@@ -23,13 +23,14 @@ from fedtier.cli import main
 from fedtier.clustering import BasisTracker, ClusterAssignment, ema_update
 from fedtier.datagen import ClientSplit, FederationData
 from fedtier.errors import ConfigurationError
-from fedtier.federation import (StageReport, aggregate_product, refactor, run_cluster_stage,
-                                run_leaf_stage, run_protocol, run_root_stage, stop_check,
-                                weights_root)
+from fedtier.federation import (StageReport, aggregate_product, group_sums, refactor,
+                                run_cluster_stage, run_leaf_stage, run_protocol, run_root_stage,
+                                stop_check, weights_root)
 from fedtier.linalg import frobenius_norm, truncated_svd
 from fedtier.lora import (AdapterPath, LoraAdapter, Tier, delta, init_adapter,
                           zero_adapter)
-from fedtier.model import ClientStack, SgdConfig, dataset_loss
+from fedtier.model import (ClientStack, SgdConfig, dataset_loss, encode, _factored_logits,
+                           _frozen_logits, _logit_losses, _stack_inputs)
 from fedtier.streams import stream
 from one_client import update_path
 
@@ -56,16 +57,28 @@ def assignment():
                              degenerate=False)
 
 
+def factored_loss(model, path, train, active, block):
+    """One client's round loss alone: the factored logits of its path's
+    frozen weight and active factors over its own layout at `block`."""
+    stack = ClientStack([encode(model, train)])
+    inputs = _stack_inputs(model, [path], active)
+    z, labels, real = stack.layout(block)
+    logits, _ = _factored_logits(_frozen_logits(inputs.frozen, z), inputs.b, inputs.a, z)
+    return _logit_losses(logits, labels, real, stack.sizes)[0]
+
+
 def reference_stage(config, model, data, active, described, tracker=None):
     """Each group alone, each member updated alone: one AdapterPath per
     update_path, then aggregate_product and refactor (server tiers),
-    stop_check, and the round loss of the composed path."""
+    stop_check, and the round loss, each member's factored_loss at the
+    stage's block summed by group_sums. Also returns each report's round
+    losses in the dataset_loss form, the composed path's weight."""
     c, h = model.w0.shape
     opt = SgdConfig(lr=config.lr, epochs=1 if active is Tier.LEAF else config.local_epochs,
                     batch_mode=config.batch_mode,
                     batch_size=min(config.batch_size, max(len(c.train) for c in data.clients)))
     gammas = [config.gamma_c, config.gamma_l][:len(active.earlier)]
-    adapters, reports = [], []
+    adapters, reports, direct = [], [], []
     for index, members, frozen, labels in described:
         init = init_adapter(c, h, config.rank,
                             stream(config.master_seed, f"{active.value}_init", index))
@@ -73,6 +86,7 @@ def reference_stage(config, model, data, active, described, tracker=None):
         weights = weights_root([len(data.clients[i].train) for i in members])
         rngs = {i: stream(config.master_seed, f"{active.value}_shuffle", i) for i in members}
         report = StageReport(active.value, [], [], 0, "budget", *labels)
+        direct.append([])
         prev = delta(init)
         for _ in range(getattr(config, f"t_{active.value}")):
             local = [update_path(model, path, data.clients[i].train, active, gammas,
@@ -90,25 +104,30 @@ def reference_stage(config, model, data, active, described, tracker=None):
             prev = new
             report.rho.append(rho)
             report.rounds += 1
-            report.weighted_loss.append(float(sum(
-                w * dataset_loss(model, path, data.clients[i].train)
-                for w, i in zip(weights, members))))
+            losses = [factored_loss(model, path, data.clients[i].train, active, opt.batch_size)
+                      for i in members]
+            report.weighted_loss.append(float(group_sums(np.zeros(len(members), int),
+                                                         weights * np.array(losses), 1)[0]))
+            direct[-1].append(float(sum(w * dataset_loss(model, path, data.clients[i].train)
+                                        for w, i in zip(weights, members))))
             if stopped:
                 report.stop_reason = "criterion"
                 break
         adapters.append(path.adapter(active))
         reports.append(report)
-    return adapters, reports
+    return adapters, reports, direct
 
 
-def assert_bitwise(adapters, reports, ref_adapters, ref_reports):
+def assert_bitwise(adapters, reports, ref_adapters, ref_reports, direct):
     assert len(adapters) == len(ref_adapters)
     for ad, ref in zip(adapters, ref_adapters):
         assert np.array_equal(ad.b, ref.b) and np.array_equal(ad.a, ref.a)
-    for rep, ref in zip(reports, ref_reports, strict=True):
+    for rep, ref, losses in zip(reports, ref_reports, direct, strict=True):
         assert (rep.stage, rep.cluster, rep.client) == (ref.stage, ref.cluster, ref.client)
         assert rep.rho == ref.rho and rep.weighted_loss == ref.weighted_loss
         assert (rep.rounds, rep.stop_reason) == (ref.rounds, ref.stop_reason)
+        # the factored round loss is the composed weight's at rounding level
+        assert rep.weighted_loss == pytest.approx(losses, rel=1e-12)
 
 
 @pytest.mark.parametrize("tau_rel", [1e-3, 0.3], ids=["budget", "stops"])
@@ -125,26 +144,26 @@ def test_packed_stages_match_the_per_group_public_loop_bitwise(federation, batch
     tracker, ref_tracker = BasisTracker(0.9), BasisTracker(0.9)
 
     root, report = run_root_stage(config, federation, model, tracker)
-    [ref_root], ref_reports = reference_stage(config, model, federation, Tier.ROOT,
-                                              [(0, range(9), (), ())], ref_tracker)
-    assert_bitwise([root], [report], [ref_root], ref_reports)
+    [ref_root], *ref_reports = reference_stage(config, model, federation, Tier.ROOT,
+                                               [(0, range(9), (), ())], ref_tracker)
+    assert_bitwise([root], [report], [ref_root], *ref_reports)
     assert sorted(tracker.bases) == sorted(ref_tracker.bases) == list(range(9))
     assert all(np.array_equal(tracker.bases[i], ref_tracker.bases[i]) for i in range(9))
     stage_reports = [[report]]
 
     clusters, reports = run_cluster_stage(config, federation, model, clusters_of, root)
-    ref_clusters, ref_reports = reference_stage(
+    ref_clusters, *ref_reports = reference_stage(
         config, model, federation, Tier.CLUSTER,
         [(j, clusters_of.members(j), (root,), (j,)) for j in clusters_of.cluster_ids])
     assert_bitwise([clusters[j] for j in clusters_of.cluster_ids], reports,
-                   ref_clusters, ref_reports)
+                   ref_clusters, *ref_reports)
     stage_reports.append(reports)
 
     leaves, reports = run_leaf_stage(config, federation, model, root, clusters, clusters_of)
-    ref_leaves, ref_reports = reference_stage(
+    ref_leaves, *ref_reports = reference_stage(
         config, model, federation, Tier.LEAF,
         [(i, [i], (root, clusters[j]), (j, i)) for i, j in enumerate(LABELS)])
-    assert_bitwise(leaves, reports, ref_leaves, ref_reports)
+    assert_bitwise(leaves, reports, ref_leaves, *ref_reports)
     stage_reports.append(reports)
 
     if tau_rel == 0.3:
@@ -269,6 +288,34 @@ def test_every_stage_trains_on_the_runs_own_encoded_rows(federation, monkeypatch
     # after groups retire
     assert {active for active, _ in stacks} == set(Tier)
     assert all(data is fed.train for _, data in stacks)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("batch_mode", ["full", "mini"])
+def test_a_stage_leaves_its_cached_frozen_logits_unwritten(federation, monkeypatch,
+                                                           batch_mode, workers):
+    # every round's update and round loss read each chunk's frozen logits,
+    # and the softmax works in place: the cache is read-only and unchanged
+    original, cached = fedtier.federation._frozen_logits, []
+
+    def recorded(w, z):
+        logits = original(w, z)
+        cached.append((logits, logits.copy()))
+        return logits
+
+    monkeypatch.setattr(fedtier.federation, "_frozen_logits", recorded)
+    config = FederationConfig(n_clients=9, rank=2, t_root=4, t_cluster=4, t_leaf=4,
+                              total_budget=12, lr=0.5, batch_mode=batch_mode, batch_size=8,
+                              master_seed=5, hidden_dim=10, workers=workers)
+    model = build_model(5, 6, config.hidden_dim, config.master_seed)
+    root, _ = run_root_stage(config, federation, model, BasisTracker(0.9))
+    run_leaf_stage(config, federation, model, root,
+                   run_cluster_stage(config, federation, model, assignment(), root)[0],
+                   assignment())
+    assert len(cached) == 3 * min(workers, 9)   # one per chunk and stage
+    for logits, before in cached:
+        assert not logits.flags.writeable
+        assert np.array_equal(logits, before)
 
 
 # --- stacked forms -------------------------------------------------------------

@@ -1,15 +1,20 @@
 """Record one benchmark baseline: run perfbench/run.py for every workload in
-BENCHMARK.json with tracing off and on, and merge the results into one file.
+BENCHMARK.json with tracing off once and on three times, and merge the
+results into one file.
 
     python3 tools/bench_record.py --out BENCH_<n>.json [--seconds 40]
 
 Each run is a subprocess of its own, as the benchmark is meant to run; the
 first one that exits non-zero stops the recording with exit code 1. The
-merged file holds every run's full result (metrics, notes, problems and
-provenance) from .perfbench_out/<workload>-seed23-trace<t>.json, keyed
-by workload and trace, plus the git commit of the checkout, whether its
-tree was clean, and the thread count of numpy's bundled OpenBLAS in this
-process (null without that OpenBLAS). After writing it, the tool prints
+merged file holds, keyed by workload, the full result (metrics, notes,
+problems and provenance) of the trace-0 run as "trace0" and of the traced
+run whose traced_wall_s is the median of the three as "trace1", each read
+from .perfbench_out/<workload>-seed23-trace<t>.json as its run wrote it,
+and the three traced walls in run order as "trace1_walls_s": single traced
+runs of the same code read far apart, so one would carry that spread into
+every per-layer number. The file also holds the git commit of the
+checkout, whether its tree was clean, and the thread count of numpy's
+bundled OpenBLAS in this process (null without that OpenBLAS). After writing it, the tool prints
 each end-to-end metric of BENCHMARK.json per workload, at trace 0, as the
 ratio of the new value to that of the newest BENCH_<n>.json in the
 repository root other than --out (the largest n). Only the standard library
@@ -27,6 +32,7 @@ ROOT = Path(__file__).resolve().parent.parent
 RESULTS = ROOT / ".perfbench_out"
 SEED = 23   # perfbench/run.py's default data seed, which names its result files
 RECORDS = ROOT   # where the committed BENCH_<n>.json files are
+TRACED_RUNS = 3   # trace-1 runs per workload, of which the median traced wall is kept
 
 
 def _git(*args: str) -> str | None:
@@ -53,11 +59,21 @@ def run_benchmark(workload: str, seconds: float, trace: int) -> int:
     return subprocess.run(command, cwd=ROOT).returncode
 
 
-def merge(workloads) -> dict:
-    """Every workload's trace 0 and trace 1 results, read from RESULTS."""
-    return {w: {f"trace{t}": json.loads((RESULTS / f"{w}-seed{SEED}-trace{t}.json").read_text())
-                for t in (0, 1)}
-            for w in workloads}
+def record_workload(workload: str, seconds: float) -> dict | None:
+    """Run the workload once at trace 0 and TRACED_RUNS times at trace 1,
+    reading each result from RESULTS right after its run; returns the
+    workload's entry of the record, or None once a run exits non-zero."""
+    runs = {0: [], 1: []}
+    for trace in (0, *[1] * TRACED_RUNS):
+        code = run_benchmark(workload, seconds, trace)
+        if code != 0:
+            print(f"error: {workload} at --trace {trace} exited with {code}", file=sys.stderr)
+            return None
+        runs[trace].append(json.loads(
+            (RESULTS / f"{workload}-seed{SEED}-trace{trace}.json").read_text()))
+    walls = [run["result"]["metrics"]["traced_wall_s"]["value"] for run in runs[1]]
+    median = sorted(range(TRACED_RUNS), key=walls.__getitem__)[TRACED_RUNS // 2]
+    return {"trace0": runs[0][0], "trace1": runs[1][median], "trace1_walls_s": walls}
 
 
 def previous_record(out: Path) -> Path | None:
@@ -91,18 +107,15 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, type=Path, help="the merged JSON file")
     parser.add_argument("--seconds", type=float, default=spec["run_seconds"])
     args = parser.parse_args(argv)
-    workloads = [w["name"] for w in spec["workloads"]]
-    for workload in workloads:
-        for trace in (0, 1):
-            code = run_benchmark(workload, args.seconds, trace)
-            if code != 0:
-                print(f"error: {workload} at --trace {trace} exited with {code}",
-                      file=sys.stderr)
-                return 1
+    merged = {}
+    for workload in (w["name"] for w in spec["workloads"]):
+        merged[workload] = record_workload(workload, args.seconds)
+        if merged[workload] is None:
+            return 1
     record = {"git_sha": _git("rev-parse", "HEAD"),
               "git_clean": _git("status", "--porcelain") == "",
               "blas_threads": blas_threads(), "seed": SEED, "seconds": args.seconds,
-              "workloads": merge(workloads)}
+              "workloads": merged}
     args.out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     print(f"wrote {args.out}")
     previous = previous_record(args.out)
