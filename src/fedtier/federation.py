@@ -34,14 +34,19 @@ the one builder of the kernel's inputs from adapters and the one check of
 the gammas, spread once to the members.
 Every round trains the whole stack, so the layouts it caches serve all three
 stages, and at the metrics' block the metrics' loss pass; a retired group's
-members still run their local update, but nothing reads it. Each round
+members still run their local update, and nothing reads it but, in full
+batch, the group's last round loss off the first step after it retires.
+Each round
 spreads the group factors to the members, runs one local update on the
 stack (`workers` > 1 splits it into contiguous chunks run on a thread pool),
 refuses local factors that went non-finite, and aggregates, refactors and
 stop-checks every running group with the stacked forms of
-aggregate_product, refactor and stop_check. Its round loss is each chunk's
-factored logits at the new group factors over the chunk's cached frozen
-logits, so no C×h weight is formed for it.
+aggregate_product, refactor and stop_check. Its round loss is at the new
+group factors, which the next round's local update starts from: a
+full-batch update reads it off its first step (model.local_update's
+`losses`), so the stage runs one loss pass, after its last round, where
+mini batch runs one every round. A pass takes each chunk's factored logits
+over its cached frozen logits, so no C×h weight is formed for it.
 
 The trained federation holds each tier once: the root, the cluster adapters
 by label and the leaves in client order. A client's paths, its cluster and
@@ -303,8 +308,9 @@ def _run_stage(config: FederationConfig, model: HeadModel, data: FederationData,
     A group's aggregation and round-loss weights are its members' shares
     of its train rows (weights_root by owner). Every round trains on enc
     itself, so the layouts it caches serve every stage; the members of a
-    retired group still run their local update, but nothing reads it, and
-    a client's bits do not depend on its stack mates.
+    retired group still run their local update, and nothing reads it but,
+    in full batch, the group's last round loss off the first step after it
+    retires; a client's bits do not depend on its stack mates.
     Each round then:
     - spreads the group factors to the members by owner and runs one local
       update per chunk of the stack (config.workers > 1 splits it into at
@@ -315,13 +321,21 @@ def _run_stage(config: FederationConfig, model: HeadModel, data: FederationData,
       tracker, given only to the root stage's one group, first receives
       every member's local B in one stacked ema_update call), and one
       stacked SVD refactors them all;
-    - takes every running group's rho from one stacked stop_check and its
-      round loss, the members' model._logit_losses of _factored_logits at
-      the group factors over each chunk's cached frozen logits and layout
-      at the stage's block, concatenated in client order and weighted and
-      summed by group_sums (a padding block adds exact zeros, so a client's
-      loss does not depend on its chunk); a group retires once rho falls
-      to tau_rel or its budget runs out."""
+    - takes every running group's rho from one stacked stop_check; a group
+      retires once rho falls to tau_rel or its budget runs out.
+    A round's loss is each running group's members' mean train losses at
+    its new factors, in client order, weighted and summed by group_sums.
+    Round t's groups stay pending until round t + 1 has run its update,
+    which starts every member at its group's factors (a retired group's at
+    its final ones). In full batch that update's first step reads the
+    losses off its probabilities (local_update's `losses`; each chunk fills
+    its slice of one array); in mini batch a loss pass computes them, the
+    members' model._logit_losses of _factored_logits at the group factors
+    over each chunk's cached frozen logits and layout at the stage's block
+    (a padding block adds exact zeros, so a client's loss does not depend
+    on its chunk), bitwise what the first step reads. One pass after the
+    stage's last round, or once every group has retired, settles the
+    last; a budget-0 stage runs none."""
     if config.rank > min(model.w0.shape):
         raise ConfigurationError(f"rank={config.rank} exceeds min(class count, hidden_dim) = "
                                  f"min{model.w0.shape}: no adapter has that rank")
@@ -361,7 +375,19 @@ def _run_stage(config: FederationConfig, model: HeadModel, data: FederationData,
         return _logit_losses(_factored_logits(frozen_logits, b[owner[part]], a[owner[part]],
                                               z)[0], labels, real, stack.sizes)
 
-    running = np.arange(len(b))   # the groups still training
+    def settle(groups, member_losses=None):
+        """Append each of the groups' round loss: its members' losses at their
+        group factors, from a loss pass when not given, weighted and summed."""
+        if member_losses is None:
+            member_losses = np.concatenate([*map(losses, parts, chunks, logits)])
+        loss = group_sums(owner, pi * member_losses, len(b))
+        for g, x in zip(groups.tolist(), loss[groups].tolist()):
+            reports[g].weighted_loss.append(x)
+
+    # a full-batch update reads its members' losses off its first step
+    read = np.empty(config.n_clients) if opt.batch_mode == "full" else None
+    # the groups still training, and those whose last round's loss is unsettled
+    running, pending = np.arange(len(b)), np.arange(0)
     with ThreadPoolExecutor(config.workers) if config.workers > 1 else nullcontext() as pool:
         for t in range(1, budget + 1):
             if not running.size:
@@ -370,11 +396,15 @@ def _run_stage(config: FederationConfig, model: HeadModel, data: FederationData,
 
             def chunk(part, data, frozen_logits):
                 return local_update(model, local.select(part), data, opt=opt, rng=rngs[part],
-                                    frozen_logits=frozen_logits)
+                                    frozen_logits=frozen_logits,
+                                    losses=None if read is None else read[part])
 
-            # each chunk updates its slice of the local factors in place
+            # each chunk updates its slice of the local factors in place,
+            # and of read in full batch
             list((map if pool is None else pool.map)(chunk, parts, chunks, logits))
             _check_round(config, active, t, local)
+            if pending.size:   # this round started from the factors the last one left
+                settle(pending, read)
             if active is Tier.LEAF:
                 b[running], a[running] = local.b[running], local.a[running]
                 delta_new = b[running] @ a[running]
@@ -387,13 +417,12 @@ def _run_stage(config: FederationConfig, model: HeadModel, data: FederationData,
                 b[running], a[running] = refactor(delta_new, config.rank)
             stopped, rho = stop_check(prev[running], delta_new, config.tau_rel, config.eps)
             prev[running] = delta_new
-            del delta_new   # not kept through the loss pass, the round's memory peak
-            loss = group_sums(owner, pi * np.concatenate([*map(losses, parts, chunks, logits)]),
-                              len(b))
-            for g, r, x in zip(running.tolist(), rho.tolist(), loss[running].tolist()):
+            del delta_new   # not kept through the next round's update and loss
+            for g, r in zip(running.tolist(), rho.tolist()):
                 reports[g].rho.append(r)
-                reports[g].weighted_loss.append(x)
-            running = running[~stopped]
+            pending, running = running, running[~stopped]
+    if pending.size:   # no round follows the stage's last: one loss pass settles it
+        settle(pending)
     for g, report in enumerate(reports):
         report.rounds = len(report.rho)
         report.stop_reason = "budget" if g in running else "criterion"

@@ -40,12 +40,18 @@ B = I and A = 0).
 Every score is the kernel's too: the loss and the argmax accuracy read the
 same blocks and the same mask of real rows, which a ClientStack's layout
 holds together, so a client scores the same bits alone or in any stack.
-The loss is one function of a layout's logits (_logit_losses): the metrics
-take weight-form logits at _DEFAULT_BATCH, the stage engine's round loss
-factored ones at its own block. A block longer than a client's rows only
-adds padding: local_update takes the batch size as given, and the stage
-settings (federation._stage_settings) cap it at the largest client they may
-see. The central finite-difference oracle used by tests and the gradcheck
+The loss has one rule, _label_losses of the rows' label probabilities, and
+one function of a layout's logits, _logit_losses: the metrics take
+weight-form logits at _DEFAULT_BATCH, the stage engine factored ones at its
+own block. A full-batch step applies the same rule to its own normalised
+probabilities before the one-hot subtract, so a full-batch local_update
+call can return each client's loss at its starting factors (its `losses`
+output) with no pass of its own; the stage engine reads each full-batch
+round's loss off the next round's first step, and runs _logit_losses once
+after a stage's last round, and every round in mini batch. A block longer
+than a client's rows only adds padding: local_update takes the batch size
+as given, and the stage settings (federation._stage_settings) cap it at the
+largest client they may see. The central finite-difference oracle used by tests and the gradcheck
 command checks the gradient.
 """
 
@@ -284,13 +290,17 @@ def dataset_loss(model: HeadModel, path: AdapterPath, data) -> float:
 # exact zeros to both factor gradients whatever label they carry. The
 # metrics' score passes (loss, accuracy) form each client's C×h weight; a
 # training step and the stage's round loss do not: both add B (A z) to the
-# cached frozen logits (_factored_logits). Probabilities are stored
-# class-outer, (C, S, blocks, block), and read through their (S, blocks, C,
-# block) transpose: each slice's logits matmul writes into that view, and the
-# softmax's max, exp, sum and divide each run once over the classes of the
-# whole (C, S·blocks·block) array. Each row's classes are summed in the order
-# a per-slice softmax over class-major (S, blocks, C, block) memory sums them
-# (tests/oracles.py), so both give the same bits.
+# cached frozen logits (_factored_logits). A full-batch call's first step
+# also reads each client's loss off its normalised probabilities, before the
+# one-hot subtract, by the loss's one rule (_label_losses): the bits of a
+# loss pass over the same logits, so a stage needs no pass per full-batch
+# round. Probabilities are stored class-outer, (C, S, blocks, block), and
+# read through their (S, blocks, C, block) transpose: each slice's logits
+# matmul writes into that view, and the softmax's max, exp, sum and divide
+# each run once over the classes of the whole (C, S·blocks·block) array.
+# Each row's classes are summed in the order a per-slice softmax over
+# class-major (S, blocks, C, block) memory sums them (tests/oracles.py), so
+# both give the same bits.
 
 _DEFAULT_BATCH = 32
 BATCH_MODES = one_of("full", "mini")   # shared with FederationConfig.batch_mode
@@ -351,7 +361,7 @@ def _factored_logits(frozen_logits, b, a, z):
     return np.add(logits, frozen_logits, out=logits), az
 
 
-def _stack_gradient(frozen_logits, b, a, z, index, rows, penalty_b, penalty_bt):
+def _stack_gradient(frozen_logits, b, a, z, index, rows, penalty_b, penalty_bt, losses=None):
     """Per-client gradient of the mean cross-entropy over the blocks in z,
     plus the weighted orthogonality penalties, with respect to (b, a), in
     factored form: the logits are frozen_logits + B (A z), and
@@ -365,10 +375,18 @@ def _stack_gradient(frozen_logits, b, a, z, index, rows, penalty_b, penalty_bt):
     rows' labels, rows (S, 1, 1) real rows in z, and the penalty pair
     (S, C, P) and (S, P, C). Block gradients are summed in block order; one
     block is taken as it is, which is bitwise its sum.
+
+    losses, when given, is an (out, real) pair: out (S,) receives each
+    client's mean cross-entropy at (b, a), read off the normalised
+    probabilities before the one-hot subtract by _label_losses over the
+    real-row mask real (S, K, block), bitwise _logit_losses of these logits.
     """
     logits, az = _factored_logits(frozen_logits, b, a, z)
     exps, sums = _softmax_exps(logits)
     exps /= sums
+    if losses is not None:
+        out, real = losses
+        out[:] = _label_losses(exps.reshape(-1)[index].reshape(real.shape), real, rows.ravel())
     exps.reshape(-1)[index] -= 1.0
     resid = exps.transpose(1, 2, 0, 3)
     if min(resid.shape[-1], b.shape[-1]) == 1:
@@ -386,19 +404,30 @@ def _stack_gradient(frozen_logits, b, a, z, index, rows, penalty_b, penalty_bt):
     return db, da
 
 
+def _label_losses(picked, real, sizes) -> np.ndarray:
+    """The package's one cross-entropy rule: each stacked client's mean of
+    -log of its rows' label probabilities picked (S, K, block), clamped at
+    _PROB_FLOOR, over the real rows of the mask real, of which the clients
+    hold sizes. Like the gradient, it sums each block, then the blocks in
+    block order, so stack mates and padding blocks change no bit."""
+    part = np.where(real, -np.log(np.maximum(picked, _PROB_FLOOR)), 0.0).sum(axis=-1)
+    return reduce(np.add, part.swapaxes(0, 1)) / sizes
+
+
 def _logit_losses(logits, labels, real, sizes) -> np.ndarray:
     """Mean cross-entropy of each stacked client from the class-outer logits
     (C, S, K, block) of a layout's rows, whose labels and real-row mask are
     (S, K, block) and whose clients hold sizes real rows; the softmax runs
-    in place on logits. Like the gradient, it sums each block, then the
-    blocks in block order, so stack mates and padding blocks change no bit.
-    Only each row's label probability, picked by its flat index, is
-    normalised."""
+    in place on logits. Only each row's label probability, picked by its
+    flat index, is normalised, and _label_losses takes the mean. A
+    full-batch step reads the same losses off its own probabilities
+    (_stack_gradient), so the stage engine calls this once after a stage's
+    last round in full batch, and every round in mini batch, where a step
+    sees one block."""
     exps, sums = _softmax_exps(logits)
     picked = exps.reshape(-1)[_label_index(labels)]
     picked /= sums
-    part = np.where(real, -np.log(np.maximum(picked, _PROB_FLOOR)), 0.0).sum(axis=-1)
-    return reduce(np.add, part.swapaxes(0, 1)) / sizes
+    return _label_losses(picked, real, sizes)
 
 
 def _stack_losses(w: np.ndarray, data: ClientStack) -> np.ndarray:
@@ -500,12 +529,13 @@ class SgdConfig:
 
 
 def local_update(model: HeadModel, inputs: KernelInputs, data: ClientStack, *,
-                 opt: SgdConfig, rng=None, frozen_logits=None) -> KernelInputs:
+                 opt: SgdConfig, rng=None, frozen_logits=None, losses=None) -> KernelInputs:
     """Run `opt.epochs` of gradient descent on the active factors of
     `inputs`, KernelInputs built from one path per client by _stack_inputs,
     on `data`, a ClientStack of those clients; `rng` is None or one
-    Generator per client. opt, rng and frozen_logits are keyword-only, and
-    any other inputs or data are refused with ConfigurationError.
+    Generator per client. opt, rng, frozen_logits and losses are
+    keyword-only, and any other inputs or data are refused with
+    ConfigurationError.
 
     The active B is penalized against the B factor of each of the path's
     tiers in active.earlier, weighted by the gamma in the same place: the
@@ -534,7 +564,17 @@ def local_update(model: HeadModel, inputs: KernelInputs, data: ClientStack, *,
     from the cached layout, and mini batch per step, from its epoch's
     shuffle; one step loop runs both. No buffer is kept across calls, and
     none across steps but the mini-batch epochs' one triple and the
-    full-batch operands.
+    full-batch operands; the first full-batch step writes `losses`, the
+    caller's own array, when given.
+
+    `losses`, an (S,) array or None, is the call's one output besides the
+    factors: a full-batch call fills it with each client's mean train
+    cross-entropy at the call's starting factors, which its first step reads
+    off its normalised probabilities (_stack_gradient), bitwise
+    _logit_losses of those factors' logits over the layout; the stage engine
+    takes each round's loss from the next round's call this way. A
+    mini-batch step sees only one block, so losses there, of another length
+    or with no step to read them are refused with ConfigurationError.
 
     A step runs in factored form on the frozen logits (_stack_gradient),
     which have one rule in both batch modes: `frozen_logits` is
@@ -555,10 +595,13 @@ def local_update(model: HeadModel, inputs: KernelInputs, data: ClientStack, *,
     mini = opt.batch_mode == "mini"
     if mini and any(r is None for r in rng):
         raise ConfigurationError("mini-batch mode needs an rng for shuffling")
-    blocks, layout = -(-data.sizes // opt.batch_size), data.layout(opt.batch_size)[:2]
-    shape = (b.shape[1], *layout[1].shape)   # class-outer (C, S, blocks, block)
+    if losses is not None and (mini or not opt.epochs or np.shape(losses) != b.shape[:1]):
+        raise ConfigurationError(f"losses are read off a full-batch call's first step, one per "
+                                 f"client; got {np.shape(losses)} for {len(b)} clients")
+    blocks, (z, labels, real) = -(-data.sizes // opt.batch_size), data.layout(opt.batch_size)
+    shape = (b.shape[1], *labels.shape)   # class-outer (C, S, blocks, block)
     if frozen_logits is None:
-        frozen_logits = _frozen_logits(frozen_w, layout[0])
+        frozen_logits = _frozen_logits(frozen_w, z)
     elif np.shape(frozen_logits) != shape:
         raise ConfigurationError(f"frozen_logits must be {shape}, got {np.shape(frozen_logits)}")
     # the step plan: a step runs over a span of blocks, all of the layout's
@@ -580,12 +623,16 @@ def local_update(model: HeadModel, inputs: KernelInputs, data: ClientStack, *,
     # full batch reads the stack's cached layout and frozen logits every
     # epoch, so its operands are built once; mini batch a fresh shuffle of both
     epochs = (starmap(operands, data.epochs(rng, opt.epochs, opt.batch_size, frozen_logits))
-              if mini else repeat(list(operands(*layout, frozen_logits)), opt.epochs))
+              if mini else repeat(list(operands(z, labels, frozen_logits)), opt.epochs))
+    # the first step starts at the starting factors: it fills losses
+    read = None if losses is None else (losses, real)
     # a diverging step warns nowhere: the caller refuses it
     with np.errstate(over="ignore", invalid="ignore"):
         for steps in epochs:
             for sel, step_b, step_a, logits, z, index, rows, pen_b, pen_bt in steps:
-                db, da = _stack_gradient(logits, step_b, step_a, z, index, rows, pen_b, pen_bt)
+                db, da = _stack_gradient(logits, step_b, step_a, z, index, rows, pen_b, pen_bt,
+                                         read)
+                read = None
                 step_b -= np.multiply(db, opt.lr, out=db)
                 step_a -= np.multiply(da, opt.lr, out=da)
                 if not isinstance(sel, slice):   # a slice's views write through

@@ -11,7 +11,9 @@ same formula taken one slice at a time (oracles.class_major_factored_gradient);
 the weight-form formula (oracles.class_major_gradient) forms frozen + B A and
 sums its products in another order, so it agrees to rounding only. The
 shuffle tests hold every mini-batch step to one tier_gradient step on the
-rows a twin stream's permutation(n) picks.
+rows a twin stream's permutation(n) picks. A full-batch call's `losses`
+output, read off its first step, is held bitwise to a loss pass
+(_logit_losses) over the factored logits at its starting factors.
 """
 
 import itertools
@@ -20,6 +22,7 @@ import numpy as np
 import pytest
 
 from fedtier import model
+from fedtier.errors import ConfigurationError
 from fedtier.lora import AdapterPath, LoraAdapter, Tier
 from fedtier.model import (ClientStack, EncodedData, Samples, SgdConfig, build_model, encode,
                            local_update, tier_gradient)
@@ -158,3 +161,56 @@ def test_stacked_clients_shuffle_their_own_slices():
     for s, (enc, path) in enumerate(zip(encs, paths)):
         _, leaf = twin_steps(net, enc, path, stream(7, "leaf_shuffle", s))
         assert np.array_equal(out.b[s], leaf.b) and np.array_equal(out.a[s], leaf.a)
+
+
+def full_batch_case(s, k, c, block, rank, penalized):
+    """A full-batch call's stack and KernelInputs: s clients at `block`, the
+    first filling k blocks and the others ragged, 1 to k·block rows, so
+    their slots end in padding rows and padding blocks; rank-`rank`
+    factors, and a penalty pair of 3 columns or none."""
+    rng = np.random.default_rng([s, k, c, block, rank, penalized])
+    sizes = rng.integers(1, k * block + 1, size=s)
+    sizes[0] = rng.integers((k - 1) * block + 1, k * block + 1)
+    stack = ClientStack([EncodedData(rng.normal(size=(n, H)), rng.integers(c, size=n))
+                         for n in sizes])
+    p = 3 if penalized else 0
+    inputs = model.KernelInputs(*(scale * rng.normal(size=shape) for scale, shape in (
+        (1.0, (s, c, H)), (0.3, (s, c, rank)), (0.3, (s, rank, H)), (0.1, (s, c, p)),
+        (0.1, (s, p, c)))))
+    return stack, inputs
+
+
+@pytest.mark.parametrize("rank, penalized", [(1, False), (1, True), (R, False), (R, True)])
+@pytest.mark.parametrize("s, k, c, block", [(*g, block) for g in GRID for block in (1, 2, 7, 32)])
+def test_a_full_batch_call_reads_its_starting_losses_off_its_first_step(s, k, c, block, rank,
+                                                                        penalized):
+    stack, inputs = full_batch_case(s, k, c, block, rank, penalized)
+    assert stack.layout(block)[0].shape[:2] == (s, k)
+    z, labels, real = stack.layout(block)
+    logits, _ = model._factored_logits(model._frozen_logits(inputs.frozen, z), inputs.b,
+                                       inputs.a, z)
+    want = model._logit_losses(logits, labels, real, stack.sizes)
+    start_b, plain = inputs.b.copy(), inputs._replace(b=inputs.b.copy(), a=inputs.a.copy())
+    net, opt = build_model(3, c, H, seed=0), SgdConfig(lr=0.05, epochs=2, batch_size=block)
+    losses = np.full(s, np.nan)
+    assert local_update(net, inputs, stack, opt=opt, losses=losses) is inputs
+    local_update(net, plain, stack, opt=opt)
+    assert np.array_equal(losses, want)
+    # reading the losses changes no bit of the step, and the call stepped
+    assert np.array_equal(inputs.b, plain.b) and np.array_equal(inputs.a, plain.a)
+    assert not np.array_equal(inputs.b, start_b)
+
+
+@pytest.mark.parametrize("batch_mode, length, epochs", [
+    ("mini", 3, 1), ("full", 2, 1), ("full", 4, 1), ("full", 3, 0)],
+    ids=["mini_batch", "short", "long", "no_step"])
+def test_losses_are_refused_where_no_full_batch_step_reads_them(batch_mode, length, epochs):
+    stack, inputs = full_batch_case(3, 2, 5, 4, R, True)
+    start = inputs.b.copy(), inputs.a.copy()
+    opt = SgdConfig(lr=0.05, epochs=epochs, batch_mode=batch_mode, batch_size=4)
+    with pytest.raises(ConfigurationError, match="losses are read off a full-batch call's "
+                                                 "first step"):
+        local_update(build_model(3, 5, H, seed=0), inputs, stack, opt=opt,
+                     rng=[stream(7, "leaf_shuffle", i) for i in range(3)],
+                     losses=np.empty(length))
+    assert np.array_equal(inputs.b, start[0]) and np.array_equal(inputs.a, start[1])

@@ -124,13 +124,15 @@ def assert_bitwise(adapters, reports, ref_adapters, ref_reports, direct):
         assert np.array_equal(ad.b, ref.b) and np.array_equal(ad.a, ref.a)
     for rep, ref, losses in zip(reports, ref_reports, direct, strict=True):
         assert (rep.stage, rep.cluster, rep.client) == (ref.stage, ref.cluster, ref.client)
+        # every round's loss is settled, also a full-batch stage's last
+        assert len(rep.weighted_loss) == len(rep.rho) == rep.rounds
         assert rep.rho == ref.rho and rep.weighted_loss == ref.weighted_loss
         assert (rep.rounds, rep.stop_reason) == (ref.rounds, ref.stop_reason)
         # the factored round loss is the composed weight's at rounding level
         assert rep.weighted_loss == pytest.approx(losses, rel=1e-12)
 
 
-@pytest.mark.parametrize("tau_rel", [1e-3, 0.3], ids=["budget", "stops"])
+@pytest.mark.parametrize("tau_rel", [1e-3, 0.3, 1.0], ids=["budget", "stops", "all_stop"])
 @pytest.mark.parametrize("workers", [1, 3])
 @pytest.mark.parametrize("batch_mode", ["full", "mini"])
 def test_packed_stages_match_the_per_group_public_loop_bitwise(federation, batch_mode,
@@ -167,13 +169,62 @@ def test_packed_stages_match_the_per_group_public_loop_bitwise(federation, batch
     stage_reports.append(reports)
 
     if tau_rel == 0.3:
-        # groups retire in different rounds; a retired group's members still run, unread
+        # groups retire in different rounds; a retired group's members still run
         assert all(r.stop_reason == "criterion" for r in stage_reports[0])
         for reps in stage_reports[1:]:
             assert len({r.rounds for r in reps}) > 1
             assert any(r.stop_reason == "criterion" for r in reps)
+    elif tau_rel == 1.0:
+        # every group retires before its budget, so no round follows any
+        # group's last: the stage's closing loss pass settles it
+        for reps in stage_reports:
+            assert all(r.stop_reason == "criterion" and r.rounds < 8 for r in reps)
+        assert any(len({r.rounds for r in reps}) > 1 for reps in stage_reports[1:])
     else:
         assert all(r.stop_reason == "budget" for reps in stage_reports for r in reps)
+
+
+@pytest.mark.parametrize("tau_rel", [1e-3, 10.0], ids=["budget", "all_stop"])
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("batch_mode", ["full", "mini"])
+def test_a_full_batch_stage_runs_one_loss_pass_and_a_mini_batch_stage_one_per_round(
+        federation, monkeypatch, batch_mode, workers, tau_rel):
+    # a full-batch round's loss is read off the next round's first step, so
+    # only the stage's last round needs a pass (one _logit_losses call per
+    # chunk); a budget-0 stage runs none
+    original, calls = fedtier.federation._logit_losses, []
+
+    def counted(*args):
+        calls.append(args[0].shape)
+        return original(*args)
+
+    monkeypatch.setattr(fedtier.federation, "_logit_losses", counted)
+    config = FederationConfig(n_clients=9, rank=2, t_root=6, t_cluster=0, t_leaf=6,
+                              total_budget=12, lr=0.5, batch_mode=batch_mode, batch_size=8,
+                              master_seed=5, hidden_dim=10, tau_rel=tau_rel, workers=workers)
+    model = build_model(5, 6, config.hidden_dim, config.master_seed)
+    clusters_of, chunks = assignment(), min(workers, 9)
+
+    def passes(stage, reports):
+        rounds = max(r.rounds for r in reports)
+        count, calls[:] = len(calls), []
+        assert rounds > 0 and count == chunks * (1 if batch_mode == "full" else rounds), stage
+        return reports
+
+    root, report = run_root_stage(config, federation, model, BasisTracker(0.9))
+    [ref_root], *ref = reference_stage(config, model, federation, Tier.ROOT,
+                                       [(0, range(9), (), ())])
+    assert_bitwise([root], passes("root", [report]), [ref_root], *ref)
+    clusters, reports = run_cluster_stage(config, federation, model, clusters_of, root)
+    assert not calls
+    assert all(r.rounds == 0 and r.rho == r.weighted_loss == [] for r in reports)
+    leaves, reports = run_leaf_stage(config, federation, model, root, clusters, clusters_of)
+    ref_leaves, *ref = reference_stage(
+        config, model, federation, Tier.LEAF,
+        [(i, [i], (root, clusters[j]), (j, i)) for i, j in enumerate(LABELS)])
+    assert_bitwise(leaves, passes("leaf", reports), ref_leaves, *ref)
+    if tau_rel == 10.0:
+        assert all(r.stop_reason == "criterion" and r.rounds < 6 for r in [report, *reports])
 
 
 def test_many_chunk_threads_writing_one_member_stack_change_no_bit(federation):
